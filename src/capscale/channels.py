@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,14 +28,16 @@ _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULI = np.array([_I2, _X, _Y, _Z])
 
 
 @dataclass(frozen=True)
 class QubitChannel:
     """A CPT map on qubit states.
 
-    Use the factory constructors; the completeness sum K†K = I is checked
-    to 1e-10 on construction for every kind.
+    Use the factory constructors; on construction every Kraus entry must
+    be finite and the completeness sum K†K = I is checked to 1e-10, for
+    every kind.
     """
 
     kind: str
@@ -64,10 +67,26 @@ class QubitChannel:
     def __post_init__(self):
         if self.kind not in ("amplitude_damping", "depolarizing", "kraus"):
             raise ValidationError(f"unknown channel kind {self.kind!r}")
-        comp = sum(k.conj().T @ k for k in kraus_operators(self))
+        ops = kraus_operators(self)
+        if not all(np.all(np.isfinite(k)) for k in ops):
+            raise ValidationError("Kraus operators have non-finite entries")
+        comp = sum(k.conj().T @ k for k in ops)
         dev = np.abs(comp - _I2).max()
         if dev > COMPLETENESS_TOL:
             raise ValidationError(f"Kraus completeness violated: |sum K†K - I| = {dev:.3e}")
+
+    @cached_property
+    def bloch_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Affine action on Bloch vectors, r -> M r + t, as the pair (M, t).
+
+        Every qubit channel has this form (Ruskai, Szarek & Werner, Lin.
+        Alg. Appl. 347, 159 (2002)). Computed once per channel from the
+        Pauli transfer matrix R_ij = tr(σ_i Φ(σ_j)) / 2 with σ_0 = I:
+        t = R[1:, 0], M = R[1:, 1:].
+        """
+        ops = np.array(kraus_operators(self))
+        R = 0.5 * np.einsum("iab,kbc,jcd,kad->ij", _PAULI, ops, _PAULI, ops.conj()).real
+        return R[1:, 1:], R[1:, 0]
 
 
 def kraus_operators(ch: QubitChannel) -> list[np.ndarray]:
@@ -113,6 +132,11 @@ def apply_qubit_channel(ch: QubitChannel, rho) -> np.ndarray:
     for k in ch.kraus_ops:
         out += k @ rho @ k.conj().T
     return out
+
+
+def _is_distribution(v: np.ndarray) -> bool:
+    """True when every row of v is a probability vector; NaN makes it False."""
+    return bool(v.min() >= 0.0 and np.abs(v.sum(axis=-1) - 1.0).max() <= 1e-10)
 
 
 @dataclass(frozen=True)
@@ -161,16 +185,16 @@ class MemoryChannel:
             q = self.q
             if q is None or q.shape != (L,):
                 raise ValidationError("random memory needs one probability per branch")
-            if q.min() < 0.0 or abs(q.sum() - 1.0) > 1e-10:
+            if not _is_distribution(q):
                 raise ValidationError("q must be a probability vector summing to 1")
             return
         if self.memory == "markov":
             Q, lam = self.Q, self.lam
             if Q is None or Q.shape != (L, L) or lam is None or lam.shape != (L,):
                 raise ValidationError("markov memory needs an LxL transition matrix and length-L lambda")
-            if Q.min() < 0.0 or np.abs(Q.sum(axis=1) - 1.0).max() > 1e-10:
+            if not _is_distribution(Q):
                 raise ValidationError("each row of Q must be a probability vector")
-            if lam.min() < 0.0 or abs(lam.sum() - 1.0) > 1e-10:
+            if not _is_distribution(lam):
                 raise ValidationError("lambda must be a probability vector summing to 1")
             if np.abs(lam @ Q - lam).max() > 1e-8:
                 raise ValidationError("lambda is not invariant under Q")

@@ -101,3 +101,17 @@ def binary_entropy(x: float) -> float:
     if x <= 0.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+
+
+def entropy_from_radius(r):
+    """Entropy in bits of qubit states with Bloch radius r, elementwise.
+
+    The smaller eigenvalue (1 - r)/2 is computed as (1 - r²)/(2(1 + r)),
+    which keeps its relative accuracy for nearly pure states. Radii that
+    roundoff pushes above 1 count as pure; NaN propagates.
+    """
+    r = np.minimum(np.asarray(r, dtype=float), 1.0)
+    lam = (1.0 - r * r) / (2.0 * (1.0 + r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(lam * np.log2(lam) + (1.0 - lam) * np.log2(1.0 - lam))
+    return np.where(lam == 0.0, 0.0, h)

@@ -6,7 +6,8 @@ single-parameter Holevo curves. The grid ensemble search is the
 independent check that two mirror-image pure states really are enough:
 it sweeps ensembles of up to four pure states over an angular lattice and
 a probability simplex grid without assuming anything about where the
-optimum sits.
+optimum sits. It evaluates the Holevo quantity through the channel's
+Bloch-affine map (M, t) and the Bloch-radius entropy.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QubitChannel, apply_qubit_channel, kraus_operators
+from .channels import QubitChannel
 from .errors import NumericalError, ValidationError
-from .holevo import chi_ad_mirror
+from .holevo import chi_ad_mirror, holevo_chi
+from .linalg import entropy_from_radius
 
 # Maximizer search window for amplitude-damping curves: the optimum is
 # known to sit at a >= 1/2, and the derivative is singular at a = 1.
@@ -49,8 +51,8 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-8) -> OptResult
     """
     if not lo < hi:
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol < 1e-12:
-        raise ValidationError(f"tol must be >= 1e-12, got {tol}")
+    if not (1e-12 <= tol < math.inf):
+        raise ValidationError(f"tol must be finite and >= 1e-12, got {tol}")
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
@@ -99,23 +101,18 @@ def find_root_bisection(g, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_gammas(gammas):
-    gammas = [float(g) for g in gammas]
-    if not gammas:
-        raise ValidationError("need at least one damping parameter")
-    for g in gammas:
-        if not 0.0 <= g <= 1.0:
-            raise ValidationError(f"gamma must be in [0, 1], got {g!r}")
-    return gammas
-
-
 def maximize_chi_sum(gammas, weights, tol: float = 1e-8) -> OptResult:
     """Maximize a weighted sum of amplitude-damping Holevo curves over a.
 
     Each curve is concave in a, so the sum is concave and golden-section
     search on the a >= 1/2 window applies.
     """
-    gammas = _check_gammas(gammas)
+    gammas = [float(g) for g in gammas]
+    if not gammas:
+        raise ValidationError("need at least one damping parameter")
+    for g in gammas:
+        if not 0.0 <= g <= 1.0:
+            raise ValidationError(f"gamma must be in [0, 1], got {g!r}")
     weights = [float(w) for w in weights]
     if len(weights) != len(gammas):
         raise ValidationError("gammas and weights must have equal length")
@@ -128,51 +125,7 @@ def maximize_chi_sum(gammas, weights, tol: float = 1e-8) -> OptResult:
     return maximize_concave_1d(f, AD_SEARCH_LO, AD_SEARCH_HI, tol)
 
 
-def maximize_chi_min(gammas, tol: float = 1e-8) -> OptResult:
-    """Maximize the pointwise minimum of amplitude-damping Holevo curves."""
-    gammas = _check_gammas(gammas)
-
-    def f(a):
-        return min(chi_ad_mirror(g, a) for g in gammas)
-
-    return maximize_concave_1d(f, AD_SEARCH_LO, AD_SEARCH_HI, tol)
-
-
 # --- grid ensemble search -------------------------------------------------
-
-
-def _bloch_affine_map(ch: QubitChannel):
-    """Affine Bloch-sphere action (M, t) of a channel: r -> M r + t."""
-    def bloch(rho):
-        return np.array(
-            [2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
-        )
-
-    def out(rho):
-        return bloch(apply_qubit_channel(ch, np.asarray(rho, dtype=complex)))
-
-    t = out(np.eye(2) / 2.0)
-    axis_states = [
-        [[0.5, 0.5], [0.5, 0.5]],        # Bloch +x
-        [[0.5, -0.5j], [0.5j, 0.5]],     # Bloch +y
-        [[1.0, 0.0], [0.0, 0.0]],        # Bloch +z
-    ]
-    cols = [out(s) - t for s in axis_states]
-    return np.column_stack(cols), t
-
-
-def _h2_arr(x):
-    x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    m = (x > 0.0) & (x < 1.0)
-    xm = x[m]
-    out[m] = -(xm * np.log2(xm) + (1.0 - xm) * np.log2(1.0 - xm))
-    return out
-
-
-def _entropy_from_radius(r):
-    """Entropy of a qubit state with Bloch radius r, elementwise."""
-    return _h2_arr(0.5 * (1.0 - np.minimum(r, 1.0)))
 
 
 def _weight_grid(n: int, steps: int) -> np.ndarray:
@@ -244,14 +197,13 @@ def _best_over_chunks(n_combos, chunk, evaluate):
 
 
 def _search_phase_covariant(ch, n_states, grid, weights, budget):
+    # phase covariance about z: M = diag(tau, tau, mz), t = (0, 0, tz)
+    M, t = ch.bloch_map
+    tau, mz, tz = M[0, 0], M[2, 2], t[2]
     theta = np.linspace(0.0, math.pi, grid)
     z = np.cos(theta)
     perp = np.sin(theta)
-    if ch.kind == "amplitude_damping":
-        tau, mz, tz = math.sqrt(1.0 - ch.gamma), 1.0 - ch.gamma, ch.gamma
-    else:
-        tau, mz, tz = 1.0 - ch.p, 1.0 - ch.p, 0.0
-    cond = _entropy_from_radius(np.hypot(tau * perp, tz + mz * z))
+    cond = entropy_from_radius(np.hypot(tau * perp, tz + mz * z))
 
     n_combos = math.comb(grid + n_states - 1, n_states)
     if n_combos * weights.shape[0] > budget:
@@ -277,7 +229,7 @@ def _search_phase_covariant(ch, n_states, grid, weights, budget):
         for sg in signs[1:]:
             np.minimum(tmin, np.abs((pc * sg) @ wt), out=tmin)
         radius = np.hypot(tau * tmin, tz + mz * zbar)
-        return _entropy_from_radius(radius) - cbar
+        return entropy_from_radius(radius) - cbar
 
     chunk = max(1, 4_000_000 // weights.shape[0])
     return _best_over_chunks(combos.shape[0], chunk, evaluate)
@@ -299,10 +251,6 @@ def _lattice_states(grid):
 def _search_generic(ch, n_states, grid, weights, budget):
     bloch = _lattice_states(grid)
     pool = bloch.shape[0]
-    M, t = _bloch_affine_map(ch)
-    out = bloch @ M.T + t
-    cond = _entropy_from_radius(np.linalg.norm(out, axis=1))
-
     n_combos = math.comb(pool, n_states)
     if n_combos * weights.shape[0] > budget:
         raise ValidationError(
@@ -310,14 +258,9 @@ def _search_generic(ch, n_states, grid, weights, budget):
             "reduce grid or n_states"
         )
     combos = np.array(list(itertools.combinations(range(pool), n_states)), dtype=np.intp)
-    wt = weights.T
 
     def evaluate(i0, i1):
-        idx = combos[i0:i1]
-        cbar = cond[idx] @ wt
-        rbar = np.einsum("cnd,nw->cwd", bloch[idx], wt)
-        rout = rbar @ M.T + t
-        return _entropy_from_radius(np.linalg.norm(rout, axis=2)) - cbar
+        return holevo_chi(ch, bloch[combos[i0:i1]][:, None], weights)
 
     chunk = max(1, 2_000_000 // weights.shape[0])
     return _best_over_chunks(combos.shape[0], chunk, evaluate)

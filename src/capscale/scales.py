@@ -12,19 +12,27 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channels import QubitChannel
 from .errors import NumericalError, ValidationError
 from .holevo import chi_ad_mirror, chi_mirror_family
-from .optim import OptResult, maximize_chi_min, maximize_chi_sum, maximize_concave_1d
+from .optim import OptResult, maximize_concave_1d
 
 # Subset enumeration is exponential in the number of branches.
 MAX_BRANCHES = 12
 
 # Strictly-greater margin for deterministic subset tie-breaking.
 _TIE_EPS = 1e-12
+
+# Scan grid of the mirror parameter; a maximization refines the best grid
+# point of the combined curves within two grid steps on either side.
+_SCAN = np.linspace(1e-9, 1.0 - 1e-9, 257)
+
+# Combiner of scalar branch curves -> the same combination of grid rows.
+_GRID_REDUCE = {sum: np.add.reduce, min: np.minimum.reduce}
 
 
 def _as_channels(branches) -> tuple[QubitChannel, ...]:
@@ -39,63 +47,50 @@ def _as_channels(branches) -> tuple[QubitChannel, ...]:
     return tuple(out)
 
 
-def _maximize_scanned(f, tol: float) -> OptResult:
-    """Coarse scan plus golden-section refinement on [0, 1] mirror parameter."""
-    xs = np.linspace(1e-9, 1.0 - 1e-9, 257)
-    vals = np.array([f(x) for x in xs])
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("Holevo curve returned a non-finite value")
-    k = int(np.argmax(vals))
-    lo = xs[max(0, k - 2)]
-    hi = xs[min(len(xs) - 1, k + 2)]
-    return maximize_concave_1d(f, lo, hi, tol)
-
-
 class _BranchCurves:
-    """Per-branch Holevo curves with memoized subset maximizations."""
+    """Per-branch Holevo curves with memoized subset maximizations.
+
+    Each branch's curve is evaluated once on the scan grid through the
+    Holevo kernel. A subset's sum (or minimum) of curves is concave, so
+    its grid argmax brackets the maximizer, which golden-section search
+    then refines on the scalar curves.
+    """
 
     def __init__(self, branches, tol: float):
         self.channels = _as_channels(branches)
         self.tol = float(tol)
-        self.all_ad = all(ch.kind == "amplitude_damping" for ch in self.channels)
-        self._sum_cache: dict[tuple[int, ...], OptResult] = {}
-        self._min_cache: dict[tuple[int, ...], OptResult] = {}
+        # scalar curves for the refinement: the closed form for damping
+        self.curves = [
+            partial(chi_ad_mirror, ch.gamma)
+            if ch.kind == "amplitude_damping"
+            else partial(chi_mirror_family, ch)
+            for ch in self.channels
+        ]
+        self.scan = np.array([chi_mirror_family(ch, _SCAN) for ch in self.channels])
+        self._cache: dict[tuple, OptResult] = {}
 
     def __len__(self):
         return len(self.channels)
 
-    def _chi(self, i: int, a: float) -> float:
-        ch = self.channels[i]
-        if ch.kind == "amplitude_damping":
-            return chi_ad_mirror(ch.gamma, a)
-        return chi_mirror_family(ch, a)
+    def _maximize(self, idxs, combine) -> OptResult:
+        key = (combine, tuple(sorted(idxs)))
+        if key not in self._cache:
+            fs = [self.curves[i] for i in key[1]]
+            k = int(np.argmax(_GRID_REDUCE[combine](self.scan[list(key[1])])))
+            lo = float(_SCAN[max(0, k - 2)])
+            hi = float(_SCAN[min(len(_SCAN) - 1, k + 2)])
+            self._cache[key] = maximize_concave_1d(
+                lambda a: combine(f(a) for f in fs), lo, hi, self.tol
+            )
+        return self._cache[key]
 
     def sup_sum(self, idxs) -> OptResult:
         """Maximize the plain sum of the selected branch curves over one ensemble."""
-        key = tuple(sorted(idxs))
-        if key not in self._sum_cache:
-            if self.all_ad:
-                gammas = [self.channels[i].gamma for i in key]
-                res = maximize_chi_sum(gammas, [1.0] * len(key), self.tol)
-            else:
-                res = _maximize_scanned(
-                    lambda a: sum(self._chi(i, a) for i in key), self.tol
-                )
-            self._sum_cache[key] = res
-        return self._sum_cache[key]
+        return self._maximize(idxs, sum)
 
     def sup_min(self, idxs) -> OptResult:
-        key = tuple(sorted(idxs))
-        if key not in self._min_cache:
-            if self.all_ad:
-                gammas = [self.channels[i].gamma for i in key]
-                res = maximize_chi_min(gammas, self.tol)
-            else:
-                res = _maximize_scanned(
-                    lambda a: min(self._chi(i, a) for i in key), self.tol
-                )
-            self._min_cache[key] = res
-        return self._min_cache[key]
+        """Maximize the pointwise minimum of the selected branch curves."""
+        return self._maximize(idxs, min)
 
     def branch_suprema(self) -> list[OptResult]:
         return [self.sup_sum((i,)) for i in range(len(self))]
@@ -199,21 +194,26 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     return _subset_value(curves, _check_subset(subset, len(curves)))
 
 
-def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
+def _best_subset(curves: _BranchCurves, r: int) -> ScaleEntry:
     """Best subset of size r and its rate; first subset in lex order wins ties."""
-    curves = _BranchCurves(branches, tol)
-    L = len(curves)
-    if L > MAX_BRANCHES:
+    if len(curves) > MAX_BRANCHES:
         raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
-    if not 1 <= r <= L:
-        raise ValidationError(f"r must be in [1, {L}], got {r}")
     best_val = -math.inf
     best_subset = None
-    for subset in itertools.combinations(range(L), r):
+    for subset in itertools.combinations(range(len(curves)), r):
         v = _subset_value(curves, subset)
         if v > best_val + _TIE_EPS:
             best_val, best_subset = v, subset
     return ScaleEntry(best_val, best_subset)
+
+
+def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
+    """Best subset of size r and its rate; first subset in lex order wins ties."""
+    curves = _BranchCurves(branches, tol)
+    L = len(curves)
+    if not 1 <= r <= L:
+        raise ValidationError(f"r must be in [1, {L}], got {r}")
+    return _best_subset(curves, r)
 
 
 def pair_capacity(branches, tol: float = 1e-8) -> ScaleEntry:
@@ -238,20 +238,10 @@ def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
     """
     curves = _BranchCurves(branches, tol)
     L = len(curves)
-    if L > MAX_BRANCHES:
-        raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
     sups = curves.branch_suprema()
     cbar = sum(r.value for r in sups) / L
     cp = curves.sup_sum(range(L)).value / L
-    scale: dict[int, ScaleEntry] = {}
-    for r in range(1, L + 1):
-        best_val = -math.inf
-        best_subset = None
-        for subset in itertools.combinations(range(L), r):
-            v = _subset_value(curves, subset)
-            if v > best_val + _TIE_EPS:
-                best_val, best_subset = v, subset
-        scale[r] = ScaleEntry(best_val, best_subset)
+    scale = {r: _best_subset(curves, r) for r in range(1, L + 1)}
 
     if abs(scale[L].value - cp) > 1e-7:
         raise NumericalError(
@@ -287,9 +277,9 @@ def _check_probs(q, L) -> tuple[float, ...]:
     q = tuple(float(x) for x in q)
     if len(q) != L:
         raise ValidationError(f"got {len(q)} probabilities for {L} branches")
-    if min(q) < 0.0:
+    if not all(x >= 0.0 for x in q):
         raise ValidationError("branch probabilities must be nonnegative")
-    if abs(sum(q) - 1.0) > 1e-10:
+    if not abs(sum(q) - 1.0) <= 1e-10:
         raise ValidationError(f"branch probabilities sum to {sum(q)!r}, not 1")
     return q
 
@@ -301,15 +291,8 @@ def random_scale(branches, q, delta, tol: float = 1e-8) -> SubsetScale:
     subset (maximize the worst case); cbar_delta is the best single
     branch in the subset.
     """
-    curves = _BranchCurves(branches, tol)
-    q = _check_probs(q, len(curves))
-    delta = _check_subset(delta, len(curves))
-    sups = curves.branch_suprema()
-    return SubsetScale(
-        q_delta=sum(q[i] for i in delta),
-        c_delta=curves.sup_min(delta).value,
-        cbar_delta=max(sups[i].value for i in delta),
-    )
+    report = compute_random_scale_report(branches, q, [delta], tol)
+    return next(iter(report.per_subset.values()))
 
 
 def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> RandomScaleReport:

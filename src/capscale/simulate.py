@@ -11,14 +11,14 @@ error floors at the usual 1/sqrt(n) pace.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import MemoryChannel
 from .errors import ValidationError
-from .scales import random_scale, staircase_profile, subset_scale_value
+from .scales import compute_random_scale_report, random_scale, staircase_profile, subset_scale_value
 
 # Rates this close to a subset's achievable rate are refused: the
 # success indicator would hinge on noise in the final optimizer digits.
@@ -39,8 +39,8 @@ class Strategy:
         if len(set(subset)) != len(subset):
             raise ValidationError(f"strategy subset has repeated indices: {subset}")
         object.__setattr__(self, "subset", tuple(sorted(subset)))
-        if not self.rate >= 0.0:
-            raise ValidationError(f"rate must be nonnegative, got {self.rate!r}")
+        if not 0.0 <= self.rate < math.inf:
+            raise ValidationError(f"rate must be finite and nonnegative, got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,7 @@ def _subset_rate(mc: MemoryChannel, subset, tol: float) -> float:
     return random_scale(mc.branches, mc.q, subset, tol).c_delta
 
 
-def success_oracle(mc: MemoryChannel, strategy: Strategy, tol: float = 1e-8) -> np.ndarray:
-    """Per-branch success indicators for an idealized asymptotic decoder.
-
-    Branch i succeeds exactly when it belongs to the strategy's subset and
-    the attempted rate is below the subset's achievable rate. Rates within
-    RATE_MARGIN of that threshold are rejected as indeterminate.
-    """
-    probs = _branch_probs(mc)
-    value = _subset_rate(mc, strategy.subset, tol)
+def _success(probs: np.ndarray, strategy: Strategy, value: float) -> np.ndarray:
     if abs(strategy.rate - value) <= RATE_MARGIN:
         raise ValidationError(
             f"rate {strategy.rate!r} is within {RATE_MARGIN} of the subset rate "
@@ -103,6 +95,16 @@ def success_oracle(mc: MemoryChannel, strategy: Strategy, tol: float = 1e-8) -> 
     if strategy.rate < value:
         success[list(strategy.subset)] = True
     return success
+
+
+def success_oracle(mc: MemoryChannel, strategy: Strategy, tol: float = 1e-8) -> np.ndarray:
+    """Per-branch success indicators for an idealized asymptotic decoder.
+
+    Branch i succeeds exactly when it belongs to the strategy's subset and
+    the attempted rate is below the subset's achievable rate. Rates within
+    RATE_MARGIN of that threshold are rejected as indeterminate.
+    """
+    return _success(_branch_probs(mc), strategy, _subset_rate(mc, strategy.subset, tol))
 
 
 def run_trials(
@@ -115,12 +117,15 @@ def run_trials(
     The reported empirical_error is the overall failure fraction, which
     is the draw-weighted average of the per-branch failure rates;
     max_branch_error is the worst per-branch rate among drawn branches.
+    The seed must lie in [0, 2**128), the generator's key range.
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be positive, got {n_trials}")
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must be in [0, 2**128), got {seed}")
     probs = _branch_probs(mc)
-    success = success_oracle(mc, strategy, tol)
     value = _subset_rate(mc, strategy.subset, tol)
+    success = _success(probs, strategy, value)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     draws = rng.choice(len(probs), size=int(n_trials), p=probs)
@@ -186,8 +191,8 @@ def empirical_staircase(
     rates = [float(r) for r in rates]
     if not rates:
         raise ValidationError("need at least one rate")
-    if any(r < 0.0 for r in rates):
-        raise ValidationError("rates must be nonnegative")
+    if not all(0.0 <= r < math.inf for r in rates):
+        raise ValidationError(f"rates must be finite and nonnegative, got {rates!r}")
     if any(b - a < 0.0 for a, b in zip(rates, rates[1:])):
         raise ValidationError("rates must be sorted in ascending order")
 
@@ -199,11 +204,9 @@ def empirical_staircase(
             for step in staircase_profile(mc.branches, tol)
         ]
     else:
-        candidates = []
-        for r in range(1, L + 1):
-            for subset in itertools.combinations(range(L), r):
-                s = random_scale(mc.branches, mc.q, subset, tol)
-                candidates.append((subset, s.c_delta, s.q_delta))
+        # subsets in size-major, then lexicographic order
+        report = compute_random_scale_report(mc.branches, mc.q, tol=tol)
+        candidates = [(d, s.c_delta, s.q_delta) for d, s in report.per_subset.items()]
 
     rows = []
     for i, rate in enumerate(rates):

@@ -77,6 +77,25 @@ def test_kraus_factory_checks_completeness():
         QubitChannel.kraus([np.ones((3, 3))])
     with pytest.raises(ValidationError):
         QubitChannel.kraus([])
+    with pytest.raises(ValidationError):
+        QubitChannel.kraus([np.array([[np.nan, 0.0], [0.0, 1.0]])])
+
+
+def _bloch(rho):
+    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+def test_bloch_map_matches_channel_action():
+    rng = np.random.default_rng(31)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    ad = QubitChannel.amplitude_damping(0.4)
+    conj = QubitChannel.kraus([u @ k @ u.conj().T for k in kraus_operators(ad)])
+    for ch in (ad, QubitChannel.depolarizing(0.3), conj):
+        M, t = ch.bloch_map
+        for _ in range(10):
+            rho = random_density(rng, 2)
+            out = apply_qubit_channel(ch, rho)
+            assert np.allclose(_bloch(out), M @ _bloch(rho) + t, atol=1e-13)
 
 
 def test_apply_rejects_bad_states():
@@ -126,6 +145,12 @@ def test_memory_channel_validation():
         MemoryChannel.random(branches, [1.2, -0.2])
     with pytest.raises(ValidationError):
         MemoryChannel.random(branches, [1.0])  # wrong length
+    with pytest.raises(ValidationError):
+        MemoryChannel.random(branches, [np.nan, 0.5])
+    with pytest.raises(ValidationError):
+        MemoryChannel.markov(branches, np.array([[np.nan, 1.0], [0.0, 1.0]]), np.array([0.0, 1.0]))
+    with pytest.raises(ValidationError):
+        MemoryChannel.markov(branches, np.eye(2), np.array([np.nan, 0.5]))
     with pytest.raises(ValidationError):
         MemoryChannel.markov(branches, np.array([[0.5, 0.6], [0.5, 0.5]]), np.array([0.5, 0.5]))
     with pytest.raises(ValidationError):

@@ -230,6 +230,35 @@ def test_exit_code_on_bad_inputs(channel_files, tmp_path):
     assert cli.main(["amax", str(gamma_one)]) == 2
 
 
+NAN = float("nan")
+AD2 = PER4["branches"][:2]
+
+
+@pytest.mark.parametrize(
+    "branches, memory, argv",
+    [
+        (AD2, {"kind": "random", "q": [NAN, 0.5]}, ["capacity"]),
+        (AD2, {"kind": "markov", "Q": [[NAN, 1.0], [0.0, 1.0]], "lambda": [0.0, 1.0]}, ["chi"]),
+        (AD2, {"kind": "markov", "Q": [[1.0, 0.0], [0.0, 1.0]], "lambda": [NAN, 0.5]}, ["chi"]),
+        (
+            [{"type": "kraus", "ops": [[[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}],
+            {"kind": "periodic"},
+            ["chi"],
+        ),
+        (AD2, {"kind": "periodic"}, ["chi", "--tol", "nan"]),
+        (AD2, {"kind": "periodic"}, ["simulate", "--rate", "nan"]),
+        (AD2, {"kind": "periodic"}, ["simulate", "--rate", "0.3", "--seed", "-1"]),
+    ],
+    ids=["q-nan", "Q-nan", "lambda-nan", "kraus-nan", "tol-nan", "rate-nan", "seed-negative"],
+)
+def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, branches, memory, argv):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"branches": branches, "memory": memory}))
+    assert cli.main([argv[0], str(path)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_code_on_unwritable_output(channel_files):
     rc = cli.main(
         ["chi", channel_files["per4"], "--output", "/nonexistent-dir/out.csv"]

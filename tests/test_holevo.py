@@ -14,6 +14,7 @@ from capscale import (
     dchi_da_ad,
     herm_eigenvalues,
     holevo_quantity,
+    kraus_operators,
 )
 
 
@@ -23,6 +24,8 @@ def test_ensemble_validation():
         Ensemble.of([(0.5, rho), (0.4, rho)])  # probabilities sum to 0.9
     with pytest.raises(ValidationError):
         Ensemble.of([(1.5, rho), (-0.5, rho)])
+    with pytest.raises(ValidationError):
+        Ensemble.of([(0.5, rho), (float("nan"), rho)])
     with pytest.raises(ValidationError):
         Ensemble.of([])
     with pytest.raises(ValidationError):
@@ -62,6 +65,21 @@ def test_chi_closed_form_matches_generic_path():
             closed = chi_ad_mirror(gamma, a)
             generic = chi_mirror_family(ch, a)
             assert closed == pytest.approx(generic, abs=1e-12)
+
+
+def test_chi_mirror_family_array_matches_scalar():
+    rng = np.random.default_rng(4)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    ad = QubitChannel.amplitude_damping(0.35)
+    conj = QubitChannel.kraus([u @ k @ u.conj().T for k in kraus_operators(ad)])
+    a = np.linspace(0.0, 1.0, 36).reshape(4, 9)
+    for ch in (ad, QubitChannel.depolarizing(0.2), conj):
+        values = chi_mirror_family(ch, a)
+        assert values.shape == a.shape
+        scalars = [[chi_mirror_family(ch, float(x)) for x in row] for row in a]
+        assert np.allclose(values, scalars, rtol=0.0, atol=1e-15)
+    with pytest.raises(ValidationError):
+        chi_mirror_family(ad, np.array([0.5, 1.5]))
 
 
 def test_chi_frozen_optimum_values():

@@ -10,7 +10,6 @@ from capscale import (
     brute_force_ensemble_search,
     find_root_bisection,
     kraus_operators,
-    maximize_chi_min,
     maximize_chi_sum,
     maximize_concave_1d,
 )
@@ -37,6 +36,9 @@ def test_golden_section_validation():
         maximize_concave_1d(lambda x: x, 1.0, 0.0)
     with pytest.raises(ValidationError):
         maximize_concave_1d(lambda x: x, 0.0, 1.0, tol=1e-15)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            maximize_concave_1d(lambda x: x, 0.0, 1.0, tol=tol)
     with pytest.raises(NumericalError):
         maximize_concave_1d(lambda x: float("nan"), 0.0, 1.0)
 
@@ -86,14 +88,6 @@ def test_maximize_chi_sum_validation():
         maximize_chi_sum([1.5], [1.0])
     with pytest.raises(ValidationError):
         maximize_chi_sum([], [])
-
-
-def test_maximize_chi_min_frozen():
-    res = maximize_chi_min([0.1, 0.4], tol=1e-8)
-    # the higher-damping curve is lower everywhere, so the min is that branch
-    assert res.value == pytest.approx(0.552956706462849, abs=1e-10)
-    single = maximize_chi_sum([0.4], [1.0], tol=1e-8)
-    assert res.value <= single.value + 1e-12
 
 
 def test_flat_curve_at_gamma_one():

@@ -11,6 +11,8 @@ from capscale import (
     chi_star_avg_pair,
     compute_capacity_report,
     compute_random_scale_report,
+    kraus_operators,
+    maximize_chi_sum,
     pair_capacity,
     per_branch_suprema,
     random_scale,
@@ -94,6 +96,8 @@ def test_scale_validation():
         subset_scale_value(GAMMAS4, (0, 0))
     with pytest.raises(ValidationError):
         subset_scale_value(GAMMAS4, (0, 9))
+    with pytest.raises(ValidationError):
+        compute_capacity_report([0.1, 0.4], tol=float("nan"))
 
 
 def test_pair_capacity_and_average():
@@ -125,6 +129,26 @@ def test_report_with_generic_branches():
     assert report.scale[2].value == pytest.approx(report.cp, abs=1e-12)
 
 
+def test_kraus_branches_match_damping_closed_form():
+    # Rz conjugation keeps damping symmetric about z, so the mirror pair about
+    # z stays optimal: the kernel path must reproduce the closed-form report
+    gammas = (0.3, 0.6)
+    rz = np.diag([np.exp(-0.35j), np.exp(0.35j)])
+    kraus = [
+        QubitChannel.kraus(
+            [rz @ k @ rz.conj().T for k in kraus_operators(QubitChannel.amplitude_damping(g))]
+        )
+        for g in gammas
+    ]
+    closed = compute_capacity_report(gammas)
+    kernel = compute_capacity_report(kraus)
+    assert kernel.cp == pytest.approx(closed.cp, abs=1e-10)
+    assert kernel.cbar == pytest.approx(closed.cbar, abs=1e-10)
+    for r in (1, 2):
+        assert kernel.scale[r].value == pytest.approx(closed.scale[r].value, abs=1e-10)
+        assert kernel.scale[r].best_subset == closed.scale[r].best_subset
+
+
 def test_staircase_profile_thresholds():
     steps = staircase_profile(GAMMAS4)
     assert [s.r for s in steps] == [1, 2, 3, 4]
@@ -142,11 +166,21 @@ def test_random_scale_ordering_frozen():
     assert s.q_delta == pytest.approx(0.8, abs=1e-15)
 
 
+def test_random_scale_worst_case_frozen():
+    res = random_scale((0.1, 0.4), (0.5, 0.5), (0, 1), tol=1e-8)
+    # the higher-damping curve is lower everywhere, so the min is that branch
+    assert res.c_delta == pytest.approx(0.552956706462849, abs=1e-10)
+    single = maximize_chi_sum([0.4], [1.0], tol=1e-8)
+    assert res.c_delta <= single.value + 1e-12
+
+
 def test_random_scale_validation():
     with pytest.raises(ValidationError):
         random_scale((0.1, 0.4), (0.7, 0.7), (0,))
     with pytest.raises(ValidationError):
         random_scale((0.1, 0.4), (0.5, 0.5), (2,))
+    with pytest.raises(ValidationError):
+        random_scale((0.1, 0.4), (0.5, float("nan")), (0,))
 
 
 def test_random_report_subset_monotonicity():

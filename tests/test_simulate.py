@@ -36,6 +36,8 @@ def test_strategy_validation():
         Strategy((0, 0), 0.5)
     with pytest.raises(ValidationError):
         Strategy((0,), -0.1)
+    with pytest.raises(ValidationError):
+        Strategy((0,), float("nan"))
     assert Strategy((2, 0), 0.5).subset == (0, 2)
 
 
@@ -98,6 +100,8 @@ def test_run_trials_statistics():
 def test_run_trials_validation():
     with pytest.raises(ValidationError):
         run_trials(periodic4(), Strategy((0,), 0.1), 0, seed=1)
+    with pytest.raises(ValidationError):
+        run_trials(periodic4(), Strategy((0,), 0.1), 100, seed=-1)
 
 
 def test_empirical_staircase_periodic_subset_selection():
@@ -128,6 +132,8 @@ def test_empirical_staircase_validation():
         empirical_staircase(mc, [0.5, 0.4], 100, seed=1)
     with pytest.raises(ValidationError):
         empirical_staircase(mc, [-0.1], 100, seed=1)
+    with pytest.raises(ValidationError):
+        empirical_staircase(mc, [float("nan")], 100, seed=1)
 
 
 def test_staircase_csv_format():
