@@ -32,12 +32,8 @@ from .scales import (
     ScaleEntry,
     StaircaseStep,
     SubsetScale,
-    capacity_periodic,
-    cbar_periodic,
-    chi_star_avg_pair,
     compute_capacity_report,
     compute_random_scale_report,
-    pair_capacity,
     per_branch_suprema,
     random_scale,
     scale_r,
@@ -48,10 +44,8 @@ from .simulate import (
     SimResult,
     StaircaseRow,
     Strategy,
-    TrialRecord,
     empirical_staircase,
     run_trials,
-    staircase_csv,
     success_oracle,
 )
 
@@ -86,12 +80,8 @@ __all__ = [
     "ScaleEntry",
     "StaircaseStep",
     "SubsetScale",
-    "capacity_periodic",
-    "cbar_periodic",
-    "chi_star_avg_pair",
     "compute_capacity_report",
     "compute_random_scale_report",
-    "pair_capacity",
     "per_branch_suprema",
     "random_scale",
     "scale_r",
@@ -100,10 +90,8 @@ __all__ = [
     "SimResult",
     "StaircaseRow",
     "Strategy",
-    "TrialRecord",
     "empirical_staircase",
     "run_trials",
-    "staircase_csv",
     "success_oracle",
     "__version__",
 ]

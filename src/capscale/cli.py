@@ -27,13 +27,21 @@ from .optim import AD_SEARCH_HI, AD_SEARCH_LO, find_root_bisection, maximize_chi
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-2
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
+    """One CSV cell: None empty, integers and text as they are, a sequence
+    ';'-joined, a float at 12 significant digits."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, str)):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return ";".join(_cell(v) for v in x)
     return f"{float(x):.12g}"
 
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(_cell(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -41,22 +49,25 @@ def _round_floats(obj):
     return obj
 
 
-def _write_output(text: str, path):
-    if path is None:
+def _emit(args, header, rows, json_obj=None):
+    """Write a row table as CSV, or as JSON in the format args ask for.
+
+    The JSON is json_obj when given, else one object per row keyed by header.
+    """
+    if args.format == "json":
+        if json_obj is None:
+            json_obj = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(_round_floats(json_obj), indent=2) + "\n"
+    else:
+        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    if args.output is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
     except OSError as e:
-        raise ValidationError(f"cannot write output file {path!r}: {e}") from e
-
-
-def _emit(args, csv_text: str, json_obj):
-    if args.format == "json":
-        _write_output(json.dumps(_round_floats(json_obj), indent=2) + "\n", args.output)
-    else:
-        _write_output(csv_text, args.output)
+        raise ValidationError(f"cannot write output file {args.output!r}: {e}") from e
 
 
 def _check_tol(tol: float) -> float:
@@ -68,29 +79,50 @@ def _check_tol(tol: float) -> float:
 # --- channel config files ----------------------------------------------------
 
 
+def _number(value, what) -> float:
+    # bool is an int subclass, but JSON true is not the number 1
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, what):
+    """Return value unchanged if it is a number or nested arrays of numbers."""
+    if isinstance(value, list):
+        for v in value:
+            _numbers(v, what)
+    else:
+        _number(value, what)
+    return value
+
+
+# the one parameter of each parametric branch kind, as named in channel files
+_BRANCH_PARAM = {"amplitude_damping": "gamma", "depolarizing": "p"}
+
+
 def _parse_branch(i, b) -> QubitChannel:
     if not isinstance(b, dict) or "type" not in b:
         raise ValidationError(f"branch {i} must be an object with a 'type' field")
     kind = b["type"]
-    if kind == "amplitude_damping":
-        if "gamma" not in b:
-            raise ValidationError(f"branch {i}: amplitude_damping needs 'gamma'")
-        return QubitChannel.amplitude_damping(float(b["gamma"]))
-    if kind == "depolarizing":
-        if "p" not in b:
-            raise ValidationError(f"branch {i}: depolarizing needs 'p'")
-        return QubitChannel.depolarizing(float(b["p"]))
+    if kind in _BRANCH_PARAM:
+        name = _BRANCH_PARAM[kind]
+        if name not in b:
+            raise ValidationError(f"branch {i}: {kind} needs {name!r}")
+        return getattr(QubitChannel, kind)(_number(b[name], f"branch {i}: {name}"))
     if kind == "kraus":
         ops = b.get("ops")
         if not isinstance(ops, list) or not ops:
             raise ValidationError(f"branch {i}: kraus needs a nonempty 'ops' list")
+        bad_shape = f"branch {i}: each kraus op must be 2x2 entries of [re, im] pairs"
         mats = []
         for op in ops:
-            arr = np.asarray(op, dtype=float)
+            _numbers(op, f"branch {i}: each kraus op entry")
+            try:
+                arr = np.asarray(op, dtype=float)
+            except ValueError as e:  # ragged nesting
+                raise ValidationError(bad_shape) from e
             if arr.shape != (2, 2, 2):
-                raise ValidationError(
-                    f"branch {i}: each kraus op must be 2x2 entries of [re, im] pairs"
-                )
+                raise ValidationError(bad_shape)
             mats.append(arr[..., 0] + 1j * arr[..., 1])
         return QubitChannel.kraus(mats)
     raise ValidationError(f"branch {i}: unknown channel type {kind!r}")
@@ -121,24 +153,20 @@ def load_channel_config(path) -> MemoryChannel:
         if kind == "random":
             if "q" not in mem:
                 raise ValidationError("random memory needs a 'q' array")
-            return MemoryChannel.random(branches, mem["q"])
+            return MemoryChannel.random(branches, _numbers(mem["q"], "each entry of 'q'"))
         if kind == "markov":
             if "Q" not in mem or "lambda" not in mem:
                 raise ValidationError("markov memory needs 'Q' and 'lambda'")
-            return MemoryChannel.markov(branches, mem["Q"], mem["lambda"])
+            return MemoryChannel.markov(
+                branches,
+                _numbers(mem["Q"], "each entry of 'Q'"),
+                _numbers(mem["lambda"], "each entry of 'lambda'"),
+            )
     except (TypeError, ValueError) as e:
         if isinstance(e, ValidationError):
             raise
         raise ValidationError(f"bad memory parameters: {e}") from e
     raise ValidationError(f"unknown memory kind {kind!r}")
-
-
-def _branch_param(ch: QubitChannel):
-    if ch.kind == "amplitude_damping":
-        return ch.gamma
-    if ch.kind == "depolarizing":
-        return ch.p
-    return None
 
 
 def _parse_indices(text, what) -> tuple[int, ...]:
@@ -168,24 +196,17 @@ def cmd_chi(args) -> int:
     mc = load_channel_config(args.channel)
     tol = _check_tol(args.tol)
     sups = scales.per_branch_suprema(mc.branches, tol)
-    lines = ["branch,kind,param,a_max,chi_star"]
     rows = []
     for i, (ch, s) in enumerate(zip(mc.branches, sups)):
-        p = _branch_param(ch)
-        lines.append(
-            f"{i},{ch.kind},{'' if p is None else _fmt(p)},{_fmt(s.a_max)},{_fmt(s.chi_star)}"
-        )
-        rows.append(
-            {"branch": i, "kind": ch.kind, "param": p, "a_max": s.a_max, "chi_star": s.chi_star}
-        )
-    _emit(args, "\n".join(lines) + "\n", rows)
+        param = getattr(ch, _BRANCH_PARAM[ch.kind]) if ch.kind in _BRANCH_PARAM else None
+        rows.append((i, ch.kind, param, s.a_max, s.chi_star))
+    _emit(args, ("branch", "kind", "param", "a_max", "chi_star"), rows)
     return 0
 
 
 def cmd_amax(args) -> int:
     mc = load_channel_config(args.channel)
     tol = _check_tol(args.tol)
-    lines = ["branch,gamma,a_max_search,a_max_root,abs_diff"]
     rows = []
     for i, ch in enumerate(mc.branches):
         if ch.kind != "amplitude_damping":
@@ -200,20 +221,8 @@ def cmd_amax(args) -> int:
         root = find_root_bisection(
             lambda a: dchi_da_ad(ch.gamma, a), AD_SEARCH_LO, AD_SEARCH_HI, tol
         )
-        diff = abs(search.argmax - root)
-        lines.append(
-            f"{i},{_fmt(ch.gamma)},{_fmt(search.argmax)},{_fmt(root)},{_fmt(diff)}"
-        )
-        rows.append(
-            {
-                "branch": i,
-                "gamma": ch.gamma,
-                "a_max_search": search.argmax,
-                "a_max_root": root,
-                "abs_diff": diff,
-            }
-        )
-    _emit(args, "\n".join(lines) + "\n", rows)
+        rows.append((i, ch.gamma, search.argmax, root, abs(search.argmax - root)))
+    _emit(args, ("branch", "gamma", "a_max_search", "a_max_root", "abs_diff"), rows)
     return 0
 
 
@@ -224,20 +233,53 @@ def _require_memory(mc: MemoryChannel, kinds, command):
         )
 
 
+_SCALE_HEADER = ("r", "value_bits", "subset", "error_threshold")
+
+
+def _scale_row(r: int, entry: scales.ScaleEntry, L: int):
+    return (r, entry.value, entry.best_subset, 1.0 - r / L)
+
+
+def _suprema(sups) -> list[dict]:
+    return [{"a_max": s.a_max, "chi_star": s.chi_star} for s in sups]
+
+
+def _emit_capacity_report(args, report: scales.CapacityReport):
+    rows = [_scale_row(r, e, report.n_branches) for r, e in sorted(report.scale.items())]
+    obj = {
+        "cp": report.cp,
+        "cbar": report.cbar,
+        "scale": {str(r): {"value_bits": v, "best_subset": s} for r, v, s, _ in rows},
+        "per_branch_suprema": _suprema(report.per_branch_suprema),
+    }
+    _emit(args, _SCALE_HEADER, rows, obj)
+
+
+def _emit_random_report(args, report: scales.RandomScaleReport):
+    rows = [
+        (delta, s.q_delta, s.c_delta, s.cbar_delta)
+        for delta, s in sorted(report.per_subset.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    ]
+    obj = {
+        "q": report.q,
+        "per_subset": [
+            dict(zip(("delta", "q_delta", "c_delta", "cbar_delta"), row)) for row in rows
+        ],
+        "per_branch_suprema": _suprema(report.per_branch_suprema),
+    }
+    _emit(args, ("delta", "q_delta", "c_delta_bits", "cbar_delta_bits"), rows, obj)
+
+
 def cmd_capacity(args) -> int:
     mc = load_channel_config(args.channel)
     tol = _check_tol(args.tol)
     _require_memory(mc, ("periodic", "random"), "capacity")
     if mc.memory == "periodic":
-        report = scales.compute_capacity_report(mc.branches, tol)
-        _emit(args, scales.capacity_report_csv(report), scales.capacity_report_to_dict(report))
+        _emit_capacity_report(args, scales.compute_capacity_report(mc.branches, tol))
     else:
         full = tuple(range(len(mc.branches)))
-        report = scales.compute_random_scale_report(mc.branches, mc.q, deltas=[full], tol=tol)
-        _emit(
-            args,
-            scales.random_scale_report_csv(report),
-            scales.random_scale_report_to_dict(report),
+        _emit_random_report(
+            args, scales.compute_random_scale_report(mc.branches, mc.q, deltas=[full], tol=tol)
         )
     return 0
 
@@ -246,24 +288,12 @@ def cmd_scale(args) -> int:
     mc = load_channel_config(args.channel)
     tol = _check_tol(args.tol)
     _require_memory(mc, ("periodic",), "scale")
-    L = len(mc.branches)
-    if args.r is not None:
-        entry = scales.scale_r(mc.branches, args.r, tol)
-        csv_text = (
-            "r,value_bits,subset,error_threshold\n"
-            f"{args.r},{_fmt(entry.value)},"
-            f"{';'.join(str(i) for i in entry.best_subset)},{_fmt(1.0 - args.r / L)}\n"
-        )
-        obj = {
-            "r": args.r,
-            "value_bits": entry.value,
-            "best_subset": list(entry.best_subset),
-            "error_threshold": 1.0 - args.r / L,
-        }
-        _emit(args, csv_text, obj)
+    if args.r is None:
+        _emit_capacity_report(args, scales.compute_capacity_report(mc.branches, tol))
         return 0
-    report = scales.compute_capacity_report(mc.branches, tol)
-    _emit(args, scales.capacity_report_csv(report), scales.capacity_report_to_dict(report))
+    row = _scale_row(args.r, scales.scale_r(mc.branches, args.r, tol), len(mc.branches))
+    obj = dict(zip(("r", "value_bits", "best_subset", "error_threshold"), row))
+    _emit(args, _SCALE_HEADER, [row], obj)
     return 0
 
 
@@ -271,14 +301,9 @@ def cmd_random_scale(args) -> int:
     mc = load_channel_config(args.channel)
     tol = _check_tol(args.tol)
     _require_memory(mc, ("random",), "random-scale")
-    deltas = None
-    if args.delta is not None:
-        deltas = [_parse_indices(args.delta, "--delta")]
-    report = scales.compute_random_scale_report(mc.branches, mc.q, deltas=deltas, tol=tol)
-    _emit(
-        args,
-        scales.random_scale_report_csv(report),
-        scales.random_scale_report_to_dict(report),
+    deltas = None if args.delta is None else [_parse_indices(args.delta, "--delta")]
+    _emit_random_report(
+        args, scales.compute_random_scale_report(mc.branches, mc.q, deltas=deltas, tol=tol)
     )
     return 0
 
@@ -293,7 +318,6 @@ def cmd_ad_gap(args) -> int:
     for g in gammas:
         res = maximize_chi_sum([g], [1.0], tol)
         sups[float(g)] = res
-    lines = ["gamma0,gamma1,a_max_joint,c_p,a_max_0,a_max_1,chi_star_avg,gap"]
     rows = []
     for g0 in gammas:
         for g1 in gammas:
@@ -301,24 +325,9 @@ def cmd_ad_gap(args) -> int:
             cp = joint.value / 2.0
             s0, s1 = sups[float(g0)], sups[float(g1)]
             avg = 0.5 * (s0.value + s1.value)
-            gap = avg - cp
-            lines.append(
-                f"{_fmt(g0)},{_fmt(g1)},{_fmt(joint.argmax)},{_fmt(cp)},"
-                f"{_fmt(s0.argmax)},{_fmt(s1.argmax)},{_fmt(avg)},{_fmt(gap)}"
-            )
-            rows.append(
-                {
-                    "gamma0": float(g0),
-                    "gamma1": float(g1),
-                    "a_max_joint": joint.argmax,
-                    "c_p": cp,
-                    "a_max_0": s0.argmax,
-                    "a_max_1": s1.argmax,
-                    "chi_star_avg": avg,
-                    "gap": gap,
-                }
-            )
-    _emit(args, "\n".join(lines) + "\n", rows)
+            rows.append((g0, g1, joint.argmax, cp, s0.argmax, s1.argmax, avg, avg - cp))
+    header = ("gamma0", "gamma1", "a_max_joint", "c_p", "a_max_0", "a_max_1", "chi_star_avg", "gap")
+    _emit(args, header, rows)
     return 0
 
 
@@ -327,22 +336,8 @@ def cmd_staircase(args) -> int:
     tol = _check_tol(args.tol)
     _require_memory(mc, ("periodic",), "staircase")
     steps = scales.staircase_profile(mc.branches, tol)
-    lines = ["r,value_bits,subset,error_threshold"]
-    rows = []
-    for s in steps:
-        lines.append(
-            f"{s.r},{_fmt(s.value_bits)},"
-            f"{';'.join(str(i) for i in s.subset)},{_fmt(s.error_threshold)}"
-        )
-        rows.append(
-            {
-                "r": s.r,
-                "value_bits": s.value_bits,
-                "subset": list(s.subset),
-                "error_threshold": s.error_threshold,
-            }
-        )
-    _emit(args, "\n".join(lines) + "\n", rows)
+    rows = [(s.r, s.value_bits, s.subset, s.error_threshold) for s in steps]
+    _emit(args, _SCALE_HEADER, rows)
     return 0
 
 
@@ -365,19 +360,18 @@ def cmd_simulate(args) -> int:
         else:
             q_subset = float(sum(mc.q[i] for i in res.strategy.subset))
         rows = [
-            simulate.StaircaseRow(
-                rate_bits=rates[0],
-                subset=res.strategy.subset,
-                q_subset=q_subset,
-                theoretical_error=res.theoretical_error,
-                empirical_error=res.empirical_error,
-                n_trials=res.n_trials,
-                seed=res.seed,
-            )
+            (rates[0], res.strategy.subset, q_subset, res.theoretical_error,
+             res.empirical_error, res.n_trials, res.seed)
         ]
     else:
-        rows = simulate.empirical_staircase(mc, rates, args.trials, args.seed, tol)
-    _emit(args, simulate.staircase_csv(rows), simulate.staircase_rows_to_dicts(rows))
+        rows = [
+            (r.rate_bits, r.subset, r.q_subset, r.theoretical_error, r.empirical_error,
+             r.n_trials, r.seed)
+            for r in simulate.empirical_staircase(mc, rates, args.trials, args.seed, tol)
+        ]
+    header = ("rate_bits", "subset", "q_subset", "theoretical_error", "empirical_error",
+              "n_trials", "seed")
+    _emit(args, header, rows)
     return 0
 
 

@@ -48,7 +48,7 @@ def validate_density_matrix(rho) -> np.ndarray:
     rho = validate_hermitian(rho)
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"trace must be 1, got {tr:.12g}")
+        raise ValidationError(f"trace must be 1, got {tr!r}")
     evs = np.linalg.eigvalsh(rho)
     if evs[0] < EIGENVALUE_FLOOR:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {evs[0]:.3e}")

@@ -3,8 +3,8 @@
 All quantities here reduce to one-parameter maximizations of Holevo
 curves of mirror-pair ensembles, taken branch by branch and combined as
 sums (periodic memory), minima (random memory), or best subsets (the
-scale hierarchy). Reports bundle the numbers with the subsets that
-achieve them and serialize to plain dicts and CSV.
+scale hierarchy). Reports are dataclasses that bundle the numbers with
+the subsets that achieve them.
 """
 
 from __future__ import annotations
@@ -146,19 +146,6 @@ class StaircaseStep:
     error_threshold: float
 
 
-def capacity_periodic(branches, tol: float = 1e-8) -> OptResult:
-    """Product-state capacity of the periodic channel: one ensemble serves all branches."""
-    curves = _BranchCurves(branches, tol)
-    res = curves.sup_sum(range(len(curves)))
-    return OptResult(res.argmax, res.value / len(curves), res.iterations, res.achieved_tol)
-
-
-def cbar_periodic(branches, tol: float = 1e-8) -> float:
-    """Average of the branch capacities, each with its own best ensemble."""
-    curves = _BranchCurves(branches, tol)
-    return sum(r.value for r in curves.branch_suprema()) / len(curves)
-
-
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
     curves = _BranchCurves(branches, tol)
     return [BranchSupremum(r.argmax, r.value) for r in curves.branch_suprema()]
@@ -214,20 +201,6 @@ def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
     if not 1 <= r <= L:
         raise ValidationError(f"r must be in [1, {L}], got {r}")
     return _best_subset(curves, r)
-
-
-def pair_capacity(branches, tol: float = 1e-8) -> ScaleEntry:
-    """Rate of the best branch pair (subset size two)."""
-    channels = _as_channels(branches)
-    if len(channels) < 2:
-        raise ValidationError("pair capacity needs at least two branches")
-    return scale_r(channels, 2, tol)
-
-
-def chi_star_avg_pair(gamma0: float, gamma1: float, tol: float = 1e-8) -> float:
-    """Average of the two branch capacities, separate ensembles per branch."""
-    sups = per_branch_suprema([gamma0, gamma1], tol)
-    return 0.5 * (sups[0].chi_star + sups[1].chi_star)
 
 
 def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
@@ -325,68 +298,3 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
         per_branch_suprema=tuple(BranchSupremum(s.argmax, s.value) for s in sups),
     )
 
-
-# --- serialization --------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
-def _fmt_subset(subset) -> str:
-    return ";".join(str(i) for i in subset)
-
-
-def capacity_report_to_dict(report: CapacityReport) -> dict:
-    return {
-        "cp": report.cp,
-        "cbar": report.cbar,
-        "scale": {
-            str(r): {"value_bits": e.value, "best_subset": list(e.best_subset)}
-            for r, e in sorted(report.scale.items())
-        },
-        "per_branch_suprema": [
-            {"a_max": s.a_max, "chi_star": s.chi_star} for s in report.per_branch_suprema
-        ],
-    }
-
-
-def capacity_report_csv(report: CapacityReport) -> str:
-    L = report.n_branches
-    lines = ["r,value_bits,subset,error_threshold"]
-    for r, e in sorted(report.scale.items()):
-        lines.append(
-            f"{r},{_fmt(e.value)},{_fmt_subset(e.best_subset)},{_fmt(1.0 - r / L)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def random_scale_report_to_dict(report: RandomScaleReport) -> dict:
-    return {
-        "q": list(report.q),
-        "per_subset": [
-            {
-                "delta": list(delta),
-                "q_delta": s.q_delta,
-                "c_delta": s.c_delta,
-                "cbar_delta": s.cbar_delta,
-            }
-            for delta, s in _sorted_subsets(report.per_subset)
-        ],
-        "per_branch_suprema": [
-            {"a_max": s.a_max, "chi_star": s.chi_star} for s in report.per_branch_suprema
-        ],
-    }
-
-
-def _sorted_subsets(per_subset):
-    return sorted(per_subset.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-
-def random_scale_report_csv(report: RandomScaleReport) -> str:
-    lines = ["delta,q_delta,c_delta_bits,cbar_delta_bits"]
-    for delta, s in _sorted_subsets(report.per_subset):
-        lines.append(
-            f"{_fmt_subset(delta)},{_fmt(s.q_delta)},{_fmt(s.c_delta)},{_fmt(s.cbar_delta)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -44,13 +44,6 @@ class Strategy:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    branch: int
-    success: bool
-
-
-@dataclass(frozen=True)
 class SimResult:
     n_trials: int
     seed: int
@@ -61,10 +54,6 @@ class SimResult:
     max_branch_error: float
     branches: np.ndarray = field(repr=False)
     successes: np.ndarray = field(repr=False)
-
-    def records(self):
-        for i, (b, s) in enumerate(zip(self.branches, self.successes)):
-            yield TrialRecord(i, int(b), bool(s))
 
 
 def _branch_probs(mc: MemoryChannel) -> np.ndarray:
@@ -119,12 +108,16 @@ def run_trials(
     max_branch_error is the worst per-branch rate among drawn branches.
     The seed must lie in [0, 2**128), the generator's key range.
     """
+    probs = _branch_probs(mc)
+    return _draw_trials(probs, strategy, _subset_rate(mc, strategy.subset, tol), n_trials, seed)
+
+
+def _draw_trials(probs, strategy: Strategy, value: float, n_trials: int, seed: int) -> SimResult:
+    """run_trials for a subset whose rate `value` the caller already holds."""
     if n_trials < 1:
         raise ValidationError(f"n_trials must be positive, got {n_trials}")
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed must be in [0, 2**128), got {seed}")
-    probs = _branch_probs(mc)
-    value = _subset_rate(mc, strategy.subset, tol)
     success = _success(probs, strategy, value)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -172,10 +165,10 @@ def _best_subset_for_rate(rate, candidates):
         if value > rate:
             key = (q, -len(subset), tuple(-i for i in subset))
             if best is None or key > best[0]:
-                best = (key, subset, q)
+                best = (key, subset, value, q)
     if best is None:
         return None
-    return best[1], best[2]
+    return best[1:]
 
 
 def empirical_staircase(
@@ -212,47 +205,13 @@ def empirical_staircase(
     for i, rate in enumerate(rates):
         pick = _best_subset_for_rate(rate, candidates)
         if pick is None:
-            rows.append(
-                StaircaseRow(rate, (), 0.0, 1.0, 1.0, int(n_trials), int(seed) + i)
-            )
+            rows.append(StaircaseRow(rate, (), 0.0, 1.0, 1.0, int(n_trials), int(seed) + i))
             continue
-        subset, q = pick
-        res = run_trials(mc, Strategy(subset, rate), n_trials, int(seed) + i, tol)
+        subset, value, q = pick
+        res = _draw_trials(probs, Strategy(subset, rate), value, n_trials, int(seed) + i)
         rows.append(
-            StaircaseRow(
-                rate_bits=rate,
-                subset=subset,
-                q_subset=q,
-                theoretical_error=res.theoretical_error,
-                empirical_error=res.empirical_error,
-                n_trials=int(n_trials),
-                seed=int(seed) + i,
-            )
+            StaircaseRow(rate, subset, q, res.theoretical_error, res.empirical_error,
+                         int(n_trials), int(seed) + i)
         )
     return rows
 
-
-def staircase_rows_to_dicts(rows) -> list[dict]:
-    return [
-        {
-            "rate_bits": r.rate_bits,
-            "subset": list(r.subset),
-            "q_subset": r.q_subset,
-            "theoretical_error": r.theoretical_error,
-            "empirical_error": r.empirical_error,
-            "n_trials": r.n_trials,
-            "seed": r.seed,
-        }
-        for r in rows
-    ]
-
-
-def staircase_csv(rows) -> str:
-    lines = ["rate_bits,subset,q_subset,theoretical_error,empirical_error,n_trials,seed"]
-    for r in rows:
-        subset = ";".join(str(i) for i in r.subset)
-        lines.append(
-            f"{r.rate_bits:.12g},{subset},{r.q_subset:.12g},"
-            f"{r.theoretical_error:.12g},{r.empirical_error:.12g},{r.n_trials},{r.seed}"
-        )
-    return "\n".join(lines) + "\n"

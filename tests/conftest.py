@@ -1,6 +1,10 @@
 """Shared helpers for the test suite."""
 
+import json
+
 import numpy as np
+
+import capscale.cli as cli
 
 
 def random_density(rng, dim):
@@ -30,3 +34,18 @@ def chi_ad_grid(gamma, a):
         return out
 
     return h2(a + (1.0 - a) * gamma) - h2(lam)
+
+
+def damping_channel_file(tmp_path, gammas, memory) -> str:
+    """Write a channel file of amplitude-damping branches; return its path."""
+    path = tmp_path / "channel.json"
+    branches = [{"type": "amplitude_damping", "gamma": g} for g in gammas]
+    path.write_text(json.dumps({"branches": branches, "memory": memory}))
+    return str(path)
+
+
+def run_to_file(tmp_path, argv):
+    """Run one capscale command with --output; return its exit code and output."""
+    out = tmp_path / "out.txt"
+    rc = cli.main(argv + ["--output", str(out)])
+    return rc, out.read_text() if out.exists() else ""

@@ -6,6 +6,7 @@ import pytest
 
 import capscale.cli as cli
 from capscale import NumericalError
+from conftest import run_to_file
 
 
 PER4 = {
@@ -44,12 +45,6 @@ def channel_files(tmp_path):
         p.write_text(json.dumps(cfg))
         paths[name] = str(p)
     return paths
-
-
-def run_to_file(tmp_path, argv):
-    out = tmp_path / "out.txt"
-    rc = cli.main(argv + ["--output", str(out)])
-    return rc, out.read_text() if out.exists() else ""
 
 
 def test_chi_command_csv(channel_files, tmp_path):
@@ -248,8 +243,36 @@ AD2 = PER4["branches"][:2]
         (AD2, {"kind": "periodic"}, ["chi", "--tol", "nan"]),
         (AD2, {"kind": "periodic"}, ["simulate", "--rate", "nan"]),
         (AD2, {"kind": "periodic"}, ["simulate", "--rate", "0.3", "--seed", "-1"]),
+        ([{"type": "amplitude_damping", "gamma": "abc"}], {"kind": "periodic"}, ["chi"]),
+        ([{"type": "depolarizing", "p": None}], {"kind": "periodic"}, ["capacity"]),
+        (
+            [{"type": "kraus", "ops": [[[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}],
+            {"kind": "periodic"},
+            ["chi"],
+        ),
+        (
+            [{"type": "kraus", "ops": [[[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}],
+            {"kind": "periodic"},
+            ["capacity"],
+        ),
+        ([{"type": "amplitude_damping", "gamma": True}], {"kind": "periodic"}, ["chi"]),
+        (AD2, {"kind": "random", "q": [True, False]}, ["capacity"]),
     ],
-    ids=["q-nan", "Q-nan", "lambda-nan", "kraus-nan", "tol-nan", "rate-nan", "seed-negative"],
+    ids=[
+        "q-nan",
+        "Q-nan",
+        "lambda-nan",
+        "kraus-nan",
+        "tol-nan",
+        "rate-nan",
+        "seed-negative",
+        "gamma-string",
+        "p-null",
+        "kraus-string",
+        "kraus-ragged",
+        "gamma-bool",
+        "q-bool",
+    ],
 )
 def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, branches, memory, argv):
     path = tmp_path / "channel.json"
@@ -257,6 +280,42 @@ def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, branche
     assert cli.main([argv[0], str(path)] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi", "per4"],
+        ["amax", "rand3"],
+        ["ad-gap", "--grid", "3"],
+        ["staircase", "per4"],
+        ["simulate", "rand3", "--rate", "0.3,0.6,0.9", "--trials", "500"],
+        ["simulate", "per4", "--rate", "0.5", "--subset", "0,1", "--trials", "500"],
+    ],
+    ids=["chi", "amax", "ad-gap", "staircase", "simulate", "simulate-subset"],
+)
+def test_row_table_json_matches_csv(channel_files, tmp_path, argv):
+    argv = [channel_files.get(a, a) for a in argv]
+    rc, csv_text = run_to_file(tmp_path, argv)
+    assert rc == 0
+    rc, json_text = run_to_file(tmp_path, argv + ["--format", "json"])
+    assert rc == 0
+    header, *rows = [line.split(",") for line in csv_text.splitlines()]
+    objs = json.loads(json_text)
+    assert isinstance(objs, list) and len(objs) == len(rows) > 0
+    for obj, row in zip(objs, rows):
+        assert list(obj) == header
+        assert [_csv_cell(v) for v in obj.values()] == row
 
 
 def test_exit_code_on_unwritable_output(channel_files):

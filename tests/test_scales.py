@@ -6,38 +6,30 @@ import pytest
 from capscale import (
     QubitChannel,
     ValidationError,
-    capacity_periodic,
-    cbar_periodic,
-    chi_star_avg_pair,
     compute_capacity_report,
     compute_random_scale_report,
     kraus_operators,
     maximize_chi_sum,
-    pair_capacity,
     per_branch_suprema,
     random_scale,
     scale_r,
     staircase_profile,
     subset_scale_value,
 )
-from capscale.scales import (
-    capacity_report_csv,
-    capacity_report_to_dict,
-    random_scale_report_csv,
-    random_scale_report_to_dict,
-)
-from conftest import chi_ad_grid
+from conftest import chi_ad_grid, damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
 
 
 def test_capacity_pair_frozen():
-    res = capacity_periodic([0.0, 0.4])
-    assert res.value == pytest.approx(0.771826859972801, abs=1e-10)
+    res = maximize_chi_sum([0.0, 0.4], [1.0, 1.0])
+    cp = res.value / 2
+    assert cp == pytest.approx(0.771826859972801, abs=1e-10)
     assert res.argmax == pytest.approx(0.535551975060546, abs=1e-6)
-    assert cbar_periodic([0.0, 0.4]) == pytest.approx(0.776478353231424, abs=1e-10)
+    cbar = compute_capacity_report([0.0, 0.4]).cbar
+    assert cbar == pytest.approx(0.776478353231424, abs=1e-10)
     # the joint ensemble is a strict compromise
-    assert cbar_periodic([0.0, 0.4]) - res.value > 1e-6
+    assert cbar - cp > 1e-6
 
 
 def test_per_branch_suprema_frozen():
@@ -101,12 +93,13 @@ def test_scale_validation():
 
 
 def test_pair_capacity_and_average():
-    entry = pair_capacity([0.0, 0.4])
+    entry = scale_r([0.0, 0.4], 2)
     assert entry.best_subset == (0, 1)
     assert entry.value == pytest.approx(0.771826859972801, abs=1e-10)
-    assert chi_star_avg_pair(0.0, 0.4) == pytest.approx(0.776478353231424, abs=1e-10)
+    avg = np.mean([s.chi_star for s in per_branch_suprema([0.0, 0.4])])
+    assert avg == pytest.approx(0.776478353231424, abs=1e-10)
     with pytest.raises(ValidationError):
-        pair_capacity([0.3])
+        scale_r([0.3], 2)
 
 
 def test_report_invariants_on_seeded_draws():
@@ -197,15 +190,21 @@ def test_random_report_subset_monotonicity():
                 assert s2.q_delta >= s1.q_delta - 1e-15
 
 
-def test_capacity_report_serialization_round_trip():
+def capacity_output(tmp_path, *options):
+    path = damping_channel_file(tmp_path, GAMMAS4, {"kind": "periodic"})
+    rc, text = run_to_file(tmp_path, ["capacity", path, *options])
+    assert rc == 0
+    return text
+
+
+def test_capacity_report_serialization_round_trip(tmp_path):
     report = compute_capacity_report(GAMMAS4)
-    obj = capacity_report_to_dict(report)
-    parsed = json.loads(json.dumps(obj))
-    assert parsed["cp"] == report.cp
+    parsed = json.loads(capacity_output(tmp_path, "--format", "json"))
+    assert parsed["cp"] == float(f"{report.cp:.12g}")
     assert parsed["scale"]["2"]["best_subset"] == [0, 1]
     assert len(parsed["per_branch_suprema"]) == 4
 
-    csv_text = capacity_report_csv(report)
+    csv_text = capacity_output(tmp_path)
     lines = csv_text.splitlines()
     assert lines[0] == "r,value_bits,subset,error_threshold"
     assert len(lines) == 5
@@ -213,21 +212,24 @@ def test_capacity_report_serialization_round_trip():
     assert r == "2" and subset == "0;1"
     assert float(value) == pytest.approx(report.scale[2].value, abs=1e-11)
     assert float(thr) == 0.5
-    assert csv_text == capacity_report_csv(compute_capacity_report(GAMMAS4))
+    assert csv_text == capacity_output(tmp_path)
     assert csv_text.endswith("\n") and "\r" not in csv_text
 
 
-def test_random_report_serialization():
-    report = compute_random_scale_report((0.1, 0.4), (0.25, 0.75))
-    obj = random_scale_report_to_dict(report)
+def test_random_report_serialization(tmp_path):
+    path = damping_channel_file(tmp_path, (0.1, 0.4), {"kind": "random", "q": [0.25, 0.75]})
+    rc, text = run_to_file(tmp_path, ["random-scale", path, "--format", "json"])
+    assert rc == 0
+    obj = json.loads(text)
     assert [e["delta"] for e in obj["per_subset"]] == [[0], [1], [0, 1]]
-    csv_text = random_scale_report_csv(report)
+    rc, csv_text = run_to_file(tmp_path, ["random-scale", path])
+    assert rc == 0
     lines = csv_text.splitlines()
     assert lines[0] == "delta,q_delta,c_delta_bits,cbar_delta_bits"
     assert lines[3].startswith("0;1,1,")
 
 
-def test_twelve_significant_digit_formatting():
+def test_twelve_significant_digit_formatting(tmp_path):
     report = compute_capacity_report(GAMMAS4)
-    row1 = capacity_report_csv(report).splitlines()[1]
+    row1 = capacity_output(tmp_path).splitlines()[1]
     assert row1.split(",")[1] == f"{report.scale[1].value:.12g}"

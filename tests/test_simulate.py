@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,11 +11,10 @@ from capscale import (
     ValidationError,
     empirical_staircase,
     run_trials,
-    staircase_csv,
     subset_scale_value,
     success_oracle,
 )
-from capscale.simulate import staircase_rows_to_dicts
+from conftest import damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
 
@@ -92,9 +92,8 @@ def test_run_trials_statistics():
     assert abs(res.empirical_error - 0.5) <= 4.0 * sigma
     assert res.max_branch_error == 1.0  # branches 2 and 3 always fail
     assert res.subset_rate == pytest.approx(0.667153683345, abs=1e-9)
-    recs = [r for _, r in zip(range(3), res.records())]
-    assert [r.trial for r in recs] == [0, 1, 2]
-    assert all(r.success == (r.branch in (0, 1)) for r in recs)
+    assert len(res.branches) == len(res.successes) == n
+    assert np.array_equal(res.successes, np.isin(res.branches, (0, 1)))
 
 
 def test_run_trials_validation():
@@ -136,10 +135,11 @@ def test_empirical_staircase_validation():
         empirical_staircase(mc, [float("nan")], 100, seed=1)
 
 
-def test_staircase_csv_format():
-    mc = periodic4()
-    rows = empirical_staircase(mc, [0.3, 0.7], 500, seed=3)
-    text = staircase_csv(rows)
+def test_staircase_csv_format(tmp_path):
+    path = damping_channel_file(tmp_path, GAMMAS4, {"kind": "periodic"})
+    argv = ["simulate", path, "--rate", "0.3,0.7", "--trials", "500", "--seed", "3"]
+    rc, text = run_to_file(tmp_path, argv)
+    assert rc == 0
     lines = text.splitlines()
     assert lines[0] == (
         "rate_bits,subset,q_subset,theoretical_error,empirical_error,n_trials,seed"
@@ -147,6 +147,8 @@ def test_staircase_csv_format():
     assert lines[1] == "0.3,0;1;2;3,1,0,0,500,3"
     assert lines[2] == "0.7,,0,1,1,500,4"
     assert text.endswith("\n") and "\r" not in text
-    dicts = staircase_rows_to_dicts(rows)
+    rc, text = run_to_file(tmp_path, argv + ["--format", "json"])
+    assert rc == 0
+    dicts = json.loads(text)
     assert dicts[0]["subset"] == [0, 1, 2, 3]
     assert dicts[1]["q_subset"] == 0.0
