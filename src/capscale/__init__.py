@@ -35,7 +35,6 @@ from .scales import (
     compute_capacity_report,
     compute_random_scale_report,
     per_branch_suprema,
-    random_scale,
     scale_r,
     staircase_profile,
     subset_scale_value,
@@ -83,7 +82,6 @@ __all__ = [
     "compute_capacity_report",
     "compute_random_scale_report",
     "per_branch_suprema",
-    "random_scale",
     "scale_r",
     "staircase_profile",
     "subset_scale_value",

@@ -314,18 +314,18 @@ def cmd_ad_gap(args) -> int:
     if args.grid < 2:
         raise ValidationError(f"grid must be >= 2, got {args.grid}")
     gammas = np.linspace(0.0, 1.0, args.grid)
-    sups = {}
-    for g in gammas:
-        res = maximize_chi_sum([g], [1.0], tol)
-        sups[float(g)] = res
+    n = len(gammas)
+    # pair (j, i) is pair (i, j), and pair (i, i) peaks where branch i does
+    subsets = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    best = scales.maximize_subsets(gammas, subsets, tol=tol)
     rows = []
-    for g0 in gammas:
-        for g1 in gammas:
-            joint = maximize_chi_sum([g0, g1], [1.0, 1.0], tol)
-            cp = joint.value / 2.0
-            s0, s1 = sups[float(g0)], sups[float(g1)]
-            avg = 0.5 * (s0.value + s1.value)
-            rows.append((g0, g1, joint.argmax, cp, s0.argmax, s1.argmax, avg, avg - cp))
+    for i, g0 in enumerate(gammas):
+        for j, g1 in enumerate(gammas):
+            pair = tuple(sorted({i, j}))
+            (a0, v0), (a1, v1), (a_joint, total) = best[(i,)], best[(j,)], best[pair]
+            cp = total / len(pair)
+            avg = 0.5 * (v0 + v1)
+            rows.append((g0, g1, a_joint, cp, a0, a1, avg, avg - cp))
     header = ("gamma0", "gamma1", "a_max_joint", "c_p", "a_max_0", "a_max_1", "chi_star_avg", "gap")
     _emit(args, header, rows)
     return 0
@@ -355,12 +355,8 @@ def cmd_simulate(args) -> int:
         res = simulate.run_trials(
             mc, simulate.Strategy(subset, rates[0]), args.trials, args.seed, tol
         )
-        if mc.memory == "periodic":
-            q_subset = len(res.strategy.subset) / len(mc.branches)
-        else:
-            q_subset = float(sum(mc.q[i] for i in res.strategy.subset))
         rows = [
-            (rates[0], res.strategy.subset, q_subset, res.theoretical_error,
+            (rates[0], res.strategy.subset, res.q_subset, res.theoretical_error,
              res.empirical_error, res.n_trials, res.seed)
         ]
     else:

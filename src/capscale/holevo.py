@@ -78,21 +78,25 @@ def average_output(ch: QubitChannel, e: Ensemble) -> np.ndarray:
     return out
 
 
-def holevo_chi(ch: QubitChannel, r, w) -> np.ndarray:
+def holevo_chi(bloch_map, r, w) -> np.ndarray:
     """Holevo quantity in bits of ensembles of input Bloch vectors.
 
-    r has shape (..., n, 3) and w shape (..., n), broadcast against each
-    other, one ensemble per leading index; each row of w sums to 1.
-    Returns S(M r̄ + t) - sum_j w_j S(M r_j + t), of shape (...).
+    bloch_map is a channel's (M, t), or a stack of them of shapes (..., 3, 3)
+    and (..., 3). r has shape (..., n, 3) and w shape (..., n); all three
+    broadcast against each other, one ensemble per leading index, and each
+    row of w sums to 1. Returns S(M r̄ + t) - sum_j w_j S(M r_j + t), of
+    the broadcast leading shape.
     """
-    M, t = ch.bloch_map
+    M, t = bloch_map
+    # matmul takes its fast path on stacks of contiguous matrices only
+    MT, t = np.ascontiguousarray(np.swapaxes(M, -1, -2)), np.expand_dims(t, -2)
 
-    def output_entropy(v):
-        return entropy_from_radius(np.linalg.norm(v @ M.T + t, axis=-1))
+    def output_entropy(v):  # v: (..., k, 3) -> (..., k)
+        return entropy_from_radius(np.linalg.norm(v @ MT + t, axis=-1))
 
     w = np.asarray(w, dtype=float)
     rbar = np.einsum("...n,...nd->...d", w, r)
-    return output_entropy(rbar) - (w * output_entropy(r)).sum(axis=-1)
+    return output_entropy(rbar[..., None, :])[..., 0] - (w * output_entropy(r)).sum(axis=-1)
 
 
 def holevo_quantity(ch: QubitChannel, e: Ensemble) -> float:
@@ -100,23 +104,24 @@ def holevo_quantity(ch: QubitChannel, e: Ensemble) -> float:
     probs = [p for p, _ in e.items]
     r = [[2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
          for _, rho in e.items]
-    return float(holevo_chi(ch, np.array(r), probs))
+    return float(holevo_chi(ch.bloch_map, np.array(r), probs))
 
 
-def chi_mirror_family(ch: QubitChannel, a):
+def chi_mirror_family(ch, a):
     """Holevo quantity of the mirror pair at parameter a, for any qubit branch.
 
-    ``a`` may be a scalar (returns a float) or an array (returns an array
-    of the same shape). The pair's Bloch vectors are (±2b, 0, 2a - 1)
-    with b = sqrt(a(1-a)).
+    ch is a QubitChannel or a Bloch map (M, t), stacked or not, and ``a`` a
+    scalar or an array broadcast against the stack; a float comes back for
+    one channel and a scalar a, an array otherwise. The pair's Bloch
+    vectors are (±2b, 0, 2a - 1) with b = sqrt(a(1-a)).
     """
     a_arr = np.asarray(a, dtype=float)
     if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
         raise ValidationError(f"a must be in [0, 1], got {a!r}")
     x, z = 2.0 * np.sqrt(a_arr * (1.0 - a_arr)), 2.0 * a_arr - 1.0
     r = np.stack([np.stack([s * x, np.zeros_like(x), z], -1) for s in (1.0, -1.0)], -2)
-    chi = holevo_chi(ch, r, (0.5, 0.5))
-    return float(chi) if a_arr.ndim == 0 else chi
+    chi = holevo_chi(ch.bloch_map if isinstance(ch, QubitChannel) else ch, r, (0.5, 0.5))
+    return float(chi) if chi.ndim == 0 else chi
 
 
 def _check_unit_interval(name, value):

@@ -42,42 +42,46 @@ class OptResult:
     achieved_tol: float
 
 
-def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-8) -> OptResult:
+def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
     """Golden-section maximization of a concave (unimodal) function.
 
     Returns an OptResult whose argmax is within tol of the true maximizer.
     Exact ties shrink the bracket from both sides, so a constant function
     converges to the interval midpoint.
+
+    lo and hi may be equal-shape arrays, one bracket per lane, searched in
+    lockstep: f then maps one point per lane to its value, once per step
+    (twice on a step where a lane ties). Each lane takes the steps of its
+    own scalar search, so argmax and value equal the scalar results lane by
+    lane; iterations and achieved_tol are those of the slowest lane.
     """
-    if not lo < hi:
+    if np.ndim(lo) or np.ndim(hi):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        where, any_ = np.where, np.any
+    else:
+        where, any_ = (lambda m, x, y: x if m else y), bool
+    if not np.all(lo < hi):
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
     if not (1e-12 <= tol < math.inf):
         raise ValidationError(f"tol must be finite and >= 1e-12, got {tol}")
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
     iters = 0
-    while hi - lo > tol:
-        if not (math.isfinite(fc) and math.isfinite(fd)):
+    while any_(active := hi - lo > tol):
+        if any_(active & ~(np.isfinite(fc) & np.isfinite(fd))):
             raise NumericalError("objective returned a non-finite value")
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        elif fd > fc:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-        else:
-            lo, hi = c, d
-            c = hi - _INVPHI * (hi - lo)
-            d = lo + _INVPHI * (hi - lo)
-            fc, fd = f(c), f(d)
+        # keep [lo, d], [c, hi] or, on a tie, [c, d]
+        left, right, tie = active & (fc > fd), active & (fd > fc), active & (fc == fd)
+        lo, hi = where(right | tie, c, lo), where(left | tie, d, hi)
+        c, d = where(right, d, hi - _INVPHI * (hi - lo)), where(left, c, lo + _INVPHI * (hi - lo))
+        f_c, f_d = (f(c), f(d)) if any_(tie) else (f(where(left, c, d)),) * 2
+        fc, fd = (where(left | tie, f_c, where(right, fd, fc)),
+                  where(right | tie, f_d, where(left, fc, fd)))
         iters += 1
         if iters > _MAX_ITER:
             raise NumericalError("golden-section search failed to converge")
     x = 0.5 * (lo + hi)
-    return OptResult(argmax=x, value=f(x), iterations=iters, achieved_tol=hi - lo)
+    return OptResult(x, f(x), iters, float(np.max(hi - lo)))
 
 
 def find_root_bisection(g, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -260,7 +264,7 @@ def _search_generic(ch, n_states, grid, weights, budget):
     combos = np.array(list(itertools.combinations(range(pool), n_states)), dtype=np.intp)
 
     def evaluate(i0, i1):
-        return holevo_chi(ch, bloch[combos[i0:i1]][:, None], weights)
+        return holevo_chi(ch.bloch_map, bloch[combos[i0:i1]][:, None], weights)
 
     chunk = max(1, 2_000_000 // weights.shape[0])
     return _best_over_chunks(combos.shape[0], chunk, evaluate)

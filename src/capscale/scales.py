@@ -12,14 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .channels import QubitChannel
 from .errors import NumericalError, ValidationError
-from .holevo import chi_ad_mirror, chi_mirror_family
-from .optim import OptResult, maximize_concave_1d
+from .holevo import chi_mirror_family
+from .optim import maximize_concave_1d
 
 # Subset enumeration is exponential in the number of branches.
 MAX_BRANCHES = 12
@@ -31,69 +30,54 @@ _TIE_EPS = 1e-12
 # point of the combined curves within two grid steps on either side.
 _SCAN = np.linspace(1e-9, 1.0 - 1e-9, 257)
 
-# Combiner of scalar branch curves -> the same combination of grid rows.
-_GRID_REDUCE = {sum: np.add.reduce, min: np.minimum.reduce}
+# Subsets whose scan rows are gathered at once when bracketing.
+_SCAN_BLOCK = 16
 
 
 def _as_channels(branches) -> tuple[QubitChannel, ...]:
-    out = []
-    for b in branches:
-        if isinstance(b, QubitChannel):
-            out.append(b)
-        else:
-            out.append(QubitChannel.amplitude_damping(float(b)))
+    out = tuple(
+        b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(float(b))
+        for b in branches
+    )
     if not out:
         raise ValidationError("need at least one branch")
-    return tuple(out)
+    return out
 
 
-class _BranchCurves:
-    """Per-branch Holevo curves with memoized subset maximizations.
+def maximize_subsets(branches, subsets, reduce=np.add, tol: float = 1e-8) -> dict:
+    """Best mirror pair of every subset's combined branch curves, at once.
 
-    Each branch's curve is evaluated once on the scan grid through the
-    Holevo kernel. A subset's sum (or minimum) of curves is concave, so
-    its grid argmax brackets the maximizer, which golden-section search
-    then refines on the scalar curves.
+    reduce is np.add (the summed curves, periodic memory) or np.minimum
+    (their pointwise minimum, random memory); both keep the combination
+    concave. Each branch's curve is evaluated once on the scan grid, and
+    each subset's grid argmax, two steps to either side, brackets its
+    maximizer. One lockstep golden-section search then refines every
+    bracket, with one Holevo kernel call per step over the stacked Bloch
+    maps of all (subset, member) pairs. Returns {subset: (argmax, value)}.
     """
+    channels = _as_channels(branches)
+    subsets = list(dict.fromkeys(subsets))
+    M = np.array([ch.bloch_map[0] for ch in channels])
+    t = np.array([ch.bloch_map[1] for ch in channels])
+    scan = chi_mirror_family((M[:, None], t[:, None]), _SCAN)  # (branch, grid point)
+    sizes = np.array([len(s) for s in subsets])
+    members = np.concatenate(subsets)  # branch of each (subset, member) pair
+    bounds = np.append(0, np.cumsum(sizes))  # each subset's pairs
+    # grid argmax of each subset's combined scan rows, a block of subsets at a time
+    blocks = (bounds[i:i + _SCAN_BLOCK + 1] for i in range(0, len(subsets), _SCAN_BLOCK))
+    k = np.concatenate([
+        reduce.reduceat(scan[members[b[0]:b[-1]]], b[:-1] - b[0]).argmax(axis=1) for b in blocks
+    ])
+    lo = _SCAN[np.maximum(k - 2, 0)]
+    hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
+    maps = (M[members], t[members])
+    lane = np.repeat(np.arange(len(subsets)), sizes)
 
-    def __init__(self, branches, tol: float):
-        self.channels = _as_channels(branches)
-        self.tol = float(tol)
-        # scalar curves for the refinement: the closed form for damping
-        self.curves = [
-            partial(chi_ad_mirror, ch.gamma)
-            if ch.kind == "amplitude_damping"
-            else partial(chi_mirror_family, ch)
-            for ch in self.channels
-        ]
-        self.scan = np.array([chi_mirror_family(ch, _SCAN) for ch in self.channels])
-        self._cache: dict[tuple, OptResult] = {}
+    def combined(a):
+        return reduce.reduceat(chi_mirror_family(maps, a[lane]), bounds[:-1])
 
-    def __len__(self):
-        return len(self.channels)
-
-    def _maximize(self, idxs, combine) -> OptResult:
-        key = (combine, tuple(sorted(idxs)))
-        if key not in self._cache:
-            fs = [self.curves[i] for i in key[1]]
-            k = int(np.argmax(_GRID_REDUCE[combine](self.scan[list(key[1])])))
-            lo = float(_SCAN[max(0, k - 2)])
-            hi = float(_SCAN[min(len(_SCAN) - 1, k + 2)])
-            self._cache[key] = maximize_concave_1d(
-                lambda a: combine(f(a) for f in fs), lo, hi, self.tol
-            )
-        return self._cache[key]
-
-    def sup_sum(self, idxs) -> OptResult:
-        """Maximize the plain sum of the selected branch curves over one ensemble."""
-        return self._maximize(idxs, sum)
-
-    def sup_min(self, idxs) -> OptResult:
-        """Maximize the pointwise minimum of the selected branch curves."""
-        return self._maximize(idxs, min)
-
-    def branch_suprema(self) -> list[OptResult]:
-        return [self.sup_sum((i,)) for i in range(len(self))]
+    res = maximize_concave_1d(combined, lo, hi, tol)
+    return {s: (float(a), float(v)) for s, a, v in zip(subsets, res.argmax, res.value)}
 
 
 @dataclass(frozen=True)
@@ -146,18 +130,29 @@ class StaircaseStep:
     error_threshold: float
 
 
+def _suprema(best: dict, L: int) -> tuple[BranchSupremum, ...]:
+    return tuple(BranchSupremum(*best[(i,)]) for i in range(L))
+
+
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
-    curves = _BranchCurves(branches, tol)
-    return [BranchSupremum(r.argmax, r.value) for r in curves.branch_suprema()]
+    channels = _as_channels(branches)
+    L = len(channels)
+    return list(_suprema(maximize_subsets(channels, [(i,) for i in range(L)], np.add, tol), L))
 
 
-def _subset_value(curves: _BranchCurves, subset: tuple[int, ...]) -> float:
-    L = len(curves)
-    r = len(subset)
-    total = 0.0
-    for k in range(L):
-        total += curves.sup_sum([(m + k) % L for m in subset]).value
-    return total / (r * L)
+def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
+    """Subsets of the given sizes, size-major, then in lexicographic order."""
+    if L > MAX_BRANCHES:
+        raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
+    return [s for r in sizes for s in itertools.combinations(range(L), r)]
+
+
+def _rotations(subset, L: int) -> list[tuple[int, ...]]:
+    return [tuple(sorted((m + k) % L for m in subset)) for k in range(L)]
+
+
+def _subset_value(best: dict, subset: tuple[int, ...], L: int) -> float:
+    return sum(best[rotated][1] for rotated in _rotations(subset, L)) / (len(subset) * L)
 
 
 def _check_subset(subset, L) -> tuple[int, ...]:
@@ -177,18 +172,19 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     Averages, over the unknown cyclic offset, the best joint rate of the
     selected positions, normalized per selected position.
     """
-    curves = _BranchCurves(branches, tol)
-    return _subset_value(curves, _check_subset(subset, len(curves)))
+    channels = _as_channels(branches)
+    L = len(channels)
+    subset = _check_subset(subset, L)
+    best = maximize_subsets(channels, _rotations(subset, L), np.add, tol)
+    return _subset_value(best, subset, L)
 
 
-def _best_subset(curves: _BranchCurves, r: int) -> ScaleEntry:
+def _best_subset(best: dict, L: int, r: int) -> ScaleEntry:
     """Best subset of size r and its rate; first subset in lex order wins ties."""
-    if len(curves) > MAX_BRANCHES:
-        raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
     best_val = -math.inf
     best_subset = None
-    for subset in itertools.combinations(range(len(curves)), r):
-        v = _subset_value(curves, subset)
+    for subset in itertools.combinations(range(L), r):
+        v = _subset_value(best, subset, L)
         if v > best_val + _TIE_EPS:
             best_val, best_subset = v, subset
     return ScaleEntry(best_val, best_subset)
@@ -196,11 +192,13 @@ def _best_subset(curves: _BranchCurves, r: int) -> ScaleEntry:
 
 def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
     """Best subset of size r and its rate; first subset in lex order wins ties."""
-    curves = _BranchCurves(branches, tol)
-    L = len(curves)
+    channels = _as_channels(branches)
+    L = len(channels)
     if not 1 <= r <= L:
         raise ValidationError(f"r must be in [1, {L}], got {r}")
-    return _best_subset(curves, r)
+    # the rotations of a size-r subset are size-r subsets
+    best = maximize_subsets(channels, _all_subsets(L, [r]), np.add, tol)
+    return _best_subset(best, L, r)
 
 
 def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
@@ -209,12 +207,13 @@ def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
     Raises NumericalError if the computed hierarchy fails its own sanity
     checks (endpoints must match the capacities, levels must not increase).
     """
-    curves = _BranchCurves(branches, tol)
-    L = len(curves)
-    sups = curves.branch_suprema()
-    cbar = sum(r.value for r in sups) / L
-    cp = curves.sup_sum(range(L)).value / L
-    scale = {r: _best_subset(curves, r) for r in range(1, L + 1)}
+    channels = _as_channels(branches)
+    L = len(channels)
+    best = maximize_subsets(channels, _all_subsets(L, range(1, L + 1)), np.add, tol)
+    sups = _suprema(best, L)
+    cbar = sum(s.chi_star for s in sups) / L
+    cp = best[tuple(range(L))][1] / L
+    scale = {r: _best_subset(best, L, r) for r in range(1, L + 1)}
 
     if abs(scale[L].value - cp) > 1e-7:
         raise NumericalError(
@@ -228,12 +227,7 @@ def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
         if scale[r + 1].value > scale[r].value + 1e-9:
             raise NumericalError(f"scale increased from r={r} to r={r + 1}")
 
-    return CapacityReport(
-        cp=cp,
-        cbar=cbar,
-        scale=scale,
-        per_branch_suprema=tuple(BranchSupremum(s.argmax, s.value) for s in sups),
-    )
+    return CapacityReport(cp=cp, cbar=cbar, scale=scale, per_branch_suprema=sups)
 
 
 def staircase_profile(branches, tol: float = 1e-8) -> list[StaircaseStep]:
@@ -257,44 +251,25 @@ def _check_probs(q, L) -> tuple[float, ...]:
     return q
 
 
-def random_scale(branches, q, delta, tol: float = 1e-8) -> SubsetScale:
-    """Subset capacities of the random channel for one subset of branches.
-
-    c_delta uses a single ensemble that must serve every branch in the
-    subset (maximize the worst case); cbar_delta is the best single
-    branch in the subset.
-    """
-    report = compute_random_scale_report(branches, q, [delta], tol)
-    return next(iter(report.per_subset.values()))
-
-
 def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> RandomScaleReport:
     """Subset-capacity table for a random-memory channel.
 
-    deltas defaults to every nonempty subset of branches (the branch
-    count is capped at MAX_BRANCHES in that case).
+    c_delta uses a single ensemble that must serve every branch in the
+    subset (maximize the worst case); cbar_delta is the best single branch
+    in the subset. deltas defaults to every nonempty subset of branches
+    (the branch count is capped at MAX_BRANCHES in that case).
     """
-    curves = _BranchCurves(branches, tol)
-    L = len(curves)
+    channels = _as_channels(branches)
+    L = len(channels)
     q = _check_probs(q, L)
     if deltas is None:
-        if L > MAX_BRANCHES:
-            raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
-        deltas = [
-            s for r in range(1, L + 1) for s in itertools.combinations(range(L), r)
-        ]
-    sups = curves.branch_suprema()
-    per_subset: dict[tuple[int, ...], SubsetScale] = {}
-    for delta in deltas:
-        delta = _check_subset(delta, L)
-        per_subset[delta] = SubsetScale(
-            q_delta=sum(q[i] for i in delta),
-            c_delta=curves.sup_min(delta).value,
-            cbar_delta=max(sups[i].value for i in delta),
-        )
-    return RandomScaleReport(
-        q=q,
-        per_subset=per_subset,
-        per_branch_suprema=tuple(BranchSupremum(s.argmax, s.value) for s in sups),
-    )
-
+        deltas = _all_subsets(L, range(1, L + 1))
+    deltas = [_check_subset(d, L) for d in deltas]
+    # a single branch's worst case is its supremum
+    best = maximize_subsets(channels, [(i,) for i in range(L)] + deltas, np.minimum, tol)
+    sups = _suprema(best, L)
+    per_subset = {
+        d: SubsetScale(sum(q[i] for i in d), best[d][1], max(sups[i].chi_star for i in d))
+        for d in deltas
+    }
+    return RandomScaleReport(q=q, per_subset=per_subset, per_branch_suprema=sups)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import MemoryChannel
 from .errors import ValidationError
-from .scales import compute_random_scale_report, random_scale, staircase_profile, subset_scale_value
+from .scales import compute_random_scale_report, staircase_profile, subset_scale_value
 
 # Rates this close to a subset's achievable rate are refused: the
 # success indicator would hinge on noise in the final optimizer digits.
@@ -49,6 +49,7 @@ class SimResult:
     seed: int
     strategy: Strategy
     subset_rate: float
+    q_subset: float
     theoretical_error: float
     empirical_error: float
     max_branch_error: float
@@ -71,7 +72,15 @@ def _branch_probs(mc: MemoryChannel) -> np.ndarray:
 def _subset_rate(mc: MemoryChannel, subset, tol: float) -> float:
     if mc.memory == "periodic":
         return subset_scale_value(mc.branches, subset, tol)
-    return random_scale(mc.branches, mc.q, subset, tol).c_delta
+    (entry,) = compute_random_scale_report(mc.branches, mc.q, [subset], tol).per_subset.values()
+    return entry.c_delta
+
+
+def _subset_prob(mc: MemoryChannel, subset) -> float:
+    """Probability that the drawn branch lies in subset."""
+    if mc.memory == "periodic":
+        return len(subset) / len(mc.branches)
+    return float(sum(mc.q[i] for i in subset))
 
 
 def _success(probs: np.ndarray, strategy: Strategy, value: float) -> np.ndarray:
@@ -108,12 +117,12 @@ def run_trials(
     max_branch_error is the worst per-branch rate among drawn branches.
     The seed must lie in [0, 2**128), the generator's key range.
     """
-    probs = _branch_probs(mc)
-    return _draw_trials(probs, strategy, _subset_rate(mc, strategy.subset, tol), n_trials, seed)
+    return _draw_trials(mc, strategy, _subset_rate(mc, strategy.subset, tol), n_trials, seed)
 
 
-def _draw_trials(probs, strategy: Strategy, value: float, n_trials: int, seed: int) -> SimResult:
+def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int) -> SimResult:
     """run_trials for a subset whose rate `value` the caller already holds."""
+    probs = _branch_probs(mc)
     if n_trials < 1:
         raise ValidationError(f"n_trials must be positive, got {n_trials}")
     if not 0 <= seed < 2**128:
@@ -134,6 +143,7 @@ def _draw_trials(probs, strategy: Strategy, value: float, n_trials: int, seed: i
         seed=int(seed),
         strategy=strategy,
         subset_rate=value,
+        q_subset=_subset_prob(mc, strategy.subset),
         theoretical_error=1.0 - float(probs[success].sum()),
         empirical_error=1.0 - float(wins.mean()),
         max_branch_error=max(branch_errors),
@@ -189,17 +199,14 @@ def empirical_staircase(
     if any(b - a < 0.0 for a, b in zip(rates, rates[1:])):
         raise ValidationError("rates must be sorted in ascending order")
 
-    probs = _branch_probs(mc)
-    L = len(probs)
+    _branch_probs(mc)  # rejects markov memory
     if mc.memory == "periodic":
-        candidates = [
-            (step.subset, step.value_bits, len(step.subset) / L)
-            for step in staircase_profile(mc.branches, tol)
-        ]
+        rated = [(step.subset, step.value_bits) for step in staircase_profile(mc.branches, tol)]
     else:
         # subsets in size-major, then lexicographic order
         report = compute_random_scale_report(mc.branches, mc.q, tol=tol)
-        candidates = [(d, s.c_delta, s.q_delta) for d, s in report.per_subset.items()]
+        rated = [(d, s.c_delta) for d, s in report.per_subset.items()]
+    candidates = [(subset, value, _subset_prob(mc, subset)) for subset, value in rated]
 
     rows = []
     for i, rate in enumerate(rates):
@@ -208,7 +215,7 @@ def empirical_staircase(
             rows.append(StaircaseRow(rate, (), 0.0, 1.0, 1.0, int(n_trials), int(seed) + i))
             continue
         subset, value, q = pick
-        res = _draw_trials(probs, Strategy(subset, rate), value, n_trials, int(seed) + i)
+        res = _draw_trials(mc, Strategy(subset, rate), value, n_trials, int(seed) + i)
         rows.append(
             StaircaseRow(rate, subset, q, res.theoretical_error, res.empirical_error,
                          int(n_trials), int(seed) + i)

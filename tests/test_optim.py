@@ -43,6 +43,67 @@ def test_golden_section_validation():
         maximize_concave_1d(lambda x: float("nan"), 0.0, 1.0)
 
 
+def test_golden_section_lockstep_lanes_match_scalar_calls():
+    # lanes of different widths stop at different steps; lane 1 is flat
+    peaks = np.array([0.3, 0.0, 0.55, 0.9])
+    flat = np.array([False, True, False, False])
+    lo = np.array([0.0, 0.2, 0.5, 0.85])
+    hi = np.array([1.0, 0.6, 0.6, 0.95])
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.where(flat, 0.0, -((x - peaks) ** 2))
+
+    res = maximize_concave_1d(f, lo, hi, tol=1e-10)
+    scalars = [
+        maximize_concave_1d(
+            (lambda x: 0.0) if flat[k] else (lambda x, m=float(peaks[k]): -((x - m) ** 2)),
+            float(lo[k]),
+            float(hi[k]),
+            tol=1e-10,
+        )
+        for k in range(4)
+    ]
+    for k, s in enumerate(scalars):
+        assert res.argmax[k] == s.argmax  # bit for bit
+        assert res.value[k] == s.value
+    assert res.argmax[1] == pytest.approx(0.4, abs=1e-9)  # flat lane: midpoint
+    assert type(res.iterations) is int
+    assert res.iterations == max(s.iterations for s in scalars)
+    assert type(res.achieved_tol) is float
+    assert res.achieved_tol == max(s.achieved_tol for s in scalars) <= 1e-10
+    assert set(calls) == {(4,)}
+    # two points to start, one per step plus one more per step with a tie
+    # (every step of the flat lane), one to finish
+    assert len(calls) == 2 + res.iterations + scalars[1].iterations + 1
+
+
+def test_golden_section_lockstep_one_call_per_step():
+    peaks = np.array([0.3, 0.7])
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return -((x - peaks) ** 2)
+
+    res = maximize_concave_1d(f, np.zeros(2), np.ones(2), tol=1e-8)
+    assert len(calls) == 2 + res.iterations + 1
+    assert res.argmax == pytest.approx(peaks, abs=1e-8)
+
+
+def test_golden_section_lockstep_nan_lane_raises():
+    bad = np.array([False, True, False])
+
+    def f(x):
+        return np.where(bad, np.nan, -((x - 0.3) ** 2))
+
+    with pytest.raises(NumericalError):
+        maximize_concave_1d(f, np.zeros(3), np.ones(3))
+    with pytest.raises(ValidationError):
+        maximize_concave_1d(f, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+
+
 def test_bisection_known_root():
     root = find_root_bisection(math.cos, 1.0, 2.0, tol=1e-12)
     assert root == pytest.approx(math.pi / 2.0, abs=1e-11)

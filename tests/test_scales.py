@@ -1,17 +1,25 @@
+import collections
+import io
 import json
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+import capscale.cli as cli
+import capscale.holevo as holevo
+import capscale.scales as scales
 from capscale import (
+    MemoryChannel,
     QubitChannel,
+    Strategy,
     ValidationError,
     compute_capacity_report,
     compute_random_scale_report,
     kraus_operators,
     maximize_chi_sum,
     per_branch_suprema,
-    random_scale,
+    run_trials,
     scale_r,
     staircase_profile,
     subset_scale_value,
@@ -149,10 +157,16 @@ def test_staircase_profile_thresholds():
     assert all(a.value_bits >= b.value_bits - 1e-12 for a, b in zip(steps, steps[1:]))
 
 
+def random_subset_scale(gammas, q, delta, **kw):
+    """The one entry of a random-memory report asked for a single subset."""
+    (entry,) = compute_random_scale_report(gammas, q, deltas=[delta], **kw).per_subset.values()
+    return entry
+
+
 def test_random_scale_ordering_frozen():
     gammas = (0.1, 0.4, 0.7)
     q = (0.5, 0.3, 0.2)
-    s = random_scale(gammas, q, (0, 1))
+    s = random_subset_scale(gammas, q, (0, 1))
     # stronger damping is lower pointwise, so the worst case is branch 1
     assert s.c_delta == pytest.approx(0.552956706462849, abs=1e-9)
     assert s.cbar_delta == pytest.approx(0.840496506564459, abs=1e-9)
@@ -160,7 +174,7 @@ def test_random_scale_ordering_frozen():
 
 
 def test_random_scale_worst_case_frozen():
-    res = random_scale((0.1, 0.4), (0.5, 0.5), (0, 1), tol=1e-8)
+    res = random_subset_scale((0.1, 0.4), (0.5, 0.5), (0, 1), tol=1e-8)
     # the higher-damping curve is lower everywhere, so the min is that branch
     assert res.c_delta == pytest.approx(0.552956706462849, abs=1e-10)
     single = maximize_chi_sum([0.4], [1.0], tol=1e-8)
@@ -169,11 +183,11 @@ def test_random_scale_worst_case_frozen():
 
 def test_random_scale_validation():
     with pytest.raises(ValidationError):
-        random_scale((0.1, 0.4), (0.7, 0.7), (0,))
+        random_subset_scale((0.1, 0.4), (0.7, 0.7), (0,))
     with pytest.raises(ValidationError):
-        random_scale((0.1, 0.4), (0.5, 0.5), (2,))
+        random_subset_scale((0.1, 0.4), (0.5, 0.5), (2,))
     with pytest.raises(ValidationError):
-        random_scale((0.1, 0.4), (0.5, float("nan")), (0,))
+        random_subset_scale((0.1, 0.4), (0.5, float("nan")), (0,))
 
 
 def test_random_report_subset_monotonicity():
@@ -233,3 +247,57 @@ def test_twelve_significant_digit_formatting(tmp_path):
     report = compute_capacity_report(GAMMAS4)
     row1 = capacity_output(tmp_path).splitlines()[1]
     assert row1.split(",")[1] == f"{report.scale[1].value:.12g}"
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Count Holevo kernel calls, subset maximizations and closed-form calls."""
+    calls = collections.Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(holevo, "holevo_chi", count("kernel", holevo.holevo_chi))
+    monkeypatch.setattr(
+        scales, "maximize_concave_1d", count("maximizer", scales.maximize_concave_1d)
+    )
+    # scales may hold no closed form at all; any call it makes to one counts
+    for mod in (scales, cli):
+        monkeypatch.setattr(
+            mod, "chi_ad_mirror", count("closed form", holevo.chi_ad_mirror), raising=False
+        )
+    monkeypatch.setattr(cli, "maximize_chi_sum", count("pair search", cli.maximize_chi_sum))
+    return calls
+
+
+def test_work_ceilings_of_reports(work_counts):
+    gammas = list(np.linspace(0.05, 0.9, 8))
+    compute_capacity_report(gammas)
+    assert work_counts["maximizer"] == 1
+    assert work_counts["kernel"] <= 50
+    assert work_counts["closed form"] == 0
+
+    work_counts.clear()
+    compute_random_scale_report(gammas[:6], [1 / 6] * 6)
+    assert work_counts["maximizer"] == 1
+    assert work_counts["kernel"] <= 50
+    assert work_counts["closed form"] == 0
+
+
+def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts):
+    mc = MemoryChannel.random(
+        [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4, 0.7)], [0.5, 0.3, 0.2]
+    )
+    run_trials(mc, Strategy((0, 1), 0.3), 100, seed=1)
+    assert work_counts["maximizer"] == 1  # the subset's minimum only
+
+    work_counts.clear()
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["ad-gap", "--grid", "11"]) == 0
+    assert work_counts["maximizer"] == 1
+    assert work_counts["pair search"] == 0
+    assert work_counts["closed form"] == 0

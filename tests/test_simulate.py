@@ -96,6 +96,16 @@ def test_run_trials_statistics():
     assert np.array_equal(res.successes, np.isin(res.branches, (0, 1)))
 
 
+@pytest.mark.parametrize(
+    "mc, rate, q", [(periodic4(), 0.6665, 0.5), (random3(), 0.4, 0.8)], ids=["per4", "rand3"]
+)
+def test_run_trials_q_subset_matches_staircase(mc, rate, q):
+    res = run_trials(mc, Strategy((1, 0), rate), 1000, seed=2)
+    (row,) = empirical_staircase(mc, [rate], 1000, seed=2)
+    assert row.subset == res.strategy.subset == (0, 1)
+    assert res.q_subset == row.q_subset == q
+
+
 def test_run_trials_validation():
     with pytest.raises(ValidationError):
         run_trials(periodic4(), Strategy((0,), 0.1), 0, seed=1)
