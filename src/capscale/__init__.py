@@ -30,13 +30,11 @@ from .scales import (
     CapacityReport,
     RandomScaleReport,
     ScaleEntry,
-    StaircaseStep,
     SubsetScale,
     compute_capacity_report,
     compute_random_scale_report,
     per_branch_suprema,
     scale_r,
-    staircase_profile,
     subset_scale_value,
 )
 from .simulate import (
@@ -77,13 +75,11 @@ __all__ = [
     "CapacityReport",
     "RandomScaleReport",
     "ScaleEntry",
-    "StaircaseStep",
     "SubsetScale",
     "compute_capacity_report",
     "compute_random_scale_report",
     "per_branch_suprema",
     "scale_r",
-    "staircase_profile",
     "subset_scale_value",
     "SimResult",
     "StaircaseRow",

@@ -83,7 +83,10 @@ def _number(value, what) -> float:
     # bool is an int subclass, but JSON true is not the number 1
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as e:  # a JSON integer past the float range
+        raise ValidationError(f"{what} is too large for a float") from e
 
 
 def _numbers(value, what):
@@ -174,9 +177,7 @@ def _parse_indices(text, what) -> tuple[int, ...]:
         idxs = tuple(int(t) for t in text.split(",") if t.strip() != "")
     except ValueError as e:
         raise ValidationError(f"{what} must be comma-separated integers: {text!r}") from e
-    if not idxs:
-        raise ValidationError(f"{what} must list at least one index")
-    return idxs
+    return scales.check_indices(idxs, what)
 
 
 def _parse_rates(text) -> list[float]:
@@ -244,8 +245,12 @@ def _suprema(sups) -> list[dict]:
     return [{"a_max": s.a_max, "chi_star": s.chi_star} for s in sups]
 
 
+def _scale_rows(report: scales.CapacityReport):
+    return [_scale_row(r, e, report.n_branches) for r, e in sorted(report.scale.items())]
+
+
 def _emit_capacity_report(args, report: scales.CapacityReport):
-    rows = [_scale_row(r, e, report.n_branches) for r, e in sorted(report.scale.items())]
+    rows = _scale_rows(report)
     obj = {
         "cp": report.cp,
         "cbar": report.cbar,
@@ -335,9 +340,7 @@ def cmd_staircase(args) -> int:
     mc = load_channel_config(args.channel)
     tol = _check_tol(args.tol)
     _require_memory(mc, ("periodic",), "staircase")
-    steps = scales.staircase_profile(mc.branches, tol)
-    rows = [(s.r, s.value_bits, s.subset, s.error_threshold) for s in steps]
-    _emit(args, _SCALE_HEADER, rows)
+    _emit(args, _SCALE_HEADER, _scale_rows(scales.compute_capacity_report(mc.branches, tol)))
     return 0
 
 

@@ -45,7 +45,10 @@ class OptResult:
 def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
     """Golden-section maximization of a concave (unimodal) function.
 
-    Returns an OptResult whose argmax is within tol of the true maximizer.
+    Returns an OptResult whose final bracket is narrower than tol. Where f
+    is flat to rounding over a wider stretch around its peak, the argmax can
+    lie anywhere on it (up to about 1e-7 off for damping curves at tol
+    1e-8); the value is unaffected.
     Exact ties shrink the bracket from both sides, so a constant function
     converges to the interval midpoint.
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QubitChannel
+from .channels import MemoryChannel, QubitChannel
 from .errors import NumericalError, ValidationError
 from .holevo import chi_mirror_family
 from .optim import maximize_concave_1d
@@ -122,14 +123,6 @@ class RandomScaleReport:
     per_branch_suprema: tuple[BranchSupremum, ...]
 
 
-@dataclass(frozen=True)
-class StaircaseStep:
-    r: int
-    value_bits: float
-    subset: tuple[int, ...]
-    error_threshold: float
-
-
 def _suprema(best: dict, L: int) -> tuple[BranchSupremum, ...]:
     return tuple(BranchSupremum(*best[(i,)]) for i in range(L))
 
@@ -155,15 +148,31 @@ def _subset_value(best: dict, subset: tuple[int, ...], L: int) -> float:
     return sum(best[rotated][1] for rotated in _rotations(subset, L)) / (len(subset) * L)
 
 
-def _check_subset(subset, L) -> tuple[int, ...]:
-    subset = tuple(int(i) for i in subset)
+def check_indices(subset, what: str = "subset") -> tuple[int, ...]:
+    """subset as a sorted tuple of distinct integer indices.
+
+    Entries must be integers (anything operator.index accepts) but not
+    bools; a fractional or non-numeric entry is refused, never truncated.
+    """
+    try:
+        subset = tuple(subset)
+        if any(isinstance(i, bool) for i in subset):
+            raise TypeError("a bool is not an index")
+        subset = tuple(operator.index(i) for i in subset)
+    except TypeError as e:
+        raise ValidationError(f"{what} must be a sequence of integer indices: {e}") from e
     if not subset:
-        raise ValidationError("subset must be nonempty")
+        raise ValidationError(f"{what} must be nonempty")
     if len(set(subset)) != len(subset):
-        raise ValidationError(f"subset has repeated indices: {subset}")
-    if min(subset) < 0 or max(subset) >= L:
-        raise ValidationError(f"subset {subset} out of range for {L} branches")
+        raise ValidationError(f"{what} has repeated indices: {subset}")
     return tuple(sorted(subset))
+
+
+def _check_subset(subset, L) -> tuple[int, ...]:
+    subset = check_indices(subset)
+    if subset[0] < 0 or subset[-1] >= L:
+        raise ValidationError(f"subset {subset} out of range for {L} branches")
+    return subset
 
 
 def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
@@ -230,27 +239,6 @@ def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
     return CapacityReport(cp=cp, cbar=cbar, scale=scale, per_branch_suprema=sups)
 
 
-def staircase_profile(branches, tol: float = 1e-8) -> list[StaircaseStep]:
-    """Achievable rate and guaranteed error floor for each subset size."""
-    report = compute_capacity_report(branches, tol)
-    L = report.n_branches
-    return [
-        StaircaseStep(r, e.value, e.best_subset, 1.0 - r / L)
-        for r, e in sorted(report.scale.items())
-    ]
-
-
-def _check_probs(q, L) -> tuple[float, ...]:
-    q = tuple(float(x) for x in q)
-    if len(q) != L:
-        raise ValidationError(f"got {len(q)} probabilities for {L} branches")
-    if not all(x >= 0.0 for x in q):
-        raise ValidationError("branch probabilities must be nonnegative")
-    if not abs(sum(q) - 1.0) <= 1e-10:
-        raise ValidationError(f"branch probabilities sum to {sum(q)!r}, not 1")
-    return q
-
-
 def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> RandomScaleReport:
     """Subset-capacity table for a random-memory channel.
 
@@ -261,7 +249,7 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     """
     channels = _as_channels(branches)
     L = len(channels)
-    q = _check_probs(q, L)
+    q = tuple(float(x) for x in MemoryChannel.random(channels, q).q)
     if deltas is None:
         deltas = _all_subsets(L, range(1, L + 1))
     deltas = [_check_subset(d, L) for d in deltas]

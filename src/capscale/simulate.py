@@ -12,17 +12,36 @@ error floors at the usual 1/sqrt(n) pace.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import MemoryChannel
 from .errors import ValidationError
-from .scales import compute_random_scale_report, staircase_profile, subset_scale_value
+from .scales import (
+    check_indices,
+    compute_capacity_report,
+    compute_random_scale_report,
+    subset_scale_value,
+)
 
 # Rates this close to a subset's achievable rate are refused: the
 # success indicator would hinge on noise in the final optimizer digits.
 RATE_MARGIN = 1e-12
+
+
+def _check_rate(rate) -> float:
+    """A rate in bits as a float: a finite, nonnegative real number, not a bool."""
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+        raise ValidationError(f"rate must be a number, got {rate!r}")
+    try:
+        value = float(rate)
+    except OverflowError as e:  # an integer past the float range
+        raise ValidationError("rate is too large for a float") from e
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(f"rate must be finite and nonnegative, got {rate!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -33,14 +52,8 @@ class Strategy:
     rate: float
 
     def __post_init__(self):
-        subset = tuple(int(i) for i in self.subset)
-        if not subset:
-            raise ValidationError("strategy subset must be nonempty")
-        if len(set(subset)) != len(subset):
-            raise ValidationError(f"strategy subset has repeated indices: {subset}")
-        object.__setattr__(self, "subset", tuple(sorted(subset)))
-        if not 0.0 <= self.rate < math.inf:
-            raise ValidationError(f"rate must be finite and nonnegative, got {self.rate!r}")
+        object.__setattr__(self, "subset", check_indices(self.subset, "strategy subset"))
+        object.__setattr__(self, "rate", _check_rate(self.rate))
 
 
 @dataclass(frozen=True)
@@ -112,9 +125,11 @@ def run_trials(
 
     Uses a counter-based generator and a single vectorized draw, so the
     result depends only on (seed, n_trials), not on evaluation order.
-    The reported empirical_error is the overall failure fraction, which
-    is the draw-weighted average of the per-branch failure rates;
-    max_branch_error is the worst per-branch rate among drawn branches.
+    A branch either always or never succeeds, so every statistic follows
+    from the count of draws per branch: empirical_error is the fraction
+    of draws that landed on failing branches, and max_branch_error, the
+    worst per-branch failure rate among drawn branches, is 1.0 if any
+    failing branch was drawn and 0.0 otherwise.
     The seed must lie in [0, 2**128), the generator's key range.
     """
     return _draw_trials(mc, strategy, _subset_rate(mc, strategy.subset, tol), n_trials, seed)
@@ -131,13 +146,7 @@ def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     draws = rng.choice(len(probs), size=int(n_trials), p=probs)
-    wins = success[draws]
-
-    branch_errors = []
-    for i in range(len(probs)):
-        hits = draws == i
-        if hits.any():
-            branch_errors.append(1.0 - float(wins[hits].mean()))
+    counts = np.bincount(draws, minlength=len(probs))
     return SimResult(
         n_trials=int(n_trials),
         seed=int(seed),
@@ -145,10 +154,10 @@ def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int)
         subset_rate=value,
         q_subset=_subset_prob(mc, strategy.subset),
         theoretical_error=1.0 - float(probs[success].sum()),
-        empirical_error=1.0 - float(wins.mean()),
-        max_branch_error=max(branch_errors),
+        empirical_error=1.0 - float(counts[success].sum() / len(draws)),
+        max_branch_error=float(counts[~success].any()),
         branches=draws,
-        successes=wins,
+        successes=success[draws],
     )
 
 
@@ -191,17 +200,16 @@ def empirical_staircase(
     subset rate get the empty strategy, which always fails. Row i runs
     with seed + i so rows are reproducible independently.
     """
-    rates = [float(r) for r in rates]
+    rates = [_check_rate(r) for r in rates]
     if not rates:
         raise ValidationError("need at least one rate")
-    if not all(0.0 <= r < math.inf for r in rates):
-        raise ValidationError(f"rates must be finite and nonnegative, got {rates!r}")
     if any(b - a < 0.0 for a, b in zip(rates, rates[1:])):
         raise ValidationError("rates must be sorted in ascending order")
 
     _branch_probs(mc)  # rejects markov memory
     if mc.memory == "periodic":
-        rated = [(step.subset, step.value_bits) for step in staircase_profile(mc.branches, tol)]
+        report = compute_capacity_report(mc.branches, tol)
+        rated = [(e.best_subset, e.value) for e in report.scale.values()]
     else:
         # subsets in size-major, then lexicographic order
         report = compute_random_scale_report(mc.branches, mc.q, tol=tol)

@@ -226,6 +226,7 @@ def test_exit_code_on_bad_inputs(channel_files, tmp_path):
 
 
 NAN = float("nan")
+HUGE = 10**400  # a JSON integer past the float range
 AD2 = PER4["branches"][:2]
 
 
@@ -257,6 +258,14 @@ AD2 = PER4["branches"][:2]
         ),
         ([{"type": "amplitude_damping", "gamma": True}], {"kind": "periodic"}, ["chi"]),
         (AD2, {"kind": "random", "q": [True, False]}, ["capacity"]),
+        ([{"type": "amplitude_damping", "gamma": HUGE}], {"kind": "periodic"}, ["chi"]),
+        ([{"type": "depolarizing", "p": -HUGE}], {"kind": "periodic"}, ["chi"]),
+        (AD2, {"kind": "random", "q": [HUGE, 0.5]}, ["capacity"]),
+        (
+            [{"type": "kraus", "ops": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [HUGE, 0.0]]]]}],
+            {"kind": "periodic"},
+            ["chi"],
+        ),
     ],
     ids=[
         "q-nan",
@@ -272,6 +281,10 @@ AD2 = PER4["branches"][:2]
         "kraus-ragged",
         "gamma-bool",
         "q-bool",
+        "gamma-overflow",
+        "p-overflow",
+        "q-overflow",
+        "kraus-overflow",
     ],
 )
 def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, branches, memory, argv):

@@ -21,7 +21,6 @@ from capscale import (
     per_branch_suprema,
     run_trials,
     scale_r,
-    staircase_profile,
     subset_scale_value,
 )
 from conftest import chi_ad_grid, damping_channel_file, run_to_file
@@ -96,6 +95,13 @@ def test_scale_validation():
         subset_scale_value(GAMMAS4, (0, 0))
     with pytest.raises(ValidationError):
         subset_scale_value(GAMMAS4, (0, 9))
+    # indices are never truncated or read from bools
+    for subset in [(0.7,), (True,), (1, 2.0), ("a",), 1]:
+        with pytest.raises(ValidationError):
+            subset_scale_value(GAMMAS4, subset)
+    with pytest.raises(ValidationError):
+        compute_random_scale_report((0.1, 0.4), (0.5, 0.5), deltas=[(1.9,)])
+    assert subset_scale_value(GAMMAS4, (np.int64(1), 0)) == subset_scale_value(GAMMAS4, (0, 1))
     with pytest.raises(ValidationError):
         compute_capacity_report([0.1, 0.4], tol=float("nan"))
 
@@ -150,11 +156,14 @@ def test_kraus_branches_match_damping_closed_form():
         assert kernel.scale[r].best_subset == closed.scale[r].best_subset
 
 
-def test_staircase_profile_thresholds():
-    steps = staircase_profile(GAMMAS4)
-    assert [s.r for s in steps] == [1, 2, 3, 4]
-    assert [s.error_threshold for s in steps] == [0.75, 0.5, 0.25, 0.0]
-    assert all(a.value_bits >= b.value_bits - 1e-12 for a, b in zip(steps, steps[1:]))
+def test_staircase_profile_thresholds(tmp_path):
+    path = damping_channel_file(tmp_path, GAMMAS4, {"kind": "periodic"})
+    rc, text = run_to_file(tmp_path, ["staircase", path, "--format", "json"])
+    assert rc == 0
+    steps = json.loads(text)
+    assert [s["r"] for s in steps] == [1, 2, 3, 4]
+    assert [s["error_threshold"] for s in steps] == [0.75, 0.5, 0.25, 0.0]
+    assert all(a["value_bits"] >= b["value_bits"] - 1e-12 for a, b in zip(steps, steps[1:]))
 
 
 def random_subset_scale(gammas, q, delta, **kw):

@@ -38,7 +38,15 @@ def test_strategy_validation():
         Strategy((0,), -0.1)
     with pytest.raises(ValidationError):
         Strategy((0,), float("nan"))
+    # indices are never truncated or read from bools; rates are real numbers
+    for subset in [(1.5,), (True,), ("a",), (0, np.False_)]:
+        with pytest.raises(ValidationError):
+            Strategy(subset, 0.5)
+    for rate in [True, "0.5", None, 10**400]:
+        with pytest.raises(ValidationError):
+            Strategy((0,), rate)
     assert Strategy((2, 0), 0.5).subset == (0, 2)
+    assert Strategy((np.int64(1),), 1) == Strategy((1,), 1.0)
 
 
 def test_success_oracle_periodic():
@@ -83,6 +91,11 @@ def test_run_trials_deterministic():
     assert not np.array_equal(a.branches, c.branches)
 
 
+def per_branch_errors(res) -> list[float]:
+    """Failure rate of each drawn branch, from the per-trial records."""
+    return [1.0 - res.successes[res.branches == i].mean() for i in np.unique(res.branches)]
+
+
 def test_run_trials_statistics():
     mc = periodic4()
     n = 100_000
@@ -94,6 +107,16 @@ def test_run_trials_statistics():
     assert res.subset_rate == pytest.approx(0.667153683345, abs=1e-9)
     assert len(res.branches) == len(res.successes) == n
     assert np.array_equal(res.successes, np.isin(res.branches, (0, 1)))
+    assert res.max_branch_error == max(per_branch_errors(res))
+    assert res.empirical_error == 1.0 - res.successes.mean()
+
+    # random memory that never draws the branch outside the subset
+    branches = [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4, 0.7)]
+    res = run_trials(MemoryChannel.random(branches, [0.6, 0.4, 0.0]), Strategy((0, 1), 0.5), n, 7)
+    assert set(np.unique(res.branches)) == {0, 1}
+    assert res.successes.all()
+    assert res.max_branch_error == max(per_branch_errors(res)) == 0.0
+    assert res.empirical_error == res.theoretical_error == 0.0
 
 
 @pytest.mark.parametrize(
