@@ -4,20 +4,11 @@ from .channels import (
     MemoryChannel,
     QubitChannel,
     apply_memory_channel_n,
-    apply_qubit_channel,
     kraus_operators,
 )
 from .errors import NumericalError, ValidationError
-from .holevo import (
-    Ensemble,
-    MirrorPair,
-    average_output,
-    chi_ad_mirror,
-    chi_mirror_family,
-    dchi_da_ad,
-    holevo_quantity,
-)
-from .linalg import binary_entropy, herm_eigenvalues, von_neumann_entropy
+from .holevo import chi_ad_mirror, chi_mirror_family, dchi_da_ad
+from .linalg import binary_entropy
 from .optim import (
     OptResult,
     brute_force_ensemble_search,
@@ -52,20 +43,13 @@ __all__ = [
     "MemoryChannel",
     "QubitChannel",
     "apply_memory_channel_n",
-    "apply_qubit_channel",
     "kraus_operators",
     "NumericalError",
     "ValidationError",
-    "Ensemble",
-    "MirrorPair",
-    "average_output",
     "chi_ad_mirror",
     "chi_mirror_family",
     "dchi_da_ad",
-    "holevo_quantity",
     "binary_entropy",
-    "herm_eigenvalues",
-    "von_neumann_entropy",
     "OptResult",
     "brute_force_ensemble_search",
     "find_root_bisection",

@@ -1,17 +1,20 @@
 """Qubit channel models and memory-channel constructions.
 
 A ``QubitChannel`` is one CPT map (amplitude damping, depolarizing, or an
-explicit Kraus list). A ``MemoryChannel`` bundles L branch maps with a
-classical memory law: periodic cycling, an i.i.d. random branch draw, or a
-stationary Markov chain over branch indices. ``apply_memory_channel_n``
-applies the memory average to small n-fold states (n <= 4) by exhaustive
-branch-sequence expansion.
+explicit Kraus list), given by its Kraus operators; the library computes
+on its Bloch-affine map ``bloch_map``. A ``MemoryChannel`` bundles L
+branch maps with a classical memory law: periodic cycling, an i.i.d.
+random branch draw, or a stationary Markov chain over branch indices.
+``apply_memory_channel_n`` applies the memory average to small n-fold
+density matrices (n <= 4) by exhaustive branch-sequence expansion; it is
+the one place the library reads a density matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +34,37 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = np.array([_I2, _X, _Y, _Z])
 
 
+def check_number(value, what) -> float:
+    """value as a float: a real number, not a bool, within the float range."""
+    # bool is an int subclass, but JSON true is not the number 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as e:  # an integer past the float range
+        raise ValidationError(f"{what} is too large for a float") from e
+
+
+def check_numbers(value, name) -> np.ndarray:
+    """value as a float array, each entry checked by check_number.
+
+    value is a number, or nested lists, tuples or arrays of numbers.
+    """
+
+    def floats(v):
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        if isinstance(v, (list, tuple)):
+            return [floats(x) for x in v]
+        return check_number(v, f"each entry of {name}")
+
+    nested = floats(value)
+    try:
+        return np.array(nested, dtype=float)
+    except ValueError as e:  # ragged nesting
+        raise ValidationError(f"{name} is ragged: its lists differ in length") from e
+
+
 @dataclass(frozen=True)
 class QubitChannel:
     """A CPT map on qubit states.
@@ -47,15 +81,17 @@ class QubitChannel:
 
     @classmethod
     def amplitude_damping(cls, gamma: float) -> "QubitChannel":
+        gamma = check_number(gamma, "gamma")
         if not 0.0 <= gamma <= 1.0:
             raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
-        return cls(kind="amplitude_damping", gamma=float(gamma))
+        return cls(kind="amplitude_damping", gamma=gamma)
 
     @classmethod
     def depolarizing(cls, p: float) -> "QubitChannel":
+        p = check_number(p, "p")
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"p must be in [0, 1], got {p!r}")
-        return cls(kind="depolarizing", p=float(p))
+        return cls(kind="depolarizing", p=p)
 
     @classmethod
     def kraus(cls, ops) -> "QubitChannel":
@@ -107,31 +143,11 @@ def kraus_operators(ch: QubitChannel) -> list[np.ndarray]:
     return [k.copy() for k in ch.kraus_ops]
 
 
-def apply_qubit_channel(ch: QubitChannel, rho) -> np.ndarray:
-    """Apply one channel use to a single-qubit density matrix.
-
-    Amplitude damping uses the closed matrix form
-    [[a + (1-a)γ, b√(1-γ)], [b̄√(1-γ), (1-a)(1-γ)]] for input
-    [[a, b], [b̄, 1-a]]; the other kinds go through their Kraus operators.
-    """
-    rho = validate_density_matrix(rho)
-    if rho.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 density matrix, got {rho.shape}")
-    if ch.kind == "amplitude_damping":
-        g = ch.gamma
-        a = rho[0, 0]
-        b = rho[0, 1]
-        r = math.sqrt(1.0 - g)
-        return np.array(
-            [[a + (1.0 - a) * g, b * r], [b.conjugate() * r, (1.0 - a) * (1.0 - g)]],
-            dtype=complex,
-        )
-    if ch.kind == "depolarizing":
-        return (1.0 - ch.p) * rho + ch.p * _I2 / 2.0
-    out = np.zeros((2, 2), dtype=complex)
-    for k in ch.kraus_ops:
-        out += k @ rho @ k.conj().T
-    return out
+# The one refusal of markov memory wherever a rate is asked for.
+MARKOV_LAW_ONLY = (
+    "capscale computes no capacity, scale or simulation for markov memory; "
+    "it provides only its law (branch_sequences, apply_memory_channel_n)"
+)
 
 
 def _is_distribution(v: np.ndarray) -> bool:
@@ -162,16 +178,19 @@ class MemoryChannel:
 
     @classmethod
     def random(cls, branches, q) -> "MemoryChannel":
-        return cls(branches=tuple(branches), memory="random", q=np.asarray(q, dtype=float))
+        return cls(branches=tuple(branches), memory="random", q=q)
 
     @classmethod
     def markov(cls, branches, Q, lam) -> "MemoryChannel":
-        return cls(
-            branches=tuple(branches),
-            memory="markov",
-            Q=np.asarray(Q, dtype=float),
-            lam=np.asarray(lam, dtype=float),
-        )
+        return cls(branches=tuple(branches), memory="markov", Q=Q, lam=lam)
+
+    def _floats(self, field, name, shape, need) -> np.ndarray:
+        """Store a law parameter as a float array of the given shape."""
+        arr = check_numbers(getattr(self, field), name)
+        if arr.shape != shape:
+            raise ValidationError(need)
+        object.__setattr__(self, field, arr)
+        return arr
 
     def __post_init__(self):
         L = len(self.branches)
@@ -182,16 +201,14 @@ class MemoryChannel:
         if self.memory == "periodic":
             return
         if self.memory == "random":
-            q = self.q
-            if q is None or q.shape != (L,):
-                raise ValidationError("random memory needs one probability per branch")
+            q = self._floats("q", "'q'", (L,), "random memory needs one probability per branch")
             if not _is_distribution(q):
                 raise ValidationError("q must be a probability vector summing to 1")
             return
         if self.memory == "markov":
-            Q, lam = self.Q, self.lam
-            if Q is None or Q.shape != (L, L) or lam is None or lam.shape != (L,):
-                raise ValidationError("markov memory needs an LxL transition matrix and length-L lambda")
+            need = "markov memory needs an LxL transition matrix and length-L lambda"
+            Q = self._floats("Q", "'Q'", (L, L), need)
+            lam = self._floats("lam", "'lambda'", (L,), need)
             if not _is_distribution(Q):
                 raise ValidationError("each row of Q must be a probability vector")
             if not _is_distribution(lam):
@@ -238,9 +255,7 @@ def apply_memory_channel_n(mc: MemoryChannel, rho_n, n: int) -> np.ndarray:
     """Apply the n-fold memory channel to a 2^n-dimensional state, n <= 4."""
     if not 1 <= n <= MAX_FOLD:
         raise ValidationError(f"n must be in [1, {MAX_FOLD}], got {n}")
-    rho_n = validate_density_matrix(rho_n)
-    if rho_n.shape[0] != 2**n:
-        raise ValidationError(f"state dimension {rho_n.shape[0]} does not match 2^{n}")
+    rho_n = validate_density_matrix(rho_n, 2**n)
     out = np.zeros_like(rho_n)
     for w, seq in mc.branch_sequences(n):
         out += w * _apply_product_map(seq, mc.branches, rho_n)

@@ -13,13 +13,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import scales, simulate
-from .channels import MemoryChannel, QubitChannel
+from .channels import MARKOV_LAW_ONLY, MemoryChannel, QubitChannel, check_number, check_numbers
 from .errors import NumericalError, ValidationError
 from .holevo import dchi_da_ad
 from .optim import AD_SEARCH_HI, AD_SEARCH_LO, find_root_bisection, maximize_chi_sum
@@ -79,26 +80,6 @@ def _check_tol(tol: float) -> float:
 # --- channel config files ----------------------------------------------------
 
 
-def _number(value, what) -> float:
-    # bool is an int subclass, but JSON true is not the number 1
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as e:  # a JSON integer past the float range
-        raise ValidationError(f"{what} is too large for a float") from e
-
-
-def _numbers(value, what):
-    """Return value unchanged if it is a number or nested arrays of numbers."""
-    if isinstance(value, list):
-        for v in value:
-            _numbers(v, what)
-    else:
-        _number(value, what)
-    return value
-
-
 # the one parameter of each parametric branch kind, as named in channel files
 _BRANCH_PARAM = {"amplitude_damping": "gamma", "depolarizing": "p"}
 
@@ -111,21 +92,18 @@ def _parse_branch(i, b) -> QubitChannel:
         name = _BRANCH_PARAM[kind]
         if name not in b:
             raise ValidationError(f"branch {i}: {kind} needs {name!r}")
-        return getattr(QubitChannel, kind)(_number(b[name], f"branch {i}: {name}"))
+        return getattr(QubitChannel, kind)(check_number(b[name], f"branch {i}: {name}"))
     if kind == "kraus":
         ops = b.get("ops")
         if not isinstance(ops, list) or not ops:
             raise ValidationError(f"branch {i}: kraus needs a nonempty 'ops' list")
-        bad_shape = f"branch {i}: each kraus op must be 2x2 entries of [re, im] pairs"
         mats = []
         for op in ops:
-            _numbers(op, f"branch {i}: each kraus op entry")
-            try:
-                arr = np.asarray(op, dtype=float)
-            except ValueError as e:  # ragged nesting
-                raise ValidationError(bad_shape) from e
+            arr = check_numbers(op, f"a kraus op of branch {i}")
             if arr.shape != (2, 2, 2):
-                raise ValidationError(bad_shape)
+                raise ValidationError(
+                    f"branch {i}: each kraus op must be 2x2 entries of [re, im] pairs"
+                )
             mats.append(arr[..., 0] + 1j * arr[..., 1])
         return QubitChannel.kraus(mats)
     raise ValidationError(f"branch {i}: unknown channel type {kind!r}")
@@ -150,25 +128,16 @@ def load_channel_config(path) -> MemoryChannel:
     if not isinstance(mem, dict) or "kind" not in mem:
         raise ValidationError("channel file needs a 'memory' object with a 'kind'")
     kind = mem["kind"]
-    try:
-        if kind == "periodic":
-            return MemoryChannel.periodic(branches)
-        if kind == "random":
-            if "q" not in mem:
-                raise ValidationError("random memory needs a 'q' array")
-            return MemoryChannel.random(branches, _numbers(mem["q"], "each entry of 'q'"))
-        if kind == "markov":
-            if "Q" not in mem or "lambda" not in mem:
-                raise ValidationError("markov memory needs 'Q' and 'lambda'")
-            return MemoryChannel.markov(
-                branches,
-                _numbers(mem["Q"], "each entry of 'Q'"),
-                _numbers(mem["lambda"], "each entry of 'lambda'"),
-            )
-    except (TypeError, ValueError) as e:
-        if isinstance(e, ValidationError):
-            raise
-        raise ValidationError(f"bad memory parameters: {e}") from e
+    if kind == "periodic":
+        return MemoryChannel.periodic(branches)
+    if kind == "random":
+        if "q" not in mem:
+            raise ValidationError("random memory needs a 'q' array")
+        return MemoryChannel.random(branches, mem["q"])
+    if kind == "markov":
+        if "Q" not in mem or "lambda" not in mem:
+            raise ValidationError("markov memory needs 'Q' and 'lambda'")
+        return MemoryChannel.markov(branches, mem["Q"], mem["lambda"])
     raise ValidationError(f"unknown memory kind {kind!r}")
 
 
@@ -182,12 +151,9 @@ def _parse_indices(text, what) -> tuple[int, ...]:
 
 def _parse_rates(text) -> list[float]:
     try:
-        rates = [float(t) for t in text.split(",") if t.strip() != ""]
+        return [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as e:
         raise ValidationError(f"rates must be comma-separated numbers: {text!r}") from e
-    if not rates:
-        raise ValidationError("need at least one rate")
-    return rates
 
 
 # --- subcommands ------------------------------------------------------------
@@ -228,6 +194,8 @@ def cmd_amax(args) -> int:
 
 
 def _require_memory(mc: MemoryChannel, kinds, command):
+    if mc.memory == "markov":
+        raise ValidationError(MARKOV_LAW_ONLY)
     if mc.memory not in kinds:
         raise ValidationError(
             f"the {command} command needs {' or '.join(kinds)} memory, got {mc.memory}"
@@ -347,30 +315,19 @@ def cmd_staircase(args) -> int:
 def cmd_simulate(args) -> int:
     mc = load_channel_config(args.channel)
     tol = _check_tol(args.tol)
-    _require_memory(mc, ("periodic", "random"), "simulate")
-    if args.trials < 1:
-        raise ValidationError(f"trials must be positive, got {args.trials}")
     rates = _parse_rates(args.rate)
-    if args.subset is not None:
+    if args.subset is None:
+        rows = simulate.empirical_staircase(mc, rates, args.trials, args.seed, tol)
+    else:
         if len(rates) != 1:
             raise ValidationError("--subset requires exactly one rate")
-        subset = _parse_indices(args.subset, "--subset")
-        res = simulate.run_trials(
-            mc, simulate.Strategy(subset, rates[0]), args.trials, args.seed, tol
-        )
-        rows = [
-            (rates[0], res.strategy.subset, res.q_subset, res.theoretical_error,
-             res.empirical_error, res.n_trials, res.seed)
-        ]
-    else:
-        rows = [
-            (r.rate_bits, r.subset, r.q_subset, r.theoretical_error, r.empirical_error,
-             r.n_trials, r.seed)
-            for r in simulate.empirical_staircase(mc, rates, args.trials, args.seed, tol)
-        ]
-    header = ("rate_bits", "subset", "q_subset", "theoretical_error", "empirical_error",
-              "n_trials", "seed")
-    _emit(args, header, rows)
+        strategy = simulate.Strategy(_parse_indices(args.subset, "--subset"), rates[0])
+        res = simulate.run_trials(mc, strategy, args.trials, args.seed, tol)
+        rows = [simulate.StaircaseRow(rates[0], res.strategy.subset, res.q_subset,
+                                      res.theoretical_error, res.empirical_error,
+                                      res.n_trials, res.seed)]
+    header = [f.name for f in dataclasses.fields(simulate.StaircaseRow)]
+    _emit(args, header, [dataclasses.astuple(row) for row in rows])
     return 0
 
 

@@ -1,81 +1,23 @@
-"""Input ensembles and the Holevo quantity.
+"""The Holevo quantity of qubit ensembles, on Bloch vectors.
 
-For the amplitude-damping channel restricted to a mirror-image pair of
-pure states there are closed forms for chi and its derivative in the
-shared state parameter ``a``. Every other Holevo quantity goes through
-one vectorized kernel, ``holevo_chi``: input Bloch vectors pass through
-the channel's Bloch-affine map r -> M r + t, and each output's entropy
-follows from its Bloch radius. The tests cross-check the two.
+Every Holevo quantity the library reports goes through one vectorized
+kernel, ``holevo_chi``: input Bloch vectors pass through the channel's
+Bloch-affine map r -> M r + t, and each output's entropy follows from its
+Bloch radius. For the amplitude-damping channel restricted to a
+mirror-image pair of pure states there are also closed forms for chi and
+its derivative in the shared state parameter ``a``. The tests cross-check
+the two, and the kernel against density-matrix eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QubitChannel, apply_qubit_channel
+from .channels import QubitChannel
 from .errors import ValidationError
-from .linalg import binary_entropy, entropy_from_radius, validate_density_matrix
-
-PROB_SUM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Weighted list of single-qubit input states."""
-
-    items: tuple  # of (prob, 2x2 density matrix)
-
-    def __post_init__(self):
-        if not self.items:
-            raise ValidationError("ensemble must be nonempty")
-        probs = [p for p, _ in self.items]
-        if not (all(p >= 0.0 for p in probs) and abs(sum(probs) - 1.0) <= PROB_SUM_TOL):
-            raise ValidationError("ensemble probabilities must be nonnegative and sum to 1")
-        for _, rho in self.items:
-            state = validate_density_matrix(rho)
-            if state.shape != (2, 2):
-                raise ValidationError("ensemble states must be single-qubit")
-
-    @classmethod
-    def of(cls, pairs) -> "Ensemble":
-        return cls(items=tuple((float(p), np.asarray(rho, dtype=complex)) for p, rho in pairs))
-
-
-@dataclass(frozen=True)
-class MirrorPair:
-    """Two mirror-image pure states with shared diagonal parameter a.
-
-    The states are [[a, ±b], [±b, 1-a]] with b = sqrt(a(1-a)), each with
-    probability 1/2; both are pure by construction.
-    """
-
-    a: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValidationError(f"a must be in [0, 1], got {self.a!r}")
-
-    def states(self) -> tuple[np.ndarray, np.ndarray]:
-        a = self.a
-        b = math.sqrt(a * (1.0 - a))
-        plus = np.array([[a, b], [b, 1.0 - a]], dtype=complex)
-        minus = np.array([[a, -b], [-b, 1.0 - a]], dtype=complex)
-        return plus, minus
-
-    def to_ensemble(self) -> Ensemble:
-        plus, minus = self.states()
-        return Ensemble(items=((0.5, plus), (0.5, minus)))
-
-
-def average_output(ch: QubitChannel, e: Ensemble) -> np.ndarray:
-    """Average channel output sum_j p_j Phi(rho_j)."""
-    out = np.zeros((2, 2), dtype=complex)
-    for p, rho in e.items:
-        out += p * apply_qubit_channel(ch, rho)
-    return out
+from .linalg import binary_entropy, entropy_from_radius
 
 
 def holevo_chi(bloch_map, r, w) -> np.ndarray:
@@ -97,14 +39,6 @@ def holevo_chi(bloch_map, r, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     rbar = np.einsum("...n,...nd->...d", w, r)
     return output_entropy(rbar[..., None, :])[..., 0] - (w * output_entropy(r)).sum(axis=-1)
-
-
-def holevo_quantity(ch: QubitChannel, e: Ensemble) -> float:
-    """Holevo quantity S(sum p_j Phi(rho_j)) - sum p_j S(Phi(rho_j)), in bits."""
-    probs = [p for p, _ in e.items]
-    r = [[2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
-         for _, rho in e.items]
-    return float(holevo_chi(ch.bloch_map, np.array(r), probs))
 
 
 def chi_mirror_family(ch, a):

@@ -1,7 +1,9 @@
-"""Entropy and eigenvalue kernels for small Hermitian matrices.
+"""Qubit entropies from Bloch radii, and the density-matrix input check.
 
-All matrices are dense complex numpy arrays of dimension at most 16
-(enough for four-fold qubit states). Entropies are in bits.
+Every entropy the library computes is a function of one number: a qubit
+state's Bloch radius, or, for the closed forms, one eigenvalue. Entropies
+are in bits. The only density matrices the library reads are the n-fold
+states that ``apply_memory_channel_n`` takes, checked here.
 """
 
 from __future__ import annotations
@@ -12,40 +14,25 @@ import numpy as np
 
 from .errors import ValidationError
 
-MAX_DIM = 16
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex matrix of dimension <= 16."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0 or m.shape[0] > MAX_DIM:
-        raise ValidationError(f"dimension must be in [1, {MAX_DIM}], got {m.shape[0]}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValidationError("matrix has non-finite entries")
-    return m
+def validate_density_matrix(rho, dim: int) -> np.ndarray:
+    """rho as a complex dim x dim array, checked against the density-matrix contract.
 
-
-def validate_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return m as an array, raising if it is not Hermitian within tol."""
-    m = as_matrix(m)
-    dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
-        raise ValidationError(f"matrix is not Hermitian: max |m - m*| = {dev:.3e}")
-    return m
-
-
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check the density-matrix contract: Hermitian, unit trace, PSD.
-
-    Tolerances: 1e-10 entrywise for Hermiticity and trace, eigenvalues
-    may dip to -1e-10 from roundoff.
+    Finite, Hermitian and of unit trace to 1e-10 entrywise, with
+    eigenvalues that may dip to -1e-10 from roundoff.
     """
-    rho = validate_hermitian(rho)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValidationError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho.view(float))):
+        raise ValidationError("matrix has non-finite entries")
+    dev = np.abs(rho - rho.conj().T).max()
+    if dev > HERMITIAN_TOL:
+        raise ValidationError(f"matrix is not Hermitian: max |m - m*| = {dev:.3e}")
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"trace must be 1, got {tr!r}")
@@ -53,35 +40,6 @@ def validate_density_matrix(rho) -> np.ndarray:
     if evs[0] < EIGENVALUE_FLOOR:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {evs[0]:.3e}")
     return rho
-
-
-def herm_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    Args:
-        m: square Hermitian matrix (within 1e-10 entrywise).
-
-    Returns:
-        Real eigenvalues in descending order; their sum equals the trace
-        to within 1e-9.
-    """
-    m = validate_hermitian(m)
-    return np.linalg.eigvalsh(m)[::-1]
-
-
-def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy S(rho) = -sum(lam * log2(lam)) in bits.
-
-    Eigenvalues within roundoff of the [0, 1] boundary are clipped before
-    the log; 0*log(0) counts as 0.
-
-    Args:
-        rho: a valid density matrix.
-    """
-    rho = validate_density_matrix(rho)
-    evs = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    nz = evs[evs > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
 
 
 def binary_entropy(x: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QubitChannel
+from .channels import QubitChannel, check_number
 from .errors import NumericalError, ValidationError
 from .holevo import chi_ad_mirror, holevo_chi
 from .linalg import entropy_from_radius
@@ -114,13 +114,13 @@ def maximize_chi_sum(gammas, weights, tol: float = 1e-8) -> OptResult:
     Each curve is concave in a, so the sum is concave and golden-section
     search on the a >= 1/2 window applies.
     """
-    gammas = [float(g) for g in gammas]
+    gammas = [check_number(g, "gamma") for g in gammas]
     if not gammas:
         raise ValidationError("need at least one damping parameter")
     for g in gammas:
         if not 0.0 <= g <= 1.0:
             raise ValidationError(f"gamma must be in [0, 1], got {g!r}")
-    weights = [float(w) for w in weights]
+    weights = [check_number(w, "weight") for w in weights]
     if len(weights) != len(gammas):
         raise ValidationError("gammas and weights must have equal length")
     if min(weights) < 0.0:

@@ -37,7 +37,7 @@ _SCAN_BLOCK = 16
 
 def _as_channels(branches) -> tuple[QubitChannel, ...]:
     out = tuple(
-        b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(float(b))
+        b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(b)
         for b in branches
     )
     if not out:

@@ -12,12 +12,12 @@ error floors at the usual 1/sqrt(n) pace.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import MemoryChannel
+from .channels import MARKOV_LAW_ONLY, MemoryChannel, check_number
 from .errors import ValidationError
 from .scales import (
     check_indices,
@@ -30,18 +30,37 @@ from .scales import (
 # success indicator would hinge on noise in the final optimizer digits.
 RATE_MARGIN = 1e-12
 
+# Memory budget of one simulation: each trial keeps its drawn branch (8
+# bytes) and its success flag (1 byte), and drawing peaks at about 16
+# bytes a trial; at the cap that is 0.9 GB kept and 1.6 GB at the peak.
+MAX_TRIALS = 10**8
+
 
 def _check_rate(rate) -> float:
     """A rate in bits as a float: a finite, nonnegative real number, not a bool."""
-    if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-        raise ValidationError(f"rate must be a number, got {rate!r}")
-    try:
-        value = float(rate)
-    except OverflowError as e:  # an integer past the float range
-        raise ValidationError("rate is too large for a float") from e
+    value = check_number(rate, "rate")
     if not 0.0 <= value < math.inf:
         raise ValidationError(f"rate must be finite and nonnegative, got {rate!r}")
     return value
+
+
+def _check_draws(n_trials, seed, rows: int = 1) -> tuple[int, int]:
+    """n_trials and seed as ints, for `rows` runs seeded seed, seed + 1, ...
+
+    Both must be integers, not bools; n_trials lies in [1, MAX_TRIALS] and
+    every seed in [0, 2**128), the generator's key range.
+    """
+    try:
+        if isinstance(n_trials, bool) or isinstance(seed, bool):
+            raise TypeError("a bool is not an integer")
+        n_trials, seed = operator.index(n_trials), operator.index(seed)
+    except TypeError as e:
+        raise ValidationError(f"n_trials and seed must be integers: {e}") from e
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValidationError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
+    if not 0 <= seed <= 2**128 - rows:
+        raise ValidationError(f"seed must be in [0, 2**128 - {rows}], got {seed}")
+    return n_trials, seed
 
 
 @dataclass(frozen=True)
@@ -76,10 +95,7 @@ def _branch_probs(mc: MemoryChannel) -> np.ndarray:
         return np.full(L, 1.0 / L)
     if mc.memory == "random":
         return np.asarray(mc.q, dtype=float)
-    raise ValidationError(
-        "simulation needs periodic or random memory; rewrite markov memory "
-        "as one of those first"
-    )
+    raise ValidationError(MARKOV_LAW_ONLY)
 
 
 def _subset_rate(mc: MemoryChannel, subset, tol: float) -> float:
@@ -130,26 +146,26 @@ def run_trials(
     of draws that landed on failing branches, and max_branch_error, the
     worst per-branch failure rate among drawn branches, is 1.0 if any
     failing branch was drawn and 0.0 otherwise.
-    The seed must lie in [0, 2**128), the generator's key range.
+    n_trials must lie in [1, MAX_TRIALS] and the seed in [0, 2**128), the
+    generator's key range.
     """
+    _branch_probs(mc)  # refuses markov memory
+    n_trials, seed = _check_draws(n_trials, seed)
     return _draw_trials(mc, strategy, _subset_rate(mc, strategy.subset, tol), n_trials, seed)
 
 
 def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int) -> SimResult:
-    """run_trials for a subset whose rate `value` the caller already holds."""
+    """run_trials for a subset whose rate `value` the caller already holds, with
+    n_trials and seed that passed _check_draws."""
     probs = _branch_probs(mc)
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be positive, got {n_trials}")
-    if not 0 <= seed < 2**128:
-        raise ValidationError(f"seed must be in [0, 2**128), got {seed}")
     success = _success(probs, strategy, value)
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    draws = rng.choice(len(probs), size=int(n_trials), p=probs)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = rng.choice(len(probs), size=n_trials, p=probs)
     counts = np.bincount(draws, minlength=len(probs))
     return SimResult(
-        n_trials=int(n_trials),
-        seed=int(seed),
+        n_trials=n_trials,
+        seed=seed,
         strategy=strategy,
         subset_rate=value,
         q_subset=_subset_prob(mc, strategy.subset),
@@ -206,7 +222,8 @@ def empirical_staircase(
     if any(b - a < 0.0 for a, b in zip(rates, rates[1:])):
         raise ValidationError("rates must be sorted in ascending order")
 
-    _branch_probs(mc)  # rejects markov memory
+    n_trials, seed = _check_draws(n_trials, seed, rows=len(rates))
+    _branch_probs(mc)  # refuses markov memory
     if mc.memory == "periodic":
         report = compute_capacity_report(mc.branches, tol)
         rated = [(e.best_subset, e.value) for e in report.scale.values()]
@@ -220,13 +237,13 @@ def empirical_staircase(
     for i, rate in enumerate(rates):
         pick = _best_subset_for_rate(rate, candidates)
         if pick is None:
-            rows.append(StaircaseRow(rate, (), 0.0, 1.0, 1.0, int(n_trials), int(seed) + i))
+            rows.append(StaircaseRow(rate, (), 0.0, 1.0, 1.0, n_trials, seed + i))
             continue
         subset, value, q = pick
-        res = _draw_trials(mc, Strategy(subset, rate), value, n_trials, int(seed) + i)
+        res = _draw_trials(mc, Strategy(subset, rate), value, n_trials, seed + i)
         rows.append(
             StaircaseRow(rate, subset, q, res.theoretical_error, res.empirical_error,
-                         int(n_trials), int(seed) + i)
+                         n_trials, seed + i)
         )
     return rows
 

@@ -6,10 +6,11 @@ from capscale import (
     QubitChannel,
     ValidationError,
     apply_memory_channel_n,
-    apply_qubit_channel,
     kraus_operators,
 )
+from capscale.linalg import validate_density_matrix
 from conftest import random_density
+from oracles import apply_kraus, bloch_vector
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5, 0.9, 1.0])
@@ -27,37 +28,34 @@ def test_depolarizing_kraus_completeness(p):
 
 
 def test_ad_closed_form_matches_kraus_sum():
+    # [[a, b], [b̄, 1-a]] -> [[a + (1-a)γ, b√(1-γ)], [b̄√(1-γ), (1-a)(1-γ)]]
     rng = np.random.default_rng(5)
     for gamma in (0.0, 0.2, 0.7, 1.0):
         ad = QubitChannel.amplitude_damping(gamma)
-        kr = QubitChannel.kraus(kraus_operators(ad))
         for _ in range(20):
             rho = random_density(rng, 2)
-            assert np.allclose(
-                apply_qubit_channel(ad, rho), apply_qubit_channel(kr, rho), atol=1e-13
-            )
+            a, b, r = rho[0, 0], rho[0, 1], np.sqrt(1.0 - gamma)
+            expect = [[a + (1 - a) * gamma, b * r], [b.conjugate() * r, (1 - a) * (1 - gamma)]]
+            assert np.allclose(apply_kraus(kraus_operators(ad), rho), expect, atol=1e-13)
 
 
 def test_depolarizing_matches_affine_form():
     rng = np.random.default_rng(6)
     for p in (0.0, 0.4, 1.0):
         ch = QubitChannel.depolarizing(p)
-        kr = QubitChannel.kraus(kraus_operators(ch))
+        assert np.allclose(ch.bloch_map[0], (1.0 - p) * np.eye(3), atol=1e-15)
+        assert np.allclose(ch.bloch_map[1], 0.0, atol=1e-15)
         for _ in range(10):
             rho = random_density(rng, 2)
             expect = (1.0 - p) * rho + p * np.eye(2) / 2.0
-            assert np.allclose(apply_qubit_channel(ch, rho), expect, atol=1e-13)
-            assert np.allclose(apply_qubit_channel(kr, rho), expect, atol=1e-13)
+            assert np.allclose(apply_kraus(kraus_operators(ch), rho), expect, atol=1e-13)
 
 
 def test_channel_output_is_density_matrix():
     rng = np.random.default_rng(8)
-    from capscale.linalg import validate_density_matrix
-
     for ch in (QubitChannel.amplitude_damping(0.35), QubitChannel.depolarizing(0.6)):
         for _ in range(10):
-            out = apply_qubit_channel(ch, random_density(rng, 2))
-            validate_density_matrix(out)
+            validate_density_matrix(apply_kraus(kraus_operators(ch), random_density(rng, 2)), 2)
 
 
 def test_channel_parameter_validation():
@@ -67,6 +65,11 @@ def test_channel_parameter_validation():
         QubitChannel.amplitude_damping(1.1)
     with pytest.raises(ValidationError):
         QubitChannel.depolarizing(2.0)
+    for value in ("0.3", True, None, 10**400):  # the channel-file number rule
+        with pytest.raises(ValidationError):
+            QubitChannel.amplitude_damping(value)
+        with pytest.raises(ValidationError):
+            QubitChannel.depolarizing(value)
 
 
 def test_kraus_factory_checks_completeness():
@@ -81,10 +84,6 @@ def test_kraus_factory_checks_completeness():
         QubitChannel.kraus([np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
 
-def _bloch(rho):
-    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
-
-
 def test_bloch_map_matches_channel_action():
     rng = np.random.default_rng(31)
     u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -94,16 +93,16 @@ def test_bloch_map_matches_channel_action():
         M, t = ch.bloch_map
         for _ in range(10):
             rho = random_density(rng, 2)
-            out = apply_qubit_channel(ch, rho)
-            assert np.allclose(_bloch(out), M @ _bloch(rho) + t, atol=1e-13)
+            out = apply_kraus(kraus_operators(ch), rho)
+            assert np.allclose(bloch_vector(out), M @ bloch_vector(rho) + t, atol=1e-13)
 
 
 def test_apply_rejects_bad_states():
-    ch = QubitChannel.amplitude_damping(0.5)
+    mc = MemoryChannel.periodic([QubitChannel.amplitude_damping(0.5)])
     with pytest.raises(ValidationError):
-        apply_qubit_channel(ch, np.eye(2))  # trace 2
+        apply_memory_channel_n(mc, np.eye(2), 1)  # trace 2
     with pytest.raises(ValidationError):
-        apply_qubit_channel(ch, np.eye(4) / 4.0)  # wrong dim
+        apply_memory_channel_n(mc, np.eye(4) / 4.0, 1)  # wrong dim
 
 
 def _ad_branches(gammas):
@@ -147,6 +146,15 @@ def test_memory_channel_validation():
         MemoryChannel.random(branches, [1.0])  # wrong length
     with pytest.raises(ValidationError):
         MemoryChannel.random(branches, [np.nan, 0.5])
+    # law parameters follow the channel-file number rule
+    for q in (["a", "b"], ["0.5", "0.5"], [True, False], [[0.5], [0.5, 0.0]], [[0.5, 0.5]]):
+        with pytest.raises(ValidationError):
+            MemoryChannel.random(branches, q)
+    with pytest.raises(ValidationError):
+        MemoryChannel.markov(branches, [["1", 0.0], [0.0, 1.0]], [0.5, 0.5])
+    with pytest.raises(ValidationError):
+        MemoryChannel.markov(branches, np.eye(2), ["0.5", "0.5"])
+    assert MemoryChannel.random(branches, (np.float32(0.25), 0.75)).q.tolist() == [0.25, 0.75]
     with pytest.raises(ValidationError):
         MemoryChannel.markov(branches, np.array([[np.nan, 1.0], [0.0, 1.0]]), np.array([0.0, 1.0]))
     with pytest.raises(ValidationError):
@@ -168,10 +176,7 @@ def test_apply_memory_channel_n_contract():
     mc = MemoryChannel.periodic(_ad_branches([0.1, 0.5]))
     rng = np.random.default_rng(13)
     rho = random_density(rng, 4)
-    out = apply_memory_channel_n(mc, rho, 2)
-    from capscale.linalg import validate_density_matrix
-
-    validate_density_matrix(out)
+    validate_density_matrix(apply_memory_channel_n(mc, rho, 2), 4)
     with pytest.raises(ValidationError):
         apply_memory_channel_n(mc, rho, 5)
     with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ import pytest
 
 import capscale.cli as cli
 from capscale import NumericalError
+from capscale.channels import MARKOV_LAW_ONLY
 from conftest import run_to_file
 
 
@@ -244,6 +245,7 @@ AD2 = PER4["branches"][:2]
         (AD2, {"kind": "periodic"}, ["chi", "--tol", "nan"]),
         (AD2, {"kind": "periodic"}, ["simulate", "--rate", "nan"]),
         (AD2, {"kind": "periodic"}, ["simulate", "--rate", "0.3", "--seed", "-1"]),
+        (AD2, {"kind": "periodic"}, ["simulate", "--rate", "0.3", "--trials", str(10**30)]),
         ([{"type": "amplitude_damping", "gamma": "abc"}], {"kind": "periodic"}, ["chi"]),
         ([{"type": "depolarizing", "p": None}], {"kind": "periodic"}, ["capacity"]),
         (
@@ -275,6 +277,7 @@ AD2 = PER4["branches"][:2]
         "tol-nan",
         "rate-nan",
         "seed-negative",
+        "trials-past-budget",
         "gamma-string",
         "p-null",
         "kraus-string",
@@ -397,4 +400,4 @@ def test_console_entry_point_stdout(channel_files):
         text=True,
     )
     assert proc.returncode == 2
-    assert "error:" in proc.stderr
+    assert proc.stderr == f"error: {MARKOV_LAW_ONLY}\n"

@@ -3,57 +3,76 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from capscale import (
-    Ensemble,
-    MirrorPair,
+    MemoryChannel,
     QubitChannel,
     ValidationError,
-    average_output,
+    apply_memory_channel_n,
+    binary_entropy,
     chi_ad_mirror,
     chi_mirror_family,
     dchi_da_ad,
-    herm_eigenvalues,
-    holevo_quantity,
     kraus_operators,
 )
+from capscale.holevo import holevo_chi
 
 
 def test_ensemble_validation():
-    rho = np.eye(2) / 2.0
-    with pytest.raises(ValidationError):
-        Ensemble.of([(0.5, rho), (0.4, rho)])  # probabilities sum to 0.9
-    with pytest.raises(ValidationError):
-        Ensemble.of([(1.5, rho), (-0.5, rho)])
-    with pytest.raises(ValidationError):
-        Ensemble.of([(0.5, rho), (float("nan"), rho)])
-    with pytest.raises(ValidationError):
-        Ensemble.of([])
-    with pytest.raises(ValidationError):
-        Ensemble.of([(1.0, np.eye(2))])  # trace 2
+    # branch weights follow one rule: nonnegative, finite, summing to 1
+    branches = [QubitChannel.amplitude_damping(0.3)] * 2
+    for q in ([0.5, 0.4], [1.5, -0.5], [0.5, float("nan")], []):
+        with pytest.raises(ValidationError):
+            MemoryChannel.random(branches, q)
+    with pytest.raises(ValidationError):  # trace 2
+        apply_memory_channel_n(MemoryChannel.periodic(branches), np.eye(2), 1)
 
 
 def test_mirror_pair_states_are_pure():
+    # through the identity the pair averages to diag(a, 1 - a), so chi = H(a)
+    # exactly when both states are pure
+    identity = QubitChannel.amplitude_damping(0.0)
     for a in (0.0, 0.3, 0.5, 0.97, 1.0):
-        for rho in MirrorPair(a).states():
-            ev = herm_eigenvalues(rho)
-            assert ev[0] == pytest.approx(1.0, abs=1e-12)
-            assert ev[1] == pytest.approx(0.0, abs=1e-12)
+        assert chi_mirror_family(identity, a) == pytest.approx(binary_entropy(a), abs=1e-12)
+        for rho in oracles.mirror_pair(a):
+            assert oracles.entropy(rho) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValidationError):
-        MirrorPair(1.2)
+        chi_mirror_family(identity, 1.2)
 
 
 def test_mirror_average_output_is_diagonal():
     gamma, a = 0.35, 0.62
     ch = QubitChannel.amplitude_damping(gamma)
-    avg = average_output(ch, MirrorPair(a).to_ensemble())
+    outs = [oracles.apply_kraus(kraus_operators(ch), rho) for rho in oracles.mirror_pair(a)]
     expect = np.diag([a + (1.0 - a) * gamma, (1.0 - a) * (1.0 - gamma)])
-    assert np.allclose(avg, expect, atol=1e-14)
+    assert np.allclose(sum(outs) / 2.0, expect, atol=1e-14)
 
 
 def test_holevo_identity_channel_orthogonal_pair():
     # gamma = 0 leaves states untouched; a = 1/2 mirror pair is orthogonal
     ch = QubitChannel.amplitude_damping(0.0)
-    assert holevo_quantity(ch, MirrorPair(0.5).to_ensemble()) == pytest.approx(1.0, abs=1e-12)
+    assert chi_mirror_family(ch, 0.5) == pytest.approx(1.0, abs=1e-12)
+    chi = oracles.holevo_chi(kraus_operators(ch), oracles.mirror_pair(0.5), (0.5, 0.5))
+    assert chi == pytest.approx(1.0, abs=1e-12)
+
+
+def test_holevo_chi_matches_density_matrix_oracle():
+    # random Kraus channels and ensembles of 1-4 pure states with complex
+    # coherences: the Bloch kernel against eigenvalues of density matrices
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(200):
+        v, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+        ops = [v[:2], v[2:]]  # an isometry C^2 -> C^2 (x) C^2, cut into Kraus operators
+        n = rng.integers(1, 5)
+        psi = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        states = [np.outer(p, p.conj()) for p in psi]
+        w = rng.dirichlet(np.ones(n))
+        r = np.array([oracles.bloch_vector(rho) for rho in states])
+        chi = holevo_chi(QubitChannel.kraus(ops).bloch_map, r, w)
+        worst = max(worst, abs(chi - oracles.holevo_chi(ops, states, w)))
+    assert worst <= 1e-12
 
 
 def test_chi_closed_form_matches_generic_path():
@@ -109,7 +128,7 @@ def test_output_eigenvalues_closed_form_grid():
             out = np.array(
                 [[a + (1.0 - a) * gamma, b * r], [b * r, (1.0 - a) * (1.0 - gamma)]]
             )
-            ev = herm_eigenvalues(out)
+            ev = np.linalg.eigvalsh(out)[::-1]
             x = math.sqrt(max(0.0, 1.0 - 4.0 * gamma * (1.0 - gamma) * (1.0 - a) ** 2))
             worst = max(worst, abs(ev[0] - (1.0 + x) / 2.0), abs(ev[1] - (1.0 - x) / 2.0))
     assert worst < 1e-10
@@ -125,7 +144,7 @@ def test_output_eigenvalue_variant_with_wrong_exponent_fails():
             [b * math.sqrt(1.0 - gamma), (1.0 - a) * (1.0 - gamma)],
         ]
     )
-    ev = herm_eigenvalues(out)
+    ev = np.linalg.eigvalsh(out)[::-1]
     x_bad = math.sqrt(1.0 - 4.0 * gamma * (1.0 - gamma) * (1.0 - a**2))
     assert abs(ev[0] - (1.0 + x_bad) / 2.0) > 1e-2
 
@@ -165,8 +184,6 @@ def test_dchi_domain_validation():
 def test_depolarizing_mirror_family_curve():
     # through the depolarizing channel the a = 1/2 mirror pair is the
     # orthogonal +/- pair: chi = 1 - H(p/2)
-    from capscale import binary_entropy
-
     for p in (0.1, 0.4, 0.8):
         ch = QubitChannel.depolarizing(p)
         assert chi_mirror_family(ch, 0.5) == pytest.approx(

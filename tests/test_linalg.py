@@ -3,74 +3,79 @@ import math
 import numpy as np
 import pytest
 
-from capscale import ValidationError, binary_entropy, herm_eigenvalues, von_neumann_entropy
-from capscale.linalg import validate_density_matrix, validate_hermitian
+import oracles
+from capscale import ValidationError, binary_entropy
+from capscale.linalg import entropy_from_radius, validate_density_matrix
 
 
 def test_herm_eigenvalues_matches_known_diagonalization():
+    # states of known spectrum d: the PSD check admits them, and refuses
+    # them once one eigenvalue dips below -1e-10
     rng = np.random.default_rng(7)
     for dim in (2, 3, 4, 8, 16):
-        d = np.sort(rng.uniform(-2.0, 2.0, size=dim))[::-1]
+        d = rng.dirichlet(np.ones(dim))
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         q, _ = np.linalg.qr(m)
-        h = q @ np.diag(d) @ q.conj().T
-        ev = herm_eigenvalues(h)
-        assert np.all(np.diff(ev) <= 1e-12)
-        assert np.allclose(ev, d, atol=1e-10)
-        assert abs(ev.sum() - h.trace().real) < 1e-9
+        rho = validate_density_matrix(q @ np.diag(d) @ q.conj().T, dim)
+        assert oracles.entropy(rho) == pytest.approx(-(d * np.log2(d)).sum(), abs=1e-10)
+        d[0], d[1] = -1e-8, d[0] + d[1] + 1e-8
+        with pytest.raises(ValidationError):
+            validate_density_matrix(q @ np.diag(d) @ q.conj().T, dim)
 
 
 def test_herm_eigenvalues_known_2x2():
-    # damping output of the mirror state at gamma = a = 1/2
+    # damping output of the mirror state at gamma = a = 1/2: Bloch radius
+    # sqrt(3)/2, eigenvalues (1 ± sqrt(3)/2) / 2
     b = math.sqrt(0.125)
-    ev = herm_eigenvalues(np.array([[0.75, b], [b, 0.25]]))
-    expect = [(1.0 + math.sqrt(0.75)) / 2.0, (1.0 - math.sqrt(0.75)) / 2.0]
-    assert np.allclose(ev, expect, atol=1e-14)
+    h = binary_entropy((1.0 - math.sqrt(0.75)) / 2.0)
+    assert oracles.entropy(np.array([[0.75, b], [b, 0.25]])) == pytest.approx(h, abs=1e-14)
+    assert entropy_from_radius(math.sqrt(0.75)) == pytest.approx(h, abs=1e-14)
 
 
 def test_herm_eigenvalues_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        herm_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValidationError):
-        herm_eigenvalues(np.ones((2, 3)))
-    with pytest.raises(ValidationError):
-        herm_eigenvalues(np.eye(17))
-    with pytest.raises(ValidationError):
-        herm_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for m, dim in (
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), 2),  # not Hermitian
+        (np.ones((2, 3)), 2),
+        (np.eye(2) / 2.0, 4),  # not the expected dimension
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), 2),
+    ):
+        with pytest.raises(ValidationError):
+            validate_density_matrix(m, dim)
 
 
 def test_validate_hermitian_tolerance():
-    m = np.array([[1.0, 1e-11j], [0.0, 1.0]])
-    validate_hermitian(m)  # within 1e-10
+    validate_density_matrix(np.array([[0.5, 1e-11j], [0.0, 0.5]]), 2)  # within 1e-10
     with pytest.raises(ValidationError):
-        validate_hermitian(np.array([[1.0, 1e-8j], [0.0, 1.0]]))
+        validate_density_matrix(np.array([[0.5, 1e-8j], [0.0, 0.5]]), 2)
 
 
 def test_validate_density_matrix():
-    validate_density_matrix(np.eye(2) / 2.0)
+    validate_density_matrix(np.eye(2) / 2.0, 2)
     with pytest.raises(ValidationError):
-        validate_density_matrix(np.eye(2))  # trace 2
+        validate_density_matrix(np.eye(2), 2)  # trace 2
     with pytest.raises(ValidationError):
-        validate_density_matrix(np.diag([1.5, -0.5]))  # not PSD
+        validate_density_matrix(np.diag([1.5, -0.5]), 2)  # not PSD
 
 
 def test_von_neumann_entropy_values():
-    assert von_neumann_entropy(np.diag([0.9330, 0.0670])) == pytest.approx(
-        0.3546271671967254, abs=1e-14
-    )
-    assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
-    assert von_neumann_entropy(np.eye(2) / 2.0) == pytest.approx(1.0, abs=1e-14)
-    assert von_neumann_entropy(np.eye(4) / 4.0) == pytest.approx(2.0, abs=1e-13)
+    # a qubit's entropy from its Bloch radius; the oracle for larger states
+    assert entropy_from_radius(0.9330 - 0.0670) == pytest.approx(0.3546271671967254, abs=1e-14)
+    assert entropy_from_radius(1.0) == 0.0
+    assert entropy_from_radius(0.0) == pytest.approx(1.0, abs=1e-14)
+    assert oracles.entropy(np.eye(4) / 4.0) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_von_neumann_entropy_clips_roundoff_eigenvalues():
-    # pure state assembled from an orthonormal frame; tiny negative
-    # eigenvalues from roundoff must not produce NaNs
+    # pure states assembled in floating point: radii above 1 and tiny
+    # negative eigenvalues from roundoff must not produce NaNs
     rng = np.random.default_rng(3)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    rho = np.outer(v, v.conj())
-    assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
+    assert oracles.entropy(np.outer(v, v.conj())) == pytest.approx(0.0, abs=1e-12)
+    assert entropy_from_radius(1.0 + 4e-16) == 0.0
+    v = v[:2] / np.linalg.norm(v[:2])
+    r = np.linalg.norm(oracles.bloch_vector(np.outer(v, v.conj())))
+    assert entropy_from_radius(r) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_binary_entropy_values():

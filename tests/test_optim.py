@@ -149,6 +149,9 @@ def test_maximize_chi_sum_validation():
         maximize_chi_sum([1.5], [1.0])
     with pytest.raises(ValidationError):
         maximize_chi_sum([], [])
+    for gammas, weights in ((["0.3"], [1.0]), ([0.3], [True])):  # the number rule
+        with pytest.raises(ValidationError):
+            maximize_chi_sum(gammas, weights)
 
 
 def test_flat_curve_at_gamma_one():

@@ -114,8 +114,17 @@ NORMALIZED = (
 )
 
 
+# a string, bool or nested list in q is refused, even where its value would sum to 1
+Q_ODD = st.one_of(
+    st.lists(Q_ENTRIES | st.booleans() | st.text(max_size=3) | st.lists(Q_ENTRIES), max_size=4),
+    NORMALIZED.map(lambda q: [str(x) for x in q]),
+    NORMALIZED.map(lambda q: [[x] for x in q]),
+    st.permutations([True, False, False]),
+)
+
+
 @PROPERTY
-@given(q=st.one_of(st.lists(Q_ENTRIES, max_size=5), NORMALIZED))
+@given(q=st.one_of(st.lists(Q_ENTRIES, max_size=5), NORMALIZED, Q_ODD))
 def test_q_vectors(tmp_path, q):
     try:
         report = compute_random_scale_report(GAMMAS3, q, deltas=[(0, 1)])
@@ -123,6 +132,7 @@ def test_q_vectors(tmp_path, q):
         refused = True
     else:
         refused = False
+        assert all(type(x) is float for x in q)
         assert len(report.q) == 3 and min(report.q) >= 0.0
         assert sum(report.q) == pytest.approx(1.0, abs=1e-10)
     branches = [{"type": "amplitude_damping", "gamma": g} for g in GAMMAS3]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from capscale import (
     subset_scale_value,
     success_oracle,
 )
+from capscale.channels import MARKOV_LAW_ONLY
+from capscale.simulate import MAX_TRIALS
 from conftest import damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
@@ -76,8 +79,13 @@ def test_success_oracle_rejects_indeterminate_rate():
 def test_success_oracle_rejects_markov_memory():
     branches = [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4)]
     mc = MemoryChannel.markov(branches, np.eye(2), np.array([0.5, 0.5]))
-    with pytest.raises(ValidationError):
+    law_only = "^" + re.escape(MARKOV_LAW_ONLY) + "$"
+    with pytest.raises(ValidationError, match=law_only):
         success_oracle(mc, Strategy((0,), 0.1))
+    with pytest.raises(ValidationError, match=law_only):
+        run_trials(mc, Strategy((0,), 0.1), 100, seed=1)
+    with pytest.raises(ValidationError, match=law_only):
+        empirical_staircase(mc, [0.1], 100, seed=1)
 
 
 def test_run_trials_deterministic():
@@ -129,11 +137,20 @@ def test_run_trials_q_subset_matches_staircase(mc, rate, q):
     assert res.q_subset == row.q_subset == q
 
 
-def test_run_trials_validation():
+def test_run_trials_validation(monkeypatch):
     with pytest.raises(ValidationError):
         run_trials(periodic4(), Strategy((0,), 0.1), 0, seed=1)
     with pytest.raises(ValidationError):
         run_trials(periodic4(), Strategy((0,), 0.1), 100, seed=-1)
+    # a count past MAX_TRIALS is refused before any generator is built, so
+    # before the draws are allocated; no row of the staircase at rate 5
+    # draws, as that rate clears no subset
+    monkeypatch.setattr(np.random, "Philox", None)
+    for n_trials in (0, -3, MAX_TRIALS + 1, 10**30, 100.0, True):
+        with pytest.raises(ValidationError, match="n_trials"):
+            run_trials(periodic4(), Strategy((0,), 0.1), n_trials, seed=1)
+        with pytest.raises(ValidationError, match="n_trials"):
+            empirical_staircase(periodic4(), [5.0], n_trials, seed=1)
 
 
 def test_empirical_staircase_periodic_subset_selection():
@@ -166,6 +183,13 @@ def test_empirical_staircase_validation():
         empirical_staircase(mc, [-0.1], 100, seed=1)
     with pytest.raises(ValidationError):
         empirical_staircase(mc, [float("nan")], 100, seed=1)
+    for seed in (-1, 2**128, 1.0, False):
+        with pytest.raises(ValidationError, match="seed"):
+            empirical_staircase(mc, [5.0], 100, seed)
+    # row i runs with seed + i, and every row's seed is a generator key
+    assert empirical_staircase(mc, [5.0], 100, 2**128 - 1)[0].seed == 2**128 - 1
+    with pytest.raises(ValidationError, match="seed"):
+        empirical_staircase(mc, [0.3, 5.0], 100, 2**128 - 1)
 
 
 def test_staircase_csv_format(tmp_path):
