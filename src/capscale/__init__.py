@@ -7,13 +7,11 @@ from .channels import (
     kraus_operators,
 )
 from .errors import NumericalError, ValidationError
-from .holevo import chi_ad_mirror, chi_mirror_family, dchi_da_ad
-from .linalg import binary_entropy
+from .holevo import chi_mirror_family, dchi_da_ad
 from .optim import (
     OptResult,
     brute_force_ensemble_search,
     find_root_bisection,
-    maximize_chi_sum,
     maximize_concave_1d,
 )
 from .scales import (
@@ -46,14 +44,11 @@ __all__ = [
     "kraus_operators",
     "NumericalError",
     "ValidationError",
-    "chi_ad_mirror",
     "chi_mirror_family",
     "dchi_da_ad",
-    "binary_entropy",
     "OptResult",
     "brute_force_ensemble_search",
     "find_root_bisection",
-    "maximize_chi_sum",
     "maximize_concave_1d",
     "BranchSupremum",
     "CapacityReport",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,8 @@ def check_numbers(value, name) -> np.ndarray:
 
     value is a number, or nested lists, tuples or arrays of numbers.
     """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return value.astype(float)  # every entry is a real number already
 
     def floats(v):
         if isinstance(v, np.ndarray):
@@ -65,7 +68,18 @@ def check_numbers(value, name) -> np.ndarray:
         raise ValidationError(f"{name} is ragged: its lists differ in length") from e
 
 
-@dataclass(frozen=True)
+def check_integer(value, what) -> int:
+    """value as an int: anything operator.index accepts, but not a bool."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+# Channels hold arrays, so both channel classes compare and hash by identity.
+@dataclass(frozen=True, eq=False)
 class QubitChannel:
     """A CPT map on qubit states.
 
@@ -155,7 +169,7 @@ def _is_distribution(v: np.ndarray) -> bool:
     return bool(v.min() >= 0.0 and np.abs(v.sum(axis=-1) - 1.0).max() <= 1e-10)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemoryChannel:
     """L branch channels plus a classical memory law.
 

@@ -23,7 +23,7 @@ from . import scales, simulate
 from .channels import MARKOV_LAW_ONLY, MemoryChannel, QubitChannel, check_number, check_numbers
 from .errors import NumericalError, ValidationError
 from .holevo import dchi_da_ad
-from .optim import AD_SEARCH_HI, AD_SEARCH_LO, find_root_bisection, maximize_chi_sum
+from .optim import find_root_bisection
 
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-2
 
@@ -171,10 +171,16 @@ def cmd_chi(args) -> int:
     return 0
 
 
+# Root bracket of the damping derivative: the optimum sits at a >= 1/2,
+# and the derivative is singular at a = 1.
+AD_SEARCH_LO = 0.5 - 1e-3
+AD_SEARCH_HI = 1.0 - 1e-9
+
+
 def cmd_amax(args) -> int:
+    """Tabulate each damping branch's reported a_max against the derivative root."""
     mc = load_channel_config(args.channel)
     tol = _check_tol(args.tol)
-    rows = []
     for i, ch in enumerate(mc.branches):
         if ch.kind != "amplitude_damping":
             raise ValidationError(
@@ -184,11 +190,12 @@ def cmd_amax(args) -> int:
             raise ValidationError(
                 f"branch {i}: the optimum location is undefined at gamma=1 (flat curve)"
             )
-        search = maximize_chi_sum([ch.gamma], [1.0], tol)
+    rows = []
+    for i, (ch, s) in enumerate(zip(mc.branches, scales.per_branch_suprema(mc.branches, tol))):
         root = find_root_bisection(
             lambda a: dchi_da_ad(ch.gamma, a), AD_SEARCH_LO, AD_SEARCH_HI, tol
         )
-        rows.append((i, ch.gamma, search.argmax, root, abs(search.argmax - root)))
+        rows.append((i, ch.gamma, s.a_max, root, abs(s.a_max - root)))
     _emit(args, ("branch", "gamma", "a_max_search", "a_max_root", "abs_diff"), rows)
     return 0
 

@@ -4,9 +4,10 @@ Every Holevo quantity the library reports goes through one vectorized
 kernel, ``holevo_chi``: input Bloch vectors pass through the channel's
 Bloch-affine map r -> M r + t, and each output's entropy follows from its
 Bloch radius. For the amplitude-damping channel restricted to a
-mirror-image pair of pure states there are also closed forms for chi and
-its derivative in the shared state parameter ``a``. The tests cross-check
-the two, and the kernel against density-matrix eigenvalues.
+mirror-image pair of pure states there is also a closed form for the
+derivative of chi in the shared state parameter ``a``; the ``amax`` command
+checks the reported maximizers against its root. The tests check the
+kernel against density-matrix eigenvalues and a closed-form damping curve.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import math
 
 import numpy as np
 
-from .channels import QubitChannel
+from .channels import QubitChannel, check_number, check_numbers
 from .errors import ValidationError
-from .linalg import binary_entropy, entropy_from_radius
+from .linalg import entropy_from_radius
 
 
 def holevo_chi(bloch_map, r, w) -> np.ndarray:
@@ -49,7 +50,7 @@ def chi_mirror_family(ch, a):
     one channel and a scalar a, an array otherwise. The pair's Bloch
     vectors are (±2b, 0, 2a - 1) with b = sqrt(a(1-a)).
     """
-    a_arr = np.asarray(a, dtype=float)
+    a_arr = check_numbers(a, "a")
     if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
         raise ValidationError(f"a must be in [0, 1], got {a!r}")
     x, z = 2.0 * np.sqrt(a_arr * (1.0 - a_arr)), 2.0 * a_arr - 1.0
@@ -58,33 +59,12 @@ def chi_mirror_family(ch, a):
     return float(chi) if chi.ndim == 0 else chi
 
 
-def _check_unit_interval(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def chi_ad_mirror(gamma: float, a: float) -> float:
-    """Closed-form Holevo quantity of the amplitude-damping mirror pair, in bits.
-
-    The mirror pair averages to the diagonal state diag(a + (1-a)γ,
-    (1-a)(1-γ)), and each branch output has eigenvalues
-    (1 ± sqrt(1 - 4γ(1-γ)(1-a)²)) / 2, so
-
-        chi(a) = H(a + (1-a)γ) - H((1 - sqrt(1 - 4γ(1-γ)(1-a)²)) / 2).
-    """
-    _check_unit_interval("gamma", gamma)
-    _check_unit_interval("a", a)
-    s = 4.0 * gamma * (1.0 - gamma) * (1.0 - a) ** 2
-    x = math.sqrt(max(0.0, 1.0 - s))
-    # (1-x)/2 rewritten as s / (2(1+x)) to avoid cancellation for small s
-    lam_minus = s / (2.0 * (1.0 + x))
-    return binary_entropy(a + (1.0 - a) * gamma) - binary_entropy(lam_minus)
-
-
 def dchi_da_ad(gamma: float, a: float) -> float:
-    """Derivative of chi_ad_mirror in the state parameter a, in nats.
+    """Derivative of the damping mirror pair's chi in its parameter a, in nats.
 
-    Only the root location is ever used, so the natural-log form is kept:
+    chi(a) = H(a + (1-a)γ) - H((1 - x) / 2) with H the binary entropy and x
+    as below. Only the root location is ever used, so the natural-log form
+    is kept:
 
         (1-γ) ln[(1-a)(1-γ) / (a + (1-a)γ)]
           + (2γ(1-γ)(1-a)/x) ln[(1+x)/(1-x)],  x = sqrt(1 - 4γ(1-γ)(1-a)²).
@@ -92,8 +72,10 @@ def dchi_da_ad(gamma: float, a: float) -> float:
     At γ = 0 the second term vanishes and this reduces to ln((1-a)/a).
 
     Raises:
-        ValidationError: for γ outside [0, 1), a outside (0, 1), or x = 0.
+        ValidationError: for a γ or a that is not a number, γ outside
+            [0, 1), a outside (0, 1), or x = 0.
     """
+    gamma, a = check_number(gamma, "gamma"), check_number(a, "a")
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma!r}")
     if not 0.0 < a < 1.0:

@@ -1,14 +1,12 @@
 """Qubit entropies from Bloch radii, and the density-matrix input check.
 
-Every entropy the library computes is a function of one number: a qubit
-state's Bloch radius, or, for the closed forms, one eigenvalue. Entropies
-are in bits. The only density matrices the library reads are the n-fold
-states that ``apply_memory_channel_n`` takes, checked here.
+Every entropy the library computes is a function of one number, a qubit
+state's Bloch radius. Entropies are in bits. The only density matrices
+the library reads are the n-fold states that ``apply_memory_channel_n``
+takes, checked here.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -40,25 +38,6 @@ def validate_density_matrix(rho, dim: int) -> np.ndarray:
     if evs[0] < EIGENVALUE_FLOOR:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {evs[0]:.3e}")
     return rho
-
-
-def binary_entropy(x: float) -> float:
-    """Binary entropy H(x) = -x log2 x - (1-x) log2(1-x) in bits.
-
-    The argument is folded onto [0, 1/2] first, so H(x) == H(1-x) holds
-    exactly whenever 1-x is exactly representable (always true for
-    x >= 1/2). Endpoints return 0.
-
-    Raises:
-        ValidationError: if x lies outside [0, 1] by more than 1e-12.
-    """
-    if not (-1e-12 <= x <= 1.0 + 1e-12):
-        raise ValidationError(f"binary_entropy argument must be in [0, 1], got {x!r}")
-    if x > 0.5:
-        x = 1.0 - x
-    if x <= 0.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
 def entropy_from_radius(r):

@@ -1,12 +1,12 @@
-"""Scalar concave maximization, root finding, and a grid ensemble search.
+"""Lockstep concave maximization, root finding, and a grid ensemble search.
 
 The golden-section and bisection routines are deliberately plain; every
 capacity in this package reduces to maximizing sums or minima of concave
-single-parameter Holevo curves. The grid ensemble search is the
-independent check that two mirror-image pure states really are enough:
-it sweeps ensembles of up to four pure states over an angular lattice and
-a probability simplex grid without assuming anything about where the
-optimum sits. It evaluates the Holevo quantity through the channel's
+single-parameter Holevo curves, all of them in one lockstep search. The
+grid ensemble search is the independent check that two mirror-image pure
+states really are enough: it sweeps ensembles of up to four pure states
+over an angular lattice and a probability simplex grid without assuming
+anything about where the optimum sits. It evaluates the Holevo quantity through the channel's
 Bloch-affine map (M, t) and the Bloch-radius entropy.
 """
 
@@ -18,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QubitChannel, check_number
+from .channels import QubitChannel, check_integer
 from .errors import NumericalError, ValidationError
-from .holevo import chi_ad_mirror, holevo_chi
+from .holevo import holevo_chi
 from .linalg import entropy_from_radius
-
-# Maximizer search window for amplitude-damping curves: the optimum is
-# known to sit at a >= 1/2, and the derivative is singular at a = 1.
-AD_SEARCH_LO = 0.5 - 1e-3
-AD_SEARCH_HI = 1.0 - 1e-9
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 500
@@ -43,26 +38,21 @@ class OptResult:
 
 
 def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
-    """Golden-section maximization of a concave (unimodal) function.
+    """Golden-section maximization of concave (unimodal) functions, in lockstep.
 
-    Returns an OptResult whose final bracket is narrower than tol. Where f
-    is flat to rounding over a wider stretch around its peak, the argmax can
-    lie anywhere on it (up to about 1e-7 off for damping curves at tol
-    1e-8); the value is unaffected.
-    Exact ties shrink the bracket from both sides, so a constant function
-    converges to the interval midpoint.
+    lo and hi are equal-shape arrays, one bracket per lane; a scalar
+    bracket is one 0-d lane. f maps one point per lane to its value, once
+    per step (twice on a step where a lane ties). Each lane takes the steps
+    of its own search, so a lane's argmax and value do not depend on the
+    other lanes; iterations and achieved_tol are those of the slowest lane.
 
-    lo and hi may be equal-shape arrays, one bracket per lane, searched in
-    lockstep: f then maps one point per lane to its value, once per step
-    (twice on a step where a lane ties). Each lane takes the steps of its
-    own scalar search, so argmax and value equal the scalar results lane by
-    lane; iterations and achieved_tol are those of the slowest lane.
+    Each lane's final bracket is narrower than tol. Where f is flat to
+    rounding over a wider stretch around its peak, the argmax can lie
+    anywhere on it (up to about 1e-7 off for damping curves at tol 1e-8);
+    the value is unaffected. Exact ties shrink the bracket from both sides,
+    so a constant function converges to the interval midpoint.
     """
-    if np.ndim(lo) or np.ndim(hi):
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        where, any_ = np.where, np.any
-    else:
-        where, any_ = (lambda m, x, y: x if m else y), bool
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not np.all(lo < hi):
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
     if not (1e-12 <= tol < math.inf):
@@ -70,16 +60,17 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
     iters = 0
-    while any_(active := hi - lo > tol):
-        if any_(active & ~(np.isfinite(fc) & np.isfinite(fd))):
+    while np.any(active := hi - lo > tol):
+        if np.any(active & ~(np.isfinite(fc) & np.isfinite(fd))):
             raise NumericalError("objective returned a non-finite value")
         # keep [lo, d], [c, hi] or, on a tie, [c, d]
         left, right, tie = active & (fc > fd), active & (fd > fc), active & (fc == fd)
-        lo, hi = where(right | tie, c, lo), where(left | tie, d, hi)
-        c, d = where(right, d, hi - _INVPHI * (hi - lo)), where(left, c, lo + _INVPHI * (hi - lo))
-        f_c, f_d = (f(c), f(d)) if any_(tie) else (f(where(left, c, d)),) * 2
-        fc, fd = (where(left | tie, f_c, where(right, fd, fc)),
-                  where(right | tie, f_d, where(left, fc, fd)))
+        lo, hi = np.where(right | tie, c, lo), np.where(left | tie, d, hi)
+        c, d = (np.where(right, d, hi - _INVPHI * (hi - lo)),
+                np.where(left, c, lo + _INVPHI * (hi - lo)))
+        f_c, f_d = (f(c), f(d)) if np.any(tie) else (f(np.where(left, c, d)),) * 2
+        fc, fd = (np.where(left | tie, f_c, np.where(right, fd, fc)),
+                  np.where(right | tie, f_d, np.where(left, fc, fd)))
         iters += 1
         if iters > _MAX_ITER:
             raise NumericalError("golden-section search failed to converge")
@@ -106,30 +97,6 @@ def find_root_bisection(g, lo: float, hi: float, tol: float = 1e-10) -> float:
         else:
             lo, glo = mid, gm
     return 0.5 * (lo + hi)
-
-
-def maximize_chi_sum(gammas, weights, tol: float = 1e-8) -> OptResult:
-    """Maximize a weighted sum of amplitude-damping Holevo curves over a.
-
-    Each curve is concave in a, so the sum is concave and golden-section
-    search on the a >= 1/2 window applies.
-    """
-    gammas = [check_number(g, "gamma") for g in gammas]
-    if not gammas:
-        raise ValidationError("need at least one damping parameter")
-    for g in gammas:
-        if not 0.0 <= g <= 1.0:
-            raise ValidationError(f"gamma must be in [0, 1], got {g!r}")
-    weights = [check_number(w, "weight") for w in weights]
-    if len(weights) != len(gammas):
-        raise ValidationError("gammas and weights must have equal length")
-    if min(weights) < 0.0:
-        raise ValidationError("weights must be nonnegative")
-
-    def f(a):
-        return sum(w * chi_ad_mirror(g, a) for g, w in zip(gammas, weights))
-
-    return maximize_concave_1d(f, AD_SEARCH_LO, AD_SEARCH_HI, tol)
 
 
 # --- grid ensemble search -------------------------------------------------
@@ -178,13 +145,15 @@ def brute_force_ensemble_search(
     refinement and in n_states.
 
     Raises:
-        ValidationError: if the sweep size exceeds ``budget`` evaluations.
+        ValidationError: if n_states, grid or weight_steps is not an integer
+            in range, or the sweep size exceeds ``budget`` evaluations.
     """
+    n_states, grid = check_integer(n_states, "n_states"), check_integer(grid, "grid")
     if not 1 <= n_states <= 4:
         raise ValidationError(f"n_states must be in [1, 4], got {n_states}")
     if grid < 8:
         raise ValidationError(f"grid must be >= 8, got {grid}")
-    steps = grid if weight_steps is None else int(weight_steps)
+    steps = grid if weight_steps is None else check_integer(weight_steps, "weight_steps")
     if steps < 1:
         raise ValidationError("weight_steps must be positive")
     weights = _weight_grid(n_states, steps)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MemoryChannel, QubitChannel
+from .channels import MemoryChannel, QubitChannel, check_integer
 from .errors import NumericalError, ValidationError
 from .holevo import chi_mirror_family
 from .optim import maximize_concave_1d
@@ -156,11 +155,9 @@ def check_indices(subset, what: str = "subset") -> tuple[int, ...]:
     """
     try:
         subset = tuple(subset)
-        if any(isinstance(i, bool) for i in subset):
-            raise TypeError("a bool is not an index")
-        subset = tuple(operator.index(i) for i in subset)
     except TypeError as e:
         raise ValidationError(f"{what} must be a sequence of integer indices: {e}") from e
+    subset = tuple(check_integer(i, f"each index of {what}") for i in subset)
     if not subset:
         raise ValidationError(f"{what} must be nonempty")
     if len(set(subset)) != len(subset):

@@ -12,12 +12,11 @@ error floors at the usual 1/sqrt(n) pace.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import MARKOV_LAW_ONLY, MemoryChannel, check_number
+from .channels import MARKOV_LAW_ONLY, MemoryChannel, check_integer, check_number
 from .errors import ValidationError
 from .scales import (
     check_indices,
@@ -50,12 +49,7 @@ def _check_draws(n_trials, seed, rows: int = 1) -> tuple[int, int]:
     Both must be integers, not bools; n_trials lies in [1, MAX_TRIALS] and
     every seed in [0, 2**128), the generator's key range.
     """
-    try:
-        if isinstance(n_trials, bool) or isinstance(seed, bool):
-            raise TypeError("a bool is not an integer")
-        n_trials, seed = operator.index(n_trials), operator.index(seed)
-    except TypeError as e:
-        raise ValidationError(f"n_trials and seed must be integers: {e}") from e
+    n_trials, seed = check_integer(n_trials, "n_trials"), check_integer(seed, "seed")
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValidationError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
     if not 0 <= seed <= 2**128 - rows:

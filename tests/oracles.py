@@ -21,6 +21,11 @@ def entropy(rho):
     return float(-(lam * np.log2(lam)).sum())
 
 
+def binary_entropy(x):
+    """H(x) in bits: the entropy of diag(x, 1 - x)."""
+    return entropy(np.diag([x, 1.0 - x]))
+
+
 def holevo_chi(ops, states, weights):
     """S(sum_j w_j Phi(rho_j)) - sum_j w_j S(Phi(rho_j)) in bits."""
     outs = [apply_kraus(ops, rho) for rho in states]

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import capscale as cs
-from conftest import random_density
+import capscale.scales as scales
+from conftest import chi_ad_grid, random_density
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
 
@@ -40,11 +41,10 @@ def criterion(num, label):
 def test_criterion_01_identity_endpoints():
     with criterion(1, "identity and fully damping endpoints"):
         t0 = time.monotonic()
-        res = cs.maximize_chi_sum([0.0], [1.0])
-        assert abs(res.value - 1.0) <= 1e-6
-        assert abs(res.argmax - 0.5) <= 1e-4
-        dead = cs.maximize_chi_sum([1.0], [1.0])
-        assert abs(dead.value) <= 1e-9
+        res, dead = cs.per_branch_suprema([0.0, 1.0])
+        assert abs(res.chi_star - 1.0) <= 1e-6
+        assert abs(res.a_max - 0.5) <= 1e-4
+        assert abs(dead.chi_star) <= 1e-9
         assert time.monotonic() - t0 < 1.0
 
 
@@ -52,7 +52,10 @@ def test_criterion_02_pair_capacity_strict_gap():
     with criterion(2, "pair capacity strictly below averaged branch capacities"):
         t0 = time.monotonic()
         gs = [i / 10 for i in range(10)]
-        sups = {g: cs.maximize_chi_sum([g], [1.0]).value for g in gs}
+        # every branch and every pair in one batched maximization
+        pairs = list(itertools.combinations(range(len(gs)), 2))
+        best = scales.maximize_subsets(gs, [(i,) for i in range(len(gs))] + pairs)
+        sups = {g: best[(i,)][1] for i, g in enumerate(gs)}
         # maximizers nearly coincide for pairs straddling the argmax turning
         # point, leaving true gaps below 1e-6; values from a 40-digit reference
         near_degenerate = {
@@ -60,8 +63,9 @@ def test_criterion_02_pair_capacity_strict_gap():
             (0.6, 0.8): 4.09438648356e-8,
             (0.7, 0.8): 7.75625835157e-7,
         }
-        for g0, g1 in itertools.combinations(gs, 2):
-            cp = cs.maximize_chi_sum([g0, g1], [1.0, 1.0]).value / 2.0
+        for i, j in pairs:
+            g0, g1 = gs[i], gs[j]
+            cp = best[(i, j)][1] / 2.0
             gap = 0.5 * (sups[g0] + sups[g1]) - cp
             assert gap > 1e-8
             if (g0, g1) in near_degenerate:
@@ -69,10 +73,10 @@ def test_criterion_02_pair_capacity_strict_gap():
             else:
                 assert gap > 1e-6
         # a fully damping partner removes the gap entirely
-        sup1 = cs.maximize_chi_sum([1.0], [1.0]).value
+        sup1 = cs.per_branch_suprema([1.0])[0].chi_star
         for g in gs + [1.0]:
             sg = sups.get(g, sup1)
-            cp = cs.maximize_chi_sum([1.0, g], [1.0, 1.0]).value / 2.0
+            cp = scales.maximize_subsets([1.0, g], [(0, 1)])[(0, 1)][1] / 2.0
             assert abs(0.5 * (sup1 + sg) - cp) <= 1e-7
         assert time.monotonic() - t0 < 30.0
 
@@ -90,15 +94,15 @@ def test_criterion_03_depolarizing_equality():
 def test_criterion_04_derivative_consistency():
     with criterion(4, "derivative root, search argmax, and differences agree"):
         ln2 = math.log(2.0)
-        for g in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
-            res = cs.maximize_chi_sum([g], [1.0])
+        gs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        for g, res in zip(gs, cs.per_branch_suprema(gs)):
             root = cs.find_root_bisection(
                 lambda a: cs.dchi_da_ad(g, a), 0.5 - 1e-3, 1.0 - 1e-9, tol=1e-10
             )
-            assert abs(res.argmax - root) <= 1e-5
+            assert abs(res.a_max - root) <= 1e-5
             for a in (0.52, 0.6, 0.75, 0.9):
                 h = 1e-6
-                fd = (cs.chi_ad_mirror(g, a + h) - cs.chi_ad_mirror(g, a - h)) / (2.0 * h)
+                fd = (chi_ad_grid(g, a + h) - chi_ad_grid(g, a - h)) / (2.0 * h)
                 assert abs(cs.dchi_da_ad(g, a) - fd * ln2) <= 1e-6
 
 
@@ -139,20 +143,19 @@ def test_criterion_06_scale_endpoints_and_monotonicity():
 
 def test_criterion_07_ordering_properties():
     with criterion(7, "ordering: capacities fall with damping; argmax rise reverses"):
-        for g in np.linspace(0.0, 0.95, 20):
-            res = cs.maximize_chi_sum([float(g)], [1.0])
-            assert res.argmax >= 0.5 - 1e-6
+        for res in cs.per_branch_suprema(np.linspace(0.0, 0.95, 20)):
+            assert res.a_max >= 0.5 - 1e-6
         grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
-        sups = {g: cs.maximize_chi_sum([g], [1.0]) for g in grid}
+        sups = dict(zip(grid, cs.per_branch_suprema(grid)))
         for g0, g1 in zip(grid, grid[1:]):
-            assert sups[g0].value > sups[g1].value + 1e-6
+            assert sups[g0].chi_star > sups[g1].chi_star + 1e-6
         # strictly increasing optimum location holds up to gamma ~ 0.70 only
         rising = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
         for g0, g1 in zip(rising, rising[1:]):
-            assert sups[g0].argmax < sups[g1].argmax - 1e-6
+            assert sups[g0].a_max < sups[g1].a_max - 1e-6
         # beyond the turning point the location decreases again
-        assert sups[0.8].argmax < sups[0.7].argmax - 1e-4
-        assert sups[0.9].argmax < sups[0.8].argmax - 1e-4
+        assert sups[0.8].a_max < sups[0.7].a_max - 1e-4
+        assert sups[0.9].a_max < sups[0.8].a_max - 1e-4
 
 
 def test_criterion_08_lattice_search_vs_mirror_pair():
@@ -164,9 +167,9 @@ def test_criterion_08_lattice_search_vs_mirror_pair():
             0.5: 0.47167470820046703,
             0.7: 0.31138613242802293,
         }
-        for g, expect in frozen.items():
+        for (g, expect), sup in zip(frozen.items(), cs.per_branch_suprema(list(frozen))):
             v = cs.brute_force_ensemble_search(cs.QubitChannel.amplitude_damping(g), 4, 24)
-            star = cs.maximize_chi_sum([g], [1.0]).value
+            star = sup.chi_star
             assert v - star < 1e-3
             assert star - v < 1e-3
             assert v == pytest.approx(expect, abs=1e-12)

@@ -84,6 +84,16 @@ def test_kraus_factory_checks_completeness():
         QubitChannel.kraus([np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
 
+def test_channels_compare_and_hash_by_identity():
+    # channels hold arrays, so == and hash() go by identity and never raise
+    ad = QubitChannel.amplitude_damping(0.3)
+    kraus = [QubitChannel.kraus(kraus_operators(ad)) for _ in range(2)]
+    memory = [MemoryChannel.random([ad, ad], [0.5, 0.5]) for _ in range(2)]
+    for a, b in (kraus, memory):
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert len({a, a, b}) == 2
+
+
 def test_bloch_map_matches_channel_action():
     rng = np.random.default_rng(31)
     u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))

@@ -82,6 +82,13 @@ def test_amax_command(channel_files, tmp_path):
     assert lines[0] == "branch,gamma,a_max_search,a_max_root,abs_diff"
     for line in lines[1:]:
         assert float(line.split(",")[4]) < 1e-5
+    # the search column is the a_max that chi (and every report) prints
+    rc, chi_text = run_to_file(tmp_path, ["chi", channel_files["rand3"]])
+    assert rc == 0
+    chi_rows = chi_text.splitlines()[1:]
+    assert len(chi_rows) == len(lines) - 1 == 3
+    for line, chi_line in zip(lines[1:], chi_rows):
+        assert line.split(",")[2] == chi_line.split(",")[3]
 
 
 def test_capacity_periodic_json(channel_files, tmp_path):

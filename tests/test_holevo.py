@@ -9,13 +9,12 @@ from capscale import (
     QubitChannel,
     ValidationError,
     apply_memory_channel_n,
-    binary_entropy,
-    chi_ad_mirror,
     chi_mirror_family,
     dchi_da_ad,
     kraus_operators,
 )
 from capscale.holevo import holevo_chi
+from conftest import chi_ad_grid
 
 
 def test_ensemble_validation():
@@ -33,7 +32,8 @@ def test_mirror_pair_states_are_pure():
     # exactly when both states are pure
     identity = QubitChannel.amplitude_damping(0.0)
     for a in (0.0, 0.3, 0.5, 0.97, 1.0):
-        assert chi_mirror_family(identity, a) == pytest.approx(binary_entropy(a), abs=1e-12)
+        h = oracles.binary_entropy(a)
+        assert chi_mirror_family(identity, a) == pytest.approx(h, abs=1e-12)
         for rho in oracles.mirror_pair(a):
             assert oracles.entropy(rho) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValidationError):
@@ -81,7 +81,7 @@ def test_chi_closed_form_matches_generic_path():
     for gamma in gammas:
         ch = QubitChannel.amplitude_damping(gamma)
         for a in avals:
-            closed = chi_ad_mirror(gamma, a)
+            closed = chi_ad_grid(gamma, a)
             generic = chi_mirror_family(ch, a)
             assert closed == pytest.approx(generic, abs=1e-12)
 
@@ -102,19 +102,29 @@ def test_chi_mirror_family_array_matches_scalar():
 
 
 def test_chi_frozen_optimum_values():
-    assert chi_ad_mirror(0.1, 0.546697032616978) == pytest.approx(
+    assert chi_ad_grid(0.1, 0.546697032616978) == pytest.approx(
         0.840496506564459, abs=1e-12
     )
-    assert chi_ad_mirror(0.3, 0.580531928932412) == pytest.approx(
+    assert chi_ad_grid(0.3, 0.580531928932412) == pytest.approx(
+        0.63832906028176, abs=1e-11
+    )
+    # the kernel's mirror-pair curve at the same points
+    ad = QubitChannel.amplitude_damping
+    assert chi_mirror_family(ad(0.1), 0.546697032616978) == pytest.approx(
+        0.840496506564459, abs=1e-12
+    )
+    assert chi_mirror_family(ad(0.3), 0.580531928932412) == pytest.approx(
         0.63832906028176, abs=1e-11
     )
 
 
 def test_chi_domain_validation():
     with pytest.raises(ValidationError):
-        chi_ad_mirror(-0.1, 0.5)
-    with pytest.raises(ValidationError):
-        chi_ad_mirror(0.5, 1.5)
+        QubitChannel.amplitude_damping(-0.1)
+    ch = QubitChannel.amplitude_damping(0.5)
+    for a in (1.5, -0.1, "0.5", True, [0.5, "0.5"], float("nan")):  # range and number rule
+        with pytest.raises(ValidationError):
+            chi_mirror_family(ch, a)
 
 
 def test_output_eigenvalues_closed_form_grid():
@@ -152,7 +162,7 @@ def test_output_eigenvalue_variant_with_wrong_exponent_fails():
 def test_chi_concave_in_a():
     for gamma in (0.0, 0.2, 0.5, 0.8, 0.99):
         a = np.linspace(0.02, 0.98, 321)
-        v = np.array([chi_ad_mirror(gamma, x) for x in a])
+        v = chi_ad_grid(gamma, a)
         d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
         assert d2.max() <= 1e-12
 
@@ -162,7 +172,7 @@ def test_dchi_matches_finite_differences():
     ln2 = math.log(2.0)
     for gamma in (0.1, 0.3, 0.5, 0.7, 0.9):
         for a in (0.52, 0.6, 0.7, 0.85, 0.95):
-            fd = (chi_ad_mirror(gamma, a + h) - chi_ad_mirror(gamma, a - h)) / (2.0 * h)
+            fd = (chi_ad_grid(gamma, a + h) - chi_ad_grid(gamma, a - h)) / (2.0 * h)
             assert dchi_da_ad(gamma, a) == pytest.approx(fd * ln2, abs=1e-6)
 
 
@@ -179,6 +189,9 @@ def test_dchi_domain_validation():
         dchi_da_ad(0.5, 0.0)
     with pytest.raises(ValidationError):
         dchi_da_ad(0.5, 1.0)
+    for gamma, a in ((0.3, "0.5"), ("0.3", 0.5), (True, 0.5), (0.3, None)):  # the number rule
+        with pytest.raises(ValidationError):
+            dchi_da_ad(gamma, a)
 
 
 def test_depolarizing_mirror_family_curve():
@@ -187,5 +200,5 @@ def test_depolarizing_mirror_family_curve():
     for p in (0.1, 0.4, 0.8):
         ch = QubitChannel.depolarizing(p)
         assert chi_mirror_family(ch, 0.5) == pytest.approx(
-            1.0 - binary_entropy(p / 2.0), abs=1e-12
+            1.0 - oracles.binary_entropy(p / 2.0), abs=1e-12
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from capscale import ValidationError, binary_entropy
+from capscale import ValidationError
 from capscale.linalg import entropy_from_radius, validate_density_matrix
 
 
@@ -27,7 +27,7 @@ def test_herm_eigenvalues_known_2x2():
     # damping output of the mirror state at gamma = a = 1/2: Bloch radius
     # sqrt(3)/2, eigenvalues (1 ± sqrt(3)/2) / 2
     b = math.sqrt(0.125)
-    h = binary_entropy((1.0 - math.sqrt(0.75)) / 2.0)
+    h = oracles.binary_entropy((1.0 - math.sqrt(0.75)) / 2.0)
     assert oracles.entropy(np.array([[0.75, b], [b, 0.25]])) == pytest.approx(h, abs=1e-14)
     assert entropy_from_radius(math.sqrt(0.75)) == pytest.approx(h, abs=1e-14)
 
@@ -77,26 +77,3 @@ def test_von_neumann_entropy_clips_roundoff_eigenvalues():
     r = np.linalg.norm(oracles.bloch_vector(np.outer(v, v.conj())))
     assert entropy_from_radius(r) == pytest.approx(0.0, abs=1e-12)
 
-
-def test_binary_entropy_values():
-    assert binary_entropy(0.5) == 1.0
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.1) == pytest.approx(0.4689955935892812, abs=1e-15)
-
-
-def test_binary_entropy_symmetry_exact():
-    rng = np.random.default_rng(11)
-    for x in rng.uniform(0.5, 1.0, size=200):
-        assert binary_entropy(x) == binary_entropy(1.0 - x)
-    for k in range(65):
-        assert binary_entropy(k / 64.0) == binary_entropy(1.0 - k / 64.0)
-
-
-def test_binary_entropy_domain():
-    assert binary_entropy(-1e-13) == 0.0
-    assert binary_entropy(1.0 + 1e-13) == 0.0
-    with pytest.raises(ValidationError):
-        binary_entropy(-0.01)
-    with pytest.raises(ValidationError):
-        binary_entropy(1.01)

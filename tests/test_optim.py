@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import capscale.scales as scales
+import oracles
 from capscale import (
     NumericalError,
     QubitChannel,
@@ -10,10 +12,10 @@ from capscale import (
     brute_force_ensemble_search,
     find_root_bisection,
     kraus_operators,
-    maximize_chi_sum,
     maximize_concave_1d,
+    per_branch_suprema,
 )
-from capscale.optim import AD_SEARCH_HI, AD_SEARCH_LO
+from capscale.cli import AD_SEARCH_HI, AD_SEARCH_LO
 from conftest import chi_ad_grid
 
 
@@ -116,47 +118,47 @@ def test_bisection_validation():
         find_root_bisection(math.cos, 2.0, 1.0)
 
 
-def test_maximize_chi_sum_single_branch_frozen():
-    res = maximize_chi_sum([0.1], [1.0], tol=1e-8)
-    assert res.argmax == pytest.approx(0.546697032616978, abs=1e-6)
-    assert res.value == pytest.approx(0.840496506564459, abs=1e-10)
-    assert res.achieved_tol <= 1e-8
+def test_maximize_chi_sum_single_branch_frozen(monkeypatch):
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(maximize_concave_1d(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scales, "maximize_concave_1d", recorded)
+    (res,) = per_branch_suprema([0.1], tol=1e-8)
+    assert res.a_max == pytest.approx(0.546697032616978, abs=1e-6)
+    assert res.chi_star == pytest.approx(0.840496506564459, abs=1e-10)
+    (search,) = results
+    assert search.achieved_tol <= 1e-8
 
 
 def test_maximize_chi_sum_joint_frozen():
-    res = maximize_chi_sum([0.0, 0.4], [1.0, 1.0], tol=1e-8)
-    assert res.argmax == pytest.approx(0.535551975060546, abs=1e-6)
-    assert res.value / 2.0 == pytest.approx(0.771826859972801, abs=1e-10)
+    argmax, value = scales.maximize_subsets([0.0, 0.4], [(0, 1)], tol=1e-8)[(0, 1)]
+    assert argmax == pytest.approx(0.535551975060546, abs=1e-6)
+    assert value / 2.0 == pytest.approx(0.771826859972801, abs=1e-10)
 
 
 def test_maximize_chi_sum_against_dense_grid():
-    for gamma in (0.15, 0.45, 0.85):
-        a = np.arange(AD_SEARCH_LO, AD_SEARCH_HI, 1e-5)
+    gammas = (0.15, 0.45, 0.85)
+    a = np.arange(AD_SEARCH_LO, AD_SEARCH_HI, 1e-5)
+    for gamma, res in zip(gammas, per_branch_suprema(gammas, tol=1e-8)):
         v = chi_ad_grid(gamma, a)
         k = int(np.argmax(v))
-        res = maximize_chi_sum([gamma], [1.0], tol=1e-8)
-        assert res.argmax == pytest.approx(a[k], abs=2e-5)
-        assert res.value == pytest.approx(v[k], abs=1e-8)
-        assert res.value >= v[k] - 1e-12  # grid cannot beat the optimizer
+        assert res.a_max == pytest.approx(a[k], abs=2e-5)
+        assert res.chi_star == pytest.approx(v[k], abs=1e-8)
+        assert res.chi_star >= v[k] - 1e-12  # grid cannot beat the optimizer
 
 
 def test_maximize_chi_sum_validation():
-    with pytest.raises(ValidationError):
-        maximize_chi_sum([0.1, 0.2], [1.0])
-    with pytest.raises(ValidationError):
-        maximize_chi_sum([0.1], [-1.0])
-    with pytest.raises(ValidationError):
-        maximize_chi_sum([1.5], [1.0])
-    with pytest.raises(ValidationError):
-        maximize_chi_sum([], [])
-    for gammas, weights in ((["0.3"], [1.0]), ([0.3], [True])):  # the number rule
+    for gammas in ([1.5], [], ["0.3"], [True]):  # range, emptiness, the number rule
         with pytest.raises(ValidationError):
-            maximize_chi_sum(gammas, weights)
+            per_branch_suprema(gammas)
 
 
 def test_flat_curve_at_gamma_one():
-    res = maximize_chi_sum([1.0], [1.0], tol=1e-8)
-    assert res.value == 0.0  # argmax is meaningless here by contract
+    (res,) = per_branch_suprema([1.0], tol=1e-8)
+    assert res.chi_star == 0.0  # a_max is meaningless here by contract
 
 
 # --- lattice ensemble search ------------------------------------------------
@@ -183,7 +185,7 @@ def test_brute_force_never_beats_mirror_optimum():
     for gamma in (0.2, 0.6):
         ch = QubitChannel.amplitude_damping(gamma)
         v = brute_force_ensemble_search(ch, 3, 12)
-        star = maximize_chi_sum([gamma], [1.0]).value
+        star = per_branch_suprema([gamma])[0].chi_star
         assert v <= star + 1e-9
 
 
@@ -207,11 +209,9 @@ def test_brute_force_generic_kraus_path_agrees():
 
 
 def test_brute_force_depolarizing_hits_analytic_optimum():
-    from capscale import binary_entropy
-
     p = 0.2
     v = brute_force_ensemble_search(QubitChannel.depolarizing(p), 2, 16)
-    assert v == pytest.approx(1.0 - binary_entropy(p / 2.0), abs=1e-12)
+    assert v == pytest.approx(1.0 - oracles.binary_entropy(p / 2.0), abs=1e-12)
 
 
 def test_brute_force_validation_and_budget():
@@ -222,6 +222,12 @@ def test_brute_force_validation_and_budget():
         brute_force_ensemble_search(ch, 0, 16)
     with pytest.raises(ValidationError):
         brute_force_ensemble_search(ch, 4, 7)
+    for args, kwargs in (
+        ((2, 8.5), {}), ((2.0, 8), {}), ((True, 8), {}), ((2, "8"), {}),
+        ((2, 8), {"weight_steps": 2.5}), ((2, 8), {"weight_steps": True}),
+    ):  # the integer rule: fractions, bools and strings are refused, never truncated
+        with pytest.raises(ValidationError):
+            brute_force_ensemble_search(ch, *args, **kwargs)
     kr = QubitChannel.kraus(kraus_operators(ch))
     with pytest.raises(ValidationError):
         brute_force_ensemble_search(kr, 4, 20)  # literal enumeration too large

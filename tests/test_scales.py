@@ -17,7 +17,6 @@ from capscale import (
     compute_capacity_report,
     compute_random_scale_report,
     kraus_operators,
-    maximize_chi_sum,
     per_branch_suprema,
     run_trials,
     scale_r,
@@ -29,11 +28,12 @@ GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
 
 
 def test_capacity_pair_frozen():
-    res = maximize_chi_sum([0.0, 0.4], [1.0, 1.0])
-    cp = res.value / 2
+    report = compute_capacity_report([0.0, 0.4])
+    cp = report.cp
     assert cp == pytest.approx(0.771826859972801, abs=1e-10)
-    assert res.argmax == pytest.approx(0.535551975060546, abs=1e-6)
-    cbar = compute_capacity_report([0.0, 0.4]).cbar
+    argmax, _ = scales.maximize_subsets([0.0, 0.4], [(0, 1)])[(0, 1)]
+    assert argmax == pytest.approx(0.535551975060546, abs=1e-6)
+    cbar = report.cbar
     assert cbar == pytest.approx(0.776478353231424, abs=1e-10)
     # the joint ensemble is a strict compromise
     assert cbar - cp > 1e-6
@@ -186,8 +186,8 @@ def test_random_scale_worst_case_frozen():
     res = random_subset_scale((0.1, 0.4), (0.5, 0.5), (0, 1), tol=1e-8)
     # the higher-damping curve is lower everywhere, so the min is that branch
     assert res.c_delta == pytest.approx(0.552956706462849, abs=1e-10)
-    single = maximize_chi_sum([0.4], [1.0], tol=1e-8)
-    assert res.c_delta <= single.value + 1e-12
+    (single,) = per_branch_suprema([0.4], tol=1e-8)
+    assert res.c_delta <= single.chi_star + 1e-12
 
 
 def test_random_scale_validation():
@@ -260,7 +260,7 @@ def test_twelve_significant_digit_formatting(tmp_path):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Count Holevo kernel calls, subset maximizations and closed-form calls."""
+    """Count Holevo kernel calls and subset maximizations."""
     calls = collections.Counter()
 
     def count(name, fn):
@@ -274,12 +274,6 @@ def work_counts(monkeypatch):
     monkeypatch.setattr(
         scales, "maximize_concave_1d", count("maximizer", scales.maximize_concave_1d)
     )
-    # scales may hold no closed form at all; any call it makes to one counts
-    for mod in (scales, cli):
-        monkeypatch.setattr(
-            mod, "chi_ad_mirror", count("closed form", holevo.chi_ad_mirror), raising=False
-        )
-    monkeypatch.setattr(cli, "maximize_chi_sum", count("pair search", cli.maximize_chi_sum))
     return calls
 
 
@@ -288,16 +282,14 @@ def test_work_ceilings_of_reports(work_counts):
     compute_capacity_report(gammas)
     assert work_counts["maximizer"] == 1
     assert work_counts["kernel"] <= 50
-    assert work_counts["closed form"] == 0
 
     work_counts.clear()
     compute_random_scale_report(gammas[:6], [1 / 6] * 6)
     assert work_counts["maximizer"] == 1
     assert work_counts["kernel"] <= 50
-    assert work_counts["closed form"] == 0
 
 
-def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts):
+def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
     mc = MemoryChannel.random(
         [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4, 0.7)], [0.5, 0.3, 0.2]
     )
@@ -308,5 +300,9 @@ def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["ad-gap", "--grid", "11"]) == 0
     assert work_counts["maximizer"] == 1
-    assert work_counts["pair search"] == 0
-    assert work_counts["closed form"] == 0
+
+    work_counts.clear()
+    path = damping_channel_file(tmp_path, (0.1, 0.4, 0.7), {"kind": "periodic"})
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["amax", path]) == 0
+    assert work_counts["maximizer"] == 1  # the root bracket is no maximization
