@@ -172,9 +172,11 @@ def cmd_chi(args) -> int:
 
 
 # Root bracket of the damping derivative: the optimum sits at a >= 1/2,
-# and the derivative is singular at a = 1.
+# and the derivative is singular at a = 1. The root is bisected to a fixed
+# AD_ROOT_TOL, whatever --tol is, so abs_diff is the printed a_max's error.
 AD_SEARCH_LO = 0.5 - 1e-3
 AD_SEARCH_HI = 1.0 - 1e-9
+AD_ROOT_TOL = 1e-12
 
 
 def cmd_amax(args) -> int:
@@ -193,7 +195,7 @@ def cmd_amax(args) -> int:
     rows = []
     for i, (ch, s) in enumerate(zip(mc.branches, scales.per_branch_suprema(mc.branches, tol))):
         root = find_root_bisection(
-            lambda a: dchi_da_ad(ch.gamma, a), AD_SEARCH_LO, AD_SEARCH_HI, tol
+            lambda a: dchi_da_ad(ch.gamma, a), AD_SEARCH_LO, AD_SEARCH_HI, AD_ROOT_TOL
         )
         rows.append((i, ch.gamma, s.a_max, root, abs(s.a_max - root)))
     _emit(args, ("branch", "gamma", "a_max_search", "a_max_root", "abs_diff"), rows)

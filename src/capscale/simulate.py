@@ -12,7 +12,7 @@ error floors at the usual 1/sqrt(n) pace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,9 @@ from .scales import (
 # success indicator would hinge on noise in the final optimizer digits.
 RATE_MARGIN = 1e-12
 
-# Memory budget of one simulation: each trial keeps its drawn branch (8
-# bytes) and its success flag (1 byte), and drawing peaks at about 16
-# bytes a trial; at the cap that is 0.9 GB kept and 1.6 GB at the peak.
+# Largest trial count of one simulation. The draw is one multinomial count
+# per branch, so its memory does not grow with n_trials; the cap keeps the
+# accepted counts to a stated range.
 MAX_TRIALS = 10**8
 
 
@@ -79,8 +79,7 @@ class SimResult:
     theoretical_error: float
     empirical_error: float
     max_branch_error: float
-    branches: np.ndarray = field(repr=False)
-    successes: np.ndarray = field(repr=False)
+    counts: np.ndarray  # draws per branch, length L
 
 
 def _branch_probs(mc: MemoryChannel) -> np.ndarray:
@@ -106,14 +105,19 @@ def _subset_prob(mc: MemoryChannel, subset) -> float:
     return float(sum(mc.q[i] for i in subset))
 
 
-def _success(probs: np.ndarray, strategy: Strategy, value: float) -> np.ndarray:
-    if abs(strategy.rate - value) <= RATE_MARGIN:
+def _clears(rate: float, subset, value: float) -> bool:
+    """Whether rate is below `value`, the rate of subset; refused within RATE_MARGIN."""
+    if abs(rate - value) <= RATE_MARGIN:
         raise ValidationError(
-            f"rate {strategy.rate!r} is within {RATE_MARGIN} of the subset rate "
-            f"{value!r}; the outcome is indeterminate at this precision"
+            f"rate {rate!r} is within {RATE_MARGIN} of the rate {value!r} of subset "
+            f"{subset}; the outcome is indeterminate at this precision"
         )
+    return rate < value
+
+
+def _success(probs: np.ndarray, strategy: Strategy, value: float) -> np.ndarray:
     success = np.zeros(len(probs), dtype=bool)
-    if strategy.rate < value:
+    if _clears(strategy.rate, strategy.subset, value):
         success[list(strategy.subset)] = True
     return success
 
@@ -133,13 +137,14 @@ def run_trials(
 ) -> SimResult:
     """Draw branches and score the strategy against the success oracle.
 
-    Uses a counter-based generator and a single vectorized draw, so the
-    result depends only on (seed, n_trials), not on evaluation order.
-    A branch either always or never succeeds, so every statistic follows
-    from the count of draws per branch: empirical_error is the fraction
-    of draws that landed on failing branches, and max_branch_error, the
-    worst per-branch failure rate among drawn branches, is 1.0 if any
-    failing branch was drawn and 0.0 otherwise.
+    A branch either always or never succeeds, so the count of draws per
+    branch is a sufficient statistic: the n_trials draws are one
+    multinomial sample of those counts from a counter-based generator, in
+    time and memory of order L, and the result depends only on (seed,
+    n_trials). empirical_error is the fraction of draws that landed on
+    failing branches, and max_branch_error, the worst per-branch failure
+    rate among drawn branches, is 1.0 if any failing branch was drawn and
+    0.0 otherwise.
     n_trials must lie in [1, MAX_TRIALS] and the seed in [0, 2**128), the
     generator's key range.
     """
@@ -154,9 +159,9 @@ def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int)
     probs = _branch_probs(mc)
     success = _success(probs, strategy, value)
 
+    # q may miss 1 by up to 1e-10; the draw alone needs it normalized
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.choice(len(probs), size=n_trials, p=probs)
-    counts = np.bincount(draws, minlength=len(probs))
+    counts = rng.multinomial(n_trials, probs / probs.sum())
     return SimResult(
         n_trials=n_trials,
         seed=seed,
@@ -164,10 +169,9 @@ def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int)
         subset_rate=value,
         q_subset=_subset_prob(mc, strategy.subset),
         theoretical_error=1.0 - float(probs[success].sum()),
-        empirical_error=1.0 - float(counts[success].sum() / len(draws)),
+        empirical_error=1.0 - float(counts[success].sum() / n_trials),
         max_branch_error=float(counts[~success].any()),
-        branches=draws,
-        successes=success[draws],
+        counts=counts,
     )
 
 
@@ -186,18 +190,11 @@ def _best_subset_for_rate(rate, candidates):
     """Largest-probability subset whose rate clears the attempted rate."""
     best = None
     for subset, value, q in candidates:
-        if abs(rate - value) <= RATE_MARGIN:
-            raise ValidationError(
-                f"rate {rate!r} is within {RATE_MARGIN} of the rate of subset "
-                f"{subset}; pick a rate away from the thresholds"
-            )
-        if value > rate:
+        if _clears(rate, subset, value):
             key = (q, -len(subset), tuple(-i for i in subset))
             if best is None or key > best[0]:
                 best = (key, subset, value, q)
-    if best is None:
-        return None
-    return best[1:]
+    return None if best is None else best[1:]
 
 
 def empirical_staircase(

@@ -7,7 +7,7 @@ import pytest
 import capscale.cli as cli
 from capscale import NumericalError
 from capscale.channels import MARKOV_LAW_ONLY
-from conftest import run_to_file
+from conftest import damping_channel_file, run_to_file
 
 
 PER4 = {
@@ -89,6 +89,16 @@ def test_amax_command(channel_files, tmp_path):
     assert len(chi_rows) == len(lines) - 1 == 3
     for line, chi_line in zip(lines[1:], chi_rows):
         assert line.split(",")[2] == chi_line.split(",")[3]
+
+
+def test_amax_root_at_fixed_precision(tmp_path):
+    # the root is bisected to 1e-12 whatever --tol is; at gamma = 0 it is 1/2
+    path = damping_channel_file(tmp_path, (0.0, 0.5), {"kind": "periodic"})
+    rc, text = run_to_file(tmp_path, ["amax", path, "--format", "json"])
+    assert rc == 0
+    rows = json.loads(text)
+    assert rows[0]["gamma"] == 0.0
+    assert abs(rows[0]["a_max_root"] - 0.5) <= 1e-12
 
 
 def test_capacity_periodic_json(channel_files, tmp_path):

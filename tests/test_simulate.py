@@ -1,15 +1,18 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import capscale.cli as cli
 from capscale import (
     MemoryChannel,
     QubitChannel,
     Strategy,
     ValidationError,
+    compute_capacity_report,
     empirical_staircase,
     run_trials,
     subset_scale_value,
@@ -93,15 +96,16 @@ def test_run_trials_deterministic():
     strat = Strategy((0, 1), 0.5)
     a = run_trials(mc, strat, 5000, seed=123)
     b = run_trials(mc, strat, 5000, seed=123)
-    assert np.array_equal(a.branches, b.branches)
+    assert np.array_equal(a.counts, b.counts)
     assert a.empirical_error == b.empirical_error
     c = run_trials(mc, strat, 5000, seed=124)
-    assert not np.array_equal(a.branches, c.branches)
+    assert not np.array_equal(a.counts, c.counts)
 
 
-def per_branch_errors(res) -> list[float]:
-    """Failure rate of each drawn branch, from the per-trial records."""
-    return [1.0 - res.successes[res.branches == i].mean() for i in np.unique(res.branches)]
+def per_branch_errors(mc, res) -> list[float]:
+    """Failure rate of each drawn branch, from its draw count and the oracle."""
+    ok = success_oracle(mc, res.strategy)
+    return [1.0 - float(ok[i]) for i in np.flatnonzero(res.counts)]
 
 
 def test_run_trials_statistics():
@@ -113,18 +117,52 @@ def test_run_trials_statistics():
     assert abs(res.empirical_error - 0.5) <= 4.0 * sigma
     assert res.max_branch_error == 1.0  # branches 2 and 3 always fail
     assert res.subset_rate == pytest.approx(0.667153683345, abs=1e-9)
-    assert len(res.branches) == len(res.successes) == n
-    assert np.array_equal(res.successes, np.isin(res.branches, (0, 1)))
-    assert res.max_branch_error == max(per_branch_errors(res))
-    assert res.empirical_error == 1.0 - res.successes.mean()
+    assert len(res.counts) == 4 and res.counts.sum() == n
+    ok = success_oracle(mc, res.strategy)
+    assert ok.tolist() == [True, True, False, False]
+    assert res.max_branch_error == max(per_branch_errors(mc, res))
+    assert res.empirical_error == 1.0 - res.counts[ok].sum() / n
 
     # random memory that never draws the branch outside the subset
     branches = [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4, 0.7)]
-    res = run_trials(MemoryChannel.random(branches, [0.6, 0.4, 0.0]), Strategy((0, 1), 0.5), n, 7)
-    assert set(np.unique(res.branches)) == {0, 1}
-    assert res.successes.all()
-    assert res.max_branch_error == max(per_branch_errors(res)) == 0.0
+    mc = MemoryChannel.random(branches, [0.6, 0.4, 0.0])
+    res = run_trials(mc, Strategy((0, 1), 0.5), n, 7)
+    assert res.counts.sum() == n and res.counts[2] == 0 and res.counts[:2].all()
+    assert res.max_branch_error == max(per_branch_errors(mc, res)) == 0.0
     assert res.empirical_error == res.theoretical_error == 0.0
+
+
+def test_run_trials_draws_from_q_off_by_rounding(tmp_path):
+    # q may miss 1 by up to 1e-10; the draw normalizes it, the statistics do not
+    q = [0.5 + 5e-11, 0.5, 0.0]
+    gammas = (0.1, 0.4, 0.7)
+    mc = MemoryChannel.random([QubitChannel.amplitude_damping(g) for g in gammas], q)
+    res = run_trials(mc, Strategy((0,), 0.6), 1000, seed=3)
+    assert res.counts.sum() == 1000 and res.counts[2] == 0
+    assert res.q_subset == q[0] and res.theoretical_error == 1.0 - q[0]
+    rows = empirical_staircase(mc, [0.3, 0.6, 0.9], 1000, seed=3)
+    assert [r.subset for r in rows] == [(0, 1), (0,), ()]  # ties prefer smaller
+    assert [r.n_trials for r in rows] == [1000] * 3
+    path = damping_channel_file(tmp_path, gammas, {"kind": "random", "q": q})
+    for extra in (["--rate", "0.3,0.6,0.9"], ["--rate", "0.6", "--subset", "0"]):
+        rc, text = run_to_file(tmp_path, ["simulate", path, "--trials", "1000", *extra])
+        assert rc == 0 and len(text.splitlines()) == 1 + len(extra[1].split(","))
+
+
+def test_memory_ceiling_of_run_trials():
+    # the draw is one count per branch: its memory does not grow with n_trials
+    mc, strategy = periodic4(), Strategy((0, 1), 0.5)
+    run_trials(mc, strategy, 10**3, seed=1)  # first call: imports and caches
+    peaks = []
+    for n_trials in (10**3, 10**6):
+        tracemalloc.start()
+        try:
+            run_trials(mc, strategy, n_trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+    assert run_trials(mc, strategy, MAX_TRIALS, seed=1).counts.sum() == MAX_TRIALS
 
 
 @pytest.mark.parametrize(
@@ -190,6 +228,19 @@ def test_empirical_staircase_validation():
     assert empirical_staircase(mc, [5.0], 100, 2**128 - 1)[0].seed == 2**128 - 1
     with pytest.raises(ValidationError, match="seed"):
         empirical_staircase(mc, [0.3, 5.0], 100, 2**128 - 1)
+
+
+def test_empirical_staircase_rejects_rate_at_a_subset_rate(tmp_path, capsys):
+    # every candidate subset is checked, not only the one picked: at the rate
+    # of level r the subset on that threshold has size r, and any pick is smaller
+    report = compute_capacity_report(periodic4().branches)
+    for r in (1, 2, 3, 4):
+        with pytest.raises(ValidationError, match="within 1e-12 of the rate"):
+            empirical_staircase(periodic4(), [report.scale[r].value], 1000, seed=1)
+    path = damping_channel_file(tmp_path, GAMMAS4, {"kind": "periodic"})
+    assert cli.main(["simulate", path, "--rate", repr(report.scale[2].value)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 def test_staircase_csv_format(tmp_path):
