@@ -10,7 +10,6 @@ from .errors import NumericalError, ValidationError
 from .holevo import chi_mirror_family, dchi_da_ad
 from .optim import (
     OptResult,
-    brute_force_ensemble_search,
     find_root_bisection,
     maximize_concave_1d,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "chi_mirror_family",
     "dchi_da_ad",
     "OptResult",
-    "brute_force_ensemble_search",
     "find_root_bisection",
     "maximize_concave_1d",
     "BranchSupremum",

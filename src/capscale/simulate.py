@@ -69,7 +69,8 @@ class Strategy:
         object.__setattr__(self, "rate", _check_rate(self.rate))
 
 
-@dataclass(frozen=True)
+# A result holds an array, so it compares and hashes by identity.
+@dataclass(frozen=True, eq=False)
 class SimResult:
     n_trials: int
     seed: int
@@ -168,7 +169,8 @@ def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int)
         strategy=strategy,
         subset_rate=value,
         q_subset=_subset_prob(mc, strategy.subset),
-        theoretical_error=1.0 - float(probs[success].sum()),
+        # q may sum to 1 + 1e-10; an error probability stays nonnegative
+        theoretical_error=max(0.0, 1.0 - float(probs[success].sum())),
         empirical_error=1.0 - float(counts[success].sum() / n_trials),
         max_branch_error=float(counts[~success].any()),
         counts=counts,

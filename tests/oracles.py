@@ -1,9 +1,10 @@
 """Density-matrix oracles for the Bloch-vector library: plain numpy
-transcriptions of Kraus sums, eigenvalue entropies and the Holevo quantity.
-Nothing here imports capscale.holevo or capscale.linalg, so a test that
-compares the two compares two independent computations.
+transcriptions of Kraus sums, eigenvalue entropies and the Holevo quantity,
+and a lattice search over small ensembles. Nothing here imports capscale,
+so a test that compares the two compares two independent computations.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -42,3 +43,85 @@ def mirror_pair(a):
 def bloch_vector(rho):
     """Bloch vector (x, y, z) of a qubit state rho = (I + x X + y Y + z Z) / 2."""
     return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+# --- lattice ensemble search --------------------------------------------------
+#
+# The best Holevo quantity over small pure-state ensembles on a sphere
+# lattice (polar angles i*pi/(grid-1), azimuths 2*pi*k/grid) and a simplex
+# weight grid with denominator weight_steps (default grid). Both entry
+# points take a list of Kraus operators; the result is an exact maximum over
+# the lattice, so it is monotone under grid refinement and in n_states.
+
+_PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
+def kraus_bloch_map(ops):
+    """(M, t) of r -> M r + t, from the outputs on I/2 and (I + σ_j)/2."""
+    t = bloch_vector(apply_kraus(ops, np.eye(2) / 2.0))
+    cols = [bloch_vector(apply_kraus(ops, (np.eye(2) + s) / 2.0)) - t for s in _PAULIS]
+    return np.column_stack(cols), t
+
+
+def radius_entropy(r):
+    """Entropy in bits of qubit states of Bloch radius r, elementwise."""
+    lam = np.clip((1.0 - r) / 2.0, 0.0, 0.5)  # the smaller eigenvalue
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(lam * np.log2(lam) + (1.0 - lam) * np.log2(1.0 - lam))
+    return np.where(lam > 0.0, h, 0.0)
+
+
+def weight_grid(n, steps):
+    """All probability vectors with denominator steps, plus the uniform one."""
+    cuts = np.array(list(itertools.combinations_with_replacement(range(steps + 1), n - 1)))
+    edges = np.hstack([np.zeros((len(cuts), 1)), cuts, np.full((len(cuts), 1), steps)])
+    return np.vstack([np.diff(edges, axis=1) / steps, np.full((1, n), 1.0 / n)])
+
+
+def lattice_search_covariant(ops, n_states, grid, weight_steps=None):
+    """The lattice optimum of a z-covariant channel, by mirror-symmetric azimuths.
+
+    For M = diag(τ, τ, m_z) and t = (0, 0, t_z) the Holevo quantity depends on
+    the azimuths only through the length of the average transverse Bloch
+    component, and grows as that length shrinks. So each polar-angle
+    multiset only needs azimuths 0 or pi, with the sign pattern that
+    cancels the transverse component best.
+    """
+    M, t = kraus_bloch_map(ops)
+    tau, mz, tz = M[0, 0], M[2, 2], t[2]
+    assert np.abs(M - np.diag([tau, tau, mz])).max() <= 1e-12, "M is not diag(τ, τ, m_z)"
+    assert np.abs(t[:2]).max() <= 1e-12, "t is not along z"
+    wt = weight_grid(n_states, weight_steps or grid).T  # (n, W)
+    theta = np.linspace(0.0, math.pi, grid)
+    z, perp = np.cos(theta), np.sin(theta)
+    cond = radius_entropy(np.hypot(tau * perp, tz + mz * z))
+    combos = np.array(list(itertools.combinations_with_replacement(range(grid), n_states)))
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=n_states - 1)))
+    signs = np.hstack([np.ones((len(signs), 1)), signs])  # fix a global sign
+
+    def evaluate(idx):
+        tmin = np.abs((perp[idx] * signs[0]) @ wt)
+        for sg in signs[1:]:
+            np.minimum(tmin, np.abs((perp[idx] * sg) @ wt), out=tmin)
+        radius = np.hypot(tau * tmin, tz + mz * (z[idx] @ wt))
+        return radius_entropy(radius) - cond[idx] @ wt
+
+    chunk = max(1, 4_000_000 // wt.shape[1])  # about 32 MB per array
+    return max(float(evaluate(combos[i:i + chunk]).max()) for i in range(0, len(combos), chunk))
+
+
+def lattice_search_literal(ops, n_states, grid, weight_steps=None):
+    """The lattice optimum over every n_states-subset of lattice states, in one
+    batch: feasible for small grids only (grid 8 and 3 states take about 20 MB)."""
+    M, t = kraus_bloch_map(ops)
+    w = weight_grid(n_states, weight_steps or grid)  # (W, n)
+    th = np.pi * np.arange(1, grid - 1) / (grid - 1)
+    ph = 2.0 * np.pi * np.arange(grid) / grid
+    th, ph = np.repeat(th, grid), np.tile(ph, grid - 2)
+    ring = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], -1)
+    states = np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], ring])  # poles once
+    out = states @ M.T + t
+    cond = radius_entropy(np.linalg.norm(out, axis=-1))
+    idx = np.array(list(itertools.combinations(range(len(states)), n_states)))
+    avg = np.einsum("wn,cnd->cwd", w, out[idx])
+    return float((radius_entropy(np.linalg.norm(avg, axis=-1)) - cond[idx] @ w.T).max())

@@ -21,6 +21,7 @@ import pytest
 
 import capscale as cs
 import capscale.scales as scales
+import oracles
 from conftest import chi_ad_grid, random_density
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
@@ -168,7 +169,8 @@ def test_criterion_08_lattice_search_vs_mirror_pair():
             0.7: 0.31138613242802293,
         }
         for (g, expect), sup in zip(frozen.items(), cs.per_branch_suprema(list(frozen))):
-            v = cs.brute_force_ensemble_search(cs.QubitChannel.amplitude_damping(g), 4, 24)
+            ops = cs.kraus_operators(cs.QubitChannel.amplitude_damping(g))
+            v = oracles.lattice_search_covariant(ops, 4, 24)
             star = sup.chi_star
             assert v - star < 1e-3
             assert star - v < 1e-3

@@ -149,6 +149,29 @@ def test_run_trials_draws_from_q_off_by_rounding(tmp_path):
         assert rc == 0 and len(text.splitlines()) == 1 + len(extra[1].split(","))
 
 
+def test_theoretical_error_is_never_negative(tmp_path):
+    # q sums to 1 + 5e-11, so the mass outside subset (0, 1) rounds below zero
+    q = [0.5 + 5e-11, 0.5, 0.0]
+    gammas = (0.1, 0.4, 0.7)
+    mc = MemoryChannel.random([QubitChannel.amplitude_damping(g) for g in gammas], q)
+    (row,) = empirical_staircase(mc, [0.3], 1000, seed=1)
+    assert row.subset == (0, 1) and row.theoretical_error == 0.0
+    assert run_trials(mc, Strategy((0, 1), 0.3), 1000, seed=1).theoretical_error == 0.0
+    path = damping_channel_file(tmp_path, gammas, {"kind": "random", "q": q})
+    for extra in ([], ["--subset", "0,1"]):
+        argv = ["simulate", path, "--rate", "0.3", "--trials", "1000", "--seed", "1"]
+        rc, text = run_to_file(tmp_path, argv + extra + ["--format", "json"])
+        (out,) = json.loads(text)
+        assert rc == 0 and out["theoretical_error"] == 0.0
+
+
+def test_sim_result_compares_and_hashes_by_identity():
+    # a result holds an array, so == and hash() go by identity and never raise
+    a, b = (run_trials(periodic4(), Strategy((0, 1), 0.5), 100, seed=1) for _ in range(2))
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert len({a, a, b}) == 2
+
+
 def test_memory_ceiling_of_run_trials():
     # the draw is one count per branch: its memory does not grow with n_trials
     mc, strategy = periodic4(), Strategy((0, 1), 0.5)
