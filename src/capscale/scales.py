@@ -9,6 +9,7 @@ the subsets that achieve them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,14 +24,25 @@ from .optim import maximize_concave_1d
 # Subset enumeration is exponential in the number of branches.
 MAX_BRANCHES = 12
 
-# Strictly-greater margin for deterministic subset tie-breaking.
+# A scale level picks the first subset, in lexicographic order, whose rate
+# is within this margin of the level's best rate.
 _TIE_EPS = 1e-12
+
+# Rounding margin of the prune. A rate and its bounds are sums of at most
+# MAX_BRANCHES**2 terms below one bit each, rounded to within about 1e-14.
+_PRUNE_PAD = 1e-12
 
 # Scan grid of the mirror parameter; a maximization refines the best grid
 # point of the combined curves within two grid steps on either side.
 _SCAN = np.linspace(1e-9, 1.0 - 1e-9, 257)
 
-# Subsets whose scan rows are gathered at once when bracketing.
+# Grid of the prune's bounds, _FINE steps per scan step; a subset's bounds
+# come from the _WINDOW points of this grid around its bracket.
+_FINE = 16
+_FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
+_WINDOW = 4 * _FINE + 1
+
+# Subsets whose grid rows are gathered at once.
 _SCAN_BLOCK = 16
 
 
@@ -44,6 +56,110 @@ def _as_channels(branches) -> tuple[QubitChannel, ...]:
     return out
 
 
+class _Sweep:
+    """A subset sweep: each subset's bracket on the scan grid, its bounds, its refinement.
+
+    reduce (np.add or np.minimum) combines a subset's branch curves. Each
+    branch's curve is evaluated once on the scan grid, and each subset's
+    grid argmax k of its combined scan rows, two steps to either side,
+    brackets its maximizer.
+    """
+
+    def __init__(self, channels, subsets, reduce):
+        self.M = np.array([ch.bloch_map[0] for ch in channels])
+        self.t = np.array([ch.bloch_map[1] for ch in channels])
+        self.reduce = reduce
+        self.subsets = subsets
+        self.members, self.bounds = _pairs(subsets)
+        scan = self._curves(_SCAN)
+
+        def grid_argmax(p0, p1, b):
+            return reduce.reduceat(scan[self.members[p0:p1]], b).argmax(axis=1)
+
+        self.k = self._blockwise(grid_argmax)
+
+    def _curves(self, a):  # (branch, point)
+        return chi_mirror_family((self.M[:, None], self.t[:, None]), a)
+
+    def _blockwise(self, fn):
+        """fn(first pair, end pair, local run starts) on blocks of subsets.
+
+        The results are joined on their last axis.
+        """
+        blocks = range(0, len(self.subsets), _SCAN_BLOCK)
+        runs = (self.bounds[i:i + _SCAN_BLOCK + 1] for i in blocks)
+        return np.concatenate([fn(b[0], b[-1], b[:-1] - b[0]) for b in runs], axis=-1)
+
+    def bounds_of_maxima(self):
+        """Lower and upper bounds on each subset's combined curve's maximum, shape (2, subsets).
+
+        They come from the curves on _FINE_GRID, evaluated once per branch over
+        the span of the brackets and gathered per subset from the window that
+        holds its bracket (shifted inside the grid at its ends).
+        """
+        start = np.clip(_FINE * (self.k - 2), 0, len(_FINE_GRID) - _WINDOW)
+        first = start.min()
+        fine = self._curves(_FINE_GRID[first:start.max() + _WINDOW])
+        cols = start - first
+        lane = np.repeat(np.arange(len(self.subsets)), np.diff(self.bounds))
+
+        def window_sums(p0, p1, b):  # (window point, subset)
+            rows = fine[self.members[p0:p1, None], cols[lane[p0:p1], None] + np.arange(_WINDOW)]
+            return self.reduce.reduceat(rows, b).T
+
+        return _peak_bounds(self._blockwise(window_sums).T)
+
+    def refine(self, lanes, tol):
+        """Refine the brackets of the subsets at lanes in one lockstep search.
+
+        The golden-section search makes one Holevo kernel call per step, over
+        the stacked Bloch maps of all those subsets' (subset, member) pairs.
+        """
+        members, bounds = _pairs([self.subsets[i] for i in lanes])
+        k = self.k[lanes]
+        lo = _SCAN[np.maximum(k - 2, 0)]
+        hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
+        maps = (self.M[members], self.t[members])
+        lane = np.repeat(np.arange(len(lanes)), np.diff(bounds))
+
+        def combined(a):
+            return self.reduce.reduceat(chi_mirror_family(maps, a[lane]), bounds[:-1])
+
+        return maximize_concave_1d(combined, lo, hi, tol)
+
+
+def _pairs(subsets):
+    """The branch of each (subset, member) pair, and where each subset's pairs start and end."""
+    return np.concatenate(subsets), np.append(0, np.cumsum([len(s) for s in subsets]))
+
+
+def _peak_bounds(F) -> np.ndarray:
+    """Lower and upper bounds on the maxima of concave curves sampled on the rows of F.
+
+    The lower bound is a row's largest sample, at j. The maximum lies within
+    a step of j, where the curve lies below both the chord through samples
+    j-2, j-1 extended right and the chord through j+1, j+2 extended left;
+    the upper bound is the highest point below both. A chord that runs off
+    the row's end caps nothing. Returns shape (2, rows).
+    """
+    cols = F.argmax(axis=1)[:, None] + np.arange(-2, 3)  # samples j-2 .. j+2
+    inside = (cols >= 0) & (cols < F.shape[1])
+    near = np.take_along_axis(F, np.clip(cols, 0, F.shape[1] - 1), axis=1)
+    near[~inside] = -np.inf
+    p, q, top, r, s = near.T
+    # a missing sample is -inf: its chord's rise is +inf or nan, and the nan
+    # points it gives are skipped by fmin and fmax
+    with np.errstate(invalid="ignore", divide="ignore"):
+        up, down = q - p, r - s
+
+        def cap(u):  # the lower chord at u steps right of sample j-1, u in [0, 2]
+            return np.fmin(q + up * u, r + down * (2.0 - u))
+
+        cross = np.clip((r + 2.0 * down - q) / (up + down), 0.0, 2.0)
+        upper = np.fmax(np.fmax(cap(0.0), cap(2.0)), cap(cross))
+    return np.stack([top, upper])
+
+
 def maximize_subsets(branches, subsets, reduce=np.add, tol: float = 1e-8) -> dict:
     """Best mirror pair of every subset's combined branch curves, at once.
 
@@ -55,28 +171,9 @@ def maximize_subsets(branches, subsets, reduce=np.add, tol: float = 1e-8) -> dic
     bracket, with one Holevo kernel call per step over the stacked Bloch
     maps of all (subset, member) pairs. Returns {subset: (argmax, value)}.
     """
-    channels = _as_channels(branches)
     subsets = list(dict.fromkeys(subsets))
-    M = np.array([ch.bloch_map[0] for ch in channels])
-    t = np.array([ch.bloch_map[1] for ch in channels])
-    scan = chi_mirror_family((M[:, None], t[:, None]), _SCAN)  # (branch, grid point)
-    sizes = np.array([len(s) for s in subsets])
-    members = np.concatenate(subsets)  # branch of each (subset, member) pair
-    bounds = np.append(0, np.cumsum(sizes))  # each subset's pairs
-    # grid argmax of each subset's combined scan rows, a block of subsets at a time
-    blocks = (bounds[i:i + _SCAN_BLOCK + 1] for i in range(0, len(subsets), _SCAN_BLOCK))
-    k = np.concatenate([
-        reduce.reduceat(scan[members[b[0]:b[-1]]], b[:-1] - b[0]).argmax(axis=1) for b in blocks
-    ])
-    lo = _SCAN[np.maximum(k - 2, 0)]
-    hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
-    maps = (M[members], t[members])
-    lane = np.repeat(np.arange(len(subsets)), sizes)
-
-    def combined(a):
-        return reduce.reduceat(chi_mirror_family(maps, a[lane]), bounds[:-1])
-
-    res = maximize_concave_1d(combined, lo, hi, tol)
+    sweep = _Sweep(_as_channels(branches), subsets, reduce)
+    res = sweep.refine(np.arange(len(subsets)), tol)
     return {s: (float(a), float(v)) for s, a, v in zip(subsets, res.argmax, res.value)}
 
 
@@ -139,12 +236,19 @@ def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
     return [s for r in sizes for s in itertools.combinations(range(L), r)]
 
 
-def _rotations(subset, L: int) -> list[tuple[int, ...]]:
-    return [tuple(sorted((m + k) % L for m in subset)) for k in range(L)]
+def _masks(members, bounds) -> np.ndarray:
+    """Subsets as bitmasks (bit m set for member m), from their stacked members."""
+    return np.bitwise_or.reduceat(1 << members, bounds[:-1])
 
 
-def _subset_value(best: dict, subset: tuple[int, ...], L: int) -> float:
-    return sum(best[rotated][1] for rotated in _rotations(subset, L)) / (len(subset) * L)
+def _rotations(masks, L: int) -> np.ndarray:
+    """Cyclic rotations of bitmask subsets, shape (subsets, L).
+
+    Column k moves each member m to (m + k) mod L.
+    """
+    k = np.arange(L)
+    masks = np.asarray(masks)[:, None]
+    return ((masks << k) | (masks >> (L - k))) & ((1 << L) - 1)
 
 
 def check_indices(subset, what: str = "subset") -> tuple[int, ...]:
@@ -181,45 +285,123 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     channels = _as_channels(branches)
     L = len(channels)
     subset = _check_subset(subset, L)
-    best = maximize_subsets(channels, _rotations(subset, L), np.add, tol)
-    return _subset_value(best, subset, L)
+    (masks,) = _rotations(_masks(*_pairs([subset])), L)
+    rotations = [tuple(i for i in range(L) if m >> i & 1) for m in masks]
+    best = maximize_subsets(channels, rotations, np.add, tol)
+    return sum(best[rotated][1] for rotated in rotations) / (len(subset) * L)
 
 
-def _best_subset(best: dict, L: int, r: int) -> ScaleEntry:
-    """Best subset of size r and its rate; first subset in lex order wins ties."""
-    best_val = -math.inf
-    best_subset = None
-    for subset in itertools.combinations(range(L), r):
-        v = _subset_value(best, subset, L)
-        if v > best_val + _TIE_EPS:
-            best_val, best_subset = v, subset
-    return ScaleEntry(best_val, best_subset)
+def _best_subset(rated) -> ScaleEntry:
+    """The first (subset, rate) of rated whose rate is within _TIE_EPS of the best.
+
+    rated is in lexicographic order. Leaving out a subset rated more than
+    _TIE_EPS below the best cannot change this pick, as it could for a scan
+    that replaces its pick on each gain above _TIE_EPS.
+    """
+    top = max(v for _, v in rated)
+    return next(ScaleEntry(v, s) for s, v in rated if v >= top - _TIE_EPS)
+
+
+def _scale_levels(channels, sizes, tol: float) -> tuple[dict, dict]:
+    """Best subset of each size in sizes, refining only the subsets that can win.
+
+    A size-r subset's rate is the sum of its L rotations' maxima over rL.
+    Each summed curve is concave, so its samples on a grid 16 times finer
+    than the scan bound its maximum from below (the best sample) and from
+    above (where the secant lines either side of that sample meet); a
+    subset's rate bounds are its rotations' bounds summed over rL. At a
+    level with 1 < r < L, a subset is refined only if its upper rate plus
+    _PRUNE_PAD reaches the level's best lower rate less _TIE_EPS; the
+    singletons (the per-branch suprema) and the full set are always
+    refined. One lockstep search refines the rotations of the kept subsets.
+    A pruned subset must then lie more than _TIE_EPS below its level's best
+    refined rate; one that does not (only a coarse tol falls that far short
+    of the lower bounds) is refined in another search. So no pruned subset
+    can be the pick of _best_subset, and each level's pick and rate are
+    those that refining every subset gives.
+
+    Returns {r: ScaleEntry} and {subset: (argmax, value)} of the refined subsets.
+    """
+    L = len(channels)
+    subsets = _all_subsets(L, sizes)  # size-major, then lexicographic
+    sweep = _Sweep(channels, subsets, np.add)
+    masks = _masks(sweep.members, sweep.bounds)
+    row = np.zeros(1 << L, dtype=int)
+    row[masks] = np.arange(len(subsets))
+    rot = row[_rotations(masks, L)]  # the row of each subset's k-th rotation
+    size = np.diff(sweep.bounds)
+    per = size * L
+    counts = [math.comb(L, r) for r in sizes]
+    ends = np.cumsum(counts)
+    starts = ends - counts  # each level's rows
+
+    def level_max(x):
+        return np.repeat(np.maximum.reduceat(x, starts), ends - starts)
+
+    # the singletons are the per-branch suprema, and the full set is alone
+    # at its level: only the levels between them take bounds
+    keep = (size == 1) | (size == L)
+    upper = np.full(len(subsets), np.inf)
+    if not keep.all():
+        lower, upper = sweep.bounds_of_maxima()[:, rot].sum(axis=-1) / per
+        keep |= upper + _PRUNE_PAD >= level_max(lower) - _TIE_EPS
+    argmax, value = np.full((2, len(subsets)), np.nan)
+    rate = np.full(len(subsets), -np.inf)
+    while True:
+        wanted = np.zeros(len(subsets), dtype=bool)
+        wanted[rot[keep]] = True
+        lanes = np.flatnonzero(wanted & np.isnan(value))
+        if len(lanes):
+            res = sweep.refine(lanes, tol)
+            argmax[lanes], value[lanes] = res.argmax, res.value
+        # rotation values summed in the order k = 0..L-1
+        rate[keep] = functools.reduce(np.add, value[rot[keep]].T) / per[keep]
+        more = ~keep & (upper + _PRUNE_PAD >= level_max(rate) - _TIE_EPS)
+        if not more.any():
+            break
+        keep |= more
+    scale = {
+        int(size[a]): _best_subset([(subsets[i], float(rate[i])) for i in range(a, b) if keep[i]])
+        for a, b in zip(starts, ends)
+    }
+    refined = np.flatnonzero(~np.isnan(value))
+    best = {subsets[i]: (float(argmax[i]), float(value[i])) for i in refined}
+    return scale, best
 
 
 def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
-    """Best subset of size r and its rate; first subset in lex order wins ties."""
+    """Best subset of size r and its rate.
+
+    The pick is the first size-r subset in lexicographic order whose rate
+    is within _TIE_EPS of the best size-r rate. Only the subsets whose
+    bounds let them reach that margin are refined (see _scale_levels); the
+    pick and its rate are those of refining every subset.
+    """
     channels = _as_channels(branches)
     L = len(channels)
     if not 1 <= r <= L:
         raise ValidationError(f"r must be in [1, {L}], got {r}")
     # the rotations of a size-r subset are size-r subsets
-    best = maximize_subsets(channels, _all_subsets(L, [r]), np.add, tol)
-    return _best_subset(best, L, r)
+    scale, _ = _scale_levels(channels, [r], tol)
+    return scale[r]
 
 
 def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
     """Full periodic report: capacities, per-branch suprema, all scale levels.
+
+    Each level is picked as in scale_r, from one lockstep search over the
+    rotations of the subsets that can win their level, every singleton and
+    the full set.
 
     Raises NumericalError if the computed hierarchy fails its own sanity
     checks (endpoints must match the capacities, levels must not increase).
     """
     channels = _as_channels(branches)
     L = len(channels)
-    best = maximize_subsets(channels, _all_subsets(L, range(1, L + 1)), np.add, tol)
+    scale, best = _scale_levels(channels, range(1, L + 1), tol)
     sups = _suprema(best, L)
     cbar = sum(s.chi_star for s in sups) / L
     cp = best[tuple(range(L))][1] / L
-    scale = {r: _best_subset(best, L, r) for r in range(1, L + 1)}
 
     if abs(scale[L].value - cp) > 1e-7:
         raise NumericalError(
@@ -253,8 +435,9 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     # a single branch's worst case is its supremum
     best = maximize_subsets(channels, [(i,) for i in range(L)] + deltas, np.minimum, tol)
     sups = _suprema(best, L)
+    # q may sum to 1 + 1e-10; a probability stays at most 1
     per_subset = {
-        d: SubsetScale(sum(q[i] for i in d), best[d][1], max(sups[i].chi_star for i in d))
+        d: SubsetScale(min(1.0, sum(q[i] for i in d)), best[d][1], max(sups[i].chi_star for i in d))
         for d in deltas
     }
     return RandomScaleReport(q=q, per_subset=per_subset, per_branch_suprema=sups)

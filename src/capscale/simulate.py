@@ -103,7 +103,8 @@ def _subset_prob(mc: MemoryChannel, subset) -> float:
     """Probability that the drawn branch lies in subset."""
     if mc.memory == "periodic":
         return len(subset) / len(mc.branches)
-    return float(sum(mc.q[i] for i in subset))
+    # q may sum to 1 + 1e-10; a probability stays at most 1
+    return min(1.0, float(sum(mc.q[i] for i in subset)))
 
 
 def _clears(rate: float, subset, value: float) -> bool:

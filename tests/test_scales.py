@@ -1,5 +1,6 @@
 import collections
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 
@@ -11,7 +12,9 @@ import capscale.holevo as holevo
 import capscale.scales as scales
 from capscale import (
     MemoryChannel,
+    NumericalError,
     QubitChannel,
+    ScaleEntry,
     Strategy,
     ValidationError,
     compute_capacity_report,
@@ -260,7 +263,7 @@ def test_twelve_significant_digit_formatting(tmp_path):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Count Holevo kernel calls and subset maximizations."""
+    """Count Holevo kernel calls, subset maximizations and their lanes."""
     calls = collections.Counter()
 
     def count(name, fn):
@@ -270,10 +273,14 @@ def work_counts(monkeypatch):
 
         return counted
 
+    maximize = scales.maximize_concave_1d
+
+    def maximizer(f, lo, hi, *args, **kwargs):
+        calls["lanes"] += np.size(lo)
+        return maximize(f, lo, hi, *args, **kwargs)
+
     monkeypatch.setattr(holevo, "holevo_chi", count("kernel", holevo.holevo_chi))
-    monkeypatch.setattr(
-        scales, "maximize_concave_1d", count("maximizer", scales.maximize_concave_1d)
-    )
+    monkeypatch.setattr(scales, "maximize_concave_1d", count("maximizer", maximizer))
     return calls
 
 
@@ -287,6 +294,19 @@ def test_work_ceilings_of_reports(work_counts):
     compute_random_scale_report(gammas[:6], [1 / 6] * 6)
     assert work_counts["maximizer"] == 1
     assert work_counts["kernel"] <= 50
+
+
+def test_work_ceilings_of_refined_lanes(work_counts):
+    # only the subsets that can still win their level are refined (91 here)
+    compute_capacity_report(list(np.linspace(0.05, 0.9, 10)))
+    assert work_counts["maximizer"] == 1
+    assert work_counts["lanes"] <= 120
+
+    # the worst case: equal branches tie at every level, so all 1023 are refined
+    work_counts.clear()
+    compute_capacity_report([0.3] * 10)
+    assert work_counts["maximizer"] == 1
+    assert work_counts["lanes"] == 1023
 
 
 def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
@@ -306,3 +326,69 @@ def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["amax", path]) == 0
     assert work_counts["maximizer"] == 1  # the root bracket is no maximization
+
+
+def test_tie_rule_is_invariant_under_removing_a_loser():
+    eps = scales._TIE_EPS
+    rated = [((i,), x * eps) for i, x in enumerate((0.0, 1.5, 2.2, 3.0, 3.8))]
+    # the first rate within eps of the best; a scan that replaces its pick on
+    # each gain above eps would pick (4,) once (1,) is left out
+    assert scales._best_subset(rated) == ScaleEntry(3.0 * eps, (3,))
+    assert scales._best_subset(rated[:1] + rated[2:]) == ScaleEntry(3.0 * eps, (3,))
+
+
+def rz_damping(gamma, phase):
+    rz = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
+    ops = kraus_operators(QubitChannel.amplitude_damping(gamma))
+    return QubitChannel.kraus([rz @ k @ rz.conj().T for k in ops])
+
+
+def pruning_cases():
+    rng = np.random.default_rng(10)
+    for L in range(1, 9):
+        centers = rng.uniform(0.1, 0.8, 3)
+        yield [float(g) for g in rng.uniform(0.0, 0.99, L)]
+        yield [0.3] * L
+        yield [float(g) for g in centers[rng.integers(0, 3, L)] + 1e-9 * rng.random(L)]
+        yield [QubitChannel.depolarizing(p) for p in rng.uniform(0.0, 1.0, L)]
+        yield [rz_damping(g, ph) for g, ph in zip(rng.uniform(0.0, 0.99, L), rng.uniform(0, 3, L))]
+
+
+def full_sweep_levels(branches, tol):
+    """Every subset refined, then each level's first subset within _TIE_EPS of its best."""
+    L = len(branches)
+    subsets = [s for r in range(1, L + 1) for s in itertools.combinations(range(L), r)]
+    best = scales.maximize_subsets(branches, subsets, tol=tol)
+    levels = {}
+    for r in range(1, L + 1):
+        rated = []
+        for s in itertools.combinations(range(L), r):
+            rotations = [tuple(sorted((m + k) % L for m in s)) for k in range(L)]
+            rated.append((s, sum(best[x][1] for x in rotations) / (r * L)))
+        top = max(v for _, v in rated)
+        levels[r] = next(ScaleEntry(v, s) for s, v in rated if v >= top - scales._TIE_EPS)
+    return subsets, best, levels
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-2])
+def test_pruned_levels_match_full_sweep(tol):
+    pad = scales._PRUNE_PAD
+    for branches in pruning_cases():
+        L = len(branches)
+        subsets, best, levels = full_sweep_levels(branches, tol)
+        for r in range(1, L + 1):
+            assert scale_r(branches, r, tol) == levels[r]
+        try:
+            report = compute_capacity_report(branches, tol)
+        except NumericalError:
+            # a coarse tol can leave a level above the one before it
+            assert tol == 1e-2
+        else:
+            assert report.scale == levels
+            assert report.cp == best[tuple(range(L))][1] / L
+        sweep = scales._Sweep(scales._as_channels(branches), subsets, np.add)
+        lower, upper = sweep.bounds_of_maxima()
+        value = np.array([best[s][1] for s in subsets])
+        assert np.all(value <= upper + pad)
+        if tol == 1e-8:
+            assert np.all(lower <= value + pad)

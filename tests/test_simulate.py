@@ -13,6 +13,7 @@ from capscale import (
     Strategy,
     ValidationError,
     compute_capacity_report,
+    compute_random_scale_report,
     empirical_staircase,
     run_trials,
     subset_scale_value,
@@ -163,6 +164,29 @@ def test_theoretical_error_is_never_negative(tmp_path):
         rc, text = run_to_file(tmp_path, argv + extra + ["--format", "json"])
         (out,) = json.loads(text)
         assert rc == 0 and out["theoretical_error"] == 0.0
+
+
+def test_probabilities_never_exceed_one(tmp_path):
+    # q sums to 1 + 5e-11, so the mass of subset (0, 1) rounds above one
+    q = [0.5 + 5e-11, 0.5, 0.0]
+    gammas = (0.1, 0.4, 0.7)
+    mc = MemoryChannel.random([QubitChannel.amplitude_damping(g) for g in gammas], q)
+    assert run_trials(mc, Strategy((0, 1), 0.3), 1000, seed=1).q_subset == 1.0
+    (row,) = empirical_staircase(mc, [0.3], 1000, seed=1)
+    assert row.subset == (0, 1) and row.q_subset == 1.0
+    report = compute_random_scale_report(gammas, q)
+    # a value at most 1 keeps its bits
+    q_delta = [s.q_delta for s in report.per_subset.values()]
+    assert q_delta == [q[0], q[1], 0.0, 1.0, q[0], q[1], 1.0]
+    path = damping_channel_file(tmp_path, gammas, {"kind": "random", "q": q})
+    for extra in ([], ["--subset", "0,1"]):
+        argv = ["simulate", path, "--rate", "0.3", "--trials", "1000", "--seed", "1"]
+        rc, text = run_to_file(tmp_path, argv + extra + ["--format", "json"])
+        (out,) = json.loads(text)
+        assert rc == 0 and out["q_subset"] == 1.0
+    rc, text = run_to_file(tmp_path, ["random-scale", path, "--format", "json"])
+    assert rc == 0
+    assert max(e["q_delta"] for e in json.loads(text)["per_subset"]) == 1.0
 
 
 def test_sim_result_compares_and_hashes_by_identity():
