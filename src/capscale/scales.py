@@ -5,6 +5,12 @@ curves of mirror-pair ensembles, taken branch by branch and combined as
 sums (periodic memory), minima (random memory), or best subsets (the
 scale hierarchy). Reports are dataclasses that bundle the numbers with
 the subsets that achieve them.
+
+The periodic reports refine only the subsets that can still win their
+scale level. A random-memory report maximizes only the single branches
+and the pairs of branches: each curve is concave, so a subset's worst
+case is the smallest of its pairs' worst cases (Helly's theorem in one
+dimension), and the table is filled from those.
 """
 
 from __future__ import annotations
@@ -418,26 +424,89 @@ def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
     return CapacityReport(cp=cp, cbar=cbar, scale=scale, per_branch_suprema=sups)
 
 
+def _padded_members(deltas, L: int) -> np.ndarray:
+    """The members of each delta in increasing order, one row per delta.
+
+    Rows are padded with L to at least two columns.
+    """
+    sizes = np.fromiter(map(len, deltas), int, len(deltas))
+    members = np.fromiter(itertools.chain.from_iterable(deltas), int, int(sizes.sum()))
+    rows = np.repeat(np.arange(len(deltas)), sizes)
+    cols = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx = np.full((len(deltas), max(2, sizes.max(initial=0))), L)
+    idx[rows, cols] = members
+    return idx
+
+
 def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> RandomScaleReport:
     """Subset-capacity table for a random-memory channel.
 
     c_delta uses a single ensemble that must serve every branch in the
     subset (maximize the worst case); cbar_delta is the best single branch
-    in the subset. deltas defaults to every nonempty subset of branches
-    (the branch count is capped at MAX_BRANCHES in that case).
+    in the subset; q_delta is the probability that the drawn branch lies
+    in it. deltas defaults to every nonempty subset of branches (the
+    branch count is capped at MAX_BRANCHES in that case); deltas passed
+    in are validated, the enumerated ones are not.
+
+    Every c_delta comes from one maximization over the L singletons and
+    the pairs of branches that the deltas contain (L + C(L, 2) lanes for
+    the full table), not one per delta: a subset's worst case is the
+    smallest of its pairs' worst cases (see _fill_subsets).
     """
     channels = _as_channels(branches)
     L = len(channels)
     q = tuple(float(x) for x in MemoryChannel.random(channels, q).q)
     if deltas is None:
         deltas = _all_subsets(L, range(1, L + 1))
-    deltas = [_check_subset(d, L) for d in deltas]
+    else:
+        deltas = [_check_subset(d, L) for d in deltas]
+    idx = _padded_members(deltas, L)
+    member = np.zeros((len(deltas), L + 1))
+    member[np.arange(len(deltas))[:, None], idx] = 1.0
+    shared = np.triu(member.T @ member, 1)[:L, :L]  # deltas holding both i < m
+    pairs = [tuple(p) for p in np.argwhere(shared).tolist()]
     # a single branch's worst case is its supremum
-    best = maximize_subsets(channels, [(i,) for i in range(L)] + deltas, np.minimum, tol)
+    best = maximize_subsets(channels, [(i,) for i in range(L)] + pairs, np.minimum, tol)
     sups = _suprema(best, L)
-    # q may sum to 1 + 1e-10; a probability stays at most 1
+    q_delta, c_delta, cbar_delta = _fill_subsets(idx, q, sups, {p: best[p][1] for p in pairs})
     per_subset = {
-        d: SubsetScale(min(1.0, sum(q[i] for i in d)), best[d][1], max(sups[i].chi_star for i in d))
-        for d in deltas
+        d: SubsetScale(*row) for d, row in zip(deltas, zip(q_delta, c_delta, cbar_delta))
     }
     return RandomScaleReport(q=q, per_subset=per_subset, per_branch_suprema=sups)
+
+
+def _fill_subsets(idx, q, sups, pair_values) -> tuple[list, list, list]:
+    """q_delta, c_delta and cbar_delta of the deltas whose members are the rows of idx.
+
+    Each mirror-family curve chi_i(a) is concave on [0, 1] (the search
+    assumes it), so each superlevel set {a : chi_i(a) >= c} is an interval,
+    and by Helly's theorem in one dimension intervals that meet pairwise
+    share a point. Hence max_a min_{i in delta} chi_i(a) is the smallest
+    of the pair values max_a min(chi_i, chi_j)(a) over the pairs in delta,
+    or the supremum for a single branch. This holds on the mirror family
+    only: a branch whose best ensemble lies outside it needs the direct
+    minimax over delta, not this rule.
+
+    All three columns follow one recurrence, adding the members of every
+    delta in increasing order at once: with m the member added,
+    c(delta) = min(c(delta - {m}), min over i in delta - {m} of pair(i, m)),
+    q(delta) = q(delta - {m}) + q_m (so the sum keeps the bits of summing
+    q over delta in order) and cbar(delta) = max(cbar(delta - {m}), chi*_m).
+    The padding index L adds nothing to any of them.
+    """
+    L = len(q)
+    pair = np.full((L + 1, L + 1), np.inf)
+    for (i, m), v in pair_values.items():
+        pair[i, m] = v
+    q_ext = np.append(q, 0.0)
+    sup_ext = np.append([s.chi_star for s in sups], -np.inf)
+    q_delta = np.zeros(len(idx))
+    c_delta = np.full(len(idx), np.inf)
+    cbar_delta = np.full(len(idx), -np.inf)
+    for k, m in enumerate(idx.T):
+        c_delta = np.minimum(c_delta, pair[idx[:, :k], m[:, None]].min(axis=1, initial=np.inf))
+        q_delta = q_delta + q_ext[m]
+        cbar_delta = np.maximum(cbar_delta, sup_ext[m])
+    c_delta = np.where(idx[:, 1] == L, sup_ext[idx[:, 0]], c_delta)
+    # q may sum to 1 + 1e-10; a probability stays at most 1
+    return np.minimum(q_delta, 1.0).tolist(), c_delta.tolist(), cbar_delta.tolist()

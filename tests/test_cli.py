@@ -163,6 +163,33 @@ def test_random_scale_command(channel_files, tmp_path):
     assert lines[1].startswith("0;2,0.7,")
 
 
+def test_random_memory_at_the_subset_enumeration_cap(tmp_path, capsys):
+    gammas = [round(0.05 + 0.07 * i, 2) for i in range(13)]
+    path = damping_channel_file(tmp_path, gammas, {"kind": "random", "q": [0.04] * 12 + [0.52]})
+    # the full table and the staircase enumerate every subset of 13 branches
+    for argv in (["random-scale", path], ["simulate", path, "--rate", "0.5"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: subset enumeration limited to 12 branches\n"
+        assert captured.out == ""
+    # a single subset needs only its own pairs, whatever the branch count
+    header = "delta,q_delta,c_delta_bits,cbar_delta_bits\n"
+    expect = [
+        (
+            ["random-scale", "--delta", "0,5,12"],
+            header + "0;5;12,0.6,0.142505900734,0.906947747394\n",
+        ),
+        (["capacity"], header + "0;1;2;3;4;5;6;7;8;9;10;11;12,1,0.142505900734,0.906947747394\n"),
+        (
+            ["simulate", "--rate", "0.5", "--subset", "0,1", "--trials", "1000", "--seed", "7"],
+            "rate_bits,subset,q_subset,theoretical_error,empirical_error,n_trials,seed\n"
+            "0.5,0;1,0.08,0.92,0.934,1000,7\n",
+        ),
+    ]
+    for argv, text in expect:
+        assert run_to_file(tmp_path, [argv[0], path, *argv[1:]]) == (0, text)
+
+
 def test_ad_gap_table(channel_files, tmp_path):
     rc, text = run_to_file(tmp_path, ["ad-gap", "--grid", "5"])
     assert rc == 0

@@ -309,6 +309,27 @@ def test_work_ceilings_of_refined_lanes(work_counts):
     assert work_counts["lanes"] == 1023
 
 
+def test_work_ceilings_of_random_reports(work_counts, tmp_path):
+    # one maximization over the singletons and pairs: L + C(L, 2) = 55 lanes
+    gammas = list(np.linspace(0.05, 0.9, 10))
+    compute_random_scale_report(gammas, [0.1] * 10)
+    assert work_counts["maximizer"] == 1
+    assert work_counts["lanes"] <= 55
+
+    work_counts.clear()
+    path = damping_channel_file(tmp_path, gammas, {"kind": "random", "q": [0.1] * 10})
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["capacity", path]) == 0
+    assert work_counts["maximizer"] == 1
+    assert work_counts["lanes"] <= 55
+
+    # one delta needs only its own pairs besides the singletons
+    work_counts.clear()
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["random-scale", path, "--delta", "0,5,9"]) == 0
+    assert work_counts["lanes"] == 10 + 3
+
+
 def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
     mc = MemoryChannel.random(
         [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4, 0.7)], [0.5, 0.3, 0.2]
@@ -392,3 +413,33 @@ def test_pruned_levels_match_full_sweep(tol):
         assert np.all(value <= upper + pad)
         if tol == 1e-8:
             assert np.all(lower <= value + pad)
+
+
+def direct_random_table(branches, q):
+    """Every delta maximized on its own: the pointwise minimum of all its branch curves."""
+    L = len(branches)
+    deltas = [d for r in range(1, L + 1) for d in itertools.combinations(range(L), r)]
+    best = scales.maximize_subsets(branches, deltas, np.minimum)
+    q = [float(x) for x in q]
+    return {
+        d: scales.SubsetScale(
+            min(1.0, sum(q[i] for i in d)), best[d][1], max(best[(i,)][1] for i in d)
+        )
+        for d in deltas
+    }
+
+
+def test_random_report_matches_direct_maximization():
+    # a delta's worst case is the smallest of its pairs' worst cases; the
+    # values must keep the bits of maximizing every delta's minimum directly
+    rng = np.random.default_rng(11)
+    for branches in pruning_cases():
+        q = rng.dirichlet(np.ones(len(branches)))
+        direct = direct_random_table(branches, q)
+        report = compute_random_scale_report(branches, q)
+        assert list(report.per_subset) == list(direct)
+        assert report.per_subset == direct
+        # deltas passed in, of mixed sizes and in any order, get the same values
+        some = list(direct)[::-3]
+        report = compute_random_scale_report(branches, q, deltas=some)
+        assert report.per_subset == {d: direct[d] for d in some}
