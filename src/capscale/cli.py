@@ -27,6 +27,10 @@ from .optim import find_root_bisection
 
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-2
 
+# Largest ad-gap grid. The table has grid**2 rows and its search about
+# grid**2 / 2 lanes, so its time and memory grow as grid**2.
+MAX_GRID = 401
+
 
 def _cell(x) -> str:
     """One CSV cell: None empty, integers and text as they are, a sequence
@@ -293,8 +297,8 @@ def cmd_random_scale(args) -> int:
 def cmd_ad_gap(args) -> int:
     """Tabulate pair capacity against averaged branch capacity on a gamma grid."""
     tol = _check_tol(args.tol)
-    if args.grid < 2:
-        raise ValidationError(f"grid must be >= 2, got {args.grid}")
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ValidationError(f"grid must be in [2, {MAX_GRID}], got {args.grid}")
     gammas = np.linspace(0.0, 1.0, args.grid)
     n = len(gammas)
     # pair (j, i) is pair (i, j), and pair (i, i) peaks where branch i does

@@ -30,16 +30,15 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
     """Golden-section maximization of concave (unimodal) functions, in lockstep.
 
     lo and hi are equal-shape arrays, one bracket per lane; a scalar
-    bracket is one 0-d lane. f maps one point per lane to its value, once
-    per step (twice on a step where a lane ties). Each lane takes the steps
+    bracket is one 0-d lane. f maps one point per lane to its value, twice
+    to start, once per step and once at the end. Each lane takes the steps
     of its own search, so a lane's argmax and value do not depend on the
     other lanes; iterations and achieved_tol are those of the slowest lane.
 
-    Each lane's final bracket is narrower than tol. Where f is flat to
-    rounding over a wider stretch around its peak, the argmax can lie
-    anywhere on it (up to about 1e-7 off for damping curves at tol 1e-8);
-    the value is unaffected. Exact ties shrink the bracket from both sides,
-    so a constant function converges to the interval midpoint.
+    Each lane's final bracket is narrower than tol. An exact tie keeps
+    [lo, d], so where f is flat to rounding around its peak the argmax
+    leans toward lo (up to about 1e-7 off for damping curves at tol 1e-8)
+    and a constant f converges to lo; the value is unaffected.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not np.all(lo < hi):
@@ -52,14 +51,14 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
     while np.any(active := hi - lo > tol):
         if np.any(active & ~(np.isfinite(fc) & np.isfinite(fd))):
             raise NumericalError("objective returned a non-finite value")
-        # keep [lo, d], [c, hi] or, on a tie, [c, d]
-        left, right, tie = active & (fc > fd), active & (fd > fc), active & (fc == fd)
-        lo, hi = np.where(right | tie, c, lo), np.where(left | tie, d, hi)
+        # keep [lo, d] or [c, hi]; on a concave f a tie puts the peak in [c, d].
+        # A converged lane keeps its bracket; its fc and fd are not read again.
+        left, right = active & (fc >= fd), active & (fd > fc)
+        lo, hi = np.where(right, c, lo), np.where(left, d, hi)
         c, d = (np.where(right, d, hi - _INVPHI * (hi - lo)),
                 np.where(left, c, lo + _INVPHI * (hi - lo)))
-        f_c, f_d = (f(c), f(d)) if np.any(tie) else (f(np.where(left, c, d)),) * 2
-        fc, fd = (np.where(left | tie, f_c, np.where(right, fd, fc)),
-                  np.where(right | tie, f_d, np.where(left, fc, fd)))
+        f_new = f(np.where(left, c, d))
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
         iters += 1
         if iters > _MAX_ITER:
             raise NumericalError("golden-section search failed to converge")

@@ -291,8 +291,7 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     channels = _as_channels(branches)
     L = len(channels)
     subset = _check_subset(subset, L)
-    (masks,) = _rotations(_masks(*_pairs([subset])), L)
-    rotations = [tuple(i for i in range(L) if m >> i & 1) for m in masks]
+    rotations = [tuple(sorted((m + k) % L for m in subset)) for k in range(L)]
     best = maximize_subsets(channels, rotations, np.add, tol)
     return sum(best[rotated][1] for rotated in rotations) / (len(subset) * L)
 

@@ -160,6 +160,7 @@ def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int)
     n_trials and seed that passed _check_draws."""
     probs = _branch_probs(mc)
     success = _success(probs, strategy, value)
+    q_subset = _subset_prob(mc, strategy.subset)
 
     # q may miss 1 by up to 1e-10; the draw alone needs it normalized
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -169,9 +170,9 @@ def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int)
         seed=seed,
         strategy=strategy,
         subset_rate=value,
-        q_subset=_subset_prob(mc, strategy.subset),
-        # q may sum to 1 + 1e-10; an error probability stays nonnegative
-        theoretical_error=max(0.0, 1.0 - float(probs[success].sum())),
+        q_subset=q_subset,
+        # decoding succeeds on exactly the subset's branches, or on none
+        theoretical_error=1.0 - q_subset if success.any() else 1.0,
         empirical_error=1.0 - float(counts[success].sum() / n_trials),
         max_branch_error=float(counts[~success].any()),
         counts=counts,

@@ -206,6 +206,16 @@ def test_ad_gap_table(channel_files, tmp_path):
             assert gap > 1e-6
 
 
+def test_ad_gap_grid_is_capped(monkeypatch, capsys):
+    # a grid outside [2, MAX_GRID] is refused before any gamma or subset is built
+    monkeypatch.setattr(cli.np, "linspace", None)
+    for grid in (1, cli.MAX_GRID + 1, 10**6):
+        assert cli.main(["ad-gap", "--grid", str(grid)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid must be in [2, 401], got {grid}\n"
+
+
 def test_simulate_command_staircase(channel_files, tmp_path):
     rc, text = run_to_file(
         tmp_path,

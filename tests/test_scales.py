@@ -285,15 +285,29 @@ def work_counts(monkeypatch):
 
 
 def test_work_ceilings_of_reports(work_counts):
+    # one kernel call per search step, ties included: at tol 1e-8 a search
+    # makes 2 + 30 + 1 calls, after one scan call and, for L >= 3, one call
+    # for the prune's bounds
     gammas = list(np.linspace(0.05, 0.9, 8))
-    compute_capacity_report(gammas)
+    compute_capacity_report(gammas, tol=1e-8)
     assert work_counts["maximizer"] == 1
-    assert work_counts["kernel"] <= 50
+    assert work_counts["kernel"] == 35
 
     work_counts.clear()
-    compute_random_scale_report(gammas[:6], [1 / 6] * 6)
+    compute_random_scale_report(gammas[:6], [1 / 6] * 6, tol=1e-8)
     assert work_counts["maximizer"] == 1
-    assert work_counts["kernel"] <= 50
+    assert work_counts["kernel"] == 34
+
+    work_counts.clear()
+    per_branch_suprema(gammas, tol=1e-8)
+    assert work_counts["kernel"] == 34
+
+    # depolarizing curves are symmetric about a = 1/2, so search steps tie
+    work_counts.clear()
+    depolarizing = [QubitChannel.depolarizing(p) for p in (0.1, 0.2, 0.3, 0.4)]
+    compute_capacity_report(depolarizing, tol=1e-8)
+    assert work_counts["maximizer"] == 1
+    assert work_counts["kernel"] == 35
 
 
 def test_work_ceilings_of_refined_lanes(work_counts):
