@@ -1,13 +1,17 @@
-"""The Holevo quantity of qubit ensembles, on Bloch vectors.
+"""The Holevo quantity of mirror-pair ensembles, on Bloch vectors.
 
-Every Holevo quantity the library reports goes through one vectorized
-kernel, ``holevo_chi``: input Bloch vectors pass through the channel's
-Bloch-affine map r -> M r + t, and each output's entropy follows from its
-Bloch radius. For the amplitude-damping channel restricted to a
-mirror-image pair of pure states there is also a closed form for the
-derivative of chi in the shared state parameter ``a``; the ``amax`` command
-checks the reported maximizers against its root. The tests check the
-kernel against density-matrix eigenvalues and a closed-form damping curve.
+Every Holevo quantity the library reports is that of a mirror pair, the
+pure states with Bloch vectors (±x, 0, z), x = 2 sqrt(a(1-a)) and
+z = 2a - 1, sent with equal weights through a qubit branch's Bloch-affine
+map r -> M r + t. Each output's squared radius is a quadratic form in the
+input, |M r + t|² = rᵀMᵀM r + 2 (Mᵀt)·r + |t|², which on the pair reads
+only six numbers per branch (``mirror_form``). ``mirror_chi`` evaluates the
+curve from them, elementwise, with one entropy pass over the mean state's
+and the two members' squared radii; it is the library's one Holevo kernel.
+For the amplitude-damping channel there is also a closed form for the
+derivative of chi in ``a``; the ``amax`` command checks the reported
+maximizers against its root. The tests check the kernel against
+density-matrix eigenvalues and a closed-form damping curve.
 """
 
 from __future__ import annotations
@@ -18,28 +22,36 @@ import numpy as np
 
 from .channels import QubitChannel, check_number, check_numbers
 from .errors import ValidationError
-from .linalg import entropy_from_radius
+from .linalg import entropy_from_squared_radius
 
 
-def holevo_chi(bloch_map, r, w) -> np.ndarray:
-    """Holevo quantity in bits of ensembles of input Bloch vectors.
+def mirror_form(bloch_map) -> np.ndarray:
+    """The six numbers of Bloch maps (M, t) that their mirror-pair curves read.
 
-    bloch_map is a channel's (M, t), or a stack of them of shapes (..., 3, 3)
-    and (..., 3). r has shape (..., n, 3) and w shape (..., n); all three
-    broadcast against each other, one ensemble per leading index, and each
-    row of w sums to 1. Returns S(M r̄ + t) - sum_j w_j S(M r_j + t), of
-    the broadcast leading shape.
+    bloch_map is (M, t) of shapes (..., 3, 3) and (..., 3). With c0 and c2
+    M's first and third columns, returns |c0|², c0·c2, c0·t, |c2|², c2·t
+    and |t|² stacked on a new first axis, shape (6, ...).
     """
-    M, t = bloch_map
-    # matmul takes its fast path on stacks of contiguous matrices only
-    MT, t = np.ascontiguousarray(np.swapaxes(M, -1, -2)), np.expand_dims(t, -2)
+    M, t = (np.asarray(x, dtype=float) for x in bloch_map)
+    c0, c2 = M[..., :, 0], M[..., :, 2]
+    pairs = ((c0, c0), (c0, c2), (c0, t), (c2, c2), (c2, t), (t, t))
+    return np.stack([np.einsum("...i,...i->...", u, v) for u, v in pairs])
 
-    def output_entropy(v):  # v: (..., k, 3) -> (..., k)
-        return entropy_from_radius(np.linalg.norm(v @ MT + t, axis=-1))
 
-    w = np.asarray(w, dtype=float)
-    rbar = np.einsum("...n,...nd->...d", w, r)
-    return output_entropy(rbar[..., None, :])[..., 0] - (w * output_entropy(r)).sum(axis=-1)
+def mirror_chi(form, a) -> np.ndarray:
+    """Holevo quantity in bits of the mirror pair at a, from mirror_form's numbers.
+
+    form (6, ...) and a broadcast against each other; a is not checked.
+    The mean state (0, 0, z) goes to squared radius
+    u² = z²|c2|² + 2z c2·t + |t|², and the pair to
+    r±² = u² + x²|c0|² ± 2x (z c0·c2 + c0·t).
+    """
+    c00, c02, c0t, c22, c2t, tt = form
+    x2, z = 4.0 * a * (1.0 - a), 2.0 * a - 1.0
+    u2 = z * z * c22 + 2.0 * z * c2t + tt
+    mid, cross = u2 + x2 * c00, 2.0 * np.sqrt(x2) * (z * c02 + c0t)
+    h = entropy_from_squared_radius(np.stack([u2, mid + cross, mid - cross]))
+    return h[0] - 0.5 * (h[1] + h[2])
 
 
 def chi_mirror_family(ch, a):
@@ -53,9 +65,8 @@ def chi_mirror_family(ch, a):
     a_arr = check_numbers(a, "a")
     if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
         raise ValidationError(f"a must be in [0, 1], got {a!r}")
-    x, z = 2.0 * np.sqrt(a_arr * (1.0 - a_arr)), 2.0 * a_arr - 1.0
-    r = np.stack([np.stack([s * x, np.zeros_like(x), z], -1) for s in (1.0, -1.0)], -2)
-    chi = holevo_chi(ch.bloch_map if isinstance(ch, QubitChannel) else ch, r, (0.5, 0.5))
+    bloch_map = ch.bloch_map if isinstance(ch, QubitChannel) else ch
+    chi = mirror_chi(mirror_form(bloch_map), a_arr)
     return float(chi) if chi.ndim == 0 else chi
 
 

@@ -1,7 +1,7 @@
 """Qubit entropies from Bloch radii, and the density-matrix input check.
 
 Every entropy the library computes is a function of one number, a qubit
-state's Bloch radius. Entropies are in bits. The only density matrices
+state's squared Bloch radius. Entropies are in bits. The only density matrices
 the library reads are the n-fold states that ``apply_memory_channel_n``
 takes, checked here.
 """
@@ -40,15 +40,16 @@ def validate_density_matrix(rho, dim: int) -> np.ndarray:
     return rho
 
 
-def entropy_from_radius(r):
-    """Entropy in bits of qubit states with Bloch radius r, elementwise.
+def entropy_from_squared_radius(r2):
+    """Entropy in bits of qubit states with squared Bloch radius r2, elementwise.
 
     The smaller eigenvalue (1 - r)/2 is computed as (1 - r²)/(2(1 + r)),
-    which keeps its relative accuracy for nearly pure states. Radii that
-    roundoff pushes above 1 count as pure; NaN propagates.
+    which keeps its relative accuracy for nearly pure states. Squared radii
+    that roundoff pushes below 0 or above 1 count as 0 (the maximally mixed
+    state) or 1 (pure); NaN propagates.
     """
-    r = np.minimum(np.asarray(r, dtype=float), 1.0)
-    lam = (1.0 - r * r) / (2.0 * (1.0 + r))
+    r2 = np.clip(np.asarray(r2, dtype=float), 0.0, 1.0)
+    lam = (1.0 - r2) / (2.0 * (1.0 + np.sqrt(r2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(lam * np.log2(lam) + (1.0 - lam) * np.log2(1.0 - lam))
     return np.where(lam == 0.0, 0.0, h)

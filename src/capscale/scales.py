@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import MemoryChannel, QubitChannel, check_integer
 from .errors import NumericalError, ValidationError
-from .holevo import chi_mirror_family
+from .holevo import mirror_chi, mirror_form
 from .optim import maximize_concave_1d
 
 # Subset enumeration is exponential in the number of branches.
@@ -68,12 +68,12 @@ class _Sweep:
     reduce (np.add or np.minimum) combines a subset's branch curves. Each
     branch's curve is evaluated once on the scan grid, and each subset's
     grid argmax k of its combined scan rows, two steps to either side,
-    brackets its maximizer.
+    brackets its maximizer. Curves are evaluated from each branch's
+    mirror_form, shape (6, branch), computed once.
     """
 
     def __init__(self, channels, subsets, reduce):
-        self.M = np.array([ch.bloch_map[0] for ch in channels])
-        self.t = np.array([ch.bloch_map[1] for ch in channels])
+        self.form = mirror_form(zip(*(ch.bloch_map for ch in channels)))  # stacked (M, t)
         self.reduce = reduce
         self.subsets = subsets
         self.members, self.bounds = _pairs(subsets)
@@ -85,7 +85,7 @@ class _Sweep:
         self.k = self._blockwise(grid_argmax)
 
     def _curves(self, a):  # (branch, point)
-        return chi_mirror_family((self.M[:, None], self.t[:, None]), a)
+        return mirror_chi(self.form[:, :, None], a)
 
     def _blockwise(self, fn):
         """fn(first pair, end pair, local run starts) on blocks of subsets.
@@ -119,24 +119,26 @@ class _Sweep:
         """Refine the brackets of the subsets at lanes in one lockstep search.
 
         The golden-section search makes one Holevo kernel call per step, over
-        the stacked Bloch maps of all those subsets' (subset, member) pairs.
+        the form columns of all those subsets' (subset, member) pairs,
+        gathered once.
         """
         members, bounds = _pairs([self.subsets[i] for i in lanes])
         k = self.k[lanes]
         lo = _SCAN[np.maximum(k - 2, 0)]
         hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
-        maps = (self.M[members], self.t[members])
+        form = self.form[:, members]
         lane = np.repeat(np.arange(len(lanes)), np.diff(bounds))
 
         def combined(a):
-            return self.reduce.reduceat(chi_mirror_family(maps, a[lane]), bounds[:-1])
+            return self.reduce.reduceat(mirror_chi(form, a[lane]), bounds[:-1])
 
         return maximize_concave_1d(combined, lo, hi, tol)
 
 
 def _pairs(subsets):
     """The branch of each (subset, member) pair, and where each subset's pairs start and end."""
-    return np.concatenate(subsets), np.append(0, np.cumsum([len(s) for s in subsets]))
+    bounds = np.append(0, np.cumsum(np.fromiter(map(len, subsets), int, len(subsets))))
+    return np.fromiter(itertools.chain.from_iterable(subsets), int, bounds[-1]), bounds
 
 
 def _peak_bounds(F) -> np.ndarray:
@@ -174,8 +176,8 @@ def maximize_subsets(branches, subsets, reduce=np.add, tol: float = 1e-8) -> dic
     concave. Each branch's curve is evaluated once on the scan grid, and
     each subset's grid argmax, two steps to either side, brackets its
     maximizer. One lockstep golden-section search then refines every
-    bracket, with one Holevo kernel call per step over the stacked Bloch
-    maps of all (subset, member) pairs. Returns {subset: (argmax, value)}.
+    bracket, with one Holevo kernel call per step over the six-number forms
+    of all (subset, member) pairs. Returns {subset: (argmax, value)}.
     """
     subsets = list(dict.fromkeys(subsets))
     sweep = _Sweep(_as_channels(branches), subsets, reduce)
@@ -428,10 +430,10 @@ def _padded_members(deltas, L: int) -> np.ndarray:
 
     Rows are padded with L to at least two columns.
     """
-    sizes = np.fromiter(map(len, deltas), int, len(deltas))
-    members = np.fromiter(itertools.chain.from_iterable(deltas), int, int(sizes.sum()))
+    members, bounds = _pairs(deltas)
+    sizes = np.diff(bounds)
     rows = np.repeat(np.arange(len(deltas)), sizes)
-    cols = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cols = np.arange(len(members)) - np.repeat(bounds[:-1], sizes)
     idx = np.full((len(deltas), max(2, sizes.max(initial=0))), L)
     idx[rows, cols] = members
     return idx

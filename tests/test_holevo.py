@@ -10,10 +10,10 @@ from capscale import (
     ValidationError,
     apply_memory_channel_n,
     chi_mirror_family,
+    compute_capacity_report,
     dchi_da_ad,
     kraus_operators,
 )
-from capscale.holevo import holevo_chi
 from conftest import chi_ad_grid
 
 
@@ -57,22 +57,48 @@ def test_holevo_identity_channel_orthogonal_pair():
 
 
 def test_holevo_chi_matches_density_matrix_oracle():
-    # random Kraus channels and ensembles of 1-4 pure states with complex
-    # coherences: the Bloch kernel against eigenvalues of density matrices
+    # random Kraus channels with complex entries, and the mirror pair at random
+    # a and at its ends and middle: the six-number kernel against eigenvalues
+    # of density matrices
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(200):
         v, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
         ops = [v[:2], v[2:]]  # an isometry C^2 -> C^2 (x) C^2, cut into Kraus operators
-        n = rng.integers(1, 5)
-        psi = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        states = [np.outer(p, p.conj()) for p in psi]
-        w = rng.dirichlet(np.ones(n))
-        r = np.array([oracles.bloch_vector(rho) for rho in states])
-        chi = holevo_chi(QubitChannel.kraus(ops).bloch_map, r, w)
-        worst = max(worst, abs(chi - oracles.holevo_chi(ops, states, w)))
+        ch = QubitChannel.kraus(ops)
+        for a in (0.0, 0.5, 1.0, rng.uniform()):
+            chi = oracles.holevo_chi(ops, oracles.mirror_pair(a), (0.5, 0.5))
+            worst = max(worst, abs(chi_mirror_family(ch, a) - chi))
     assert worst <= 1e-12
+
+
+def _rotated_half_damping(n, seed):
+    """Kraus operators V H K H of H·AD(1/2)·H, output-rotated by Haar-random V.
+
+    At a = 1/2 the mirror state (-1, 0, 0) goes to I/2, so one output's
+    squared radius is 0 and its six-number form can round below 0.
+    """
+    rng = np.random.default_rng(seed)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    ad = kraus_operators(QubitChannel.amplitude_damping(0.5))
+    for _ in range(n):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        v = q * (np.diag(r) / np.abs(np.diag(r)))
+        yield [v @ h @ k @ h for k in ad]
+
+
+def test_mirror_chi_clamps_a_squared_radius_below_zero():
+    # without the clamp 15 of these 100 maps give NaN, and so does the report
+    worst = 0.0
+    for ops in _rotated_half_damping(100, seed=11):
+        chi = chi_mirror_family(QubitChannel.kraus(ops), 0.5)
+        assert math.isfinite(chi)
+        oracle = oracles.holevo_chi(ops, oracles.mirror_pair(0.5), (0.5, 0.5))
+        worst = max(worst, abs(chi - oracle))
+    assert worst <= 1e-12
+    branches = [QubitChannel.kraus(ops) for ops in _rotated_half_damping(2, seed=11)]
+    report = compute_capacity_report(branches)
+    assert math.isfinite(report.cp) and math.isfinite(report.cbar)
 
 
 def test_chi_closed_form_matches_generic_path():

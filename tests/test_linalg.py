@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from capscale import ValidationError
-from capscale.linalg import entropy_from_radius, validate_density_matrix
+from capscale.linalg import entropy_from_squared_radius, validate_density_matrix
 
 
 def test_herm_eigenvalues_matches_known_diagonalization():
@@ -29,7 +29,7 @@ def test_herm_eigenvalues_known_2x2():
     b = math.sqrt(0.125)
     h = oracles.binary_entropy((1.0 - math.sqrt(0.75)) / 2.0)
     assert oracles.entropy(np.array([[0.75, b], [b, 0.25]])) == pytest.approx(h, abs=1e-14)
-    assert entropy_from_radius(math.sqrt(0.75)) == pytest.approx(h, abs=1e-14)
+    assert entropy_from_squared_radius(0.75) == pytest.approx(h, abs=1e-14)
 
 
 def test_herm_eigenvalues_rejects_bad_input():
@@ -58,22 +58,25 @@ def test_validate_density_matrix():
 
 
 def test_von_neumann_entropy_values():
-    # a qubit's entropy from its Bloch radius; the oracle for larger states
-    assert entropy_from_radius(0.9330 - 0.0670) == pytest.approx(0.3546271671967254, abs=1e-14)
-    assert entropy_from_radius(1.0) == 0.0
-    assert entropy_from_radius(0.0) == pytest.approx(1.0, abs=1e-14)
+    # a qubit's entropy from its squared Bloch radius; the oracle for larger states
+    r2 = (0.9330 - 0.0670) ** 2
+    assert entropy_from_squared_radius(r2) == pytest.approx(0.3546271671967254, abs=1e-14)
+    assert entropy_from_squared_radius(1.0) == 0.0
+    assert entropy_from_squared_radius(0.0) == pytest.approx(1.0, abs=1e-14)
     assert oracles.entropy(np.eye(4) / 4.0) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_von_neumann_entropy_clips_roundoff_eigenvalues():
-    # pure states assembled in floating point: radii above 1 and tiny
-    # negative eigenvalues from roundoff must not produce NaNs
+    # states assembled in floating point: squared radii above 1 or below 0
+    # and tiny negative eigenvalues from roundoff must not produce NaNs
     rng = np.random.default_rng(3)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     assert oracles.entropy(np.outer(v, v.conj())) == pytest.approx(0.0, abs=1e-12)
-    assert entropy_from_radius(1.0 + 4e-16) == 0.0
+    assert entropy_from_squared_radius(1.0 + 4e-16) == 0.0
+    assert entropy_from_squared_radius(-1e-17) == 1.0
     v = v[:2] / np.linalg.norm(v[:2])
-    r = np.linalg.norm(oracles.bloch_vector(np.outer(v, v.conj())))
-    assert entropy_from_radius(r) == pytest.approx(0.0, abs=1e-12)
+    r = oracles.bloch_vector(np.outer(v, v.conj()))
+    assert entropy_from_squared_radius(r @ r) == pytest.approx(0.0, abs=1e-12)
+    assert np.isnan(entropy_from_squared_radius(np.nan))
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import capscale.cli as cli
-import capscale.holevo as holevo
 import capscale.scales as scales
 from capscale import (
     MemoryChannel,
@@ -279,7 +278,7 @@ def work_counts(monkeypatch):
         calls["lanes"] += np.size(lo)
         return maximize(f, lo, hi, *args, **kwargs)
 
-    monkeypatch.setattr(holevo, "holevo_chi", count("kernel", holevo.holevo_chi))
+    monkeypatch.setattr(scales, "mirror_chi", count("kernel", scales.mirror_chi))
     monkeypatch.setattr(scales, "maximize_concave_1d", count("maximizer", maximizer))
     return calls
 
