@@ -122,6 +122,8 @@ def load_channel_config(path) -> MemoryChannel:
         raise ValidationError(f"cannot read channel file {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise ValidationError(f"channel file {path!r} is not valid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"channel file {path!r} is not UTF-8 text: {e}") from e
     if not isinstance(data, dict):
         raise ValidationError("channel file must contain a JSON object")
     raw = data.get("branches")
@@ -242,10 +244,7 @@ def _emit_capacity_report(args, report: scales.CapacityReport):
 
 
 def _emit_random_report(args, report: scales.RandomScaleReport):
-    rows = [
-        (delta, s.q_delta, s.c_delta, s.cbar_delta)
-        for delta, s in sorted(report.per_subset.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    rows = [(delta, s.q_delta, s.c_delta, s.cbar_delta) for delta, s in report.per_subset.items()]
     obj = {
         "q": report.q,
         "per_subset": [

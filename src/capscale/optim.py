@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import check_number
 from .errors import NumericalError, ValidationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -43,6 +44,7 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not np.all(lo < hi):
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
+    tol = check_number(tol, "tol")
     if not (1e-12 <= tol < math.inf):
         raise ValidationError(f"tol must be finite and >= 1e-12, got {tol}")
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)

@@ -52,10 +52,18 @@ _WINDOW = 4 * _FINE + 1
 _SCAN_BLOCK = 16
 
 
+def _listed(items, what: str, of: str) -> list:
+    """items as a list; a non-iterable is refused as not a sequence of `of`."""
+    try:
+        return list(items)
+    except TypeError as e:
+        raise ValidationError(f"{what} must be a sequence of {of}: {e}") from e
+
+
 def _as_channels(branches) -> tuple[QubitChannel, ...]:
     out = tuple(
         b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(b)
-        for b in branches
+        for b in _listed(branches, "branches", "channels or damping parameters")
     )
     if not out:
         raise ValidationError("need at least one branch")
@@ -265,11 +273,8 @@ def check_indices(subset, what: str = "subset") -> tuple[int, ...]:
     Entries must be integers (anything operator.index accepts) but not
     bools; a fractional or non-numeric entry is refused, never truncated.
     """
-    try:
-        subset = tuple(subset)
-    except TypeError as e:
-        raise ValidationError(f"{what} must be a sequence of integer indices: {e}") from e
-    subset = tuple(check_integer(i, f"each index of {what}") for i in subset)
+    indices = _listed(subset, what, "integer indices")
+    subset = tuple(check_integer(i, f"each index of {what}") for i in indices)
     if not subset:
         raise ValidationError(f"{what} must be nonempty")
     if len(set(subset)) != len(subset):
@@ -386,6 +391,7 @@ def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
     """
     channels = _as_channels(branches)
     L = len(channels)
+    r = check_integer(r, "r")
     if not 1 <= r <= L:
         raise ValidationError(f"r must be in [1, {L}], got {r}")
     # the rotations of a size-r subset are size-r subsets
@@ -425,20 +431,6 @@ def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
     return CapacityReport(cp=cp, cbar=cbar, scale=scale, per_branch_suprema=sups)
 
 
-def _padded_members(deltas, L: int) -> np.ndarray:
-    """The members of each delta in increasing order, one row per delta.
-
-    Rows are padded with L to at least two columns.
-    """
-    members, bounds = _pairs(deltas)
-    sizes = np.diff(bounds)
-    rows = np.repeat(np.arange(len(deltas)), sizes)
-    cols = np.arange(len(members)) - np.repeat(bounds[:-1], sizes)
-    idx = np.full((len(deltas), max(2, sizes.max(initial=0))), L)
-    idx[rows, cols] = members
-    return idx
-
-
 def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> RandomScaleReport:
     """Subset-capacity table for a random-memory channel.
 
@@ -460,24 +452,23 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     if deltas is None:
         deltas = _all_subsets(L, range(1, L + 1))
     else:
-        deltas = [_check_subset(d, L) for d in deltas]
-    idx = _padded_members(deltas, L)
-    member = np.zeros((len(deltas), L + 1))
-    member[np.arange(len(deltas))[:, None], idx] = 1.0
-    shared = np.triu(member.T @ member, 1)[:L, :L]  # deltas holding both i < m
-    pairs = [tuple(p) for p in np.argwhere(shared).tolist()]
+        deltas = [_check_subset(d, L) for d in _listed(deltas, "deltas", "subsets")]
+    members, bounds = _pairs(deltas)
+    inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
+    inc[np.repeat(np.arange(len(deltas)), np.diff(bounds)), members] = True
+    pairs = [tuple(p) for p in np.argwhere(np.triu(inc.T @ inc, 1)).tolist()]
     # a single branch's worst case is its supremum
     best = maximize_subsets(channels, [(i,) for i in range(L)] + pairs, np.minimum, tol)
     sups = _suprema(best, L)
-    q_delta, c_delta, cbar_delta = _fill_subsets(idx, q, sups, {p: best[p][1] for p in pairs})
+    q_delta, c_delta, cbar_delta = _fill_subsets(inc, q, sups, {p: best[p][1] for p in pairs})
     per_subset = {
         d: SubsetScale(*row) for d, row in zip(deltas, zip(q_delta, c_delta, cbar_delta))
     }
     return RandomScaleReport(q=q, per_subset=per_subset, per_branch_suprema=sups)
 
 
-def _fill_subsets(idx, q, sups, pair_values) -> tuple[list, list, list]:
-    """q_delta, c_delta and cbar_delta of the deltas whose members are the rows of idx.
+def _fill_subsets(inc, q, sups, pair_values) -> tuple[list, list, list]:
+    """q_delta, c_delta and cbar_delta of the deltas whose members are the rows of inc.
 
     Each mirror-family curve chi_i(a) is concave on [0, 1] (the search
     assumes it), so each superlevel set {a : chi_i(a) >= c} is an interval,
@@ -488,26 +479,18 @@ def _fill_subsets(idx, q, sups, pair_values) -> tuple[list, list, list]:
     only: a branch whose best ensemble lies outside it needs the direct
     minimax over delta, not this rule.
 
-    All three columns follow one recurrence, adding the members of every
-    delta in increasing order at once: with m the member added,
-    c(delta) = min(c(delta - {m}), min over i in delta - {m} of pair(i, m)),
-    q(delta) = q(delta - {m}) + q_m (so the sum keeps the bits of summing
-    q over delta in order) and cbar(delta) = max(cbar(delta - {m}), chi*_m).
-    The padding index L adds nothing to any of them.
+    inc is the deltas x L incidence matrix, and pair_values maps each pair
+    (i, m), i < m, of members of some delta to its value.
     """
     L = len(q)
-    pair = np.full((L + 1, L + 1), np.inf)
+    pair = np.full((L, L), np.inf)  # pair[i, m] for i < m, +inf elsewhere
     for (i, m), v in pair_values.items():
         pair[i, m] = v
-    q_ext = np.append(q, 0.0)
-    sup_ext = np.append([s.chi_star for s in sups], -np.inf)
-    q_delta = np.zeros(len(idx))
-    c_delta = np.full(len(idx), np.inf)
-    cbar_delta = np.full(len(idx), -np.inf)
-    for k, m in enumerate(idx.T):
-        c_delta = np.minimum(c_delta, pair[idx[:, :k], m[:, None]].min(axis=1, initial=np.inf))
-        q_delta = q_delta + q_ext[m]
-        cbar_delta = np.maximum(cbar_delta, sup_ext[m])
-    c_delta = np.where(idx[:, 1] == L, sup_ext[idx[:, 0]], c_delta)
+    c_delta = np.where(inc[:, :, None] & inc[:, None, :], pair, np.inf).min(axis=(1, 2))
+    cbar_delta = np.where(inc, [s.chi_star for s in sups], -np.inf).max(axis=1)
+    # a singleton has no pair: its worst case is its supremum
+    c_delta = np.where(inc.sum(axis=1) == 1, cbar_delta, c_delta)
+    # summed column by column, so each q_delta keeps the bits of summing in order
+    q_delta = functools.reduce(np.add, np.where(inc, q, 0.0).T)
     # q may sum to 1 + 1e-10; a probability stays at most 1
     return np.minimum(q_delta, 1.0).tolist(), c_delta.tolist(), cbar_delta.tolist()

@@ -92,19 +92,23 @@ def _branch_probs(mc: MemoryChannel) -> np.ndarray:
     raise ValidationError(MARKOV_LAW_ONLY)
 
 
-def _subset_rate(mc: MemoryChannel, subset, tol: float) -> float:
-    if mc.memory == "periodic":
-        return subset_scale_value(mc.branches, subset, tol)
-    (entry,) = compute_random_scale_report(mc.branches, mc.q, [subset], tol).per_subset.values()
-    return entry.c_delta
+def _rated(mc: MemoryChannel, subset, tol: float) -> list[tuple[tuple[int, ...], float, float]]:
+    """(subset, rate, probability) rows of mc's report, in the report's order.
 
-
-def _subset_prob(mc: MemoryChannel, subset) -> float:
-    """Probability that the drawn branch lies in subset."""
-    if mc.memory == "periodic":
-        return len(subset) / len(mc.branches)
-    # q may sum to 1 + 1e-10; a probability stays at most 1
-    return min(1.0, float(sum(mc.q[i] for i in subset)))
+    subset None asks for every row: each scale level's best subset
+    (periodic memory) or every subset, size-major and then lexicographic
+    (random memory); a subset asks for its own row. A subset's probability
+    is that of the drawn branch lying in it.
+    """
+    if mc.memory == "random":
+        deltas = None if subset is None else [subset]
+        report = compute_random_scale_report(mc.branches, mc.q, deltas, tol)
+        return [(d, s.c_delta, s.q_delta) for d, s in report.per_subset.items()]
+    L = len(mc.branches)
+    if subset is None:
+        entries = compute_capacity_report(mc.branches, tol).scale.values()
+        return [(e.best_subset, e.value, len(e.best_subset) / L) for e in entries]
+    return [(subset, subset_scale_value(mc.branches, subset, tol), len(subset) / L)]
 
 
 def _clears(rate: float, subset, value: float) -> bool:
@@ -131,7 +135,9 @@ def success_oracle(mc: MemoryChannel, strategy: Strategy, tol: float = 1e-8) -> 
     the attempted rate is below the subset's achievable rate. Rates within
     RATE_MARGIN of that threshold are rejected as indeterminate.
     """
-    return _success(_branch_probs(mc), strategy, _subset_rate(mc, strategy.subset, tol))
+    probs = _branch_probs(mc)  # refuses markov memory
+    ((_, value, _),) = _rated(mc, strategy.subset, tol)
+    return _success(probs, strategy, value)
 
 
 def run_trials(
@@ -152,15 +158,17 @@ def run_trials(
     """
     _branch_probs(mc)  # refuses markov memory
     n_trials, seed = _check_draws(n_trials, seed)
-    return _draw_trials(mc, strategy, _subset_rate(mc, strategy.subset, tol), n_trials, seed)
+    ((_, value, q_subset),) = _rated(mc, strategy.subset, tol)
+    return _draw_trials(mc, strategy, value, q_subset, n_trials, seed)
 
 
-def _draw_trials(mc, strategy: Strategy, value: float, n_trials: int, seed: int) -> SimResult:
-    """run_trials for a subset whose rate `value` the caller already holds, with
-    n_trials and seed that passed _check_draws."""
+def _draw_trials(
+    mc, strategy: Strategy, value: float, q_subset: float, n_trials: int, seed: int
+) -> SimResult:
+    """run_trials for a subset whose rate `value` and probability q_subset the
+    caller already holds, with n_trials and seed that passed _check_draws."""
     probs = _branch_probs(mc)
     success = _success(probs, strategy, value)
-    q_subset = _subset_prob(mc, strategy.subset)
 
     # q may miss 1 by up to 1e-10; the draw alone needs it normalized
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -190,15 +198,11 @@ class StaircaseRow:
     seed: int
 
 
-def _best_subset_for_rate(rate, candidates):
-    """Largest-probability subset whose rate clears the attempted rate."""
-    best = None
-    for subset, value, q in candidates:
-        if _clears(rate, subset, value):
-            key = (q, -len(subset), tuple(-i for i in subset))
-            if best is None or key > best[0]:
-                best = (key, subset, value, q)
-    return None if best is None else best[1:]
+def _best_subset_for_rate(rate, rated):
+    """The first (subset, rate, probability) of rated, in report order, of the
+    highest probability among those whose rate clears the attempted rate."""
+    cleared = [row for row in rated if _clears(rate, row[0], row[1])]
+    return max(cleared, key=lambda row: row[2], default=None)
 
 
 def empirical_staircase(
@@ -207,7 +211,8 @@ def empirical_staircase(
     """Simulate the best strategy at each rate and tabulate the errors.
 
     For each rate the most probable subset still achieving that rate is
-    simulated (ties prefer smaller, earlier subsets); rates above every
+    simulated (a tie goes to the first in the report's order: smaller,
+    then lexicographically earlier subsets); rates above every
     subset rate get the empty strategy, which always fails. Row i runs
     with seed + i so rows are reproducible independently.
     """
@@ -219,23 +224,16 @@ def empirical_staircase(
 
     n_trials, seed = _check_draws(n_trials, seed, rows=len(rates))
     _branch_probs(mc)  # refuses markov memory
-    if mc.memory == "periodic":
-        report = compute_capacity_report(mc.branches, tol)
-        rated = [(e.best_subset, e.value) for e in report.scale.values()]
-    else:
-        # subsets in size-major, then lexicographic order
-        report = compute_random_scale_report(mc.branches, mc.q, tol=tol)
-        rated = [(d, s.c_delta) for d, s in report.per_subset.items()]
-    candidates = [(subset, value, _subset_prob(mc, subset)) for subset, value in rated]
+    rated = _rated(mc, None, tol)
 
     rows = []
     for i, rate in enumerate(rates):
-        pick = _best_subset_for_rate(rate, candidates)
+        pick = _best_subset_for_rate(rate, rated)
         if pick is None:
             rows.append(StaircaseRow(rate, (), 0.0, 1.0, 1.0, n_trials, seed + i))
             continue
         subset, value, q = pick
-        res = _draw_trials(mc, Strategy(subset, rate), value, n_trials, seed + i)
+        res = _draw_trials(mc, Strategy(subset, rate), value, q, n_trials, seed + i)
         rows.append(
             StaircaseRow(rate, subset, q, res.theoretical_error, res.empirical_error,
                          n_trials, seed + i)

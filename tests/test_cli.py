@@ -152,7 +152,10 @@ def test_staircase_matches_scale_table(channel_files, tmp_path):
 def test_random_scale_command(channel_files, tmp_path):
     rc, text = run_to_file(tmp_path, ["random-scale", channel_files["rand3"]])
     assert rc == 0
-    assert len(text.splitlines()) == 8  # header + 7 subsets
+    lines = text.splitlines()
+    assert len(lines) == 8  # header + 7 subsets, size-major, then lexicographic
+    deltas = [line.split(",")[0] for line in lines[1:]]
+    assert deltas == ["0", "1", "2", "0;1", "0;2", "1;2", "0;1;2"]
 
     rc, text = run_to_file(
         tmp_path, ["random-scale", channel_files["rand3"], "--delta", "0,2"]
@@ -268,6 +271,9 @@ def test_exit_code_on_bad_inputs(channel_files, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["chi", str(bad)]) == 2
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + json.dumps(PER4).encode("utf-16-le"))
+    assert cli.main(["chi", str(utf16)]) == 2
     gamma_one = tmp_path / "g1.json"
     gamma_one.write_text(
         json.dumps(

@@ -106,6 +106,22 @@ def test_scale_validation():
     assert subset_scale_value(GAMMAS4, (np.int64(1), 0)) == subset_scale_value(GAMMAS4, (0, 1))
     with pytest.raises(ValidationError):
         compute_capacity_report([0.1, 0.4], tol=float("nan"))
+    # sizes are integer indices too, and tol is a real number
+    for r in (2.5, "2", None, True):
+        with pytest.raises(ValidationError, match="r must be an integer"):
+            scale_r(GAMMAS4, r)
+    for tol in ("1e-8", None, True):
+        with pytest.raises(ValidationError, match="tol must be a number"):
+            compute_capacity_report([0.1, 0.4], tol=tol)
+        with pytest.raises(ValidationError, match="tol must be a number"):
+            compute_random_scale_report((0.1, 0.4), (0.5, 0.5), tol=tol)
+    # branches and deltas must be sequences
+    with pytest.raises(ValidationError, match="branches must be a sequence"):
+        per_branch_suprema(None)
+    with pytest.raises(ValidationError, match="branches must be a sequence"):
+        scale_r(None, 1)
+    with pytest.raises(ValidationError, match="deltas must be a sequence"):
+        compute_random_scale_report((0.1, 0.4), (0.5, 0.5), deltas=5)
 
 
 def test_pair_capacity_and_average():

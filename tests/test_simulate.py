@@ -15,6 +15,7 @@ from capscale import (
     compute_capacity_report,
     compute_random_scale_report,
     empirical_staircase,
+    kraus_operators,
     run_trials,
     subset_scale_value,
     success_oracle,
@@ -256,6 +257,25 @@ def test_empirical_staircase_random_subset_selection():
     assert [r.q_subset for r in rows] == [1.0, 0.8, 0.5, 0.0]
     expect_err = [0.0, pytest.approx(0.2), pytest.approx(0.5), 1.0]
     assert [r.theoretical_error for r in rows] == expect_err
+
+
+def test_random_staircase_tie_goes_to_the_first_subset_in_report_order():
+    # X·AD(0.5)·X and AD(0.5) have the same capacity; with AD(0.45) both
+    # singletons clear rate 0.47 at probability 0.5, and their pair does not
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    flipped = QubitChannel.kraus(
+        [x @ k @ x for k in kraus_operators(QubitChannel.amplitude_damping(0.5))]
+    )
+    mc = MemoryChannel.random([flipped, QubitChannel.amplitude_damping(0.45)], [0.5, 0.5])
+    report = compute_random_scale_report(mc.branches, mc.q)
+    assert {d: s.c_delta for d, s in report.per_subset.items()} == {
+        (0,): pytest.approx(0.47173, abs=1e-5),
+        (1,): pytest.approx(0.51200, abs=1e-5),
+        (0, 1): pytest.approx(0.46998, abs=1e-5),
+    }
+    # (1,) has the higher rate, but (0,) comes first
+    (row,) = empirical_staircase(mc, [0.47], 1000, seed=1)
+    assert row.subset == (0,) and row.q_subset == 0.5 and row.theoretical_error == 0.5
 
 
 def test_empirical_staircase_validation():
