@@ -68,6 +68,14 @@ def check_numbers(value, name) -> np.ndarray:
         raise ValidationError(f"{name} is ragged: its lists differ in length") from e
 
 
+def listed(items, what: str, of: str) -> list:
+    """items as a list; a non-iterable is refused as not a sequence of `of`."""
+    try:
+        return list(items)
+    except TypeError as e:
+        raise ValidationError(f"{what} must be a sequence of {of}: {e}") from e
+
+
 def check_integer(value, what) -> int:
     """value as an int: anything operator.index accepts, but not a bool."""
     try:
@@ -169,6 +177,10 @@ def _is_distribution(v: np.ndarray) -> bool:
     return bool(v.min() >= 0.0 and np.abs(v.sum(axis=-1) - 1.0).max() <= 1e-10)
 
 
+def _branches(branches) -> tuple:
+    return tuple(listed(branches, "branches", "QubitChannel instances"))
+
+
 @dataclass(frozen=True, eq=False)
 class MemoryChannel:
     """L branch channels plus a classical memory law.
@@ -188,15 +200,15 @@ class MemoryChannel:
 
     @classmethod
     def periodic(cls, branches) -> "MemoryChannel":
-        return cls(branches=tuple(branches), memory="periodic")
+        return cls(branches=_branches(branches), memory="periodic")
 
     @classmethod
     def random(cls, branches, q) -> "MemoryChannel":
-        return cls(branches=tuple(branches), memory="random", q=q)
+        return cls(branches=_branches(branches), memory="random", q=q)
 
     @classmethod
     def markov(cls, branches, Q, lam) -> "MemoryChannel":
-        return cls(branches=tuple(branches), memory="markov", Q=Q, lam=lam)
+        return cls(branches=_branches(branches), memory="markov", Q=Q, lam=lam)
 
     def _floats(self, field, name, shape, need) -> np.ndarray:
         """Store a law parameter as a float array of the given shape."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MemoryChannel, QubitChannel, check_integer
+from .channels import MemoryChannel, QubitChannel, check_integer, listed
 from .errors import NumericalError, ValidationError
 from .holevo import mirror_chi, mirror_form
 from .optim import maximize_concave_1d
@@ -48,22 +48,11 @@ _FINE = 16
 _FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
 _WINDOW = 4 * _FINE + 1
 
-# Subsets whose grid rows are gathered at once.
-_SCAN_BLOCK = 16
-
-
-def _listed(items, what: str, of: str) -> list:
-    """items as a list; a non-iterable is refused as not a sequence of `of`."""
-    try:
-        return list(items)
-    except TypeError as e:
-        raise ValidationError(f"{what} must be a sequence of {of}: {e}") from e
-
 
 def _as_channels(branches) -> tuple[QubitChannel, ...]:
     out = tuple(
         b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(b)
-        for b in _listed(branches, "branches", "channels or damping parameters")
+        for b in listed(branches, "branches", "channels or damping parameters")
     )
     if not out:
         raise ValidationError("need at least one branch")
@@ -77,7 +66,9 @@ class _Sweep:
     branch's curve is evaluated once on the scan grid, and each subset's
     grid argmax k of its combined scan rows, two steps to either side,
     brackets its maximizer. Curves are evaluated from each branch's
-    mirror_form, shape (6, branch), computed once.
+    mirror_form, shape (6, branch), computed once. The subsets are grouped
+    by size, and a group's curves are combined in member order: one reduce
+    per member position over all the group's subsets.
     """
 
     def __init__(self, channels, subsets, reduce):
@@ -85,24 +76,25 @@ class _Sweep:
         self.reduce = reduce
         self.subsets = subsets
         self.members, self.bounds = _pairs(subsets)
+        size = np.diff(self.bounds)
+        self.groups = []  # each size's subsets and their (subsets, size) member matrix
+        for r in range(1, size.max() + 1):
+            if len(group := np.flatnonzero(size == r)):
+                self.groups.append((group, self.members[self.bounds[group, None] + np.arange(r)]))
         scan = self._curves(_SCAN)
-
-        def grid_argmax(p0, p1, b):
-            return reduce.reduceat(scan[self.members[p0:p1]], b).argmax(axis=1)
-
-        self.k = self._blockwise(grid_argmax)
+        self.k = np.empty(len(subsets), dtype=int)
+        for group, members in self.groups:
+            self.k[group] = self._combined(lambda b: scan.take(b, axis=0), members).argmax(axis=1)
 
     def _curves(self, a):  # (branch, point)
         return mirror_chi(self.form[:, :, None], a)
 
-    def _blockwise(self, fn):
-        """fn(first pair, end pair, local run starts) on blocks of subsets.
-
-        The results are joined on their last axis.
-        """
-        blocks = range(0, len(self.subsets), _SCAN_BLOCK)
-        runs = (self.bounds[i:i + _SCAN_BLOCK + 1] for i in blocks)
-        return np.concatenate([fn(b[0], b[-1], b[:-1] - b[0]) for b in runs], axis=-1)
+    def _combined(self, rows, members):
+        """rows(members[:, 0]), combined in place with rows(members[:, d]) for d = 1, 2, ..."""
+        out = rows(members[:, 0])  # a new array
+        for d in range(1, members.shape[1]):
+            self.reduce(out, rows(members[:, d]), out=out)
+        return out
 
     def bounds_of_maxima(self):
         """Lower and upper bounds on each subset's combined curve's maximum, shape (2, subsets).
@@ -114,14 +106,12 @@ class _Sweep:
         start = np.clip(_FINE * (self.k - 2), 0, len(_FINE_GRID) - _WINDOW)
         first = start.min()
         fine = self._curves(_FINE_GRID[first:start.max() + _WINDOW])
-        cols = start - first
-        lane = np.repeat(np.arange(len(self.subsets)), np.diff(self.bounds))
-
-        def window_sums(p0, p1, b):  # (window point, subset)
-            rows = fine[self.members[p0:p1, None], cols[lane[p0:p1], None] + np.arange(_WINDOW)]
-            return self.reduce.reduceat(rows, b).T
-
-        return _peak_bounds(self._blockwise(window_sums).T)
+        windows = np.lib.stride_tricks.sliding_window_view(fine, _WINDOW, axis=1)
+        out = np.empty((2, len(self.subsets)))
+        for group, members in self.groups:
+            at = start[group] - first
+            out[:, group] = _peak_bounds(self._combined(lambda b: windows[b, at], members))
+        return out
 
     def refine(self, lanes, tol):
         """Refine the brackets of the subsets at lanes in one lockstep search.
@@ -185,10 +175,19 @@ def maximize_subsets(branches, subsets, reduce=np.add, tol: float = 1e-8) -> dic
     each subset's grid argmax, two steps to either side, brackets its
     maximizer. One lockstep golden-section search then refines every
     bracket, with one Holevo kernel call per step over the six-number forms
-    of all (subset, member) pairs. Returns {subset: (argmax, value)}.
+    of all (subset, member) pairs. Each subset is checked as in
+    subset_scale_value. Returns {subset: (argmax, value)}, keyed by each
+    subset as a sorted tuple.
     """
+    channels = _as_channels(branches)
+    subsets = [_check_subset(s, len(channels)) for s in listed(subsets, "subsets", "subsets")]
+    return _maximize(channels, subsets, reduce, tol) if subsets else {}
+
+
+def _maximize(channels, subsets, reduce, tol) -> dict:
+    """maximize_subsets on a nonempty list of checked subsets."""
     subsets = list(dict.fromkeys(subsets))
-    sweep = _Sweep(_as_channels(branches), subsets, reduce)
+    sweep = _Sweep(channels, subsets, reduce)
     res = sweep.refine(np.arange(len(subsets)), tol)
     return {s: (float(a), float(v)) for s, a, v in zip(subsets, res.argmax, res.value)}
 
@@ -242,7 +241,7 @@ def _suprema(best: dict, L: int) -> tuple[BranchSupremum, ...]:
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
     channels = _as_channels(branches)
     L = len(channels)
-    return list(_suprema(maximize_subsets(channels, [(i,) for i in range(L)], np.add, tol), L))
+    return list(_suprema(_maximize(channels, [(i,) for i in range(L)], np.add, tol), L))
 
 
 def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
@@ -273,7 +272,7 @@ def check_indices(subset, what: str = "subset") -> tuple[int, ...]:
     Entries must be integers (anything operator.index accepts) but not
     bools; a fractional or non-numeric entry is refused, never truncated.
     """
-    indices = _listed(subset, what, "integer indices")
+    indices = listed(subset, what, "integer indices")
     subset = tuple(check_integer(i, f"each index of {what}") for i in indices)
     if not subset:
         raise ValidationError(f"{what} must be nonempty")
@@ -299,7 +298,7 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     L = len(channels)
     subset = _check_subset(subset, L)
     rotations = [tuple(sorted((m + k) % L for m in subset)) for k in range(L)]
-    best = maximize_subsets(channels, rotations, np.add, tol)
+    best = _maximize(channels, rotations, np.add, tol)
     return sum(best[rotated][1] for rotated in rotations) / (len(subset) * L)
 
 
@@ -452,13 +451,13 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     if deltas is None:
         deltas = _all_subsets(L, range(1, L + 1))
     else:
-        deltas = [_check_subset(d, L) for d in _listed(deltas, "deltas", "subsets")]
+        deltas = [_check_subset(d, L) for d in listed(deltas, "deltas", "subsets")]
     members, bounds = _pairs(deltas)
     inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
     inc[np.repeat(np.arange(len(deltas)), np.diff(bounds)), members] = True
     pairs = [tuple(p) for p in np.argwhere(np.triu(inc.T @ inc, 1)).tolist()]
     # a single branch's worst case is its supremum
-    best = maximize_subsets(channels, [(i,) for i in range(L)] + pairs, np.minimum, tol)
+    best = _maximize(channels, [(i,) for i in range(L)] + pairs, np.minimum, tol)
     sups = _suprema(best, L)
     q_delta, c_delta, cbar_delta = _fill_subsets(inc, q, sups, {p: best[p][1] for p in pairs})
     per_subset = {

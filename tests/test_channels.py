@@ -180,6 +180,13 @@ def test_memory_channel_validation():
     MemoryChannel.markov(branches, np.eye(2), np.array([0.9, 0.1]))
     with pytest.raises(ValidationError):
         MemoryChannel.periodic([])
+    # branches must be a sequence, as in the reports
+    with pytest.raises(ValidationError, match="branches must be a sequence"):
+        MemoryChannel.periodic(None)
+    with pytest.raises(ValidationError, match="branches must be a sequence"):
+        MemoryChannel.random(None, [0.5, 0.5])
+    with pytest.raises(ValidationError, match="branches must be a sequence"):
+        MemoryChannel.markov(5, np.eye(2), [0.5, 0.5])
 
 
 def test_apply_memory_channel_n_contract():

@@ -1,7 +1,9 @@
 import collections
+import functools
 import io
 import itertools
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -122,6 +124,11 @@ def test_scale_validation():
         scale_r(None, 1)
     with pytest.raises(ValidationError, match="deltas must be a sequence"):
         compute_random_scale_report((0.1, 0.4), (0.5, 0.5), deltas=5)
+    # maximize_subsets checks its subsets as subset_scale_value does
+    for subsets in ([(0.5,)], [(0, 9)], [()], 5):
+        with pytest.raises(ValidationError):
+            scales.maximize_subsets([0.1, 0.4], subsets)
+    assert scales.maximize_subsets([0.1, 0.4], []) == {}
 
 
 def test_pair_capacity_and_average():
@@ -442,6 +449,60 @@ def test_pruned_levels_match_full_sweep(tol):
         assert np.all(value <= upper + pad)
         if tol == 1e-8:
             assert np.all(lower <= value + pad)
+
+
+@pytest.mark.parametrize("reduce", [np.add, np.minimum])
+def test_sweep_combines_members_in_order(reduce):
+    # a subset's combined curve is the reduce of its members' curves in member
+    # order, whatever the order and mix of sizes the subsets come in
+    rng = np.random.default_rng(16)
+    for branches in pruning_cases():
+        L = len(branches)
+        subsets = scales._all_subsets(L, range(1, L + 1))
+        subsets = [subsets[i] for i in rng.permutation(len(subsets))]
+        sweep = scales._Sweep(scales._as_channels(branches), subsets, reduce)
+        scan = sweep._curves(scales._SCAN)
+        for s, k in zip(subsets, sweep.k):
+            assert k == functools.reduce(reduce, (scan[i] for i in s)).argmax()
+        start = np.clip(scales._FINE * (sweep.k - 2), 0, len(scales._FINE_GRID) - scales._WINDOW)
+        first = start.min()
+        fine = sweep._curves(scales._FINE_GRID[first:start.max() + scales._WINDOW])
+        lower, _ = sweep.bounds_of_maxima()
+        for s, c, low in zip(subsets, start - first, lower):
+            window = (fine[i, c:c + scales._WINDOW] for i in s)
+            assert low == functools.reduce(reduce, window).max()
+    branches = [0.1, 0.4, 0.7]
+    mixed = [(0, 2), (1,), (0, 1, 2), (0, 2)]
+    best = scales.maximize_subsets(branches, mixed, reduce)
+    assert list(best) == [(0, 2), (1,), (0, 1, 2)]
+    for s in mixed:
+        assert best[s] == scales.maximize_subsets(branches, [s], reduce)[s]
+
+
+def x_damping(gamma):
+    """X·AD(gamma)·X as Kraus operators: damping toward |1> instead of |0>."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    ops = kraus_operators(QubitChannel.amplitude_damping(gamma))
+    return QubitChannel.kraus([x @ k @ x for k in ops])
+
+
+def test_memory_ceiling_of_reports():
+    # the sweep combines the curves of one subset size at a time; a table of
+    # curves with a row per subset (4095 rows at L = 12) would not fit
+    gammas = [float(g) for g in np.linspace(0.05, 0.9, 12)]
+    alternating = [
+        QubitChannel.amplitude_damping(g) if i % 2 == 0 else x_damping(g)
+        for i, g in enumerate(gammas)
+    ]
+    for branches in (gammas, alternating):
+        compute_capacity_report(branches)  # first call: imports and caches
+        tracemalloc.start()
+        try:
+            compute_capacity_report(branches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 
 def direct_random_table(branches, q):
