@@ -3,7 +3,6 @@
 from .channels import (
     MemoryChannel,
     QubitChannel,
-    apply_memory_channel_n,
     kraus_operators,
 )
 from .errors import NumericalError, ValidationError
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MemoryChannel",
     "QubitChannel",
-    "apply_memory_channel_n",
     "kraus_operators",
     "NumericalError",
     "ValidationError",

@@ -3,16 +3,13 @@
 A ``QubitChannel`` is one CPT map (amplitude damping, depolarizing, or an
 explicit Kraus list), given by its Kraus operators; the library computes
 on its Bloch-affine map ``bloch_map``. A ``MemoryChannel`` bundles L
-branch maps with a classical memory law: periodic cycling, an i.i.d.
-random branch draw, or a stationary Markov chain over branch indices.
-``apply_memory_channel_n`` applies the memory average to small n-fold
-density matrices (n <= 4) by exhaustive branch-sequence expansion; it is
-the one place the library reads a density matrix.
+branch maps with one of the two classical memory laws of the scale of
+capacities: periodic cycling from a uniformly random offset, or one
+branch per message drawn with probabilities q.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -22,11 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import validate_density_matrix
 
 COMPLETENESS_TOL = 1e-10
-MAX_FOLD = 4
-MAX_SEQUENCES = 1_000_000
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -117,7 +111,11 @@ class QubitChannel:
 
     @classmethod
     def kraus(cls, ops) -> "QubitChannel":
-        ops = tuple(np.asarray(k, dtype=complex) for k in ops)
+        ops = listed(ops, "kraus ops", "2x2 operators")
+        try:
+            ops = tuple(np.asarray(k, dtype=complex) for k in ops)
+        except (TypeError, ValueError, OverflowError) as e:  # not numbers, or ragged
+            raise ValidationError(f"each kraus op must be a 2x2 array of numbers: {e}") from e
         if not ops or any(k.shape != (2, 2) for k in ops):
             raise ValidationError("kraus kind needs a nonempty list of 2x2 operators")
         return cls(kind="kraus", kraus_ops=ops)
@@ -165,18 +163,6 @@ def kraus_operators(ch: QubitChannel) -> list[np.ndarray]:
     return [k.copy() for k in ch.kraus_ops]
 
 
-# The one refusal of markov memory wherever a rate is asked for.
-MARKOV_LAW_ONLY = (
-    "capscale computes no capacity, scale or simulation for markov memory; "
-    "it provides only its law (branch_sequences, apply_memory_channel_n)"
-)
-
-
-def _is_distribution(v: np.ndarray) -> bool:
-    """True when every row of v is a probability vector; NaN makes it False."""
-    return bool(v.min() >= 0.0 and np.abs(v.sum(axis=-1) - 1.0).max() <= 1e-10)
-
-
 def _branches(branches) -> tuple:
     return tuple(listed(branches, "branches", "QubitChannel instances"))
 
@@ -188,15 +174,11 @@ class MemoryChannel:
     memory kinds:
       * ``periodic``: uniformly random cyclic starting offset
       * ``random``: one branch per message, drawn with probabilities q
-      * ``markov``: branch index follows a stationary Markov chain with
-        transition matrix Q and invariant distribution lam
     """
 
     branches: tuple
     memory: str
     q: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    lam: np.ndarray | None = None
 
     @classmethod
     def periodic(cls, branches) -> "MemoryChannel":
@@ -205,18 +187,6 @@ class MemoryChannel:
     @classmethod
     def random(cls, branches, q) -> "MemoryChannel":
         return cls(branches=_branches(branches), memory="random", q=q)
-
-    @classmethod
-    def markov(cls, branches, Q, lam) -> "MemoryChannel":
-        return cls(branches=_branches(branches), memory="markov", Q=Q, lam=lam)
-
-    def _floats(self, field, name, shape, need) -> np.ndarray:
-        """Store a law parameter as a float array of the given shape."""
-        arr = check_numbers(getattr(self, field), name)
-        if arr.shape != shape:
-            raise ValidationError(need)
-        object.__setattr__(self, field, arr)
-        return arr
 
     def __post_init__(self):
         L = len(self.branches)
@@ -227,62 +197,12 @@ class MemoryChannel:
         if self.memory == "periodic":
             return
         if self.memory == "random":
-            q = self._floats("q", "'q'", (L,), "random memory needs one probability per branch")
-            if not _is_distribution(q):
+            q = check_numbers(self.q, "'q'")
+            if q.shape != (L,):
+                raise ValidationError("random memory needs one probability per branch")
+            # NaN fails both tests
+            if not (q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-10):
                 raise ValidationError("q must be a probability vector summing to 1")
-            return
-        if self.memory == "markov":
-            need = "markov memory needs an LxL transition matrix and length-L lambda"
-            Q = self._floats("Q", "'Q'", (L, L), need)
-            lam = self._floats("lam", "'lambda'", (L,), need)
-            if not _is_distribution(Q):
-                raise ValidationError("each row of Q must be a probability vector")
-            if not _is_distribution(lam):
-                raise ValidationError("lambda must be a probability vector summing to 1")
-            if np.abs(lam @ Q - lam).max() > 1e-8:
-                raise ValidationError("lambda is not invariant under Q")
+            object.__setattr__(self, "q", q)
             return
         raise ValidationError(f"unknown memory kind {self.memory!r}")
-
-    def branch_sequences(self, n: int):
-        """Yield (weight, index sequence) pairs defining the memory average."""
-        L = len(self.branches)
-        if self.memory == "periodic":
-            for i in range(L):
-                yield 1.0 / L, tuple((i + j) % L for j in range(n))
-        elif self.memory == "random":
-            for i in range(L):
-                if self.q[i] > 0.0:
-                    yield float(self.q[i]), (i,) * n
-        else:
-            if L**n > MAX_SEQUENCES:
-                raise ValidationError(f"markov expansion of {L}^{n} sequences exceeds budget")
-            for seq in itertools.product(range(L), repeat=n):
-                w = float(self.lam[seq[0]])
-                for a, b in itertools.pairwise(seq):
-                    w *= float(self.Q[a, b])
-                if w > 0.0:
-                    yield w, seq
-
-
-def _apply_product_map(branch_seq, channels, rho_n: np.ndarray) -> np.ndarray:
-    """Apply the tensor product of the indexed branch maps via Kraus sums."""
-    op_sets = [kraus_operators(channels[i]) for i in branch_seq]
-    out = np.zeros_like(rho_n)
-    for combo in itertools.product(*op_sets):
-        k = combo[0]
-        for op in combo[1:]:
-            k = np.kron(k, op)
-        out += k @ rho_n @ k.conj().T
-    return out
-
-
-def apply_memory_channel_n(mc: MemoryChannel, rho_n, n: int) -> np.ndarray:
-    """Apply the n-fold memory channel to a 2^n-dimensional state, n <= 4."""
-    if not 1 <= n <= MAX_FOLD:
-        raise ValidationError(f"n must be in [1, {MAX_FOLD}], got {n}")
-    rho_n = validate_density_matrix(rho_n, 2**n)
-    out = np.zeros_like(rho_n)
-    for w, seq in mc.branch_sequences(n):
-        out += w * _apply_product_map(seq, mc.branches, rho_n)
-    return out

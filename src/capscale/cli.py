@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import scales, simulate
-from .channels import MARKOV_LAW_ONLY, MemoryChannel, QubitChannel, check_number, check_numbers
+from .channels import MemoryChannel, QubitChannel, check_number, check_numbers
 from .errors import NumericalError, ValidationError
 from .holevo import dchi_da_ad
 from .optim import find_root_bisection
@@ -92,6 +92,8 @@ def _parse_branch(i, b) -> QubitChannel:
     if not isinstance(b, dict) or "type" not in b:
         raise ValidationError(f"branch {i} must be an object with a 'type' field")
     kind = b["type"]
+    if not isinstance(kind, str):  # a list or object is unhashable: no dict lookup
+        raise ValidationError(f"branch {i}: 'type' must be a string, got {kind!r}")
     if kind in _BRANCH_PARAM:
         name = _BRANCH_PARAM[kind]
         if name not in b:
@@ -140,10 +142,6 @@ def load_channel_config(path) -> MemoryChannel:
         if "q" not in mem:
             raise ValidationError("random memory needs a 'q' array")
         return MemoryChannel.random(branches, mem["q"])
-    if kind == "markov":
-        if "Q" not in mem or "lambda" not in mem:
-            raise ValidationError("markov memory needs 'Q' and 'lambda'")
-        return MemoryChannel.markov(branches, mem["Q"], mem["lambda"])
     raise ValidationError(f"unknown memory kind {kind!r}")
 
 
@@ -209,8 +207,6 @@ def cmd_amax(args) -> int:
 
 
 def _require_memory(mc: MemoryChannel, kinds, command):
-    if mc.memory == "markov":
-        raise ValidationError(MARKOV_LAW_ONLY)
     if mc.memory not in kinds:
         raise ValidationError(
             f"the {command} command needs {' or '.join(kinds)} memory, got {mc.memory}"

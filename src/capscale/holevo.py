@@ -8,10 +8,12 @@ input, |M r + t|² = rᵀMᵀM r + 2 (Mᵀt)·r + |t|², which on the pair reads
 only six numbers per branch (``mirror_form``). ``mirror_chi`` evaluates the
 curve from them, elementwise, with one entropy pass over the mean state's
 and the two members' squared radii; it is the library's one Holevo kernel.
-For the amplitude-damping channel there is also a closed form for the
-derivative of chi in ``a``; the ``amax`` command checks the reported
-maximizers against its root. The tests check the kernel against
-density-matrix eigenvalues and a closed-form damping curve.
+Every entropy here is a function of one number, a qubit state's squared
+Bloch radius (``entropy_from_squared_radius``), in bits. For the
+amplitude-damping channel there is also a closed form for the derivative
+of chi in ``a``; the ``amax`` command checks the reported maximizers
+against its root. The tests check the kernel against density-matrix
+eigenvalues and a closed-form damping curve.
 """
 
 from __future__ import annotations
@@ -20,9 +22,23 @@ import math
 
 import numpy as np
 
-from .channels import QubitChannel, check_number, check_numbers
+from .channels import QubitChannel, check_number, check_numbers, listed
 from .errors import ValidationError
-from .linalg import entropy_from_squared_radius
+
+
+def entropy_from_squared_radius(r2):
+    """Entropy in bits of qubit states with squared Bloch radius r2, elementwise.
+
+    The smaller eigenvalue (1 - r)/2 is computed as (1 - r²)/(2(1 + r)),
+    which keeps its relative accuracy for nearly pure states. Squared radii
+    that roundoff pushes below 0 or above 1 count as 0 (the maximally mixed
+    state) or 1 (pure); NaN propagates.
+    """
+    r2 = np.clip(np.asarray(r2, dtype=float), 0.0, 1.0)
+    lam = (1.0 - r2) / (2.0 * (1.0 + np.sqrt(r2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(lam * np.log2(lam) + (1.0 - lam) * np.log2(1.0 - lam))
+    return np.where(lam == 0.0, 0.0, h)
 
 
 def mirror_form(bloch_map) -> np.ndarray:
@@ -57,16 +73,31 @@ def mirror_chi(form, a) -> np.ndarray:
 def chi_mirror_family(ch, a):
     """Holevo quantity of the mirror pair at parameter a, for any qubit branch.
 
-    ch is a QubitChannel or a Bloch map (M, t), stacked or not, and ``a`` a
-    scalar or an array broadcast against the stack; a float comes back for
-    one channel and a scalar a, an array otherwise. The pair's Bloch
-    vectors are (±2b, 0, 2a - 1) with b = sqrt(a(1-a)).
+    ch is a QubitChannel or a Bloch map (M, t) of shapes (..., 3, 3) and
+    (..., 3), stacked or not, and ``a`` a scalar or an array broadcast
+    against the stack; a float comes back for one channel and a scalar a,
+    an array otherwise. The pair's Bloch vectors are (±2b, 0, 2a - 1) with
+    b = sqrt(a(1-a)).
     """
     a_arr = check_numbers(a, "a")
     if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
         raise ValidationError(f"a must be in [0, 1], got {a!r}")
-    bloch_map = ch.bloch_map if isinstance(ch, QubitChannel) else ch
-    chi = mirror_chi(mirror_form(bloch_map), a_arr)
+    if isinstance(ch, QubitChannel):
+        bloch_map = ch.bloch_map
+    else:
+        bloch_map = [check_numbers(x, "a Bloch map") for x in listed(ch, "ch", "arrays (M, t)")]
+        shapes = [x.shape for x in bloch_map]
+        if len(shapes) != 2 or shapes[0][-2:] != (3, 3) or shapes[1] != shapes[0][:-1]:
+            raise ValidationError(
+                "ch must be a QubitChannel or a Bloch map (M, t) "
+                "of shapes (..., 3, 3) and (..., 3)"
+            )
+    form = mirror_form(bloch_map)
+    try:
+        np.broadcast_shapes(form.shape[1:], a_arr.shape)
+    except ValueError as e:
+        raise ValidationError(f"a does not broadcast against the channel stack: {e}") from e
+    chi = mirror_chi(form, a_arr)
     return float(chi) if chi.ndim == 0 else chi
 
 

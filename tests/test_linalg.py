@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from capscale import ValidationError
-from capscale.linalg import entropy_from_squared_radius, validate_density_matrix
+from capscale.holevo import entropy_from_squared_radius
+from oracles import OracleError, validate_density_matrix
 
 
 def test_herm_eigenvalues_matches_known_diagonalization():
@@ -19,7 +19,7 @@ def test_herm_eigenvalues_matches_known_diagonalization():
         rho = validate_density_matrix(q @ np.diag(d) @ q.conj().T, dim)
         assert oracles.entropy(rho) == pytest.approx(-(d * np.log2(d)).sum(), abs=1e-10)
         d[0], d[1] = -1e-8, d[0] + d[1] + 1e-8
-        with pytest.raises(ValidationError):
+        with pytest.raises(OracleError):
             validate_density_matrix(q @ np.diag(d) @ q.conj().T, dim)
 
 
@@ -39,21 +39,21 @@ def test_herm_eigenvalues_rejects_bad_input():
         (np.eye(2) / 2.0, 4),  # not the expected dimension
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), 2),
     ):
-        with pytest.raises(ValidationError):
+        with pytest.raises(OracleError):
             validate_density_matrix(m, dim)
 
 
 def test_validate_hermitian_tolerance():
     validate_density_matrix(np.array([[0.5, 1e-11j], [0.0, 0.5]]), 2)  # within 1e-10
-    with pytest.raises(ValidationError):
+    with pytest.raises(OracleError):
         validate_density_matrix(np.array([[0.5, 1e-8j], [0.0, 0.5]]), 2)
 
 
 def test_validate_density_matrix():
     validate_density_matrix(np.eye(2) / 2.0, 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(OracleError):
         validate_density_matrix(np.eye(2), 2)  # trace 2
-    with pytest.raises(ValidationError):
+    with pytest.raises(OracleError):
         validate_density_matrix(np.diag([1.5, -0.5]), 2)  # not PSD
 
 

@@ -68,12 +68,7 @@ SLOTS = {
     "kraus-ops": lambda v: ([{"type": "kraus", "ops": v}], {"kind": "periodic"}),
     "q-entry": lambda v: ([_AD, _AD], {"kind": "random", "q": [v, 0.5]}),
     "q": lambda v: ([_AD, _AD], {"kind": "random", "q": v}),
-    "Q-entry": lambda v: (
-        [_AD, _AD], {"kind": "markov", "Q": [[v, 0.0], [0.0, 1.0]], "lambda": [0.5, 0.5]}
-    ),
-    "lambda-entry": lambda v: (
-        [_AD, _AD], {"kind": "markov", "Q": [[1.0, 0.0], [0.0, 1.0]], "lambda": [v, 0.5]}
-    ),
+    "type": lambda v: ([{"type": v, "gamma": 0.3}], {"kind": "periodic"}),
 }
 
 

@@ -11,7 +11,7 @@ import capscale
 PUBLIC = """
     BranchSupremum CapacityReport MemoryChannel NumericalError OptResult QubitChannel
     RandomScaleReport ScaleEntry SimResult StaircaseRow Strategy SubsetScale ValidationError
-    __version__ apply_memory_channel_n chi_mirror_family compute_capacity_report
+    __version__ chi_mirror_family compute_capacity_report
     compute_random_scale_report dchi_da_ad empirical_staircase find_root_bisection
     kraus_operators maximize_concave_1d per_branch_suprema run_trials scale_r
     subset_scale_value success_oracle
@@ -22,7 +22,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_public_surface():
     assert sorted(capscale.__all__) == PUBLIC
-    assert len(set(capscale.__all__)) == len(capscale.__all__) == 28
+    assert len(set(capscale.__all__)) == len(capscale.__all__) == 27
     for name in capscale.__all__:
         getattr(capscale, name)  # every name resolves
 

@@ -1,12 +1,12 @@
 import json
 import math
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import capscale.cli as cli
+import oracles
 from capscale import (
     MemoryChannel,
     QubitChannel,
@@ -20,8 +20,7 @@ from capscale import (
     subset_scale_value,
     success_oracle,
 )
-from capscale.channels import MARKOV_LAW_ONLY
-from capscale.simulate import MAX_TRIALS
+from capscale.simulate import MAX_TRIALS, _branch_probs
 from conftest import damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
@@ -81,16 +80,19 @@ def test_success_oracle_rejects_indeterminate_rate():
         success_oracle(mc, Strategy((0, 1), value))
 
 
-def test_success_oracle_rejects_markov_memory():
-    branches = [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4)]
-    mc = MemoryChannel.markov(branches, np.eye(2), np.array([0.5, 0.5]))
-    law_only = "^" + re.escape(MARKOV_LAW_ONLY) + "$"
-    with pytest.raises(ValidationError, match=law_only):
-        success_oracle(mc, Strategy((0,), 0.1))
-    with pytest.raises(ValidationError, match=law_only):
-        run_trials(mc, Strategy((0,), 0.1), 100, seed=1)
-    with pytest.raises(ValidationError, match=law_only):
-        empirical_staircase(mc, [0.1], 100, seed=1)
+def test_branch_probabilities_are_the_memory_laws_marginals():
+    # the draw's branch probabilities are the n = 1 marginals of the oracle's
+    # laws, including a branch that random memory never draws
+    branches = [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4, 0.7)]
+    q = [0.75, 0.0, 0.25]
+    for mc, law in (
+        (periodic4(), oracles.periodic_law(4)),
+        (MemoryChannel.periodic(branches), oracles.periodic_law(3)),
+        (random3(), oracles.random_law([0.5, 0.3, 0.2])),
+        (MemoryChannel.random(branches, q), oracles.random_law(q)),
+    ):
+        L = len(mc.branches)
+        assert _branch_probs(mc).tolist() == oracles.marginals(law, L).tolist()
 
 
 def test_run_trials_deterministic():
