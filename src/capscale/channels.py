@@ -29,35 +29,39 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = np.array([_I2, _X, _Y, _Z])
 
 
-def check_number(value, what) -> float:
-    """value as a float: a real number, not a bool, within the float range."""
+def check_number(value, what, dtype=float):
+    """value as a float: a real number, not a bool, within the float range.
+
+    With dtype complex, value may also be complex, and comes back as a complex.
+    """
+    number = numbers.Real if dtype is float else numbers.Complex
     # bool is an int subclass, but JSON true is not the number 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, number):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        return dtype(value)
     except OverflowError as e:  # an integer past the float range
         raise ValidationError(f"{what} is too large for a float") from e
 
 
-def check_numbers(value, name) -> np.ndarray:
-    """value as a float array, each entry checked by check_number.
+def check_numbers(value, name, dtype=float) -> np.ndarray:
+    """value as an array of dtype (float or complex), each entry checked by check_number.
 
     value is a number, or nested lists, tuples or arrays of numbers.
     """
-    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
-        return value.astype(float)  # every entry is a real number already
+    if isinstance(value, np.ndarray) and value.dtype.kind in ("fiu" if dtype is float else "fiuc"):
+        return value.astype(dtype)  # every entry is a number already
 
-    def floats(v):
+    def entries(v):
         if isinstance(v, np.ndarray):
             v = v.tolist()
         if isinstance(v, (list, tuple)):
-            return [floats(x) for x in v]
-        return check_number(v, f"each entry of {name}")
+            return [entries(x) for x in v]
+        return check_number(v, f"each entry of {name}", dtype)
 
-    nested = floats(value)
+    nested = entries(value)
     try:
-        return np.array(nested, dtype=float)
+        return np.array(nested, dtype=dtype)
     except ValueError as e:  # ragged nesting
         raise ValidationError(f"{name} is ragged: its lists differ in length") from e
 
@@ -112,10 +116,7 @@ class QubitChannel:
     @classmethod
     def kraus(cls, ops) -> "QubitChannel":
         ops = listed(ops, "kraus ops", "2x2 operators")
-        try:
-            ops = tuple(np.asarray(k, dtype=complex) for k in ops)
-        except (TypeError, ValueError, OverflowError) as e:  # not numbers, or ragged
-            raise ValidationError(f"each kraus op must be a 2x2 array of numbers: {e}") from e
+        ops = tuple(check_numbers(k, "a kraus op", complex) for k in ops)
         if not ops or any(k.shape != (2, 2) for k in ops):
             raise ValidationError("kraus kind needs a nonempty list of 2x2 operators")
         return cls(kind="kraus", kraus_ops=ops)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .channels import QubitChannel, check_number, check_numbers, listed
+from .channels import QubitChannel, check_number, check_numbers
 from .errors import ValidationError
 
 
@@ -71,33 +71,18 @@ def mirror_chi(form, a) -> np.ndarray:
 
 
 def chi_mirror_family(ch, a):
-    """Holevo quantity of the mirror pair at parameter a, for any qubit branch.
+    """Holevo quantity of the mirror pair at parameter a, through the QubitChannel ch.
 
-    ch is a QubitChannel or a Bloch map (M, t) of shapes (..., 3, 3) and
-    (..., 3), stacked or not, and ``a`` a scalar or an array broadcast
-    against the stack; a float comes back for one channel and a scalar a,
-    an array otherwise. The pair's Bloch vectors are (±2b, 0, 2a - 1) with
+    ``a`` is a scalar or an array; a float comes back for a scalar a, an
+    array otherwise. The pair's Bloch vectors are (±2b, 0, 2a - 1) with
     b = sqrt(a(1-a)).
     """
+    if not isinstance(ch, QubitChannel):
+        raise ValidationError(f"ch must be a QubitChannel, got {type(ch).__name__}")
     a_arr = check_numbers(a, "a")
     if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
         raise ValidationError(f"a must be in [0, 1], got {a!r}")
-    if isinstance(ch, QubitChannel):
-        bloch_map = ch.bloch_map
-    else:
-        bloch_map = [check_numbers(x, "a Bloch map") for x in listed(ch, "ch", "arrays (M, t)")]
-        shapes = [x.shape for x in bloch_map]
-        if len(shapes) != 2 or shapes[0][-2:] != (3, 3) or shapes[1] != shapes[0][:-1]:
-            raise ValidationError(
-                "ch must be a QubitChannel or a Bloch map (M, t) "
-                "of shapes (..., 3, 3) and (..., 3)"
-            )
-    form = mirror_form(bloch_map)
-    try:
-        np.broadcast_shapes(form.shape[1:], a_arr.shape)
-    except ValueError as e:
-        raise ValidationError(f"a does not broadcast against the channel stack: {e}") from e
-    chi = mirror_chi(form, a_arr)
+    chi = mirror_chi(mirror_form(ch.bloch_map), a_arr)
     return float(chi) if chi.ndim == 0 else chi
 
 

@@ -142,28 +142,16 @@ def _pairs(subsets):
 def _peak_bounds(F) -> np.ndarray:
     """Lower and upper bounds on the maxima of concave curves sampled on the rows of F.
 
-    The lower bound is a row's largest sample, at j. The maximum lies within
-    a step of j, where the curve lies below both the chord through samples
-    j-2, j-1 extended right and the chord through j+1, j+2 extended left;
-    the upper bound is the highest point below both. A chord that runs off
-    the row's end caps nothing. Returns shape (2, rows).
+    The lower bound is a row's largest sample, at j. Let c be j, moved one
+    sample inward at a row end; the row's maximum lies within a step of c.
+    On the step right of c the curve lies below the chord through samples
+    c-1 and c, extended, so below 2 F[c] - F[c-1]; on the step left of c,
+    below 2 F[c] - F[c+1]. The upper bound is the larger of the two, so a
+    flat row gets upper == lower. Returns shape (2, rows).
     """
-    cols = F.argmax(axis=1)[:, None] + np.arange(-2, 3)  # samples j-2 .. j+2
-    inside = (cols >= 0) & (cols < F.shape[1])
-    near = np.take_along_axis(F, np.clip(cols, 0, F.shape[1] - 1), axis=1)
-    near[~inside] = -np.inf
-    p, q, top, r, s = near.T
-    # a missing sample is -inf: its chord's rise is +inf or nan, and the nan
-    # points it gives are skipped by fmin and fmax
-    with np.errstate(invalid="ignore", divide="ignore"):
-        up, down = q - p, r - s
-
-        def cap(u):  # the lower chord at u steps right of sample j-1, u in [0, 2]
-            return np.fmin(q + up * u, r + down * (2.0 - u))
-
-        cross = np.clip((r + 2.0 * down - q) / (up + down), 0.0, 2.0)
-        upper = np.fmax(np.fmax(cap(0.0), cap(2.0)), cap(cross))
-    return np.stack([top, upper])
+    c = np.clip(F.argmax(axis=1), 1, F.shape[1] - 2)[:, None]
+    left, mid, right = np.take_along_axis(F, c + np.arange(-1, 2), axis=1).T
+    return np.stack([F.max(axis=1), 2.0 * mid - np.minimum(left, right)])
 
 
 def maximize_subsets(branches, subsets, reduce=np.add, tol: float = 1e-8) -> dict:
@@ -319,8 +307,8 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, dict]:
     A size-r subset's rate is the sum of its L rotations' maxima over rL.
     Each summed curve is concave, so its samples on a grid 16 times finer
     than the scan bound its maximum from below (the best sample) and from
-    above (where the secant lines either side of that sample meet); a
-    subset's rate bounds are its rotations' bounds summed over rL. At a
+    above (from the three samples about the best one, see _peak_bounds);
+    a subset's rate bounds are its rotations' bounds summed over rL. At a
     level with 1 < r < L, a subset is refined only if its upper rate plus
     _PRUNE_PAD reaches the level's best lower rate less _TIE_EPS; the
     singletons (the per-branch suprema) and the full set are always

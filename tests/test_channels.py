@@ -89,6 +89,13 @@ def test_kraus_factory_checks_completeness():
         QubitChannel.kraus([])
     with pytest.raises(ValidationError):
         QubitChannel.kraus([np.array([[np.nan, 0.0], [0.0, 1.0]])])
+    # the number rule: strings and bools are not numbers, not even as the identity
+    for ops in ([[["1", "0"], ["0", "1"]]], [[[True, 0], [0, True]]], [np.eye(2, dtype=bool)]):
+        with pytest.raises(ValidationError, match="must be a number"):
+            QubitChannel.kraus(ops)
+    # real and complex numbers and numeric arrays are
+    for ops in ([[[1, 0], [0, 1.0]]], [[[1j, 0], [0, np.complex64(1j)]]], [np.eye(2, dtype=int)]):
+        assert QubitChannel.kraus(ops).bloch_map[0].tolist() == np.eye(3).tolist()
 
 
 def test_channels_compare_and_hash_by_identity():

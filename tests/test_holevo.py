@@ -148,14 +148,11 @@ def test_chi_domain_validation():
     for a in (1.5, -0.1, "0.5", True, [0.5, "0.5"], float("nan")):  # range and number rule
         with pytest.raises(ValidationError):
             chi_mirror_family(ch, a)
-    # a channel is a QubitChannel or a Bloch map (M, t) that a broadcasts against
+    # a channel is a QubitChannel
     M, t = ch.bloch_map
-    for bad in (5, None, "Mt", (M,), (M, t, t), (M[:2], t), (M, t[:2]), ([M, M], [t])):
+    for bad in (5, None, "Mt", (M,), (M, t, t), (M[:2], t), (M, t[:2]), ([M, M], [t]), (M, t)):
         with pytest.raises(ValidationError):
             chi_mirror_family(bad, 0.3)
-    with pytest.raises(ValidationError):
-        chi_mirror_family(([M, M], [t, t]), [0.3, 0.4, 0.5])
-    assert chi_mirror_family((M, t), 0.3) == chi_mirror_family(ch, 0.3)
 
 
 def test_output_eigenvalues_closed_form_grid():

@@ -479,6 +479,54 @@ def test_sweep_combines_members_in_order(reduce):
         assert best[s] == scales.maximize_subsets(branches, [s], reduce)[s]
 
 
+def concave_rows(rng):
+    """Random concave rows on unit-spaced samples, each with its maximum over the row's range."""
+    for n in (3, 4, 5, 9, 65):
+        x = np.arange(n, dtype=float)
+        for _ in range(200):
+            # the minimum of lines: its maximum is at an end or where two lines cross
+            slope, icept = rng.normal(size=(2, rng.integers(1, 5)))
+            slope *= rng.choice([0.1, 1.0, 10.0])
+            i, j = np.triu_indices(len(slope), 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (icept[j] - icept[i]) / (slope[i] - slope[j])
+            at = np.concatenate([[0.0, n - 1.0], cross[(cross >= 0.0) & (cross <= n - 1.0)]])
+            yield (
+                (slope * x[:, None] + icept).min(axis=1),
+                (slope * at[:, None] + icept).min(axis=1).max(),
+            )
+            # -s |x - x*|^p, p >= 1, peaking inside the row or outside it
+            peak, s, p = rng.uniform(-3.0, n + 2.0), rng.uniform(0.01, 10.0), rng.uniform(1.0, 4.0)
+            yield -s * np.abs(x - peak) ** p, -s * abs(np.clip(peak, 0.0, n - 1.0) - peak) ** p
+            yield np.full(n, icept[0]), icept[0]
+
+
+def test_peak_bounds_hold_on_concave_rows():
+    for F, top in concave_rows(np.random.default_rng(18)):
+        (lower,), (upper,) = scales._peak_bounds(F[None])
+        assert lower == F.max()
+        assert upper >= top - 1e-12 * (1.0 + abs(top))
+        if np.all(F == F[0]):
+            assert upper == lower
+
+
+def test_peak_bounds_are_tight_on_quadratic_peaks():
+    # -c (x - x*)^2 on 65 unit-spaced samples: the bound exceeds the maximum
+    # over the row by at most 1.75 c once x* is a sample or more inside the
+    # row, and by at most 2 c wherever x* is
+    x = np.arange(65.0)
+    for c in (1e-6, 1.0, 3.0):
+        peak = np.linspace(-3.0, 67.0, 1401)
+        F = -c * (x - peak[:, None]) ** 2
+        top = -c * (np.clip(peak, 0.0, 64.0) - peak) ** 2
+        lower, upper = scales._peak_bounds(F)
+        assert np.all(lower == F.max(axis=1))
+        gap = (upper - top) / c
+        assert np.all(gap >= -1e-9)
+        assert gap[(peak >= 1.0) & (peak <= 63.0)].max() <= 1.75 + 1e-9
+        assert gap.max() <= 2.0 + 1e-9
+
+
 def x_damping(gamma):
     """X·AD(gamma)·X as Kraus operators: damping toward |1> instead of |0>."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
