@@ -8,8 +8,10 @@ input, |M r + t|² = rᵀMᵀM r + 2 (Mᵀt)·r + |t|², which on the pair reads
 only six numbers per branch (``mirror_form``). ``mirror_chi`` evaluates the
 curve from them, elementwise, with one entropy pass over the mean state's
 and the two members' squared radii; it is the library's one Holevo kernel.
-Every entropy here is a function of one number, a qubit state's squared
-Bloch radius (``entropy_from_squared_radius``), in bits. For the
+``mirror_chi_jet`` adds the curve's analytic slope and curvature in ``a``
+from the same pass, for the maximizer's search. Every entropy here is a
+function of one number, a qubit state's squared Bloch radius
+(``entropy_from_squared_radius``), in bits. For the
 amplitude-damping channel there is also a closed form for the derivative
 of chi in ``a``; the ``amax`` command checks the reported maximizers
 against its root. The tests check the kernel against density-matrix
@@ -26,6 +28,20 @@ from .channels import QubitChannel, check_number, check_numbers
 from .errors import ValidationError
 
 
+def _entropy_terms(r2):
+    """r2 clipped to [0, 1], its root r, the entropy h in bits and log2((1 + r)/(1 - r)).
+
+    The last is inf for a pure state; h is entropy_from_squared_radius(r2).
+    """
+    r2 = np.clip(np.asarray(r2, dtype=float), 0.0, 1.0)
+    r = np.sqrt(r2)
+    lam = (1.0 - r2) / (2.0 * (1.0 + r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lam, log_rest = np.log2(lam), np.log2(1.0 - lam)
+        h = -(lam * log_lam + (1.0 - lam) * log_rest)
+    return r2, r, np.where(lam == 0.0, 0.0, h), log_rest - log_lam
+
+
 def entropy_from_squared_radius(r2):
     """Entropy in bits of qubit states with squared Bloch radius r2, elementwise.
 
@@ -34,11 +50,7 @@ def entropy_from_squared_radius(r2):
     that roundoff pushes below 0 or above 1 count as 0 (the maximally mixed
     state) or 1 (pure); NaN propagates.
     """
-    r2 = np.clip(np.asarray(r2, dtype=float), 0.0, 1.0)
-    lam = (1.0 - r2) / (2.0 * (1.0 + np.sqrt(r2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(lam * np.log2(lam) + (1.0 - lam) * np.log2(1.0 - lam))
-    return np.where(lam == 0.0, 0.0, h)
+    return _entropy_terms(r2)[2]
 
 
 def mirror_form(bloch_map) -> np.ndarray:
@@ -54,6 +66,21 @@ def mirror_form(bloch_map) -> np.ndarray:
     return np.stack([np.einsum("...i,...i->...", u, v) for u, v in pairs])
 
 
+def _squared_radii(form, a):
+    """x, z, w = z c0·c2 + c0·t and the squared radii (u², r+², r-²) of the pair at a."""
+    c00, c02, c0t, c22, c2t, tt = form
+    x2, z = 4.0 * a * (1.0 - a), 2.0 * a - 1.0
+    u2 = z * z * c22 + 2.0 * z * c2t + tt
+    x, w = np.sqrt(x2), z * c02 + c0t
+    mid, cross = u2 + x2 * c00, 2.0 * x * w
+    return x, z, w, np.stack([u2, mid + cross, mid - cross])
+
+
+def _chi(h):
+    """The mean state's term less the pair's mean, for entropies stacked as in _squared_radii."""
+    return h[0] - 0.5 * (h[1] + h[2])
+
+
 def mirror_chi(form, a) -> np.ndarray:
     """Holevo quantity in bits of the mirror pair at a, from mirror_form's numbers.
 
@@ -62,12 +89,55 @@ def mirror_chi(form, a) -> np.ndarray:
     u² = z²|c2|² + 2z c2·t + |t|², and the pair to
     r±² = u² + x²|c0|² ± 2x (z c0·c2 + c0·t).
     """
+    return _chi(entropy_from_squared_radius(_squared_radii(form, a)[-1]))
+
+
+def _entropy_jet(s):
+    """Entropy in bits at squared radii s, and its first and second derivatives in s.
+
+    With r = sqrt(s) and L = log2((1 + r)/(1 - r)) = 2 atanh(r) / ln 2,
+    h'(s) = -L / (4r) and h''(s) = -(r / ((1 - s) ln 2) - L/2) / (4 r s).
+    Below s = 1e-3, where L and that difference cancel, both come from the
+    series atanh(r)/r = 1 + s/3 + s²/5 + ... A pure state (s >= 1) gives 0:
+    its squared radius is at its largest, so its rate of change is 0 too.
+    """
+    s, r, h, L = _entropy_terms(s)
+    small, pure = s < 1e-3, s >= 1.0
+    # stand-ins where the closed forms are not used, so that they stay finite;
+    # L = 0 gives a pure state h' = 0
+    r, t, L = np.where(small, 1.0, r), np.where(small | pure, 0.5, s), np.where(pure, 0.0, L)
+    k = -0.5 / math.log(2.0)
+    h1 = np.where(small, k + s * (k / 3 + s * (k / 5 + s * (k / 7 + s * (k / 9)))), -0.25 * L / r)
+    h2 = np.where(
+        small,
+        k / 3 + s * (2 * k / 5 + s * (3 * k / 7 + s * (4 * k / 9 + s * (5 * k / 11)))),
+        (0.5 * L - r / ((1.0 - t) * math.log(2.0))) / (4.0 * r * t),
+    )
+    return h, h1, np.where(pure, 0.0, h2)
+
+
+def mirror_chi_jet(form, a):
+    """mirror_chi at a and its first and second derivatives in a, for 0 < a < 1.
+
+    The value has mirror_chi's bits. Since x² + z² = 1 with z' = 2,
+    x' = -2z/x and x'' = -4/x³; each squared radius s is a polynomial in
+    x and z, and the entropies' derivatives are h'(s) s' and
+    h''(s) s'² + h'(s) s'' (see _entropy_jet). Returns three arrays of
+    the broadcast shape.
+    """
     c00, c02, c0t, c22, c2t, tt = form
-    x2, z = 4.0 * a * (1.0 - a), 2.0 * a - 1.0
-    u2 = z * z * c22 + 2.0 * z * c2t + tt
-    mid, cross = u2 + x2 * c00, 2.0 * np.sqrt(x2) * (z * c02 + c0t)
-    h = entropy_from_squared_radius(np.stack([u2, mid + cross, mid - cross]))
-    return h[0] - 0.5 * (h[1] + h[2])
+    x, z, w, s = _squared_radii(form, a)
+    dx = -2.0 * z / x
+    d2x = -4.0 / (x * x * x)
+    du2 = 4.0 * (z * c22 + c2t)
+    dmid, dcross = du2 - 4.0 * z * c00, 2.0 * (dx * w + 2.0 * x * c02)
+    d2mid, d2cross = 8.0 * (c22 - c00), 2.0 * (d2x * w + 4.0 * dx * c02)
+    ds = np.stack([du2, dmid + dcross, dmid - dcross])
+    h, h1, h2 = _entropy_jet(s)
+    curv = h2 * ds * ds
+    curv[0] += h1[0] * (8.0 * c22)
+    curv[1:] += h1[1:] * (d2mid + np.stack([d2cross, -d2cross]))
+    return _chi(h), _chi(h1 * ds), _chi(curv)
 
 
 def chi_mirror_family(ch, a):

@@ -1,8 +1,9 @@
 """Lockstep concave maximization and root finding.
 
-The golden-section and bisection routines are deliberately plain; every
-capacity in this package reduces to maximizing sums or minima of concave
-single-parameter Holevo curves, all of them in one lockstep search.
+Every capacity in this package reduces to maximizing sums or minima of
+concave single-parameter Holevo curves, all of them in one lockstep
+search that brackets each maximizer by the signs of the curves' slopes.
+The bisection root finder is deliberately plain.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 from .channels import check_number
 from .errors import NumericalError, ValidationError
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 500
+# relative rounding of a value: a smaller gain is not worth a step
+_ROUNDING = 1e-15
 
 
 @dataclass(frozen=True)
@@ -28,18 +30,35 @@ class OptResult:
 
 
 def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
-    """Golden-section maximization of concave (unimodal) functions, in lockstep.
+    """Maximization of concave functions from the signs of their slopes, in lockstep.
 
     lo and hi are equal-shape arrays, one bracket per lane; a scalar
-    bracket is one 0-d lane. f maps one point per lane to its value, twice
-    to start, once per step and once at the end. Each lane takes the steps
-    of its own search, so a lane's argmax and value do not depend on the
-    other lanes; iterations and achieved_tol are those of the slowest lane.
+    bracket is one 0-d lane. f maps points x of shape (3,) + lo.shape to a
+    tuple (value, slope, proposal), each of x's shape: the function's value
+    and slope at each point and a proposed next point, such as the Newton
+    point x - slope / curvature (NaN for none). It is called once per step.
 
-    Each lane's final bracket is narrower than tol. An exact tie keeps
-    [lo, d], so where f is flat to rounding around its peak the argmax
-    leans toward lo (up to about 1e-7 off for damping curves at tol 1e-8)
-    and a constant f converges to lo; the value is unaffected.
+    Each lane keeps the bracket [lo, hi] that holds its maximizer: a point
+    with a positive slope moves lo to it, a negative slope moves hi, and a
+    zero slope settles the lane, since on a concave function it is a
+    maximizer. A step centres on the proposal of the lane's best point so
+    far when it lies in the bracket, and on the bracket's midpoint
+    otherwise, and evaluates the centre and the points tol/8 either side
+    of it, clipped to the bracket, in one call. Once a proposal is within
+    tol/8 of the maximizer, the outer points straddle it and close the
+    bracket from both sides, whatever the rounding of the slopes near the
+    peak, and the centre is the proposal itself, which at a kink is worth
+    more than any point beside it. A lane stops once its bracket is
+    narrower than tol, after at least one step, unless its best point's
+    proposal lies inside the bracket and a step there would add more than
+    tol² and the value's rounding to first order (slope times step): at
+    a smooth peak that gain is of order curvature times the step squared,
+    but at a kink the value rises linearly toward the maximizer. It
+    returns its best evaluated point, which concavity puts in the final
+    bracket (up to rounding in the values); there is no final call.
+    Each lane takes the steps of its own search, so a lane's argmax and
+    value do not depend on the other lanes; iterations and achieved_tol are
+    those of the slowest lane.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not np.all(lo < hi):
@@ -47,25 +66,36 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
     tol = check_number(tol, "tol")
     if not (1e-12 <= tol < math.inf):
         raise ValidationError(f"tol must be finite and >= 1e-12, got {tol}")
-    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    iters = 0
-    while np.any(active := hi - lo > tol):
-        if np.any(active & ~(np.isfinite(fc) & np.isfinite(fd))):
-            raise NumericalError("objective returned a non-finite value")
-        # keep [lo, d] or [c, hi]; on a concave f a tie puts the peak in [c, d].
-        # A converged lane keeps its bracket; its fc and fd are not read again.
-        left, right = active & (fc >= fd), active & (fd > fc)
-        lo, hi = np.where(right, c, lo), np.where(left, d, hi)
-        c, d = (np.where(right, d, hi - _INVPHI * (hi - lo)),
-                np.where(left, c, lo + _INVPHI * (hi - lo)))
-        f_new = f(np.where(left, c, d))
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    best_x, best_f = lo, np.full(lo.shape, -np.inf)
+    best_s, best_p = np.zeros(lo.shape), np.full(lo.shape, np.nan)
+    offset = 0.125 * tol * np.array([0.0, -1.0, 1.0]).reshape((3,) + (1,) * lo.ndim)
+    active, iters = np.ones(lo.shape, dtype=bool), 0  # every lane takes a first step
+    while np.any(active):
+        if iters == _MAX_ITER:
+            raise NumericalError("slope-bracketed search failed to converge")
+        centre = np.where((lo <= best_p) & (best_p <= hi), best_p, 0.5 * (lo + hi))
+        x = np.clip(centre + offset, lo, hi)
+        out = f(x)
+        if not (isinstance(out, tuple) and len(out) == 3):
+            raise ValidationError("f must return a tuple (value, slope, proposal)")
+        value, slope, proposal = out
+        if np.any(active & ~(np.isfinite(value) & np.isfinite(slope)).all(axis=0)):
+            raise NumericalError("objective returned a non-finite value or slope")
+        # a converged lane keeps its bracket and its best point
+        lo = np.where(active, np.maximum(lo, np.where(slope >= 0.0, x, -np.inf).max(axis=0)), lo)
+        hi = np.where(active, np.minimum(hi, np.where(slope <= 0.0, x, np.inf).min(axis=0)), hi)
+        j = value.argmax(axis=0)[None]  # the centre, unless a side point is strictly better
+        y, fy, sy, py = (np.take_along_axis(v, j, axis=0)[0] for v in (x, value, slope, proposal))
+        new = active & (fy >= best_f)
+        best_x, best_f = np.where(new, y, best_x), np.where(new, fy, best_f)
+        best_s, best_p = np.where(new, sy, best_s), np.where(new, py, best_p)
         iters += 1
-        if iters > _MAX_ITER:
-            raise NumericalError("golden-section search failed to converge")
-    x = 0.5 * (lo + hi)
-    return OptResult(x, f(x), iters, float(np.max(hi - lo)))
+        # the value a step to a proposal inside the bracket would add, to first order
+        inside = (lo < best_p) & (best_p < hi)
+        gain = best_s * (np.where(inside, best_p, best_x) - best_x)
+        worth = gain > np.maximum(tol * tol, _ROUNDING * np.abs(best_f))
+        active = (hi - lo >= tol) | (inside & worth)
+    return OptResult(best_x[()], best_f[()], iters, float(np.max(np.maximum(hi - lo, 0.0))))
 
 
 def find_root_bisection(g, lo: float, hi: float, tol: float = 1e-10) -> float:

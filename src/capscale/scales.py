@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import MemoryChannel, QubitChannel, check_integer, listed
 from .errors import NumericalError, ValidationError
-from .holevo import mirror_chi, mirror_form
+from .holevo import mirror_chi, mirror_chi_jet, mirror_form
 from .optim import maximize_concave_1d
 
 # Subset enumeration is exponential in the number of branches.
@@ -116,9 +116,11 @@ class _Sweep:
     def refine(self, lanes, tol):
         """Refine the brackets of the subsets at lanes in one lockstep search.
 
-        The golden-section search makes one Holevo kernel call per step, over
-        the form columns of all those subsets' (subset, member) pairs,
-        gathered once.
+        The slope-bracketed search makes one call of the Holevo kernel's
+        jet per step, at its three points per subset, over the form columns
+        of all those subsets' (subset, member) pairs, gathered once. Each
+        lane proposes its next point from its members' values, slopes and
+        curvatures (_newton_sum for np.add, _newton_min for np.minimum).
         """
         members, bounds = _pairs([self.subsets[i] for i in lanes])
         k = self.k[lanes]
@@ -126,11 +128,53 @@ class _Sweep:
         hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
         form = self.form[:, members]
         lane = np.repeat(np.arange(len(lanes)), np.diff(bounds))
+        propose = _PROPOSALS[self.reduce]
 
-        def combined(a):
-            return self.reduce.reduceat(mirror_chi(form, a[lane]), bounds[:-1])
+        def combined(a):  # a: (3, lanes)
+            return propose(a, mirror_chi_jet(form, a[:, lane]), lane, bounds[:-1])
 
         return maximize_concave_1d(combined, lo, hi, tol)
+
+
+def _newton_step(num, den):
+    """num / den where den is nonzero, NaN elsewhere."""
+    return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den != 0.0)
+
+
+def _newton_sum(a, jet, lane, starts):
+    """Value, slope and Newton point of each lane's summed member curves.
+
+    The Newton point is NaN where the summed curvature is not negative.
+    """
+    value, slope, curv = (np.add.reduceat(v, starts, axis=-1) for v in jet)
+    return value, slope, a - _newton_step(slope, np.minimum(curv, 0.0))
+
+
+def _newton_min(a, jet, lane, starts):
+    """Value, slope and proposal of each lane's pointwise minimum of member curves.
+
+    The slope is the lowest member's (the first, on a tie). The proposal is
+    the nearest point on its ascent side among the lowest member's Newton
+    peak and its Newton crossings a - (chi_m - chi_j) / (chi_m' - chi_j')
+    with each other member j, so a lane whose maximum is a kink between
+    two members converges to it as Newton's method does to a peak.
+    """
+    value, slope, curv = jet
+    low = np.minimum.reduceat(value, starts, axis=-1)
+    n = value.shape[-1]
+    first = np.where(value == low[..., lane], np.arange(n), n)
+    m = np.minimum.reduceat(first, starts, axis=-1)  # each lane's lowest member
+    is_m = np.arange(n) == m[..., lane]
+    s_m = np.take_along_axis(slope, m, axis=-1)
+    at = s_m[..., lane]
+    step = -_newton_step(
+        np.where(is_m, at, low[..., lane] - value), np.where(is_m, curv, at - slope)
+    )
+    near = np.minimum.reduceat(np.where(step * at > 0.0, np.abs(step), np.inf), starts, axis=-1)
+    return low, s_m, a + np.copysign(near, s_m)
+
+
+_PROPOSALS = {np.add: _newton_sum, np.minimum: _newton_min}
 
 
 def _pairs(subsets):
@@ -161,14 +205,18 @@ def maximize_subsets(branches, subsets, reduce=np.add, tol: float = 1e-8) -> dic
     (their pointwise minimum, random memory); both keep the combination
     concave. Each branch's curve is evaluated once on the scan grid, and
     each subset's grid argmax, two steps to either side, brackets its
-    maximizer. One lockstep golden-section search then refines every
-    bracket, with one Holevo kernel call per step over the six-number forms
-    of all (subset, member) pairs. Each subset is checked as in
-    subset_scale_value. Returns {subset: (argmax, value)}, keyed by each
-    subset as a sorted tuple.
+    maximizer. One lockstep search then refines every bracket from the
+    signs of the combined curves' slopes and Newton proposals built from
+    their values, slopes and curvatures (see optim.maximize_concave_1d):
+    at tol 1e-8 it takes about three steps, each one Holevo kernel call over
+    the six-number forms of all (subset, member) pairs. Each subset is
+    checked as in subset_scale_value. Returns {subset: (argmax, value)},
+    keyed by each subset as a sorted tuple.
     """
     channels = _as_channels(branches)
     subsets = [_check_subset(s, len(channels)) for s in listed(subsets, "subsets", "subsets")]
+    if reduce is not np.add and reduce is not np.minimum:
+        raise ValidationError(f"reduce must be np.add or np.minimum, got {reduce!r}")
     return _maximize(channels, subsets, reduce, tol) if subsets else {}
 
 

@@ -100,6 +100,18 @@ def test_amax_root_at_fixed_precision(tmp_path):
     assert abs(rows[0]["a_max_root"] - 0.5) <= 1e-12
 
 
+def test_amax_within_tol_at_default_tol(tmp_path):
+    # the printed a_max is within the default tol of the derivative root,
+    # even where the curve is flat to rounding over a wider stretch of a
+    gammas = (0.05, 0.3, 0.5, 0.73, 0.86, 0.95, 0.99, 0.999)
+    path = damping_channel_file(tmp_path, gammas, {"kind": "periodic"})
+    rc, text = run_to_file(tmp_path, ["amax", path, "--format", "json"])
+    assert rc == 0
+    rows = json.loads(text)
+    assert [r["gamma"] for r in rows] == list(gammas)
+    assert max(r["abs_diff"] for r in rows) <= 1e-8
+
+
 def test_capacity_periodic_json(channel_files, tmp_path):
     rc, text = run_to_file(
         tmp_path, ["capacity", channel_files["per4"], "--format", "json"]

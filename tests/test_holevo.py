@@ -13,6 +13,7 @@ from capscale import (
     dchi_da_ad,
     kraus_operators,
 )
+from capscale.holevo import mirror_chi, mirror_chi_jet, mirror_form
 from conftest import chi_ad_grid
 
 
@@ -220,6 +221,59 @@ def test_dchi_domain_validation():
     for gamma, a in ((0.3, "0.5"), ("0.3", 0.5), (True, 0.5), (0.3, None)):  # the number rule
         with pytest.raises(ValidationError):
             dchi_da_ad(gamma, a)
+
+
+def conjugated(ch, u):
+    """The channel U ch(U† . U) U†, as Kraus operators."""
+    return QubitChannel.kraus([u @ k @ u.conj().T for k in kraus_operators(ch)])
+
+
+def jet_branches():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    for gamma in (0.05, 0.4, 0.9):
+        ad = QubitChannel.amplitude_damping(gamma)
+        rz = np.diag([np.exp(-0.7j), np.exp(0.7j)])
+        yield from (ad, conjugated(ad, x), conjugated(ad, rz))
+    for p in (0.1, 0.5, 0.9):
+        yield QubitChannel.depolarizing(p)
+
+
+def test_mirror_chi_jet_matches_finite_differences():
+    # slope and curvature in a against central differences of the kernel's
+    # values and slopes, for damping, X·AD·X, Rz-conjugated damping and
+    # depolarizing branches; the value keeps mirror_chi's bits
+    a, h = np.linspace(0.05, 0.95, 91), 1e-5
+    for ch in jet_branches():
+        form = mirror_form(ch.bloch_map)
+        value, slope, curv = mirror_chi_jet(form, a)
+        assert np.array_equal(value, mirror_chi(form, a))
+        (up, s_up, _), (down, s_down, _) = mirror_chi_jet(form, a + h), mirror_chi_jet(form, a - h)
+        assert np.abs(slope - (up - down) / (2 * h)).max() <= 1e-6
+        assert np.abs(curv - (s_up - s_down) / (2 * h)).max() <= 1e-5 * (1 + np.abs(curv).max())
+        assert np.all(curv < 0.0)  # concave
+
+
+def test_mirror_chi_jet_damping_slope_is_dchi_da_ad():
+    # dchi_da_ad is in nats
+    for gamma in (0.05, 0.3, 0.7, 0.99):
+        form = mirror_form(QubitChannel.amplitude_damping(gamma).bloch_map)
+        for a in (0.1, 0.4, 0.55, 0.8, 0.97):
+            slope = mirror_chi_jet(form, a)[1]
+            assert slope == pytest.approx(dchi_da_ad(gamma, a) / math.log(2.0), abs=1e-12)
+
+
+def test_mirror_chi_jet_pure_and_flat_curves():
+    # pure outputs (gamma = 0, p = 0) and flat curves (p = 1, gamma = 1) give
+    # finite numbers; a RuntimeWarning would fail the test
+    a = np.concatenate([[1e-9, 1e-6], np.linspace(0.01, 0.99, 99), [1 - 1e-6, 1 - 1e-9]])
+    for ch in (QubitChannel.amplitude_damping(0.0), QubitChannel.depolarizing(0.0)):
+        value, slope, curv = mirror_chi_jet(mirror_form(ch.bloch_map), a)
+        assert np.all(np.isfinite(value) & np.isfinite(slope) & np.isfinite(curv))
+        # through the identity chi = H(a)
+        assert slope[2:-2] == pytest.approx(np.log2((1 - a[2:-2]) / a[2:-2]), abs=1e-9)
+    for ch in (QubitChannel.depolarizing(1.0), QubitChannel.amplitude_damping(1.0)):
+        value, slope, curv = mirror_chi_jet(mirror_form(ch.bloch_map), a)
+        assert np.all(value == 0.0) and np.all(slope == 0.0) and np.all(curv == 0.0)
 
 
 def test_depolarizing_mirror_family_curve():

@@ -18,98 +18,150 @@ from capscale.cli import AD_SEARCH_HI, AD_SEARCH_LO
 from conftest import chi_ad_grid
 
 
+# --- maximize_concave_1d --------------------------------------------------
+# The test names keep the search's former golden-section name.
+
+
+def quadratic(peak, curv=1.0):
+    """-curv (x - peak)^2 with its slope and Newton point, which is the peak."""
+
+    def f(x):
+        return -curv * (x - peak) ** 2, -2.0 * curv * (x - peak), np.broadcast_to(peak, x.shape)
+
+    return f
+
+
+def flat(x):
+    """A constant: value and slope 0, and no proposal."""
+    return np.zeros(x.shape), np.zeros(x.shape), np.full(x.shape, np.nan)
+
+
 def test_golden_section_quadratic():
-    res = maximize_concave_1d(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-10)
-    assert res.argmax == pytest.approx(0.3, abs=1e-9)
+    res = maximize_concave_1d(quadratic(0.3), 0.0, 1.0, tol=1e-10)
+    assert res.argmax == pytest.approx(0.3, abs=1e-10)
     assert res.value == pytest.approx(0.0, abs=1e-15)
-    assert res.iterations > 0
-    assert res.achieved_tol <= 1e-10
+    assert res.iterations == 2  # the midpoint, then the straddled peak
+    assert res.achieved_tol < 1e-10
+    # a bracket already narrower than tol still takes one step
+    res = maximize_concave_1d(quadratic(0.3), 0.0, 1e-3, tol=1e-2)
+    assert res.iterations == 1
+    assert res.argmax == pytest.approx(5e-4, abs=2e-3)
+    assert res.value == -((res.argmax - 0.3) ** 2)
 
 
-def test_golden_section_flat_converges_to_lo():
-    # every step ties, and a tie keeps [lo, d]
+def test_golden_section_flat_lane_settles_in_one_call():
+    # a zero slope is a maximizer of a concave function: the first step's
+    # points, the bracket's midpoint and tol/8 either side, settle the lane
     calls = []
 
     def f(x):
         calls.append(x)
-        return 0.0
+        return flat(x)
 
     res = maximize_concave_1d(f, 0.0, 1.0, tol=1e-8)
-    assert 0.0 < res.argmax < 1e-8
+    assert res.argmax == 0.5
     assert res.value == 0.0
-    assert len(calls) == 2 + res.iterations + 1
+    assert res.iterations == len(calls) == 1
+    assert res.achieved_tol == 0.0
 
 
 def test_golden_section_validation():
     with pytest.raises(ValidationError):
-        maximize_concave_1d(lambda x: x, 1.0, 0.0)
+        maximize_concave_1d(quadratic(0.3), 1.0, 0.0)
     with pytest.raises(ValidationError):
-        maximize_concave_1d(lambda x: x, 0.0, 1.0, tol=1e-15)
-    for tol in (float("nan"), float("inf")):
+        maximize_concave_1d(quadratic(0.3), 0.0, 1.0, tol=1e-15)
+    for tol in (float("nan"), float("inf"), "1e-8", None, True):
         with pytest.raises(ValidationError):
-            maximize_concave_1d(lambda x: x, 0.0, 1.0, tol=tol)
-    with pytest.raises(NumericalError):
-        maximize_concave_1d(lambda x: float("nan"), 0.0, 1.0)
+            maximize_concave_1d(quadratic(0.3), 0.0, 1.0, tol=tol)
+    # an objective that returns values only would unpack its three points' values
+    with pytest.raises(ValidationError, match="value, slope, proposal"):
+        maximize_concave_1d(lambda x: -((x - 0.3) ** 2), 0.0, 1.0)
+
+
+def lanes():
+    """f over four lanes (a quadratic, a flat, a kinked and a monotone one), and each lane alone.
+
+    The kinked lane is min(1 + 2 (x - 0.37), 1 - 3 (x - 0.37)) and proposes
+    the Newton crossing of its two lines; the monotone lane is x, whose
+    maximum on its bracket is at hi, and proposes nothing.
+    """
+
+    def kinked(x):
+        up, down = 1.0 + 2.0 * (x - 0.37), 1.0 - 3.0 * (x - 0.37)
+        return np.minimum(up, down), np.where(up <= down, 2.0, -3.0), x - (up - down) / 5.0
+
+    def monotone(x):
+        return x, np.ones(x.shape), np.full(x.shape, np.nan)
+
+    parts = [quadratic(0.55), flat, kinked, monotone]
+
+    def f(x):
+        out = [p(x[:, k]) for k, p in enumerate(parts)]
+        return tuple(np.stack([o[i] for o in out], axis=-1) for i in range(3))
+
+    return f, parts
 
 
 def test_golden_section_lockstep_lanes_match_scalar_calls():
-    # lanes of different widths stop at different steps; lane 1 is flat
-    peaks = np.array([0.3, 0.0, 0.55, 0.9])
-    flat = np.array([False, True, False, False])
-    lo = np.array([0.0, 0.2, 0.5, 0.85])
-    hi = np.array([1.0, 0.6, 0.6, 0.95])
-    calls = []
-
-    def f(x):
-        calls.append(x.shape)
-        return np.where(flat, 0.0, -((x - peaks) ** 2))
-
+    # the lanes stop at different steps
+    f, parts = lanes()
+    lo = np.array([0.5, 0.2, 0.0, 0.85])
+    hi = np.array([0.6, 0.6, 1.0, 0.95])
     res = maximize_concave_1d(f, lo, hi, tol=1e-10)
     scalars = [
-        maximize_concave_1d(
-            (lambda x: 0.0) if flat[k] else (lambda x, m=float(peaks[k]): -((x - m) ** 2)),
-            float(lo[k]),
-            float(hi[k]),
-            tol=1e-10,
-        )
-        for k in range(4)
+        maximize_concave_1d(p, float(a), float(b), tol=1e-10) for p, a, b in zip(parts, lo, hi)
     ]
     for k, s in enumerate(scalars):
         assert res.argmax[k] == s.argmax  # bit for bit
         assert res.value[k] == s.value
-    assert 0.2 < res.argmax[1] < 0.2 + 1e-10  # flat lane: every tie keeps [lo, d]
     assert type(res.iterations) is int
     assert res.iterations == max(s.iterations for s in scalars)
     assert type(res.achieved_tol) is float
-    assert res.achieved_tol == max(s.achieved_tol for s in scalars) <= 1e-10
-    assert set(calls) == {(4,)}
-    # two points to start, one per step (ties included), one to finish
-    assert len(calls) == 2 + res.iterations + 1
+    assert res.achieved_tol == max(s.achieved_tol for s in scalars) < 1e-10
+    quad, const, kink, mono = scalars
+    assert quad.argmax == pytest.approx(0.55, abs=1e-10) and quad.iterations <= 3
+    assert const.argmax == pytest.approx(0.4, abs=1e-10) and const.iterations == 1
+    assert kink.argmax == pytest.approx(0.37, abs=1e-10) and kink.iterations <= 3
+    assert kink.value == pytest.approx(1.0, abs=1e-15)  # the kink itself is evaluated
+    assert mono.argmax == pytest.approx(0.95, abs=1e-10)  # bisection to the end
+    assert mono.value == mono.argmax
 
 
 def test_golden_section_lockstep_one_call_per_step():
-    peaks = np.array([0.3, 0.7])
+    # each call takes every lane's centre and the points either side: shape (3, lanes)
+    f, _ = lanes()
     calls = []
 
-    def f(x):
-        calls.append(1)
-        return -((x - peaks) ** 2)
+    def counted(x):
+        calls.append(x.shape)
+        return f(x)
 
-    res = maximize_concave_1d(f, np.zeros(2), np.ones(2), tol=1e-8)
-    assert len(calls) == 2 + res.iterations + 1
-    assert res.argmax == pytest.approx(peaks, abs=1e-8)
+    lo, hi = np.array([0.5, 0.2, 0.0, 0.85]), np.array([0.6, 0.6, 1.0, 0.95])
+    for tol in (1e-12, 1e-8, 1e-2):
+        calls.clear()
+        res = maximize_concave_1d(counted, lo, hi, tol=tol)
+        assert set(calls) == {(3, 4)}
+        assert len(calls) == res.iterations
+        assert res.achieved_tol < tol
 
 
 def test_golden_section_lockstep_nan_lane_raises():
     bad = np.array([False, True, False])
+    quad = quadratic(0.3)
 
-    def f(x):
-        return np.where(bad, np.nan, -((x - 0.3) ** 2))
+    def nan_value(x):
+        v, s, p = quad(x)
+        return np.where(bad, np.nan, v), s, p
 
-    with pytest.raises(NumericalError):
-        maximize_concave_1d(f, np.zeros(3), np.ones(3))
+    def nan_slope(x):
+        v, s, p = quad(x)
+        return v, np.where(bad, np.nan, s), p
+
+    for f in (nan_value, nan_slope):
+        with pytest.raises(NumericalError):
+            maximize_concave_1d(f, np.zeros(3), np.ones(3))
     with pytest.raises(ValidationError):
-        maximize_concave_1d(f, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+        maximize_concave_1d(quad, np.zeros(3), np.array([1.0, 0.0, 1.0]))
 
 
 def test_bisection_known_root():

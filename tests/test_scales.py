@@ -18,6 +18,7 @@ from capscale import (
     ScaleEntry,
     Strategy,
     ValidationError,
+    chi_mirror_family,
     compute_capacity_report,
     compute_random_scale_report,
     kraus_operators,
@@ -129,6 +130,10 @@ def test_scale_validation():
         with pytest.raises(ValidationError):
             scales.maximize_subsets([0.1, 0.4], subsets)
     assert scales.maximize_subsets([0.1, 0.4], []) == {}
+    # and combines curves only by sums or minima, which keep them concave
+    for reduce in (np.maximum, np.multiply, "add", None):
+        with pytest.raises(ValidationError, match="reduce"):
+            scales.maximize_subsets([0.1, 0.4], [(0, 1)], reduce)
 
 
 def test_pair_capacity_and_average():
@@ -285,7 +290,7 @@ def test_twelve_significant_digit_formatting(tmp_path):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Count Holevo kernel calls, subset maximizations and their lanes."""
+    """Count Holevo kernel calls, subset maximizations, their lanes and their most steps."""
     calls = collections.Counter()
 
     def count(name, fn):
@@ -299,37 +304,54 @@ def work_counts(monkeypatch):
 
     def maximizer(f, lo, hi, *args, **kwargs):
         calls["lanes"] += np.size(lo)
-        return maximize(f, lo, hi, *args, **kwargs)
+        res = maximize(f, lo, hi, *args, **kwargs)
+        calls["most steps"] = max(calls["most steps"], res.iterations)
+        return res
 
-    monkeypatch.setattr(scales, "mirror_chi", count("kernel", scales.mirror_chi))
+    for kernel in ("mirror_chi", "mirror_chi_jet"):
+        monkeypatch.setattr(scales, kernel, count("kernel", getattr(scales, kernel)))
     monkeypatch.setattr(scales, "maximize_concave_1d", count("maximizer", maximizer))
     return calls
 
 
 def test_work_ceilings_of_reports(work_counts):
-    # one kernel call per search step, ties included: at tol 1e-8 a search
-    # makes 2 + 30 + 1 calls, after one scan call and, for L >= 3, one call
-    # for the prune's bounds
+    # one kernel call per search step: at tol 1e-8 a search makes 3 calls
+    # (the bracket's midpoint, the Newton point, the straddled peak), after
+    # one scan call and, for L >= 3, one call for the prune's bounds
     gammas = list(np.linspace(0.05, 0.9, 8))
     compute_capacity_report(gammas, tol=1e-8)
     assert work_counts["maximizer"] == 1
-    assert work_counts["kernel"] == 35
+    assert work_counts["kernel"] == 5
 
     work_counts.clear()
     compute_random_scale_report(gammas[:6], [1 / 6] * 6, tol=1e-8)
     assert work_counts["maximizer"] == 1
-    assert work_counts["kernel"] == 34
+    assert work_counts["kernel"] == 4
 
     work_counts.clear()
     per_branch_suprema(gammas, tol=1e-8)
-    assert work_counts["kernel"] == 34
+    assert work_counts["kernel"] == 4
 
-    # depolarizing curves are symmetric about a = 1/2, so search steps tie
+    # depolarizing curves peak at a = 1/2, a scan point, where the slopes are
+    # exactly 0: the first search step settles every lane
     work_counts.clear()
     depolarizing = [QubitChannel.depolarizing(p) for p in (0.1, 0.2, 0.3, 0.4)]
     compute_capacity_report(depolarizing, tol=1e-8)
     assert work_counts["maximizer"] == 1
-    assert work_counts["kernel"] == 35
+    assert work_counts["kernel"] == 3
+
+
+def test_search_calls_of_pruning_cases(work_counts):
+    # every subset of every family, summed and as minima: a few calls per
+    # search at any tol, where a golden-section search made 33 at tol 1e-8
+    for tol, ceiling in ((1e-12, 4), (1e-8, 3), (1e-2, 1)):
+        work_counts.clear()
+        for branches in pruning_cases():
+            L = len(branches)
+            subsets = scales._all_subsets(L, range(1, L + 1))
+            for reduce in (np.add, np.minimum):
+                scales.maximize_subsets(branches, subsets, reduce, tol)
+        assert work_counts["most steps"] <= ceiling
 
 
 def test_work_ceilings_of_refined_lanes(work_counts):
@@ -532,6 +554,41 @@ def x_damping(gamma):
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ops = kraus_operators(QubitChannel.amplitude_damping(gamma))
     return QubitChannel.kraus([x @ k @ x for k in ops])
+
+
+def zoomed_max(curves, rounds=8):
+    """Grid maximum of the pointwise minimum of curves, zoomed to a few ulps around its peak."""
+    lo, hi = 0.0, 1.0
+    for _ in range(rounds):
+        a = np.linspace(lo, hi, 2001)
+        v = np.min([c(a) for c in curves], axis=0)
+        k = int(v.argmax())
+        lo, hi = a[max(k - 2, 0)], a[min(k + 2, len(a) - 1)]
+    return float(v[k])
+
+
+def kinked_pairs():
+    """Pairs of branches whose curves cross below both peaks, so each minimum peaks at a kink."""
+    ad, dep = QubitChannel.amplitude_damping, QubitChannel.depolarizing
+    for g1, g2 in ((0.05, 0.05), (0.3, 0.31), (0.3, 0.34), (0.3037, 0.2977), (0.6, 0.61), (0.9, 0.91)):
+        yield ad(g1), x_damping(g2)
+    for p, g in ((0.1, 0.21), (0.1, 0.22), (0.2, 0.42), (0.3, 0.6), (0.4, 0.75), (0.5, 0.84)):
+        yield dep(p), ad(g)
+
+
+def test_random_pairs_converge_at_kinks(work_counts):
+    # the minimum of two crossing curves peaks at a kink, where its slope
+    # jumps; each lane proposes the Newton crossing of its two members, so
+    # c_delta is the kink's value to rounding: 3 calls close the bracket,
+    # and one more lands on the kink where the last centre missed it by
+    # enough to cost value
+    for pair in kinked_pairs():
+        report = compute_random_scale_report(list(pair), [0.5, 0.5], deltas=[(0, 1)])
+        c_delta = report.per_subset[(0, 1)].c_delta
+        assert c_delta < min(s.chi_star for s in report.per_branch_suprema) - 1e-6  # a kink
+        curves = [functools.partial(chi_mirror_family, ch) for ch in pair]
+        assert abs(c_delta - zoomed_max(curves)) <= 1e-12
+    assert work_counts["most steps"] <= 4
 
 
 def test_memory_ceiling_of_reports():
