@@ -161,18 +161,17 @@ def _parse_rates(text) -> list[float]:
 
 
 # --- subcommands ------------------------------------------------------------
+# Each takes the parsed args, the channel (None for ad-gap) and the checked
+# tol, and returns the table to write: (header, rows) or (header, rows, json).
 
 
-def cmd_chi(args) -> int:
-    mc = load_channel_config(args.channel)
-    tol = _check_tol(args.tol)
+def cmd_chi(args, mc, tol):
     sups = scales.per_branch_suprema(mc.branches, tol)
     rows = []
     for i, (ch, s) in enumerate(zip(mc.branches, sups)):
         param = getattr(ch, _BRANCH_PARAM[ch.kind]) if ch.kind in _BRANCH_PARAM else None
         rows.append((i, ch.kind, param, s.a_max, s.chi_star))
-    _emit(args, ("branch", "kind", "param", "a_max", "chi_star"), rows)
-    return 0
+    return ("branch", "kind", "param", "a_max", "chi_star"), rows
 
 
 # Root bracket of the damping derivative: the optimum sits at a >= 1/2,
@@ -183,10 +182,8 @@ AD_SEARCH_HI = 1.0 - 1e-9
 AD_ROOT_TOL = 1e-12
 
 
-def cmd_amax(args) -> int:
+def cmd_amax(args, mc, tol):
     """Tabulate each damping branch's reported a_max against the derivative root."""
-    mc = load_channel_config(args.channel)
-    tol = _check_tol(args.tol)
     for i, ch in enumerate(mc.branches):
         if ch.kind != "amplitude_damping":
             raise ValidationError(
@@ -202,15 +199,7 @@ def cmd_amax(args) -> int:
             lambda a: dchi_da_ad(ch.gamma, a), AD_SEARCH_LO, AD_SEARCH_HI, AD_ROOT_TOL
         )
         rows.append((i, ch.gamma, s.a_max, root, abs(s.a_max - root)))
-    _emit(args, ("branch", "gamma", "a_max_search", "a_max_root", "abs_diff"), rows)
-    return 0
-
-
-def _require_memory(mc: MemoryChannel, kinds, command):
-    if mc.memory not in kinds:
-        raise ValidationError(
-            f"the {command} command needs {' or '.join(kinds)} memory, got {mc.memory}"
-        )
+    return ("branch", "gamma", "a_max_search", "a_max_root", "abs_diff"), rows
 
 
 _SCALE_HEADER = ("r", "value_bits", "subset", "error_threshold")
@@ -228,7 +217,7 @@ def _scale_rows(report: scales.CapacityReport):
     return [_scale_row(r, e, report.n_branches) for r, e in sorted(report.scale.items())]
 
 
-def _emit_capacity_report(args, report: scales.CapacityReport):
+def _capacity_table(report: scales.CapacityReport):
     rows = _scale_rows(report)
     obj = {
         "cp": report.cp,
@@ -236,10 +225,10 @@ def _emit_capacity_report(args, report: scales.CapacityReport):
         "scale": {str(r): {"value_bits": v, "best_subset": s} for r, v, s, _ in rows},
         "per_branch_suprema": _suprema(report.per_branch_suprema),
     }
-    _emit(args, _SCALE_HEADER, rows, obj)
+    return _SCALE_HEADER, rows, obj
 
 
-def _emit_random_report(args, report: scales.RandomScaleReport):
+def _random_table(report: scales.RandomScaleReport):
     rows = [(delta, s.q_delta, s.c_delta, s.cbar_delta) for delta, s in report.per_subset.items()]
     obj = {
         "q": report.q,
@@ -248,50 +237,33 @@ def _emit_random_report(args, report: scales.RandomScaleReport):
         ],
         "per_branch_suprema": _suprema(report.per_branch_suprema),
     }
-    _emit(args, ("delta", "q_delta", "c_delta_bits", "cbar_delta_bits"), rows, obj)
+    return ("delta", "q_delta", "c_delta_bits", "cbar_delta_bits"), rows, obj
 
 
-def cmd_capacity(args) -> int:
-    mc = load_channel_config(args.channel)
-    tol = _check_tol(args.tol)
-    _require_memory(mc, ("periodic", "random"), "capacity")
+def cmd_capacity(args, mc, tol):
     if mc.memory == "periodic":
-        _emit_capacity_report(args, scales.compute_capacity_report(mc.branches, tol))
-    else:
-        full = tuple(range(len(mc.branches)))
-        _emit_random_report(
-            args, scales.compute_random_scale_report(mc.branches, mc.q, deltas=[full], tol=tol)
-        )
-    return 0
+        return _capacity_table(scales.compute_capacity_report(mc.branches, tol))
+    full = tuple(range(len(mc.branches)))
+    report = scales.compute_random_scale_report(mc.branches, mc.q, deltas=[full], tol=tol)
+    return _random_table(report)
 
 
-def cmd_scale(args) -> int:
-    mc = load_channel_config(args.channel)
-    tol = _check_tol(args.tol)
-    _require_memory(mc, ("periodic",), "scale")
+def cmd_scale(args, mc, tol):
     if args.r is None:
-        _emit_capacity_report(args, scales.compute_capacity_report(mc.branches, tol))
-        return 0
+        return _capacity_table(scales.compute_capacity_report(mc.branches, tol))
     row = _scale_row(args.r, scales.scale_r(mc.branches, args.r, tol), len(mc.branches))
     obj = dict(zip(("r", "value_bits", "best_subset", "error_threshold"), row))
-    _emit(args, _SCALE_HEADER, [row], obj)
-    return 0
+    return _SCALE_HEADER, [row], obj
 
 
-def cmd_random_scale(args) -> int:
-    mc = load_channel_config(args.channel)
-    tol = _check_tol(args.tol)
-    _require_memory(mc, ("random",), "random-scale")
+def cmd_random_scale(args, mc, tol):
     deltas = None if args.delta is None else [_parse_indices(args.delta, "--delta")]
-    _emit_random_report(
-        args, scales.compute_random_scale_report(mc.branches, mc.q, deltas=deltas, tol=tol)
-    )
-    return 0
+    report = scales.compute_random_scale_report(mc.branches, mc.q, deltas=deltas, tol=tol)
+    return _random_table(report)
 
 
-def cmd_ad_gap(args) -> int:
+def cmd_ad_gap(args, mc, tol):
     """Tabulate pair capacity against averaged branch capacity on a gamma grid."""
-    tol = _check_tol(args.tol)
     if not 2 <= args.grid <= MAX_GRID:
         raise ValidationError(f"grid must be in [2, {MAX_GRID}], got {args.grid}")
     gammas = np.linspace(0.0, 1.0, args.grid)
@@ -309,21 +281,14 @@ def cmd_ad_gap(args) -> int:
             avg = 0.5 * (v0 + v1)
             rows.append((g0, g1, a_joint, cp, a0, a1, avg, avg - cp))
     header = ("gamma0", "gamma1", "a_max_joint", "c_p", "a_max_0", "a_max_1", "chi_star_avg", "gap")
-    _emit(args, header, rows)
-    return 0
+    return header, rows
 
 
-def cmd_staircase(args) -> int:
-    mc = load_channel_config(args.channel)
-    tol = _check_tol(args.tol)
-    _require_memory(mc, ("periodic",), "staircase")
-    _emit(args, _SCALE_HEADER, _scale_rows(scales.compute_capacity_report(mc.branches, tol)))
-    return 0
+def cmd_staircase(args, mc, tol):
+    return _SCALE_HEADER, _scale_rows(scales.compute_capacity_report(mc.branches, tol))
 
 
-def cmd_simulate(args) -> int:
-    mc = load_channel_config(args.channel)
-    tol = _check_tol(args.tol)
+def cmd_simulate(args, mc, tol):
     rates = _parse_rates(args.rate)
     if args.subset is None:
         rows = simulate.empirical_staircase(mc, rates, args.trials, args.seed, tol)
@@ -336,11 +301,37 @@ def cmd_simulate(args) -> int:
                                       res.theoretical_error, res.empirical_error,
                                       res.n_trials, res.seed)]
     header = [f.name for f in dataclasses.fields(simulate.StaircaseRow)]
-    _emit(args, header, [dataclasses.astuple(row) for row in rows])
-    return 0
+    return header, [dataclasses.astuple(row) for row in rows]
 
 
 # --- parser -----------------------------------------------------------------
+
+
+_ANY = ("periodic", "random")
+
+# (name, help, memory kinds the command accepts, function, own options); a
+# command that accepts no memory kind takes no channel file
+_COMMANDS = (
+    ("chi", "per-branch best mirror ensemble and Holevo quantity", _ANY, cmd_chi, {}),
+    ("amax", "optimum location by search and by derivative root, per branch", _ANY, cmd_amax, {}),
+    ("capacity", "capacity report for the channel's memory kind", _ANY, cmd_capacity, {}),
+    ("scale", "subset-rate hierarchy for periodic memory", ("periodic",), cmd_scale, {
+        "--r": dict(type=int, default=None, help="single subset size to report"),
+    }),
+    ("random-scale", "subset capacities for random memory", ("random",), cmd_random_scale, {
+        "--delta": dict(default=None, help="comma-separated branch indices"),
+    }),
+    ("ad-gap", "pair capacity vs averaged branch capacity on a damping grid", (), cmd_ad_gap, {
+        "--grid": dict(type=int, default=101, help="points per gamma axis"),
+    }),
+    ("staircase", "theoretical rate/error staircase", ("periodic",), cmd_staircase, {}),
+    ("simulate", "Monte Carlo decode success against the staircase", _ANY, cmd_simulate, {
+        "--rate": dict(required=True, help="rate in bits, or comma-separated rates"),
+        "--subset": dict(default=None, help="fixed target subset (single rate only)"),
+        "--trials": dict(type=int, default=100_000),
+        "--seed": dict(type=int, default=42),
+    }),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,55 +346,30 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    def with_channel(name, help_text, **kw):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kw)
-        p.add_argument("channel", help="JSON channel description file")
-        return p
-
-    with_channel("chi", "per-branch best mirror ensemble and Holevo quantity").set_defaults(
-        func=cmd_chi
-    )
-    with_channel(
-        "amax", "optimum location by search and by derivative root, per branch"
-    ).set_defaults(func=cmd_amax)
-    with_channel("capacity", "capacity report for the channel's memory kind").set_defaults(
-        func=cmd_capacity
-    )
-    p = with_channel("scale", "subset-rate hierarchy for periodic memory")
-    p.add_argument("--r", type=int, default=None, help="single subset size to report")
-    p.set_defaults(func=cmd_scale)
-
-    p = with_channel("random-scale", "subset capacities for random memory")
-    p.add_argument("--delta", default=None, help="comma-separated branch indices")
-    p.set_defaults(func=cmd_random_scale)
-
-    p = sub.add_parser(
-        "ad-gap",
-        parents=[common],
-        help="pair capacity vs averaged branch capacity on a damping grid",
-    )
-    p.add_argument("--grid", type=int, default=101, help="points per gamma axis")
-    p.set_defaults(func=cmd_ad_gap)
-
-    with_channel("staircase", "theoretical rate/error staircase").set_defaults(
-        func=cmd_staircase
-    )
-
-    p = with_channel("simulate", "Monte Carlo decode success against the staircase")
-    p.add_argument("--rate", required=True, help="rate in bits, or comma-separated rates")
-    p.add_argument("--subset", default=None, help="fixed target subset (single rate only)")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_simulate)
-
+    for name, help_text, kinds, func, options in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if kinds:
+            p.add_argument("channel", help="JSON channel description file")
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func, kinds=kinds)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Read the channel file, check --tol and the memory kind, run the command
+    and write its table: every check before the command's own, in this order."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        mc = load_channel_config(args.channel) if args.kinds else None
+        tol = _check_tol(args.tol)
+        if mc is not None and mc.memory not in args.kinds:
+            raise ValidationError(
+                f"the {args.command} command needs {' or '.join(args.kinds)} memory, "
+                f"got {mc.memory}"
+            )
+        _emit(args, *args.func(args, mc, tol))
+        return 0
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -272,7 +272,7 @@ def test_simulate_subset_needs_single_rate(channel_files, tmp_path):
     assert rc == 2
 
 
-def test_exit_code_on_bad_inputs(channel_files, tmp_path):
+def test_exit_code_on_bad_inputs(channel_files, tmp_path, capsys):
     assert cli.main(["capacity", str(tmp_path / "missing.json")]) == 2
     assert cli.main(["capacity", channel_files["markov2"]]) == 2
     assert cli.main(["scale", channel_files["rand3"]]) == 2
@@ -295,6 +295,12 @@ def test_exit_code_on_bad_inputs(channel_files, tmp_path):
         )
     )
     assert cli.main(["amax", str(gamma_one)]) == 2
+    # the channel file is read before --tol is checked
+    top_list = tmp_path / "list.json"
+    top_list.write_text("[]")
+    capsys.readouterr()
+    assert cli.main(["chi", str(top_list), "--tol", "1.0"]) == 2
+    assert capsys.readouterr().err == "error: channel file must contain a JSON object\n"
 
 
 NAN = float("nan")
@@ -302,43 +308,58 @@ HUGE = 10**400  # a JSON integer past the float range
 AD2 = PER4["branches"][:2]
 
 
+PERIODIC = {"kind": "periodic"}
+
+
+def channel(branches, memory):
+    return {"branches": branches, "memory": memory}
+
+
+def kraus(*ops):
+    return channel([{"type": "kraus", "ops": list(ops)}], PERIODIC)
+
+
 @pytest.mark.parametrize(
-    "branches, memory, argv",
+    "config, argv",
     [
-        (AD2, {"kind": "random", "q": [NAN, 0.5]}, ["capacity"]),
-        (
-            [{"type": "kraus", "ops": [[[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}],
-            {"kind": "periodic"},
-            ["chi"],
-        ),
-        (AD2, {"kind": "periodic"}, ["chi", "--tol", "nan"]),
-        (AD2, {"kind": "periodic"}, ["simulate", "--rate", "nan"]),
-        (AD2, {"kind": "periodic"}, ["simulate", "--rate", "0.3", "--seed", "-1"]),
-        (AD2, {"kind": "periodic"}, ["simulate", "--rate", "0.3", "--trials", str(10**30)]),
-        ([{"type": "amplitude_damping", "gamma": "abc"}], {"kind": "periodic"}, ["chi"]),
-        ([{"type": "depolarizing", "p": None}], {"kind": "periodic"}, ["capacity"]),
-        (
-            [{"type": "kraus", "ops": [[[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}],
-            {"kind": "periodic"},
-            ["chi"],
-        ),
-        (
-            [{"type": "kraus", "ops": [[[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}],
-            {"kind": "periodic"},
-            ["capacity"],
-        ),
-        ([{"type": "amplitude_damping", "gamma": True}], {"kind": "periodic"}, ["chi"]),
-        (AD2, {"kind": "random", "q": [True, False]}, ["capacity"]),
-        ([{"type": "amplitude_damping", "gamma": HUGE}], {"kind": "periodic"}, ["chi"]),
-        ([{"type": "depolarizing", "p": -HUGE}], {"kind": "periodic"}, ["chi"]),
-        (AD2, {"kind": "random", "q": [HUGE, 0.5]}, ["capacity"]),
-        (
-            [{"type": "kraus", "ops": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [HUGE, 0.0]]]]}],
-            {"kind": "periodic"},
-            ["chi"],
-        ),
-        ([{"type": ["amplitude_damping"], "gamma": 0.3}], {"kind": "periodic"}, ["chi"]),
-        ([{"type": {"kind": "depolarizing"}, "p": 0.3}], {"kind": "periodic"}, ["chi"]),
+        (channel(AD2, {"kind": "random", "q": [NAN, 0.5]}), ["capacity"]),
+        (kraus([[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]), ["chi"]),
+        (channel(AD2, PERIODIC), ["chi", "--tol", "nan"]),
+        (channel(AD2, PERIODIC), ["simulate", "--rate", "nan"]),
+        (channel(AD2, PERIODIC), ["simulate", "--rate", "0.3", "--seed", "-1"]),
+        (channel(AD2, PERIODIC), ["simulate", "--rate", "0.3", "--trials", str(10**30)]),
+        (channel([{"type": "amplitude_damping", "gamma": "abc"}], PERIODIC), ["chi"]),
+        (channel([{"type": "depolarizing", "p": None}], PERIODIC), ["capacity"]),
+        (kraus([[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]), ["chi"]),
+        (kraus([[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]]), ["capacity"]),
+        (channel([{"type": "amplitude_damping", "gamma": True}], PERIODIC), ["chi"]),
+        (channel(AD2, {"kind": "random", "q": [True, False]}), ["capacity"]),
+        (channel([{"type": "amplitude_damping", "gamma": HUGE}], PERIODIC), ["chi"]),
+        (channel([{"type": "depolarizing", "p": -HUGE}], PERIODIC), ["chi"]),
+        (channel(AD2, {"kind": "random", "q": [HUGE, 0.5]}), ["capacity"]),
+        (kraus([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [HUGE, 0.0]]]), ["chi"]),
+        (channel([{"type": ["amplitude_damping"], "gamma": 0.3}], PERIODIC), ["chi"]),
+        (channel([{"type": {"kind": "depolarizing"}, "p": 0.3}], PERIODIC), ["chi"]),
+        # the structure of the file
+        (AD2, ["chi"]),
+        ({"memory": PERIODIC}, ["chi"]),
+        (channel([], PERIODIC), ["capacity"]),
+        (channel({"0": AD2[0]}, PERIODIC), ["chi"]),
+        (channel([3], PERIODIC), ["chi"]),
+        (channel([{"gamma": 0.3}], PERIODIC), ["chi"]),
+        (channel([{"type": "amplitude_damping"}], PERIODIC), ["chi"]),
+        (channel([{"type": "erasure", "p": 0.1}], PERIODIC), ["chi"]),
+        (channel([{"type": "kraus"}], PERIODIC), ["chi"]),
+        (kraus(), ["chi"]),
+        (kraus([[[1.0, 0.0]] * 3] * 3), ["chi"]),
+        (kraus([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]), ["chi"]),
+        ({"branches": AD2}, ["capacity"]),
+        (channel(AD2, ["periodic"]), ["capacity"]),
+        (channel(AD2, {"q": [0.5, 0.5]}), ["capacity"]),
+        (channel(AD2, {"kind": ["periodic"]}), ["capacity"]),
+        (channel(AD2, {"kind": "random"}), ["capacity"]),
+        (channel(AD2, {"kind": "random", "q": [1.0]}), ["capacity"]),
+        (channel([{"type": "depolarizing", "p": 0.2}], PERIODIC), ["amax"]),
     ],
     ids=[
         "q-nan",
@@ -359,11 +380,30 @@ AD2 = PER4["branches"][:2]
         "kraus-overflow",
         "type-list",
         "type-object",
+        "top-level-list",
+        "branches-missing",
+        "branches-empty",
+        "branches-object",
+        "branch-number",
+        "branch-type-missing",
+        "gamma-missing",
+        "type-unknown",
+        "kraus-ops-missing",
+        "kraus-ops-empty",
+        "kraus-3x3",
+        "kraus-incomplete",
+        "memory-missing",
+        "memory-list",
+        "memory-kind-missing",
+        "memory-kind-list",
+        "q-missing",
+        "q-wrong-length",
+        "amax-depolarizing",
     ],
 )
-def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, branches, memory, argv):
+def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, config, argv):
     path = tmp_path / "channel.json"
-    path.write_text(json.dumps({"branches": branches, "memory": memory}))
+    path.write_text(json.dumps(config))
     assert cli.main([argv[0], str(path)] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -424,6 +464,61 @@ def test_argparse_rejects_unknown_format(channel_files):
     with pytest.raises(SystemExit) as exc:
         cli.main(["chi", channel_files["per4"], "--format", "yaml"])
     assert exc.value.code == 2
+
+
+# each subcommand's own options, with a value and the value they parse to
+OWN_OPTIONS = {
+    "chi": {},
+    "amax": {},
+    "capacity": {},
+    "scale": {"--r": ("2", 2)},
+    "random-scale": {"--delta": ("0,2", "0,2")},
+    "ad-gap": {"--grid": ("7", 7)},
+    "staircase": {},
+    "simulate": {
+        "--rate": ("0.3,0.6", "0.3,0.6"),
+        "--subset": ("0,1", "0,1"),
+        "--trials": ("50", 50),
+        "--seed": ("9", 9),
+    },
+}
+
+
+def test_each_subcommand_parses_its_own_options(capsys):
+    common = {"--tol": ("1e-3", 1e-3), "--output": ("o.csv", "o.csv"), "--format": ("json", "json")}
+    every = {flag for options in OWN_OPTIONS.values() for flag in options}
+    for command, own in OWN_OPTIONS.items():
+        files = [] if command == "ad-gap" else ["f.json"]
+        options = {**common, **own}
+        pairs = [t for flag, (text, _) in options.items() for t in (flag, text)]
+        args = cli.build_parser().parse_args([command, *files, *pairs])
+        assert args.command == command
+        if files:
+            assert args.channel == files[0]
+        else:
+            assert not hasattr(args, "channel")
+        for flag, (_, value) in options.items():
+            assert getattr(args, flag[2:]) == value
+        # another command's option exits 2, unless it is a prefix of one of
+        # this command's own, which argparse reads as that option
+        for flag in sorted(every - set(own)):
+            if any(o.startswith(flag) for o in own):
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, *files, flag, "1"])
+            assert exc.value.code == 2
+    # ad-gap takes no channel file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ad-gap", "f.json"])
+    assert exc.value.code == 2
+
+    parse = cli.build_parser().parse_args
+    args = parse(["simulate", "f.json", "--rate", "0.3"])
+    assert (args.tol, args.output, args.format) == (1e-8, None, "csv")
+    assert (args.subset, args.trials, args.seed) == (None, 100_000, 42)
+    assert parse(["scale", "f.json"]).r is None
+    assert parse(["random-scale", "f.json"]).delta is None
+    assert parse(["ad-gap"]).grid == 101
 
 
 def test_kraus_channel_config_round_trip(tmp_path):
