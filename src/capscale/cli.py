@@ -334,25 +334,44 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="capscale",
-        description="Capacities and subset-rate scales of qubit channels with memory.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Commands(argparse._SubParsersAction):
+    """The subcommands of _COMMANDS, each listed with its help line.
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8, help="optimizer tolerance")
-    common.add_argument("--output", default=None, help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    A command's parser is built only when argparse dispatches to it, so a
+    run builds the top-level parser and the invoked command's, not all nine.
+    """
 
-    for name, help_text, kinds, func, options in _COMMANDS:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name, help_text, *_ in _COMMANDS:
+            self._name_parser_map[name] = None  # the choices argparse checks
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help_text))
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # argparse has checked that values[0] names a command
+        name, _, kinds, func, options = next(c for c in _COMMANDS if c[0] == values[0])
+        p = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}", allow_abbrev=False)
+        p.add_argument("--tol", type=float, default=1e-8, help="optimizer tolerance")
+        p.add_argument("--output", default=None, help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if kinds:
             p.add_argument("channel", help="JSON channel description file")
         for flag, kw in options.items():
             p.add_argument(flag, **kw)
         p.set_defaults(func=func, kinds=kinds)
+        self._name_parser_map[name] = p
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The capscale parser; options must be spelled in full."""
+    parser = argparse.ArgumentParser(
+        prog="capscale",
+        description="Capacities and subset-rate scales of qubit channels with memory.",
+        allow_abbrev=False,
+    )
+    parser.register("action", "parsers", _Commands)
+    parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     return parser
 
 

@@ -48,6 +48,10 @@ _FINE = 16
 _FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
 _WINDOW = 4 * _FINE + 1
 
+# (subset, member) pairs per call of the Holevo kernel's jet in a refine: the
+# kernel's dozen temporaries then stay near 1 MiB, whatever the lane count.
+_REFINE_BLOCK = 1024
+
 
 def _as_channels(branches) -> tuple[QubitChannel, ...]:
     out = tuple(
@@ -116,11 +120,12 @@ class _Sweep:
     def refine(self, lanes, tol):
         """Refine the brackets of the subsets at lanes in one lockstep search.
 
-        The slope-bracketed search makes one call of the Holevo kernel's
-        jet per step, at its three points per subset, over the form columns
-        of all those subsets' (subset, member) pairs, gathered once. Each
-        lane proposes its next point from its members' values, slopes and
-        curvatures (_newton_sum for np.add, _newton_min for np.minimum).
+        The slope-bracketed search evaluates the Holevo kernel's jet once
+        per step, at its three points per subset, over the form columns of
+        all those subsets' (subset, member) pairs, gathered once, in calls
+        of at most _REFINE_BLOCK pairs. Each lane proposes its next point
+        from its members' values, slopes and curvatures (_newton_sum for
+        np.add, _newton_min for np.minimum).
         """
         members, bounds = _pairs([self.subsets[i] for i in lanes])
         k = self.k[lanes]
@@ -131,7 +136,16 @@ class _Sweep:
         propose = _PROPOSALS[self.reduce]
 
         def combined(a):  # a: (3, lanes)
-            return propose(a, mirror_chi_jet(form, a[:, lane]), lane, bounds[:-1])
+            at = a[:, lane]
+            if len(lane) <= _REFINE_BLOCK:
+                jet = mirror_chi_jet(form, at)
+            else:  # the kernel is elementwise: each block's values keep their bits
+                jet = np.empty((3, *at.shape))
+                for s in range(0, len(lane), _REFINE_BLOCK):
+                    block = slice(s, s + _REFINE_BLOCK)
+                    for out, v in zip(jet, mirror_chi_jet(form[:, block], at[:, block])):
+                        out[:, block] = v
+            return propose(a, jet, lane, bounds[:-1])
 
         return maximize_concave_1d(combined, lo, hi, tol)
 

@@ -1,6 +1,8 @@
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -499,14 +501,16 @@ def test_each_subcommand_parses_its_own_options(capsys):
             assert not hasattr(args, "channel")
         for flag, (_, value) in options.items():
             assert getattr(args, flag[2:]) == value
-        # another command's option exits 2, unless it is a prefix of one of
-        # this command's own, which argparse reads as that option
-        for flag in sorted(every - set(own)):
-            if any(o.startswith(flag) for o in own):
-                continue
+        # another command's option exits 2, and so does an option cut short,
+        # even where it is a prefix of one option alone: --r is not --rate
+        required = ["--rate", "0.3"] if command == "simulate" else []
+        prefixes = {flag[:n] for flag in options for n in range(3, len(flag))}
+        for flag in sorted((every - set(own)) | prefixes):
+            capsys.readouterr()
             with pytest.raises(SystemExit) as exc:
-                cli.main([command, *files, flag, "1"])
+                cli.build_parser().parse_args([command, *files, *required, flag, "1"])
             assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 1\n")
     # ad-gap takes no channel file
     with pytest.raises(SystemExit) as exc:
         cli.main(["ad-gap", "f.json"])
@@ -519,6 +523,84 @@ def test_each_subcommand_parses_its_own_options(capsys):
     assert parse(["scale", "f.json"]).r is None
     assert parse(["random-scale", "f.json"]).delta is None
     assert parse(["ad-gap"]).grid == 101
+
+
+# stdout, stderr and exit code of cli.main on help and argparse-error argv,
+# with COLUMNS=80, recorded when every command's parser was built on each run
+PARSER_BYTES = json.loads((Path(__file__).parent / "parser_bytes.json").read_text("utf-8"))
+
+
+def main_bytes(argv, capsys):
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return {"argv": argv, "exit": code, "stdout": out, "stderr": err}
+
+
+def eager_parser():
+    """The reference parser: every command's parser built up front, from one parent."""
+    parser = argparse.ArgumentParser(
+        prog="capscale",
+        description="Capacities and subset-rate scales of qubit channels with memory.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=1e-8, help="optimizer tolerance")
+    common.add_argument("--output", default=None, help="output path (default: stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    for name, help_text, kinds, func, options in cli._COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if kinds:
+            p.add_argument("channel", help="JSON channel description file")
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func, kinds=kinds)
+    return parser
+
+
+def test_parser_bytes_as_recorded(monkeypatch, capsys):
+    # argparse words some messages differently across Python versions
+    if PARSER_BYTES["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"recorded with Python {PARSER_BYTES['python']}")
+    monkeypatch.setenv("COLUMNS", str(PARSER_BYTES["columns"]))
+    for case in PARSER_BYTES["cases"]:
+        assert main_bytes(case["argv"], capsys) == case
+
+
+def test_parser_bytes_match_the_eager_parser(monkeypatch, capsys):
+    # on every Python version: building only the invoked command's parser
+    # prints what building them all did
+    monkeypatch.setenv("COLUMNS", str(PARSER_BYTES["columns"]))
+    argvs = [case["argv"] for case in PARSER_BYTES["cases"]]
+    lazy = [main_bytes(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", eager_parser)
+    assert lazy == [main_bytes(argv, capsys) for argv in argvs]
+
+
+def test_a_run_builds_two_parsers(channel_files, tmp_path, monkeypatch):
+    # the top-level parser and the invoked command's; building every
+    # command's parser, and their shared parent, made ten
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    per4, rand3 = channel_files["per4"], channel_files["rand3"]
+    runs = [
+        ["chi", per4], ["amax", per4], ["capacity", per4], ["scale", per4, "--r", "2"],
+        ["random-scale", rand3], ["ad-gap", "--grid", "3"], ["staircase", per4],
+        ["simulate", rand3, "--rate", "0.3", "--trials", "100"],
+    ]
+    for argv in runs:
+        built.clear()
+        assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0
+        assert built == ["capscale", f"capscale {argv[0]}"]
 
 
 def test_kraus_channel_config_round_trip(tmp_path):
