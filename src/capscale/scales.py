@@ -137,14 +137,11 @@ class _Sweep:
 
         def combined(a):  # a: (3, lanes)
             at = a[:, lane]
-            if len(lane) <= _REFINE_BLOCK:
-                jet = mirror_chi_jet(form, at)
-            else:  # the kernel is elementwise: each block's values keep their bits
-                jet = np.empty((3, *at.shape))
-                for s in range(0, len(lane), _REFINE_BLOCK):
-                    block = slice(s, s + _REFINE_BLOCK)
-                    for out, v in zip(jet, mirror_chi_jet(form[:, block], at[:, block])):
-                        out[:, block] = v
+            jet = np.empty((3, *at.shape))
+            # the kernel is elementwise: each block's values keep their bits
+            for s in range(0, len(lane), _REFINE_BLOCK):
+                block = slice(s, s + _REFINE_BLOCK)
+                jet[:, :, block] = mirror_chi_jet(form[:, block], at[:, block])
             return propose(a, jet, lane, bounds[:-1])
 
         return maximize_concave_1d(combined, lo, hi, tol)

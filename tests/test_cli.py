@@ -649,3 +649,11 @@ def test_console_entry_point_stdout(channel_files):
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: unknown memory kind 'markov'\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "capscale.cli", "chi", channel_files["per4"], "--form", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("capscale: error: unrecognized arguments: --form json\n")
