@@ -73,7 +73,11 @@ def _squared_radii(form, a):
     u2 = z * z * c22 + 2.0 * z * c2t + tt
     x, w = np.sqrt(x2), z * c02 + c0t
     mid, cross = u2 + x2 * c00, 2.0 * x * w
-    return x, z, w, np.stack([u2, mid + cross, mid - cross])
+    s = np.empty((3, *np.shape(mid)))
+    s[0] = u2
+    np.add(mid, cross, out=s[1, ...])
+    np.subtract(mid, cross, out=s[2, ...])
+    return x, z, w, s
 
 
 def _chi(h):
@@ -105,15 +109,16 @@ def _entropy_jet(s):
     small, pure = s < 1e-3, s >= 1.0
     # stand-ins where the closed forms are not used, so that they stay finite;
     # L = 0 gives a pure state h' = 0
-    r, t, L = np.where(small, 1.0, r), np.where(small | pure, 0.5, s), np.where(pure, 0.0, L)
-    k = -0.5 / math.log(2.0)
-    h1 = np.where(small, k + s * (k / 3 + s * (k / 5 + s * (k / 7 + s * (k / 9)))), -0.25 * L / r)
-    h2 = np.where(
-        small,
-        k / 3 + s * (2 * k / 5 + s * (3 * k / 7 + s * (4 * k / 9 + s * (5 * k / 11)))),
-        (0.5 * L - r / ((1.0 - t) * math.log(2.0))) / (4.0 * r * t),
-    )
-    return h, h1, np.where(pure, 0.0, h2)
+    t = s.copy()
+    r[small], t[small | pure], L[pure] = 1.0, 0.5, 0.0
+    h1 = -0.25 * L / r
+    h2 = (0.5 * L - r / ((1.0 - t) * math.log(2.0))) / (4.0 * r * t)
+    h2[pure] = 0.0
+    if small.any():
+        k, s = -0.5 / math.log(2.0), s[small]
+        h1[small] = k + s * (k / 3 + s * (k / 5 + s * (k / 7 + s * (k / 9))))
+        h2[small] = k / 3 + s * (2 * k / 5 + s * (3 * k / 7 + s * (4 * k / 9 + s * (5 * k / 11))))
+    return h, h1, h2
 
 
 def mirror_chi_jet(form, a):
@@ -129,14 +134,17 @@ def mirror_chi_jet(form, a):
     x, z, w, s = _squared_radii(form, a)
     dx = -2.0 * z / x
     d2x = -4.0 / (x * x * x)
-    du2 = 4.0 * (z * c22 + c2t)
+    ds = np.empty(s.shape)
+    du2 = np.multiply(4.0, z * c22 + c2t, out=ds[0, ...])
     dmid, dcross = du2 - 4.0 * z * c00, 2.0 * (dx * w + 2.0 * x * c02)
     d2mid, d2cross = 8.0 * (c22 - c00), 2.0 * (d2x * w + 4.0 * dx * c02)
-    ds = np.stack([du2, dmid + dcross, dmid - dcross])
+    np.add(dmid, dcross, out=ds[1, ...])
+    np.subtract(dmid, dcross, out=ds[2, ...])
     h, h1, h2 = _entropy_jet(s)
     curv = h2 * ds * ds
     curv[0] += h1[0] * (8.0 * c22)
-    curv[1:] += h1[1:] * (d2mid + np.stack([d2cross, -d2cross]))
+    curv[1] += h1[1] * (d2mid + d2cross)
+    curv[2] += h1[2] * (d2mid - d2cross)
     return _chi(h), _chi(h1 * ds), _chi(curv)
 
 

@@ -29,7 +29,7 @@ class OptResult:
     achieved_tol: float
 
 
-def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
+def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
     """Maximization of concave functions from the signs of their slopes, in lockstep.
 
     lo and hi are equal-shape arrays, one bracket per lane; a scalar
@@ -43,19 +43,26 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
     zero slope settles the lane, since on a concave function it is a
     maximizer. A step centres on the proposal of the lane's best point so
     far when it lies in the bracket, and on the bracket's midpoint
-    otherwise, and evaluates the centre and the points tol/8 either side
-    of it, clipped to the bracket, in one call. Once a proposal is within
-    tol/8 of the maximizer, the outer points straddle it and close the
-    bracket from both sides, whatever the rounding of the slopes near the
-    peak, and the centre is the proposal itself, which at a kink is worth
-    more than any point beside it. A lane stops once its bracket is
+    otherwise; the first step, which has no best point yet, centres on
+    start (an array of lo's shape, one first centre per lane, NaN for
+    none) where it lies in the bracket, and on the midpoint otherwise or
+    when start is None. A step evaluates the centre and the points tol/8
+    either side of it, clipped to the bracket, in one call. Once a
+    proposal (or start) is within tol/8 of the maximizer, the outer
+    points straddle it and close the bracket from both sides, whatever
+    the rounding of the slopes near the peak, and the centre is the
+    proposal itself, which at a kink is worth more than any point beside
+    it. A lane stops once its bracket is
     narrower than tol, after at least one step, unless its best point's
     proposal lies inside the bracket and a step there would add more than
     tol² and the value's rounding to first order (slope times step): at
     a smooth peak that gain is of order curvature times the step squared,
-    but at a kink the value rises linearly toward the maximizer. It
-    returns its best evaluated point, which concavity puts in the final
-    bracket (up to rounding in the values); there is no final call.
+    but at a kink the value rises linearly toward the maximizer. A lane's
+    best point is its highest-valued evaluated point, except that one the
+    slopes have put outside the bracket gives way to the step's highest
+    point: near a smooth peak the values are flat to rounding over a
+    stretch of x wider than a fine tol, and only the slopes place the
+    maximizer. It returns its best point; there is no final call.
     Each lane takes the steps of its own search, so a lane's argmax and
     value do not depend on the other lanes; iterations and achieved_tol are
     those of the slowest lane.
@@ -68,13 +75,17 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
         raise ValidationError(f"tol must be finite and >= 1e-12, got {tol}")
     best_x, best_f = lo, np.full(lo.shape, -np.inf)
     best_s, best_p = np.zeros(lo.shape), np.full(lo.shape, np.nan)
+    if start is not None:  # the first step's centres
+        best_p = np.asarray(start, dtype=float)
+        if best_p.shape != lo.shape:
+            raise ValidationError(f"start must have the brackets' shape {lo.shape}")
     offset = 0.125 * tol * np.array([0.0, -1.0, 1.0]).reshape((3,) + (1,) * lo.ndim)
     active, iters = np.ones(lo.shape, dtype=bool), 0  # every lane takes a first step
     while np.any(active):
         if iters == _MAX_ITER:
             raise NumericalError("slope-bracketed search failed to converge")
         centre = np.where((lo <= best_p) & (best_p <= hi), best_p, 0.5 * (lo + hi))
-        x = np.clip(centre + offset, lo, hi)
+        x = np.minimum(np.maximum(centre + offset, lo), hi)
         out = f(x)
         if not (isinstance(out, tuple) and len(out) == 3):
             raise ValidationError("f must return a tuple (value, slope, proposal)")
@@ -84,9 +95,9 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8) -> OptResult:
         # a converged lane keeps its bracket and its best point
         lo = np.where(active, np.maximum(lo, np.where(slope >= 0.0, x, -np.inf).max(axis=0)), lo)
         hi = np.where(active, np.minimum(hi, np.where(slope <= 0.0, x, np.inf).min(axis=0)), hi)
-        j = value.argmax(axis=0)[None]  # the centre, unless a side point is strictly better
-        y, fy, sy, py = (np.take_along_axis(v, j, axis=0)[0] for v in (x, value, slope, proposal))
-        new = active & (fy >= best_f)
+        j = value.argmax(axis=0)[None, None]  # the centre, unless a side point is strictly better
+        y, fy, sy, py = np.take_along_axis(np.stack((x, *out)), j, axis=1)[:, 0]
+        new = active & ((fy >= best_f) | (best_x < lo) | (best_x > hi))
         best_x, best_f = np.where(new, y, best_x), np.where(new, fy, best_f)
         best_s, best_p = np.where(new, sy, best_s), np.where(new, py, best_p)
         iters += 1

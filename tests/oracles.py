@@ -1,15 +1,16 @@
 """Density-matrix oracles for the Bloch-vector library: plain numpy
 transcriptions of Kraus sums, eigenvalue entropies and the Holevo quantity,
-a lattice search over small ensembles, and the memory laws (periodic,
-random and Markov) acting on n-fold density matrices. Nothing here imports
-capscale, so a test that compares the two compares two independent
-computations.
+a lattice search over small ensembles, the memory laws (periodic, random
+and Markov) acting on n-fold density matrices, and a 40-digit maximizer of
+the damping mirror-pair curve. Nothing here imports capscale, so a test that
+compares the two compares two independent computations.
 """
 
 import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -72,6 +73,30 @@ def radius_entropy(r):
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(lam * np.log2(lam) + (1.0 - lam) * np.log2(1.0 - lam))
     return np.where(lam > 0.0, h, 0.0)
+
+
+def damping_argmax(gamma, digits=40):
+    """The float nearest the maximizer in a of the damping mirror pair's Holevo curve.
+
+    The curve is chi(a) = H(a + (1-a)γ) - H((1 - x)/2), x = sqrt(1 - 4γ(1-γ)(1-a)²),
+    with H the binary entropy; its maximizer, for 0 < γ < 1, is the root of
+    dchi/da in (1/2, 1), taken by mpmath's numerical derivative of chi and
+    bracketed root finding to digits digits, at digits + 10 digits of
+    working precision.
+    """
+    with mpmath.workdps(digits + 10):
+        g = mpmath.mpf(gamma)
+
+        def h(p):
+            return -p * mpmath.log(p) - (1 - p) * mpmath.log(1 - p)
+
+        def chi(a):
+            x = mpmath.sqrt(1 - 4 * g * (1 - g) * (1 - a) ** 2)
+            return h(a + (1 - a) * g) - h((1 - x) / 2)
+
+        bracket = (mpmath.mpf(1) / 2, 1 - mpmath.mpf(10) ** -6)
+        root = mpmath.findroot(lambda a: mpmath.diff(chi, a), bracket, solver="anderson")
+        return float(root)
 
 
 def weight_grid(n, steps):

@@ -164,6 +164,45 @@ def test_golden_section_lockstep_nan_lane_raises():
         maximize_concave_1d(quad, np.zeros(3), np.array([1.0, 0.0, 1.0]))
 
 
+def test_golden_section_start_is_the_first_centre():
+    f, parts = lanes()
+    lo, hi = np.array([0.5, 0.2, 0.0, 0.85]), np.array([0.6, 0.6, 1.0, 0.95])
+    midpoint = maximize_concave_1d(f, lo, hi, tol=1e-10)
+    # no start, a NaN start or one outside the bracket: the midpoint, bit for bit
+    for start in (None, np.full(4, np.nan), lo - 0.1, hi + 0.1):
+        res = maximize_concave_1d(f, lo, hi, tol=1e-10, start=start)
+        assert np.array_equal(res.argmax, midpoint.argmax)
+        assert np.array_equal(res.value, midpoint.value)
+        assert res.iterations == midpoint.iterations
+    # a start within tol/8 of the peak: the first step's side points straddle it
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return quadratic(0.3)(x)
+
+    res = maximize_concave_1d(counted, 0.0, 1.0, tol=1e-8, start=0.3 + 1e-9)
+    assert res.iterations == len(calls) == 1
+    assert calls[0][0] == 0.3 + 1e-9
+    assert res.argmax == pytest.approx(0.3, abs=1e-8 / 4)
+    with pytest.raises(ValidationError, match="start"):
+        maximize_concave_1d(f, lo, hi, start=np.zeros(3))
+
+
+def test_golden_section_best_point_stays_in_the_bracket():
+    # values flat to rounding can rank a point that the slopes have ruled
+    # out above the maximizer: here the first step's centre is worth 1,
+    # where the concave curve beside it is worth at most 0. Its slope moves
+    # lo past it, and the points that the next step evaluates replace it.
+    def f(x):
+        value, slope, peak = quadratic(0.3)(x)
+        return np.where(x == 0.1, 1.0, value), slope, peak
+
+    res = maximize_concave_1d(f, 0.0, 1.0, tol=1e-8, start=0.1)
+    assert res.iterations == 2
+    assert res.argmax == pytest.approx(0.3, abs=1e-8 / 4)
+
+
 def test_bisection_known_root():
     root = find_root_bisection(math.cos, 1.0, 2.0, tol=1e-12)
     assert root == pytest.approx(math.pi / 2.0, abs=1e-11)
@@ -206,6 +245,17 @@ def test_maximize_chi_sum_against_dense_grid():
         assert res.a_max == pytest.approx(a[k], abs=2e-5)
         assert res.chi_star == pytest.approx(v[k], abs=1e-8)
         assert res.chi_star >= v[k] - 1e-12  # grid cannot beat the optimizer
+
+
+def test_damping_argmax_within_tol_at_every_tol():
+    # against a 40-digit root: the curves are flat to rounding over a
+    # stretch of a much wider than a fine tol, so only the slopes place the
+    # maximizer, and the reported point must lie in their bracket
+    gammas = [float(g) for g in np.linspace(0.05, 0.999, 24)] + [0.97522, 0.99186]
+    true = np.array([oracles.damping_argmax(g) for g in gammas])
+    for tol in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+        a_max = np.array([s.a_max for s in per_branch_suprema(gammas, tol=tol)])
+        assert np.abs(a_max - true).max() <= tol / 4
 
 
 def test_maximize_chi_sum_validation():

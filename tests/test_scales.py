@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import io
 import itertools
@@ -315,22 +316,22 @@ def work_counts(monkeypatch):
 
 
 def test_work_ceilings_of_reports(work_counts):
-    # one kernel call per search step: at tol 1e-8 a search makes 3 calls
-    # (the bracket's midpoint, the Newton point, the straddled peak), after
-    # one scan call and, for L >= 3, one call for the prune's bounds
+    # one kernel call per search step: at tol 1e-8 a search makes 1 call (its
+    # scan's quartic peak, straddled), after one scan call and, for L >= 3,
+    # one call for the prune's bounds
     gammas = list(np.linspace(0.05, 0.9, 8))
     compute_capacity_report(gammas, tol=1e-8)
     assert work_counts["maximizer"] == 1
-    assert work_counts["kernel"] == 5
+    assert work_counts["kernel"] == 3
 
     work_counts.clear()
     compute_random_scale_report(gammas[:6], [1 / 6] * 6, tol=1e-8)
     assert work_counts["maximizer"] == 1
-    assert work_counts["kernel"] == 4
+    assert work_counts["kernel"] == 2
 
     work_counts.clear()
     per_branch_suprema(gammas, tol=1e-8)
-    assert work_counts["kernel"] == 4
+    assert work_counts["kernel"] == 2
 
     # depolarizing curves peak at a = 1/2, a scan point, where the slopes are
     # exactly 0: the first search step settles every lane
@@ -344,7 +345,7 @@ def test_work_ceilings_of_reports(work_counts):
 def test_search_calls_of_pruning_cases(work_counts):
     # every subset of every family, summed and as minima: a few calls per
     # search at any tol, where a golden-section search made 33 at tol 1e-8
-    for tol, ceiling in ((1e-12, 4), (1e-8, 3), (1e-2, 1)):
+    for tol, ceiling in ((1e-12, 2), (1e-8, 1), (1e-2, 1)):
         work_counts.clear()
         for branches in pruning_cases():
             L = len(branches)
@@ -354,7 +355,7 @@ def test_search_calls_of_pruning_cases(work_counts):
         assert work_counts["most steps"] <= ceiling
 
 
-def test_work_ceilings_of_refined_lanes(work_counts):
+def test_work_ceilings_of_refined_lanes(work_counts, monkeypatch):
     # only the subsets that can still win their level are refined (91 here)
     compute_capacity_report(list(np.linspace(0.05, 0.9, 10)))
     assert work_counts["maximizer"] == 1
@@ -366,13 +367,45 @@ def test_work_ceilings_of_refined_lanes(work_counts):
     assert work_counts["maximizer"] == 1
     assert work_counts["lanes"] == 1023
 
-    # a coarse search can lift a pruned subset's bound over its level's best
-    # rate: a second search refines it, and level 2 picks (0, 2), not (0, 1)
+    # the real search settles RETRY_FAMILY's levels in one search
     work_counts.clear()
     report = compute_capacity_report(RETRY_FAMILY, tol=1e-2)
-    assert work_counts["maximizer"] == 2
-    assert work_counts["lanes"] == 13 + 2 and work_counts["last lanes"] == 2
-    assert report.scale[2].best_subset == (0, 2)
+    assert work_counts["maximizer"] == 1 and work_counts["lanes"] == 13
+    assert report.scale[2].best_subset == (0, 1)
+
+    # A search whose values fall short of the prune's lower bounds, as a
+    # coarse one's can, lifts a pruned subset's bound over its level's best
+    # rate, and a second search refines it. Each size-r subset's value from
+    # the first search falls short by r * short here, so every rate it gives
+    # falls by short. The pruned level-2 class {(0, 2), (1, 3)} has an upper
+    # rate about 2.4e-8 below the kept class {(0, 1), (1, 2), (2, 3), (0, 3)}
+    # and a refined rate 1.26e-7 below it: a shortfall of 5e-7 lifts it and
+    # makes (0, 2) the pick, and one of 1e-8 lifts nothing.
+    refine = scales._Sweep.refine
+    searched = []
+
+    def falling_short(short):
+        def refine_short(sweep, lanes, tol):
+            res = refine(sweep, lanes, tol)
+            searched.append([sweep.subsets[i] for i in lanes])
+            if len(searched) > 1:
+                return res
+            size = np.array([len(s) for s in searched[0]])
+            return dataclasses.replace(res, value=res.value - short * size)
+
+        return refine_short
+
+    for short, retried, pick in ((1e-8, [], (0, 1)), (5e-7, [(0, 2), (1, 3)], (0, 2))):
+        work_counts.clear()
+        searched.clear()
+        monkeypatch.setattr(scales._Sweep, "refine", falling_short(short))
+        report = compute_capacity_report(RETRY_FAMILY, tol=1e-2)
+        assert len(searched[0]) == 13 and not set(searched[0]) & set(retried)
+        assert searched[1:] == ([retried] if retried else [])
+        assert work_counts["maximizer"] == 1 + bool(retried)
+        assert work_counts["lanes"] == 13 + len(retried)
+        assert work_counts["last lanes"] == (len(retried) or 13)
+        assert report.scale[2].best_subset == pick
 
 
 def test_work_ceilings_of_random_reports(work_counts, tmp_path):
@@ -430,7 +463,8 @@ def rz_damping(gamma, phase):
     return QubitChannel.kraus([rz @ k @ rz.conj().T for k in ops])
 
 
-# at tol 1e-2 the prune's first search leaves a level's pick unsettled
+# a family whose level-2 pick turns on the prune's second search when the
+# first search's values fall short (see test_work_ceilings_of_refined_lanes)
 RETRY_FAMILY = [0.79, 0.58, 0.83, 0.67]
 
 
