@@ -1,8 +1,8 @@
 """Lockstep concave maximization and root finding.
 
-Every capacity in this package reduces to maximizing sums or minima of
-concave single-parameter Holevo curves, all of them in one lockstep
-search that brackets each maximizer by the signs of the curves' slopes.
+Every capacity in this package reduces to maximizing sums of concave
+single-parameter Holevo curves, or minima of two that cross, in lockstep
+searches that bracket each maximizer by the signs of the slopes.
 The bisection root finder is deliberately plain.
 """
 

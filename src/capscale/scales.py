@@ -1,16 +1,16 @@
 """Product-state capacities and the scale-of-capacities hierarchy.
 
 All quantities here reduce to one-parameter maximizations of Holevo
-curves of mirror-pair ensembles, taken branch by branch and combined as
-sums (periodic memory), minima (random memory), or best subsets (the
-scale hierarchy). Reports are dataclasses that bundle the numbers with
+curves of mirror-pair ensembles: of their sums over subsets of branches
+(periodic memory, the scale hierarchy) and of their pairwise minima
+(random memory). Reports are dataclasses that bundle the numbers with
 the subsets that achieve them.
 
 The periodic reports refine only the subsets that can still win their
-scale level. A random-memory report maximizes only the single branches
-and the pairs of branches: each curve is concave, so a subset's worst
-case is the smallest of its pairs' worst cases (Helly's theorem in one
-dimension), and the table is filled from those.
+scale level. A random-memory report maximizes only the single branches:
+each curve is concave, so a pair's worst case is a member's peak value
+or the value where the two curves cross, and a subset's is the smallest
+of its pairs' (Helly's theorem in one dimension).
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ MAX_BRANCHES = 12
 # A scale level picks the first subset, in lexicographic order, whose rate
 # is within this margin of the level's best rate.
 _TIE_EPS = 1e-12
+
+# Most elements of the masked pair values of a block of deltas in _fill_subsets.
+_FILL_BLOCK = 2**16
 
 # Rounding margin of the prune. A rate and its bounds are sums of at most
 # MAX_BRANCHES**2 terms below one bit each, rounded to within about 1e-14.
@@ -66,19 +69,18 @@ def _as_channels(branches) -> tuple[QubitChannel, ...]:
 class _Sweep:
     """A subset sweep: each subset's bracket on the scan grid, its bounds, its refinement.
 
-    reduce (np.add or np.minimum) combines a subset's branch curves. Each
-    branch's curve is evaluated once on the scan grid (scan, shape
-    (branch, len(_SCAN)), kept for the refine's starts), and each subset's
-    grid argmax k of its combined scan rows, two steps to either side,
-    brackets its maximizer. Curves are evaluated from each branch's
-    mirror_form, shape (6, branch), computed once. The subsets are grouped
-    by size, and a group's curves are combined in member order: one reduce
-    per member position over all the group's subsets.
+    A subset's curve is the sum of its branch curves. Each branch's curve
+    is evaluated once on the scan grid (scan, shape (branch, len(_SCAN)),
+    kept for the refine's starts), and each subset's grid argmax k of its
+    summed scan rows, two steps to either side, brackets its maximizer.
+    Curves are evaluated from each branch's mirror_form, shape
+    (6, branch), computed once. The subsets are grouped by size, and a
+    group's curves are summed in member order: one add per member
+    position over all the group's subsets.
     """
 
-    def __init__(self, channels, subsets, reduce):
+    def __init__(self, channels, subsets):
         self.form = mirror_form(zip(*(ch.bloch_map for ch in channels)))  # stacked (M, t)
-        self.reduce = reduce
         self.subsets = subsets
         self.members, self.bounds = _pairs(subsets)
         size = np.diff(self.bounds)
@@ -95,10 +97,10 @@ class _Sweep:
         return mirror_chi(self.form[:, :, None], a)
 
     def _combined(self, rows, members):
-        """rows(members[:, 0]), combined in place with rows(members[:, d]) for d = 1, 2, ..."""
+        """rows(members[:, 0]), with rows(members[:, d]) added in place for d = 1, 2, ..."""
         out = rows(members[:, 0])  # a new array
         for d in range(1, members.shape[1]):
-            self.reduce(out, rows(members[:, d]), out=out)
+            out += rows(members[:, d])
         return out
 
     def bounds_of_maxima(self):
@@ -125,12 +127,10 @@ class _Sweep:
         per step, at its three points per subset, over the form columns of
         all those subsets' (subset, member) pairs, gathered once, in calls
         of at most _REFINE_BLOCK pairs. Each lane starts at the peak of the
-        quartic through its combined scan rows' five samples about k (moved
+        quartic through its summed scan rows' five samples about k (moved
         inside the grid at its ends), which at tol 1e-8 is usually within
         tol/8 of its maximizer, so that the first step closes its bracket.
-        Each lane then proposes its next point from its members' values,
-        slopes and curvatures (_newton_sum for np.add, _newton_min for
-        np.minimum).
+        Each lane then proposes its summed curve's Newton point.
         """
         members, bounds = _pairs([self.subsets[i] for i in lanes])
         k = self.k[lanes]
@@ -138,22 +138,21 @@ class _Sweep:
         hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
         form = self.form[:, members]
         lane = np.repeat(np.arange(len(lanes)), np.diff(bounds))
-        propose = _PROPOSALS[self.reduce]
         c = np.clip(k, 2, len(_SCAN) - 3)
         samples = self.scan[members[:, None], c[lane, None] + np.arange(-2, 3)]
-        peak = _quartic_peak(self.reduce.reduceat(samples, bounds[:-1]))
+        peak = _quartic_peak(np.add.reduceat(samples, bounds[:-1]))
         start = _SCAN[c] + peak * (_SCAN[1] - _SCAN[0])
 
-        def combined(a):  # a: (3, lanes)
+        def summed(a):  # a: (3, lanes)
             at = a[:, lane]
             jet = np.empty((3, *at.shape))
             # the kernel is elementwise: each block's values keep their bits
             for s in range(0, len(lane), _REFINE_BLOCK):
                 block = slice(s, s + _REFINE_BLOCK)
                 jet[:, :, block] = mirror_chi_jet(form[:, block], at[:, block])
-            return propose(a, jet, lane, bounds[:-1])
+            return _newton_sum(a, jet, bounds[:-1])
 
-        return maximize_concave_1d(combined, lo, hi, tol, start)
+        return maximize_concave_1d(summed, lo, hi, tol, start)
 
 
 def _quartic_peak(F):
@@ -181,40 +180,13 @@ def _newton_step(num, den):
     return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den != 0.0)
 
 
-def _newton_sum(a, jet, lane, starts):
+def _newton_sum(a, jet, starts):
     """Value, slope and Newton point of each lane's summed member curves.
 
     The Newton point is NaN where the summed curvature is not negative.
     """
     value, slope, curv = (np.add.reduceat(v, starts, axis=-1) for v in jet)
     return value, slope, a - _newton_step(slope, np.minimum(curv, 0.0))
-
-
-def _newton_min(a, jet, lane, starts):
-    """Value, slope and proposal of each lane's pointwise minimum of member curves.
-
-    The slope is the lowest member's (the first, on a tie). The proposal is
-    the nearest point on its ascent side among the lowest member's Newton
-    peak and its Newton crossings a - (chi_m - chi_j) / (chi_m' - chi_j')
-    with each other member j, so a lane whose maximum is a kink between
-    two members converges to it as Newton's method does to a peak.
-    """
-    value, slope, curv = jet
-    low = np.minimum.reduceat(value, starts, axis=-1)
-    n = value.shape[-1]
-    first = np.where(value == low[..., lane], np.arange(n), n)
-    m = np.minimum.reduceat(first, starts, axis=-1)  # each lane's lowest member
-    is_m = np.arange(n) == m[..., lane]
-    s_m = np.take_along_axis(slope, m, axis=-1)
-    at = s_m[..., lane]
-    step = -_newton_step(
-        np.where(is_m, at, low[..., lane] - value), np.where(is_m, curv, at - slope)
-    )
-    near = np.minimum.reduceat(np.where(step * at > 0.0, np.abs(step), np.inf), starts, axis=-1)
-    return low, s_m, a + np.copysign(near, s_m)
-
-
-_PROPOSALS = {np.add: _newton_sum, np.minimum: _newton_min}
 
 
 def _pairs(subsets):
@@ -238,34 +210,28 @@ def _peak_bounds(F) -> np.ndarray:
     return np.stack([F.max(axis=1), 2.0 * mid - np.minimum(left, right)])
 
 
-def maximize_subsets(branches, subsets, reduce=np.add, tol: float = 1e-8) -> dict:
-    """Best mirror pair of every subset's combined branch curves, at once.
+def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
+    """Best mirror pair of every subset's summed branch curves, at once.
 
-    reduce is np.add (the summed curves, periodic memory) or np.minimum
-    (their pointwise minimum, random memory); both keep the combination
-    concave. Each branch's curve is evaluated once on the scan grid, and
-    each subset's grid argmax, two steps to either side, brackets its
-    maximizer. One lockstep search then refines every bracket from the
-    signs of the combined curves' slopes and Newton proposals built from
-    their values, slopes and curvatures (see optim.maximize_concave_1d),
-    starting at the peak of the quartic through the five scan samples
-    about each argmax: at tol 1e-8 it takes one step on smooth peaks and
-    up to four at a minimum's kink, each one Holevo kernel call over the
-    six-number forms of all (subset, member) pairs. Each subset is
-    checked as in subset_scale_value. Returns {subset: (argmax, value)},
-    keyed by each subset as a sorted tuple.
+    Each branch's curve is evaluated once on the scan grid, and each
+    subset's grid argmax, two steps to either side, brackets the maximizer
+    of its summed curves, which are concave. One lockstep search then
+    refines every bracket from their slopes' signs and Newton points (see
+    optim.maximize_concave_1d), starting at the peak of the quartic through
+    the five scan samples about each argmax: at tol 1e-8 it takes one step,
+    one Holevo kernel call over the forms of all (subset, member) pairs.
+    Each subset is checked as in subset_scale_value. Returns
+    {subset: (argmax, value)}, keyed by each subset as a sorted tuple.
     """
     channels = _as_channels(branches)
     subsets = [_check_subset(s, len(channels)) for s in listed(subsets, "subsets", "subsets")]
-    if reduce is not np.add and reduce is not np.minimum:
-        raise ValidationError(f"reduce must be np.add or np.minimum, got {reduce!r}")
-    return _maximize(channels, subsets, reduce, tol) if subsets else {}
+    return _maximize(channels, subsets, tol) if subsets else {}
 
 
-def _maximize(channels, subsets, reduce, tol) -> dict:
+def _maximize(channels, subsets, tol) -> dict:
     """maximize_subsets on a nonempty list of checked subsets."""
     subsets = list(dict.fromkeys(subsets))
-    sweep = _Sweep(channels, subsets, reduce)
+    sweep = _Sweep(channels, subsets)
     res = sweep.refine(np.arange(len(subsets)), tol)
     return {s: (float(a), float(v)) for s, a, v in zip(subsets, res.argmax, res.value)}
 
@@ -319,7 +285,7 @@ def _suprema(best: dict, L: int) -> tuple[BranchSupremum, ...]:
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
     channels = _as_channels(branches)
     L = len(channels)
-    return list(_suprema(_maximize(channels, [(i,) for i in range(L)], np.add, tol), L))
+    return list(_suprema(_maximize(channels, [(i,) for i in range(L)], tol), L))
 
 
 def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
@@ -376,7 +342,7 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     L = len(channels)
     subset = _check_subset(subset, L)
     rotations = [tuple(sorted((m + k) % L for m in subset)) for k in range(L)]
-    best = _maximize(channels, rotations, np.add, tol)
+    best = _maximize(channels, rotations, tol)
     return sum(best[rotated][1] for rotated in rotations) / (len(subset) * L)
 
 
@@ -413,7 +379,7 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, dict]:
     """
     L = len(channels)
     subsets = _all_subsets(L, sizes)  # size-major, then lexicographic
-    sweep = _Sweep(channels, subsets, np.add)
+    sweep = _Sweep(channels, subsets)
     masks = _masks(sweep.members, sweep.bounds)
     row = np.zeros(1 << L, dtype=int)
     row[masks] = np.arange(len(subsets))
@@ -518,10 +484,10 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     branch count is capped at MAX_BRANCHES in that case); deltas passed
     in are validated, the enumerated ones are not.
 
-    Every c_delta comes from one maximization over the L singletons and
-    the pairs of branches that the deltas contain (L + C(L, 2) lanes for
-    the full table), not one per delta: a subset's worst case is the
-    smallest of its pairs' worst cases (see _fill_subsets).
+    Every c_delta comes from one maximization over the L singletons,
+    whatever the deltas: the worst case of each pair in a delta follows
+    from its members' peaks (see _pair_values), and a delta's is the
+    smallest of its pairs' (see _fill_subsets).
     """
     channels = _as_channels(branches)
     L = len(channels)
@@ -533,37 +499,70 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     members, bounds = _pairs(deltas)
     inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
     inc[np.repeat(np.arange(len(deltas)), np.diff(bounds)), members] = True
-    pairs = [tuple(p) for p in np.argwhere(np.triu(inc.T @ inc, 1)).tolist()]
-    # a single branch's worst case is its supremum
-    best = _maximize(channels, [(i,) for i in range(L)] + pairs, np.minimum, tol)
-    sups = _suprema(best, L)
-    q_delta, c_delta, cbar_delta = _fill_subsets(inc, q, sups, {p: best[p][1] for p in pairs})
+    pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
+    sweep = _Sweep(channels, [(i,) for i in range(L)])
+    peaks = sweep.refine(np.arange(L), tol)
+    sups = tuple(BranchSupremum(float(a), float(v)) for a, v in zip(peaks.argmax, peaks.value))
+    pair = np.full((L, L), np.inf)  # pair[i, m] for the pairs (i, m), +inf elsewhere
+    pair[tuple(pairs.T)] = _pair_values(sweep.form, peaks.argmax, peaks.value, pairs, tol)
+    q_delta, c_delta, cbar_delta = _fill_subsets(inc, q, sups, pair)
     per_subset = {
         d: SubsetScale(*row) for d, row in zip(deltas, zip(q_delta, c_delta, cbar_delta))
     }
     return RandomScaleReport(q=q, per_subset=per_subset, per_branch_suprema=sups)
 
 
-def _fill_subsets(inc, q, sups, pair_values) -> tuple[list, list, list]:
+def _pair_values(form, peak, chi_star, pairs, tol) -> np.ndarray:
+    """max_a min(chi_i, chi_m)(a) of each row (i, m) of pairs, from the curves' peaks and maxima.
+
+    With a pair's members named so that peak[u] <= peak[v], it is
+    chi_star[u] if chi_v(peak[u]) >= chi_u(peak[u]), else chi_star[v] if
+    chi_u(peak[v]) >= chi_v(peak[v]) (equal peaks and flat curves pass one
+    of these), else the value where the curves cross between the peaks:
+    one lockstep search takes those from the lower member's value and
+    slope, starting at the secant root of chi_u - chi_v and proposing its
+    Newton root.
+    """
+    u, v = pairs.T
+    u, v = np.where(peak[u] <= peak[v], (u, v), (v, u))
+    at = mirror_chi(form[:, :, None], peak)  # at[j, i]: chi_j at branch i's peak
+    diff_u, diff_v = at[u, u] - at[v, u], at[u, v] - at[v, v]  # chi_u - chi_v at both peaks
+    value = np.where(diff_u <= 0.0, chi_star[u], chi_star[v])
+    cross = (diff_u > 0.0) & (diff_v < 0.0)
+    if cross.any():
+        u, v, diff_u, diff_v = u[cross], v[cross], diff_u[cross], diff_v[cross]
+        pair_form = form[:, np.stack([u, v])][:, :, None]  # (6, 2, 1, crossings)
+
+        def lower(a):  # a: (3, crossings)
+            (chi_u, chi_v), (slope_u, slope_v), _ = mirror_chi_jet(pair_form, a)
+            newton = a - _newton_step(chi_u - chi_v, slope_u - slope_v)
+            return np.minimum(chi_u, chi_v), np.where(chi_u <= chi_v, slope_u, slope_v), newton
+
+        start = peak[u] + (peak[v] - peak[u]) * diff_u / (diff_u - diff_v)
+        value[cross] = maximize_concave_1d(lower, peak[u], peak[v], tol, start).value
+    return value
+
+
+def _fill_subsets(inc, q, sups, pair) -> tuple[list, list, list]:
     """q_delta, c_delta and cbar_delta of the deltas whose members are the rows of inc.
 
     Each mirror-family curve chi_i(a) is concave on [0, 1] (the search
     assumes it), so each superlevel set {a : chi_i(a) >= c} is an interval,
     and by Helly's theorem in one dimension intervals that meet pairwise
     share a point. Hence max_a min_{i in delta} chi_i(a) is the smallest
-    of the pair values max_a min(chi_i, chi_j)(a) over the pairs in delta,
+    of the pair values max_a min(chi_i, chi_m)(a) over the pairs in delta,
     or the supremum for a single branch. This holds on the mirror family
     only: a branch whose best ensemble lies outside it needs the direct
     minimax over delta, not this rule.
 
-    inc is the deltas x L incidence matrix, and pair_values maps each pair
-    (i, m), i < m, of members of some delta to its value.
+    inc is the deltas x L incidence matrix, and pair[i, m], i < m, is the
+    value of each pair of members of some delta (+inf elsewhere).
     """
-    L = len(q)
-    pair = np.full((L, L), np.inf)  # pair[i, m] for i < m, +inf elsewhere
-    for (i, m), v in pair_values.items():
-        pair[i, m] = v
-    c_delta = np.where(inc[:, :, None] & inc[:, None, :], pair, np.inf).min(axis=(1, 2))
+    c_delta = np.empty(len(inc))
+    rows = max(1, _FILL_BLOCK // inc.shape[1] ** 2)  # deltas per block
+    for s in range(0, len(inc), rows):
+        b = inc[s:s + rows]
+        c_delta[s:s + rows] = np.where(b[:, :, None] & b[:, None, :], pair, np.inf).min(axis=(1, 2))
     cbar_delta = np.where(inc, [s.chi_star for s in sups], -np.inf).max(axis=1)
     # a singleton has no pair: its worst case is its supremum
     c_delta = np.where(inc.sum(axis=1) == 1, cbar_delta, c_delta)

@@ -1,9 +1,11 @@
 """Density-matrix oracles for the Bloch-vector library: plain numpy
 transcriptions of Kraus sums, eigenvalue entropies and the Holevo quantity,
 a lattice search over small ensembles, the memory laws (periodic, random
-and Markov) acting on n-fold density matrices, and a 40-digit maximizer of
-the damping mirror-pair curve. Nothing here imports capscale, so a test that
-compares the two compares two independent computations.
+and Markov) acting on n-fold density matrices, a 40-digit maximizer of the
+damping mirror-pair curve, and 40-digit worst cases of pairs of damping,
+X-conjugated damping and depolarizing curves. Nothing here imports
+capscale, so a test that compares the two compares two independent
+computations.
 """
 
 import functools
@@ -75,28 +77,97 @@ def radius_entropy(r):
     return np.where(lam > 0.0, h, 0.0)
 
 
+def _entropy_bits(p):
+    """H(p) in bits at mpmath's working precision: the binary entropy, with 0 log 0 = 0."""
+    if p <= 0 or p >= 1:
+        return mpmath.mpf(0)
+    return -(p * mpmath.log(p, 2) + (1 - p) * mpmath.log(1 - p, 2))
+
+
+def _damping_chi(gamma):
+    """The damping mirror pair's Holevo curve in bits, at mpmath's working precision.
+
+    chi(a) = H(a + (1-a)γ) - H((1 - x)/2), x = sqrt(1 - 4γ(1-γ)(1-a)²), with
+    H the binary entropy.
+    """
+    g = mpmath.mpf(gamma)
+
+    def chi(a):
+        x = mpmath.sqrt(1 - 4 * g * (1 - g) * (1 - a) ** 2)
+        return _entropy_bits(a + (1 - a) * g) - _entropy_bits((1 - x) / 2)
+
+    return chi
+
+
+@functools.lru_cache(maxsize=None)
+def _damping_peak(gamma, dps):
+    """The maximizer of _damping_chi(gamma), 0 < γ < 1, at dps digits of working precision.
+
+    It is the root of dchi/da in (1/2, 1), taken by mpmath's numerical
+    derivative of chi and bracketed root finding.
+    """
+    with mpmath.workdps(dps):
+        chi = _damping_chi(gamma)
+        bracket = (mpmath.mpf(1) / 2, 1 - mpmath.mpf(10) ** -6)
+        return mpmath.findroot(lambda a: mpmath.diff(chi, a), bracket, solver="anderson")
+
+
 def damping_argmax(gamma, digits=40):
     """The float nearest the maximizer in a of the damping mirror pair's Holevo curve.
 
-    The curve is chi(a) = H(a + (1-a)γ) - H((1 - x)/2), x = sqrt(1 - 4γ(1-γ)(1-a)²),
-    with H the binary entropy; its maximizer, for 0 < γ < 1, is the root of
-    dchi/da in (1/2, 1), taken by mpmath's numerical derivative of chi and
-    bracketed root finding to digits digits, at digits + 10 digits of
-    working precision.
+    The maximizer, for 0 < γ < 1, is _damping_peak's root, found to digits
+    digits at digits + 10 digits of working precision.
     """
-    with mpmath.workdps(digits + 10):
-        g = mpmath.mpf(gamma)
+    return float(_damping_peak(float(gamma), digits + 10))
 
-        def h(p):
-            return -p * mpmath.log(p) - (1 - p) * mpmath.log(1 - p)
+
+def _mirror_curve(kind, param):
+    """(peak, chi) of a branch's mirror-pair curve at mpmath's working precision, or None if flat.
+
+    kind is "damping" (γ), "x_damping" (X·AD(γ)·X, which damps toward |1>:
+    the damping curve at 1 - a) or "depolarizing" (p, the Bloch shrink
+    r -> (1 - p) r of QubitChannel.depolarizing's Kraus operators, whose
+    pure inputs give outputs of radius 1 - p and whose mean state has
+    radius (1 - p)|2a - 1|). Damping γ = 1 and depolarizing p = 1 are
+    flat: chi = 0 everywhere.
+    """
+    if param == 1:
+        return None
+    if kind == "depolarizing":
+        shrink = 1 - mpmath.mpf(param)
 
         def chi(a):
-            x = mpmath.sqrt(1 - 4 * g * (1 - g) * (1 - a) ** 2)
-            return h(a + (1 - a) * g) - h((1 - x) / 2)
+            return _entropy_bits((1 + shrink * (2 * a - 1)) / 2) - _entropy_bits((1 + shrink) / 2)
 
-        bracket = (mpmath.mpf(1) / 2, 1 - mpmath.mpf(10) ** -6)
-        root = mpmath.findroot(lambda a: mpmath.diff(chi, a), bracket, solver="anderson")
-        return float(root)
+        return mpmath.mpf(1) / 2, chi
+    peak, chi = _damping_peak(float(param), mpmath.mp.dps), _damping_chi(param)
+    if kind == "damping":
+        return peak, chi
+    assert kind == "x_damping", kind
+    return 1 - peak, lambda a: chi(1 - a)
+
+
+def pair_minimum(first, second, digits=40):
+    """max_a min(chi_1, chi_2)(a) of two mirror-pair curves, to digits digits, as a float.
+
+    first and second are (kind, parameter) pairs as _mirror_curve takes
+    them. Each curve is concave, so with peaks p_u <= p_v the value is
+    chi_u(p_u) if chi_v(p_u) >= chi_u(p_u), else chi_v(p_v) if
+    chi_u(p_v) >= chi_v(p_v), else the curves' value where they cross, the
+    root of chi_u - chi_v in (p_u, p_v), found by bracketed root finding.
+    Every curve is nonnegative, so a flat curve's pairs are worth 0.
+    """
+    with mpmath.workdps(digits + 10):
+        curves = [_mirror_curve(*branch) for branch in (first, second)]
+        if None in curves:
+            return 0.0
+        (pu, chi_u), (pv, chi_v) = sorted(curves, key=lambda c: c[0])
+        if chi_v(pu) >= chi_u(pu):
+            return float(chi_u(pu))
+        if chi_u(pv) >= chi_v(pv):
+            return float(chi_v(pv))
+        root = mpmath.findroot(lambda a: chi_u(a) - chi_v(a), (pu, pv), solver="anderson")
+        return float(chi_u(root))
 
 
 def weight_grid(n, steps):

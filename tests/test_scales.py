@@ -12,13 +12,13 @@ import pytest
 
 import capscale.cli as cli
 import capscale.scales as scales
+import oracles
 from capscale import (
     MemoryChannel,
     QubitChannel,
     ScaleEntry,
     Strategy,
     ValidationError,
-    chi_mirror_family,
     compute_capacity_report,
     compute_random_scale_report,
     kraus_operators,
@@ -130,10 +130,6 @@ def test_scale_validation():
         with pytest.raises(ValidationError):
             scales.maximize_subsets([0.1, 0.4], subsets)
     assert scales.maximize_subsets([0.1, 0.4], []) == {}
-    # and combines curves only by sums or minima, which keep them concave
-    for reduce in (np.maximum, np.multiply, "add", None):
-        with pytest.raises(ValidationError, match="reduce"):
-            scales.maximize_subsets([0.1, 0.4], [(0, 1)], reduce)
 
 
 def test_pair_capacity_and_average():
@@ -324,10 +320,12 @@ def test_work_ceilings_of_reports(work_counts):
     assert work_counts["maximizer"] == 1
     assert work_counts["kernel"] == 3
 
+    # a random report adds one call for every curve at every branch's peak;
+    # no pair of these curves crosses below both peaks, so no crossing search
     work_counts.clear()
     compute_random_scale_report(gammas[:6], [1 / 6] * 6, tol=1e-8)
     assert work_counts["maximizer"] == 1
-    assert work_counts["kernel"] == 2
+    assert work_counts["kernel"] == 3
 
     work_counts.clear()
     per_branch_suprema(gammas, tol=1e-8)
@@ -343,15 +341,15 @@ def test_work_ceilings_of_reports(work_counts):
 
 
 def test_search_calls_of_pruning_cases(work_counts):
-    # every subset of every family, summed and as minima: a few calls per
+    # every subset of every family summed, and the full random table of every
+    # family (its singletons' and crossing pairs' searches): a few calls per
     # search at any tol, where a golden-section search made 33 at tol 1e-8
     for tol, ceiling in ((1e-12, 2), (1e-8, 1), (1e-2, 1)):
         work_counts.clear()
         for branches in pruning_cases():
             L = len(branches)
-            subsets = scales._all_subsets(L, range(1, L + 1))
-            for reduce in (np.add, np.minimum):
-                scales.maximize_subsets(branches, subsets, reduce, tol)
+            scales.maximize_subsets(branches, scales._all_subsets(L, range(1, L + 1)), tol)
+            compute_random_scale_report(branches, [1 / L] * L, tol=tol)
         assert work_counts["most steps"] <= ceiling
 
 
@@ -409,24 +407,32 @@ def test_work_ceilings_of_refined_lanes(work_counts, monkeypatch):
 
 
 def test_work_ceilings_of_random_reports(work_counts, tmp_path):
-    # one maximization over the singletons and pairs: L + C(L, 2) = 55 lanes
+    # one maximization over the L = 10 singletons; of spread damping curves
+    # the stronger damping is lower at both peaks, so no pair crosses, and
+    # the search over crossing pairs is not made
     gammas = list(np.linspace(0.05, 0.9, 10))
     compute_random_scale_report(gammas, [0.1] * 10)
     assert work_counts["maximizer"] == 1
-    assert work_counts["lanes"] <= 55
+    assert work_counts["lanes"] == 10
 
     work_counts.clear()
     path = damping_channel_file(tmp_path, gammas, {"kind": "random", "q": [0.1] * 10})
     with redirect_stdout(io.StringIO()):
         assert cli.main(["capacity", path]) == 0
     assert work_counts["maximizer"] == 1
-    assert work_counts["lanes"] <= 55
+    assert work_counts["lanes"] == 10
 
-    # one delta needs only its own pairs besides the singletons
     work_counts.clear()
     with redirect_stdout(io.StringIO()):
         assert cli.main(["random-scale", path, "--delta", "0,5,9"]) == 0
-    assert work_counts["lanes"] == 10 + 3
+    assert work_counts["lanes"] == 10
+
+    # a family whose curves cross adds one search, over its crossing pairs only
+    work_counts.clear()
+    compute_random_scale_report([branch(c) for c in CROSSING_FAMILY], [1 / 12] * 12)
+    assert work_counts["maximizer"] == 2
+    assert work_counts["last lanes"] == 40
+    assert work_counts["lanes"] == 12 + 40
 
 
 def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
@@ -468,16 +474,44 @@ def rz_damping(gamma, phase):
 RETRY_FAMILY = [0.79, 0.58, 0.83, 0.67]
 
 
-def pruning_cases():
+def branch(curve):
+    """The branch of a curve: ("damping", gamma), ("x_damping", gamma),
+    ("depolarizing", p) or ("rz_damping", gamma, phase)."""
+    kind, param, *phase = curve
+    if kind == "damping":
+        return param
+    if kind == "x_damping":
+        return x_damping(param)
+    if kind == "depolarizing":
+        return QubitChannel.depolarizing(param)
+    return rz_damping(param, *phase)
+
+
+def oracle_curve(curve):
+    """The curve as oracles.pair_minimum takes it: Rz conjugation keeps the damping curve."""
+    kind, param, *_ = curve
+    return ("damping" if kind == "rz_damping" else kind), param
+
+
+def pruning_families():
+    """The curves of the pruning_cases families."""
     rng = np.random.default_rng(10)
     for L in range(1, 9):
         centers = rng.uniform(0.1, 0.8, 3)
-        yield [float(g) for g in rng.uniform(0.0, 0.99, L)]
-        yield [0.3] * L
-        yield [float(g) for g in centers[rng.integers(0, 3, L)] + 1e-9 * rng.random(L)]
-        yield [QubitChannel.depolarizing(p) for p in rng.uniform(0.0, 1.0, L)]
-        yield [rz_damping(g, ph) for g, ph in zip(rng.uniform(0.0, 0.99, L), rng.uniform(0, 3, L))]
-    yield RETRY_FAMILY
+        yield [("damping", float(g)) for g in rng.uniform(0.0, 0.99, L)]
+        yield [("damping", 0.3)] * L
+        yield [("damping", float(g)) for g in centers[rng.integers(0, 3, L)] + 1e-9 * rng.random(L)]
+        yield [("depolarizing", float(p)) for p in rng.uniform(0.0, 1.0, L)]
+        yield [
+            ("rz_damping", float(g), float(ph))
+            for g, ph in zip(rng.uniform(0.0, 0.99, L), rng.uniform(0, 3, L))
+        ]
+    yield [("damping", g) for g in RETRY_FAMILY]
+
+
+def pruning_cases():
+    for curves in pruning_families():
+        yield [branch(c) for c in curves]
 
 
 def full_sweep_levels(branches, tol):
@@ -507,7 +541,7 @@ def test_pruned_levels_match_full_sweep(tol):
         report = compute_capacity_report(branches, tol)
         assert report.scale == levels
         assert report.cp == best[tuple(range(L))][1] / L
-        sweep = scales._Sweep(scales._as_channels(branches), subsets, np.add)
+        sweep = scales._Sweep(scales._as_channels(branches), subsets)
         lower, upper = sweep.bounds_of_maxima()
         value = np.array([best[s][1] for s in subsets])
         assert np.all(value <= upper + pad)
@@ -515,32 +549,31 @@ def test_pruned_levels_match_full_sweep(tol):
             assert np.all(lower <= value + pad)
 
 
-@pytest.mark.parametrize("reduce", [np.add, np.minimum])
-def test_sweep_combines_members_in_order(reduce):
-    # a subset's combined curve is the reduce of its members' curves in member
-    # order, whatever the order and mix of sizes the subsets come in
+def test_sweep_combines_members_in_order():
+    # a subset's curve is the sum of its members' curves in member order,
+    # whatever the order and mix of sizes the subsets come in
     rng = np.random.default_rng(16)
     for branches in pruning_cases():
         L = len(branches)
         subsets = scales._all_subsets(L, range(1, L + 1))
         subsets = [subsets[i] for i in rng.permutation(len(subsets))]
-        sweep = scales._Sweep(scales._as_channels(branches), subsets, reduce)
+        sweep = scales._Sweep(scales._as_channels(branches), subsets)
         scan = sweep._curves(scales._SCAN)
         for s, k in zip(subsets, sweep.k):
-            assert k == functools.reduce(reduce, (scan[i] for i in s)).argmax()
+            assert k == functools.reduce(np.add, (scan[i] for i in s)).argmax()
         start = np.clip(scales._FINE * (sweep.k - 2), 0, len(scales._FINE_GRID) - scales._WINDOW)
         first = start.min()
         fine = sweep._curves(scales._FINE_GRID[first:start.max() + scales._WINDOW])
         lower, _ = sweep.bounds_of_maxima()
         for s, c, low in zip(subsets, start - first, lower):
             window = (fine[i, c:c + scales._WINDOW] for i in s)
-            assert low == functools.reduce(reduce, window).max()
+            assert low == functools.reduce(np.add, window).max()
     branches = [0.1, 0.4, 0.7]
     mixed = [(0, 2), (1,), (0, 1, 2), (0, 2)]
-    best = scales.maximize_subsets(branches, mixed, reduce)
+    best = scales.maximize_subsets(branches, mixed)
     assert list(best) == [(0, 2), (1,), (0, 1, 2)]
     for s in mixed:
-        assert best[s] == scales.maximize_subsets(branches, [s], reduce)[s]
+        assert best[s] == scales.maximize_subsets(branches, [s])[s]
 
 
 def concave_rows(rng):
@@ -598,39 +631,79 @@ def x_damping(gamma):
     return QubitChannel.kraus([x @ k @ x for k in ops])
 
 
-def zoomed_max(curves, rounds=8):
-    """Grid maximum of the pointwise minimum of curves, zoomed to a few ulps around its peak."""
-    lo, hi = 0.0, 1.0
-    for _ in range(rounds):
-        a = np.linspace(lo, hi, 2001)
-        v = np.min([c(a) for c in curves], axis=0)
-        k = int(v.argmax())
-        lo, hi = a[max(k - 2, 0)], a[min(k + 2, len(a) - 1)]
-    return float(v[k])
+# damping and X-conjugated damping of nearly equal gamma, which cross near
+# a = 1/2, and depolarizing curves that cross them: 40 of the 66 pairs cross
+# below both peaks
+CROSSING_FAMILY = [
+    ("x_damping" if i % 2 else "damping", float(g)) for i, g in enumerate(np.linspace(0.3, 0.32, 10))
+] + [("depolarizing", 0.14), ("depolarizing", 0.15)]
 
 
 def kinked_pairs():
-    """Pairs of branches whose curves cross below both peaks, so each minimum peaks at a kink."""
-    ad, dep = QubitChannel.amplitude_damping, QubitChannel.depolarizing
+    """Pairs of curves that cross below both peaks, so each pair's minimum peaks at a kink."""
     for g1, g2 in ((0.05, 0.05), (0.3, 0.31), (0.3, 0.34), (0.3037, 0.2977), (0.6, 0.61), (0.9, 0.91)):
-        yield ad(g1), x_damping(g2)
+        yield ("damping", g1), ("x_damping", g2)
     for p, g in ((0.1, 0.21), (0.1, 0.22), (0.2, 0.42), (0.3, 0.6), (0.4, 0.75), (0.5, 0.84)):
-        yield dep(p), ad(g)
+        yield ("depolarizing", p), ("damping", g)
 
 
 def test_random_pairs_converge_at_kinks(work_counts):
     # the minimum of two crossing curves peaks at a kink, where its slope
-    # jumps; each lane proposes the Newton crossing of its two members, so
-    # c_delta is the kink's value to rounding: 3 calls close the bracket,
-    # and one more lands on the kink where the last centre missed it by
-    # enough to cost value
-    for pair in kinked_pairs():
-        report = compute_random_scale_report(list(pair), [0.5, 0.5], deltas=[(0, 1)])
+    # jumps; the crossing search proposes the Newton crossing of the two
+    # curves, so c_delta is the kink's value to rounding: after the
+    # singletons' search, up to 4 calls close the bracket and land on the
+    # kink where the last centre missed it by enough to cost value
+    pairs = list(kinked_pairs())
+    for pair in pairs:
+        report = compute_random_scale_report([branch(c) for c in pair], [0.5, 0.5], deltas=[(0, 1)])
         c_delta = report.per_subset[(0, 1)].c_delta
         assert c_delta < min(s.chi_star for s in report.per_branch_suprema) - 1e-6  # a kink
-        curves = [functools.partial(chi_mirror_family, ch) for ch in pair]
-        assert abs(c_delta - zoomed_max(curves)) <= 1e-12
+        assert abs(c_delta - oracles.pair_minimum(*pair)) <= 1e-12
+    assert work_counts["maximizer"] == 2 * len(pairs)
     assert work_counts["most steps"] <= 4
+
+
+def test_pair_rule_at_flat_and_equal_curves_and_close_peaks(work_counts):
+    dep = QubitChannel.depolarizing
+    # flat curves (chi = 0 everywhere) paired with each other and with curves
+    # that are not flat: every delta that holds one is worth 0
+    report = compute_random_scale_report([1.0, dep(1.0), 0.3, x_damping(0.4), dep(0.2)], [0.2] * 5)
+    assert [s.chi_star for s in report.per_branch_suprema[:2]] == [0.0, 0.0]
+    for d, entry in report.per_subset.items():
+        assert (entry.c_delta == 0.0) == (d[0] < 2)
+
+    # equal branches: their common supremum, with no crossing search
+    work_counts.clear()
+    branches = [0.3, 0.3, x_damping(0.4), x_damping(0.4), dep(0.2), dep(0.2)]
+    report = compute_random_scale_report(branches, [1 / 6] * 6, deltas=[(0, 1), (2, 3), (4, 5)])
+    sups = report.per_branch_suprema
+    for i in (0, 2, 4):
+        assert sups[i] == sups[i + 1]
+        assert report.per_subset[(i, i + 1)].c_delta == sups[i].chi_star
+    assert work_counts["maximizer"] == 1
+
+    # different curves whose peaks are bitwise equal: the lower supremum,
+    # with no crossing search
+    work_counts.clear()
+    report = compute_random_scale_report([dep(0.5), dep(0.3), dep(0.7)], [0.2, 0.3, 0.5])
+    sups = report.per_branch_suprema
+    assert len({s.a_max for s in sups}) == 1
+    for d, entry in report.per_subset.items():
+        assert entry.c_delta == min(sups[i].chi_star for i in d)
+    assert work_counts["maximizer"] == 1
+
+    # mirror-image curves that cross at 1/2, found less than tol apart: the
+    # crossing search takes the narrow bracket between them, never an empty one
+    for gamma, tol in ((8e-10, 1e-4), (1e-6, 1e-4), (1e-4, 1e-2)):
+        work_counts.clear()
+        report = compute_random_scale_report(
+            [gamma, x_damping(gamma)], [0.5, 0.5], deltas=[(0, 1)], tol=tol
+        )
+        a0, a1 = (s.a_max for s in report.per_branch_suprema)
+        assert 0.0 < a0 - a1 < tol
+        assert work_counts["maximizer"] == 2
+        truth = oracles.pair_minimum(("damping", gamma), ("x_damping", gamma))
+        assert abs(report.per_subset[(0, 1)].c_delta - truth) <= 1e-12
 
 
 def test_memory_ceiling_of_reports():
@@ -646,42 +719,48 @@ def test_memory_ceiling_of_reports():
     equal = [0.3] * 12
     depolarizing = [QubitChannel.depolarizing(float(p)) for p in np.linspace(0.05, 0.6, 12)]
     cases = [(gammas, 6), (alternating, 6), (equal, 10), (depolarizing, 10)]
-    for branches, mib in cases:
-        compute_capacity_report(branches)  # first call: imports and caches
+    cases = [(compute_capacity_report, branches, mib) for branches, mib in cases]
+    # a full random table takes the least of each delta's pair values over
+    # blocks of deltas, not over a (deltas, L, L) array of all 4095 at once
+    random_table = functools.partial(compute_random_scale_report, q=[1 / 12] * 12)
+    cases += [(random_table, gammas, 2), (random_table, alternating, 2)]
+    for report, branches, mib in cases:
+        report(branches)  # first call: imports and caches
         tracemalloc.start()
         try:
-            compute_capacity_report(branches)
+            report(branches)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2**20
 
 
-def direct_random_table(branches, q):
-    """Every delta maximized on its own: the pointwise minimum of all its branch curves."""
-    L = len(branches)
-    deltas = [d for r in range(1, L + 1) for d in itertools.combinations(range(L), r)]
-    best = scales.maximize_subsets(branches, deltas, np.minimum)
-    q = [float(x) for x in q]
-    return {
-        d: scales.SubsetScale(
-            min(1.0, sum(q[i] for i in d)), best[d][1], max(best[(i,)][1] for i in d)
-        )
-        for d in deltas
-    }
-
-
 def test_random_report_matches_direct_maximization():
-    # a delta's worst case is the smallest of its pairs' worst cases; the
-    # values must keep the bits of maximizing every delta's minimum directly
+    # each c_delta against the 40-digit oracle: a singleton's the peak value
+    # of its curve, and a larger delta's the least of its pairs' worst cases;
+    # and, bit for bit, each delta's c_delta is the least of its pairs'
+    # c_delta in the same report (Helly's theorem in one dimension)
     rng = np.random.default_rng(11)
-    for branches in pruning_cases():
-        q = rng.dirichlet(np.ones(len(branches)))
-        direct = direct_random_table(branches, q)
-        report = compute_random_scale_report(branches, q)
-        assert list(report.per_subset) == list(direct)
-        assert report.per_subset == direct
+    for curves in [*pruning_families(), CROSSING_FAMILY]:
+        L = len(curves)
+        q = rng.dirichlet(np.ones(L))
+        report = compute_random_scale_report([branch(c) for c in curves], q)
+        table = report.per_subset
+        assert list(table) == scales._all_subsets(L, range(1, L + 1))
+        truth = {
+            (i, m): oracles.pair_minimum(oracle_curve(curves[i]), oracle_curve(curves[m]))
+            for i, m in itertools.combinations_with_replacement(range(L), 2)
+        }
+        sups = [s.chi_star for s in report.per_branch_suprema]
+        for d, entry in table.items():
+            pairs = list(itertools.combinations(d, 2)) or [(d[0], d[0])]
+            assert abs(entry.c_delta - min(truth[p] for p in pairs)) <= 1e-12
+            if len(d) > 1:
+                assert entry.c_delta == min(table[p].c_delta for p in pairs)
+            assert entry.cbar_delta == max(sups[i] for i in d)
+            assert entry.q_delta == min(1.0, sum(float(q[i]) for i in d))
+        assert [table[(i,)].c_delta for i in range(L)] == sups
         # deltas passed in, of mixed sizes and in any order, get the same values
-        some = list(direct)[::-3]
-        report = compute_random_scale_report(branches, q, deltas=some)
-        assert report.per_subset == {d: direct[d] for d in some}
+        some = list(table)[::-3]
+        report = compute_random_scale_report([branch(c) for c in curves], q, deltas=some)
+        assert report.per_subset == {d: table[d] for d in some}
