@@ -6,12 +6,8 @@ from .channels import (
     kraus_operators,
 )
 from .errors import NumericalError, ValidationError
-from .holevo import chi_mirror_family, dchi_da_ad
-from .optim import (
-    OptResult,
-    find_root_bisection,
-    maximize_concave_1d,
-)
+from .holevo import chi_mirror_family
+from .optim import OptResult, maximize_concave_1d
 from .scales import (
     BranchSupremum,
     CapacityReport,
@@ -30,7 +26,6 @@ from .simulate import (
     Strategy,
     empirical_staircase,
     run_trials,
-    success_oracle,
 )
 
 __version__ = "0.1.0"
@@ -42,9 +37,7 @@ __all__ = [
     "NumericalError",
     "ValidationError",
     "chi_mirror_family",
-    "dchi_da_ad",
     "OptResult",
-    "find_root_bisection",
     "maximize_concave_1d",
     "BranchSupremum",
     "CapacityReport",
@@ -61,6 +54,5 @@ __all__ = [
     "Strategy",
     "empirical_staircase",
     "run_trials",
-    "success_oracle",
     "__version__",
 ]

@@ -22,8 +22,6 @@ import numpy as np
 from . import scales, simulate
 from .channels import MemoryChannel, QubitChannel, check_number, check_numbers
 from .errors import NumericalError, ValidationError
-from .holevo import dchi_da_ad
-from .optim import find_root_bisection
 
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-2
 
@@ -165,41 +163,32 @@ def _parse_rates(text) -> list[float]:
 # tol, and returns the table to write: (header, rows) or (header, rows, json).
 
 
-def cmd_chi(args, mc, tol):
+def _suprema_rows(mc, tol):
+    """(index, kind, parameter, supremum) of each branch; a Kraus branch has no parameter."""
     sups = scales.per_branch_suprema(mc.branches, tol)
-    rows = []
     for i, (ch, s) in enumerate(zip(mc.branches, sups)):
         param = getattr(ch, _BRANCH_PARAM[ch.kind]) if ch.kind in _BRANCH_PARAM else None
-        rows.append((i, ch.kind, param, s.a_max, s.chi_star))
+        yield i, ch.kind, param, s
+
+
+def cmd_chi(args, mc, tol):
+    rows = [(i, kind, param, s.a_max, s.chi_star) for i, kind, param, s in _suprema_rows(mc, tol)]
     return ("branch", "kind", "param", "a_max", "chi_star"), rows
 
 
-# Root bracket of the damping derivative: the optimum sits at a >= 1/2,
-# and the derivative is singular at a = 1. The root is bisected to a fixed
-# AD_ROOT_TOL, whatever --tol is, so abs_diff is the printed a_max's error.
-AD_SEARCH_LO = 0.5 - 1e-3
-AD_SEARCH_HI = 1.0 - 1e-9
-AD_ROOT_TOL = 1e-12
-
-
 def cmd_amax(args, mc, tol):
-    """Tabulate each damping branch's reported a_max against the derivative root."""
-    for i, ch in enumerate(mc.branches):
-        if ch.kind != "amplitude_damping":
-            raise ValidationError(
-                f"branch {i} is {ch.kind}; the amax command handles amplitude damping only"
-            )
-        if ch.gamma >= 1.0:
-            raise ValidationError(
-                f"branch {i}: the optimum location is undefined at gamma=1 (flat curve)"
-            )
+    """Each branch's a_max with its search's final bracket and the slope at a_max.
+
+    The bracket holds the maximizer and is narrower than tol. A flat curve
+    (chi_star = 0, as at damping 1 or depolarizing 1) has no maximizer to
+    locate, and is refused.
+    """
     rows = []
-    for i, (ch, s) in enumerate(zip(mc.branches, scales.per_branch_suprema(mc.branches, tol))):
-        root = find_root_bisection(
-            lambda a: dchi_da_ad(ch.gamma, a), AD_SEARCH_LO, AD_SEARCH_HI, AD_ROOT_TOL
-        )
-        rows.append((i, ch.gamma, s.a_max, root, abs(s.a_max - root)))
-    return ("branch", "gamma", "a_max_search", "a_max_root", "abs_diff"), rows
+    for i, kind, param, s in _suprema_rows(mc, tol):
+        if s.chi_star == 0.0:
+            raise ValidationError(f"branch {i}: the optimum location is undefined (flat curve)")
+        rows.append((i, kind, param, s.a_max, *s.bracket, s.slope))
+    return ("branch", "kind", "param", "a_max", "bracket_lo", "bracket_hi", "slope"), rows
 
 
 _SCALE_HEADER = ("r", "value_bits", "subset", "error_threshold")
@@ -313,7 +302,7 @@ _ANY = ("periodic", "random")
 # command that accepts no memory kind takes no channel file
 _COMMANDS = (
     ("chi", "per-branch best mirror ensemble and Holevo quantity", _ANY, cmd_chi, {}),
-    ("amax", "optimum location by search and by derivative root, per branch", _ANY, cmd_amax, {}),
+    ("amax", "per-branch optimum location, search bracket and slope", _ANY, cmd_amax, {}),
     ("capacity", "capacity report for the channel's memory kind", _ANY, cmd_capacity, {}),
     ("scale", "subset-rate hierarchy for periodic memory", ("periodic",), cmd_scale, {
         "--r": dict(type=int, default=None, help="single subset size to report"),

@@ -11,11 +11,8 @@ and the two members' squared radii; it is the library's one Holevo kernel.
 ``mirror_chi_jet`` adds the curve's analytic slope and curvature in ``a``
 from the same pass, for the maximizer's search. Every entropy here is a
 function of one number, a qubit state's squared Bloch radius
-(``entropy_from_squared_radius``), in bits. For the
-amplitude-damping channel there is also a closed form for the derivative
-of chi in ``a``; the ``amax`` command checks the reported maximizers
-against its root. The tests check the kernel against density-matrix
-eigenvalues and a closed-form damping curve.
+(``entropy_from_squared_radius``), in bits. The tests check the kernel
+against density-matrix eigenvalues and a closed-form damping curve.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import math
 
 import numpy as np
 
-from .channels import QubitChannel, check_number, check_numbers
+from .channels import QubitChannel, check_numbers
 from .errors import ValidationError
 
 
@@ -163,35 +160,3 @@ def chi_mirror_family(ch, a):
     chi = mirror_chi(mirror_form(ch.bloch_map), a_arr)
     return float(chi) if chi.ndim == 0 else chi
 
-
-def dchi_da_ad(gamma: float, a: float) -> float:
-    """Derivative of the damping mirror pair's chi in its parameter a, in nats.
-
-    chi(a) = H(a + (1-a)γ) - H((1 - x) / 2) with H the binary entropy and x
-    as below. Only the root location is ever used, so the natural-log form
-    is kept:
-
-        (1-γ) ln[(1-a)(1-γ) / (a + (1-a)γ)]
-          + (2γ(1-γ)(1-a)/x) ln[(1+x)/(1-x)],  x = sqrt(1 - 4γ(1-γ)(1-a)²).
-
-    At γ = 0 the second term vanishes and this reduces to ln((1-a)/a).
-
-    Raises:
-        ValidationError: for a γ or a that is not a number, γ outside
-            [0, 1), a outside (0, 1), or x = 0.
-    """
-    gamma, a = check_number(gamma, "gamma"), check_number(a, "a")
-    if not 0.0 <= gamma < 1.0:
-        raise ValidationError(f"gamma must be in [0, 1), got {gamma!r}")
-    if not 0.0 < a < 1.0:
-        raise ValidationError(f"a must lie strictly inside (0, 1), got {a!r}")
-    t1 = (1.0 - gamma) * math.log((1.0 - a) * (1.0 - gamma) / (a + (1.0 - a) * gamma))
-    s = 4.0 * gamma * (1.0 - gamma) * (1.0 - a) ** 2
-    if s == 0.0:
-        return t1
-    x = math.sqrt(max(0.0, 1.0 - s))
-    if x == 0.0:
-        raise ValidationError("derivative is singular at x = 0")
-    one_minus_x = s / (1.0 + x)
-    t2 = (2.0 * gamma * (1.0 - gamma) * (1.0 - a) / x) * math.log((1.0 + x) / one_minus_x)
-    return t1 + t2

@@ -1,9 +1,8 @@
-"""Lockstep concave maximization and root finding.
+"""Lockstep concave maximization.
 
 Every capacity in this package reduces to maximizing sums of concave
 single-parameter Holevo curves, or minima of two that cross, in lockstep
 searches that bracket each maximizer by the signs of the slopes.
-The bisection root finder is deliberately plain.
 """
 
 from __future__ import annotations
@@ -23,10 +22,19 @@ _ROUNDING = 1e-15
 
 @dataclass(frozen=True)
 class OptResult:
+    """A search's best points, their values and slopes and the final brackets, per lane.
+
+    argmax, value, lo, hi and slope have the shape of the brackets passed
+    in; iterations and achieved_tol are those of the slowest lane.
+    """
+
     argmax: float
     value: float
     iterations: int
     achieved_tol: float
+    lo: float
+    hi: float
+    slope: float
 
 
 def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
@@ -57,15 +65,18 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
     proposal lies inside the bracket and a step there would add more than
     tol² and the value's rounding to first order (slope times step): at
     a smooth peak that gain is of order curvature times the step squared,
-    but at a kink the value rises linearly toward the maximizer. A lane's
-    best point is its highest-valued evaluated point, except that one the
-    slopes have put outside the bracket gives way to the step's highest
-    point: near a smooth peak the values are flat to rounding over a
-    stretch of x wider than a fine tol, and only the slopes place the
-    maximizer. It returns its best point; there is no final call.
-    Each lane takes the steps of its own search, so a lane's argmax and
-    value do not depend on the other lanes; iterations and achieved_tol are
-    those of the slowest lane.
+    but at a kink the value rises linearly toward the maximizer.
+
+    A lane's best point is the highest-valued point inside the bracket of
+    the step's points and the best point before it; each step leaves one
+    of its points inside. Near a smooth peak the values are flat to
+    rounding over a stretch of x wider than a fine tol, and only the
+    slopes place the maximizer. (Zero slopes on a flat stretch can leave
+    lo above hi, with no point between them; the step's highest point is
+    the best then.) It returns each lane's best point, its value and
+    slope, and the final bracket; there is no final call. Each lane takes
+    the steps of its own search, so a lane's results do not depend on the
+    other lanes.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not np.all(lo < hi):
@@ -95,7 +106,10 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
         # a converged lane keeps its bracket and its best point
         lo = np.where(active, np.maximum(lo, np.where(slope >= 0.0, x, -np.inf).max(axis=0)), lo)
         hi = np.where(active, np.minimum(hi, np.where(slope <= 0.0, x, np.inf).min(axis=0)), hi)
-        j = value.argmax(axis=0)[None, None]  # the centre, unless a side point is strictly better
+        held = (lo <= x) & (x <= hi)
+        held |= ~held.any(axis=0)  # none held: zero slopes left lo above hi
+        # the centre, unless a side point in the bracket is strictly better
+        j = np.where(held, value, -np.inf).argmax(axis=0)[None, None]
         y, fy, sy, py = np.take_along_axis(np.stack((x, *out)), j, axis=1)[:, 0]
         new = active & ((fy >= best_f) | (best_x < lo) | (best_x > hi))
         best_x, best_f = np.where(new, y, best_x), np.where(new, fy, best_f)
@@ -106,25 +120,5 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
         gain = best_s * (np.where(inside, best_p, best_x) - best_x)
         worth = gain > np.maximum(tol * tol, _ROUNDING * np.abs(best_f))
         active = (hi - lo >= tol) | (inside & worth)
-    return OptResult(best_x[()], best_f[()], iters, float(np.max(np.maximum(hi - lo, 0.0))))
-
-
-def find_root_bisection(g, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Bisection root of a continuous function with a sign change on [lo, hi]."""
-    if not lo < hi:
-        raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
-    glo, ghi = g(lo), g(hi)
-    if not (math.isfinite(glo) and math.isfinite(ghi)):
-        raise NumericalError("function returned a non-finite value at a bracket end")
-    if glo * ghi > 0.0:
-        raise ValidationError(f"no sign change on [{lo}, {hi}]: g={glo:.3e}, {ghi:.3e}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if not math.isfinite(gm):
-            raise NumericalError("function returned a non-finite value")
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+    achieved = float(np.max(np.maximum(hi - lo, 0.0)))
+    return OptResult(best_x[()], best_f[()], iters, achieved, lo[()], hi[()], best_s[()])

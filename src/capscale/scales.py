@@ -238,8 +238,17 @@ def _maximize(channels, subsets, tol) -> dict:
 
 @dataclass(frozen=True)
 class BranchSupremum:
+    """A branch's best mirror pair, at a_max, and its value chi_star.
+
+    bracket is the search's final (lo, hi): it holds a_max and, up to the
+    rounding of the slopes, the curve's maximizer, and it is narrower than
+    the search's tol. slope is the curve's slope at a_max.
+    """
+
     a_max: float
     chi_star: float
+    bracket: tuple[float, float]
+    slope: float
 
 
 @dataclass(frozen=True)
@@ -278,14 +287,24 @@ class RandomScaleReport:
     per_branch_suprema: tuple[BranchSupremum, ...]
 
 
-def _suprema(best: dict, L: int) -> tuple[BranchSupremum, ...]:
-    return tuple(BranchSupremum(*best[(i,)]) for i in range(L))
+def _found(res) -> np.ndarray:
+    """A search's argmax, value, lo, hi and slope, stacked: shape (5, lanes)."""
+    return np.stack((res.argmax, res.value, res.lo, res.hi, res.slope))
+
+
+def _suprema(found) -> tuple[BranchSupremum, ...]:
+    """The BranchSupremum of each column (argmax, value, lo, hi, slope) of found."""
+    return tuple(BranchSupremum(a, v, (lo, hi), s) for a, v, lo, hi, s in found.T.tolist())
+
+
+def _singletons(channels, tol):
+    """The sweep of the single branches, and its search of every one as _found stacks it."""
+    sweep = _Sweep(channels, [(i,) for i in range(len(channels))])
+    return sweep, _found(sweep.refine(np.arange(len(channels)), tol))
 
 
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
-    channels = _as_channels(branches)
-    L = len(channels)
-    return list(_suprema(_maximize(channels, [(i,) for i in range(L)], tol), L))
+    return list(_suprema(_singletons(_as_channels(branches), tol)[1]))
 
 
 def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
@@ -357,7 +376,7 @@ def _best_subset(rated) -> ScaleEntry:
     return next(ScaleEntry(v, s) for s, v in rated if v >= top - _TIE_EPS)
 
 
-def _scale_levels(channels, sizes, tol: float) -> tuple[dict, dict]:
+def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
     """Best subset of each size in sizes, refining only the subsets that can win.
 
     A size-r subset's rate is the sum of its L rotations' maxima over rL.
@@ -375,7 +394,9 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, dict]:
     can be the pick of _best_subset, and each level's pick and rate are
     those that refining every subset gives.
 
-    Returns {r: ScaleEntry} and {subset: (argmax, value)} of the refined subsets.
+    Returns {r: ScaleEntry} and each subset's search results as _found
+    stacks them, shape (5, subsets), NaN for a subset not refined; the
+    subsets are in _all_subsets' order.
     """
     L = len(channels)
     subsets = _all_subsets(L, sizes)  # size-major, then lexicographic
@@ -400,15 +421,15 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, dict]:
     if not keep.all():
         lower, upper = sweep.bounds_of_maxima()[:, rot].sum(axis=-1) / per
         keep |= upper + _PRUNE_PAD >= level_max(lower) - _TIE_EPS
-    argmax, value = np.full((2, len(subsets)), np.nan)
+    found = np.full((5, len(subsets)), np.nan)
+    value = found[1]  # a view
     rate = np.full(len(subsets), -np.inf)
     while True:
         wanted = np.zeros(len(subsets), dtype=bool)
         wanted[rot[keep]] = True
         lanes = np.flatnonzero(wanted & np.isnan(value))
         if len(lanes):
-            res = sweep.refine(lanes, tol)
-            argmax[lanes], value[lanes] = res.argmax, res.value
+            found[:, lanes] = _found(sweep.refine(lanes, tol))
         # rotation values summed in the order k = 0..L-1
         rate[keep] = functools.reduce(np.add, value[rot[keep]].T) / per[keep]
         more = ~keep & (upper + _PRUNE_PAD >= level_max(rate) - _TIE_EPS)
@@ -419,9 +440,7 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, dict]:
         int(size[a]): _best_subset([(subsets[i], float(rate[i])) for i in range(a, b) if keep[i]])
         for a, b in zip(starts, ends)
     }
-    refined = np.flatnonzero(~np.isnan(value))
-    best = {subsets[i]: (float(argmax[i]), float(value[i])) for i in refined}
-    return scale, best
+    return scale, found
 
 
 def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
@@ -454,10 +473,10 @@ def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
     """
     channels = _as_channels(branches)
     L = len(channels)
-    scale, best = _scale_levels(channels, range(1, L + 1), tol)
-    sups = _suprema(best, L)
+    scale, found = _scale_levels(channels, range(1, L + 1), tol)
+    sups = _suprema(found[:, :L])  # the singletons come first, the full set last
     cbar = sum(s.chi_star for s in sups) / L
-    cp = best[tuple(range(L))][1] / L
+    cp = float(found[1, -1]) / L
 
     if abs(scale[L].value - cp) > 1e-7:
         raise NumericalError(
@@ -500,11 +519,10 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
     inc[np.repeat(np.arange(len(deltas)), np.diff(bounds)), members] = True
     pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
-    sweep = _Sweep(channels, [(i,) for i in range(L)])
-    peaks = sweep.refine(np.arange(L), tol)
-    sups = tuple(BranchSupremum(float(a), float(v)) for a, v in zip(peaks.argmax, peaks.value))
+    sweep, peaks = _singletons(channels, tol)
+    sups = _suprema(peaks)
     pair = np.full((L, L), np.inf)  # pair[i, m] for the pairs (i, m), +inf elsewhere
-    pair[tuple(pairs.T)] = _pair_values(sweep.form, peaks.argmax, peaks.value, pairs, tol)
+    pair[tuple(pairs.T)] = _pair_values(sweep.form, peaks[0], peaks[1], pairs, tol)
     q_delta, c_delta, cbar_delta = _fill_subsets(inc, q, sups, pair)
     per_subset = {
         d: SubsetScale(*row) for d, row in zip(deltas, zip(q_delta, c_delta, cbar_delta))

@@ -120,27 +120,19 @@ def _clears(rate: float, subset, value: float) -> bool:
 
 
 def _success(probs: np.ndarray, strategy: Strategy, value: float) -> np.ndarray:
+    """Per-branch success of the idealized decoder: a branch succeeds exactly
+    when it lies in the strategy's subset and the rate clears `value`, the
+    subset's rate (see _clears)."""
     success = np.zeros(len(probs), dtype=bool)
     if _clears(strategy.rate, strategy.subset, value):
         success[list(strategy.subset)] = True
     return success
 
 
-def success_oracle(mc: MemoryChannel, strategy: Strategy, tol: float = 1e-8) -> np.ndarray:
-    """Per-branch success indicators for an idealized asymptotic decoder.
-
-    Branch i succeeds exactly when it belongs to the strategy's subset and
-    the attempted rate is below the subset's achievable rate. Rates within
-    RATE_MARGIN of that threshold are rejected as indeterminate.
-    """
-    ((_, value, _),) = _rated(mc, strategy.subset, tol)
-    return _success(_branch_probs(mc), strategy, value)
-
-
 def run_trials(
     mc: MemoryChannel, strategy: Strategy, n_trials: int, seed: int, tol: float = 1e-8
 ) -> SimResult:
-    """Draw branches and score the strategy against the success oracle.
+    """Draw branches and score the strategy by the idealized decoder (see _success).
 
     A branch either always or never succeeds, so the count of draws per
     branch is a sufficient statistic: the n_trials draws are one

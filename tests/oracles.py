@@ -1,8 +1,9 @@
 """Density-matrix oracles for the Bloch-vector library: plain numpy
 transcriptions of Kraus sums, eigenvalue entropies and the Holevo quantity,
 a lattice search over small ensembles, the memory laws (periodic, random
-and Markov) acting on n-fold density matrices, a 40-digit maximizer of the
-damping mirror-pair curve, and 40-digit worst cases of pairs of damping,
+and Markov) acting on n-fold density matrices, the damping mirror-pair
+curve's closed-form derivative with a bisection root finder, a 40-digit
+maximizer of that curve, and 40-digit worst cases of pairs of damping,
 X-conjugated damping and depolarizing curves. Nothing here imports
 capscale, so a test that compares the two compares two independent
 computations.
@@ -119,6 +120,58 @@ def damping_argmax(gamma, digits=40):
     digits at digits + 10 digits of working precision.
     """
     return float(_damping_peak(float(gamma), digits + 10))
+
+
+# The damping maximizer lies at a >= 1/2, and dchi_da_ad is singular at a = 1.
+AD_SEARCH_LO = 0.5 - 1e-3
+AD_SEARCH_HI = 1.0 - 1e-9
+
+
+def dchi_da_ad(gamma, a):
+    """Derivative of the damping mirror pair's chi in its parameter a, in nats.
+
+    chi(a) = H(a + (1-a)γ) - H((1 - x) / 2) with H the binary entropy and x
+    as below. Only the root location is ever used, so the natural-log form
+    is kept:
+
+        (1-γ) ln[(1-a)(1-γ) / (a + (1-a)γ)]
+          + (2γ(1-γ)(1-a)/x) ln[(1+x)/(1-x)],  x = sqrt(1 - 4γ(1-γ)(1-a)²).
+
+    At γ = 0 the second term vanishes and this reduces to ln((1-a)/a).
+    Refuses γ outside [0, 1), a outside (0, 1) and x = 0 (OracleError).
+    """
+    if not 0.0 <= gamma < 1.0:
+        raise OracleError(f"gamma must be in [0, 1), got {gamma!r}")
+    if not 0.0 < a < 1.0:
+        raise OracleError(f"a must lie strictly inside (0, 1), got {a!r}")
+    t1 = (1.0 - gamma) * math.log((1.0 - a) * (1.0 - gamma) / (a + (1.0 - a) * gamma))
+    s = 4.0 * gamma * (1.0 - gamma) * (1.0 - a) ** 2
+    if s == 0.0:
+        return t1
+    x = math.sqrt(max(0.0, 1.0 - s))
+    if x == 0.0:
+        raise OracleError("derivative is singular at x = 0")
+    one_minus_x = s / (1.0 + x)
+    return t1 + (2.0 * gamma * (1.0 - gamma) * (1.0 - a) / x) * math.log((1.0 + x) / one_minus_x)
+
+
+def find_root_bisection(g, lo, hi, tol=1e-10):
+    """Bisection root of a continuous function with a sign change on [lo, hi]."""
+    if not lo < hi:
+        raise OracleError(f"need lo < hi, got [{lo}, {hi}]")
+    glo, ghi = g(lo), g(hi)
+    if not (math.isfinite(glo) and math.isfinite(ghi)) or glo * ghi > 0.0:
+        raise OracleError(f"no sign change on [{lo}, {hi}]: g={glo:.3e}, {ghi:.3e}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if not math.isfinite(gm):
+            raise OracleError(f"g({mid!r}) is not finite")
+        if glo * gm <= 0.0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    return 0.5 * (lo + hi)
 
 
 def _mirror_curve(kind, param):

@@ -97,14 +97,14 @@ def test_criterion_04_derivative_consistency():
         ln2 = math.log(2.0)
         gs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         for g, res in zip(gs, cs.per_branch_suprema(gs)):
-            root = cs.find_root_bisection(
-                lambda a: cs.dchi_da_ad(g, a), 0.5 - 1e-3, 1.0 - 1e-9, tol=1e-10
+            root = oracles.find_root_bisection(
+                lambda a: oracles.dchi_da_ad(g, a), 0.5 - 1e-3, 1.0 - 1e-9, tol=1e-10
             )
             assert abs(res.a_max - root) <= 1e-5
             for a in (0.52, 0.6, 0.75, 0.9):
                 h = 1e-6
                 fd = (chi_ad_grid(g, a + h) - chi_ad_grid(g, a - h)) / (2.0 * h)
-                assert abs(cs.dchi_da_ad(g, a) - fd * ln2) <= 1e-6
+                assert abs(oracles.dchi_da_ad(g, a) - fd * ln2) <= 1e-6
 
 
 def test_criterion_05_eigenvalue_form_resolution():

@@ -1,14 +1,16 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import capscale.cli as cli
 import oracles
-from capscale import NumericalError
+from capscale import NumericalError, per_branch_suprema
 from conftest import damping_channel_file, run_to_file
 
 
@@ -77,48 +79,106 @@ def test_chi_command_json(channel_files, tmp_path):
     assert rows[1]["chi_star"] == pytest.approx(0.552956706463, abs=1e-9)
 
 
-def test_amax_command(channel_files, tmp_path):
-    rc, text = run_to_file(tmp_path, ["amax", channel_files["rand3"]])
-    assert rc == 0
-    lines = text.splitlines()
-    assert lines[0] == "branch,gamma,a_max_search,a_max_root,abs_diff"
-    for line in lines[1:]:
-        assert float(line.split(",")[4]) < 1e-5
-    # the search column is the a_max that chi (and every report) prints
-    rc, chi_text = run_to_file(tmp_path, ["chi", channel_files["rand3"]])
-    assert rc == 0
-    chi_rows = chi_text.splitlines()[1:]
-    assert len(chi_rows) == len(lines) - 1 == 3
-    for line, chi_line in zip(lines[1:], chi_rows):
-        assert line.split(",")[2] == chi_line.split(",")[3]
+def kraus_entry(ops):
+    """A channel file's kraus branch: each op's entries as [re, im] pairs."""
+    return {
+        "type": "kraus",
+        "ops": [[[[float(z.real), float(z.imag)] for z in row] for row in op] for op in ops],
+    }
 
 
-def test_amax_root_at_fixed_precision(tmp_path):
-    # the root is bisected to 1e-12 whatever --tol is; at gamma = 0 it is 1/2
-    path = damping_channel_file(tmp_path, (0.0, 0.5), {"kind": "periodic"})
-    rc, text = run_to_file(tmp_path, ["amax", path, "--format", "json"])
+def conjugated_damping(gamma, u):
+    """Kraus operators of U AD(gamma) U†."""
+    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]])
+    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])
+    return [u @ k @ u.conj().T for k in (k0, k1)]
+
+
+X = np.array([[0.0, 1.0], [1.0, 0.0]])
+H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+# damping, depolarizing, X·AD·X and H·AD·H: every branch kind
+MIXED4 = {
+    "branches": [
+        {"type": "amplitude_damping", "gamma": 0.3},
+        {"type": "depolarizing", "p": 0.2},
+        kraus_entry(conjugated_damping(0.3, X)),
+        kraus_entry(conjugated_damping(0.5, H)),
+    ],
+    "memory": {"kind": "periodic"},
+}
+
+
+def printed(x):
+    """x as the CLI prints it, at 12 significant digits."""
+    return float(f"{x:.12g}")
+
+
+def test_amax_command(tmp_path):
+    path = tmp_path / "mixed4.json"
+    path.write_text(json.dumps(MIXED4))
+    rc, text = run_to_file(tmp_path, ["amax", str(path)])
     assert rc == 0
-    rows = json.loads(text)
-    assert rows[0]["gamma"] == 0.0
-    assert abs(rows[0]["a_max_root"] - 0.5) <= 1e-12
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    assert header == "branch,kind,param,a_max,bracket_lo,bracket_hi,slope".split(",")
+    assert [row[:3] for row in rows] == [
+        ["0", "amplitude_damping", "0.3"], ["1", "depolarizing", "0.2"], ["2", "kraus", ""],
+        ["3", "kraus", ""],
+    ]
+    a_max, lo, hi, slope = np.array([[float(x) for x in row[3:]] for row in rows]).T
+    assert np.all((lo <= a_max) & (a_max <= hi) & (hi - lo < 1e-8))
+    assert np.abs(slope).max() < 1e-8
+    # X·AD·X is damping at 1 - a; depolarizing curves peak at 1/2
+    assert abs(a_max[2] - (1.0 - a_max[0])) <= 1e-8 / 4
+    assert a_max[1] == 0.5
+    # the a_max column is the one that chi (and every report) prints
+    rc, chi_text = run_to_file(tmp_path, ["chi", str(path)])
+    assert rc == 0
+    assert [line.split(",")[3] for line in chi_text.splitlines()[1:]] == [row[3] for row in rows]
+
+
+def test_amax_bracket_holds_the_root_at_every_tol(tmp_path):
+    # the printed bracket is the search's own: it holds a_max and the true
+    # maximizer, a 40-digit root (1/2 at gamma 0), and is narrower than tol.
+    # The root may lie outside by the rounding of the slopes, under 1e-14.
+    gammas = (0.0, 0.05, 0.3, 0.5, 0.73, 0.86, 0.95, 0.97522, 0.99, 0.99186, 0.999)
+    true = np.array([0.5] + [oracles.damping_argmax(g) for g in gammas[1:]])
+    path = damping_channel_file(tmp_path, gammas, {"kind": "periodic"})
+    for tol in (1e-12, 1e-8, 1e-4, 1e-2):
+        sups = per_branch_suprema(gammas, tol)
+        a_max = np.array([s.a_max for s in sups])
+        lo, hi = np.array([s.bracket for s in sups]).T
+        assert np.all((lo - 1e-14 <= true) & (true <= hi + 1e-14))
+        assert np.all(hi - lo < tol)
+        assert np.all((lo <= a_max) & (a_max <= hi))
+        rc, text = run_to_file(tmp_path, ["amax", path, "--tol", repr(tol), "--format", "json"])
+        assert rc == 0
+        assert json.loads(text) == [
+            {"branch": i, "kind": "amplitude_damping", "param": g, "a_max": printed(s.a_max),
+             "bracket_lo": printed(s.bracket[0]), "bracket_hi": printed(s.bracket[1]),
+             "slope": printed(s.slope)}
+            for i, (g, s) in enumerate(zip(gammas, sups))
+        ]
 
 
 def test_amax_within_tol_at_default_tol(tmp_path):
     # the printed a_max is within a quarter of the default tol of the true
     # maximizer, a 40-digit root, even where the curve is flat to rounding
     # over a wider stretch of a; 0.97522 and 0.99186 were once 1.9e-8 and
-    # 2.1e-8 off, past tol
+    # 2.1e-8 off, past tol. The printed bracket holds both, up to the
+    # 12-digit print.
     gammas = (0.05, 0.3, 0.5, 0.73, 0.86, 0.95, 0.97522, 0.99, 0.99186, 0.999)
     path = damping_channel_file(tmp_path, gammas, {"kind": "periodic"})
     rc, text = run_to_file(tmp_path, ["amax", path, "--format", "json"])
     assert rc == 0
     rows = json.loads(text)
-    assert [r["gamma"] for r in rows] == list(gammas)
-    assert max(r["abs_diff"] for r in rows) <= 1e-8 / 4
+    assert [r["param"] for r in rows] == list(gammas)
     for r in rows:
-        true = oracles.damping_argmax(r["gamma"])
-        assert abs(r["a_max_search"] - true) <= 1e-8 / 4
-        assert abs(r["a_max_root"] - true) <= 1e-11
+        true = oracles.damping_argmax(r["param"])
+        assert abs(r["a_max"] - true) <= 1e-8 / 4
+        for x in (r["a_max"], true):
+            assert r["bracket_lo"] - 1e-12 <= x <= r["bracket_hi"] + 1e-12
+        assert r["bracket_hi"] - r["bracket_lo"] < 1e-8
 
 
 def test_capacity_periodic_json(channel_files, tmp_path):
@@ -368,7 +428,7 @@ def kraus(*ops):
         (channel(AD2, {"kind": ["periodic"]}), ["capacity"]),
         (channel(AD2, {"kind": "random"}), ["capacity"]),
         (channel(AD2, {"kind": "random", "q": [1.0]}), ["capacity"]),
-        (channel([{"type": "depolarizing", "p": 0.2}], PERIODIC), ["amax"]),
+        (channel([{"type": "depolarizing", "p": 1.0}], PERIODIC), ["amax"]),
     ],
     ids=[
         "q-nan",

@@ -10,11 +10,11 @@ from capscale import (
     ValidationError,
     chi_mirror_family,
     compute_capacity_report,
-    dchi_da_ad,
     kraus_operators,
 )
 from capscale.holevo import mirror_chi, mirror_chi_jet, mirror_form
 from conftest import chi_ad_grid
+from oracles import OracleError, dchi_da_ad
 
 
 def test_ensemble_validation():
@@ -212,14 +212,8 @@ def test_dchi_frozen_value_and_identity_limit():
 
 
 def test_dchi_domain_validation():
-    with pytest.raises(ValidationError):
-        dchi_da_ad(1.0, 0.6)
-    with pytest.raises(ValidationError):
-        dchi_da_ad(0.5, 0.0)
-    with pytest.raises(ValidationError):
-        dchi_da_ad(0.5, 1.0)
-    for gamma, a in ((0.3, "0.5"), ("0.3", 0.5), (True, 0.5), (0.3, None)):  # the number rule
-        with pytest.raises(ValidationError):
+    for gamma, a in ((1.0, 0.6), (0.5, 0.0), (0.5, 1.0)):
+        with pytest.raises(OracleError):
             dchi_da_ad(gamma, a)
 
 

@@ -9,13 +9,12 @@ from capscale import (
     NumericalError,
     QubitChannel,
     ValidationError,
-    find_root_bisection,
     kraus_operators,
     maximize_concave_1d,
     per_branch_suprema,
 )
-from capscale.cli import AD_SEARCH_HI, AD_SEARCH_LO
 from conftest import chi_ad_grid
+from oracles import AD_SEARCH_HI, AD_SEARCH_LO, OracleError, find_root_bisection
 
 
 # --- maximize_concave_1d --------------------------------------------------
@@ -203,15 +202,52 @@ def test_golden_section_best_point_stays_in_the_bracket():
     assert res.argmax == pytest.approx(0.3, abs=1e-8 / 4)
 
 
+def test_golden_section_best_point_is_in_the_final_bracket():
+    # values rounded to 1e-10 are flat about the peak 0.3: a step whose three
+    # points all have a positive slope moves lo to the right one, and the
+    # centre, which ties it by value, lies below lo. The search then stops
+    # (its bracket is 0.425 tol wide, and the proposal would add tol²/8), and
+    # returns the right point, not the centre ruled out by the slopes.
+    tol = 1e-8
+
+    def f(x):
+        value, slope, peak = quadratic(0.3)(x)
+        return np.round(value, 10), slope, peak
+
+    res = maximize_concave_1d(f, 0.3 - 0.6 * tol, 0.3 + 0.3 * tol, tol, start=0.3 - 0.25 * tol)
+    assert res.iterations == 1
+    assert (res.lo, res.hi) == (0.3 - 0.25 * tol + 0.125 * tol, 0.3 + 0.3 * tol)
+    assert res.lo <= res.argmax <= res.hi
+    assert res.slope == -2.0 * (res.argmax - 0.3)
+
+
+def test_golden_section_returns_brackets_and_slopes():
+    # each lane's final bracket holds its maximizer and its best point, is
+    # narrower than tol, and the slope is the one at the best point
+    peaks = np.array([0.1, 0.37, 0.5, 0.93])
+    for tol in (1e-12, 1e-8, 1e-4, 1e-2):
+        res = maximize_concave_1d(quadratic(peaks, 3.0), np.zeros(4), np.ones(4), tol)
+        assert res.lo.shape == res.hi.shape == res.slope.shape == (4,)
+        assert np.all((res.lo <= peaks) & (peaks <= res.hi))
+        assert np.all((res.lo <= res.argmax) & (res.argmax <= res.hi))
+        assert np.all(res.hi - res.lo < tol)
+        assert np.array_equal(res.slope, -6.0 * (res.argmax - peaks))
+    res = maximize_concave_1d(quadratic(0.3), 0.0, 1.0)  # a scalar bracket: 0-d results
+    assert np.ndim(res.lo) == np.ndim(res.hi) == np.ndim(res.slope) == 0
+
+
+# --- bisection root finder (tests/oracles.py) ---------------------------------
+
+
 def test_bisection_known_root():
     root = find_root_bisection(math.cos, 1.0, 2.0, tol=1e-12)
     assert root == pytest.approx(math.pi / 2.0, abs=1e-11)
 
 
 def test_bisection_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(OracleError):
         find_root_bisection(lambda x: 1.0 + x * x, 0.0, 1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(OracleError):
         find_root_bisection(math.cos, 2.0, 1.0)
 
 

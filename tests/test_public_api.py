@@ -2,27 +2,31 @@
 
 import functools
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import capscale
+from conftest import damping_channel_file, run_to_file
 
 PUBLIC = """
     BranchSupremum CapacityReport MemoryChannel NumericalError OptResult QubitChannel
     RandomScaleReport ScaleEntry SimResult StaircaseRow Strategy SubsetScale ValidationError
     __version__ chi_mirror_family compute_capacity_report
-    compute_random_scale_report dchi_da_ad empirical_staircase find_root_bisection
-    kraus_operators maximize_concave_1d per_branch_suprema run_trials scale_r
-    subset_scale_value success_oracle
+    compute_random_scale_report empirical_staircase kraus_operators maximize_concave_1d
+    per_branch_suprema run_trials scale_r subset_scale_value
 """.split()
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_public_surface():
     assert sorted(capscale.__all__) == PUBLIC
-    assert len(set(capscale.__all__)) == len(capscale.__all__) == 27
+    assert len(set(capscale.__all__)) == len(capscale.__all__) == 24
     for name in capscale.__all__:
         getattr(capscale, name)  # every name resolves
 
@@ -43,3 +47,55 @@ def test_readme_library_example_and_entry_points():
     assert "per_branch_suprema" in names and len(names) >= 10
     for name in names:
         functools.reduce(getattr, name.split("."), capscale)
+
+
+def test_library_loads_no_test_dependency():
+    # numpy is the one runtime dependency: importing the library and its
+    # command line loads none of the tests' mpmath, hypothesis or pytest,
+    # nor scipy
+    code = "import sys, capscale, capscale.cli; print(capscale.__file__); print(*sys.modules)"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve().parent == ROOT / "src" / "capscale"
+    assert "numpy" in loaded.split()
+    top = {name.split(".")[0] for name in loaded.split()}
+    assert not top & {"mpmath", "scipy", "hypothesis", "pytest", "_pytest"}
+
+
+def test_readme_csv_columns_are_the_written_headers(tmp_path):
+    # every backticked header in the command table is the first line that
+    # command writes; capacity's row names the commands whose header it shares
+    table = README.read_text(encoding="utf-8").split("| Command | Output | CSV columns |\n")[1]
+    rows = {}
+    for line in table.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        command, _, columns = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[re.match(r"`([\w-]+)", command).group(1)] = re.findall(r"`([^`]+)`", columns)
+    (tmp_path / "periodic").mkdir()
+    (tmp_path / "random").mkdir()
+    periodic = damping_channel_file(tmp_path / "periodic", (0.1, 0.4), {"kind": "periodic"})
+    rand = damping_channel_file(tmp_path / "random", (0.1, 0.4), {"kind": "random", "q": [0.5] * 2})
+    argvs = {
+        "chi": ["chi", periodic],
+        "amax": ["amax", periodic],
+        "scale": ["scale", periodic],
+        "random-scale": ["random-scale", rand],
+        "ad-gap": ["ad-gap", "--grid", "2"],
+        "staircase": ["staircase", periodic],
+        "simulate": ["simulate", periodic, "--rate", "0.1", "--trials", "10"],
+    }
+
+    def header(argv):
+        rc, text = run_to_file(tmp_path, argv)
+        assert rc == 0, argv
+        return text.splitlines()[0]
+
+    assert set(rows) == set(argvs) | {"capacity"}
+    for command, argv in argvs.items():
+        assert rows[command] == [header(argv)], command
+    assert rows["capacity"] == ["scale", "random-scale"]
+    assert header(["capacity", periodic]) == rows["scale"][0]
+    assert header(["capacity", rand]) == rows["random-scale"][0]

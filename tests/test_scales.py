@@ -451,7 +451,7 @@ def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
     path = damping_channel_file(tmp_path, (0.1, 0.4, 0.7), {"kind": "periodic"})
     with redirect_stdout(io.StringIO()):
         assert cli.main(["amax", path]) == 0
-    assert work_counts["maximizer"] == 1  # the root bracket is no maximization
+    assert work_counts["maximizer"] == 1  # the bracket and the slope come with the search
 
 
 def test_tie_rule_is_invariant_under_removing_a_loser():

@@ -18,9 +18,8 @@ from capscale import (
     kraus_operators,
     run_trials,
     subset_scale_value,
-    success_oracle,
 )
-from capscale.simulate import MAX_TRIALS, _branch_probs
+from capscale.simulate import MAX_TRIALS, _branch_probs, _rated, _success
 from conftest import damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
@@ -54,6 +53,17 @@ def test_strategy_validation():
             Strategy((0,), rate)
     assert Strategy((2, 0), 0.5).subset == (0, 2)
     assert Strategy((np.int64(1),), 1) == Strategy((1,), 1.0)
+
+
+def success_oracle(mc, strategy, tol=1e-8):
+    """Per-branch success indicators of the idealized decoder that run_trials scores.
+
+    Branch i succeeds exactly when it belongs to the strategy's subset and
+    the attempted rate is below the subset's rate in mc's report; a rate
+    within RATE_MARGIN of that rate is refused as indeterminate.
+    """
+    ((_, value, _),) = _rated(mc, strategy.subset, tol)
+    return _success(_branch_probs(mc), strategy, value)
 
 
 def test_success_oracle_periodic():
