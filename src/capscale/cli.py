@@ -252,7 +252,11 @@ def cmd_random_scale(args, mc, tol):
 
 
 def cmd_ad_gap(args, mc, tol):
-    """Tabulate pair capacity against averaged branch capacity on a gamma grid."""
+    """Tabulate pair capacity against averaged branch capacity on a gamma grid.
+
+    gap = chi_star_avg - c_p is rounded to 1e-15 absolute, then printed to
+    12 significant digits like every other value.
+    """
     if not 2 <= args.grid <= MAX_GRID:
         raise ValidationError(f"grid must be in [2, {MAX_GRID}], got {args.grid}")
     gammas = np.linspace(0.0, 1.0, args.grid)
@@ -268,7 +272,9 @@ def cmd_ad_gap(args, mc, tol):
             (a0, v0), (a1, v1), (a_joint, total) = best[(i,)], best[(j,)], best[pair]
             cp = total / len(pair)
             avg = 0.5 * (v0 + v1)
-            rows.append((g0, g1, a_joint, cp, a0, a1, avg, avg - cp))
+            # both terms are known to about 4e-16, so the gap is printed to
+            # 1e-15 (+ 0.0 makes -0.0 print as 0)
+            rows.append((g0, g1, a_joint, cp, a0, a1, avg, round(avg - cp, 15) + 0.0))
     header = ("gamma0", "gamma1", "a_max_joint", "c_p", "a_max_0", "a_max_1", "chi_star_avg", "gap")
     return header, rows
 

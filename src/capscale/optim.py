@@ -71,12 +71,15 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
     the step's points and the best point before it; each step leaves one
     of its points inside. Near a smooth peak the values are flat to
     rounding over a stretch of x wider than a fine tol, and only the
-    slopes place the maximizer. (Zero slopes on a flat stretch can leave
-    lo above hi, with no point between them; the step's highest point is
-    the best then.) It returns each lane's best point, its value and
-    slope, and the final bracket; there is no final call. Each lane takes
-    the steps of its own search, so a lane's results do not depend on the
-    other lanes.
+    slopes place the maximizer. Where zero slopes cross, so that the
+    points with slope >= 0 reach past those with slope <= 0, the function
+    is flat between them and each of those points is a maximizer: the
+    bracket is then the stretch they span, from its leftmost to its
+    rightmost point, and on a flat lane it holds the step's points. It
+    returns each lane's best point, its value and slope, and the final
+    bracket, which holds the best point; there is no final call. Each
+    lane takes the steps of its own search, so a lane's results do not
+    depend on the other lanes.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not np.all(lo < hi):
@@ -106,8 +109,9 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
         # a converged lane keeps its bracket and its best point
         lo = np.where(active, np.maximum(lo, np.where(slope >= 0.0, x, -np.inf).max(axis=0)), lo)
         hi = np.where(active, np.minimum(hi, np.where(slope <= 0.0, x, np.inf).min(axis=0)), hi)
+        # zero slopes that cross (a flat stretch) leave lo above hi: keep the stretch
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         held = (lo <= x) & (x <= hi)
-        held |= ~held.any(axis=0)  # none held: zero slopes left lo above hi
         # the centre, unless a side point in the bracket is strictly better
         j = np.where(held, value, -np.inf).argmax(axis=0)[None, None]
         y, fy, sy, py = np.take_along_axis(np.stack((x, *out)), j, axis=1)[:, 0]
@@ -120,5 +124,5 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
         gain = best_s * (np.where(inside, best_p, best_x) - best_x)
         worth = gain > np.maximum(tol * tol, _ROUNDING * np.abs(best_f))
         active = (hi - lo >= tol) | (inside & worth)
-    achieved = float(np.max(np.maximum(hi - lo, 0.0)))
+    achieved = float(np.max(hi - lo))
     return OptResult(best_x[()], best_f[()], iters, achieved, lo[()], hi[()], best_s[()])

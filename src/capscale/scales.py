@@ -77,6 +77,27 @@ class _Sweep:
     (6, branch), computed once. The subsets are grouped by size, and a
     group's curves are summed in member order: one add per member
     position over all the group's subsets.
+
+    A singleton's k is its row's first argmax. The rows of a larger subset
+    are summed only over the scan columns [start, end] where the first
+    argmax of their in-order sum can lie, which gives its k bit for bit.
+    Let each row be nondecreasing on columns [0, up] and nonincreasing on
+    [down, 256]: a unimodal row's down is its first grid maximum and up
+    its last, and a flat row has up = 256 and down = 0. Rounding is
+    monotone, so every in-order sum of rows is nondecreasing on
+    [0, min up] and nonincreasing on [max down, 256]. Let end = max down
+    and start = max(min(min up, end) - 1, 0). No column after end exceeds
+    column end, and none before start exceeds column start, which exceeds
+    no column up to start + 1. So the sum's first argmax is its first
+    argmax on [start, end], unless that is column start > 0, which then
+    ties with the column after it and may tie with those before it: only
+    such a subset (one of flat members only, say) is summed again over
+    its whole rows. No row need be unimodal: a curve below the kernel's
+    rounding (damping within about 1e-14 of 1) scans to rounding noise,
+    whose sums can peak outside the span of their rows' first maxima. A
+    NaN step counts as a rise and a fall, so the window also holds each
+    row's first NaN, where argmax stops. On spread damping families the
+    window is 5-20 of the 257 columns.
     """
 
     def __init__(self, channels, subsets):
@@ -89,9 +110,17 @@ class _Sweep:
             if len(group := np.flatnonzero(size == r)):
                 self.groups.append((group, self.members[self.bounds[group, None] + np.arange(r)]))
         scan = self.scan = self._curves(_SCAN)
+        start, window = _window(scan) if size.max() > 1 else (0, None)
         self.k = np.empty(len(subsets), dtype=int)
         for group, members in self.groups:
-            self.k[group] = self._combined(lambda b: scan.take(b, axis=0), members).argmax(axis=1)
+            if members.shape[1] == 1:
+                self.k[group] = scan.argmax(axis=1)[members[:, 0]]
+                continue
+            k = start + self._combined(lambda b: window.take(b, axis=0), members).argmax(axis=1)
+            tie = np.flatnonzero(k == start) if start else []  # may tie with column start - 1
+            if len(tie):
+                k[tie] = self._combined(lambda b: scan.take(b, axis=0), members[tie]).argmax(axis=1)
+            self.k[group] = k
 
     def _curves(self, a):  # (branch, point)
         return mirror_chi(self.form[:, :, None], a)
@@ -153,6 +182,17 @@ class _Sweep:
             return _newton_sum(a, jet, bounds[:-1])
 
         return maximize_concave_1d(summed, lo, hi, tol, start)
+
+
+def _window(scan):
+    """start and a contiguous copy of the scan's columns [start, end], as _Sweep defines them."""
+    step = np.diff(scan, axis=1)
+    # the steps where some row falls or rises; a NaN step does both
+    falls = np.flatnonzero(~(step >= 0.0).all(axis=0))
+    rises = np.flatnonzero(~(step <= 0.0).all(axis=0))
+    end = rises[-1] + 1 if len(rises) else 0
+    start = max(min(falls[0] if len(falls) else len(_SCAN) - 1, end) - 1, 0)
+    return start, scan[:, start:end + 1].copy()
 
 
 def _quartic_peak(F):
@@ -242,7 +282,10 @@ class BranchSupremum:
 
     bracket is the search's final (lo, hi): it holds a_max and, up to the
     rounding of the slopes, the curve's maximizer, and it is narrower than
-    the search's tol. slope is the curve's slope at a_max.
+    the search's tol. On a flat curve (chi_star = 0, as at damping 1 or
+    depolarizing 1) every point is a maximizer, and the bracket is the
+    stretch of the search's points whose zero slopes crossed, at most
+    tol/4 wide. slope is the curve's slope at a_max.
     """
 
     a_max: float

@@ -223,6 +223,28 @@ def pair_minimum(first, second, digits=40):
         return float(chi_u(root))
 
 
+def damping_pair_gap(gamma0, gamma1, digits=40):
+    """chi_star_avg - c_p of two damping branches, as ad-gap defines it, to digits digits.
+
+    chi_star_avg is the mean of the two curves' peak values, and c_p half
+    the maximum of their sum, which is concave: that maximum lies at the
+    root of its derivative between the two peaks. A flat branch (γ = 1)
+    adds 0 everywhere.
+    """
+    with mpmath.workdps(digits + 10):
+        curves = [_mirror_curve("damping", g) for g in (gamma0, gamma1)]
+        curves = [c for c in curves if c is not None]
+        if len(curves) < 2 or gamma0 == gamma1:
+            return 0.0
+        (p0, chi0), (p1, chi1) = curves
+
+        def total(a):
+            return chi0(a) + chi1(a)
+
+        joint = mpmath.findroot(lambda a: mpmath.diff(total, a), (p0, p1), solver="anderson")
+        return float((chi0(p0) + chi1(p1) - total(joint)) / 2)
+
+
 def weight_grid(n, steps):
     """All probability vectors with denominator steps, plus the uniform one."""
     cuts = np.array(list(itertools.combinations_with_replacement(range(steps + 1), n - 1)))

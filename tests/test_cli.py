@@ -289,6 +289,21 @@ def test_ad_gap_table(channel_files, tmp_path):
             assert gap > 1e-6
 
 
+def test_ad_gap_against_40_digit_reference(tmp_path):
+    # both terms of gap = chi_star_avg - c_p are known to about 4e-16, so the
+    # gap is printed rounded to 1e-15, and then to 12 significant digits: no
+    # printed digit lies below 1e-15, and every gap is within a unit of its
+    # 40-digit value (its 12th digit's rounding aside)
+    rc, text = run_to_file(tmp_path, ["ad-gap", "--grid", "11"])
+    assert rc == 0
+    lines = text.splitlines()[1:]
+    assert len(lines) == 121
+    for line in lines:
+        g0, g1, *_, gap = map(float, line.split(","))
+        assert gap == round(gap, 15)
+        assert abs(gap - oracles.damping_pair_gap(g0, g1)) <= 1e-15 + 5e-12 * abs(gap)
+
+
 def test_ad_gap_grid_is_capped(monkeypatch, capsys):
     # a grid outside [2, MAX_GRID] is refused before any gamma or subset is built
     monkeypatch.setattr(cli.np, "linspace", None)

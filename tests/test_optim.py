@@ -50,7 +50,8 @@ def test_golden_section_quadratic():
 
 def test_golden_section_flat_lane_settles_in_one_call():
     # a zero slope is a maximizer of a concave function: the first step's
-    # points, the bracket's midpoint and tol/8 either side, settle the lane
+    # points, the bracket's midpoint and tol/8 either side, settle the lane,
+    # and its bracket is the flat stretch those points span, in order
     calls = []
 
     def f(x):
@@ -61,7 +62,8 @@ def test_golden_section_flat_lane_settles_in_one_call():
     assert res.argmax == 0.5
     assert res.value == 0.0
     assert res.iterations == len(calls) == 1
-    assert res.achieved_tol == 0.0
+    assert (res.lo, res.hi) == (0.5 - 0.125e-8, 0.5 + 0.125e-8)
+    assert res.achieved_tol == res.hi - res.lo
 
 
 def test_golden_section_validation():

@@ -4,6 +4,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -311,6 +312,21 @@ def work_counts(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def combined_shapes(monkeypatch):
+    """The shape of each sum of scan rows a sweep's _combined returns, in call order."""
+    combined = scales._Sweep._combined
+    shapes = []
+
+    def counted(sweep, rows, members):
+        out = combined(sweep, rows, members)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(scales._Sweep, "_combined", counted)
+    return shapes
+
+
 def test_work_ceilings_of_reports(work_counts):
     # one kernel call per search step: at tol 1e-8 a search makes 1 call (its
     # scan's quartic peak, straddled), after one scan call and, for L >= 3,
@@ -338,6 +354,16 @@ def test_work_ceilings_of_reports(work_counts):
     compute_capacity_report(depolarizing, tol=1e-8)
     assert work_counts["maximizer"] == 1
     assert work_counts["kernel"] == 3
+
+
+def test_work_ceiling_of_the_scan(combined_shapes):
+    # each subset of two or more spread damping branches sums its members'
+    # scan rows over at most 20 of the 257 columns, between the rows' peaks
+    L = 10
+    subsets = scales._all_subsets(L, range(1, L + 1))
+    scales._Sweep(scales._as_channels(list(np.linspace(0.05, 0.9, L))), subsets)
+    assert sum(rows for rows, _ in combined_shapes) == len(subsets) - L
+    assert max(width for _, width in combined_shapes) <= 20
 
 
 def test_search_calls_of_pruning_cases(work_counts):
@@ -576,6 +602,62 @@ def test_sweep_combines_members_in_order():
         assert best[s] == scales.maximize_subsets(branches, [s])[s]
 
 
+def test_sweep_window_keeps_each_first_argmax(combined_shapes):
+    # a subset's rows are summed only over the scan columns where the first
+    # argmax of their in-order sum can lie; k is that argmax, bit for bit
+    dep = QubitChannel.depolarizing
+    spread = [float(g) for g in np.linspace(0.05, 0.9, 8)]
+    families = [
+        # X·AD·X curves peak below 1/2 and damping curves above it: a wide window
+        [x_damping(g) if i % 3 else g for i, g in enumerate(np.linspace(0.1, 0.95, 10))],
+        [1.0, *spread[:4], dep(1.0), *spread[4:]],  # flat rows among spread ones
+        [0.3] * 9,
+        [dep(float(p)) for p in np.linspace(0.05, 0.9, 10)],
+        # curves below the kernel's rounding, whose rows are not unimodal
+        [1.0 - 7 * 2.0**-52, 1.0 - 16 * 2.0**-52],
+    ]
+    sums, widths = [], []
+    for branches in families:
+        L = len(branches)
+        subsets = scales._all_subsets(L, range(1, L + 1))
+        combined_shapes.clear()
+        sweep = scales._Sweep(scales._as_channels(branches), subsets)
+        for s, k in zip(subsets, sweep.k):
+            assert k == functools.reduce(np.add, (sweep.scan[i] for i in s)).argmax()
+        sums.append([rows for rows, _ in combined_shapes])
+        widths.append({width for _, width in combined_shapes})
+    # one sum per size group of two or more; the flat pair of damping 1 and
+    # depolarizing 1 sums to 0 in every column, so its window's first column
+    # ties the one before it, and that pair alone is summed again, whole
+    expected = [[math.comb(L, r) for r in range(2, L + 1)] for L in map(len, families)]
+    expected[1].insert(1, 1)
+    assert sums == expected
+    assert len(scales._SCAN) in widths[1]
+    # depolarizing rows rise to the scan point 1/2 and fall after it
+    assert widths[3] == {2}
+    # the first argmax of the noise rows' sum lies 6 columns below both
+    # rows' first maxima, outside the span of the maxima
+    assert sweep.scan.argmax(axis=1).min() - sweep.k[-1] == 6
+
+
+def test_sweep_window_ties_take_the_whole_row(monkeypatch, combined_shapes):
+    # Synthetic unimodal scan rows: a rises to a plateau on [97, 99] and
+    # peaks at column 100, one ulp of 0.25 higher, and b is flat on
+    # [95, 200]. The window is [99, 100], where a + b rounds to 1.25 in both
+    # columns: its first argmax, column 99, may tie with the column before
+    # the window, so the pair is summed again over the whole row, whose first
+    # argmax is column 97.
+    j = np.arange(len(scales._SCAN), dtype=float)
+    a = 0.25 - 1e-3 * (np.maximum(97 - j, 0) + np.maximum(j - 100, 0))
+    a[100] = np.nextafter(0.25, 1.0)
+    b = 1.0 - 1e-3 * (np.maximum(95 - j, 0) + np.maximum(j - 200, 0))
+    assert (a + b)[99] == (a + b)[100] == 1.25
+    monkeypatch.setattr(scales._Sweep, "_curves", lambda sweep, grid: np.stack([a, b]))
+    sweep = scales._Sweep(scales._as_channels([0.1, 0.2]), [(0,), (1,), (0, 1)])
+    assert list(sweep.k) == [100, 95, 97]
+    assert combined_shapes == [(1, 2), (1, len(scales._SCAN))]
+
+
 def concave_rows(rng):
     """Random concave rows on unit-spaced samples, each with its maximum over the row's range."""
     for n in (3, 4, 5, 9, 65):
@@ -706,9 +788,43 @@ def test_pair_rule_at_flat_and_equal_curves_and_close_peaks(work_counts):
         assert abs(report.per_subset[(0, 1)].c_delta - truth) <= 1e-12
 
 
+def test_every_search_bracket_holds_its_best_point(monkeypatch):
+    # lo <= argmax <= hi on every lane of every search, at every tol: on a
+    # flat curve (damping 1, depolarizing 1) the zero slopes cross, and the
+    # bracket is the stretch they span, in order
+    maximize = scales.maximize_concave_1d
+    searches = []
+
+    def recorded(*args, **kwargs):
+        searches.append(maximize(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(scales, "maximize_concave_1d", recorded)
+    dep = QubitChannel.depolarizing
+    families = [
+        [1.0, dep(1.0), 0.3, x_damping(0.31), dep(0.2)],
+        [1.0, dep(1.0), *(branch(c) for c in CROSSING_FAMILY[:10])],
+    ]  # each with pairs that cross below both peaks
+    for tol in (1e-12, 1e-8, 1e-2):
+        for branches in families:
+            L = len(branches)
+            searches.clear()
+            sups = per_branch_suprema(branches, tol)
+            assert all(lo <= s.a_max <= hi for s in sups for lo, hi in [s.bracket])
+            assert all(s.bracket[0] < s.bracket[1] for s in sups[:2])  # the flat lanes
+            compute_random_scale_report(branches, [1 / L] * L, tol=tol)
+            scales.maximize_subsets(branches, scales._all_subsets(L, range(1, 4)), tol)
+            # per_branch_suprema's, the random report's singletons' and
+            # crossing pairs', and maximize_subsets'
+            assert len(searches) == 4
+            for res in searches:
+                assert np.all((res.lo <= res.argmax) & (res.argmax <= res.hi))
+
+
 def test_memory_ceiling_of_reports():
-    # the sweep combines the curves of one subset size at a time; a table of
-    # curves with a row per subset (4095 rows at L = 12) would not fit
+    # the sweep combines the curves of one subset size at a time, over the
+    # scan columns between the rows' peaks (20 of 257 on the spread family);
+    # a table of curves with a row per subset (4095 rows at L = 12) would not fit
     gammas = [float(g) for g in np.linspace(0.05, 0.9, 12)]
     alternating = [
         QubitChannel.amplitude_damping(g) if i % 2 == 0 else x_damping(g)
@@ -718,7 +834,7 @@ def test_memory_ceiling_of_reports():
     # 24,576 (subset, member) pairs, and the refine's kernel calls are blocked
     equal = [0.3] * 12
     depolarizing = [QubitChannel.depolarizing(float(p)) for p in np.linspace(0.05, 0.6, 12)]
-    cases = [(gammas, 6), (alternating, 6), (equal, 10), (depolarizing, 10)]
+    cases = [(gammas, 3), (alternating, 4), (equal, 10), (depolarizing, 10)]
     cases = [(compute_capacity_report, branches, mib) for branches, mib in cases]
     # a full random table takes the least of each delta's pair values over
     # blocks of deltas, not over a (deltas, L, L) array of all 4095 at once
