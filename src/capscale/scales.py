@@ -45,8 +45,9 @@ _PRUNE_PAD = 1e-12
 # point of the combined curves within two grid steps on either side.
 _SCAN = np.linspace(1e-9, 1.0 - 1e-9, 257)
 
-# Grid of the prune's bounds, _FINE steps per scan step; a subset's bounds
-# come from the _WINDOW points of this grid around its bracket.
+# Grid of the prune's bounds, _FINE steps per scan step. A subset's bounds
+# come from three points of this grid about its peak, or, where the middle
+# one is below a neighbour, from the _WINDOW points around its bracket.
 _FINE = 16
 _FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
 _WINDOW = 4 * _FINE + 1
@@ -136,17 +137,45 @@ class _Sweep:
         """Lower and upper bounds on each subset's combined curve's maximum, shape (2, subsets).
 
         They come from the curves on _FINE_GRID, evaluated once per branch over
-        the span of the brackets and gathered per subset from the window that
-        holds its bracket (shifted inside the grid at its ends).
+        the span of the subsets' windows: each subset's window is the _WINDOW
+        columns that hold its bracket (shifted inside the grid at its ends).
+        A subset's summed curve is read at three columns of its window: the
+        column nearest the peak of the quartic through its five summed scan
+        samples about k (at k where the quartic has none; see _quartic_peak)
+        and its two neighbours. Where the middle column is not below either
+        neighbour, the summed curve, which is concave, peaks within a step of
+        it: its value is the lower bound, and the chords through it and each
+        neighbour, extended a step, give the upper bound (see _peak_bounds).
+        Any other subset takes _peak_bounds of its whole window. All sums are
+        in member order, so each value keeps the bits of the window's sum.
         """
         start = np.clip(_FINE * (self.k - 2), 0, len(_FINE_GRID) - _WINDOW)
         first = start.min()
-        fine = self._curves(_FINE_GRID[first:start.max() + _WINDOW])
-        windows = np.lib.stride_tricks.sliding_window_view(fine, _WINDOW, axis=1)
-        out = np.empty((2, len(self.subsets)))
+        fine = _with_zero_row(self._curves(_FINE_GRID[first:start.max() + _WINDOW]))
+        # each subset's members, then the zero row's index
+        padded = np.full((len(self.subsets), self.groups[-1][1].shape[1]), len(fine) - 1)
         for group, members in self.groups:
-            at = start[group] - first
-            out[:, group] = _peak_bounds(self._combined(lambda b: windows[b, at], members))
+            padded[group, :members.shape[1]] = members
+
+        def summed(rows, at, width):
+            """Each subset's in-order sum of its member rows' columns at + [0, width)."""
+            windows = np.lib.stride_tricks.sliding_window_view(rows, width, axis=1)
+            per_row = windows.shape[1]
+            windows = np.ascontiguousarray(windows).reshape(-1, width)  # a row per window
+            return self._combined(lambda b: windows.take(b * per_row + at, axis=0), padded)
+
+        c = np.clip(self.k, 2, len(_SCAN) - 3)
+        peak = _quartic_peak(summed(_with_zero_row(self.scan), c - 2, 5))
+        # the fine column nearest the quartic's peak, or k's where it has none
+        mid = _FINE * c + np.rint(_FINE * np.where(np.isnan(peak), self.k - c, peak)).astype(int)
+        mid = np.clip(mid, start + 1, start + _WINDOW - 2)  # inside the window
+        left, centre, right = summed(fine, mid - 1 - first, 3).T
+        out = np.stack([centre, 2.0 * centre - np.minimum(left, right)])
+        whole = np.flatnonzero(~((centre >= left) & (centre >= right)))
+        if len(whole):
+            windows = np.lib.stride_tricks.sliding_window_view(fine, _WINDOW, axis=1)
+            at = start[whole] - first
+            out[:, whole] = _peak_bounds(self._combined(lambda b: windows[b, at], padded[whole]))
         return out
 
     def refine(self, lanes, tol):
@@ -193,6 +222,11 @@ def _window(scan):
     end = rises[-1] + 1 if len(rises) else 0
     start = max(min(falls[0] if len(falls) else len(_SCAN) - 1, end) - 1, 0)
     return start, scan[:, start:end + 1].copy()
+
+
+def _with_zero_row(rows):
+    """rows with a row of zeros appended: adding it to a sum keeps the sum's bits."""
+    return np.vstack([rows, np.zeros(rows.shape[1])])
 
 
 def _quartic_peak(F):
@@ -363,12 +397,12 @@ def _masks(members, bounds) -> np.ndarray:
 
 
 def _rotations(masks, L: int) -> np.ndarray:
-    """Cyclic rotations of bitmask subsets, shape (subsets, L).
+    """Cyclic rotations of bitmask subsets, shape (L, subsets).
 
-    Column k moves each member m to (m + k) mod L.
+    Row k moves each member m to (m + k) mod L.
     """
-    k = np.arange(L)
-    masks = np.asarray(masks)[:, None]
+    k = np.arange(L)[:, None]
+    masks = np.asarray(masks)
     return ((masks << k) | (masks >> (L - k))) & ((1 << L) - 1)
 
 
@@ -424,8 +458,9 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
 
     A size-r subset's rate is the sum of its L rotations' maxima over rL.
     Each summed curve is concave, so its samples on a grid 16 times finer
-    than the scan bound its maximum from below (the best sample) and from
-    above (from the three samples about the best one, see _peak_bounds);
+    than the scan bound its maximum from below (a sample at its peak) and
+    from above (from the three samples about it, see
+    _Sweep.bounds_of_maxima);
     a subset's rate bounds are its rotations' bounds summed over rL. At a
     level with 1 < r < L, a subset is refined only if its upper rate plus
     _PRUNE_PAD reaches the level's best lower rate less _TIE_EPS; the
@@ -447,7 +482,7 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
     masks = _masks(sweep.members, sweep.bounds)
     row = np.zeros(1 << L, dtype=int)
     row[masks] = np.arange(len(subsets))
-    rot = row[_rotations(masks, L)]  # the row of each subset's k-th rotation
+    rot = row[_rotations(masks, L)]  # rot[k, i]: the row of subset i's k-th rotation
     size = np.diff(sweep.bounds)
     per = size * L
     counts = [math.comb(L, r) for r in sizes]
@@ -462,27 +497,27 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
     keep = (size == 1) | (size == L)
     upper = np.full(len(subsets), np.inf)
     if not keep.all():
-        lower, upper = sweep.bounds_of_maxima()[:, rot].sum(axis=-1) / per
+        lower, upper = sweep.bounds_of_maxima().take(rot, axis=1).sum(axis=1) / per
         keep |= upper + _PRUNE_PAD >= level_max(lower) - _TIE_EPS
     found = np.full((5, len(subsets)), np.nan)
     value = found[1]  # a view
     rate = np.full(len(subsets), -np.inf)
     while True:
         wanted = np.zeros(len(subsets), dtype=bool)
-        wanted[rot[keep]] = True
+        wanted[rot[:, keep]] = True
         lanes = np.flatnonzero(wanted & np.isnan(value))
         if len(lanes):
             found[:, lanes] = _found(sweep.refine(lanes, tol))
         # rotation values summed in the order k = 0..L-1
-        rate[keep] = functools.reduce(np.add, value[rot[keep]].T) / per[keep]
+        rate[keep] = functools.reduce(np.add, value[rot[:, keep]]) / per[keep]
         more = ~keep & (upper + _PRUNE_PAD >= level_max(rate) - _TIE_EPS)
         if not more.any():
             break
         keep |= more
-    scale = {
-        int(size[a]): _best_subset([(subsets[i], float(rate[i])) for i in range(a, b) if keep[i]])
-        for a, b in zip(starts, ends)
-    }
+    scale = {}
+    for a, b in zip(starts, ends):
+        rows = a + np.flatnonzero(keep[a:b])
+        scale[int(size[a])] = _best_subset([(subsets[i], float(rate[i])) for i in rows])
     return scale, found
 
 
@@ -582,7 +617,7 @@ def _pair_values(form, peak, chi_star, pairs, tol) -> np.ndarray:
     of these), else the value where the curves cross between the peaks:
     one lockstep search takes those from the lower member's value and
     slope, starting at the secant root of chi_u - chi_v and proposing its
-    Newton root.
+    Newton root, at tol 1e-8 or finer.
     """
     u, v = pairs.T
     u, v = np.where(peak[u] <= peak[v], (u, v), (v, u))
@@ -600,7 +635,8 @@ def _pair_values(form, peak, chi_star, pairs, tol) -> np.ndarray:
             return np.minimum(chi_u, chi_v), np.where(chi_u <= chi_v, slope_u, slope_v), newton
 
         start = peak[u] + (peak[v] - peak[u]) * diff_u / (diff_u - diff_v)
-        value[cross] = maximize_concave_1d(lower, peak[u], peak[v], tol, start).value
+        # a kink's value rises linearly, so a coarse tol's tol² stop would leave it short
+        value[cross] = maximize_concave_1d(lower, peak[u], peak[v], min(tol, 1e-8), start).value
     return value
 
 

@@ -287,7 +287,7 @@ def test_twelve_significant_digit_formatting(tmp_path):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Count Holevo kernel calls, subset maximizations, their lanes and their most steps."""
+    """Count Holevo kernel calls, subset maximizations, their lanes, steps and most steps."""
     calls = collections.Counter()
 
     def count(name, fn):
@@ -303,6 +303,7 @@ def work_counts(monkeypatch):
         calls["lanes"] += np.size(lo)
         calls["last lanes"] = np.size(lo)
         res = maximize(f, lo, hi, *args, **kwargs)
+        calls["steps"] += res.iterations
         calls["most steps"] = max(calls["most steps"], res.iterations)
         return res
 
@@ -364,6 +365,69 @@ def test_work_ceiling_of_the_scan(combined_shapes):
     scales._Sweep(scales._as_channels(list(np.linspace(0.05, 0.9, L))), subsets)
     assert sum(rows for rows, _ in combined_shapes) == len(subsets) - L
     assert max(width for _, width in combined_shapes) <= 20
+
+
+def test_work_ceiling_of_the_bounds(combined_shapes):
+    # the bounds read each subset's summed curve at three fine-grid columns
+    # about the peak of the quartic through its five summed scan samples,
+    # summed for every subset at once: on spread damping branches no subset
+    # takes its whole window of 65 columns
+    L = 10
+    subsets = scales._all_subsets(L, range(1, L + 1))
+    sweep = scales._Sweep(scales._as_channels(list(np.linspace(0.05, 0.9, L))), subsets)
+    combined_shapes.clear()
+    sweep.bounds_of_maxima()
+    assert combined_shapes == [(len(subsets), 5), (len(subsets), 3)]
+
+
+def fine_windows(sweep):
+    """Each subset's in-order sum of its members' curves on the _WINDOW columns of its window."""
+    start = np.clip(scales._FINE * (sweep.k - 2), 0, len(scales._FINE_GRID) - scales._WINDOW)
+    first = start.min()
+    fine = sweep._curves(scales._FINE_GRID[first:start.max() + scales._WINDOW])
+    for s, c in zip(sweep.subsets, start - first):
+        yield functools.reduce(np.add, (fine[i, c:c + scales._WINDOW] for i in s))
+
+
+def test_bounds_fall_back_to_the_whole_window(monkeypatch, combined_shapes):
+    # a middle column two fine steps off the quartic's peak lies below the
+    # neighbour toward the maximizer, so its subset takes _peak_bounds of
+    # its whole window, bit for bit
+    quartic = scales._quartic_peak
+    monkeypatch.setattr(scales, "_quartic_peak", lambda F: quartic(F) + 2.0 / scales._FINE)
+    L = 10
+    subsets = scales._all_subsets(L, range(1, L + 1))
+    sweep = scales._Sweep(scales._as_channels(list(np.linspace(0.05, 0.9, L))), subsets)
+    combined_shapes.clear()
+    bounds = sweep.bounds_of_maxima()
+    assert combined_shapes == [(len(subsets), 5), (len(subsets), 3), (len(subsets), scales._WINDOW)]
+    for window, (lower, upper) in zip(fine_windows(sweep), bounds.T):
+        assert [[lower], [upper]] == scales._peak_bounds(window[None]).tolist()
+
+
+def test_bounds_hold_where_the_quartic_can_miss():
+    # the three-column bounds against every subset's refined maximum, and
+    # the picks they prune to, on rows whose quartic peak may not place the
+    # middle column: flat rows (damping 1, depolarizing 1), equal branches,
+    # depolarizing rows (2-column scan windows), curves below the kernel's
+    # rounding, and X-damping and Rz-damping, which peak below 1/2
+    pad = scales._PRUNE_PAD
+    dep = QubitChannel.depolarizing
+    families = [
+        [1.0, 0.2, dep(1.0), 0.5, dep(0.3), 0.8],
+        [0.3] * 7,
+        [dep(float(p)) for p in np.linspace(0.05, 0.9, 7)],
+        [1.0 - 7 * 2.0**-52, 1.0 - 16 * 2.0**-52],
+        [x_damping(g) if i % 2 else g for i, g in enumerate(np.linspace(0.1, 0.9, 7))],
+        [rz_damping(g, 0.4 * i) for i, g in enumerate(np.linspace(0.1, 0.9, 7))],
+    ]
+    for branches in families:
+        subsets, best, levels = full_sweep_levels(branches, 1e-8)
+        lower, upper = scales._Sweep(scales._as_channels(branches), subsets).bounds_of_maxima()
+        value = np.array([best[s][1] for s in subsets])
+        assert np.all(lower <= value + pad)
+        assert np.all(value <= upper + pad)
+        assert compute_capacity_report(branches).scale == levels
 
 
 def test_search_calls_of_pruning_cases(work_counts):
@@ -743,6 +807,32 @@ def test_random_pairs_converge_at_kinks(work_counts):
         assert abs(c_delta - oracles.pair_minimum(*pair)) <= 1e-12
     assert work_counts["maximizer"] == 2 * len(pairs)
     assert work_counts["most steps"] <= 4
+
+
+def test_random_pairs_reach_their_kinks_at_a_coarse_tol(work_counts):
+    # a kink's value rises linearly, so the crossing search runs at tol 1e-8
+    # or finer whatever the report's tol: every kernel call beside the scan
+    # and the peaks is one of the searches' steps, and those stay as few as
+    # at tol 1e-8
+    L = len(CROSSING_FAMILY)
+    example = ("x_damping", 0.19098147589039005), ("depolarizing", 0.08677723939124427)
+    pairs = [*kinked_pairs(), example]
+    deltas = list(itertools.combinations(range(L), 2))
+    truth = {pair: oracles.pair_minimum(*pair) for pair in pairs}
+    family = [oracles.pair_minimum(CROSSING_FAMILY[i], CROSSING_FAMILY[m]) for i, m in deltas]
+    for tol in (1e-8, 1e-3, 1e-2):
+        for pair in pairs:
+            work_counts.clear()
+            report = compute_random_scale_report(
+                [branch(c) for c in pair], [0.5, 0.5], deltas=[(0, 1)], tol=tol
+            )
+            assert abs(report.per_subset[(0, 1)].c_delta - truth[pair]) <= 1e-12
+            assert work_counts["kernel"] == 2 + work_counts["steps"]
+            assert work_counts["most steps"] <= 4
+        branches = [branch(c) for c in CROSSING_FAMILY]
+        report = compute_random_scale_report(branches, [1 / L] * L, deltas=deltas, tol=tol)
+        c_delta = [entry.c_delta for entry in report.per_subset.values()]
+        assert np.abs(np.subtract(c_delta, family)).max() <= 1e-12
 
 
 def test_pair_rule_at_flat_and_equal_curves_and_close_peaks(work_counts):
