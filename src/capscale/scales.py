@@ -34,8 +34,10 @@ MAX_BRANCHES = 12
 # is within this margin of the level's best rate.
 _TIE_EPS = 1e-12
 
-# Most elements of the masked pair values of a block of deltas in _fill_subsets.
-_FILL_BLOCK = 2**16
+# Most elements of a block of temporaries: of the window sums of a block of
+# subsets in _Sweep, and of the masked pair values of a block of deltas in
+# _fill_subsets.
+_BLOCK = 2**16
 
 # Rounding margin of the prune. A rate and its bounds are sums of at most
 # MAX_BRANCHES**2 terms below one bit each, rounded to within about 1e-14.
@@ -70,24 +72,32 @@ def _as_channels(branches) -> tuple[QubitChannel, ...]:
 class _Sweep:
     """A subset sweep: each subset's bracket on the scan grid, its bounds, its refinement.
 
-    A subset's curve is the sum of its branch curves. Each branch's curve
-    is evaluated once on the scan grid (scan, shape (branch, len(_SCAN)),
-    kept for the refine's starts), and each subset's grid argmax k of its
-    summed scan rows, two steps to either side, brackets its maximizer.
-    Curves are evaluated from each branch's mirror_form, shape
-    (6, branch), computed once. The subsets are grouped by size, and a
-    group's curves are summed in member order: one add per member
-    position over all the group's subsets.
+    A subset's curve is the sum of its branch curves. The sweep holds its
+    subsets once, as a member matrix (members, shape (subsets, largest
+    size), and size): each row holds a subset's members, then the index
+    of the row of zeros appended to each table of branch curves (see
+    _with_zero_row). So one in-order sum over the matrix's columns
+    (_combined) serves every subset size, and each subset's sum keeps the
+    bits of adding its curves in member order. Curves are evaluated from
+    each branch's mirror_form, shape (6, branch), computed once. Each
+    branch's curve is evaluated once on the scan grid (scan, shape
+    (branch + 1, len(_SCAN)), the zero row last), and each subset's grid
+    argmax k of its summed scan rows, two steps to either side, brackets
+    its maximizer. The peak of the quartic through its five summed scan
+    samples about k, moved inside the grid at its ends (peak, in scan
+    steps from their middle column, centre; see _quartic_peak), is
+    computed once and places both the subset's bounds and its refine's
+    start.
 
-    A singleton's k is its row's first argmax. The rows of a larger subset
-    are summed only over the scan columns [start, end] where the first
-    argmax of their in-order sum can lie, which gives its k bit for bit.
-    Let each row be nondecreasing on columns [0, up] and nonincreasing on
-    [down, 256]: a unimodal row's down is its first grid maximum and up
-    its last, and a flat row has up = 256 and down = 0. Rounding is
-    monotone, so every in-order sum of rows is nondecreasing on
-    [0, min up] and nonincreasing on [max down, 256]. Let end = max down
-    and start = max(min(min up, end) - 1, 0). No column after end exceeds
+    Each subset's scan rows are summed only over the scan columns
+    [start, end] where the first argmax of their in-order sum can lie,
+    which gives its k bit for bit. Let each row be nondecreasing on
+    columns [0, up] and nonincreasing on [down, 256]: a unimodal row's
+    down is its first grid maximum and up its last, and a flat row has
+    up = 256 and down = 0. Rounding is monotone, so every in-order sum of
+    rows, a single row among them, is nondecreasing on [0, min up] and
+    nonincreasing on [max down, 256]. Let end = max down and
+    start = max(min(min up, end) - 1, 0). No column after end exceeds
     column end, and none before start exceeds column start, which exceeds
     no column up to start + 1. So the sum's first argmax is its first
     argmax on [start, end], unless that is column start > 0, which then
@@ -98,40 +108,37 @@ class _Sweep:
     whose sums can peak outside the span of their rows' first maxima. A
     NaN step counts as a rise and a fall, so the window also holds each
     row's first NaN, where argmax stops. On spread damping families the
-    window is 5-20 of the 257 columns.
+    window is 5-20 of the 257 columns; a sweep of single branches sums
+    over the whole rows. The window is summed over blocks of subsets of at
+    most _BLOCK elements, each block's matrix cut to its largest subset: a
+    report's subsets come size-major, so a block adds few zero rows.
     """
 
     def __init__(self, channels, subsets):
         self.form = mirror_form(zip(*(ch.bloch_map for ch in channels)))  # stacked (M, t)
         self.subsets = subsets
-        self.members, self.bounds = _pairs(subsets)
-        size = np.diff(self.bounds)
-        self.groups = []  # each size's subsets and their (subsets, size) member matrix
-        for r in range(1, size.max() + 1):
-            if len(group := np.flatnonzero(size == r)):
-                self.groups.append((group, self.members[self.bounds[group, None] + np.arange(r)]))
-        scan = self.scan = self._curves(_SCAN)
-        start, window = _window(scan) if size.max() > 1 else (0, None)
-        self.k = np.empty(len(subsets), dtype=int)
-        for group, members in self.groups:
-            if members.shape[1] == 1:
-                self.k[group] = scan.argmax(axis=1)[members[:, 0]]
-                continue
-            k = start + self._combined(lambda b: window.take(b, axis=0), members).argmax(axis=1)
-            tie = np.flatnonzero(k == start) if start else []  # may tie with column start - 1
-            if len(tie):
-                k[tie] = self._combined(lambda b: scan.take(b, axis=0), members[tie]).argmax(axis=1)
-            self.k[group] = k
+        self.members, self.size = _member_matrix(subsets, len(channels))
+        scan = self.scan = _with_zero_row(self._curves(_SCAN))
+        start, end = _window(scan) if self.members.shape[1] > 1 else (0, len(_SCAN) - 1)
+        width = end - start + 1
+        block = max(1, _BLOCK // width)  # subsets per sum: its temporaries stay small
+        k = self.k = np.empty(len(subsets), dtype=int)
+        for s in range(0, len(subsets), block):
+            rows = slice(s, s + block)
+            members = self.members[rows, :self.size[rows].max()]  # to the block's largest size
+            k[rows] = start + _combined(scan, members, start, width).argmax(axis=1)
+        tie = np.flatnonzero(k == start) if start else []  # may tie with the column before
+        if len(tie):
+            k[tie] = _combined(scan, self.members[tie], 0, len(_SCAN)).argmax(axis=1)
+        self.centre = k.clip(2, len(_SCAN) - 3)
+
+    @functools.cached_property
+    def peak(self):
+        """Each subset's quartic peak, in scan steps from its centre, NaN where there is none."""
+        return _quartic_peak(_combined(self.scan, self.members, self.centre - 2, 5))
 
     def _curves(self, a):  # (branch, point)
         return mirror_chi(self.form[:, :, None], a)
-
-    def _combined(self, rows, members):
-        """rows(members[:, 0]), with rows(members[:, d]) added in place for d = 1, 2, ..."""
-        out = rows(members[:, 0])  # a new array
-        for d in range(1, members.shape[1]):
-            out += rows(members[:, d])
-        return out
 
     def bounds_of_maxima(self):
         """Lower and upper bounds on each subset's combined curve's maximum, shape (2, subsets).
@@ -140,42 +147,27 @@ class _Sweep:
         the span of the subsets' windows: each subset's window is the _WINDOW
         columns that hold its bracket (shifted inside the grid at its ends).
         A subset's summed curve is read at three columns of its window: the
-        column nearest the peak of the quartic through its five summed scan
-        samples about k (at k where the quartic has none; see _quartic_peak)
-        and its two neighbours. Where the middle column is not below either
+        column nearest its quartic peak (k's where the quartic has none) and
+        its two neighbours. Where the middle column is not below either
         neighbour, the summed curve, which is concave, peaks within a step of
-        it: its value is the lower bound, and the chords through it and each
-        neighbour, extended a step, give the upper bound (see _peak_bounds).
-        Any other subset takes _peak_bounds of its whole window. All sums are
-        in member order, so each value keeps the bits of the window's sum.
+        it: _peak_bounds of the three columns then gives the middle value as
+        the lower bound, and the chords through it and each neighbour,
+        extended a step, give the upper bound. Any other subset takes
+        _peak_bounds of its whole window.
         """
         start = np.clip(_FINE * (self.k - 2), 0, len(_FINE_GRID) - _WINDOW)
         first = start.min()
         fine = _with_zero_row(self._curves(_FINE_GRID[first:start.max() + _WINDOW]))
-        # each subset's members, then the zero row's index
-        padded = np.full((len(self.subsets), self.groups[-1][1].shape[1]), len(fine) - 1)
-        for group, members in self.groups:
-            padded[group, :members.shape[1]] = members
-
-        def summed(rows, at, width):
-            """Each subset's in-order sum of its member rows' columns at + [0, width)."""
-            windows = np.lib.stride_tricks.sliding_window_view(rows, width, axis=1)
-            per_row = windows.shape[1]
-            windows = np.ascontiguousarray(windows).reshape(-1, width)  # a row per window
-            return self._combined(lambda b: windows.take(b * per_row + at, axis=0), padded)
-
-        c = np.clip(self.k, 2, len(_SCAN) - 3)
-        peak = _quartic_peak(summed(_with_zero_row(self.scan), c - 2, 5))
         # the fine column nearest the quartic's peak, or k's where it has none
-        mid = _FINE * c + np.rint(_FINE * np.where(np.isnan(peak), self.k - c, peak)).astype(int)
+        offset = np.where(np.isnan(self.peak), self.k - self.centre, self.peak)
+        mid = _FINE * self.centre + np.rint(_FINE * offset).astype(int)
         mid = np.clip(mid, start + 1, start + _WINDOW - 2)  # inside the window
-        left, centre, right = summed(fine, mid - 1 - first, 3).T
-        out = np.stack([centre, 2.0 * centre - np.minimum(left, right)])
-        whole = np.flatnonzero(~((centre >= left) & (centre >= right)))
+        three = _combined(fine, self.members, mid - 1 - first, 3)
+        out = _peak_bounds(three)
+        whole = np.flatnonzero(~(three[:, 1] >= out[0]))  # the middle is below a neighbour
         if len(whole):
-            windows = np.lib.stride_tricks.sliding_window_view(fine, _WINDOW, axis=1)
             at = start[whole] - first
-            out[:, whole] = _peak_bounds(self._combined(lambda b: windows[b, at], padded[whole]))
+            out[:, whole] = _peak_bounds(_combined(fine, self.members[whole], at, _WINDOW))
         return out
 
     def refine(self, lanes, tol):
@@ -183,23 +175,21 @@ class _Sweep:
 
         The slope-bracketed search evaluates the Holevo kernel's jet once
         per step, at its three points per subset, over the form columns of
-        all those subsets' (subset, member) pairs, gathered once, in calls
-        of at most _REFINE_BLOCK pairs. Each lane starts at the peak of the
-        quartic through its summed scan rows' five samples about k (moved
-        inside the grid at its ends), which at tol 1e-8 is usually within
-        tol/8 of its maximizer, so that the first step closes its bracket.
-        Each lane then proposes its summed curve's Newton point.
+        all those subsets' (subset, member) pairs, read once from the member
+        matrix, in calls of at most _REFINE_BLOCK pairs. Each lane starts at
+        its quartic peak, which at tol 1e-8 is usually within tol/8 of its
+        maximizer, so that the first step closes its bracket. Each lane then
+        proposes its summed curve's Newton point.
         """
-        members, bounds = _pairs([self.subsets[i] for i in lanes])
+        size = self.size[lanes]
+        rows = self.members[lanes]
+        form = self.form[:, rows[np.arange(rows.shape[1]) < size[:, None]]]  # in member order
+        lane = np.repeat(np.arange(len(lanes)), size)
+        starts = np.cumsum(size) - size  # each lane's first pair
         k = self.k[lanes]
         lo = _SCAN[np.maximum(k - 2, 0)]
         hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
-        form = self.form[:, members]
-        lane = np.repeat(np.arange(len(lanes)), np.diff(bounds))
-        c = np.clip(k, 2, len(_SCAN) - 3)
-        samples = self.scan[members[:, None], c[lane, None] + np.arange(-2, 3)]
-        peak = _quartic_peak(np.add.reduceat(samples, bounds[:-1]))
-        start = _SCAN[c] + peak * (_SCAN[1] - _SCAN[0])
+        start = _SCAN[self.centre[lanes]] + self.peak[lanes] * (_SCAN[1] - _SCAN[0])
 
         def summed(a):  # a: (3, lanes)
             at = a[:, lane]
@@ -208,25 +198,57 @@ class _Sweep:
             for s in range(0, len(lane), _REFINE_BLOCK):
                 block = slice(s, s + _REFINE_BLOCK)
                 jet[:, :, block] = mirror_chi_jet(form[:, block], at[:, block])
-            return _newton_sum(a, jet, bounds[:-1])
+            return _newton_sum(a, jet, starts)
 
         return maximize_concave_1d(summed, lo, hi, tol, start)
 
 
+def _member_matrix(subsets, pad: int):
+    """Each subset's members, then pad, a row each (shape (subsets, largest size)), and sizes."""
+    size = np.fromiter(map(len, subsets), int, len(subsets))
+    members = np.full((len(subsets), size.max(initial=0)), pad)
+    flat = np.fromiter(itertools.chain.from_iterable(subsets), int, size.sum())
+    members[np.arange(members.shape[1]) < size[:, None]] = flat  # row by row
+    return members, size
+
+
+def _combined(rows, members, at, width):
+    """Each subset's sum of its member rows' columns at + [0, width), in member order.
+
+    members is a member matrix into the C-contiguous rows (see
+    _member_matrix), and at one first column for every subset or one for
+    each. The windows of rows that start in [min at, max at] are copied to
+    a contiguous row each, and each member position adds one gather of
+    those rows. Returns shape (subsets, width).
+    """
+    at = np.asarray(at)
+    lo = at.min()
+    starts = at.max() - lo + 1
+    r, c = rows.strides
+    # windows[i * starts + j]: row i's columns lo + j + [0, width)
+    windows = np.ndarray((len(rows), starts, width), rows.dtype, rows, lo * c, (r, c, c))
+    windows = windows.reshape(-1, width)  # a row per window
+    at = at - lo
+    out = windows.take(members[:, 0] * starts + at, axis=0)  # a new array
+    for d in range(1, members.shape[1]):
+        out += windows.take(members[:, d] * starts + at, axis=0)
+    return out
+
+
 def _window(scan):
-    """start and a contiguous copy of the scan's columns [start, end], as _Sweep defines them."""
+    """start and end of the scan columns [start, end] that _Sweep defines."""
     step = np.diff(scan, axis=1)
     # the steps where some row falls or rises; a NaN step does both
     falls = np.flatnonzero(~(step >= 0.0).all(axis=0))
     rises = np.flatnonzero(~(step <= 0.0).all(axis=0))
     end = rises[-1] + 1 if len(rises) else 0
     start = max(min(falls[0] if len(falls) else len(_SCAN) - 1, end) - 1, 0)
-    return start, scan[:, start:end + 1].copy()
+    return start, end
 
 
 def _with_zero_row(rows):
     """rows with a row of zeros appended: adding it to a sum keeps the sum's bits."""
-    return np.vstack([rows, np.zeros(rows.shape[1])])
+    return np.concatenate([rows, np.zeros((1, rows.shape[1]))])
 
 
 def _quartic_peak(F):
@@ -263,12 +285,6 @@ def _newton_sum(a, jet, starts):
     return value, slope, a - _newton_step(slope, np.minimum(curv, 0.0))
 
 
-def _pairs(subsets):
-    """The branch of each (subset, member) pair, and where each subset's pairs start and end."""
-    bounds = np.append(0, np.cumsum(np.fromiter(map(len, subsets), int, len(subsets))))
-    return np.fromiter(itertools.chain.from_iterable(subsets), int, bounds[-1]), bounds
-
-
 def _peak_bounds(F) -> np.ndarray:
     """Lower and upper bounds on the maxima of concave curves sampled on the rows of F.
 
@@ -279,9 +295,10 @@ def _peak_bounds(F) -> np.ndarray:
     below 2 F[c] - F[c+1]. The upper bound is the larger of the two, so a
     flat row gets upper == lower. Returns shape (2, rows).
     """
-    c = np.clip(F.argmax(axis=1), 1, F.shape[1] - 2)[:, None]
-    left, mid, right = np.take_along_axis(F, c + np.arange(-1, 2), axis=1).T
-    return np.stack([F.max(axis=1), 2.0 * mid - np.minimum(left, right)])
+    rows, j = np.arange(len(F)), F.argmax(axis=1)
+    c = np.clip(j, 1, F.shape[1] - 2)
+    left, mid, right = F[rows, c - 1], F[rows, c], F[rows, c + 1]
+    return np.stack([F[rows, j], 2.0 * mid - np.minimum(left, right)])
 
 
 def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
@@ -391,11 +408,6 @@ def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
     return [s for r in sizes for s in itertools.combinations(range(L), r)]
 
 
-def _masks(members, bounds) -> np.ndarray:
-    """Subsets as bitmasks (bit m set for member m), from their stacked members."""
-    return np.bitwise_or.reduceat(1 << members, bounds[:-1])
-
-
 def _rotations(masks, L: int) -> np.ndarray:
     """Cyclic rotations of bitmask subsets, shape (L, subsets).
 
@@ -479,11 +491,12 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
     L = len(channels)
     subsets = _all_subsets(L, sizes)  # size-major, then lexicographic
     sweep = _Sweep(channels, subsets)
-    masks = _masks(sweep.members, sweep.bounds)
+    # bit m set for member m; the padding index L sets bit L, masked off
+    masks = functools.reduce(np.bitwise_or, (1 << sweep.members).T) & ((1 << L) - 1)
     row = np.zeros(1 << L, dtype=int)
     row[masks] = np.arange(len(subsets))
     rot = row[_rotations(masks, L)]  # rot[k, i]: the row of subset i's k-th rotation
-    size = np.diff(sweep.bounds)
+    size = sweep.size
     per = size * L
     counts = [math.comb(L, r) for r in sizes]
     ends = np.cumsum(counts)
@@ -593,9 +606,10 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
         deltas = _all_subsets(L, range(1, L + 1))
     else:
         deltas = [_check_subset(d, L) for d in listed(deltas, "deltas", "subsets")]
-    members, bounds = _pairs(deltas)
-    inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
-    inc[np.repeat(np.arange(len(deltas)), np.diff(bounds)), members] = True
+    members, _ = _member_matrix(deltas, L)
+    inc = np.zeros((len(deltas), L + 1), dtype=bool)
+    inc[np.arange(len(deltas))[:, None], members] = True
+    inc = inc[:, :L]  # inc[delta, i]: branch i lies in delta
     pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
     sweep, peaks = _singletons(channels, tol)
     sups = _suprema(peaks)
@@ -656,7 +670,7 @@ def _fill_subsets(inc, q, sups, pair) -> tuple[list, list, list]:
     value of each pair of members of some delta (+inf elsewhere).
     """
     c_delta = np.empty(len(inc))
-    rows = max(1, _FILL_BLOCK // inc.shape[1] ** 2)  # deltas per block
+    rows = max(1, _BLOCK // inc.shape[1] ** 2)  # deltas per block
     for s in range(0, len(inc), rows):
         b = inc[s:s + rows]
         c_delta[s:s + rows] = np.where(b[:, :, None] & b[:, None, :], pair, np.inf).min(axis=(1, 2))

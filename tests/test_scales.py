@@ -4,7 +4,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -131,6 +130,13 @@ def test_scale_validation():
         with pytest.raises(ValidationError):
             scales.maximize_subsets([0.1, 0.4], subsets)
     assert scales.maximize_subsets([0.1, 0.4], []) == {}
+
+
+def test_random_report_of_no_deltas():
+    # an empty list of deltas gives an empty table, beside the branch suprema
+    report = compute_random_scale_report((0.1, 0.4), (0.5, 0.5), deltas=[])
+    assert report.per_subset == {}
+    assert report.per_branch_suprema == tuple(per_branch_suprema((0.1, 0.4)))
 
 
 def test_pair_capacity_and_average():
@@ -315,16 +321,16 @@ def work_counts(monkeypatch):
 
 @pytest.fixture
 def combined_shapes(monkeypatch):
-    """The shape of each sum of scan rows a sweep's _combined returns, in call order."""
-    combined = scales._Sweep._combined
+    """The shape of each sum of member rows that _combined returns, in call order."""
+    combined = scales._combined
     shapes = []
 
-    def counted(sweep, rows, members):
-        out = combined(sweep, rows, members)
+    def counted(rows, members, at, width):
+        out = combined(rows, members, at, width)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(scales._Sweep, "_combined", counted)
+    monkeypatch.setattr(scales, "_combined", counted)
     return shapes
 
 
@@ -358,13 +364,13 @@ def test_work_ceilings_of_reports(work_counts):
 
 
 def test_work_ceiling_of_the_scan(combined_shapes):
-    # each subset of two or more spread damping branches sums its members'
-    # scan rows over at most 20 of the 257 columns, between the rows' peaks
+    # every subset of spread damping branches, single ones too, sums its
+    # members' scan rows over the same 20 of the 257 columns, between the
+    # rows' peaks, in one sum over the member matrix
     L = 10
     subsets = scales._all_subsets(L, range(1, L + 1))
     scales._Sweep(scales._as_channels(list(np.linspace(0.05, 0.9, L))), subsets)
-    assert sum(rows for rows, _ in combined_shapes) == len(subsets) - L
-    assert max(width for _, width in combined_shapes) <= 20
+    assert combined_shapes == [(len(subsets), 20)]
 
 
 def test_work_ceiling_of_the_bounds(combined_shapes):
@@ -378,6 +384,51 @@ def test_work_ceiling_of_the_bounds(combined_shapes):
     combined_shapes.clear()
     sweep.bounds_of_maxima()
     assert combined_shapes == [(len(subsets), 5), (len(subsets), 3)]
+
+
+def test_work_ceiling_of_the_quartic_peaks(monkeypatch):
+    # each subset's quartic peak is computed once per sweep: the bounds read
+    # it for their middle column, and each refined lane starts at it, bit
+    # for bit
+    calls, starts = [], []
+    quartic = scales._quartic_peak
+    maximize = scales.maximize_concave_1d
+
+    def counted(F):
+        calls.append(quartic(F))
+        return calls[-1]
+
+    def recorded(f, lo, hi, tol, start):
+        starts.append(start)
+        return maximize(f, lo, hi, tol, start)
+
+    monkeypatch.setattr(scales, "_quartic_peak", counted)
+    monkeypatch.setattr(scales, "maximize_concave_1d", recorded)
+    refine = scales._Sweep.refine
+    refined = []
+
+    def recorded_refine(sweep, lanes, tol):
+        refined.append((len(calls), sweep, lanes))
+        return refine(sweep, lanes, tol)
+
+    monkeypatch.setattr(scales._Sweep, "refine", recorded_refine)
+    gammas = list(np.linspace(0.05, 0.9, 8))
+    # only a report of three or more branches takes bounds, before its refine
+    for report, bounded in (
+        (lambda: compute_capacity_report(gammas), True),
+        (lambda: compute_capacity_report(gammas[:2]), False),
+        (lambda: compute_random_scale_report(gammas[:6], [1 / 6] * 6), False),
+    ):
+        for log in (calls, starts, refined):
+            log.clear()
+        report()
+        assert len(calls) == 1
+        [(before, sweep, lanes)], [start] = refined, starts
+        assert before == bounded
+        step = scales._SCAN[1] - scales._SCAN[0]
+        expected = scales._SCAN[sweep.centre[lanes]] + calls[0][lanes] * step
+        assert np.array_equal(start, expected, equal_nan=True)
+        assert np.array_equal(sweep.centre, np.clip(sweep.k, 2, len(scales._SCAN) - 3))
 
 
 def fine_windows(sweep):
@@ -680,7 +731,7 @@ def test_sweep_window_keeps_each_first_argmax(combined_shapes):
         # curves below the kernel's rounding, whose rows are not unimodal
         [1.0 - 7 * 2.0**-52, 1.0 - 16 * 2.0**-52],
     ]
-    sums, widths = [], []
+    sums, widths, flat_only = [], [], []
     for branches in families:
         L = len(branches)
         subsets = scales._all_subsets(L, range(1, L + 1))
@@ -690,18 +741,21 @@ def test_sweep_window_keeps_each_first_argmax(combined_shapes):
             assert k == functools.reduce(np.add, (sweep.scan[i] for i in s)).argmax()
         sums.append([rows for rows, _ in combined_shapes])
         widths.append({width for _, width in combined_shapes})
-    # one sum per size group of two or more; the flat pair of damping 1 and
-    # depolarizing 1 sums to 0 in every column, so its window's first column
-    # ties the one before it, and that pair alone is summed again, whole
-    expected = [[math.comb(L, r) for r in range(2, L + 1)] for L in map(len, families)]
-    expected[1].insert(1, 1)
+        flat_only.append(sum(set(s) <= {0, 5} for s in subsets))
+    # one sum over every subset; the rows of damping 1 and depolarizing 1
+    # are 0 in every column, so in the subsets of those two only, the flat
+    # pair and its single members, the window's first column ties the one
+    # before it, and those three alone are summed again, whole
+    expected = [[2**L - 1] for L in map(len, families)]
+    expected[1].append(flat_only[1])
+    assert flat_only[1] == 3
     assert sums == expected
     assert len(scales._SCAN) in widths[1]
     # depolarizing rows rise to the scan point 1/2 and fall after it
     assert widths[3] == {2}
     # the first argmax of the noise rows' sum lies 6 columns below both
     # rows' first maxima, outside the span of the maxima
-    assert sweep.scan.argmax(axis=1).min() - sweep.k[-1] == 6
+    assert sweep.scan[:-1].argmax(axis=1).min() - sweep.k[-1] == 6  # less the zero row
 
 
 def test_sweep_window_ties_take_the_whole_row(monkeypatch, combined_shapes):
@@ -710,7 +764,8 @@ def test_sweep_window_ties_take_the_whole_row(monkeypatch, combined_shapes):
     # [95, 200]. The window is [99, 100], where a + b rounds to 1.25 in both
     # columns: its first argmax, column 99, may tie with the column before
     # the window, so the pair is summed again over the whole row, whose first
-    # argmax is column 97.
+    # argmax is column 97. b alone also ties at column 99 and is summed
+    # again, whole, to its first argmax, column 95.
     j = np.arange(len(scales._SCAN), dtype=float)
     a = 0.25 - 1e-3 * (np.maximum(97 - j, 0) + np.maximum(j - 100, 0))
     a[100] = np.nextafter(0.25, 1.0)
@@ -719,7 +774,7 @@ def test_sweep_window_ties_take_the_whole_row(monkeypatch, combined_shapes):
     monkeypatch.setattr(scales._Sweep, "_curves", lambda sweep, grid: np.stack([a, b]))
     sweep = scales._Sweep(scales._as_channels([0.1, 0.2]), [(0,), (1,), (0, 1)])
     assert list(sweep.k) == [100, 95, 97]
-    assert combined_shapes == [(1, 2), (1, len(scales._SCAN))]
+    assert combined_shapes == [(3, 2), (2, len(scales._SCAN))]
 
 
 def concave_rows(rng):
@@ -912,8 +967,8 @@ def test_every_search_bracket_holds_its_best_point(monkeypatch):
 
 
 def test_memory_ceiling_of_reports():
-    # the sweep combines the curves of one subset size at a time, over the
-    # scan columns between the rows' peaks (20 of 257 on the spread family);
+    # the sweep combines the curves of one block of subsets at a time, over
+    # the scan columns between the rows' peaks (20 of 257 on the spread family);
     # a table of curves with a row per subset (4095 rows at L = 12) would not fit
     gammas = [float(g) for g in np.linspace(0.05, 0.9, 12)]
     alternating = [
