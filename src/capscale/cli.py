@@ -292,9 +292,7 @@ def cmd_simulate(args, mc, tol):
             raise ValidationError("--subset requires exactly one rate")
         strategy = simulate.Strategy(_parse_indices(args.subset, "--subset"), rates[0])
         res = simulate.run_trials(mc, strategy, args.trials, args.seed, tol)
-        rows = [simulate.StaircaseRow(rates[0], res.strategy.subset, res.q_subset,
-                                      res.theoretical_error, res.empirical_error,
-                                      res.n_trials, res.seed)]
+        rows = [simulate.StaircaseRow.from_result(res)]
     header = [f.name for f in dataclasses.fields(simulate.StaircaseRow)]
     return header, [dataclasses.astuple(row) for row in rows]
 

@@ -48,11 +48,10 @@ _PRUNE_PAD = 1e-12
 _SCAN = np.linspace(1e-9, 1.0 - 1e-9, 257)
 
 # Grid of the prune's bounds, _FINE steps per scan step. A subset's bounds
-# come from three points of this grid about its peak, or, where the middle
-# one is below a neighbour, from the _WINDOW points around its bracket.
+# come from three points of this grid about its peak; where the middle one
+# is below a neighbour, it has no upper bound and is refined.
 _FINE = 16
 _FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
-_WINDOW = 4 * _FINE + 1
 
 # (subset, member) pairs per call of the Holevo kernel's jet in a refine: the
 # kernel's dozen temporaries then stay near 1 MiB, whatever the lane count.
@@ -143,32 +142,22 @@ class _Sweep:
     def bounds_of_maxima(self):
         """Lower and upper bounds on each subset's combined curve's maximum, shape (2, subsets).
 
-        They come from the curves on _FINE_GRID, evaluated once per branch over
-        the span of the subsets' windows: each subset's window is the _WINDOW
-        columns that hold its bracket (shifted inside the grid at its ends).
-        A subset's summed curve is read at three columns of its window: the
-        column nearest its quartic peak (k's where the quartic has none) and
-        its two neighbours. Where the middle column is not below either
-        neighbour, the summed curve, which is concave, peaks within a step of
-        it: _peak_bounds of the three columns then gives the middle value as
-        the lower bound, and the chords through it and each neighbour,
-        extended a step, give the upper bound. Any other subset takes
-        _peak_bounds of its whole window.
+        A subset's summed curve is read at three columns of _FINE_GRID: the
+        column nearest its quartic peak (k's where the quartic has none),
+        moved inside the grid at its ends, and its two neighbours. The
+        curves are evaluated once per branch over the span of those columns.
+        _peak_bounds of the three columns gives the bounds: where the middle
+        column is not below either neighbour, the summed curve, which is
+        concave, peaks within a step of it; any other subset gets +inf as
+        its upper bound, so the prune keeps it and the refine settles it.
         """
-        start = np.clip(_FINE * (self.k - 2), 0, len(_FINE_GRID) - _WINDOW)
-        first = start.min()
-        fine = _with_zero_row(self._curves(_FINE_GRID[first:start.max() + _WINDOW]))
         # the fine column nearest the quartic's peak, or k's where it has none
         offset = np.where(np.isnan(self.peak), self.k - self.centre, self.peak)
         mid = _FINE * self.centre + np.rint(_FINE * offset).astype(int)
-        mid = np.clip(mid, start + 1, start + _WINDOW - 2)  # inside the window
-        three = _combined(fine, self.members, mid - 1 - first, 3)
-        out = _peak_bounds(three)
-        whole = np.flatnonzero(~(three[:, 1] >= out[0]))  # the middle is below a neighbour
-        if len(whole):
-            at = start[whole] - first
-            out[:, whole] = _peak_bounds(_combined(fine, self.members[whole], at, _WINDOW))
-        return out
+        mid = mid.clip(1, len(_FINE_GRID) - 2)
+        first = mid.min() - 1
+        fine = _with_zero_row(self._curves(_FINE_GRID[first:mid.max() + 2]))
+        return _peak_bounds(_combined(fine, self.members, mid - 1 - first, 3))
 
     def refine(self, lanes, tol):
         """Refine the brackets of the subsets at lanes in one lockstep search.
@@ -286,19 +275,19 @@ def _newton_sum(a, jet, starts):
 
 
 def _peak_bounds(F) -> np.ndarray:
-    """Lower and upper bounds on the maxima of concave curves sampled on the rows of F.
+    """Lower and upper bounds on the maxima of concave curves sampled at the three columns of F.
 
-    The lower bound is a row's largest sample, at j. Let c be j, moved one
-    sample inward at a row end; the row's maximum lies within a step of c.
-    On the step right of c the curve lies below the chord through samples
-    c-1 and c, extended, so below 2 F[c] - F[c-1]; on the step left of c,
-    below 2 F[c] - F[c+1]. The upper bound is the larger of the two, so a
-    flat row gets upper == lower. Returns shape (2, rows).
+    The lower bound is a row's largest sample. Where that is its middle
+    sample, the row's maximum lies within a step of it. On the step right
+    of it the curve lies below the chord through the left and middle
+    samples, extended, so below 2 F[1] - F[0]; on the step left of it,
+    below 2 F[1] - F[2]. The upper bound is the larger of the two, so a
+    flat row gets upper == lower. Any other row's upper bound is +inf.
+    Returns shape (2, rows).
     """
-    rows, j = np.arange(len(F)), F.argmax(axis=1)
-    c = np.clip(j, 1, F.shape[1] - 2)
-    left, mid, right = F[rows, c - 1], F[rows, c], F[rows, c + 1]
-    return np.stack([F[rows, j], 2.0 * mid - np.minimum(left, right)])
+    left, mid, right = F.T
+    lower = F.max(axis=1)
+    return np.stack([lower, np.where(mid >= lower, 2.0 * mid - np.minimum(left, right), np.inf)])
 
 
 def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
@@ -470,12 +459,12 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
 
     A size-r subset's rate is the sum of its L rotations' maxima over rL.
     Each summed curve is concave, so its samples on a grid 16 times finer
-    than the scan bound its maximum from below (a sample at its peak) and
-    from above (from the three samples about it, see
-    _Sweep.bounds_of_maxima);
-    a subset's rate bounds are its rotations' bounds summed over rL. At a
-    level with 1 < r < L, a subset is refined only if its upper rate plus
-    _PRUNE_PAD reaches the level's best lower rate less _TIE_EPS; the
+    than the scan bound its maximum from below (a sample near its peak) and,
+    where the middle of the three samples about the peak is the highest,
+    from above (see _Sweep.bounds_of_maxima; the upper bound is +inf
+    elsewhere); a subset's rate bounds are its rotations' bounds summed over
+    rL. At a level with 1 < r < L, a subset is refined only if its upper
+    rate plus _PRUNE_PAD reaches the level's best lower rate less _TIE_EPS; the
     singletons (the per-branch suprema) and the full set are always
     refined. One lockstep search refines the rotations of the kept subsets.
     A pruned subset must then lie more than _TIE_EPS below its level's best

@@ -185,6 +185,13 @@ class StaircaseRow:
     n_trials: int
     seed: int
 
+    @classmethod
+    def from_result(cls, res: SimResult) -> StaircaseRow:
+        """The row of a simulation: its strategy's rate and subset, its errors and its draws."""
+        strategy = res.strategy
+        return cls(strategy.rate, strategy.subset, res.q_subset, res.theoretical_error,
+                   res.empirical_error, res.n_trials, res.seed)
+
 
 def _best_subset_for_rate(rate, rated):
     """The first (subset, rate, probability) of rated, in report order, of the
@@ -221,9 +228,6 @@ def empirical_staircase(
             continue
         subset, value, q = pick
         res = _draw_trials(mc, Strategy(subset, rate), value, q, n_trials, seed + i)
-        rows.append(
-            StaircaseRow(rate, subset, q, res.theoretical_error, res.empirical_error,
-                         n_trials, seed + i)
-        )
+        rows.append(StaircaseRow.from_result(res))
     return rows
 

@@ -77,6 +77,8 @@ def test_channel_parameter_validation():
             QubitChannel.amplitude_damping(value)
         with pytest.raises(ValidationError):
             QubitChannel.depolarizing(value)
+    with pytest.raises(ValidationError, match="unknown channel kind 'bogus'"):
+        QubitChannel(kind="bogus")
 
 
 def test_kraus_factory_checks_completeness():
@@ -183,6 +185,8 @@ def test_memory_channel_validation():
         MemoryChannel.periodic(None)
     with pytest.raises(ValidationError, match="branches must be a sequence"):
         MemoryChannel.random(None, [0.5, 0.5])
+    with pytest.raises(ValidationError, match="branches must be QubitChannel instances"):
+        MemoryChannel.periodic([0.3])
     with pytest.raises(ValidationError, match="unknown memory kind 'markov'"):
         MemoryChannel(branches=tuple(branches), memory="markov")
     # Kraus branches: not a list, entries that are not numbers, a ragged op

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import capscale.optim as optim
 import capscale.scales as scales
 import oracles
 from capscale import (
@@ -163,6 +164,21 @@ def test_golden_section_lockstep_nan_lane_raises():
             maximize_concave_1d(f, np.zeros(3), np.ones(3))
     with pytest.raises(ValidationError):
         maximize_concave_1d(quad, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+
+
+def test_golden_section_stops_at_its_iteration_cap(monkeypatch):
+    # no proposals: the search halves its bracket, about 30 steps at tol 1e-10
+    def halving(x):
+        v, s, _ = quadratic(0.3)(x)
+        return v, s, np.full(x.shape, np.nan)
+
+    steps = maximize_concave_1d(halving, 0.0, 1.0, tol=1e-10).iterations
+    assert steps > 20
+    monkeypatch.setattr(optim, "_MAX_ITER", steps)
+    assert maximize_concave_1d(halving, 0.0, 1.0, tol=1e-10).iterations == steps
+    monkeypatch.setattr(optim, "_MAX_ITER", steps - 1)
+    with pytest.raises(NumericalError, match="^slope-bracketed search failed to converge$"):
+        maximize_concave_1d(halving, 0.0, 1.0, tol=1e-10)
 
 
 def test_golden_section_start_is_the_first_centre():

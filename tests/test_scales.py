@@ -15,6 +15,7 @@ import capscale.scales as scales
 import oracles
 from capscale import (
     MemoryChannel,
+    NumericalError,
     QubitChannel,
     ScaleEntry,
     Strategy,
@@ -431,29 +432,70 @@ def test_work_ceiling_of_the_quartic_peaks(monkeypatch):
         assert np.array_equal(sweep.centre, np.clip(sweep.k, 2, len(scales._SCAN) - 3))
 
 
-def fine_windows(sweep):
-    """Each subset's in-order sum of its members' curves on the _WINDOW columns of its window."""
-    start = np.clip(scales._FINE * (sweep.k - 2), 0, len(scales._FINE_GRID) - scales._WINDOW)
-    first = start.min()
-    fine = sweep._curves(scales._FINE_GRID[first:start.max() + scales._WINDOW])
-    for s, c in zip(sweep.subsets, start - first):
-        yield functools.reduce(np.add, (fine[i, c:c + scales._WINDOW] for i in s))
+def test_report_self_checks_raise(monkeypatch):
+    # each check of compute_capacity_report, against levels moved to fail it
+    gammas = [0.1, 0.4, 0.7]
+    report = compute_capacity_report(gammas)
+    top, bottom = report.scale[3].value + 1e-6, report.scale[1].value - 1e-6
+    scale_levels = scales._scale_levels
+    for r, value, message in (
+        (3, top, f"full-size scale level {top!r} disagrees with capacity {report.cp!r}"),
+        (1, bottom, f"size-one scale level {bottom!r} disagrees with branch average {report.cbar!r}"),
+        (2, report.scale[1].value + 2e-9, "scale increased from r=1 to r=2"),
+    ):
+        def moved(channels, sizes, tol, r=r, value=value):
+            scale, found = scale_levels(channels, sizes, tol)
+            scale[r] = dataclasses.replace(scale[r], value=value)
+            return scale, found
+
+        monkeypatch.setattr(scales, "_scale_levels", moved)
+        with pytest.raises(NumericalError) as raised:
+            compute_capacity_report(gammas)
+        assert str(raised.value) == message
 
 
-def test_bounds_fall_back_to_the_whole_window(monkeypatch, combined_shapes):
-    # a middle column two fine steps off the quartic's peak lies below the
-    # neighbour toward the maximizer, so its subset takes _peak_bounds of
-    # its whole window, bit for bit
-    quartic = scales._quartic_peak
-    monkeypatch.setattr(scales, "_quartic_peak", lambda F: quartic(F) + 2.0 / scales._FINE)
+def fine_threes(sweep, peak):
+    """Each subset's in-order sum of its members' curves at its middle fine column and beside it."""
+    offset = np.where(np.isnan(peak), sweep.k - sweep.centre, peak)
+    mid = scales._FINE * sweep.centre + np.rint(scales._FINE * offset).astype(int)
+    fine = sweep._curves(scales._FINE_GRID)
+    for s, m in zip(sweep.subsets, mid.clip(1, len(scales._FINE_GRID) - 2)):
+        yield functools.reduce(np.add, (fine[i, m - 1:m + 2] for i in s))
+
+
+def test_bounds_leave_unpeaked_subsets_unbounded(monkeypatch, combined_shapes):
+    # the bounds read a quartic peak moved two fine steps: the middle column
+    # then lies below the neighbour toward the maximizer, so its subset gets
+    # no upper bound and its three columns' maximum, bit for bit, as its
+    # lower bound; the prune keeps it, and the report's levels keep their bits
+    shift = 2.0 / scales._FINE
+    bounds_of_maxima = scales._Sweep.bounds_of_maxima
+
+    def shifted(sweep):  # the refine still starts at the unmoved peak
+        peak = sweep.peak
+        sweep.peak = peak + shift
+        try:
+            return bounds_of_maxima(sweep)
+        finally:
+            sweep.peak = peak
+
     L = 10
+    gammas = list(np.linspace(0.05, 0.9, L))
     subsets = scales._all_subsets(L, range(1, L + 1))
-    sweep = scales._Sweep(scales._as_channels(list(np.linspace(0.05, 0.9, L))), subsets)
+    sweep = scales._Sweep(scales._as_channels(gammas), subsets)
     combined_shapes.clear()
-    bounds = sweep.bounds_of_maxima()
-    assert combined_shapes == [(len(subsets), 5), (len(subsets), 3), (len(subsets), scales._WINDOW)]
-    for window, (lower, upper) in zip(fine_windows(sweep), bounds.T):
-        assert [[lower], [upper]] == scales._peak_bounds(window[None]).tolist()
+    bounds = shifted(sweep)
+    assert combined_shapes == [(len(subsets), 5), (len(subsets), 3)]
+    unpeaked = 0
+    for three, (lower, upper) in zip(fine_threes(sweep, sweep.peak + shift), bounds.T):
+        assert lower == three.max()
+        if three[1] < three[[0, 2]].max():
+            unpeaked += 1
+            assert upper == np.inf
+    assert unpeaked == len(subsets)  # every subset, on these spread damping curves
+    levels = compute_capacity_report(gammas).scale
+    monkeypatch.setattr(scales._Sweep, "bounds_of_maxima", shifted)
+    assert compute_capacity_report(gammas).scale == levels
 
 
 def test_bounds_hold_where_the_quartic_can_miss():
@@ -702,12 +744,15 @@ def test_sweep_combines_members_in_order():
         scan = sweep._curves(scales._SCAN)
         for s, k in zip(subsets, sweep.k):
             assert k == functools.reduce(np.add, (scan[i] for i in s)).argmax()
-        start = np.clip(scales._FINE * (sweep.k - 2), 0, len(scales._FINE_GRID) - scales._WINDOW)
+        # the lower bound is the maximum of each subset's summed curve on the
+        # 65 fine columns about its bracket
+        width = 4 * scales._FINE + 1
+        start = np.clip(scales._FINE * (sweep.k - 2), 0, len(scales._FINE_GRID) - width)
         first = start.min()
-        fine = sweep._curves(scales._FINE_GRID[first:start.max() + scales._WINDOW])
+        fine = sweep._curves(scales._FINE_GRID[first:start.max() + width])
         lower, _ = sweep.bounds_of_maxima()
         for s, c, low in zip(subsets, start - first, lower):
-            window = (fine[i, c:c + scales._WINDOW] for i in s)
+            window = (fine[i, c:c + width] for i in s)
             assert low == functools.reduce(np.add, window).max()
     branches = [0.1, 0.4, 0.7]
     mixed = [(0, 2), (1,), (0, 1, 2), (0, 2)]
@@ -778,51 +823,56 @@ def test_sweep_window_ties_take_the_whole_row(monkeypatch, combined_shapes):
 
 
 def concave_rows(rng):
-    """Random concave rows on unit-spaced samples, each with its maximum over the row's range."""
-    for n in (3, 4, 5, 9, 65):
-        x = np.arange(n, dtype=float)
-        for _ in range(200):
-            # the minimum of lines: its maximum is at an end or where two lines cross
-            slope, icept = rng.normal(size=(2, rng.integers(1, 5)))
-            slope *= rng.choice([0.1, 1.0, 10.0])
-            i, j = np.triu_indices(len(slope), 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cross = (icept[j] - icept[i]) / (slope[i] - slope[j])
-            at = np.concatenate([[0.0, n - 1.0], cross[(cross >= 0.0) & (cross <= n - 1.0)]])
-            yield (
-                (slope * x[:, None] + icept).min(axis=1),
-                (slope * at[:, None] + icept).min(axis=1).max(),
-            )
-            # -s |x - x*|^p, p >= 1, peaking inside the row or outside it
-            peak, s, p = rng.uniform(-3.0, n + 2.0), rng.uniform(0.01, 10.0), rng.uniform(1.0, 4.0)
-            yield -s * np.abs(x - peak) ** p, -s * abs(np.clip(peak, 0.0, n - 1.0) - peak) ** p
-            yield np.full(n, icept[0]), icept[0]
+    """Random concave rows of three unit-spaced samples, each with its maximum on [0, 2]."""
+    x = np.arange(3.0)
+    for _ in range(1000):
+        # the minimum of lines: its maximum is at an end or where two lines cross
+        slope, icept = rng.normal(size=(2, rng.integers(1, 5)))
+        slope *= rng.choice([0.1, 1.0, 10.0])
+        i, j = np.triu_indices(len(slope), 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (icept[j] - icept[i]) / (slope[i] - slope[j])
+        at = np.concatenate([[0.0, 2.0], cross[(cross >= 0.0) & (cross <= 2.0)]])
+        yield (slope * x[:, None] + icept).min(axis=1), (slope * at[:, None] + icept).min(axis=1).max()
+        # -s |x - x*|^p, p >= 1, peaking inside the row or outside it
+        peak, s, p = rng.uniform(-3.0, 5.0), rng.uniform(0.01, 10.0), rng.uniform(1.0, 4.0)
+        yield -s * np.abs(x - peak) ** p, -s * abs(np.clip(peak, 0.0, 2.0) - peak) ** p
+        yield np.full(3, icept[0]), icept[0]
 
 
 def test_peak_bounds_hold_on_concave_rows():
+    peaked = 0
     for F, top in concave_rows(np.random.default_rng(18)):
         (lower,), (upper,) = scales._peak_bounds(F[None])
         assert lower == F.max()
-        assert upper >= top - 1e-12 * (1.0 + abs(top))
-        if np.all(F == F[0]):
-            assert upper == lower
+        if F[1] == F.max():
+            peaked += 1
+            assert upper >= top - 1e-12 * (1.0 + abs(top))
+            if np.all(F == F[0]):
+                assert upper == lower
+        else:
+            assert upper == np.inf
+    assert 1000 < peaked < 3000
 
 
 def test_peak_bounds_are_tight_on_quadratic_peaks():
-    # -c (x - x*)^2 on 65 unit-spaced samples: the bound exceeds the maximum
-    # over the row by at most 1.75 c once x* is a sample or more inside the
-    # row, and by at most 2 c wherever x* is
-    x = np.arange(65.0)
+    # -c (x - x*)^2 on three unit-spaced samples: the middle one is the
+    # highest where x* is within half a step of it, and there the bound
+    # exceeds the maximum by at most 1.75 c; elsewhere there is no bound
+    x = np.arange(3.0)
     for c in (1e-6, 1.0, 3.0):
-        peak = np.linspace(-3.0, 67.0, 1401)
+        peak = np.linspace(-3.0, 5.0, 1601)
         F = -c * (x - peak[:, None]) ** 2
-        top = -c * (np.clip(peak, 0.0, 64.0) - peak) ** 2
+        top = -c * (np.clip(peak, 0.0, 2.0) - peak) ** 2
         lower, upper = scales._peak_bounds(F)
         assert np.all(lower == F.max(axis=1))
-        gap = (upper - top) / c
+        peaked = F[:, 1] == lower
+        assert np.all(peaked[np.abs(peak - 1.0) < 0.5 - 1e-9])
+        assert not np.any(peaked[np.abs(peak - 1.0) > 0.5 + 1e-9])
+        gap = (upper[peaked] - top[peaked]) / c
         assert np.all(gap >= -1e-9)
-        assert gap[(peak >= 1.0) & (peak <= 63.0)].max() <= 1.75 + 1e-9
-        assert gap.max() <= 2.0 + 1e-9
+        assert 1.7 <= gap.max() <= 1.75 + 1e-9
+        assert np.all(upper[~peaked] == np.inf)
 
 
 def x_damping(gamma):
