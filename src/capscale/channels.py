@@ -1,8 +1,9 @@
 """Qubit channel models and memory-channel constructions.
 
 A ``QubitChannel`` is one CPT map (amplitude damping, depolarizing, or an
-explicit Kraus list), given by its Kraus operators; the library computes
-on its Bloch-affine map ``bloch_map``. A ``MemoryChannel`` bundles L
+explicit Kraus list); the library computes on its Bloch-affine map
+``bloch_map``, in closed form for amplitude damping and from the Kraus
+operators for the other kinds. A ``MemoryChannel`` bundles L
 branch maps with one of the two classical memory laws of the scale of
 capacities: periodic cycling from a uniformly random offset, or one
 branch per message drawn with probabilities q.
@@ -14,7 +15,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,14 +84,30 @@ def check_integer(value, what) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _unit_interval(value, name) -> float:
+    """value as a float in [0, 1], by the channel-file number rule."""
+    value = check_number(value, name)
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
+def _check_completeness(dev) -> None:
+    if dev > COMPLETENESS_TOL:
+        raise ValidationError(f"Kraus completeness violated: |sum K†K - I| = {dev:.3e}")
+
+
 # Channels hold arrays, so both channel classes compare and hash by identity.
 @dataclass(frozen=True, eq=False)
 class QubitChannel:
     """A CPT map on qubit states.
 
-    Use the factory constructors; on construction every Kraus entry must
-    be finite and the completeness sum K†K = I is checked to 1e-10, for
-    every kind.
+    The factory constructors and direct construction check the same rules:
+    the parameter is a real number in [0, 1], Kraus operators are a
+    nonempty list of finite 2x2 numbers, and the completeness sum K†K = I
+    holds to 1e-10, for every kind. The Bloch map ``bloch_map`` is computed
+    on construction: in closed form for amplitude damping, from the Kraus
+    operators for every other kind.
     """
 
     kind: str
@@ -101,49 +117,60 @@ class QubitChannel:
 
     @classmethod
     def amplitude_damping(cls, gamma: float) -> "QubitChannel":
-        gamma = check_number(gamma, "gamma")
-        if not 0.0 <= gamma <= 1.0:
-            raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
         return cls(kind="amplitude_damping", gamma=gamma)
 
     @classmethod
     def depolarizing(cls, p: float) -> "QubitChannel":
-        p = check_number(p, "p")
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"p must be in [0, 1], got {p!r}")
         return cls(kind="depolarizing", p=p)
 
     @classmethod
     def kraus(cls, ops) -> "QubitChannel":
-        ops = listed(ops, "kraus ops", "2x2 operators")
-        ops = tuple(check_numbers(k, "a kraus op", complex) for k in ops)
-        if not ops or any(k.shape != (2, 2) for k in ops):
-            raise ValidationError("kraus kind needs a nonempty list of 2x2 operators")
         return cls(kind="kraus", kraus_ops=ops)
 
     def __post_init__(self):
-        if self.kind not in ("amplitude_damping", "depolarizing", "kraus"):
+        if self.kind == "amplitude_damping":
+            gamma = _unit_interval(self.gamma, "gamma")
+            object.__setattr__(self, "gamma", gamma)
+            # the Kraus entries sqrt(1 - γ) and sqrt(γ) (see kraus_operators)
+            s, r = math.sqrt(1.0 - gamma), math.sqrt(gamma)
+            _check_completeness(abs(s * s + r * r - 1.0))
+            # the Pauli-transfer products of those entries, added in the
+            # einsum's order, so the map has the Kraus route's bits
+            M = np.diag([s, s, 0.5 * ((1.0 + s * s) - r * r)])
+            t = np.array([0.0, 0.0, 0.5 * ((1.0 - s * s) + r * r)])
+            object.__setattr__(self, "_bloch_map", (M, t))
+            return
+        if self.kind == "depolarizing":
+            object.__setattr__(self, "p", _unit_interval(self.p, "p"))
+        elif self.kind == "kraus":
+            ops = listed(self.kraus_ops, "kraus ops", "2x2 operators")
+            ops = tuple(check_numbers(k, "a kraus op", complex) for k in ops)
+            if not ops or any(k.shape != (2, 2) for k in ops):
+                raise ValidationError("kraus kind needs a nonempty list of 2x2 operators")
+            object.__setattr__(self, "kraus_ops", ops)
+        else:
             raise ValidationError(f"unknown channel kind {self.kind!r}")
-        ops = kraus_operators(self)
-        if not all(np.all(np.isfinite(k)) for k in ops):
+        ops = np.array(kraus_operators(self))
+        if not np.all(np.isfinite(ops)):
             raise ValidationError("Kraus operators have non-finite entries")
-        comp = sum(k.conj().T @ k for k in ops)
-        dev = np.abs(comp - _I2).max()
-        if dev > COMPLETENESS_TOL:
-            raise ValidationError(f"Kraus completeness violated: |sum K†K - I| = {dev:.3e}")
+        _check_completeness(np.abs(sum(k.conj().T @ k for k in ops) - _I2).max())
+        # the Pauli transfer matrix R_ij = tr(σ_i Φ(σ_j)) / 2, with σ_0 = I
+        R = 0.5 * np.einsum("iab,kbc,jcd,kad->ij", _PAULI, ops, _PAULI, ops.conj()).real
+        object.__setattr__(self, "_bloch_map", (R[1:, 1:], R[1:, 0]))
 
-    @cached_property
+    @property
     def bloch_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Affine action on Bloch vectors, r -> M r + t, as the pair (M, t).
 
         Every qubit channel has this form (Ruskai, Szarek & Werner, Lin.
-        Alg. Appl. 347, 159 (2002)). Computed once per channel from the
-        Pauli transfer matrix R_ij = tr(σ_i Φ(σ_j)) / 2 with σ_0 = I:
-        t = R[1:, 0], M = R[1:, 1:].
+        Alg. Appl. 347, 159 (2002)). Computed once, on construction. For
+        amplitude damping, with s = sqrt(1 - γ) and r = sqrt(γ),
+        M = diag(s, s, (1 + s² - r²) / 2) and t = (0, 0, (1 - s² + r²) / 2).
+        For every other kind, from the Pauli transfer matrix of its Kraus
+        operators, R_ij = tr(σ_i Φ(σ_j)) / 2 with σ_0 = I: t = R[1:, 0],
+        M = R[1:, 1:].
         """
-        ops = np.array(kraus_operators(self))
-        R = 0.5 * np.einsum("iab,kbc,jcd,kad->ij", _PAULI, ops, _PAULI, ops.conj()).real
-        return R[1:, 1:], R[1:, 0]
+        return self._bloch_map
 
 
 def kraus_operators(ch: QubitChannel) -> list[np.ndarray]:

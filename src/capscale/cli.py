@@ -327,51 +327,57 @@ _COMMANDS = (
 )
 
 
-class _Commands(argparse._SubParsersAction):
-    """The subcommands of _COMMANDS, each listed with its help line.
-
-    A command's parser is built only when argparse dispatches to it, so a
-    run builds the top-level parser and the invoked command's, not all nine.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for name, help_text, *_ in _COMMANDS:
-            self._name_parser_map[name] = None  # the choices argparse checks
-            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help_text))
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        # argparse has checked that values[0] names a command
-        name, _, kinds, func, options = next(c for c in _COMMANDS if c[0] == values[0])
-        p = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}", allow_abbrev=False)
-        p.add_argument("--tol", type=float, default=1e-8, help="optimizer tolerance")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if kinds:
-            p.add_argument("channel", help="JSON channel description file")
-        for flag, kw in options.items():
-            p.add_argument(flag, **kw)
-        p.set_defaults(func=func, kinds=kinds)
-        self._name_parser_map[name] = p
-        super().__call__(parser, namespace, values, option_string)
+def _add_options(parser: argparse.ArgumentParser, command) -> None:
+    """Add one _COMMANDS entry's options, and its function and memory kinds as defaults."""
+    _, _, kinds, func, options = command
+    parser.add_argument("--tol", type=float, default=1e-8, help="optimizer tolerance")
+    parser.add_argument("--output", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if kinds:
+        parser.add_argument("channel", help="JSON channel description file")
+    for flag, kw in options.items():
+        parser.add_argument(flag, **kw)
+    parser.set_defaults(func=func, kinds=kinds)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The capscale parser; options must be spelled in full."""
+    """The full capscale parser, every command's included; options must be spelled in full."""
     parser = argparse.ArgumentParser(
         prog="capscale",
         description="Capacities and subset-rate scales of qubit channels with memory.",
         allow_abbrev=False,
     )
-    parser.register("action", "parsers", _Commands)
-    parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    commands = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for command in _COMMANDS:
+        name, help_text, *_ = command
+        _add_options(commands.add_parser(name, help=help_text, allow_abbrev=False), command)
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """argv parsed as build_parser() parses it, building one parser where that can.
+
+    When argv[0] names a command, that command's parser alone parses the
+    rest: with nothing left over it gives the full parser's namespace, and
+    its help and errors are the ones the full parser would print. The full
+    parser is built for everything else, and for arguments left over, which
+    the full parser reports against its own usage.
+    """
+    command = next((c for c in _COMMANDS if argv and c[0] == argv[0]), None)
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"capscale {command[0]}", allow_abbrev=False)
+        _add_options(parser, command)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = command[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Read the channel file, check --tol and the memory kind, run the command
     and write its table: every check before the command's own, in this order."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         mc = load_channel_config(args.channel) if args.kinds else None
         tol = _check_tol(args.tol)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,25 @@ def test_channel_parameter_validation():
             QubitChannel.depolarizing(value)
     with pytest.raises(ValidationError, match="unknown channel kind 'bogus'"):
         QubitChannel(kind="bogus")
+    # direct construction follows the factories' rules, with their messages
+    direct = [
+        (dict(kind="amplitude_damping", gamma=1.5), r"gamma must be in \[0, 1\], got 1.5"),
+        (dict(kind="amplitude_damping", gamma=np.nan), r"gamma must be in \[0, 1\], got nan"),
+        (dict(kind="amplitude_damping"), "gamma must be a number, got None"),
+        (dict(kind="amplitude_damping", gamma="0.3"), "gamma must be a number, got '0.3'"),
+        (dict(kind="depolarizing", p=-0.5), r"p must be in \[0, 1\], got -0.5"),
+        (dict(kind="depolarizing"), "p must be a number, got None"),
+        (dict(kind="kraus", kraus_ops=[np.eye(3)]), "nonempty list of 2x2 operators"),
+        (dict(kind="kraus"), "nonempty list of 2x2 operators"),
+        (dict(kind="kraus", kraus_ops=5), "kraus ops must be a sequence of 2x2 operators"),
+    ]
+    for kwargs, message in direct:
+        with pytest.raises(ValidationError, match=message):
+            QubitChannel(**kwargs)
+    # a Kraus op given as a list is an operator, as in the factory
+    identity = QubitChannel(kind="kraus", kraus_ops=[[[1, 0], [0, 1]]])
+    assert identity.bloch_map[0].tolist() == np.eye(3).tolist()
+    assert type(QubitChannel(kind="amplitude_damping", gamma=1).gamma) is float
 
 
 def test_kraus_factory_checks_completeness():
@@ -98,6 +119,58 @@ def test_kraus_factory_checks_completeness():
     # real and complex numbers and numeric arrays are
     for ops in ([[[1, 0], [0, 1.0]]], [[[1j, 0], [0, np.complex64(1j)]]], [np.eye(2, dtype=int)]):
         assert QubitChannel.kraus(ops).bloch_map[0].tolist() == np.eye(3).tolist()
+
+
+def test_damping_bloch_map_has_the_kraus_route_bits():
+    # the closed form adds the Pauli-transfer products in the einsum's order
+    gammas = [0.0, 1.0, 2.0**-1074, 1.0 - 2.0**-53]
+    gammas += np.random.default_rng(30).uniform(size=500).tolist()
+    for gamma in gammas:
+        ad = QubitChannel.amplitude_damping(gamma)
+        via_kraus = QubitChannel.kraus(kraus_operators(ad)).bloch_map
+        for closed, kraus in zip(ad.bloch_map, via_kraus):
+            assert (closed.dtype, closed.shape) == (kraus.dtype, kraus.shape)
+            assert closed.tobytes() == kraus.tobytes(), gamma
+
+
+def test_work_ceiling_of_branch_maps(monkeypatch, tmp_path):
+    # a damping branch's map is in closed form: no Kraus operators, no
+    # einsum, in construction and in whole damping-only commands
+    from capscale import channels, cli
+
+    calls = {"kraus_operators": 0, "einsum": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(channels, "kraus_operators", counted("kraus_operators", kraus_operators))
+    for gamma in (0.0, 0.3, 1.0):
+        QubitChannel.amplitude_damping(gamma)
+    QubitChannel(kind="amplitude_damping", gamma=0.5)
+    with monkeypatch.context() as m:
+        m.setattr(np, "einsum", counted("einsum", np.einsum))
+        QubitChannel.amplitude_damping(0.7)
+    assert calls == {"kraus_operators": 0, "einsum": 0}
+    branches = [{"type": "amplitude_damping", "gamma": g} for g in (0.1, 0.4, 0.8)]
+    for memory, run in (
+        ({"kind": "periodic"}, ["capacity"]),
+        ({"kind": "random", "q": [0.2, 0.3, 0.5]}, ["capacity"]),
+        ({"kind": "periodic"}, ["simulate", "--rate", "0.3,0.6", "--trials", "1000"]),
+        ({"kind": "random", "q": [0.2, 0.3, 0.5]}, ["simulate", "--rate", "0.3", "--trials", "1000"]),
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"branches": branches, "memory": memory}))
+        out = str(tmp_path / "out")
+        assert cli.main([run[0], str(path), *run[1:], "--output", out]) == 0
+    assert calls["kraus_operators"] == 0
+    # every other kind builds its map from its Kraus operators, once
+    QubitChannel.depolarizing(0.3)
+    QubitChannel.kraus([np.eye(2)])
+    assert calls["kraus_operators"] == 2
 
 
 def test_channels_compare_and_hash_by_identity():

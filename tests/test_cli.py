@@ -569,13 +569,18 @@ OWN_OPTIONS = {
 
 
 def test_each_subcommand_parses_its_own_options(capsys):
+    # through the full parser and through the path cli.main takes, which
+    # builds the invoked command's parser alone
+    full = cli.build_parser().parse_args
     common = {"--tol": ("1e-3", 1e-3), "--output": ("o.csv", "o.csv"), "--format": ("json", "json")}
     every = {flag for options in OWN_OPTIONS.values() for flag in options}
     for command, own in OWN_OPTIONS.items():
         files = [] if command == "ad-gap" else ["f.json"]
         options = {**common, **own}
         pairs = [t for flag, (text, _) in options.items() for t in (flag, text)]
-        args = cli.build_parser().parse_args([command, *files, *pairs])
+        argv = [command, *files, *pairs]
+        assert vars(cli.parse_args(argv)) == vars(full(argv))
+        args = cli.parse_args(argv)
         assert args.command == command
         if files:
             assert args.channel == files[0]
@@ -588,23 +593,25 @@ def test_each_subcommand_parses_its_own_options(capsys):
         required = ["--rate", "0.3"] if command == "simulate" else []
         prefixes = {flag[:n] for flag in options for n in range(3, len(flag))}
         for flag in sorted((every - set(own)) | prefixes):
-            capsys.readouterr()
-            with pytest.raises(SystemExit) as exc:
-                cli.build_parser().parse_args([command, *files, *required, flag, "1"])
-            assert exc.value.code == 2
-            assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 1\n")
+            for parse in (full, cli.parse_args):
+                capsys.readouterr()
+                with pytest.raises(SystemExit) as exc:
+                    parse([command, *files, *required, flag, "1"])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert err.endswith(f"error: unrecognized arguments: {flag} 1\n")
     # ad-gap takes no channel file
     with pytest.raises(SystemExit) as exc:
         cli.main(["ad-gap", "f.json"])
     assert exc.value.code == 2
 
-    parse = cli.build_parser().parse_args
-    args = parse(["simulate", "f.json", "--rate", "0.3"])
-    assert (args.tol, args.output, args.format) == (1e-8, None, "csv")
-    assert (args.subset, args.trials, args.seed) == (None, 100_000, 42)
-    assert parse(["scale", "f.json"]).r is None
-    assert parse(["random-scale", "f.json"]).delta is None
-    assert parse(["ad-gap"]).grid == 101
+    for parse in (full, cli.parse_args):
+        args = parse(["simulate", "f.json", "--rate", "0.3"])
+        assert (args.tol, args.output, args.format) == (1e-8, None, "csv")
+        assert (args.subset, args.trials, args.seed) == (None, 100_000, 42)
+        assert parse(["scale", "f.json"]).r is None
+        assert parse(["random-scale", "f.json"]).delta is None
+        assert parse(["ad-gap"]).grid == 101
 
 
 # stdout, stderr and exit code of cli.main on help and argparse-error argv,
@@ -653,18 +660,19 @@ def test_parser_bytes_as_recorded(monkeypatch, capsys):
 
 
 def test_parser_bytes_match_the_eager_parser(monkeypatch, capsys):
-    # on every Python version: building only the invoked command's parser
-    # prints what building them all did
+    # on every Python version: parsing with the invoked command's parser
+    # alone prints what parsing with every command's parser built did
     monkeypatch.setenv("COLUMNS", str(PARSER_BYTES["columns"]))
     argvs = [case["argv"] for case in PARSER_BYTES["cases"]]
     lazy = [main_bytes(argv, capsys) for argv in argvs]
-    monkeypatch.setattr(cli, "build_parser", eager_parser)
+    monkeypatch.setattr(cli, "parse_args", lambda argv: eager_parser().parse_args(argv))
     assert lazy == [main_bytes(argv, capsys) for argv in argvs]
 
 
-def test_a_run_builds_two_parsers(channel_files, tmp_path, monkeypatch):
-    # the top-level parser and the invoked command's; building every
-    # command's parser, and their shared parent, made ten
+def test_a_run_builds_one_parser(channel_files, tmp_path, monkeypatch):
+    # the invoked command's; building every command's parser, and their
+    # shared parent, made ten, and the top-level parser with the invoked
+    # command's made two
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -682,7 +690,7 @@ def test_a_run_builds_two_parsers(channel_files, tmp_path, monkeypatch):
     for argv in runs:
         built.clear()
         assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0
-        assert built == ["capscale", f"capscale {argv[0]}"]
+        assert built == [f"capscale {argv[0]}"]
 
 
 def test_kraus_channel_config_round_trip(tmp_path):
