@@ -77,16 +77,17 @@ class _Sweep:
     of the row of zeros appended to each table of branch curves (see
     _with_zero_row). So one in-order sum over the matrix's columns
     (_combined) serves every subset size, and each subset's sum keeps the
-    bits of adding its curves in member order. Curves are evaluated from
-    each branch's mirror_form, shape (6, branch), computed once. Each
-    branch's curve is evaluated once on the scan grid (scan, shape
-    (branch + 1, len(_SCAN)), the zero row last), and each subset's grid
-    argmax k of its summed scan rows, two steps to either side, brackets
-    its maximizer. The peak of the quartic through its five summed scan
-    samples about k, moved inside the grid at its ends (peak, in scan
-    steps from their middle column, centre; see _quartic_peak), is
-    computed once and places both the subset's bounds and its refine's
-    start.
+    bits of adding its curves in member order: the scan, the quartic
+    peaks, the bounds and the refine (over a table of kernel jets) all sum
+    through it. Curves are evaluated from each branch's mirror_form, shape
+    (6, branch), computed once. Each branch's curve is evaluated once on
+    the scan grid (scan, shape (branch + 1, len(_SCAN)), the zero row
+    last), and each subset's grid argmax k of its summed scan rows, two
+    steps to either side, brackets its maximizer. The peak of the quartic
+    through its five summed scan samples about k, moved inside the grid
+    at its ends (peak, in scan steps from their middle column, centre;
+    see _quartic_peak), is computed once and places both the subset's
+    bounds and its refine's start.
 
     Each subset's scan rows are summed only over the scan columns
     [start, end] where the first argmax of their in-order sum can lie,
@@ -165,29 +166,36 @@ class _Sweep:
         The slope-bracketed search evaluates the Holevo kernel's jet once
         per step, at its three points per subset, over the form columns of
         all those subsets' (subset, member) pairs, read once from the member
-        matrix, in calls of at most _REFINE_BLOCK pairs. Each lane starts at
-        its quartic peak, which at tol 1e-8 is usually within tol/8 of its
-        maximizer, so that the first step closes its bracket. Each lane then
-        proposes its summed curve's Newton point.
+        matrix, in calls of at most _REFINE_BLOCK pairs. The jets are the
+        rows of a table that ends in a zero row, and a lane's value, slope
+        and curvature are the in-order sums (_combined) of its pairs' rows,
+        over a matrix laid out like the member matrix, padded with the zero
+        row. Each lane starts at its quartic peak, which at tol 1e-8 is
+        usually within tol/8 of its maximizer, so that the first step closes
+        its bracket, and proposes its summed curve's Newton point (NaN where
+        the summed curvature is not negative).
         """
         size = self.size[lanes]
         rows = self.members[lanes]
-        form = self.form[:, rows[np.arange(rows.shape[1]) < size[:, None]]]  # in member order
+        real = np.arange(rows.shape[1]) < size[:, None]
+        form = self.form.take(rows[real], axis=1)  # in member order; take keeps it C-ordered
         lane = np.repeat(np.arange(len(lanes)), size)
-        starts = np.cumsum(size) - size  # each lane's first pair
+        pairs = np.where(real, real.cumsum().reshape(real.shape) - 1, len(lane))  # rows of table
         k = self.k[lanes]
         lo = _SCAN[np.maximum(k - 2, 0)]
         hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
         start = _SCAN[self.centre[lanes]] + self.peak[lanes] * (_SCAN[1] - _SCAN[0])
+        table = np.zeros((len(lane) + 1, 3, 3))  # each pair's jet at each point, then zeros
+        jet = table[:-1].T  # (value, slope, curvature), point, pair: a view
 
         def summed(a):  # a: (3, lanes)
-            at = a[:, lane]
-            jet = np.empty((3, *at.shape))
+            at = a.take(lane, axis=1)
             # the kernel is elementwise: each block's values keep their bits
             for s in range(0, len(lane), _REFINE_BLOCK):
                 block = slice(s, s + _REFINE_BLOCK)
                 jet[:, :, block] = mirror_chi_jet(form[:, block], at[:, block])
-            return _newton_sum(a, jet, starts)
+            value, slope, curv = _combined(table.reshape(-1, 9), pairs, 0, 9).reshape(-1, 3, 3).T
+            return value, slope, a - _newton_step(slope, np.minimum(curv, 0.0))
 
         return maximize_concave_1d(summed, lo, hi, tol, start)
 
@@ -265,15 +273,6 @@ def _newton_step(num, den):
     return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den != 0.0)
 
 
-def _newton_sum(a, jet, starts):
-    """Value, slope and Newton point of each lane's summed member curves.
-
-    The Newton point is NaN where the summed curvature is not negative.
-    """
-    value, slope, curv = (np.add.reduceat(v, starts, axis=-1) for v in jet)
-    return value, slope, a - _newton_step(slope, np.minimum(curv, 0.0))
-
-
 def _peak_bounds(F) -> np.ndarray:
     """Lower and upper bounds on the maxima of concave curves sampled at the three columns of F.
 
@@ -299,7 +298,7 @@ def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
     refines every bracket from their slopes' signs and Newton points (see
     optim.maximize_concave_1d), starting at the peak of the quartic through
     the five scan samples about each argmax: at tol 1e-8 it takes one step,
-    one Holevo kernel call over the forms of all (subset, member) pairs.
+    Holevo kernel calls of at most 1,024 (subset, member) pairs each.
     Each subset is checked as in subset_scale_value. Returns
     {subset: (argmax, value)}, keyed by each subset as a sorted tuple.
     """

@@ -28,6 +28,7 @@ from capscale import (
     scale_r,
     subset_scale_value,
 )
+from capscale.holevo import mirror_chi
 from conftest import chi_ad_grid, damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
@@ -754,6 +755,9 @@ def test_sweep_combines_members_in_order():
         for s, c, low in zip(subsets, start - first, lower):
             window = (fine[i, c:c + width] for i in s)
             assert low == functools.reduce(np.add, window).max()
+        # a refined value is its members' curves at its argmax, summed in order
+        for s, (a, value) in scales.maximize_subsets(branches, subsets).items():
+            assert value == functools.reduce(np.add, mirror_chi(sweep.form[:, list(s)], a))
     branches = [0.1, 0.4, 0.7]
     mixed = [(0, 2), (1,), (0, 1, 2), (0, 2)]
     best = scales.maximize_subsets(branches, mixed)
