@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +71,18 @@ class _Sweep:
     """A subset sweep: each subset's bracket on the scan grid, its bounds, its refinement.
 
     A subset's curve is the sum of its branch curves. The sweep holds its
-    subsets once, as a member matrix (members, shape (subsets, largest
-    size), and size): each row holds a subset's members, then the index
-    of the row of zeros appended to each table of branch curves (see
-    _with_zero_row). So one in-order sum over the matrix's columns
-    (_combined) serves every subset size, and each subset's sum keeps the
-    bits of adding its curves in member order: the scan, the quartic
-    peaks, the bounds and the refine (over a table of kernel jets) all sum
-    through it. Curves are evaluated from each branch's mirror_form, shape
-    (6, branch), computed once. Each branch's curve is evaluated once on
-    the scan grid (scan, shape (branch + 1, len(_SCAN)), the zero row
-    last), and each subset's grid argmax k of its summed scan rows, two
-    steps to either side, brackets its maximizer. The peak of the quartic
+    subsets once, size-major (ValueError otherwise), as a member matrix
+    (members, shape (subsets, largest size), and size; see
+    _member_matrix). So one in-order sum over the matrix's columns
+    (_combined) serves every subset size: member position d adds only to
+    the last subsets, those with more than d members, and each subset's
+    sum keeps the bits of adding its curves in member order. The scan,
+    the quartic peaks, the bounds and the refine (over a table of kernel
+    jets) all sum through it. Curves are evaluated from each branch's
+    mirror_form, shape (6, branch), computed once. Each branch's curve is
+    evaluated once on the scan grid (scan, shape (branch, len(_SCAN))),
+    and each subset's grid argmax k of its summed scan rows, two steps to
+    either side, brackets its maximizer. The peak of the quartic
     through its five summed scan samples about k, moved inside the grid
     at its ends (peak, in scan steps from their middle column, centre;
     see _quartic_peak), is computed once and places both the subset's
@@ -110,32 +109,34 @@ class _Sweep:
     row's first NaN, where argmax stops. On spread damping families the
     window is 5-20 of the 257 columns; a sweep of single branches sums
     over the whole rows. The window is summed over blocks of subsets of at
-    most _BLOCK elements, each block's matrix cut to its largest subset: a
-    report's subsets come size-major, so a block adds few zero rows.
+    most _BLOCK elements.
     """
 
     def __init__(self, channels, subsets):
         self.form = mirror_form(zip(*(ch.bloch_map for ch in channels)))  # stacked (M, t)
         self.subsets = subsets
-        self.members, self.size = _member_matrix(subsets, len(channels))
-        scan = self.scan = _with_zero_row(self._curves(_SCAN))
-        start, end = _window(scan) if self.members.shape[1] > 1 else (0, len(_SCAN) - 1)
+        members, size = self.members, self.size = _member_matrix(subsets)
+        if (size[1:] < size[:-1]).any():
+            raise ValueError("a sweep's subsets must come size-major")
+        scan = self.scan = self._curves(_SCAN)
+        # single branches sum whole rows: the window holds for them, but finding
+        # it made a singleton sweep 14 us slower at L = 6 and 12 (of 125-165 us)
+        start, end = _window(scan) if members.shape[1] > 1 else (0, len(_SCAN) - 1)
         width = end - start + 1
         block = max(1, _BLOCK // width)  # subsets per sum: its temporaries stay small
         k = self.k = np.empty(len(subsets), dtype=int)
         for s in range(0, len(subsets), block):
             rows = slice(s, s + block)
-            members = self.members[rows, :self.size[rows].max()]  # to the block's largest size
-            k[rows] = start + _combined(scan, members, start, width).argmax(axis=1)
+            k[rows] = start + _combined(scan, members[rows], size[rows], start, width).argmax(1)
         tie = np.flatnonzero(k == start) if start else []  # may tie with the column before
         if len(tie):
-            k[tie] = _combined(scan, self.members[tie], 0, len(_SCAN)).argmax(axis=1)
+            k[tie] = _combined(scan, members[tie], size[tie], 0, len(_SCAN)).argmax(axis=1)
         self.centre = k.clip(2, len(_SCAN) - 3)
 
     @functools.cached_property
     def peak(self):
         """Each subset's quartic peak, in scan steps from its centre, NaN where there is none."""
-        return _quartic_peak(_combined(self.scan, self.members, self.centre - 2, 5))
+        return _quartic_peak(_combined(self.scan, self.members, self.size, self.centre - 2, 5))
 
     def _curves(self, a):  # (branch, point)
         return mirror_chi(self.form[:, :, None], a)
@@ -157,8 +158,8 @@ class _Sweep:
         mid = _FINE * self.centre + np.rint(_FINE * offset).astype(int)
         mid = mid.clip(1, len(_FINE_GRID) - 2)
         first = mid.min() - 1
-        fine = _with_zero_row(self._curves(_FINE_GRID[first:mid.max() + 2]))
-        return _peak_bounds(_combined(fine, self.members, mid - 1 - first, 3))
+        fine = self._curves(_FINE_GRID[first:mid.max() + 2])
+        return _peak_bounds(_combined(fine, self.members, self.size, mid - 1 - first, 3))
 
     def refine(self, lanes, tol):
         """Refine the brackets of the subsets at lanes in one lockstep search.
@@ -167,26 +168,26 @@ class _Sweep:
         per step, at its three points per subset, over the form columns of
         all those subsets' (subset, member) pairs, read once from the member
         matrix, in calls of at most _REFINE_BLOCK pairs. The jets are the
-        rows of a table that ends in a zero row, and a lane's value, slope
-        and curvature are the in-order sums (_combined) of its pairs' rows,
-        over a matrix laid out like the member matrix, padded with the zero
-        row. Each lane starts at its quartic peak, which at tol 1e-8 is
-        usually within tol/8 of its maximizer, so that the first step closes
-        its bracket, and proposes its summed curve's Newton point (NaN where
-        the summed curvature is not negative).
+        rows of a table, and a lane's value, slope and curvature are the
+        in-order sums (_combined) of its pairs' rows, over a matrix of pair
+        indices laid out like the member matrix (lanes are increasing). Each
+        lane starts at its quartic peak, which at tol 1e-8 is usually within
+        tol/8 of its maximizer, so that the first step closes its bracket,
+        and proposes its summed curve's Newton point (NaN where the summed
+        curvature is not negative).
         """
         size = self.size[lanes]
         rows = self.members[lanes]
         real = np.arange(rows.shape[1]) < size[:, None]
         form = self.form.take(rows[real], axis=1)  # in member order; take keeps it C-ordered
         lane = np.repeat(np.arange(len(lanes)), size)
-        pairs = np.where(real, real.cumsum().reshape(real.shape) - 1, len(lane))  # rows of table
+        pairs = real.cumsum().reshape(real.shape) - 1  # rows of table, a lane's last repeated
         k = self.k[lanes]
         lo = _SCAN[np.maximum(k - 2, 0)]
         hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
         start = _SCAN[self.centre[lanes]] + self.peak[lanes] * (_SCAN[1] - _SCAN[0])
-        table = np.zeros((len(lane) + 1, 3, 3))  # each pair's jet at each point, then zeros
-        jet = table[:-1].T  # (value, slope, curvature), point, pair: a view
+        table = np.empty((len(lane), 9))  # each pair's jet at each point
+        jet = table.reshape(-1, 3, 3).T  # (value, slope, curvature), point, pair: a view
 
         def summed(a):  # a: (3, lanes)
             at = a.take(lane, axis=1)
@@ -194,29 +195,30 @@ class _Sweep:
             for s in range(0, len(lane), _REFINE_BLOCK):
                 block = slice(s, s + _REFINE_BLOCK)
                 jet[:, :, block] = mirror_chi_jet(form[:, block], at[:, block])
-            value, slope, curv = _combined(table.reshape(-1, 9), pairs, 0, 9).reshape(-1, 3, 3).T
+            value, slope, curv = _combined(table, pairs, size, 0, 9).reshape(-1, 3, 3).T
             return value, slope, a - _newton_step(slope, np.minimum(curv, 0.0))
 
         return maximize_concave_1d(summed, lo, hi, tol, start)
 
 
-def _member_matrix(subsets, pad: int):
-    """Each subset's members, then pad, a row each (shape (subsets, largest size)), and sizes."""
+def _member_matrix(subsets):
+    """Each subset's members, a row each padded with its last member, and the subsets' sizes."""
     size = np.fromiter(map(len, subsets), int, len(subsets))
-    members = np.full((len(subsets), size.max(initial=0)), pad)
     flat = np.fromiter(itertools.chain.from_iterable(subsets), int, size.sum())
+    members = np.repeat(flat[size.cumsum() - 1, None], size.max(initial=0), axis=1)  # last ones
     members[np.arange(members.shape[1]) < size[:, None]] = flat  # row by row
     return members, size
 
 
-def _combined(rows, members, at, width):
+def _combined(rows, members, size, at, width):
     """Each subset's sum of its member rows' columns at + [0, width), in member order.
 
-    members is a member matrix into the C-contiguous rows (see
-    _member_matrix), and at one first column for every subset or one for
-    each. The windows of rows that start in [min at, max at] are copied to
-    a contiguous row each, and each member position adds one gather of
-    those rows. Returns shape (subsets, width).
+    members and size are a member matrix into the C-contiguous rows (see
+    _member_matrix), size nondecreasing, and at one first column for every
+    subset or one for each. The windows of rows that start in [min at, max
+    at] are copied to a contiguous row each. Member position 0 gathers them
+    for every subset, and each later position d for the subsets with more
+    than d members, the last ones. Returns shape (subsets, width).
     """
     at = np.asarray(at)
     lo = at.min()
@@ -225,10 +227,12 @@ def _combined(rows, members, at, width):
     # windows[i * starts + j]: row i's columns lo + j + [0, width)
     windows = np.ndarray((len(rows), starts, width), rows.dtype, rows, lo * c, (r, c, c))
     windows = windows.reshape(-1, width)  # a row per window
-    at = at - lo
-    out = windows.take(members[:, 0] * starts + at, axis=0)  # a new array
+    index = members * starts
+    index += (at - lo)[..., None]  # each member's window
+    out = windows.take(index[:, 0], axis=0)  # a new array
     for d in range(1, members.shape[1]):
-        out += windows.take(members[:, d] * starts + at, axis=0)
+        s = size.searchsorted(d, side="right")  # the first subset with more than d members
+        out[s:] += windows.take(index[s:, d], axis=0)
     return out
 
 
@@ -241,11 +245,6 @@ def _window(scan):
     end = rises[-1] + 1 if len(rises) else 0
     start = max(min(falls[0] if len(falls) else len(_SCAN) - 1, end) - 1, 0)
     return start, end
-
-
-def _with_zero_row(rows):
-    """rows with a row of zeros appended: adding it to a sum keeps the sum's bits."""
-    return np.concatenate([rows, np.zeros((1, rows.shape[1]))])
 
 
 def _quartic_peak(F):
@@ -309,10 +308,10 @@ def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
 
 def _maximize(channels, subsets, tol) -> dict:
     """maximize_subsets on a nonempty list of checked subsets."""
-    subsets = list(dict.fromkeys(subsets))
-    sweep = _Sweep(channels, subsets)
-    res = sweep.refine(np.arange(len(subsets)), tol)
-    return {s: (float(a), float(v)) for s, a, v in zip(subsets, res.argmax, res.value)}
+    ordered = sorted(dict.fromkeys(subsets), key=len)  # size-major, as _Sweep takes them; stable
+    res = _Sweep(channels, ordered).refine(np.arange(len(ordered)), tol)
+    best = {s: (float(a), float(v)) for s, a, v in zip(ordered, res.argmax, res.value)}
+    return {s: best[s] for s in subsets}  # in first-appearance order
 
 
 @dataclass(frozen=True)
@@ -479,19 +478,18 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
     L = len(channels)
     subsets = _all_subsets(L, sizes)  # size-major, then lexicographic
     sweep = _Sweep(channels, subsets)
-    # bit m set for member m; the padding index L sets bit L, masked off
-    masks = functools.reduce(np.bitwise_or, (1 << sweep.members).T) & ((1 << L) - 1)
+    # bit m set for member m; a row's repeated last member sets its bit again
+    masks = functools.reduce(np.bitwise_or, (1 << sweep.members).T)
     row = np.zeros(1 << L, dtype=int)
     row[masks] = np.arange(len(subsets))
     rot = row[_rotations(masks, L)]  # rot[k, i]: the row of subset i's k-th rotation
     size = sweep.size
     per = size * L
-    counts = [math.comb(L, r) for r in sizes]
-    ends = np.cumsum(counts)
-    starts = ends - counts  # each level's rows
 
-    def level_max(x):
-        return np.repeat(np.maximum.reduceat(x, starts), ends - starts)
+    def level_max(x):  # each subset's level's maximum of x
+        top = np.full(L + 1, -np.inf)
+        np.maximum.at(top, size, x)
+        return top[size]
 
     # the singletons are the per-branch suprema, and the full set is alone
     # at its level: only the levels between them take bounds
@@ -516,9 +514,9 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
             break
         keep |= more
     scale = {}
-    for a, b in zip(starts, ends):
-        rows = a + np.flatnonzero(keep[a:b])
-        scale[int(size[a])] = _best_subset([(subsets[i], float(rate[i])) for i in rows])
+    for r in sizes:
+        rows = np.flatnonzero(keep & (size == r))
+        scale[r] = _best_subset([(subsets[i], float(rate[i])) for i in rows])
     return scale, found
 
 
@@ -594,10 +592,9 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
         deltas = _all_subsets(L, range(1, L + 1))
     else:
         deltas = [_check_subset(d, L) for d in listed(deltas, "deltas", "subsets")]
-    members, _ = _member_matrix(deltas, L)
-    inc = np.zeros((len(deltas), L + 1), dtype=bool)
+    members, _ = _member_matrix(deltas)
+    inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
     inc[np.arange(len(deltas))[:, None], members] = True
-    inc = inc[:, :L]  # inc[delta, i]: branch i lies in delta
     pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
     sweep, peaks = _singletons(channels, tol)
     sups = _suprema(peaks)

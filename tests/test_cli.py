@@ -348,12 +348,13 @@ def test_simulate_command_fixed_subset(channel_files, tmp_path):
     assert abs(float(row[4]) - 0.5) < 0.05
 
 
-def test_simulate_subset_needs_single_rate(channel_files, tmp_path):
+def test_simulate_subset_needs_single_rate(channel_files, tmp_path, capsys):
     rc, _ = run_to_file(
         tmp_path,
         ["simulate", channel_files["per4"], "--rate", "0.3,0.5", "--subset", "0,1"],
     )
     assert rc == 2
+    assert capsys.readouterr().err == "error: --subset requires exactly one rate\n"
 
 
 def test_exit_code_on_bad_inputs(channel_files, tmp_path, capsys):
@@ -529,25 +530,34 @@ def test_row_table_json_matches_csv(channel_files, tmp_path, argv):
         assert [_csv_cell(v) for v in obj.values()] == row
 
 
-def test_exit_code_on_unwritable_output(channel_files):
+def test_exit_code_on_unwritable_output(channel_files, capsys):
     rc = cli.main(
         ["chi", channel_files["per4"], "--output", "/nonexistent-dir/out.csv"]
     )
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output file '/nonexistent-dir/out.csv': "
+        "[Errno 2] No such file or directory: '/nonexistent-dir/out.csv'\n"
+    )
 
 
-def test_exit_code_on_numerical_failure(channel_files, monkeypatch):
+def test_exit_code_on_numerical_failure(channel_files, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic failure")
 
     monkeypatch.setattr(cli.scales, "compute_capacity_report", boom)
     assert cli.main(["capacity", channel_files["per4"]]) == 3
+    assert capsys.readouterr().err == "numerical error: synthetic failure\n"
 
 
-def test_argparse_rejects_unknown_format(channel_files):
+def test_argparse_rejects_unknown_format(channel_files, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["chi", channel_files["per4"], "--format", "yaml"])
     assert exc.value.code == 2
+    # argparse quotes the choices on some Python versions and not on others
+    error = "capscale chi: error: argument --format: invalid choice: 'yaml' (choose from {})"
+    choices = ("'csv', 'json'", "csv, json")
+    assert capsys.readouterr().err.splitlines()[-1] in {error.format(c) for c in choices}
 
 
 # each subcommand's own options, with a value and the value they parse to
@@ -601,9 +611,12 @@ def test_each_subcommand_parses_its_own_options(capsys):
                 err = capsys.readouterr().err
                 assert err.endswith(f"error: unrecognized arguments: {flag} 1\n")
     # ad-gap takes no channel file
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.main(["ad-gap", "f.json"])
     assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == "capscale: error: unrecognized arguments: f.json"
 
     for parse in (full, cli.parse_args):
         args = parse(["simulate", "f.json", "--rate", "0.3"])

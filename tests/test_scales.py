@@ -327,8 +327,8 @@ def combined_shapes(monkeypatch):
     combined = scales._combined
     shapes = []
 
-    def counted(rows, members, at, width):
-        out = combined(rows, members, at, width)
+    def counted(rows, members, size, at, width):
+        out = combined(rows, members, size, at, width)
         shapes.append(out.shape)
         return out
 
@@ -735,12 +735,14 @@ def test_pruned_levels_match_full_sweep(tol):
 
 def test_sweep_combines_members_in_order():
     # a subset's curve is the sum of its members' curves in member order,
-    # whatever the order and mix of sizes the subsets come in
+    # whatever the order of the subsets within each size, and whatever the
+    # order and mix of sizes maximize_subsets gets them in
     rng = np.random.default_rng(16)
     for branches in pruning_cases():
         L = len(branches)
-        subsets = scales._all_subsets(L, range(1, L + 1))
-        subsets = [subsets[i] for i in rng.permutation(len(subsets))]
+        permuted = scales._all_subsets(L, range(1, L + 1))
+        permuted = [permuted[i] for i in rng.permutation(len(permuted))]
+        subsets = sorted(permuted, key=len)  # size-major, still shuffled within each size
         sweep = scales._Sweep(scales._as_channels(branches), subsets)
         scan = sweep._curves(scales._SCAN)
         for s, k in zip(subsets, sweep.k):
@@ -756,7 +758,9 @@ def test_sweep_combines_members_in_order():
             window = (fine[i, c:c + width] for i in s)
             assert low == functools.reduce(np.add, window).max()
         # a refined value is its members' curves at its argmax, summed in order
-        for s, (a, value) in scales.maximize_subsets(branches, subsets).items():
+        best = scales.maximize_subsets(branches, permuted)
+        assert list(best) == permuted
+        for s, (a, value) in best.items():
             assert value == functools.reduce(np.add, mirror_chi(sweep.form[:, list(s)], a))
     branches = [0.1, 0.4, 0.7]
     mixed = [(0, 2), (1,), (0, 1, 2), (0, 2)]
@@ -764,6 +768,20 @@ def test_sweep_combines_members_in_order():
     assert list(best) == [(0, 2), (1,), (0, 1, 2)]
     for s in mixed:
         assert best[s] == scales.maximize_subsets(branches, [s])[s]
+
+
+def test_sweep_takes_its_subsets_size_major():
+    # member position d adds only to the last subsets, those with more than
+    # d members, so a sweep refuses subsets that do not come size-major
+    channels = scales._as_channels([0.1, 0.4, 0.7])
+    with pytest.raises(ValueError, match="size-major"):
+        scales._Sweep(channels, [(0, 2), (1,), (0, 1, 2)])
+    sweep = scales._Sweep(channels, [(1,), (0, 2), (0, 1, 2)])
+    # a row past its subset's size repeats the subset's last member
+    assert sweep.members.tolist() == [[1, 1, 1], [0, 2, 2], [0, 1, 2]]
+    assert sweep.size.tolist() == [1, 2, 3]
+    for s, k in zip([(1,), (0, 2), (0, 1, 2)], sweep.k):
+        assert k == functools.reduce(np.add, (sweep.scan[i] for i in s)).argmax()
 
 
 def test_sweep_window_keeps_each_first_argmax(combined_shapes):
@@ -804,7 +822,7 @@ def test_sweep_window_keeps_each_first_argmax(combined_shapes):
     assert widths[3] == {2}
     # the first argmax of the noise rows' sum lies 6 columns below both
     # rows' first maxima, outside the span of the maxima
-    assert sweep.scan[:-1].argmax(axis=1).min() - sweep.k[-1] == 6  # less the zero row
+    assert sweep.scan.argmax(axis=1).min() - sweep.k[-1] == 6
 
 
 def test_sweep_window_ties_take_the_whole_row(monkeypatch, combined_shapes):
