@@ -11,8 +11,10 @@ and the two members' squared radii; it is the library's one Holevo kernel.
 ``mirror_chi_jet`` adds the curve's analytic slope and curvature in ``a``
 from the same pass, for the maximizer's search. Every entropy here is a
 function of one number, a qubit state's squared Bloch radius
-(``entropy_from_squared_radius``), in bits. The tests check the kernel
-against density-matrix eigenvalues and a closed-form damping curve.
+(``entropy_from_squared_radius``), in bits. The kernel writes into a few
+arrays that each call allocates and reuses, with the bits of one numpy
+expression per quantity. The tests check the kernel against those
+expressions, density-matrix eigenvalues and a closed-form damping curve.
 """
 
 from __future__ import annotations
@@ -25,18 +27,29 @@ from .channels import QubitChannel, check_numbers
 from .errors import ValidationError
 
 
-def _entropy_terms(r2):
-    """r2 clipped to [0, 1], its root r, the entropy h in bits and log2((1 + r)/(1 - r)).
+def _entropy_terms(s):
+    """Clip squared radii s to [0, 1] in place; return s, its root r, the entropy h in bits and L.
 
-    The last is inf for a pure state; h is entropy_from_squared_radius(r2).
+    L = log2((1 + r)/(1 - r)), inf for a pure state. s is a float array of
+    at least one dimension that the caller owns.
     """
-    r2 = np.clip(np.asarray(r2, dtype=float), 0.0, 1.0)
-    r = np.sqrt(r2)
-    lam = (1.0 - r2) / (2.0 * (1.0 + r))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lam, log_rest = np.log2(lam), np.log2(1.0 - lam)
-        h = -(lam * log_lam + (1.0 - lam) * log_rest)
-    return r2, r, np.where(lam == 0.0, 0.0, h), log_rest - log_lam
+    np.clip(s, 0.0, 1.0, out=s)
+    r = np.sqrt(s)
+    lam = np.add(1.0, r)
+    lam *= 2.0
+    rest = np.subtract(1.0, s)
+    np.divide(rest, lam, out=lam)  # the smaller eigenvalue (1 - s)/(2(1 + r))
+    np.subtract(1.0, lam, out=rest)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2(0) and 0·(-inf) at a pure state
+        L = np.log2(rest)
+        rest *= L
+        h = np.log2(lam)
+        L -= h
+        h *= lam
+        h += rest
+        np.negative(h, out=h)
+        np.copyto(h, 0.0, where=lam == 0.0)
+    return s, r, h, L
 
 
 def entropy_from_squared_radius(r2):
@@ -45,9 +58,10 @@ def entropy_from_squared_radius(r2):
     The smaller eigenvalue (1 - r)/2 is computed as (1 - r²)/(2(1 + r)),
     which keeps its relative accuracy for nearly pure states. Squared radii
     that roundoff pushes below 0 or above 1 count as 0 (the maximally mixed
-    state) or 1 (pure); NaN propagates.
+    state) or 1 (pure); NaN propagates. r2 itself is not written, and the
+    result has its shape.
     """
-    return _entropy_terms(r2)[2]
+    return _entropy_terms(np.array(r2, dtype=float, ndmin=1))[2].reshape(np.shape(r2))
 
 
 def mirror_form(bloch_map) -> np.ndarray:
@@ -64,22 +78,28 @@ def mirror_form(bloch_map) -> np.ndarray:
 
 
 def _squared_radii(form, a):
-    """x, z, w = z c0·c2 + c0·t and the squared radii (u², r+², r-²) of the pair at a."""
+    """x, z, w = z c0·c2 + c0·t and the squared radii (u², r+², r-²) of the pair at a, stacked."""
     c00, c02, c0t, c22, c2t, tt = form
     x2, z = 4.0 * a * (1.0 - a), 2.0 * a - 1.0
-    u2 = z * z * c22 + 2.0 * z * c2t + tt
-    x, w = np.sqrt(x2), z * c02 + c0t
-    mid, cross = u2 + x2 * c00, 2.0 * x * w
-    s = np.empty((3, *np.shape(mid)))
-    s[0] = u2
-    np.add(mid, cross, out=s[1, ...])
-    np.subtract(mid, cross, out=s[2, ...])
+    x, w = np.sqrt(x2), z * c02 + c0t  # w has the broadcast shape
+    s = np.empty((3, *np.shape(w)))
+    u2, plus, minus = s[0, ...], s[1, ...], s[2, ...]
+    np.multiply(z * z, c22, out=u2)
+    u2 += np.multiply(2.0 * z, c2t, out=minus)  # minus is free until r-² is written
+    u2 += tt
+    np.multiply(x2, c00, out=plus)
+    plus += u2  # u² + x²|c0|²
+    cross = 2.0 * x * w
+    np.subtract(plus, cross, out=minus)
+    plus += cross
     return x, z, w, s
 
 
 def _chi(h):
     """The mean state's term less the pair's mean, for entropies stacked as in _squared_radii."""
-    return h[0] - 0.5 * (h[1] + h[2])
+    out = np.add(h[1, ...], h[2, ...], out=np.empty(h.shape[1:]))
+    out *= 0.5
+    return np.subtract(h[0, ...], out, out=out)
 
 
 def mirror_chi(form, a) -> np.ndarray:
@@ -90,7 +110,7 @@ def mirror_chi(form, a) -> np.ndarray:
     u² = z²|c2|² + 2z c2·t + |t|², and the pair to
     r±² = u² + x²|c0|² ± 2x (z c0·c2 + c0·t).
     """
-    return _chi(entropy_from_squared_radius(_squared_radii(form, a)[-1]))
+    return _chi(_entropy_terms(_squared_radii(form, a)[-1])[2])
 
 
 def _entropy_jet(s):
@@ -101,18 +121,27 @@ def _entropy_jet(s):
     Below s = 1e-3, where L and that difference cancel, both come from the
     series atanh(r)/r = 1 + s/3 + s²/5 + ... A pure state (s >= 1) gives 0:
     its squared radius is at its largest, so its rate of change is 0 too.
+    s is overwritten; h' is computed in L's buffer.
     """
     s, r, h, L = _entropy_terms(s)
     small, pure = s < 1e-3, s >= 1.0
+    series = s[small]
     # stand-ins where the closed forms are not used, so that they stay finite;
     # L = 0 gives a pure state h' = 0
-    t = s.copy()
-    r[small], t[small | pure], L[pure] = 1.0, 0.5, 0.0
-    h1 = -0.25 * L / r
-    h2 = (0.5 * L - r / ((1.0 - t) * math.log(2.0))) / (4.0 * r * t)
+    r[small], s[small | pure], L[pure] = 1.0, 0.5, 0.0
+    h2 = np.multiply(0.5, L)
+    part = np.subtract(1.0, s)
+    part *= math.log(2.0)
+    h2 -= np.divide(r, part, out=part)
+    np.multiply(4.0, r, out=part)
+    part *= s
+    h2 /= part
     h2[pure] = 0.0
+    h1 = L
+    h1 *= -0.25
+    h1 /= r
     if small.any():
-        k, s = -0.5 / math.log(2.0), s[small]
+        k, s = -0.5 / math.log(2.0), series
         h1[small] = k + s * (k / 3 + s * (k / 5 + s * (k / 7 + s * (k / 9))))
         h2[small] = k / 3 + s * (2 * k / 5 + s * (3 * k / 7 + s * (4 * k / 9 + s * (5 * k / 11))))
     return h, h1, h2
@@ -132,17 +161,23 @@ def mirror_chi_jet(form, a):
     dx = -2.0 * z / x
     d2x = -4.0 / (x * x * x)
     ds = np.empty(s.shape)
-    du2 = np.multiply(4.0, z * c22 + c2t, out=ds[0, ...])
-    dmid, dcross = du2 - 4.0 * z * c00, 2.0 * (dx * w + 2.0 * x * c02)
+    du2, dplus, dminus = ds[0, ...], ds[1, ...], ds[2, ...]
+    np.multiply(4.0, z * c22 + c2t, out=du2)
+    np.multiply(4.0 * z, c00, out=dplus)
+    np.subtract(du2, dplus, out=dplus)  # the mean's term, d(u² + x²|c0|²)
+    dcross = 2.0 * (dx * w + 2.0 * x * c02)
+    np.subtract(dplus, dcross, out=dminus)
+    dplus += dcross
     d2mid, d2cross = 8.0 * (c22 - c00), 2.0 * (d2x * w + 4.0 * dx * c02)
-    np.add(dmid, dcross, out=ds[1, ...])
-    np.subtract(dmid, dcross, out=ds[2, ...])
-    h, h1, h2 = _entropy_jet(s)
-    curv = h2 * ds * ds
-    curv[0] += h1[0] * (8.0 * c22)
-    curv[1] += h1[1] * (d2mid + d2cross)
-    curv[2] += h1[2] * (d2mid - d2cross)
-    return _chi(h), _chi(h1 * ds), _chi(curv)
+    h, h1, curv = _entropy_jet(s)
+    curv *= ds
+    curv *= ds
+    c0, c1, c2 = curv[0, ...], curv[1, ...], curv[2, ...]
+    c0 += h1[0, ...] * (8.0 * c22)
+    c1 += h1[1, ...] * (d2mid + d2cross)
+    c2 += h1[2, ...] * (d2mid - d2cross)
+    h1 *= ds
+    return _chi(h), _chi(h1), _chi(curv)
 
 
 def chi_mirror_family(ch, a):

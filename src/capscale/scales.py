@@ -70,13 +70,14 @@ def _as_channels(branches) -> tuple[QubitChannel, ...]:
 class _Sweep:
     """A subset sweep: each subset's bracket on the scan grid, its bounds, its refinement.
 
-    A subset's curve is the sum of its branch curves. The sweep holds its
+    A subset's curve is the sum of its branch curves. The sweep takes its
     subsets once, size-major (ValueError otherwise), as a member matrix
-    (members, shape (subsets, largest size), and size; see
-    _member_matrix). So one in-order sum over the matrix's columns
-    (_combined) serves every subset size: member position d adds only to
-    the last subsets, those with more than d members, and each subset's
-    sum keeps the bits of adding its curves in member order. The scan,
+    (members, shape (subsets, largest size), and size), built from tuples
+    by _member_matrix or from bit masks by _subset_masks. So one in-order
+    sum over the matrix's columns (_combined) serves every subset size:
+    member position d adds only to the last subsets, those with more than
+    d members, and each subset's sum keeps the bits of adding its curves
+    in member order. The scan,
     the quartic peaks, the bounds and the refine (over a table of kernel
     jets) all sum through it. Curves are evaluated from each branch's
     mirror_form, shape (6, branch), computed once. Each branch's curve is
@@ -112,10 +113,9 @@ class _Sweep:
     most _BLOCK elements.
     """
 
-    def __init__(self, channels, subsets):
+    def __init__(self, channels, members, size):
         self.form = mirror_form(zip(*(ch.bloch_map for ch in channels)))  # stacked (M, t)
-        self.subsets = subsets
-        members, size = self.members, self.size = _member_matrix(subsets)
+        self.members, self.size = members, size
         if (size[1:] < size[:-1]).any():
             raise ValueError("a sweep's subsets must come size-major")
         scan = self.scan = self._curves(_SCAN)
@@ -124,8 +124,8 @@ class _Sweep:
         start, end = _window(scan) if members.shape[1] > 1 else (0, len(_SCAN) - 1)
         width = end - start + 1
         block = max(1, _BLOCK // width)  # subsets per sum: its temporaries stay small
-        k = self.k = np.empty(len(subsets), dtype=int)
-        for s in range(0, len(subsets), block):
+        k = self.k = np.empty(len(size), dtype=int)
+        for s in range(0, len(size), block):
             rows = slice(s, s + block)
             k[rows] = start + _combined(scan, members[rows], size[rows], start, width).argmax(1)
         tie = np.flatnonzero(k == start) if start else []  # may tie with the column before
@@ -204,10 +204,14 @@ class _Sweep:
 def _member_matrix(subsets):
     """Each subset's members, a row each padded with its last member, and the subsets' sizes."""
     size = np.fromiter(map(len, subsets), int, len(subsets))
-    flat = np.fromiter(itertools.chain.from_iterable(subsets), int, size.sum())
+    return _padded(np.fromiter(itertools.chain.from_iterable(subsets), int, size.sum()), size), size
+
+
+def _padded(flat, size):
+    """The member matrix of the subsets whose members, row by row, are flat."""
     members = np.repeat(flat[size.cumsum() - 1, None], size.max(initial=0), axis=1)  # last ones
     members[np.arange(members.shape[1]) < size[:, None]] = flat  # row by row
-    return members, size
+    return members
 
 
 def _combined(rows, members, size, at, width):
@@ -309,7 +313,7 @@ def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
 def _maximize(channels, subsets, tol) -> dict:
     """maximize_subsets on a nonempty list of checked subsets."""
     ordered = sorted(dict.fromkeys(subsets), key=len)  # size-major, as _Sweep takes them; stable
-    res = _Sweep(channels, ordered).refine(np.arange(len(ordered)), tol)
+    res = _Sweep(channels, *_member_matrix(ordered)).refine(np.arange(len(ordered)), tol)
     best = {s: (float(a), float(v)) for s, a, v in zip(ordered, res.argmax, res.value)}
     return {s: best[s] for s in subsets}  # in first-appearance order
 
@@ -380,7 +384,7 @@ def _suprema(found) -> tuple[BranchSupremum, ...]:
 
 def _singletons(channels, tol):
     """The sweep of the single branches, and its search of every one as _found stacks it."""
-    sweep = _Sweep(channels, [(i,) for i in range(len(channels))])
+    sweep = _Sweep(channels, *_member_matrix([(i,) for i in range(len(channels))]))
     return sweep, _found(sweep.refine(np.arange(len(channels)), tol))
 
 
@@ -388,11 +392,37 @@ def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
     return list(_suprema(_singletons(_as_channels(branches), tol)[1]))
 
 
-def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
-    """Subsets of the given sizes, size-major, then in lexicographic order."""
+def _enumerable(L: int) -> None:
     if L > MAX_BRANCHES:
         raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
+
+
+def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
+    """Subsets of the given sizes, size-major, then in lexicographic order."""
+    _enumerable(L)
     return [s for r in sizes for s in itertools.combinations(range(L), r)]
+
+
+def _subset_masks(L: int, sizes):
+    """The subsets of range(L) of the given sizes: their bit masks, member matrix and sizes.
+
+    Bit m of a mask is set for member m. The subsets come size-major, then
+    in increasing mask: the singletons first, in branch order, and the full
+    set last.
+    """
+    _enumerable(L)
+    masks = np.arange(1, 1 << L, dtype="<i8")  # little-endian: bit m is bit m of the bytes
+    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=L, bitorder="little")
+    size = np.einsum("ij->i", bits).astype(int)  # summed in uint8, which holds L
+    wanted = np.zeros(L + 1, dtype=bool)
+    wanted[list(sizes)] = True
+    order = np.flatnonzero(wanted[size])
+    order = order[size[order].argsort(kind="stable")]
+    # row by row, each row's members in increasing order; nonzero is fastest on bools
+    flat = np.flatnonzero(bits[order].view(bool))
+    flat %= L
+    size = size[order]
+    return masks[order], _padded(flat, size), size
 
 
 def _rotations(masks, L: int) -> np.ndarray:
@@ -441,15 +471,27 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     return sum(best[rotated][1] for rotated in rotations) / (len(subset) * L)
 
 
-def _best_subset(rated) -> ScaleEntry:
-    """The first (subset, rate) of rated whose rate is within _TIE_EPS of the best.
+def _level_max(x, size) -> np.ndarray:
+    """Each subset's level's maximum of x, a level being the subsets of one size (nondecreasing)."""
+    top = np.full(size[-1] + 1, -np.inf)
+    np.maximum.at(top, size, x)
+    return top[size]
 
-    rated is in lexicographic order. Leaving out a subset rated more than
-    _TIE_EPS below the best cannot change this pick, as it could for a scan
-    that replaces its pick on each gain above _TIE_EPS.
+
+def _level_picks(rate, size, members, L: int) -> np.ndarray:
+    """The row of each level's pick, in increasing size.
+
+    A level's pick is its lexicographically first subset within _TIE_EPS
+    of its best rate. Such a subset's key is the sum of 2^(L-1-m) over its
+    members m, so the largest key is the lexicographically first. A subset rated -inf is
+    never a pick, and leaving out one rated more than _TIE_EPS below its
+    level's best cannot change a pick, as it could for a scan that replaced
+    its pick on each gain above _TIE_EPS.
     """
-    top = max(v for _, v in rated)
-    return next(ScaleEntry(v, s) for s, v in rated if v >= top - _TIE_EPS)
+    tied = np.flatnonzero(rate >= _level_max(rate, size) - _TIE_EPS)
+    # a row's repeated last member sets its bit again; the keys are exact as floats
+    key = np.bitwise_or.reduce(1 << (L - 1 - members[tied]), axis=1)
+    return tied[key == _level_max(key, size[tied])]
 
 
 def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
@@ -468,55 +510,47 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
     A pruned subset must then lie more than _TIE_EPS below its level's best
     refined rate; one that does not (only a coarse tol falls that far short
     of the lower bounds) is refined in another search. So no pruned subset
-    can be the pick of _best_subset, and each level's pick and rate are
-    those that refining every subset gives.
+    can be a level's pick (see _level_picks), and each level's pick and rate
+    are those that refining every subset gives.
 
     Returns {r: ScaleEntry} and each subset's search results as _found
     stacks them, shape (5, subsets), NaN for a subset not refined; the
-    subsets are in _all_subsets' order.
+    subsets are size-major, then in increasing bit mask (see _subset_masks).
+    Only the picks become tuples (see _level_picks).
     """
     L = len(channels)
-    subsets = _all_subsets(L, sizes)  # size-major, then lexicographic
-    sweep = _Sweep(channels, subsets)
-    # bit m set for member m; a row's repeated last member sets its bit again
-    masks = functools.reduce(np.bitwise_or, (1 << sweep.members).T)
+    masks, members, size = _subset_masks(L, sizes)
+    sweep = _Sweep(channels, members, size)
     row = np.zeros(1 << L, dtype=int)
-    row[masks] = np.arange(len(subsets))
+    row[masks] = np.arange(len(size))
     rot = row[_rotations(masks, L)]  # rot[k, i]: the row of subset i's k-th rotation
-    size = sweep.size
     per = size * L
-
-    def level_max(x):  # each subset's level's maximum of x
-        top = np.full(L + 1, -np.inf)
-        np.maximum.at(top, size, x)
-        return top[size]
-
     # the singletons are the per-branch suprema, and the full set is alone
     # at its level: only the levels between them take bounds
     keep = (size == 1) | (size == L)
-    upper = np.full(len(subsets), np.inf)
+    upper = np.full(len(size), np.inf)
     if not keep.all():
         lower, upper = sweep.bounds_of_maxima().take(rot, axis=1).sum(axis=1) / per
-        keep |= upper + _PRUNE_PAD >= level_max(lower) - _TIE_EPS
-    found = np.full((5, len(subsets)), np.nan)
+        keep |= upper + _PRUNE_PAD >= _level_max(lower, size) - _TIE_EPS
+    found = np.full((5, len(size)), np.nan)
     value = found[1]  # a view
-    rate = np.full(len(subsets), -np.inf)
+    rate = np.full(len(size), -np.inf)
     while True:
-        wanted = np.zeros(len(subsets), dtype=bool)
+        wanted = np.zeros(len(size), dtype=bool)
         wanted[rot[:, keep]] = True
         lanes = np.flatnonzero(wanted & np.isnan(value))
         if len(lanes):
             found[:, lanes] = _found(sweep.refine(lanes, tol))
         # rotation values summed in the order k = 0..L-1
         rate[keep] = functools.reduce(np.add, value[rot[:, keep]]) / per[keep]
-        more = ~keep & (upper + _PRUNE_PAD >= level_max(rate) - _TIE_EPS)
+        more = ~keep & (upper + _PRUNE_PAD >= _level_max(rate, size) - _TIE_EPS)
         if not more.any():
             break
         keep |= more
+    picks = _level_picks(rate, size, members, L)
     scale = {}
-    for r in sizes:
-        rows = np.flatnonzero(keep & (size == r))
-        scale[r] = _best_subset([(subsets[i], float(rate[i])) for i in rows])
+    for i, r in zip(picks.tolist(), size[picks].tolist()):
+        scale[r] = ScaleEntry(float(rate[i]), tuple(members[i, :r].tolist()))
     return scale, found
 
 

@@ -4,7 +4,9 @@ a lattice search over small ensembles, the memory laws (periodic, random
 and Markov) acting on n-fold density matrices, the damping mirror-pair
 curve's closed-form derivative with a bisection root finder, a 40-digit
 maximizer of that curve, and 40-digit worst cases of pairs of damping,
-X-conjugated damping and depolarizing curves. Nothing here imports
+X-conjugated damping and depolarizing curves, and the mirror-pair
+Holevo kernel written as one numpy expression per quantity, the
+reference for the library kernel's bits. Nothing here imports
 capscale, so a test that compares the two compares two independent
 computations.
 """
@@ -392,3 +394,75 @@ def apply_memory_channel_n(kraus_lists, law, rho_n, n):
             k = functools.reduce(np.kron, combo)
             out += w * (k @ rho_n @ k.conj().T)
     return out
+
+
+# The mirror-pair Holevo kernel as one numpy expression per quantity: the
+# library computes the same operations in the same order into reused
+# buffers, so the two agree bit for bit on the machine that runs both.
+
+
+def _kernel_entropy_terms(r2):
+    """r2 clipped to [0, 1], its root r, the entropy h in bits and log2((1 + r)/(1 - r))."""
+    r2 = np.clip(np.asarray(r2, dtype=float), 0.0, 1.0)
+    r = np.sqrt(r2)
+    lam = (1.0 - r2) / (2.0 * (1.0 + r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lam, log_rest = np.log2(lam), np.log2(1.0 - lam)
+        h = -(lam * log_lam + (1.0 - lam) * log_rest)
+    return r2, r, np.where(lam == 0.0, 0.0, h), log_rest - log_lam
+
+
+def kernel_entropy(r2):
+    """Entropy in bits at squared Bloch radii r2, clipped to [0, 1]."""
+    return _kernel_entropy_terms(r2)[2]
+
+
+def _kernel_squared_radii(form, a):
+    c00, c02, c0t, c22, c2t, tt = form
+    x2, z = 4.0 * a * (1.0 - a), 2.0 * a - 1.0
+    u2 = z * z * c22 + 2.0 * z * c2t + tt
+    x, w = np.sqrt(x2), z * c02 + c0t
+    mid, cross = u2 + x2 * c00, 2.0 * x * w
+    return x, z, w, np.stack(np.broadcast_arrays(u2, mid + cross, mid - cross))
+
+
+def _kernel_chi(h):
+    return h[0] - 0.5 * (h[1] + h[2])
+
+
+def kernel_chi(form, a):
+    """The mirror pair's Holevo quantity in bits at a, from the six numbers of its form."""
+    return _kernel_chi(kernel_entropy(_kernel_squared_radii(form, a)[-1]))
+
+
+def _kernel_entropy_jet(s):
+    s, r, h, L = _kernel_entropy_terms(s)
+    small, pure = s < 1e-3, s >= 1.0
+    t = s.copy()
+    r[small], t[small | pure], L[pure] = 1.0, 0.5, 0.0
+    h1 = -0.25 * L / r
+    h2 = (0.5 * L - r / ((1.0 - t) * math.log(2.0))) / (4.0 * r * t)
+    h2[pure] = 0.0
+    if small.any():
+        k, s = -0.5 / math.log(2.0), s[small]
+        h1[small] = k + s * (k / 3 + s * (k / 5 + s * (k / 7 + s * (k / 9))))
+        h2[small] = k / 3 + s * (2 * k / 5 + s * (3 * k / 7 + s * (4 * k / 9 + s * (5 * k / 11))))
+    return h, h1, h2
+
+
+def kernel_chi_jet(form, a):
+    """kernel_chi at a and its first and second derivatives in a, 0 < a < 1."""
+    c00, c02, c0t, c22, c2t, tt = form
+    x, z, w, s = _kernel_squared_radii(form, a)
+    dx = -2.0 * z / x
+    d2x = -4.0 / (x * x * x)
+    du2 = 4.0 * (z * c22 + c2t)
+    dmid, dcross = du2 - 4.0 * z * c00, 2.0 * (dx * w + 2.0 * x * c02)
+    d2mid, d2cross = 8.0 * (c22 - c00), 2.0 * (d2x * w + 4.0 * dx * c02)
+    ds = np.stack(np.broadcast_arrays(du2, dmid + dcross, dmid - dcross))
+    h, h1, h2 = _kernel_entropy_jet(s)
+    curv = h2 * ds * ds
+    curv[0] += h1[0] * (8.0 * c22)
+    curv[1] += h1[1] * (d2mid + d2cross)
+    curv[2] += h1[2] * (d2mid - d2cross)
+    return _kernel_chi(h), _kernel_chi(h1 * ds), _kernel_chi(curv)

@@ -12,7 +12,7 @@ from capscale import (
     compute_capacity_report,
     kraus_operators,
 )
-from capscale.holevo import mirror_chi, mirror_chi_jet, mirror_form
+from capscale.holevo import entropy_from_squared_radius, mirror_chi, mirror_chi_jet, mirror_form
 from conftest import chi_ad_grid
 from oracles import OracleError, dchi_da_ad
 
@@ -268,6 +268,53 @@ def test_mirror_chi_jet_pure_and_flat_curves():
     for ch in (QubitChannel.depolarizing(1.0), QubitChannel.amplitude_damping(1.0)):
         value, slope, curv = mirror_chi_jet(mirror_form(ch.bloch_map), a)
         assert np.all(value == 0.0) and np.all(slope == 0.0) and np.all(curv == 0.0)
+
+
+def same_bits(x, y):
+    """x and y have one shape and the same float64 bits, NaN included."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def test_kernel_keeps_the_bits_of_one_expression_per_quantity():
+    # the kernel computes into reused buffers the operations, in order, of the
+    # reference's one expression per quantity (oracles.kernel_*): squared
+    # radii below 0 and above 1, exactly 0 and 1, about the series cut 1e-3,
+    # nearly pure, and NaN; curves of damping, conjugated damping (X, Rz and
+    # a Haar unitary), depolarizing, and pure and flat branches
+    rng = np.random.default_rng(35)
+    edges = [0.0, -0.0, 1.0, -1e-17, 1.0 + 4e-16, 1e-3, np.nextafter(1e-3, 0.0), 1e-300, np.nan]
+    r2 = np.concatenate([
+        rng.uniform(-0.1, 1.1, 20_000),
+        rng.uniform(0.0, 2e-3, 5_000),
+        1.0 - rng.uniform(0.0, 1e-6, 5_000),
+        edges,
+    ])
+    given = r2.copy()
+    assert same_bits(entropy_from_squared_radius(r2), oracles.kernel_entropy(r2))
+    assert same_bits(r2, given)  # the argument is not written
+    for x in edges:
+        zero_d = np.array(x)
+        assert same_bits(entropy_from_squared_radius(zero_d), oracles.kernel_entropy(x))
+        assert same_bits(zero_d, x)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    haar = q * (np.diag(r) / np.abs(np.diag(r)))
+    channels = [
+        *jet_branches(),
+        conjugated(QubitChannel.amplitude_damping(0.6), haar),
+        *(QubitChannel.amplitude_damping(g) for g in (0.0, 1.0)),
+        *(QubitChannel.depolarizing(p) for p in (0.0, 1.0)),
+    ]
+    form = mirror_form(list(zip(*(ch.bloch_map for ch in channels))))
+    a = np.concatenate([np.linspace(1e-9, 1.0 - 1e-9, 1001), rng.uniform(0.0, 1.0, 200)])
+    assert same_bits(mirror_chi(form[:, :, None], a), oracles.kernel_chi(form[:, :, None], a))
+    jet, expected = mirror_chi_jet(form[:, :, None], a), oracles.kernel_chi_jet(form[:, :, None], a)
+    assert all(map(same_bits, jet, expected))
+    for i in range(len(channels)):  # a 0-d a, on one branch's form
+        for x in (1e-9, 0.3, 0.5, 1.0 - 1e-9):
+            assert same_bits(mirror_chi(form[:, i], x), oracles.kernel_chi(form[:, i], x))
+            jet, expected = mirror_chi_jet(form[:, i], x), oracles.kernel_chi_jet(form[:, i], x)
+            assert all(map(same_bits, jet, expected))
 
 
 def test_depolarizing_mirror_family_curve():

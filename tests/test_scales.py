@@ -371,7 +371,8 @@ def test_work_ceiling_of_the_scan(combined_shapes):
     # rows' peaks, in one sum over the member matrix
     L = 10
     subsets = scales._all_subsets(L, range(1, L + 1))
-    scales._Sweep(scales._as_channels(list(np.linspace(0.05, 0.9, L))), subsets)
+    channels = scales._as_channels(list(np.linspace(0.05, 0.9, L)))
+    scales._Sweep(channels, *scales._member_matrix(subsets))
     assert combined_shapes == [(len(subsets), 20)]
 
 
@@ -382,7 +383,8 @@ def test_work_ceiling_of_the_bounds(combined_shapes):
     # takes its whole window of 65 columns
     L = 10
     subsets = scales._all_subsets(L, range(1, L + 1))
-    sweep = scales._Sweep(scales._as_channels(list(np.linspace(0.05, 0.9, L))), subsets)
+    channels = scales._as_channels(list(np.linspace(0.05, 0.9, L)))
+    sweep = scales._Sweep(channels, *scales._member_matrix(subsets))
     combined_shapes.clear()
     sweep.bounds_of_maxima()
     assert combined_shapes == [(len(subsets), 5), (len(subsets), 3)]
@@ -460,8 +462,8 @@ def fine_threes(sweep, peak):
     offset = np.where(np.isnan(peak), sweep.k - sweep.centre, peak)
     mid = scales._FINE * sweep.centre + np.rint(scales._FINE * offset).astype(int)
     fine = sweep._curves(scales._FINE_GRID)
-    for s, m in zip(sweep.subsets, mid.clip(1, len(scales._FINE_GRID) - 2)):
-        yield functools.reduce(np.add, (fine[i, m - 1:m + 2] for i in s))
+    for row, n, m in zip(sweep.members, sweep.size, mid.clip(1, len(scales._FINE_GRID) - 2)):
+        yield functools.reduce(np.add, (fine[i, m - 1:m + 2] for i in row[:n]))
 
 
 def test_bounds_leave_unpeaked_subsets_unbounded(monkeypatch, combined_shapes):
@@ -483,7 +485,7 @@ def test_bounds_leave_unpeaked_subsets_unbounded(monkeypatch, combined_shapes):
     L = 10
     gammas = list(np.linspace(0.05, 0.9, L))
     subsets = scales._all_subsets(L, range(1, L + 1))
-    sweep = scales._Sweep(scales._as_channels(gammas), subsets)
+    sweep = scales._Sweep(scales._as_channels(gammas), *scales._member_matrix(subsets))
     combined_shapes.clear()
     bounds = shifted(sweep)
     assert combined_shapes == [(len(subsets), 5), (len(subsets), 3)]
@@ -517,7 +519,8 @@ def test_bounds_hold_where_the_quartic_can_miss():
     ]
     for branches in families:
         subsets, best, levels = full_sweep_levels(branches, 1e-8)
-        lower, upper = scales._Sweep(scales._as_channels(branches), subsets).bounds_of_maxima()
+        sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
+        lower, upper = sweep.bounds_of_maxima()
         value = np.array([best[s][1] for s in subsets])
         assert np.all(lower <= value + pad)
         assert np.all(value <= upper + pad)
@@ -569,7 +572,7 @@ def test_work_ceilings_of_refined_lanes(work_counts, monkeypatch):
     def falling_short(short):
         def refine_short(sweep, lanes, tol):
             res = refine(sweep, lanes, tol)
-            searched.append([sweep.subsets[i] for i in lanes])
+            searched.append([tuple(sweep.members[i, :sweep.size[i]].tolist()) for i in lanes])
             if len(searched) > 1:
                 return res
             size = np.array([len(s) for s in searched[0]])
@@ -640,11 +643,13 @@ def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
 
 def test_tie_rule_is_invariant_under_removing_a_loser():
     eps = scales._TIE_EPS
-    rated = [((i,), x * eps) for i, x in enumerate((0.0, 1.5, 2.2, 3.0, 3.8))]
+    rate = np.array([0.0, 1.5, 2.2, 3.0, 3.8]) * eps  # of the singletons (0,) ... (4,)
+    members, size = scales._member_matrix([(i,) for i in range(5)])
     # the first rate within eps of the best; a scan that replaces its pick on
-    # each gain above eps would pick (4,) once (1,) is left out
-    assert scales._best_subset(rated) == ScaleEntry(3.0 * eps, (3,))
-    assert scales._best_subset(rated[:1] + rated[2:]) == ScaleEntry(3.0 * eps, (3,))
+    # each gain above eps would pick (4,) once (1,) is left out, rated -inf
+    for rated in (rate, np.where(np.arange(5) == 1, -np.inf, rate)):
+        [pick] = scales._level_picks(rated, size, members, 5).tolist()
+        assert ScaleEntry(rated[pick], tuple(members[pick].tolist())) == ScaleEntry(3.0 * eps, (3,))
 
 
 def rz_damping(gamma, phase):
@@ -714,6 +719,52 @@ def full_sweep_levels(branches, tol):
     return subsets, best, levels
 
 
+def test_level_picks_are_the_first_tied_subsets_in_combinations_order():
+    # the test-side rule (full_sweep_levels): each level's first subset, in
+    # itertools.combinations order, whose rate from maximize_subsets over its
+    # rotations is within _TIE_EPS of the level's best. A subset's rotations
+    # tie with it, so every level of every family has ties to break.
+    rng = np.random.default_rng(33)
+    dep = QubitChannel.depolarizing
+    spread = [0.89, 0.05, 0.73, 0.78, 0.17, 0.43]
+    families = [spread]
+    for L in range(2, 9):
+        families += [
+            [float(g) for g in rng.uniform(0.0, 0.99, L)],
+            [round(float(g), 1) for g in rng.uniform(0.0, 0.99, L)],
+            [0.3] * L,
+            [dep(round(float(p), 1)) for p in rng.uniform(0.0, 1.0, L)],
+        ]
+    for branches in families:
+        _, _, levels = full_sweep_levels(branches, 1e-8)
+        assert compute_capacity_report(branches).scale == levels
+    # spread's level-3 pick is not the smallest bit mask of its rotation class
+    pick = compute_capacity_report(spread).scale[3].best_subset
+    assert pick == (0, 1, 4)
+    rotations = [tuple(sorted((m + k) % 6 for m in pick)) for k in range(6)]
+    assert min(rotations, key=lambda s: sum(2**m for m in s)) == (0, 2, 3)
+
+
+def test_periodic_reports_refuse_more_branches_than_masks_cover(tmp_path, capsys):
+    # the cap is checked before any subset is enumerated
+    gammas = [round(0.05 + 0.07 * i, 2) for i in range(13)]
+    path = damping_channel_file(tmp_path, gammas, {"kind": "periodic"})
+    for argv in (["capacity", path], ["scale", path, "--r", "2"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: subset enumeration limited to 12 branches\n"
+        assert captured.out == ""
+    branches = [0.3] * 40
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="^subset enumeration limited to 12 branches$"):
+            compute_capacity_report(branches)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("tol", [1e-8, 1e-2])
 def test_pruned_levels_match_full_sweep(tol):
     pad = scales._PRUNE_PAD
@@ -725,7 +776,7 @@ def test_pruned_levels_match_full_sweep(tol):
         report = compute_capacity_report(branches, tol)
         assert report.scale == levels
         assert report.cp == best[tuple(range(L))][1] / L
-        sweep = scales._Sweep(scales._as_channels(branches), subsets)
+        sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
         lower, upper = sweep.bounds_of_maxima()
         value = np.array([best[s][1] for s in subsets])
         assert np.all(value <= upper + pad)
@@ -743,7 +794,7 @@ def test_sweep_combines_members_in_order():
         permuted = scales._all_subsets(L, range(1, L + 1))
         permuted = [permuted[i] for i in rng.permutation(len(permuted))]
         subsets = sorted(permuted, key=len)  # size-major, still shuffled within each size
-        sweep = scales._Sweep(scales._as_channels(branches), subsets)
+        sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
         scan = sweep._curves(scales._SCAN)
         for s, k in zip(subsets, sweep.k):
             assert k == functools.reduce(np.add, (scan[i] for i in s)).argmax()
@@ -775,8 +826,8 @@ def test_sweep_takes_its_subsets_size_major():
     # d members, so a sweep refuses subsets that do not come size-major
     channels = scales._as_channels([0.1, 0.4, 0.7])
     with pytest.raises(ValueError, match="size-major"):
-        scales._Sweep(channels, [(0, 2), (1,), (0, 1, 2)])
-    sweep = scales._Sweep(channels, [(1,), (0, 2), (0, 1, 2)])
+        scales._Sweep(channels, *scales._member_matrix([(0, 2), (1,), (0, 1, 2)]))
+    sweep = scales._Sweep(channels, *scales._member_matrix([(1,), (0, 2), (0, 1, 2)]))
     # a row past its subset's size repeats the subset's last member
     assert sweep.members.tolist() == [[1, 1, 1], [0, 2, 2], [0, 1, 2]]
     assert sweep.size.tolist() == [1, 2, 3]
@@ -803,7 +854,7 @@ def test_sweep_window_keeps_each_first_argmax(combined_shapes):
         L = len(branches)
         subsets = scales._all_subsets(L, range(1, L + 1))
         combined_shapes.clear()
-        sweep = scales._Sweep(scales._as_channels(branches), subsets)
+        sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
         for s, k in zip(subsets, sweep.k):
             assert k == functools.reduce(np.add, (sweep.scan[i] for i in s)).argmax()
         sums.append([rows for rows, _ in combined_shapes])
@@ -839,7 +890,8 @@ def test_sweep_window_ties_take_the_whole_row(monkeypatch, combined_shapes):
     b = 1.0 - 1e-3 * (np.maximum(95 - j, 0) + np.maximum(j - 200, 0))
     assert (a + b)[99] == (a + b)[100] == 1.25
     monkeypatch.setattr(scales._Sweep, "_curves", lambda sweep, grid: np.stack([a, b]))
-    sweep = scales._Sweep(scales._as_channels([0.1, 0.2]), [(0,), (1,), (0, 1)])
+    channels = scales._as_channels([0.1, 0.2])
+    sweep = scales._Sweep(channels, *scales._member_matrix([(0,), (1,), (0, 1)]))
     assert list(sweep.k) == [100, 95, 97]
     assert combined_shapes == [(3, 2), (2, len(scales._SCAN))]
 
