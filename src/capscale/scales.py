@@ -73,7 +73,7 @@ class _Sweep:
     A subset's curve is the sum of its branch curves. The sweep takes its
     subsets once, size-major (ValueError otherwise), as a member matrix
     (members, shape (subsets, largest size), and size), built from tuples
-    by _member_matrix or from bit masks by _subset_masks. So one in-order
+    by _member_matrix or, in report order, from _subset_masks. So one in-order
     sum over the matrix's columns (_combined) serves every subset size:
     member position d adds only to the last subsets, those with more than
     d members, and each subset's sum keeps the bits of adding its curves
@@ -392,47 +392,40 @@ def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
     return list(_suprema(_singletons(_as_channels(branches), tol)[1]))
 
 
-def _enumerable(L: int) -> None:
+def _subset_masks(L: int, sizes):
+    """The subsets of range(L) of the given sizes: bit masks, incidence, flat members, sizes.
+
+    Bit L-1-m of subset i's mask, and inc[i, m], are set for its members m;
+    flat lists each subset's members in increasing order, subset after
+    subset. The subsets come in report order, size-major, then
+    lexicographic, as itertools.combinations gives them: within a size, in
+    decreasing mask.
+    """
     if L > MAX_BRANCHES:
         raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
-
-
-def _all_subsets(L: int, sizes) -> list[tuple[int, ...]]:
-    """Subsets of the given sizes, size-major, then in lexicographic order."""
-    _enumerable(L)
-    return [s for r in sizes for s in itertools.combinations(range(L), r)]
-
-
-def _subset_masks(L: int, sizes):
-    """The subsets of range(L) of the given sizes: their bit masks, member matrix and sizes.
-
-    Bit m of a mask is set for member m. The subsets come size-major, then
-    in increasing mask: the singletons first, in branch order, and the full
-    set last.
-    """
-    _enumerable(L)
-    masks = np.arange(1, 1 << L, dtype="<i8")  # little-endian: bit m is bit m of the bytes
-    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=L, bitorder="little")
+    masks = np.arange((1 << L) - 1, 0, -1, dtype="<i8")
+    # bit L-1-m shifted to bit 63-m, which the big-endian bytes unpack m-th
+    top = (masks << (64 - L)).astype(">i8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(top, axis=1, count=L)
     size = np.einsum("ij->i", bits).astype(int)  # summed in uint8, which holds L
     wanted = np.zeros(L + 1, dtype=bool)
     wanted[list(sizes)] = True
     order = np.flatnonzero(wanted[size])
     order = order[size[order].argsort(kind="stable")]
-    # row by row, each row's members in increasing order; nonzero is fastest on bools
-    flat = np.flatnonzero(bits[order].view(bool))
+    inc = bits.take(order, axis=0).view(bool)
+    flat = np.flatnonzero(inc)  # row by row; nonzero is fastest on bools
     flat %= L
-    size = size[order]
-    return masks[order], _padded(flat, size), size
+    return masks[order], inc, flat, size[order]
 
 
 def _rotations(masks, L: int) -> np.ndarray:
     """Cyclic rotations of bitmask subsets, shape (L, subsets).
 
-    Row k moves each member m to (m + k) mod L.
+    Row k moves each member m to (m + k) mod L, so bit L-1-m (see
+    _subset_masks) k places down, cyclically.
     """
     k = np.arange(L)[:, None]
-    masks = np.asarray(masks)
-    return ((masks << k) | (masks >> (L - k))) & ((1 << L) - 1)
+    return ((masks >> k) | (masks << (L - k))) & ((1 << L) - 1)
 
 
 def check_indices(subset, what: str = "subset") -> tuple[int, ...]:
@@ -478,20 +471,19 @@ def _level_max(x, size) -> np.ndarray:
     return top[size]
 
 
-def _level_picks(rate, size, members, L: int) -> np.ndarray:
+def _level_picks(rate, size) -> np.ndarray:
     """The row of each level's pick, in increasing size.
 
     A level's pick is its lexicographically first subset within _TIE_EPS
-    of its best rate. Such a subset's key is the sum of 2^(L-1-m) over its
-    members m, so the largest key is the lexicographically first. A subset rated -inf is
-    never a pick, and leaving out one rated more than _TIE_EPS below its
-    level's best cannot change a pick, as it could for a scan that replaced
-    its pick on each gain above _TIE_EPS.
+    of its best rate. The rows come in report order (see _subset_masks),
+    so that is the level's first such row. A subset rated -inf is never a
+    pick, and leaving out one rated more than _TIE_EPS below its level's
+    best cannot change a pick, as it could for a scan that replaced its
+    pick on each gain above _TIE_EPS.
     """
     tied = np.flatnonzero(rate >= _level_max(rate, size) - _TIE_EPS)
-    # a row's repeated last member sets its bit again; the keys are exact as floats
-    key = np.bitwise_or.reduce(1 << (L - 1 - members[tied]), axis=1)
-    return tied[key == _level_max(key, size[tied])]
+    level = size[tied]
+    return tied[np.concatenate(([True], level[1:] != level[:-1]))]  # each level's first
 
 
 def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
@@ -515,11 +507,12 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
 
     Returns {r: ScaleEntry} and each subset's search results as _found
     stacks them, shape (5, subsets), NaN for a subset not refined; the
-    subsets are size-major, then in increasing bit mask (see _subset_masks).
-    Only the picks become tuples (see _level_picks).
+    subsets come in report order, size-major, then lexicographic (see
+    _subset_masks). Only the picks become tuples (see _level_picks).
     """
     L = len(channels)
-    masks, members, size = _subset_masks(L, sizes)
+    masks, _, flat, size = _subset_masks(L, sizes)
+    members = _padded(flat, size)
     sweep = _Sweep(channels, members, size)
     row = np.zeros(1 << L, dtype=int)
     row[masks] = np.arange(len(size))
@@ -547,7 +540,7 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
         if not more.any():
             break
         keep |= more
-    picks = _level_picks(rate, size, members, L)
+    picks = _level_picks(rate, size)
     scale = {}
     for i, r in zip(picks.tolist(), size[picks].tolist()):
         scale[r] = ScaleEntry(float(rate[i]), tuple(members[i, :r].tolist()))
@@ -610,9 +603,10 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     c_delta uses a single ensemble that must serve every branch in the
     subset (maximize the worst case); cbar_delta is the best single branch
     in the subset; q_delta is the probability that the drawn branch lies
-    in it. deltas defaults to every nonempty subset of branches (the
-    branch count is capped at MAX_BRANCHES in that case); deltas passed
-    in are validated, the enumerated ones are not.
+    in it. deltas defaults to every nonempty subset of branches, in the
+    order of _subset_masks, size-major, then lexicographic (the branch
+    count is capped at MAX_BRANCHES in that case); deltas passed in are
+    validated, the enumerated ones are not.
 
     Every c_delta comes from one maximization over the L singletons,
     whatever the deltas: the worst case of each pair in a delta follows
@@ -623,12 +617,15 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     L = len(channels)
     q = tuple(float(x) for x in MemoryChannel.random(channels, q).q)
     if deltas is None:
-        deltas = _all_subsets(L, range(1, L + 1))
+        _, inc, flat, size = _subset_masks(L, range(1, L + 1))
+        deltas, at = [], 0
+        for r, n in enumerate(np.bincount(size).tolist()):  # n subsets of r members each
+            deltas += map(tuple, flat[at:at + n * r].reshape(n, r).tolist())
+            at += n * r
     else:
         deltas = [_check_subset(d, L) for d in listed(deltas, "deltas", "subsets")]
-    members, _ = _member_matrix(deltas)
-    inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
-    inc[np.arange(len(deltas))[:, None], members] = True
+        inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
+        inc[np.arange(len(deltas))[:, None], _member_matrix(deltas)[0]] = True
     pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
     sweep, peaks = _singletons(channels, tol)
     sups = _suprema(peaks)

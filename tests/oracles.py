@@ -6,7 +6,8 @@ curve's closed-form derivative with a bisection root finder, a 40-digit
 maximizer of that curve, and 40-digit worst cases of pairs of damping,
 X-conjugated damping and depolarizing curves, and the mirror-pair
 Holevo kernel written as one numpy expression per quantity, the
-reference for the library kernel's bits. Nothing here imports
+reference for the library kernel's bits, and the subsets of the branches
+in report order. Nothing here imports
 capscale, so a test that compares the two compares two independent
 computations.
 """
@@ -342,6 +343,12 @@ def validate_density_matrix(rho, dim):
     if evs[0] < EIGENVALUE_FLOOR:
         raise OracleError(f"matrix is not PSD: min eigenvalue {evs[0]:.3e}")
     return rho
+
+
+def all_subsets(L, sizes):
+    """The subsets of range(L) of the given sizes as sorted tuples, size-major, then in
+    lexicographic order: the order of every report's rows."""
+    return [s for r in sizes for s in itertools.combinations(range(L), r)]
 
 
 def periodic_law(L):

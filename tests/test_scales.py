@@ -370,7 +370,7 @@ def test_work_ceiling_of_the_scan(combined_shapes):
     # members' scan rows over the same 20 of the 257 columns, between the
     # rows' peaks, in one sum over the member matrix
     L = 10
-    subsets = scales._all_subsets(L, range(1, L + 1))
+    subsets = oracles.all_subsets(L, range(1, L + 1))
     channels = scales._as_channels(list(np.linspace(0.05, 0.9, L)))
     scales._Sweep(channels, *scales._member_matrix(subsets))
     assert combined_shapes == [(len(subsets), 20)]
@@ -382,7 +382,7 @@ def test_work_ceiling_of_the_bounds(combined_shapes):
     # summed for every subset at once: on spread damping branches no subset
     # takes its whole window of 65 columns
     L = 10
-    subsets = scales._all_subsets(L, range(1, L + 1))
+    subsets = oracles.all_subsets(L, range(1, L + 1))
     channels = scales._as_channels(list(np.linspace(0.05, 0.9, L)))
     sweep = scales._Sweep(channels, *scales._member_matrix(subsets))
     combined_shapes.clear()
@@ -484,7 +484,7 @@ def test_bounds_leave_unpeaked_subsets_unbounded(monkeypatch, combined_shapes):
 
     L = 10
     gammas = list(np.linspace(0.05, 0.9, L))
-    subsets = scales._all_subsets(L, range(1, L + 1))
+    subsets = oracles.all_subsets(L, range(1, L + 1))
     sweep = scales._Sweep(scales._as_channels(gammas), *scales._member_matrix(subsets))
     combined_shapes.clear()
     bounds = shifted(sweep)
@@ -535,7 +535,7 @@ def test_search_calls_of_pruning_cases(work_counts):
         work_counts.clear()
         for branches in pruning_cases():
             L = len(branches)
-            scales.maximize_subsets(branches, scales._all_subsets(L, range(1, L + 1)), tol)
+            scales.maximize_subsets(branches, oracles.all_subsets(L, range(1, L + 1)), tol)
             compute_random_scale_report(branches, [1 / L] * L, tol=tol)
         assert work_counts["most steps"] <= ceiling
 
@@ -644,12 +644,12 @@ def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
 def test_tie_rule_is_invariant_under_removing_a_loser():
     eps = scales._TIE_EPS
     rate = np.array([0.0, 1.5, 2.2, 3.0, 3.8]) * eps  # of the singletons (0,) ... (4,)
-    members, size = scales._member_matrix([(i,) for i in range(5)])
+    size = np.ones(5, dtype=int)
     # the first rate within eps of the best; a scan that replaces its pick on
     # each gain above eps would pick (4,) once (1,) is left out, rated -inf
     for rated in (rate, np.where(np.arange(5) == 1, -np.inf, rate)):
-        [pick] = scales._level_picks(rated, size, members, 5).tolist()
-        assert ScaleEntry(rated[pick], tuple(members[pick].tolist())) == ScaleEntry(3.0 * eps, (3,))
+        [pick] = scales._level_picks(rated, size).tolist()
+        assert ScaleEntry(rated[pick], (pick,)) == ScaleEntry(3.0 * eps, (3,))
 
 
 def rz_damping(gamma, phase):
@@ -706,7 +706,7 @@ def pruning_cases():
 def full_sweep_levels(branches, tol):
     """Every subset refined, then each level's first subset within _TIE_EPS of its best."""
     L = len(branches)
-    subsets = [s for r in range(1, L + 1) for s in itertools.combinations(range(L), r)]
+    subsets = oracles.all_subsets(L, range(1, L + 1))
     best = scales.maximize_subsets(branches, subsets, tol=tol)
     levels = {}
     for r in range(1, L + 1):
@@ -738,11 +738,33 @@ def test_level_picks_are_the_first_tied_subsets_in_combinations_order():
     for branches in families:
         _, _, levels = full_sweep_levels(branches, 1e-8)
         assert compute_capacity_report(branches).scale == levels
-    # spread's level-3 pick is not the smallest bit mask of its rotation class
+    # spread's level-3 pick is not the rotation of its class with the least sum of 2^m
     pick = compute_capacity_report(spread).scale[3].best_subset
     assert pick == (0, 1, 4)
     rotations = [tuple(sorted((m + k) % 6 for m in pick)) for k in range(6)]
     assert min(rotations, key=lambda s: sum(2**m for m in s)) == (0, 2, 3)
+
+
+def test_subset_masks_come_in_report_order():
+    # one enumeration serves every report: its rows in itertools.combinations
+    # order, size-major, each mask with bit L-1-m for member m, each incidence
+    # row True at the members, and row k of the rotations the row of the
+    # subset with each member m moved to (m + k) mod L
+    for L in range(1, scales.MAX_BRANCHES + 1):
+        for sizes in [*([r] for r in range(1, L + 1)), range(1, L + 1)]:
+            masks, inc, flat, size = scales._subset_masks(L, sizes)
+            subsets = [tuple(s.tolist()) for s in np.split(flat, size.cumsum()[:-1])]
+            assert subsets == oracles.all_subsets(L, sizes)
+            assert masks.tolist() == [sum(1 << (L - 1 - m) for m in s) for s in subsets]
+            assert inc.tolist() == [[m in s for m in range(L)] for s in subsets]
+            row = np.zeros(1 << L, dtype=int)
+            row[masks] = np.arange(len(size))
+            rot = row[scales._rotations(masks, L)]
+            index = {s: i for i, s in enumerate(subsets)}
+            for k in range(L):
+                assert rot[k].tolist() == [
+                    index[tuple(sorted((m + k) % L for m in s))] for s in subsets
+                ]
 
 
 def test_periodic_reports_refuse_more_branches_than_masks_cover(tmp_path, capsys):
@@ -791,7 +813,7 @@ def test_sweep_combines_members_in_order():
     rng = np.random.default_rng(16)
     for branches in pruning_cases():
         L = len(branches)
-        permuted = scales._all_subsets(L, range(1, L + 1))
+        permuted = oracles.all_subsets(L, range(1, L + 1))
         permuted = [permuted[i] for i in rng.permutation(len(permuted))]
         subsets = sorted(permuted, key=len)  # size-major, still shuffled within each size
         sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
@@ -852,7 +874,7 @@ def test_sweep_window_keeps_each_first_argmax(combined_shapes):
     sums, widths, flat_only = [], [], []
     for branches in families:
         L = len(branches)
-        subsets = scales._all_subsets(L, range(1, L + 1))
+        subsets = oracles.all_subsets(L, range(1, L + 1))
         combined_shapes.clear()
         sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
         for s, k in zip(subsets, sweep.k):
@@ -1082,7 +1104,7 @@ def test_every_search_bracket_holds_its_best_point(monkeypatch):
             assert all(lo <= s.a_max <= hi for s in sups for lo, hi in [s.bracket])
             assert all(s.bracket[0] < s.bracket[1] for s in sups[:2])  # the flat lanes
             compute_random_scale_report(branches, [1 / L] * L, tol=tol)
-            scales.maximize_subsets(branches, scales._all_subsets(L, range(1, 4)), tol)
+            scales.maximize_subsets(branches, oracles.all_subsets(L, range(1, 4)), tol)
             # per_branch_suprema's, the random report's singletons' and
             # crossing pairs', and maximize_subsets'
             assert len(searches) == 4
@@ -1131,7 +1153,7 @@ def test_random_report_matches_direct_maximization():
         q = rng.dirichlet(np.ones(L))
         report = compute_random_scale_report([branch(c) for c in curves], q)
         table = report.per_subset
-        assert list(table) == scales._all_subsets(L, range(1, L + 1))
+        assert list(table) == oracles.all_subsets(L, range(1, L + 1))
         truth = {
             (i, m): oracles.pair_minimum(oracle_curve(curves[i]), oracle_curve(curves[m]))
             for i, m in itertools.combinations_with_replacement(range(L), 2)
