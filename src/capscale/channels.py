@@ -47,19 +47,23 @@ def check_number(value, what, dtype=float):
 def check_numbers(value, name, dtype=float) -> np.ndarray:
     """value as an array of dtype (float or complex), each entry checked by check_number.
 
-    value is a number, or nested lists, tuples or arrays of numbers.
+    value is a number, or nested lists, tuples or arrays of numbers, at most
+    32 levels deep: the most dimensions numpy 1.24 gives an array.
     """
     if isinstance(value, np.ndarray) and value.dtype.kind in ("fiu" if dtype is float else "fiuc"):
         return value.astype(dtype)  # every entry is a number already
 
-    def entries(v):
+    def entries(v, depth):
         if isinstance(v, np.ndarray):
             v = v.tolist()
         if isinstance(v, (list, tuple)):
-            return [entries(x) for x in v]
+            # refused before the recursion nears Python's limit
+            if depth == 32:
+                raise ValidationError(f"{name} is nested too deeply: more than 32 levels")
+            return [entries(x, depth + 1) for x in v]
         return check_number(v, f"each entry of {name}", dtype)
 
-    nested = entries(value)
+    nested = entries(value, 0)
     try:
         return np.array(nested, dtype=dtype)
     except ValueError as e:  # ragged nesting

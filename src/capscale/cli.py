@@ -124,6 +124,8 @@ def load_channel_config(path) -> MemoryChannel:
         raise ValidationError(f"channel file {path!r} is not valid JSON: {e}") from e
     except UnicodeDecodeError as e:
         raise ValidationError(f"channel file {path!r} is not UTF-8 text: {e}") from e
+    except (RecursionError, ValueError) as e:  # over-deep nesting, over-long integers
+        raise ValidationError(f"channel file {path!r} cannot be read: {e}") from e
     if not isinstance(data, dict):
         raise ValidationError("channel file must contain a JSON object")
     raw = data.get("branches")
@@ -145,7 +147,7 @@ def load_channel_config(path) -> MemoryChannel:
 
 def _parse_indices(text, what) -> tuple[int, ...]:
     try:
-        idxs = tuple(int(t) for t in text.split(",") if t.strip() != "")
+        idxs = tuple(int(t) for t in text.split(","))
     except ValueError as e:
         raise ValidationError(f"{what} must be comma-separated integers: {text!r}") from e
     return scales.check_indices(idxs, what)
@@ -153,7 +155,7 @@ def _parse_indices(text, what) -> tuple[int, ...]:
 
 def _parse_rates(text) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
+        return [float(t) for t in text.split(",")]
     except ValueError as e:
         raise ValidationError(f"rates must be comma-separated numbers: {text!r}") from e
 

@@ -119,22 +119,24 @@ def _clears(rate: float, subset, value: float) -> bool:
     return rate < value
 
 
-def _success(probs: np.ndarray, strategy: Strategy, value: float) -> np.ndarray:
-    """Per-branch success of the idealized decoder: a branch succeeds exactly
-    when it lies in the strategy's subset and the rate clears `value`, the
-    subset's rate (see _clears)."""
-    success = np.zeros(len(probs), dtype=bool)
-    if _clears(strategy.rate, strategy.subset, value):
-        success[list(strategy.subset)] = True
-    return success
+def _draw(mc: MemoryChannel, subset, n_trials: int, seed: int) -> tuple[np.ndarray, float]:
+    """The draws per branch of n_trials trials seeded by seed, and the
+    fraction of them that fell outside subset: the decoder's error when
+    exactly subset's branches decode."""
+    probs = _branch_probs(mc)
+    # q may miss 1 by up to 1e-10; the draw alone needs it normalized
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = rng.multinomial(n_trials, probs / probs.sum())
+    return counts, 1.0 - float(counts[list(subset)].sum() / n_trials)
 
 
 def run_trials(
     mc: MemoryChannel, strategy: Strategy, n_trials: int, seed: int, tol: float = 1e-8
 ) -> SimResult:
-    """Draw branches and score the strategy by the idealized decoder (see _success).
+    """Draw branches and score the strategy by the idealized decoder.
 
-    A branch either always or never succeeds, so the count of draws per
+    A branch decodes exactly when it lies in the strategy's subset and the
+    rate clears the subset's rate (see _clears), so the count of draws per
     branch is a sufficient statistic: the n_trials draws are one
     multinomial sample of those counts from a counter-based generator, in
     time and memory of order L, and the result depends only on (seed,
@@ -146,31 +148,19 @@ def run_trials(
     generator's key range.
     """
     n_trials, seed = _check_draws(n_trials, seed)
-    ((_, value, q_subset),) = _rated(mc, strategy.subset, tol)
-    return _draw_trials(mc, strategy, value, q_subset, n_trials, seed)
-
-
-def _draw_trials(
-    mc, strategy: Strategy, value: float, q_subset: float, n_trials: int, seed: int
-) -> SimResult:
-    """run_trials for a subset whose rate `value` and probability q_subset the
-    caller already holds, with n_trials and seed that passed _check_draws."""
-    probs = _branch_probs(mc)
-    success = _success(probs, strategy, value)
-
-    # q may miss 1 by up to 1e-10; the draw alone needs it normalized
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = rng.multinomial(n_trials, probs / probs.sum())
+    ((subset, value, q_subset),) = _rated(mc, strategy.subset, tol)
+    cleared = _clears(strategy.rate, subset, value)
+    counts, error = _draw(mc, subset if cleared else (), n_trials, seed)
     return SimResult(
         n_trials=n_trials,
         seed=seed,
         strategy=strategy,
         subset_rate=value,
         q_subset=q_subset,
-        # decoding succeeds on exactly the subset's branches, or on none
-        theoretical_error=1.0 - q_subset if success.any() else 1.0,
-        empirical_error=1.0 - float(counts[success].sum() / n_trials),
-        max_branch_error=float(counts[~success].any()),
+        theoretical_error=1.0 - q_subset if cleared else 1.0,
+        empirical_error=error,
+        # a branch always or never decodes: any failure is a failing branch's
+        max_branch_error=float(error > 0.0),
         counts=counts,
     )
 
@@ -226,8 +216,8 @@ def empirical_staircase(
         if pick is None:
             rows.append(StaircaseRow(rate, (), 0.0, 1.0, 1.0, n_trials, seed + i))
             continue
-        subset, value, q = pick
-        res = _draw_trials(mc, Strategy(subset, rate), value, q, n_trials, seed + i)
-        rows.append(StaircaseRow.from_result(res))
+        subset, _, q = pick
+        _, error = _draw(mc, subset, n_trials, seed + i)
+        rows.append(StaircaseRow(rate, subset, q, 1.0 - q, error, n_trials, seed + i))
     return rows
 

@@ -268,6 +268,27 @@ def test_memory_channel_validation():
             QubitChannel.kraus(ops)
 
 
+def nested(value, depth):
+    """value inside depth levels of one-element lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_over_deep_nesting_is_refused():
+    # more than 32 levels (numpy 1.24's most dimensions) is refused before
+    # the recursion nears Python's limit, whatever the depth; 32 levels are
+    # read, and refused for their shape
+    branches = [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4)]
+    for depth in (33, 65, 600, 100_000):
+        with pytest.raises(ValidationError, match="'q' is nested too deeply"):
+            MemoryChannel.random(branches, nested([0.5, 0.5], depth - 1))
+        with pytest.raises(ValidationError, match="kraus op is nested too deeply"):
+            QubitChannel.kraus([nested(1.0, depth)])
+    with pytest.raises(ValidationError, match="one probability per branch"):
+        MemoryChannel.random(branches, nested([0.5, 0.5], 31))
+
+
 def test_apply_memory_channel_n_contract():
     kraus = _ad_kraus([0.1, 0.5])
     rng = np.random.default_rng(13)

@@ -386,6 +386,20 @@ def test_exit_code_on_bad_inputs(channel_files, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["chi", str(top_list), "--tol", "1.0"]) == 2
     assert capsys.readouterr().err == "error: channel file must contain a JSON object\n"
+    # an empty field of a comma list is refused, not dropped; spaces around a field are not
+    rand3, per4 = channel_files["rand3"], channel_files["per4"]
+    for argv in (
+        ["random-scale", rand3, "--delta", "0,,2"],
+        ["simulate", rand3, "--rate", "0.3", "--subset", "1,"],
+        ["simulate", per4, "--rate", "0.3,,0.6"],
+        ["simulate", per4, "--rate", ""],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be comma-separated" in err and err.endswith(f": {argv[-1]!r}\n")
+    assert cli.main(["random-scale", rand3, "--delta", " 0 , 2 "]) == 0
+    assert cli.main(["simulate", per4, "--rate", " 0.3 , 0.6 ", "--trials", "10"]) == 0
 
 
 NAN = float("nan")
@@ -492,6 +506,50 @@ def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, config,
     assert cli.main([argv[0], str(path)] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _deep(depth, inner="0.5"):
+    """JSON text of inner inside depth levels of one-element arrays."""
+    return "[" * depth + inner + "]" * depth
+
+
+_AD_TEXT = '{"type": "amplitude_damping", "gamma": 0.3}'
+
+
+def _random_text(q_text):
+    return '{"branches": [%s, %s], "memory": {"kind": "random", "q": %s}}' % (
+        _AD_TEXT, _AD_TEXT, q_text)
+
+
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        ("[" * 100_000, "chi", "cannot be read:"),
+        (
+            '{"branches": [{"type": "amplitude_damping", "gamma": %s}], '
+            '"memory": {"kind": "periodic"}}' % ("1" * 5000),
+            "chi",
+            "cannot be read: Exceeds the limit",
+        ),
+        (_random_text(_deep(64, "0.5, 0.5")), "capacity", "'q' is nested too deeply"),
+        (_random_text(_deep(599, "0.5, 0.5")), "capacity", "'q' is nested too deeply"),
+        (
+            '{"branches": [{"type": "kraus", "ops": [%s]}], "memory": {"kind": "periodic"}}'
+            % _deep(600, "1.0"),
+            "chi",
+            "a kraus op of branch 0 is nested too deeply",
+        ),
+    ],
+    ids=["brackets-100000", "gamma-5000-digits", "q-depth-65", "q-depth-600", "kraus-depth-600"],
+)
+def test_exit_code_on_unreadable_channel_text(tmp_path, capsys, text, command, message):
+    # raw text, as json.dumps cannot write nesting past the decoder's
+    # recursion limit or an integer past the digit limit
+    path = tmp_path / "channel.json"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def _csv_cell(value) -> str:

@@ -19,7 +19,7 @@ from capscale import (
     run_trials,
     subset_scale_value,
 )
-from capscale.simulate import MAX_TRIALS, _branch_probs, _rated, _success
+from capscale.simulate import MAX_TRIALS, RATE_MARGIN, _branch_probs, _rated
 from conftest import damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
@@ -63,7 +63,11 @@ def success_oracle(mc, strategy, tol=1e-8):
     within RATE_MARGIN of that rate is refused as indeterminate.
     """
     ((_, value, _),) = _rated(mc, strategy.subset, tol)
-    return _success(_branch_probs(mc), strategy, value)
+    if abs(strategy.rate - value) <= RATE_MARGIN:
+        raise ValidationError(f"rate {strategy.rate!r} is within {RATE_MARGIN} of {value!r}")
+    ok = np.zeros(len(mc.branches), dtype=bool)
+    ok[list(strategy.subset)] = strategy.rate < value
+    return ok
 
 
 def test_success_oracle_periodic():
@@ -88,6 +92,8 @@ def test_success_oracle_rejects_indeterminate_rate():
     value = subset_scale_value(GAMMAS4, (0, 1))
     with pytest.raises(ValidationError):
         success_oracle(mc, Strategy((0, 1), value))
+    with pytest.raises(ValidationError, match="indeterminate"):
+        run_trials(mc, Strategy((0, 1), value), 1000, seed=1)
 
 
 def test_branch_probabilities_are_the_memory_laws_marginals():
@@ -233,6 +239,9 @@ def test_run_trials_q_subset_matches_staircase(mc, rate, q):
     (row,) = empirical_staircase(mc, [rate], 1000, seed=2)
     assert row.subset == res.strategy.subset == (0, 1)
     assert res.q_subset == row.q_subset == q
+    # one draw rule: the same pick and seed give the same errors, to the bit
+    assert row.theoretical_error == res.theoretical_error
+    assert row.empirical_error == res.empirical_error
 
 
 def test_run_trials_validation(monkeypatch):
