@@ -195,8 +195,15 @@ def kraus_operators(ch: QubitChannel) -> list[np.ndarray]:
     return [k.copy() for k in ch.kraus_ops]
 
 
-def _branches(branches) -> tuple:
-    return tuple(listed(branches, "branches", "QubitChannel instances"))
+def check_probabilities(q, L: int) -> np.ndarray:
+    """q as the float array of a random memory's L branch probabilities, summing to 1 within 1e-10."""
+    q = check_numbers(q, "'q'")
+    if q.shape != (L,):
+        raise ValidationError("random memory needs one probability per branch")
+    # NaN fails both tests
+    if not (q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-10):
+        raise ValidationError("q must be a probability vector summing to 1")
+    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,27 +221,21 @@ class MemoryChannel:
 
     @classmethod
     def periodic(cls, branches) -> "MemoryChannel":
-        return cls(branches=_branches(branches), memory="periodic")
+        return cls(branches=branches, memory="periodic")
 
     @classmethod
     def random(cls, branches, q) -> "MemoryChannel":
-        return cls(branches=_branches(branches), memory="random", q=q)
+        return cls(branches=branches, memory="random", q=q)
 
     def __post_init__(self):
-        L = len(self.branches)
+        branches = tuple(listed(self.branches, "branches", "QubitChannel instances"))
+        object.__setattr__(self, "branches", branches)
+        L = len(branches)
         if L < 1:
             raise ValidationError("need at least one branch")
-        if any(not isinstance(b, QubitChannel) for b in self.branches):
+        if any(not isinstance(b, QubitChannel) for b in branches):
             raise ValidationError("branches must be QubitChannel instances")
-        if self.memory == "periodic":
-            return
         if self.memory == "random":
-            q = check_numbers(self.q, "'q'")
-            if q.shape != (L,):
-                raise ValidationError("random memory needs one probability per branch")
-            # NaN fails both tests
-            if not (q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-10):
-                raise ValidationError("q must be a probability vector summing to 1")
-            object.__setattr__(self, "q", q)
-            return
-        raise ValidationError(f"unknown memory kind {self.memory!r}")
+            object.__setattr__(self, "q", check_probabilities(self.q, L))
+        elif self.memory != "periodic":
+            raise ValidationError(f"unknown memory kind {self.memory!r}")

@@ -265,8 +265,7 @@ def cmd_ad_gap(args, mc, tol):
     n = len(gammas)
     # pair (j, i) is pair (i, j), and pair (i, i) peaks where branch i does
     subsets = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # valid by construction: the unchecked maximizer
-    best = scales._maximize(scales._as_channels(gammas), subsets, tol)
+    best = scales.maximize_subsets(gammas, subsets, tol)
     rows = []
     for i, g0 in enumerate(gammas):
         for j, g1 in enumerate(gammas):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MemoryChannel, QubitChannel, check_integer, listed
+from .channels import QubitChannel, check_integer, check_probabilities, listed
 from .errors import NumericalError, ValidationError
 from .holevo import mirror_chi, mirror_chi_jet, mirror_form
 from .optim import maximize_concave_1d
@@ -57,14 +57,15 @@ _FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
 _REFINE_BLOCK = 1024
 
 
-def _as_channels(branches) -> tuple[QubitChannel, ...]:
-    out = tuple(
+def _forms(branches) -> np.ndarray:
+    """The stacked mirror forms, shape (6, L), of a report's branches: channels or damping parameters."""
+    channels = [
         b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(b)
         for b in listed(branches, "branches", "channels or damping parameters")
-    )
-    if not out:
+    ]
+    if not channels:
         raise ValidationError("need at least one branch")
-    return out
+    return mirror_form(zip(*(ch.bloch_map for ch in channels)))  # stacked (M, t)
 
 
 class _Sweep:
@@ -80,7 +81,7 @@ class _Sweep:
     in member order. The scan,
     the quartic peaks, the bounds and the refine (over a table of kernel
     jets) all sum through it. Curves are evaluated from each branch's
-    mirror_form, shape (6, branch), computed once. Each branch's curve is
+    mirror_form, shape (6, branch) (see _forms). Each branch's curve is
     evaluated once on the scan grid (scan, shape (branch, len(_SCAN))),
     and each subset's grid argmax k of its summed scan rows, two steps to
     either side, brackets its maximizer. The peak of the quartic
@@ -113,9 +114,8 @@ class _Sweep:
     most _BLOCK elements.
     """
 
-    def __init__(self, channels, members, size):
-        self.form = mirror_form(zip(*(ch.bloch_map for ch in channels)))  # stacked (M, t)
-        self.members, self.size = members, size
+    def __init__(self, form, members, size):
+        self.form, self.members, self.size = form, members, size
         if (size[1:] < size[:-1]).any():
             raise ValueError("a sweep's subsets must come size-major")
         scan = self.scan = self._curves(_SCAN)
@@ -305,15 +305,15 @@ def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
     Each subset is checked as in subset_scale_value. Returns
     {subset: (argmax, value)}, keyed by each subset as a sorted tuple.
     """
-    channels = _as_channels(branches)
-    subsets = [_check_subset(s, len(channels)) for s in listed(subsets, "subsets", "subsets")]
-    return _maximize(channels, subsets, tol) if subsets else {}
+    form = _forms(branches)
+    subsets = [_check_subset(s, form.shape[1]) for s in listed(subsets, "subsets", "subsets")]
+    return _maximize(form, subsets, tol) if subsets else {}
 
 
-def _maximize(channels, subsets, tol) -> dict:
+def _maximize(form, subsets, tol) -> dict:
     """maximize_subsets on a nonempty list of checked subsets."""
     ordered = sorted(dict.fromkeys(subsets), key=len)  # size-major, as _Sweep takes them; stable
-    res = _Sweep(channels, *_member_matrix(ordered)).refine(np.arange(len(ordered)), tol)
+    res = _Sweep(form, *_member_matrix(ordered)).refine(np.arange(len(ordered)), tol)
     best = {s: (float(a), float(v)) for s, a, v in zip(ordered, res.argmax, res.value)}
     return {s: best[s] for s in subsets}  # in first-appearance order
 
@@ -382,14 +382,14 @@ def _suprema(found) -> tuple[BranchSupremum, ...]:
     return tuple(BranchSupremum(a, v, (lo, hi), s) for a, v, lo, hi, s in found.T.tolist())
 
 
-def _singletons(channels, tol):
+def _singletons(form, tol):
     """The sweep of the single branches, and its search of every one as _found stacks it."""
-    sweep = _Sweep(channels, *_member_matrix([(i,) for i in range(len(channels))]))
-    return sweep, _found(sweep.refine(np.arange(len(channels)), tol))
+    sweep = _Sweep(form, *_member_matrix([(i,) for i in range(form.shape[1])]))
+    return sweep, _found(sweep.refine(np.arange(form.shape[1]), tol))
 
 
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
-    return list(_suprema(_singletons(_as_channels(branches), tol)[1]))
+    return list(_suprema(_singletons(_forms(branches), tol)[1]))
 
 
 def _subset_masks(L: int, sizes):
@@ -456,11 +456,11 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     Averages, over the unknown cyclic offset, the best joint rate of the
     selected positions, normalized per selected position.
     """
-    channels = _as_channels(branches)
-    L = len(channels)
+    form = _forms(branches)
+    L = form.shape[1]
     subset = _check_subset(subset, L)
     rotations = [tuple(sorted((m + k) % L for m in subset)) for k in range(L)]
-    best = _maximize(channels, rotations, tol)
+    best = _maximize(form, rotations, tol)
     return sum(best[rotated][1] for rotated in rotations) / (len(subset) * L)
 
 
@@ -486,7 +486,7 @@ def _level_picks(rate, size) -> np.ndarray:
     return tied[np.concatenate(([True], level[1:] != level[:-1]))]  # each level's first
 
 
-def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
+def _scale_levels(form, sizes, tol: float) -> tuple[dict, np.ndarray]:
     """Best subset of each size in sizes, refining only the subsets that can win.
 
     A size-r subset's rate is the sum of its L rotations' maxima over rL.
@@ -510,10 +510,10 @@ def _scale_levels(channels, sizes, tol: float) -> tuple[dict, np.ndarray]:
     subsets come in report order, size-major, then lexicographic (see
     _subset_masks). Only the picks become tuples (see _level_picks).
     """
-    L = len(channels)
+    L = form.shape[1]
     masks, _, flat, size = _subset_masks(L, sizes)
     members = _padded(flat, size)
-    sweep = _Sweep(channels, members, size)
+    sweep = _Sweep(form, members, size)
     row = np.zeros(1 << L, dtype=int)
     row[masks] = np.arange(len(size))
     rot = row[_rotations(masks, L)]  # rot[k, i]: the row of subset i's k-th rotation
@@ -555,13 +555,13 @@ def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
     bounds let them reach that margin are refined (see _scale_levels); the
     pick and its rate are those of refining every subset.
     """
-    channels = _as_channels(branches)
-    L = len(channels)
+    form = _forms(branches)
+    L = form.shape[1]
     r = check_integer(r, "r")
     if not 1 <= r <= L:
         raise ValidationError(f"r must be in [1, {L}], got {r}")
     # the rotations of a size-r subset are size-r subsets
-    scale, _ = _scale_levels(channels, [r], tol)
+    scale, _ = _scale_levels(form, [r], tol)
     return scale[r]
 
 
@@ -575,9 +575,9 @@ def compute_capacity_report(branches, tol: float = 1e-8) -> CapacityReport:
     Raises NumericalError if the computed hierarchy fails its own sanity
     checks (endpoints must match the capacities, levels must not increase).
     """
-    channels = _as_channels(branches)
-    L = len(channels)
-    scale, found = _scale_levels(channels, range(1, L + 1), tol)
+    form = _forms(branches)
+    L = form.shape[1]
+    scale, found = _scale_levels(form, range(1, L + 1), tol)
     sups = _suprema(found[:, :L])  # the singletons come first, the full set last
     cbar = sum(s.chi_star for s in sups) / L
     cp = float(found[1, -1]) / L
@@ -613,9 +613,9 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     from its members' peaks (see _pair_values), and a delta's is the
     smallest of its pairs' (see _fill_subsets).
     """
-    channels = _as_channels(branches)
-    L = len(channels)
-    q = tuple(float(x) for x in MemoryChannel.random(channels, q).q)
+    form = _forms(branches)
+    L = form.shape[1]
+    q = tuple(check_probabilities(q, L).tolist())
     if deltas is None:
         _, inc, flat, size = _subset_masks(L, range(1, L + 1))
         deltas, at = [], 0
@@ -627,7 +627,7 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
         inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
         inc[np.arange(len(deltas))[:, None], _member_matrix(deltas)[0]] = True
     pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
-    sweep, peaks = _singletons(channels, tol)
+    sweep, peaks = _singletons(form, tol)
     sups = _suprema(peaks)
     pair = np.full((L, L), np.inf)  # pair[i, m] for the pairs (i, m), +inf elsewhere
     pair[tuple(pairs.T)] = _pair_values(sweep.form, peaks[0], peaks[1], pairs, tol)

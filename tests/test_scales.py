@@ -371,8 +371,8 @@ def test_work_ceiling_of_the_scan(combined_shapes):
     # rows' peaks, in one sum over the member matrix
     L = 10
     subsets = oracles.all_subsets(L, range(1, L + 1))
-    channels = scales._as_channels(list(np.linspace(0.05, 0.9, L)))
-    scales._Sweep(channels, *scales._member_matrix(subsets))
+    form = scales._forms(list(np.linspace(0.05, 0.9, L)))
+    scales._Sweep(form, *scales._member_matrix(subsets))
     assert combined_shapes == [(len(subsets), 20)]
 
 
@@ -383,8 +383,8 @@ def test_work_ceiling_of_the_bounds(combined_shapes):
     # takes its whole window of 65 columns
     L = 10
     subsets = oracles.all_subsets(L, range(1, L + 1))
-    channels = scales._as_channels(list(np.linspace(0.05, 0.9, L)))
-    sweep = scales._Sweep(channels, *scales._member_matrix(subsets))
+    form = scales._forms(list(np.linspace(0.05, 0.9, L)))
+    sweep = scales._Sweep(form, *scales._member_matrix(subsets))
     combined_shapes.clear()
     sweep.bounds_of_maxima()
     assert combined_shapes == [(len(subsets), 5), (len(subsets), 3)]
@@ -446,8 +446,8 @@ def test_report_self_checks_raise(monkeypatch):
         (1, bottom, f"size-one scale level {bottom!r} disagrees with branch average {report.cbar!r}"),
         (2, report.scale[1].value + 2e-9, "scale increased from r=1 to r=2"),
     ):
-        def moved(channels, sizes, tol, r=r, value=value):
-            scale, found = scale_levels(channels, sizes, tol)
+        def moved(form, sizes, tol, r=r, value=value):
+            scale, found = scale_levels(form, sizes, tol)
             scale[r] = dataclasses.replace(scale[r], value=value)
             return scale, found
 
@@ -485,7 +485,7 @@ def test_bounds_leave_unpeaked_subsets_unbounded(monkeypatch, combined_shapes):
     L = 10
     gammas = list(np.linspace(0.05, 0.9, L))
     subsets = oracles.all_subsets(L, range(1, L + 1))
-    sweep = scales._Sweep(scales._as_channels(gammas), *scales._member_matrix(subsets))
+    sweep = scales._Sweep(scales._forms(gammas), *scales._member_matrix(subsets))
     combined_shapes.clear()
     bounds = shifted(sweep)
     assert combined_shapes == [(len(subsets), 5), (len(subsets), 3)]
@@ -519,7 +519,7 @@ def test_bounds_hold_where_the_quartic_can_miss():
     ]
     for branches in families:
         subsets, best, levels = full_sweep_levels(branches, 1e-8)
-        sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
+        sweep = scales._Sweep(scales._forms(branches), *scales._member_matrix(subsets))
         lower, upper = sweep.bounds_of_maxima()
         value = np.array([best[s][1] for s in subsets])
         assert np.all(lower <= value + pad)
@@ -798,7 +798,7 @@ def test_pruned_levels_match_full_sweep(tol):
         report = compute_capacity_report(branches, tol)
         assert report.scale == levels
         assert report.cp == best[tuple(range(L))][1] / L
-        sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
+        sweep = scales._Sweep(scales._forms(branches), *scales._member_matrix(subsets))
         lower, upper = sweep.bounds_of_maxima()
         value = np.array([best[s][1] for s in subsets])
         assert np.all(value <= upper + pad)
@@ -816,7 +816,7 @@ def test_sweep_combines_members_in_order():
         permuted = oracles.all_subsets(L, range(1, L + 1))
         permuted = [permuted[i] for i in rng.permutation(len(permuted))]
         subsets = sorted(permuted, key=len)  # size-major, still shuffled within each size
-        sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
+        sweep = scales._Sweep(scales._forms(branches), *scales._member_matrix(subsets))
         scan = sweep._curves(scales._SCAN)
         for s, k in zip(subsets, sweep.k):
             assert k == functools.reduce(np.add, (scan[i] for i in s)).argmax()
@@ -846,10 +846,10 @@ def test_sweep_combines_members_in_order():
 def test_sweep_takes_its_subsets_size_major():
     # member position d adds only to the last subsets, those with more than
     # d members, so a sweep refuses subsets that do not come size-major
-    channels = scales._as_channels([0.1, 0.4, 0.7])
+    form = scales._forms([0.1, 0.4, 0.7])
     with pytest.raises(ValueError, match="size-major"):
-        scales._Sweep(channels, *scales._member_matrix([(0, 2), (1,), (0, 1, 2)]))
-    sweep = scales._Sweep(channels, *scales._member_matrix([(1,), (0, 2), (0, 1, 2)]))
+        scales._Sweep(form, *scales._member_matrix([(0, 2), (1,), (0, 1, 2)]))
+    sweep = scales._Sweep(form, *scales._member_matrix([(1,), (0, 2), (0, 1, 2)]))
     # a row past its subset's size repeats the subset's last member
     assert sweep.members.tolist() == [[1, 1, 1], [0, 2, 2], [0, 1, 2]]
     assert sweep.size.tolist() == [1, 2, 3]
@@ -876,7 +876,7 @@ def test_sweep_window_keeps_each_first_argmax(combined_shapes):
         L = len(branches)
         subsets = oracles.all_subsets(L, range(1, L + 1))
         combined_shapes.clear()
-        sweep = scales._Sweep(scales._as_channels(branches), *scales._member_matrix(subsets))
+        sweep = scales._Sweep(scales._forms(branches), *scales._member_matrix(subsets))
         for s, k in zip(subsets, sweep.k):
             assert k == functools.reduce(np.add, (sweep.scan[i] for i in s)).argmax()
         sums.append([rows for rows, _ in combined_shapes])
@@ -912,8 +912,8 @@ def test_sweep_window_ties_take_the_whole_row(monkeypatch, combined_shapes):
     b = 1.0 - 1e-3 * (np.maximum(95 - j, 0) + np.maximum(j - 200, 0))
     assert (a + b)[99] == (a + b)[100] == 1.25
     monkeypatch.setattr(scales._Sweep, "_curves", lambda sweep, grid: np.stack([a, b]))
-    channels = scales._as_channels([0.1, 0.2])
-    sweep = scales._Sweep(channels, *scales._member_matrix([(0,), (1,), (0, 1)]))
+    form = scales._forms([0.1, 0.2])
+    sweep = scales._Sweep(form, *scales._member_matrix([(0,), (1,), (0, 1)]))
     assert list(sweep.k) == [100, 95, 97]
     assert combined_shapes == [(3, 2), (2, len(scales._SCAN))]
 
