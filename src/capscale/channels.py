@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, shown
 
 COMPLETENESS_TOL = 1e-10
 
@@ -37,7 +37,7 @@ def check_number(value, what, dtype=float):
     number = numbers.Real if dtype is float else numbers.Complex
     # bool is an int subclass, but JSON true is not the number 1
     if isinstance(value, bool) or not isinstance(value, number):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
+        raise ValidationError(f"{what} must be a number, got {shown(value)}")
     try:
         return dtype(value)
     except OverflowError as e:  # an integer past the float range
@@ -85,14 +85,14 @@ def check_integer(value, what) -> int:
             raise TypeError
         return operator.index(value)
     except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+        raise ValidationError(f"{what} must be an integer, got {shown(value)}") from None
 
 
 def _unit_interval(value, name) -> float:
     """value as a float in [0, 1], by the channel-file number rule."""
     value = check_number(value, name)
     if not 0.0 <= value <= 1.0:  # NaN fails too
-        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
+        raise ValidationError(f"{name} must be in [0, 1], got {shown(value)}")
     return value
 
 
@@ -153,7 +153,7 @@ class QubitChannel:
                 raise ValidationError("kraus kind needs a nonempty list of 2x2 operators")
             object.__setattr__(self, "kraus_ops", ops)
         else:
-            raise ValidationError(f"unknown channel kind {self.kind!r}")
+            raise ValidationError(f"unknown channel kind {shown(self.kind)}")
         ops = np.array(kraus_operators(self))
         if not np.all(np.isfinite(ops)):
             raise ValidationError("Kraus operators have non-finite entries")
@@ -238,4 +238,4 @@ class MemoryChannel:
         if self.memory == "random":
             object.__setattr__(self, "q", check_probabilities(self.q, L))
         elif self.memory != "periodic":
-            raise ValidationError(f"unknown memory kind {self.memory!r}")
+            raise ValidationError(f"unknown memory kind {shown(self.memory)}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scales, simulate
 from .channels import MemoryChannel, QubitChannel, check_number, check_numbers
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, shown
 
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-2
 
@@ -91,7 +91,7 @@ def _parse_branch(i, b) -> QubitChannel:
         raise ValidationError(f"branch {i} must be an object with a 'type' field")
     kind = b["type"]
     if not isinstance(kind, str):  # a list or object is unhashable: no dict lookup
-        raise ValidationError(f"branch {i}: 'type' must be a string, got {kind!r}")
+        raise ValidationError(f"branch {i}: 'type' must be a string, got {shown(kind)}")
     if kind in _BRANCH_PARAM:
         name = _BRANCH_PARAM[kind]
         if name not in b:
@@ -110,7 +110,7 @@ def _parse_branch(i, b) -> QubitChannel:
                 )
             mats.append(arr[..., 0] + 1j * arr[..., 1])
         return QubitChannel.kraus(mats)
-    raise ValidationError(f"branch {i}: unknown channel type {kind!r}")
+    raise ValidationError(f"branch {i}: unknown channel type {shown(kind)}")
 
 
 def load_channel_config(path) -> MemoryChannel:
@@ -142,14 +142,14 @@ def load_channel_config(path) -> MemoryChannel:
         if "q" not in mem:
             raise ValidationError("random memory needs a 'q' array")
         return MemoryChannel.random(branches, mem["q"])
-    raise ValidationError(f"unknown memory kind {kind!r}")
+    raise ValidationError(f"unknown memory kind {shown(kind)}")
 
 
 def _parse_indices(text, what) -> tuple[int, ...]:
     try:
         idxs = tuple(int(t) for t in text.split(","))
     except ValueError as e:
-        raise ValidationError(f"{what} must be comma-separated integers: {text!r}") from e
+        raise ValidationError(f"{what} must be comma-separated integers: {shown(text)}") from e
     return scales.check_indices(idxs, what)
 
 
@@ -157,7 +157,7 @@ def _parse_rates(text) -> list[float]:
     try:
         return [float(t) for t in text.split(",")]
     except ValueError as e:
-        raise ValidationError(f"rates must be comma-separated numbers: {text!r}") from e
+        raise ValidationError(f"rates must be comma-separated numbers: {shown(text)}") from e
 
 
 # --- subcommands ------------------------------------------------------------
@@ -260,7 +260,7 @@ def cmd_ad_gap(args, mc, tol):
     12 significant digits like every other value.
     """
     if not 2 <= args.grid <= MAX_GRID:
-        raise ValidationError(f"grid must be in [2, {MAX_GRID}], got {args.grid}")
+        raise ValidationError(f"grid must be in [2, {MAX_GRID}], got {shown(args.grid)}")
     gammas = np.linspace(0.0, 1.0, args.grid)
     n = len(gammas)
     # pair (j, i) is pair (i, j), and pair (i, i) peaks where branch i does

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .channels import QubitChannel, check_numbers
-from .errors import ValidationError
+from .errors import ValidationError, shown
 
 
 def _entropy_terms(s):
@@ -191,7 +191,7 @@ def chi_mirror_family(ch, a):
         raise ValidationError(f"ch must be a QubitChannel, got {type(ch).__name__}")
     a_arr = check_numbers(a, "a")
     if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
-        raise ValidationError(f"a must be in [0, 1], got {a!r}")
+        raise ValidationError(f"a must be in [0, 1], got {shown(a)}")
     chi = mirror_chi(mirror_form(ch.bloch_map), a_arr)
     return float(chi) if chi.ndim == 0 else chi
 

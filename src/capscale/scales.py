@@ -3,8 +3,10 @@
 All quantities here reduce to one-parameter maximizations of Holevo
 curves of mirror-pair ensembles: of their sums over subsets of branches
 (periodic memory, the scale hierarchy) and of their pairwise minima
-(random memory). Reports are dataclasses that bundle the numbers with
-the subsets that achieve them.
+(random memory). Each report reads its branches once, as mirror forms in
+one input frame that they share (_forms), and refuses branches without
+one. Reports are dataclasses that bundle the numbers with the subsets
+that achieve them.
 
 The periodic reports refine only the subsets that can still win their
 scale level. A random-memory report maximizes only the single branches:
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QubitChannel, check_integer, check_probabilities, listed
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, shown
 from .holevo import mirror_chi, mirror_chi_jet, mirror_form
 from .optim import maximize_concave_1d
 
@@ -57,15 +59,109 @@ _FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
 _REFINE_BLOCK = 1024
 
 
-def _forms(branches) -> np.ndarray:
-    """The stacked mirror forms, shape (6, L), of a report's branches: channels or damping parameters."""
+# Tolerance of the input frames (see _forms and _axes), in units of G and g.
+_FRAME_TOL = 1e-9
+
+
+def _forms(branches, shared: bool = True) -> np.ndarray:
+    """The stacked mirror forms, shape (6, L), of a report's branches: channels or damping parameters.
+
+    Every search reads mirror pairs about z, which hold a branch's best
+    ensembles when it is covariant about z: G = MᵀM = diag(s, s, u) and
+    g = Mᵀt = (0, 0, c). A branch covariant about another axis n (see
+    _axes) is read in the input frame R = (e, n × e, n), M -> M R: the
+    input half of the normal form of Ruskai, Szarek & Werner, LAA 347, 159
+    (2002). R is a rotation, e is the unit vector orthogonal to n nearest
+    the basis vector of n's smallest component, and n's largest component
+    is positive, so a weighs a pair toward +n. An isotropic branch (G ∝ I
+    and g = 0: depolarizing) fits every axis and keeps its map (R = I).
+
+    With shared, as a report's subsets share ensembles, every branch is
+    read in one frame, that of the branch of largest anisotropy (the first
+    of them on a tie), and a branch is refused if its axis differs from an
+    earlier branch's. Reading a branch of anisotropy w in a frame at angle
+    θ from its axis moves its G and g by about w sin θ, so two axes differ
+    when that exceeds _FRAME_TOL for the smaller w: an axis that rounding
+    moved, by about 1e-16 / w, is not refused. Otherwise each branch is
+    read in its own frame, as per-branch results are. Branches within
+    _FRAME_TOL of normal form about z (damping, X·AD·X, Rz-conjugated
+    damping) and isotropic ones are read in z's frame and keep their maps
+    bit for bit: whatever shared is, when no branch is tilted away from z.
+
+    So each branch is read within a few _FRAME_TOL, in G and g, of a map
+    covariant about its frame's axis, and each output's squared radius is
+    within about 1e-8 of that map's. That moves an entropy by at most 8e-8
+    bits (at a pure output, where it is steepest) and a printed value by
+    at most about 3e-7 bits from the true optimum.
+    """
     channels = [
         b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(b)
         for b in listed(branches, "branches", "channels or damping parameters")
     ]
     if not channels:
         raise ValidationError("need at least one branch")
-    return mirror_form(zip(*(ch.bloch_map for ch in channels)))  # stacked (M, t)
+    M, t = (np.array(x) for x in zip(*(ch.bloch_map for ch in channels)))
+    G, g = np.einsum("lji,ljk->lik", M, M), np.einsum("lji,lj->li", M, t)
+    off = np.abs([G[:, 0, 1], G[:, 0, 2], G[:, 1, 2], G[:, 0, 0] - G[:, 1, 1], g[:, 0], g[:, 1]])
+    tilted = off.max(axis=0) > _FRAME_TOL  # not in normal form about z
+    if tilted.any():
+        axis, weight = _axes(G, g, tilted)
+        live = np.flatnonzero(weight)  # the branches that are not isotropic
+        if shared and len(live):
+            sin = np.linalg.norm(np.cross(axis[live, None], axis[live]), axis=2)
+            apart = sin * np.minimum.outer(weight[live], weight[live]) > _FRAME_TOL
+            apart = np.triu(apart, 1).any(axis=0)  # apart from an earlier branch
+            if apart.any():
+                raise ValidationError(
+                    f"branch {live[apart][0]} has another input axis than the branches before "
+                    "it: reports on branches with no common axis need the general ensemble "
+                    "search (ROADMAP A, stage 3), which capscale lacks"
+                )
+            axis[live] = axis[weight.argmax()]
+        turn = live[axis[live, 2] != 1.0]  # the branches read in a frame other than z's
+        n = axis[turn]
+        e = np.eye(3)[np.abs(n).argmin(axis=1)]
+        e -= (e * n).sum(axis=1)[:, None] * n
+        e /= np.linalg.norm(e, axis=1)[:, None]
+        M[turn] = M[turn] @ np.stack([e, np.cross(n, e), n], axis=2)
+    return mirror_form((M, t))
+
+
+def _axes(G, g, tilted) -> tuple[np.ndarray, np.ndarray]:
+    """Each branch's axis n, shape (L, 3), and anisotropy w, shape (L,), from G = MᵀM and g = Mᵀt.
+
+    A branch covariant about n has G = s (I - nnᵀ) + u nnᵀ and g = c n,
+    and its anisotropy is |u - s| + |c|. It is isotropic if that is at most
+    _FRAME_TOL: then n and w are 0. A branch that is not tilted (in normal
+    form about z) has n = z. A tilted branch's n is G's eigenvector of its
+    simple eigenvalue, or g/|g| if G ∝ I; it is covariant only if G has a
+    double eigenvalue and g lies along n, and it is refused otherwise. Two
+    eigenvalues are equal, and g lies along n, within _FRAME_TOL. n's
+    largest component is positive.
+    """
+    tol = _FRAME_TOL
+    axis = np.zeros(g.shape)
+    axis[:, 2] = 1.0  # tilted rows: below
+    weight = np.abs(G[:, 2, 2] - G[:, 0, 0]) + np.abs(g[:, 2])
+    rest = np.flatnonzero(tilted)
+    w, v = np.linalg.eigh(G[rest])  # ascending eigenvalues; eigenvectors are the columns
+    low, high = w[:, 1] - w[:, 0] <= tol, w[:, 2] - w[:, 1] <= tol
+    n = np.where(low[:, None], v[:, :, 2], v[:, :, 0])  # the simple eigenvalue's
+    h = g[rest]
+    size = np.linalg.norm(h, axis=1)
+    flat = low & high  # G ∝ I: the axis is g's, and the anisotropy |g|
+    n[flat] = h[flat] / np.maximum(size[flat], tol)[:, None]
+    bad = ~(low | high) | (np.linalg.norm(h - (h * n).sum(axis=1)[:, None] * n, axis=1) > tol)
+    if bad.any():
+        raise ValidationError(
+            f"branch {rest[bad][0]} is covariant about no input axis: such branches need the "
+            "general ensemble search (ROADMAP A, stage 3), which capscale lacks"
+        )
+    axis[rest] = n * np.sign(n[np.arange(len(n)), np.abs(n).argmax(axis=1)])[:, None]
+    weight[rest] = np.where(flat, 0.0, np.where(low, w[:, 2] - w[:, 1], w[:, 1] - w[:, 0])) + size
+    weight[weight <= tol] = 0.0
+    axis[weight == 0.0] = 0.0
+    return axis, weight
 
 
 class _Sweep:
@@ -302,7 +398,8 @@ def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
     optim.maximize_concave_1d), starting at the peak of the quartic through
     the five scan samples about each argmax: at tol 1e-8 it takes one step,
     Holevo kernel calls of at most 1,024 (subset, member) pairs each.
-    Each subset is checked as in subset_scale_value. Returns
+    Each subset is checked as in subset_scale_value, and the branches are
+    read in one input frame, as in a report (see _forms). Returns
     {subset: (argmax, value)}, keyed by each subset as a sorted tuple.
     """
     form = _forms(branches)
@@ -389,7 +486,8 @@ def _singletons(form, tol):
 
 
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
-    return list(_suprema(_singletons(_forms(branches), tol)[1]))
+    """Each branch's best mirror pair, in the branch's own input frame (see _forms)."""
+    return list(_suprema(_singletons(_forms(branches, shared=False), tol)[1]))
 
 
 def _subset_masks(L: int, sizes):
@@ -439,14 +537,14 @@ def check_indices(subset, what: str = "subset") -> tuple[int, ...]:
     if not subset:
         raise ValidationError(f"{what} must be nonempty")
     if len(set(subset)) != len(subset):
-        raise ValidationError(f"{what} has repeated indices: {subset}")
+        raise ValidationError(f"{what} has repeated indices: {shown(subset)}")
     return tuple(sorted(subset))
 
 
 def _check_subset(subset, L) -> tuple[int, ...]:
     subset = check_indices(subset)
     if subset[0] < 0 or subset[-1] >= L:
-        raise ValidationError(f"subset {subset} out of range for {L} branches")
+        raise ValidationError(f"subset {shown(subset)} out of range for {L} branches")
     return subset
 
 
@@ -559,7 +657,7 @@ def scale_r(branches, r: int, tol: float = 1e-8) -> ScaleEntry:
     L = form.shape[1]
     r = check_integer(r, "r")
     if not 1 <= r <= L:
-        raise ValidationError(f"r must be in [1, {L}], got {r}")
+        raise ValidationError(f"r must be in [1, {L}], got {shown(r)}")
     # the rotations of a size-r subset are size-r subsets
     scale, _ = _scale_levels(form, [r], tol)
     return scale[r]

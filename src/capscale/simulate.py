@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import MemoryChannel, check_integer, check_number
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .scales import (
     check_indices,
     compute_capacity_report,
@@ -39,7 +39,7 @@ def _check_rate(rate) -> float:
     """A rate in bits as a float: a finite, nonnegative real number, not a bool."""
     value = check_number(rate, "rate")
     if not 0.0 <= value < math.inf:
-        raise ValidationError(f"rate must be finite and nonnegative, got {rate!r}")
+        raise ValidationError(f"rate must be finite and nonnegative, got {shown(rate)}")
     return value
 
 
@@ -51,9 +51,9 @@ def _check_draws(n_trials, seed, rows: int = 1) -> tuple[int, int]:
     """
     n_trials, seed = check_integer(n_trials, "n_trials"), check_integer(seed, "seed")
     if not 1 <= n_trials <= MAX_TRIALS:
-        raise ValidationError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
+        raise ValidationError(f"n_trials must be in [1, {MAX_TRIALS}], got {shown(n_trials)}")
     if not 0 <= seed <= 2**128 - rows:
-        raise ValidationError(f"seed must be in [0, 2**128 - {rows}], got {seed}")
+        raise ValidationError(f"seed must be in [0, 2**128 - {rows}], got {shown(seed)}")
     return n_trials, seed
 
 

@@ -552,6 +552,56 @@ def test_exit_code_on_unreadable_channel_text(tmp_path, capsys, text, command, m
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+def random_kraus_entry(seed):
+    """A channel file's kraus branch of two random operators: the QR of a seeded 4x2 Gaussian."""
+    rng = np.random.default_rng(seed)
+    isometry = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+    return kraus_entry([isometry[:2], isometry[2:]])
+
+
+def test_branches_are_read_in_their_input_frame(tmp_path, capsys):
+    # H·AD(0.5)·H is damping about x: chi reads it in its own frame and
+    # prints AD(0.5)'s optimum; a report needs one frame for all its
+    # branches, and AD(0.5) and H·AD(0.5)·H share no axis
+    ad = {"type": "amplitude_damping", "gamma": 0.5}
+    hah = kraus_entry(conjugated_damping(0.5, H))
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel([hah], PERIODIC)))
+    rc, text = run_to_file(tmp_path, ["chi", str(path)])
+    assert rc == 0
+    assert text.splitlines()[1].split(",")[4] == "0.471729390599"
+    for branches, command, message in (
+        ([ad, hah], "capacity", "branch 1 has another input axis than the branches before it"),
+        ([random_kraus_entry(36)], "chi", "branch 0 is covariant about no input axis"),
+        ([ad, random_kraus_entry(37)], "capacity", "branch 1 is covariant about no input axis"),
+    ):
+        path.write_text(json.dumps(channel(branches, PERIODIC)))
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (channel([{"type": list(range(200_000)), "gamma": 0.3}], PERIODIC), ["chi"]),
+        (channel(AD2, {"kind": "k" * 100_000}), ["chi"]),
+        (kraus([[["x" * 100_000, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]), ["chi"]),
+        (channel([{"type": "t" * 100_000}], PERIODIC), ["chi"]),
+        (channel(AD2, PERIODIC), ["simulate", "--rate", "0.3", "--subset", "0," * 50_000 + "x"]),
+        (channel(AD2, PERIODIC), ["scale", "--r", "9" * 4000]),
+    ],
+    ids=["type-list", "memory-kind", "kraus-entry", "type-string", "subset-text", "r-digits"],
+)
+def test_error_lines_are_short_whatever_the_input(tmp_path, capsys, config, argv):
+    # every value an error echoes is cut to 60 characters
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([argv[0], str(path)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 300
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""

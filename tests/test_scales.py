@@ -28,7 +28,7 @@ from capscale import (
     scale_r,
     subset_scale_value,
 )
-from capscale.holevo import mirror_chi
+from capscale.holevo import mirror_chi, mirror_form
 from conftest import chi_ad_grid, damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
@@ -189,6 +189,55 @@ def test_kraus_branches_match_damping_closed_form():
     for r in (1, 2):
         assert kernel.scale[r].value == pytest.approx(closed.scale[r].value, abs=1e-10)
         assert kernel.scale[r].best_subset == closed.scale[r].best_subset
+
+
+H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def conjugated(ch, u):
+    return QubitChannel.kraus([u @ k @ u.conj().T for k in kraus_operators(ch)])
+
+
+def test_forms_keep_the_bits_of_branches_in_normal_form_about_z():
+    # damping, depolarizing, X·AD·X and Rz-conjugated damping are read in
+    # z's frame, so their forms are those of their own maps, bit for bit
+    rng = np.random.default_rng(36)
+    for L in range(1, 11):
+        channels = []
+        for kind, x in zip(rng.integers(0, 4, L), rng.uniform(0.0, 1.0, L)):
+            channels.append(
+                (QubitChannel.amplitude_damping, QubitChannel.depolarizing, x_damping,
+                 lambda g: rz_damping(g, rng.uniform(0, 3)))[kind](x)
+            )
+        raw = mirror_form(zip(*(ch.bloch_map for ch in channels)))
+        for shared in (True, False):
+            assert np.array_equal(scales._forms(channels, shared), raw)
+
+
+def test_branches_are_read_about_their_axes():
+    ad, dep = QubitChannel.amplitude_damping(0.5), QubitChannel.depolarizing(0.2)
+    hah = conjugated(ad, H)  # damping about x
+    # per-branch results read each branch in its own frame
+    sups = per_branch_suprema([ad, hah])
+    assert sups[1].chi_star == pytest.approx(0.471729390599, abs=1e-9)
+    assert sups[1].a_max == pytest.approx(sups[0].a_max, abs=1e-9)
+    # a depolarizing branch is isotropic and shares any axis
+    turned, plain = compute_capacity_report([dep, hah]), compute_capacity_report([dep, ad])
+    assert turned.cp == pytest.approx(plain.cp, abs=1e-12)
+    assert turned.cbar == pytest.approx(plain.cbar, abs=1e-12)
+    # a report's branches share ensembles, and ad and hah share no axis:
+    # each report names the first branch whose axis differs from earlier ones
+    for branches, i in (([ad, hah], 1), ([hah, dep, ad], 2), ([dep, ad, 0.3, hah, 0.6], 3)):
+        message = f"branch {i} has another input axis than the branches before it"
+        for report in (
+            compute_capacity_report,
+            lambda b: compute_random_scale_report(b, [1 / len(b)] * len(b)),
+            lambda b: scale_r(b, 1),
+            lambda b: subset_scale_value(b, (0,)),
+            lambda b: scales.maximize_subsets(b, [(0,)]),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                report(branches)
 
 
 def test_staircase_profile_thresholds(tmp_path):
