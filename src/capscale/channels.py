@@ -196,7 +196,7 @@ def kraus_operators(ch: QubitChannel) -> list[np.ndarray]:
 
 
 def check_probabilities(q, L: int) -> np.ndarray:
-    """q as the float array of a random memory's L branch probabilities, summing to 1 within 1e-10."""
+    """q as the float array of a random memory's L branch probabilities; they sum to 1 ± 1e-10."""
     q = check_numbers(q, "'q'")
     if q.shape != (L,):
         raise ValidationError("random memory needs one probability per branch")

@@ -64,7 +64,7 @@ _FRAME_TOL = 1e-9
 
 
 def _forms(branches, shared: bool = True) -> np.ndarray:
-    """The stacked mirror forms, shape (6, L), of a report's branches: channels or damping parameters.
+    """The stacked mirror forms, shape (6, L), of branches: channels or damping parameters.
 
     Every search reads mirror pairs about z, which hold a branch's best
     ensembles when it is covariant about z: G = MᵀM = diag(s, s, u) and
@@ -83,10 +83,10 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
     θ from its axis moves its G and g by about w sin θ, so two axes differ
     when that exceeds _FRAME_TOL for the smaller w: an axis that rounding
     moved, by about 1e-16 / w, is not refused. Otherwise each branch is
-    read in its own frame, as per-branch results are. Branches within
-    _FRAME_TOL of normal form about z (damping, X·AD·X, Rz-conjugated
-    damping) and isotropic ones are read in z's frame and keep their maps
-    bit for bit: whatever shared is, when no branch is tilted away from z.
+    read in its own frame, as per-branch results are. Either way, branches
+    within _FRAME_TOL of normal form about z (damping, depolarizing,
+    X·AD·X, Rz-conjugated damping) are read in z's frame, their maps bit
+    for bit, unless a report shares a frame with a branch tilted from z.
 
     So each branch is read within a few _FRAME_TOL, in G and g, of a map
     covariant about its frame's axis, and each output's squared radius is
@@ -107,8 +107,8 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
     if tilted.any():
         axis, weight = _axes(G, g, tilted)
         live = np.flatnonzero(weight)  # the branches that are not isotropic
-        if shared and len(live):
-            sin = np.linalg.norm(np.cross(axis[live, None], axis[live]), axis=2)
+        if shared and len(live) > 1:
+            sin = np.linalg.norm(_cross(axis[live, None], axis[live]), axis=-1)
             apart = sin * np.minimum.outer(weight[live], weight[live]) > _FRAME_TOL
             apart = np.triu(apart, 1).any(axis=0)  # apart from an earlier branch
             if apart.any():
@@ -123,12 +123,17 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
         e = np.eye(3)[np.abs(n).argmin(axis=1)]
         e -= (e * n).sum(axis=1)[:, None] * n
         e /= np.linalg.norm(e, axis=1)[:, None]
-        M[turn] = M[turn] @ np.stack([e, np.cross(n, e), n], axis=2)
+        M[turn] = np.einsum("lij,ljk->lik", M[turn], np.stack([e, _cross(n, e), n], axis=2))
     return mirror_form((M, t))
 
 
+def _cross(a, b):
+    """np.cross of (..., 3) arrays, without its cost of moving axes."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def _axes(G, g, tilted) -> tuple[np.ndarray, np.ndarray]:
-    """Each branch's axis n, shape (L, 3), and anisotropy w, shape (L,), from G = MᵀM and g = Mᵀt.
+    """Each branch's axis n, shape (L, 3), and anisotropy w, shape (L,), from G = MᵀM, g = Mᵀt.
 
     A branch covariant about n has G = s (I - nnᵀ) + u nnᵀ and g = c n,
     and its anisotropy is |u - s| + |c|. It is isotropic if that is at most

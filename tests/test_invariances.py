@@ -58,7 +58,7 @@ def haar(seed):
 
 
 def channel(spec, turn=None):
-    """The branch of spec, after the seeded Haar rotation turn of its inputs (Kraus operators K V)."""
+    """The branch of spec after the seeded Haar rotation turn of its inputs: Kraus operators K V."""
     kind, param = spec
     if kind == "damping":
         ch = QubitChannel.amplitude_damping(param)
@@ -163,7 +163,9 @@ def assert_same_reports(branches, rotated, tol=ABS):
 
 
 @INVARIANCE
-@given(st.lists(st.tuples(COVARIANT, st.one_of(st.none(), SEEDS)), min_size=1, max_size=5), TURNS)
+@given(
+    st.lists(st.tuples(COVARIANT, st.one_of(st.none(), SEEDS)), min_size=1, max_size=5), TURNS
+)
 def test_reports_under_output_unitaries(rows, turn):
     # a unitary after a branch (None: the branch as it is) changes no entropy
     branches = [channel(s, turn) for s, _ in rows]
