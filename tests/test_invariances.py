@@ -9,10 +9,10 @@ reports read in that axis's frame; a branch covariant about no axis is
 refused. The reports compute each number from sums and minima taken in
 another order then, so they agree to rounding: every check here holds at
 abs 1e-13, but for the one rotation of all inputs (see there). A
-periodic report's pick is compared by
-its rotation class, not its indices: every rotation of a subset has the
-same rate, and of subsets that tie within the pick's margin the first in
-lexicographic order wins, which a relabelling can change.
+periodic report's pick is compared by its rotation class, not its
+indices: every rotation of a subset has the same rate, and of subsets
+that tie within the pick's margin the first in lexicographic order wins,
+which a relabelling can change.
 """
 
 import numpy as np
