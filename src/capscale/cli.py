@@ -73,6 +73,18 @@ def _emit(args, header, rows, json_obj=None):
         raise ValidationError(f"cannot write output file {args.output!r}: {e}") from e
 
 
+def _typed(convert):
+    """argparse's type= of convert: the same refusal, with the value cut short (errors.shown)."""
+
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {shown(text)}")
+
+    return parse
+
+
 def _check_tol(tol: float) -> float:
     if not _TOL_MIN <= tol <= _TOL_MAX:
         raise ValidationError(f"tol must be in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
@@ -310,20 +322,20 @@ _COMMANDS = (
     ("amax", "per-branch optimum location, search bracket and slope", _ANY, cmd_amax, {}),
     ("capacity", "capacity report for the channel's memory kind", _ANY, cmd_capacity, {}),
     ("scale", "subset-rate hierarchy for periodic memory", ("periodic",), cmd_scale, {
-        "--r": dict(type=int, default=None, help="single subset size to report"),
+        "--r": dict(type=_typed(int), default=None, help="single subset size to report"),
     }),
     ("random-scale", "subset capacities for random memory", ("random",), cmd_random_scale, {
         "--delta": dict(default=None, help="comma-separated branch indices"),
     }),
     ("ad-gap", "pair capacity vs averaged branch capacity on a damping grid", (), cmd_ad_gap, {
-        "--grid": dict(type=int, default=101, help="points per gamma axis"),
+        "--grid": dict(type=_typed(int), default=101, help="points per gamma axis"),
     }),
     ("staircase", "theoretical rate/error staircase", ("periodic",), cmd_staircase, {}),
     ("simulate", "Monte Carlo decode success against the staircase", _ANY, cmd_simulate, {
         "--rate": dict(required=True, help="rate in bits, or comma-separated rates"),
         "--subset": dict(default=None, help="fixed target subset (single rate only)"),
-        "--trials": dict(type=int, default=100_000),
-        "--seed": dict(type=int, default=42),
+        "--trials": dict(type=_typed(int), default=100_000),
+        "--seed": dict(type=_typed(int), default=42),
     }),
 )
 
@@ -331,7 +343,7 @@ _COMMANDS = (
 def _add_options(parser: argparse.ArgumentParser, command) -> None:
     """Add one _COMMANDS entry's options, and its function and memory kinds as defaults."""
     _, _, kinds, func, options = command
-    parser.add_argument("--tol", type=float, default=1e-8, help="optimizer tolerance")
+    parser.add_argument("--tol", type=_typed(float), default=1e-8, help="optimizer tolerance")
     parser.add_argument("--output", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if kinds:

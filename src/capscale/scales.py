@@ -58,8 +58,7 @@ _FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
 # kernel's dozen temporaries then stay near 1 MiB, whatever the lane count.
 _REFINE_BLOCK = 1024
 
-
-# Tolerance of the input frames (see _forms and _axes), in units of G and g.
+# Tolerance of the input frames (see _forms), in units of G and g.
 _FRAME_TOL = 1e-9
 
 
@@ -68,13 +67,18 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
 
     Every search reads mirror pairs about z, which hold a branch's best
     ensembles when it is covariant about z: G = MᵀM = diag(s, s, u) and
-    g = Mᵀt = (0, 0, c). A branch covariant about another axis n (see
-    _axes) is read in the input frame R = (e, n × e, n), M -> M R: the
+    g = Mᵀt = (0, 0, c). A branch covariant about another unit axis n,
+    G = s I + (u - s) nnᵀ and g = c n, is read in the input frame R that
+    takes z to n = (x, y, z), M -> M R, with k = 1/(1 + z):
+    R = [[1 - k x², -k x y, x], [-k x y, 1 - k y², y], [-x, -y, z]], the
     input half of the normal form of Ruskai, Szarek & Werner, LAA 347, 159
-    (2002). R is a rotation, e is the unit vector orthogonal to n nearest
-    the basis vector of n's smallest component, and n's largest component
-    is positive, so a weighs a pair toward +n. An isotropic branch (G ∝ I
-    and g = 0: depolarizing) fits every axis and keeps its map (R = I).
+    (2002). n is in closed form: with B = G - (tr G/3) I, the matrix
+    S = 3B² - ½ tr(B²) I + g gᵀ is ((u - s)² + c²) nnᵀ, so n is S's column
+    of largest diagonal, normalised, and its largest component is positive
+    (so z > -1/√2, and a weighs a pair toward +n). A branch farther than
+    _FRAME_TOL from the model about that n (_fit) is covariant about no
+    axis and refused; one of anisotropy |u - s| + |c| at most _FRAME_TOL
+    (depolarizing) is isotropic, fits every axis and keeps its map.
 
     With shared, as a report's subsets share ensembles, every branch is
     read in one frame, that of the branch of largest anisotropy (the first
@@ -105,12 +109,24 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
     off = np.abs([G[:, 0, 1], G[:, 0, 2], G[:, 1, 2], G[:, 0, 0] - G[:, 1, 1], g[:, 0], g[:, 1]])
     tilted = off.max(axis=0) > _FRAME_TOL  # not in normal form about z
     if tilted.any():
-        axis, weight = _axes(G, g, tilted)
-        live = np.flatnonzero(weight)  # the branches that are not isotropic
+        B = G - np.trace(G, axis1=1, axis2=2)[:, None, None] / 3.0 * np.eye(3)
+        S = 3.0 * np.einsum("lij,ljk->lik", B, B) + g[:, :, None] * g[:, None, :]
+        S -= 0.5 * np.einsum("lij,lij->l", B, B)[:, None, None] * np.eye(3)
+        axis = S[np.arange(len(S)), :, S.diagonal(axis1=1, axis2=2).argmax(axis=1)]
+        axis[~tilted] = (0.0, 0.0, 1.0)  # exactly z: their maps keep their bits
+        axis /= np.linalg.norm(axis, axis=1)[:, None]
+        far, weight = _fit(G, g, axis)
+        bad = np.flatnonzero(far > _FRAME_TOL)
+        if len(bad):
+            raise ValidationError(
+                f"branch {bad[0]} is covariant about no input axis: such branches need the "
+                "general ensemble search (ROADMAP A, stage 3), which capscale lacks"
+            )
+        live = np.flatnonzero(weight > _FRAME_TOL)  # the branches that are not isotropic
         if shared and len(live) > 1:
-            sin = np.linalg.norm(_cross(axis[live, None], axis[live]), axis=-1)
-            apart = sin * np.minimum.outer(weight[live], weight[live]) > _FRAME_TOL
-            apart = np.triu(apart, 1).any(axis=0)  # apart from an earlier branch
+            n, w = axis[live], weight[live]
+            sin = np.linalg.norm(n[:, None] - np.einsum("id,jd->ij", n, n)[..., None] * n, axis=-1)
+            apart = np.triu(sin * np.minimum.outer(w, w) > _FRAME_TOL, 1).any(axis=0)
             if apart.any():
                 raise ValidationError(
                     f"branch {live[apart][0]} has another input axis than the branches before "
@@ -119,54 +135,25 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
                 )
             axis[live] = axis[weight.argmax()]
         turn = live[axis[live, 2] != 1.0]  # the branches read in a frame other than z's
-        n = axis[turn]
-        e = np.eye(3)[np.abs(n).argmin(axis=1)]
-        e -= (e * n).sum(axis=1)[:, None] * n
-        e /= np.linalg.norm(e, axis=1)[:, None]
-        M[turn] = np.einsum("lij,ljk->lik", M[turn], np.stack([e, _cross(n, e), n], axis=2))
+        x, y, z = axis[turn].T
+        k = 1.0 / (1.0 + z)
+        R = np.array([[1 - k * x * x, -k * x * y, x], [-k * x * y, 1 - k * y * y, y], [-x, -y, z]])
+        M[turn] = np.einsum("lij,jkl->lik", M[turn], R)
     return mirror_form((M, t))
 
 
-def _cross(a, b):
-    """np.cross of (..., 3) arrays, without its cost of moving axes."""
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+def _fit(G, g, n) -> tuple[np.ndarray, np.ndarray]:
+    """Each branch's distance from the covariant model about its unit axis n, and its anisotropy.
 
-
-def _axes(G, g, tilted) -> tuple[np.ndarray, np.ndarray]:
-    """Each branch's axis n, shape (L, 3), and anisotropy w, shape (L,), from G = MᵀM, g = Mᵀt.
-
-    A branch covariant about n has G = s (I - nnᵀ) + u nnᵀ and g = c n,
-    and its anisotropy is |u - s| + |c|. It is isotropic if that is at most
-    _FRAME_TOL: then n and w are 0. A branch that is not tilted (in normal
-    form about z) has n = z. A tilted branch's n is G's eigenvector of its
-    simple eigenvalue, or g/|g| if G ∝ I; it is covariant only if G has a
-    double eigenvalue and g lies along n, and it is refused otherwise. Two
-    eigenvalues are equal, and g lies along n, within _FRAME_TOL. n's
-    largest component is positive.
+    The model is s I + (u - s) nnᵀ for G and c n for g, with u = nᵀGn,
+    s = (tr G - u)/2 and c = g·n. The distance is the largest entry of the
+    differences, and the anisotropy is |u - s| + |c|.
     """
-    tol = _FRAME_TOL
-    axis = np.zeros(g.shape)
-    axis[:, 2] = 1.0  # tilted rows: below
-    weight = np.abs(G[:, 2, 2] - G[:, 0, 0]) + np.abs(g[:, 2])
-    rest = np.flatnonzero(tilted)
-    w, v = np.linalg.eigh(G[rest])  # ascending eigenvalues; eigenvectors are the columns
-    low, high = w[:, 1] - w[:, 0] <= tol, w[:, 2] - w[:, 1] <= tol
-    n = np.where(low[:, None], v[:, :, 2], v[:, :, 0])  # the simple eigenvalue's
-    h = g[rest]
-    size = np.linalg.norm(h, axis=1)
-    flat = low & high  # G ∝ I: the axis is g's, and the anisotropy |g|
-    n[flat] = h[flat] / np.maximum(size[flat], tol)[:, None]
-    bad = ~(low | high) | (np.linalg.norm(h - (h * n).sum(axis=1)[:, None] * n, axis=1) > tol)
-    if bad.any():
-        raise ValidationError(
-            f"branch {rest[bad][0]} is covariant about no input axis: such branches need the "
-            "general ensemble search (ROADMAP A, stage 3), which capscale lacks"
-        )
-    axis[rest] = n * np.sign(n[np.arange(len(n)), np.abs(n).argmax(axis=1)])[:, None]
-    weight[rest] = np.where(flat, 0.0, np.where(low, w[:, 2] - w[:, 1], w[:, 1] - w[:, 0])) + size
-    weight[weight <= tol] = 0.0
-    axis[weight == 0.0] = 0.0
-    return axis, weight
+    u, c = np.einsum("li,lij,lj->l", n, G, n), np.einsum("li,li->l", g, n)
+    s = (np.trace(G, axis1=1, axis2=2) - u) / 2.0
+    G = G - s[:, None, None] * np.eye(3) - (u - s)[:, None, None] * n[:, :, None] * n[:, None, :]
+    far = np.maximum(np.abs(G).max(axis=(1, 2)), np.abs(g - c[:, None] * n).max(axis=1))
+    return far, np.abs(u - s) + np.abs(c)
 
 
 class _Sweep:

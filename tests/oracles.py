@@ -1,15 +1,15 @@
 """Density-matrix oracles for the Bloch-vector library: plain numpy
 transcriptions of Kraus sums, eigenvalue entropies and the Holevo quantity,
-a lattice search over small ensembles, the memory laws (periodic, random
-and Markov) acting on n-fold density matrices, the damping mirror-pair
-curve's closed-form derivative with a bisection root finder, a 40-digit
-maximizer of that curve, and 40-digit worst cases of pairs of damping,
-X-conjugated damping and depolarizing curves, and the mirror-pair
-Holevo kernel written as one numpy expression per quantity, the
-reference for the library kernel's bits, and the subsets of the branches
-in report order. Nothing here imports
-capscale, so a test that compares the two compares two independent
-computations.
+a lattice search over small ensembles, a Bloch map's Kraus operators and
+its normal form about its input axis, both from eigendecompositions, the
+memory laws (periodic, random and Markov) acting on n-fold density
+matrices, the damping mirror-pair curve's closed-form derivative with a
+bisection root finder, a 40-digit maximizer of that curve, and 40-digit
+worst cases of pairs of damping, X-conjugated damping and depolarizing
+curves, and the mirror-pair Holevo kernel written as one numpy expression
+per quantity, the reference for the library kernel's bits, and the subsets
+of the branches in report order. Nothing here imports capscale, so a test
+that compares the two compares two independent computations.
 """
 
 import functools
@@ -71,6 +71,38 @@ def kraus_bloch_map(ops):
     t = bloch_vector(apply_kraus(ops, np.eye(2) / 2.0))
     cols = [bloch_vector(apply_kraus(ops, (np.eye(2) + s) / 2.0)) - t for s in _PAULIS]
     return np.column_stack(cols), t
+
+
+def bloch_map_kraus(M, t):
+    """Kraus operators of the channel r -> M r + t, from the eigenvectors of its Choi matrix."""
+    choi = np.zeros((4, 4), dtype=complex)
+    for i, j in itertools.product(range(2), repeat=2):
+        e = np.zeros((2, 2))
+        e[i, j] = 1.0  # |i><j|, mapped by the linear extension of the affine map
+        r = np.array([np.trace(e @ s) for s in _PAULIS])
+        image = np.trace(e) * (np.eye(2) + sum(tk * s for tk, s in zip(t, _PAULIS)))
+        choi += np.kron(e, (image + sum(v * s for v, s in zip(M @ r, _PAULIS))) / 2.0)
+    lam, vec = np.linalg.eigh(choi)
+    return [math.sqrt(x) * v.reshape(2, 2).T for x, v in zip(lam, vec.T) if x > 1e-14]
+
+
+def normal_form(M, t):
+    """(s, 0, 0, u, c, |t|²): the mirror form of the Bloch map (M, t) read about its input axis n.
+
+    A map covariant about n has G = MᵀM = s I + (u - s) nnᵀ and g = Mᵀt = c n.
+    n is the eigenvector (LAPACK's eigh) of G's simple eigenvalue u, or g/|g|
+    where G ∝ I, with its largest component positive.
+    """
+    G, g = M.T @ M, M.T @ t
+    w, v = np.linalg.eigh(G)  # ascending
+    if w[2] - w[0] < 1e-12:
+        n, u, s = g / np.linalg.norm(g), w.mean(), w.mean()
+    elif w[2] - w[1] > w[1] - w[0]:
+        n, u, s = v[:, 2], w[2], (w[0] + w[1]) / 2.0
+    else:
+        n, u, s = v[:, 0], w[0], (w[1] + w[2]) / 2.0
+    n = n * np.sign(n[np.abs(n).argmax()])
+    return np.array([s, 0.0, 0.0, u, g @ n, t @ t])
 
 
 def radius_entropy(r):

@@ -590,16 +590,27 @@ def test_branches_are_read_in_their_input_frame(tmp_path, capsys):
         (channel([{"type": "t" * 100_000}], PERIODIC), ["chi"]),
         (channel(AD2, PERIODIC), ["simulate", "--rate", "0.3", "--subset", "0," * 50_000 + "x"]),
         (channel(AD2, PERIODIC), ["scale", "--r", "9" * 4000]),
+        (channel(AD2, PERIODIC), ["scale", "--r", "9" * 5000]),
+        (channel(AD2, PERIODIC), ["simulate", "--rate", "0.3", "--trials", "9" * 100_000]),
+        (channel(AD2, PERIODIC), ["chi", "--tol", "x" * 100_000]),
     ],
-    ids=["type-list", "memory-kind", "kraus-entry", "type-string", "subset-text", "r-digits"],
+    ids=[
+        "type-list", "memory-kind", "kraus-entry", "type-string", "subset-text", "r-digits",
+        "r-unreadable-digits", "trials-text", "tol-text",
+    ],
 )
 def test_error_lines_are_short_whatever_the_input(tmp_path, capsys, config, argv):
-    # every value an error echoes is cut to 60 characters
+    # every value an error echoes is cut to 60 characters; an option value
+    # that argparse cannot read is refused after its usage lines
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(config))
-    assert cli.main([argv[0], str(path)] + argv[1:]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 300
+    run = main_bytes([argv[0], str(path)] + argv[1:], capsys)
+    *usage, error = run["stderr"].splitlines(keepends=True)
+    assert run["exit"] == 2 and all(len(line.encode()) <= 300 for line in [*usage, error])
+    if usage:
+        assert error.startswith(f"capscale {argv[0]}: error: argument ")
+    else:
+        assert error.startswith("error: ")
 
 
 def _csv_cell(value) -> str:

@@ -240,6 +240,54 @@ def test_branches_are_read_about_their_axes():
                 report(branches)
 
 
+def haar_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_forms_match_the_eigendecomposition_oracle():
+    # each branch, read in its own frame, has the normal form about its axis
+    # that LAPACK's eigh of G gives: Haar-turned damping and X·AD·X, nearly
+    # isotropic ones (anisotropy 2γ(1 - γ) from 1e-8 up, and 1 for complete
+    # dephasing), and G ∝ I with g ≠ 0, where G has no simple eigenvalue
+    rng = np.random.default_rng(37)
+    dephasing = QubitChannel.kraus([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    covariant = [dephasing] + [
+        kind(gamma)
+        for gamma in [*rng.uniform(0.0, 1.0, 10), *np.geomspace(5e-9, 0.5, 9)]
+        for kind in (QubitChannel.amplitude_damping, x_damping)
+    ]
+    turns = [haar_unitary(rng) for _ in covariant]
+    channels = [
+        QubitChannel.kraus([k @ v for k in kraus_operators(ch)]) for ch, v in zip(covariant, turns)
+    ]
+    n = rng.normal(size=3)
+    flat = QubitChannel.kraus(oracles.bloch_map_kraus(0.3 * np.eye(3), 0.5 * n / np.linalg.norm(n)))
+    channels.append(flat)
+    form = scales._forms(channels, shared=False)
+    for ch, f in zip(channels, form.T):
+        expect = oracles.normal_form(*oracles.kraus_bloch_map(kraus_operators(ch)))
+        np.testing.assert_allclose(f, expect, rtol=0.0, atol=1e-12)
+    assert per_branch_suprema([flat])[0].chi_star == pytest.approx(0.07311327531719058, abs=1e-12)
+
+
+def test_the_library_decomposes_no_matrix(monkeypatch):
+    # each frame is found in closed form
+    dep, ad = QubitChannel.depolarizing(0.2), QubitChannel.amplitude_damping(0.5)
+    turned = [dep, conjugated(ad, haar_unitary(np.random.default_rng(37)))]
+    plain = compute_capacity_report([dep, ad])
+
+    def decomposed(*args, **kwargs):
+        raise AssertionError("the library decomposed a matrix")
+
+    for name in ("eigh", "eigvalsh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, decomposed)
+    report = compute_capacity_report(turned)
+    assert report.cp == pytest.approx(plain.cp, abs=1e-12)
+    assert per_branch_suprema(turned)[1].chi_star == pytest.approx(0.471729390599, abs=1e-9)
+    compute_random_scale_report(turned, [0.5, 0.5])
+
+
 def test_staircase_profile_thresholds(tmp_path):
     path = damping_channel_file(tmp_path, GAMMAS4, {"kind": "periodic"})
     rc, text = run_to_file(tmp_path, ["staircase", path, "--format", "json"])
