@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,14 +44,41 @@ def _cell(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _round_floats(obj):
+# how json.dumps spells the floats whose repr is not JSON
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(obj, pad="\n") -> str:
+    """json.dumps(obj, indent=2) with every float at 12 significant digits, in one pass.
+
+    pad is the line break and indent before obj's closing bracket. Keys must
+    be strings; a tuple is written as a list.
+    """
     if isinstance(obj, float):
-        return float(_cell(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        text = repr(float(f"{obj:.12g}"))
+        return _JSON_SPECIAL.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, header, rows, json_obj=None):
@@ -60,7 +89,7 @@ def _emit(args, header, rows, json_obj=None):
     if args.format == "json":
         if json_obj is None:
             json_obj = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(_round_floats(json_obj), indent=2) + "\n"
+        text = _json(json_obj) + "\n"
     else:
         text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
     if args.output is None:
@@ -307,13 +336,20 @@ def cmd_simulate(args, mc, tol):
         res = simulate.run_trials(mc, strategy, args.trials, args.seed, tol)
         rows = [simulate.StaircaseRow.from_result(res)]
     header = [f.name for f in dataclasses.fields(simulate.StaircaseRow)]
-    return header, [dataclasses.astuple(row) for row in rows]
+    return header, list(map(operator.attrgetter(*header), rows))
 
 
 # --- parser -----------------------------------------------------------------
 
 
 _ANY = ("periodic", "random")
+
+# the options of every command, ahead of its channel file and its own options
+_COMMON = {
+    "--tol": dict(type=_typed(float), default=1e-8, help="optimizer tolerance"),
+    "--output": dict(default=None, help="output path (default: stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
 
 # (name, help, memory kinds the command accepts, function, own options); a
 # command that accepts no memory kind takes no channel file
@@ -340,12 +376,26 @@ _COMMANDS = (
 )
 
 
+# an argparse error message of more UTF-8 bytes than this is cut short, so
+# that its line stays under 300 bytes whatever the command line
+_ERROR_BYTES = 240
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with an error message cut short as errors.shown cuts a value."""
+
+    def error(self, message):
+        data = message.encode("utf-8", "backslashreplace")
+        if len(data) > _ERROR_BYTES:
+            message = data[: _ERROR_BYTES - 4].decode("utf-8", "ignore") + " ..."
+        super().error(message)
+
+
 def _add_options(parser: argparse.ArgumentParser, command) -> None:
     """Add one _COMMANDS entry's options, and its function and memory kinds as defaults."""
     _, _, kinds, func, options = command
-    parser.add_argument("--tol", type=_typed(float), default=1e-8, help="optimizer tolerance")
-    parser.add_argument("--output", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    for flag, kw in _COMMON.items():
+        parser.add_argument(flag, **kw)
     if kinds:
         parser.add_argument("channel", help="JSON channel description file")
     for flag, kw in options.items():
@@ -355,7 +405,7 @@ def _add_options(parser: argparse.ArgumentParser, command) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The full capscale parser, every command's included; options must be spelled in full."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capscale",
         description="Capacities and subset-rate scales of qubit channels with memory.",
         allow_abbrev=False,
@@ -367,18 +417,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """argv parsed as build_parser() parses it, building one parser where that can.
+def _plain_args(command, tokens) -> argparse.Namespace | None:
+    """The namespace that command's parser builds from tokens, read from
+    _COMMANDS with no parser built; None unless tokens are plain.
 
-    When argv[0] names a command, that command's parser alone parses the
-    rest: with nothing left over it gives the full parser's namespace, and
+    Plain tokens are the command's options and as many channel files as it
+    takes, none of them starting with '-'. Each option is spelled in full,
+    given at most once and followed by a value that does not start with '-'
+    and that the option's type and choices accept; every required option is
+    given. Any other tokens are argparse's to read, or to refuse.
+    """
+    name, _, kinds, func, own = command
+    options = {**_COMMON, **own}
+    values, files = {}, []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token not in options:
+            if token.startswith("-"):
+                return None
+            files.append(token)
+            continue
+        text = next(tokens, None)
+        if token in values or text is None or text.startswith("-"):
+            return None
+        kw = options[token]
+        try:  # the refusals argparse reports as an invalid value
+            value = kw["type"](text) if "type" in kw else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        values[token] = value
+    if len(files) != (1 if kinds else 0):
+        return None
+    if any(kw.get("required") and flag not in values for flag, kw in own.items()):
+        return None
+    fields = [(flag[2:], values.get(flag, kw.get("default"))) for flag, kw in options.items()]
+    if kinds:
+        fields.insert(len(_COMMON), ("channel", files[0]))
+    return argparse.Namespace(**dict(fields), func=func, kinds=kinds, command=name)
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """argv parsed as build_parser() parses it, building as few parsers as that can.
+
+    When argv[0] names a command, a plain rest of argv (_plain_args) is read
+    with no parser built. Any other rest is parsed by that command's parser
+    alone: with nothing left over it gives the full parser's namespace, and
     its help and errors are the ones the full parser would print. The full
     parser is built for everything else, and for arguments left over, which
     the full parser reports against its own usage.
     """
     command = next((c for c in _COMMANDS if argv and c[0] == argv[0]), None)
     if command is not None:
-        parser = argparse.ArgumentParser(prog=f"capscale {command[0]}", allow_abbrev=False)
+        args = _plain_args(command, argv[1:])
+        if args is not None:
+            return args
+        parser = _Parser(prog=f"capscale {command[0]}", allow_abbrev=False)
         _add_options(parser, command)
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:

@@ -7,13 +7,16 @@ matrices, the damping mirror-pair curve's closed-form derivative with a
 bisection root finder, a 40-digit maximizer of that curve, and 40-digit
 worst cases of pairs of damping, X-conjugated damping and depolarizing
 curves, and the mirror-pair Holevo kernel written as one numpy expression
-per quantity, the reference for the library kernel's bits, and the subsets
-of the branches in report order. Nothing here imports capscale, so a test
-that compares the two compares two independent computations.
+per quantity, the reference for the library kernel's bits, the subsets
+of the branches in report order, and the command line's JSON text written
+in two steps, a rounded copy and then json.dumps. Nothing here imports
+capscale, so a test that compares the two compares two independent
+computations.
 """
 
 import functools
 import itertools
+import json
 import math
 
 import mpmath
@@ -505,3 +508,20 @@ def kernel_chi_jet(form, a):
     curv[1] += h1[1] * (d2mid + d2cross)
     curv[2] += h1[2] * (d2mid - d2cross)
     return _kernel_chi(h), _kernel_chi(h1 * ds), _kernel_chi(curv)
+
+
+def _rounded(obj):
+    """A copy of obj with each float at 12 significant digits and each tuple a list."""
+    if isinstance(obj, float):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def rounded_json(obj):
+    """The command line's JSON text of obj, without its final line break:
+    json.dumps(indent=2) of the rounded copy."""
+    return json.dumps(_rounded(obj), indent=2)

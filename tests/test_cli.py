@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -582,35 +583,74 @@ def test_branches_are_read_in_their_input_frame(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, argv",
+    "config, argv, refusal",
     [
-        (channel([{"type": list(range(200_000)), "gamma": 0.3}], PERIODIC), ["chi"]),
-        (channel(AD2, {"kind": "k" * 100_000}), ["chi"]),
-        (kraus([[["x" * 100_000, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]), ["chi"]),
-        (channel([{"type": "t" * 100_000}], PERIODIC), ["chi"]),
-        (channel(AD2, PERIODIC), ["simulate", "--rate", "0.3", "--subset", "0," * 50_000 + "x"]),
-        (channel(AD2, PERIODIC), ["scale", "--r", "9" * 4000]),
-        (channel(AD2, PERIODIC), ["scale", "--r", "9" * 5000]),
-        (channel(AD2, PERIODIC), ["simulate", "--rate", "0.3", "--trials", "9" * 100_000]),
-        (channel(AD2, PERIODIC), ["chi", "--tol", "x" * 100_000]),
+        (channel([{"type": list(range(200_000)), "gamma": 0.3}], PERIODIC), ["chi"], "error: "),
+        (channel(AD2, {"kind": "k" * 100_000}), ["chi"], "error: "),
+        (
+            kraus([[["x" * 100_000, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+            ["chi"],
+            "error: ",
+        ),
+        (channel([{"type": "t" * 100_000}], PERIODIC), ["chi"], "error: "),
+        (
+            channel(AD2, PERIODIC),
+            ["simulate", "--rate", "0.3", "--subset", "0," * 50_000 + "x"],
+            "error: ",
+        ),
+        (channel(AD2, PERIODIC), ["scale", "--r", "9" * 4000], "error: "),
+        (
+            channel(AD2, PERIODIC),
+            ["scale", "--r", "9" * 5000],
+            "capscale scale: error: argument --r: invalid int value: ",
+        ),
+        (
+            channel(AD2, PERIODIC),
+            ["simulate", "--rate", "0.3", "--trials", "9" * 100_000],
+            "capscale simulate: error: argument --trials: invalid int value: ",
+        ),
+        (
+            channel(AD2, PERIODIC),
+            ["chi", "--tol", "x" * 100_000],
+            "capscale chi: error: argument --tol: invalid float value: ",
+        ),
+        (
+            channel(AD2, PERIODIC),
+            ["chi", "--format", "y" * 100_000],
+            "capscale chi: error: argument --format: invalid choice: 'yyy",
+        ),
+        (
+            channel(AD2, PERIODIC),
+            ["chi", "--format", "\u00e9" * 100_000],
+            "capscale chi: error: argument --format: invalid choice: '\u00e9\u00e9\u00e9",
+        ),
+        (
+            channel(AD2, PERIODIC),
+            ["c" * 100_000],
+            "capscale: error: argument command: invalid choice: 'ccc",
+        ),
+        (
+            channel(AD2, PERIODIC),
+            ["chi", "z" * 100_000],
+            "capscale: error: unrecognized arguments: zzz",
+        ),
     ],
     ids=[
         "type-list", "memory-kind", "kraus-entry", "type-string", "subset-text", "r-digits",
-        "r-unreadable-digits", "trials-text", "tol-text",
+        "r-unreadable-digits", "trials-text", "tol-text", "format-text", "format-wide-text",
+        "command-text", "extra-text",
     ],
 )
-def test_error_lines_are_short_whatever_the_input(tmp_path, capsys, config, argv):
-    # every value an error echoes is cut to 60 characters; an option value
-    # that argparse cannot read is refused after its usage lines
+def test_error_lines_are_short_whatever_the_input(tmp_path, capsys, config, argv, refusal):
+    # every value an error echoes is cut to 60 characters, and every
+    # argparse error message to 240 UTF-8 bytes; argparse refuses a
+    # command line after its usage lines
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(config))
     run = main_bytes([argv[0], str(path)] + argv[1:], capsys)
     *usage, error = run["stderr"].splitlines(keepends=True)
     assert run["exit"] == 2 and all(len(line.encode()) <= 300 for line in [*usage, error])
-    if usage:
-        assert error.startswith(f"capscale {argv[0]}: error: argument ")
-    else:
-        assert error.startswith("error: ")
+    assert error.startswith(refusal) and bool(usage) == (refusal != "error: ")
 
 
 def _csv_cell(value) -> str:
@@ -802,9 +842,10 @@ def test_parser_bytes_match_the_eager_parser(monkeypatch, capsys):
 
 
 def test_a_run_builds_one_parser(channel_files, tmp_path, monkeypatch):
-    # the invoked command's; building every command's parser, and their
-    # shared parent, made ten, and the top-level parser with the invoked
-    # command's made two
+    # none on a plain command line, which is read from cli._COMMANDS, and
+    # the invoked command's on any other; building every command's parser,
+    # and their shared parent, made ten, and the top-level parser with the
+    # invoked command's made two
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -814,15 +855,108 @@ def test_a_run_builds_one_parser(channel_files, tmp_path, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     per4, rand3 = channel_files["per4"], channel_files["rand3"]
-    runs = [
+    plain = [
         ["chi", per4], ["amax", per4], ["capacity", per4], ["scale", per4, "--r", "2"],
         ["random-scale", rand3], ["ad-gap", "--grid", "3"], ["staircase", per4],
         ["simulate", rand3, "--rate", "0.3", "--trials", "100"],
     ]
-    for argv in runs:
+    other = [
+        ["chi", per4, "--tol=1e-8"], ["ad-gap", "--grid=3"],
+        ["simulate", per4, "--rate=0.3", "--trials", "100"],
+        ["capacity", per4, "--tol", "1e-7", "--tol", "1e-8"],
+    ]
+    for argv in plain + other:
         built.clear()
         assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0
-        assert built == [f"capscale {argv[0]}"]
+        assert built == ([] if argv in plain else [f"capscale {argv[0]}"])
+
+
+# tokens a plain command line may hold, and tokens that argparse must read
+# or refuse: negative numbers, '-', '--', help, '=' spellings, an option cut
+# short, a value no option takes and an integer past int()'s digit limit
+PLAIN_VALUES = (
+    "f.json", "g.json", "0.3", "0.3,0.6", "0,1", "7", "1e-3", "nan", "json", "csv", "",
+)
+ODD_VALUES = ("-0.5", "-", "--", "-h", "--tol=1e-3", "--form", "yaml", "9" * 5000)
+FLAGS = sorted({*cli._COMMON, *(flag for command in cli._COMMANDS for flag in command[4])})
+
+
+def _draw_argv(rng, command):
+    """A command line of command: option pairs drawn mostly from its own
+    options, its files, and now and then a token inserted or dropped."""
+    name, _, kinds, _, own = command
+    flags = [*cli._COMMON, *own]
+    pairs = [
+        [rng.choice(flags) if rng.random() < 0.85 else rng.choice(FLAGS), rng.choice(PLAIN_VALUES)]
+        for _ in range(rng.randrange(5))
+    ]
+    files = [[rng.choice(PLAIN_VALUES)] for _ in range(int(bool(kinds)) + (rng.random() < 0.1))]
+    groups = pairs + files
+    rng.shuffle(groups)
+    tokens = [token for group in groups for token in group]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(tokens) + 1)
+        if tokens and rng.random() < 0.3:
+            del tokens[min(i, len(tokens) - 1)]
+        else:
+            tokens.insert(i, rng.choice((*FLAGS, *PLAIN_VALUES, *ODD_VALUES)))
+    return [name, *tokens]
+
+
+def _same(a, b) -> bool:
+    return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plain_command_lines_read_as_argparse_reads_them(seed, capsys):
+    # the plain path either leaves a command line to argparse or returns
+    # the namespace that the full parser builds from it
+    rng = random.Random(seed)
+    full = cli.build_parser()
+    taken = 0
+    for _ in range(20_000):
+        command = rng.choice(cli._COMMANDS)
+        argv = _draw_argv(rng, command)
+        args = cli._plain_args(command, argv[1:])
+        if args is None:
+            continue
+        taken += 1
+        try:
+            expected = vars(full.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse refuses a plain command line: {capsys.readouterr().err}")
+        got = vars(args)
+        assert got.keys() == expected.keys(), argv
+        assert all(_same(got[k], expected[k]) for k in got), argv
+    assert taken >= 2000
+
+
+def _draw_json(rng, depth=0):
+    """A random object of the kinds a command's JSON holds, and more."""
+    leaves = (
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1 / 3, 0.1 + 0.2,
+        np.float64(2 / 3), np.float64(-1e-300), True, False, None, 0, -7, 10**30,
+        "", "plain", "\u00e9t\u00e9", "\u65e5\u672c", 'quote " back \\ nl \n tab \t nul \x00',
+        "\ud800",
+    )
+    kind = rng.randrange(6) if depth < 4 else 0
+    if kind == 0:
+        return rng.choice(leaves)
+    if kind == 1:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+    items = [_draw_json(rng, depth + 1) for _ in range(rng.choice((0, 1, 3)))]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    return {rng.choice(("a", "key", "\u00e9", 'q"', "")) + str(i): v for i, v in enumerate(items)}
+
+
+def test_json_text_is_the_rounded_copy_dumped():
+    rng = random.Random(40)
+    for _ in range(2000):
+        obj = _draw_json(rng)
+        assert cli._json(obj) == oracles.rounded_json(obj), obj
 
 
 def test_kraus_channel_config_round_trip(tmp_path):
