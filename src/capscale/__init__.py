@@ -6,7 +6,6 @@ from .channels import (
     kraus_operators,
 )
 from .errors import NumericalError, ValidationError
-from .holevo import chi_mirror_family
 from .optim import OptResult, maximize_concave_1d
 from .scales import (
     BranchSupremum,
@@ -14,6 +13,7 @@ from .scales import (
     RandomScaleReport,
     ScaleEntry,
     SubsetScale,
+    chi_mirror_family,
     compute_capacity_report,
     compute_random_scale_report,
     per_branch_suprema,

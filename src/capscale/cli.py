@@ -81,15 +81,26 @@ def _json(obj, pad="\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _json_rows(header, rows) -> str:
+    """_json of one object per row keyed by header, and a line break, with no object built."""
+    if not rows:
+        return "[]\n"
+    keys = [encode_basestring_ascii(k) + ": " for k in header]
+    pad = "\n    "
+    objects = (
+        "{" + pad + ("," + pad).join(k + _json(v, pad) for k, v in zip(keys, row)) + "\n  }"
+        for row in rows
+    )
+    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
+
+
 def _emit(args, header, rows, json_obj=None):
     """Write a row table as CSV, or as JSON in the format args ask for.
 
     The JSON is json_obj when given, else one object per row keyed by header.
     """
     if args.format == "json":
-        if json_obj is None:
-            json_obj = [dict(zip(header, row)) for row in rows]
-        text = _json(json_obj) + "\n"
+        text = _json_rows(header, rows) if json_obj is None else _json(json_obj) + "\n"
     else:
         text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
     if args.output is None:
@@ -128,6 +139,7 @@ _BRANCH_PARAM = {"amplitude_damping": "gamma", "depolarizing": "p"}
 
 
 def _parse_branch(i, b) -> QubitChannel:
+    """Branch i of a channel file; every refusal names the branch."""
     if not isinstance(b, dict) or "type" not in b:
         raise ValidationError(f"branch {i} must be an object with a 'type' field")
     kind = b["type"]
@@ -137,8 +149,8 @@ def _parse_branch(i, b) -> QubitChannel:
         name = _BRANCH_PARAM[kind]
         if name not in b:
             raise ValidationError(f"branch {i}: {kind} needs {name!r}")
-        return getattr(QubitChannel, kind)(check_number(b[name], f"branch {i}: {name}"))
-    if kind == "kraus":
+        build, arg = getattr(QubitChannel, kind), check_number(b[name], f"branch {i}: {name}")
+    elif kind == "kraus":
         ops = b.get("ops")
         if not isinstance(ops, list) or not ops:
             raise ValidationError(f"branch {i}: kraus needs a nonempty 'ops' list")
@@ -150,8 +162,13 @@ def _parse_branch(i, b) -> QubitChannel:
                     f"branch {i}: each kraus op must be 2x2 entries of [re, im] pairs"
                 )
             mats.append(arr[..., 0] + 1j * arr[..., 1])
-        return QubitChannel.kraus(mats)
-    raise ValidationError(f"branch {i}: unknown channel type {shown(kind)}")
+        build, arg = QubitChannel.kraus, mats
+    else:
+        raise ValidationError(f"branch {i}: unknown channel type {shown(kind)}")
+    try:
+        return build(arg)
+    except ValidationError as e:  # a parameter out of range, an incomplete Kraus list
+        raise ValidationError(f"branch {i}: {e}") from e
 
 
 def load_channel_config(path) -> MemoryChannel:

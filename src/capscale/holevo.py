@@ -3,18 +3,20 @@
 Every Holevo quantity the library reports is that of a mirror pair, the
 pure states with Bloch vectors (±x, 0, z), x = 2 sqrt(a(1-a)) and
 z = 2a - 1, sent with equal weights through a qubit branch's Bloch-affine
-map r -> M r + t. Each output's squared radius is a quadratic form in the
-input, |M r + t|² = rᵀMᵀM r + 2 (Mᵀt)·r + |t|², which on the pair reads
-only six numbers per branch (``mirror_form``). ``mirror_chi`` evaluates the
-curve from them, elementwise, with one entropy pass over the mean state's
-and the two members' squared radii; it is the library's one Holevo kernel.
-``mirror_chi_jet`` adds the curve's analytic slope and curvature in ``a``
-from the same pass, for the maximizer's search. Every entropy here is a
-function of one number, a qubit state's squared Bloch radius
-(``entropy_from_squared_radius``), in bits. The kernel writes into a few
-arrays that each call allocates and reuses, with the bits of one numpy
-expression per quantity. The tests check the kernel against those
-expressions, density-matrix eigenvalues and a closed-form damping curve.
+map r -> M r + t that is in normal form about z: covariant about z, with
+G = MᵀM = diag(s, s, u) and Mᵀt = (0, 0, c). Each output's squared radius
+|M r + t|² = rᵀG r + 2 (Mᵀt)·r + |t|² then reads four numbers per branch,
+(s, u, c, τ = |t|²) (``mirror_form``), and both members of the pair go to
+the same squared radius. ``mirror_chi`` evaluates the curve from them,
+elementwise, with one entropy pass over the mean state's and one member's
+squared radii; it is the library's one Holevo kernel. ``mirror_chi_jet``
+adds the curve's analytic slope and curvature in ``a`` from the same pass,
+for the maximizer's search. Every entropy here is a function of one number,
+a qubit state's squared Bloch radius (``entropy_from_squared_radius``), in
+bits. The kernel writes into a few arrays that each call allocates and
+reuses, with the bits of one numpy expression per quantity. The tests check
+the kernel against those expressions, density-matrix eigenvalues and a
+closed-form damping curve.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import math
 
 import numpy as np
 
-from .channels import QubitChannel, check_numbers
-from .errors import ValidationError, shown
 
 
 def _entropy_terms(s):
@@ -65,52 +65,45 @@ def entropy_from_squared_radius(r2):
 
 
 def mirror_form(bloch_map) -> np.ndarray:
-    """The six numbers of Bloch maps (M, t) that their mirror-pair curves read.
+    """The four numbers (s, u, c, τ) of Bloch maps (M, t) in normal form about z.
 
     bloch_map is (M, t) of shapes (..., 3, 3) and (..., 3). With c0 and c2
-    M's first and third columns, returns |c0|², c0·c2, c0·t, |c2|², c2·t
-    and |t|² stacked on a new first axis, shape (6, ...).
+    M's first and third columns, returns |c0|², |c2|², c2·t and |t|²
+    stacked on a new first axis, shape (4, ...).
     """
     M, t = (np.asarray(x, dtype=float) for x in bloch_map)
     c0, c2 = M[..., :, 0], M[..., :, 2]
-    pairs = ((c0, c0), (c0, c2), (c0, t), (c2, c2), (c2, t), (t, t))
+    pairs = ((c0, c0), (c2, c2), (c2, t), (t, t))
     return np.stack([np.einsum("...i,...i->...", u, v) for u, v in pairs])
 
 
 def _squared_radii(form, a):
-    """x, z, w = z c0·c2 + c0·t and the squared radii (u², r+², r-²) of the pair at a, stacked."""
-    c00, c02, c0t, c22, c2t, tt = form
+    """z and the squared radii (u², r²) of the pair's mean state and of a member at a, stacked."""
+    s, u, c, tau = form
     x2, z = 4.0 * a * (1.0 - a), 2.0 * a - 1.0
-    x, w = np.sqrt(x2), z * c02 + c0t  # w has the broadcast shape
-    s = np.empty((3, *np.shape(w)))
-    u2, plus, minus = s[0, ...], s[1, ...], s[2, ...]
-    np.multiply(z * z, c22, out=u2)
-    u2 += np.multiply(2.0 * z, c2t, out=minus)  # minus is free until r-² is written
-    u2 += tt
-    np.multiply(x2, c00, out=plus)
-    plus += u2  # u² + x²|c0|²
-    cross = 2.0 * x * w
-    np.subtract(plus, cross, out=minus)
-    plus += cross
-    return x, z, w, s
+    out = np.empty((2, *np.broadcast_shapes(np.shape(z), np.shape(c))))
+    u2, r2 = out[0, ...], out[1, ...]
+    np.multiply(z * z, u, out=u2)
+    u2 += np.multiply(2.0 * z, c, out=r2)  # r2 is free until it is written
+    u2 += tau
+    np.multiply(x2, s, out=r2)
+    r2 += u2  # u² + x² s
+    return z, out
 
 
 def _chi(h):
-    """The mean state's term less the pair's mean, for entropies stacked as in _squared_radii."""
-    out = np.add(h[1, ...], h[2, ...], out=np.empty(h.shape[1:]))
-    out *= 0.5
-    return np.subtract(h[0, ...], out, out=out)
+    """The mean state's term less the member's, for entropies stacked as in _squared_radii."""
+    return np.subtract(h[0, ...], h[1, ...], out=np.empty(h.shape[1:]))
 
 
 def mirror_chi(form, a) -> np.ndarray:
     """Holevo quantity in bits of the mirror pair at a, from mirror_form's numbers.
 
-    form (6, ...) and a broadcast against each other; a is not checked.
-    The mean state (0, 0, z) goes to squared radius
-    u² = z²|c2|² + 2z c2·t + |t|², and the pair to
-    r±² = u² + x²|c0|² ± 2x (z c0·c2 + c0·t).
+    form (4, ...) and a broadcast against each other; a is not checked.
+    The mean state (0, 0, z) goes to squared radius u² = z² u + 2z c + τ,
+    and each member, at equal weight, to r² = u² + x² s.
     """
-    return _chi(_entropy_terms(_squared_radii(form, a)[-1])[2])
+    return _chi(_entropy_terms(_squared_radii(form, a)[1])[2])
 
 
 def _entropy_jet(s):
@@ -148,50 +141,27 @@ def _entropy_jet(s):
 
 
 def mirror_chi_jet(form, a):
-    """mirror_chi at a and its first and second derivatives in a, for 0 < a < 1.
+    """mirror_chi at a and its first and second derivatives in a.
 
-    The value has mirror_chi's bits. Since x² + z² = 1 with z' = 2,
-    x' = -2z/x and x'' = -4/x³; each squared radius s is a polynomial in
-    x and z, and the entropies' derivatives are h'(s) s' and
-    h''(s) s'² + h'(s) s'' (see _entropy_jet). Returns three arrays of
+    The value has mirror_chi's bits. With z' = 2 and (x²)' = -4z, u² has
+    derivatives 4(z u + c) and 8u, and r² has 4(z u + c) - 4z s and
+    8(u - s); the entropies' derivatives are h'(q) q' and
+    h''(q) q'² + h'(q) q'' (see _entropy_jet). Returns three arrays of
     the broadcast shape.
     """
-    c00, c02, c0t, c22, c2t, tt = form
-    x, z, w, s = _squared_radii(form, a)
-    dx = -2.0 * z / x
-    d2x = -4.0 / (x * x * x)
-    ds = np.empty(s.shape)
-    du2, dplus, dminus = ds[0, ...], ds[1, ...], ds[2, ...]
-    np.multiply(4.0, z * c22 + c2t, out=du2)
-    np.multiply(4.0 * z, c00, out=dplus)
-    np.subtract(du2, dplus, out=dplus)  # the mean's term, d(u² + x²|c0|²)
-    dcross = 2.0 * (dx * w + 2.0 * x * c02)
-    np.subtract(dplus, dcross, out=dminus)
-    dplus += dcross
-    d2mid, d2cross = 8.0 * (c22 - c00), 2.0 * (d2x * w + 4.0 * dx * c02)
-    h, h1, curv = _entropy_jet(s)
-    curv *= ds
-    curv *= ds
-    c0, c1, c2 = curv[0, ...], curv[1, ...], curv[2, ...]
-    c0 += h1[0, ...] * (8.0 * c22)
-    c1 += h1[1, ...] * (d2mid + d2cross)
-    c2 += h1[2, ...] * (d2mid - d2cross)
-    h1 *= ds
+    s, u, c, _ = form
+    z, q = _squared_radii(form, a)
+    dq = np.empty(q.shape)
+    du2, dr2 = dq[0, ...], dq[1, ...]
+    np.multiply(4.0, z * u + c, out=du2)
+    np.multiply(4.0 * z, s, out=dr2)
+    np.subtract(du2, dr2, out=dr2)
+    h, h1, curv = _entropy_jet(q)
+    curv *= dq
+    curv *= dq
+    curv[0, ...] += h1[0, ...] * (8.0 * u)
+    curv[1, ...] += h1[1, ...] * (8.0 * (u - s))
+    h1 *= dq
     return _chi(h), _chi(h1), _chi(curv)
 
-
-def chi_mirror_family(ch, a):
-    """Holevo quantity of the mirror pair at parameter a, through the QubitChannel ch.
-
-    ``a`` is a scalar or an array; a float comes back for a scalar a, an
-    array otherwise. The pair's Bloch vectors are (±2b, 0, 2a - 1) with
-    b = sqrt(a(1-a)).
-    """
-    if not isinstance(ch, QubitChannel):
-        raise ValidationError(f"ch must be a QubitChannel, got {type(ch).__name__}")
-    a_arr = check_numbers(a, "a")
-    if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
-        raise ValidationError(f"a must be in [0, 1], got {shown(a)}")
-    chi = mirror_chi(mirror_form(ch.bloch_map), a_arr)
-    return float(chi) if chi.ndim == 0 else chi
 

@@ -3,8 +3,8 @@
 All quantities here reduce to one-parameter maximizations of Holevo
 curves of mirror-pair ensembles: of their sums over subsets of branches
 (periodic memory, the scale hierarchy) and of their pairwise minima
-(random memory). Each report reads its branches once, as mirror forms in
-one input frame that they share (_forms), and refuses branches without
+(random memory). Each report reads its branches once, as four numbers
+about one input axis that they share (_forms), and refuses branches without
 one. Reports are dataclasses that bundle the numbers with the subsets
 that achieve them.
 
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QubitChannel, check_integer, check_probabilities, listed
+from .channels import QubitChannel, check_integer, check_numbers, check_probabilities, listed
 from .errors import NumericalError, ValidationError, shown
-from .holevo import mirror_chi, mirror_chi_jet, mirror_form
+from .holevo import _entropy_jet, mirror_chi, mirror_chi_jet, mirror_form
 from .optim import maximize_concave_1d
 
 # Subset enumeration is exponential in the number of branches.
@@ -58,45 +58,51 @@ _FINE_GRID = np.linspace(_SCAN[0], _SCAN[-1], _FINE * (len(_SCAN) - 1) + 1)
 # kernel's dozen temporaries then stay near 1 MiB, whatever the lane count.
 _REFINE_BLOCK = 1024
 
-# Tolerance of the input frames (see _forms), in units of G and g.
+# Tolerance of the input axes (see _forms), in units of G and g.
 _FRAME_TOL = 1e-9
+
+# Heights z = 2a - 1 of every eighth scan point, from -1 + 2e-9 to 1 - 2e-9,
+# where _forms samples each branch's pure-state entropy curve's curvature,
+# and the margin, in bits, by which a sample may fall below 0 (see _forms).
+_HEIGHTS = 2.0 * _SCAN[::8] - 1.0
+_CONVEX_TOL = 1e-9
 
 
 def _forms(branches, shared: bool = True) -> np.ndarray:
-    """The stacked mirror forms, shape (6, L), of branches: channels or damping parameters.
+    """The four numbers (s, u, c, τ), shape (4, L), of branches: channels or damping parameters.
 
-    Every search reads mirror pairs about z, which hold a branch's best
-    ensembles when it is covariant about z: G = MᵀM = diag(s, s, u) and
-    g = Mᵀt = (0, 0, c). A branch covariant about another unit axis n,
-    G = s I + (u - s) nnᵀ and g = c n, is read in the input frame R that
-    takes z to n = (x, y, z), M -> M R, with k = 1/(1 + z):
-    R = [[1 - k x², -k x y, x], [-k x y, 1 - k y², y], [-x, -y, z]], the
-    input half of the normal form of Ruskai, Szarek & Werner, LAA 347, 159
-    (2002). n is in closed form: with B = G - (tr G/3) I, the matrix
-    S = 3B² - ½ tr(B²) I + g gᵀ is ((u - s)² + c²) nnᵀ, so n is S's column
-    of largest diagonal, normalised, and its largest component is positive
-    (so z > -1/√2, and a weighs a pair toward +n). A branch farther than
-    _FRAME_TOL from the model about that n (_fit) is covariant about no
-    axis and refused; one of anisotropy |u - s| + |c| at most _FRAME_TOL
-    (depolarizing) is isotropic, fits every axis and keeps its map.
+    Every search reads mirror pairs about an axis n. A branch covariant about
+    n has G = MᵀM = s I + (u - s) nnᵀ and g = Mᵀt = c n, and its Holevo
+    curves read (s, u, c, τ = |t|²) (see holevo). n is in closed form: with
+    B = G - (tr G/3) I, the matrix S = 3B² - ½ tr(B²) I + g gᵀ is
+    ((u - s)² + c²) nnᵀ, so n is S's column of largest diagonal,
+    normalised, and its largest component is positive (so a weighs a pair
+    toward +n). u = nᵀGn and c = g·n, and s = e₁ᵀGe₁ for the unit vector
+    e₁ = (1 - k x², -k x y, -x) normal to n = (x, y, z), k = 1/(1 + z). A
+    branch farther than _FRAME_TOL from the model about that n (_fit) is
+    covariant about no axis and refused; one of anisotropy |u - s| + |c| at
+    most _FRAME_TOL (depolarizing) is isotropic and fits every axis.
 
     With shared, as a report's subsets share ensembles, every branch is
-    read in one frame, that of the branch of largest anisotropy (the first
+    read about one axis, that of the branch of largest anisotropy (the first
     of them on a tie), and a branch is refused if its axis differs from an
-    earlier branch's. Reading a branch of anisotropy w in a frame at angle
-    θ from its axis moves its G and g by about w sin θ, so two axes differ
-    when that exceeds _FRAME_TOL for the smaller w: an axis that rounding
-    moved, by about 1e-16 / w, is not refused. Otherwise each branch is
-    read in its own frame, as per-branch results are. Either way, branches
-    within _FRAME_TOL of normal form about z (damping, depolarizing,
-    X·AD·X, Rz-conjugated damping) are read in z's frame, their maps bit
-    for bit, unless a report shares a frame with a branch tilted from z.
+    earlier branch's. Reading a branch of anisotropy w about an axis at
+    angle θ from its own moves its G and g by about w sin θ, so two axes
+    differ when that exceeds _FRAME_TOL for the smaller w: an axis that
+    rounding moved, by about 1e-16 / w, is not refused. Otherwise each branch
+    is read about its own axis, as per-branch results are. Either way,
+    isotropic branches and those within _FRAME_TOL of normal form about z
+    (damping, X·AD·X, Rz-conjugated damping) are read from their maps by
+    mirror_form, bit for bit, unless a report shares an axis tilted from z.
 
     So each branch is read within a few _FRAME_TOL, in G and g, of a map
-    covariant about its frame's axis, and each output's squared radius is
-    within about 1e-8 of that map's. That moves an entropy by at most 8e-8
-    bits (at a pure output, where it is steepest) and a printed value by
-    at most about 3e-7 bits from the true optimum.
+    covariant about its axis, and each output's squared radius is within
+    about 1e-8 of that map's. That moves an entropy by at most 8e-8 bits
+    (at a pure output, where it is steepest) and a printed value by at most
+    about 3e-7 bits from the best mirror pair's. That pair is a best
+    ensemble only where the branch's pure-state entropy is convex along its
+    axis; _convex refuses every other branch, whose best ensembles need two
+    heights.
     """
     channels = [
         b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(b)
@@ -105,6 +111,7 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
     if not channels:
         raise ValidationError("need at least one branch")
     M, t = (np.array(x) for x in zip(*(ch.bloch_map for ch in channels)))
+    form = mirror_form((M, t))
     G, g = np.einsum("lji,ljk->lik", M, M), np.einsum("lji,lj->li", M, t)
     off = np.abs([G[:, 0, 1], G[:, 0, 2], G[:, 1, 2], G[:, 0, 0] - G[:, 1, 1], g[:, 0], g[:, 1]])
     tilted = off.max(axis=0) > _FRAME_TOL  # not in normal form about z
@@ -134,12 +141,49 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
                     "search (ROADMAP A, stage 3), which capscale lacks"
                 )
             axis[live] = axis[weight.argmax()]
-        turn = live[axis[live, 2] != 1.0]  # the branches read in a frame other than z's
-        x, y, z = axis[turn].T
+        turn = live[axis[live, 2] != 1.0]  # the branches read about an axis other than z
+        n, G = axis[turn], G[turn]
+        x, y, z = n.T
         k = 1.0 / (1.0 + z)
-        R = np.array([[1 - k * x * x, -k * x * y, x], [-k * x * y, 1 - k * y * y, y], [-x, -y, z]])
-        M[turn] = np.einsum("lij,jkl->lik", M[turn], R)
-    return mirror_form((M, t))
+        e1 = np.stack([1.0 - k * x * x, -k * x * y, -x], axis=1)
+        form[0, turn] = np.einsum("li,lij,lj->l", e1, G, e1)
+        form[1, turn] = np.einsum("li,lij,lj->l", n, G, n)
+        form[2, turn] = np.einsum("li,li->l", g[turn], n)
+    _convex(form)
+    return form
+
+
+def _convex(form) -> None:
+    """Refuse the first branch whose pure-state entropy curve is not convex along its axis.
+
+    A pure input at height z along a branch's axis goes to squared radius
+    q(z) = (u - s) z² + 2cz + s + τ, of entropy S(z) = h(q(z)), and
+    S'' = h''(q) q'² + h'(q) q'' (see holevo._entropy_jet). A branch passes
+    when S'' >= -_CONVEX_TOL at every height of _HEIGHTS. Where u >= s,
+    S'' < 0 everywhere unless u = s and c = 0 (a constant S). Where u < s,
+    q'² = 4(u - s)(q - s - τ) + 4c² makes S'' < 0 exactly where
+    q + h'/(2h'') < s + τ + c²/(s - u); the left side falls with q (checked
+    on 200,001 points), so S'' < 0 only on a stretch of heights that ends
+    where q peaks. A peak inside (-1, 1), where q = s + τ + c²/(s - u),
+    leaves S'' > 0 everywhere, as h'/h'' > 0; so the stretch reaches a
+    pole, where the samples 2e-9 from either pole see it. A pure
+    output with q' != 0 at a pole is a concave cusp, where S'' falls as
+    -|q'| / (1 - |z|). The tests check the rule against second differences
+    on 20,001 heights.
+    """
+    s, u, c, tau = form[:, :, None]
+    A = u - s
+    q = A * (_HEIGHTS * _HEIGHTS) + 2.0 * c * _HEIGHTS + (s + tau)
+    slope = 2.0 * (A * _HEIGHTS + c)
+    _, h1, h2 = _entropy_jet(q)
+    h2 *= slope * slope
+    h2 += 2.0 * A * h1
+    bad = np.flatnonzero((h2 < -_CONVEX_TOL).any(axis=1))
+    if len(bad):
+        raise ValidationError(
+            f"branch {bad[0]} has a pure-state entropy that is not convex along its axis: its "
+            "best ensembles need two heights (ROADMAP H, stage 2), which capscale lacks"
+        )
 
 
 def _fit(G, g, n) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +213,7 @@ class _Sweep:
     in member order. The scan,
     the quartic peaks, the bounds and the refine (over a table of kernel
     jets) all sum through it. Curves are evaluated from each branch's
-    mirror_form, shape (6, branch) (see _forms). Each branch's curve is
+    four numbers, shape (4, branch) (see _forms). Each branch's curve is
     evaluated once on the scan grid (scan, shape (branch, len(_SCAN))),
     and each subset's grid argmax k of its summed scan rows, two steps to
     either side, brackets its maximizer. The peak of the quartic
@@ -391,7 +435,7 @@ def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
     the five scan samples about each argmax: at tol 1e-8 it takes one step,
     Holevo kernel calls of at most 1,024 (subset, member) pairs each.
     Each subset is checked as in subset_scale_value, and the branches are
-    read in one input frame, as in a report (see _forms). Returns
+    read about one input axis, as in a report (see _forms). Returns
     {subset: (argmax, value)}, keyed by each subset as a sorted tuple.
     """
     form = _forms(branches)
@@ -478,8 +522,26 @@ def _singletons(form, tol):
 
 
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
-    """Each branch's best mirror pair, in the branch's own input frame (see _forms)."""
+    """Each branch's best mirror pair, about the branch's own input axis (see _forms)."""
     return list(_suprema(_singletons(_forms(branches, shared=False), tol)[1]))
+
+
+def chi_mirror_family(ch, a):
+    """Holevo quantity of the mirror pair at parameter a, through the QubitChannel ch.
+
+    ch is read about its own input axis, as per_branch_suprema reads it (see
+    _forms), and refused where that refuses it; the pair's Bloch vectors
+    are ±x e₁ + z n, with x = 2 sqrt(a(1-a)) and z = 2a - 1. So at a
+    branch's a_max the value is its chi_star. ``a`` is a scalar or an
+    array; a float comes back for a scalar a, an array otherwise.
+    """
+    if not isinstance(ch, QubitChannel):
+        raise ValidationError(f"ch must be a QubitChannel, got {type(ch).__name__}")
+    a_arr = check_numbers(a, "a")
+    if not np.all((a_arr >= 0.0) & (a_arr <= 1.0)):
+        raise ValidationError(f"a must be in [0, 1], got {shown(a)}")
+    chi = mirror_chi(_forms([ch], shared=False)[:, 0], a_arr)
+    return float(chi) if chi.ndim == 0 else chi
 
 
 def _subset_masks(L: int, sizes):
@@ -747,7 +809,7 @@ def _pair_values(form, peak, chi_star, pairs, tol) -> np.ndarray:
     cross = (diff_u > 0.0) & (diff_v < 0.0)
     if cross.any():
         u, v, diff_u, diff_v = u[cross], v[cross], diff_u[cross], diff_v[cross]
-        pair_form = form[:, np.stack([u, v])][:, :, None]  # (6, 2, 1, crossings)
+        pair_form = form[:, np.stack([u, v])][:, :, None]  # (4, 2, 1, crossings)
 
         def lower(a):  # a: (3, crossings)
             (chi_u, chi_v), (slope_u, slope_v), _ = mirror_chi_jet(pair_form, a)

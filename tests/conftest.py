@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import json
+import math
 
 import numpy as np
 
@@ -13,6 +14,20 @@ def random_density(rng, dim):
     rho = m @ m.conj().T
     rho = rho / rho.trace().real
     return 0.5 * (rho + rho.conj().T)
+
+
+def haar_unitary(rng):
+    """A Haar-random 2x2 unitary."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def generalized_damping(gamma, n):
+    """Kraus operators of generalized amplitude damping: damping toward |0> with weight n,
+    toward |1> with weight 1 - n."""
+    r, g = math.sqrt(1.0 - gamma), math.sqrt(gamma)
+    ops = ([[1.0, 0.0], [0.0, r]], [[0.0, g], [0.0, 0.0]], [[r, 0.0], [0.0, 1.0]], [[0.0, 0.0], [g, 0.0]])
+    return [math.sqrt(w) * np.array(k) for w, k in zip((n, n, 1.0 - n, 1.0 - n), ops)]
 
 
 def chi_ad_grid(gamma, a):

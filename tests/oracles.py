@@ -90,7 +90,7 @@ def bloch_map_kraus(M, t):
 
 
 def normal_form(M, t):
-    """(s, 0, 0, u, c, |t|²): the mirror form of the Bloch map (M, t) read about its input axis n.
+    """(s, u, c, |t|²): the Bloch map (M, t) read about its input axis n.
 
     A map covariant about n has G = MᵀM = s I + (u - s) nnᵀ and g = Mᵀt = c n.
     n is the eigenvector (LAPACK's eigh) of G's simple eigenvalue u, or g/|g|
@@ -105,7 +105,7 @@ def normal_form(M, t):
     else:
         n, u, s = v[:, 0], w[0], (w[1] + w[2]) / 2.0
     n = n * np.sign(n[np.abs(n).argmax()])
-    return np.array([s, 0.0, 0.0, u, g @ n, t @ t])
+    return np.array([s, u, g @ n, t @ t]), n
 
 
 def radius_entropy(r):
@@ -460,20 +460,18 @@ def kernel_entropy(r2):
 
 
 def _kernel_squared_radii(form, a):
-    c00, c02, c0t, c22, c2t, tt = form
+    s, u, c, tau = form
     x2, z = 4.0 * a * (1.0 - a), 2.0 * a - 1.0
-    u2 = z * z * c22 + 2.0 * z * c2t + tt
-    x, w = np.sqrt(x2), z * c02 + c0t
-    mid, cross = u2 + x2 * c00, 2.0 * x * w
-    return x, z, w, np.stack(np.broadcast_arrays(u2, mid + cross, mid - cross))
+    u2 = z * z * u + 2.0 * z * c + tau
+    return z, np.stack(np.broadcast_arrays(u2, x2 * s + u2))
 
 
 def _kernel_chi(h):
-    return h[0] - 0.5 * (h[1] + h[2])
+    return h[0] - h[1]
 
 
 def kernel_chi(form, a):
-    """The mirror pair's Holevo quantity in bits at a, from the six numbers of its form."""
+    """The mirror pair's Holevo quantity in bits at a, from the four numbers of its form."""
     return _kernel_chi(kernel_entropy(_kernel_squared_radii(form, a)[-1]))
 
 
@@ -493,21 +491,16 @@ def _kernel_entropy_jet(s):
 
 
 def kernel_chi_jet(form, a):
-    """kernel_chi at a and its first and second derivatives in a, 0 < a < 1."""
-    c00, c02, c0t, c22, c2t, tt = form
-    x, z, w, s = _kernel_squared_radii(form, a)
-    dx = -2.0 * z / x
-    d2x = -4.0 / (x * x * x)
-    du2 = 4.0 * (z * c22 + c2t)
-    dmid, dcross = du2 - 4.0 * z * c00, 2.0 * (dx * w + 2.0 * x * c02)
-    d2mid, d2cross = 8.0 * (c22 - c00), 2.0 * (d2x * w + 4.0 * dx * c02)
-    ds = np.stack(np.broadcast_arrays(du2, dmid + dcross, dmid - dcross))
-    h, h1, h2 = _kernel_entropy_jet(s)
-    curv = h2 * ds * ds
-    curv[0] += h1[0] * (8.0 * c22)
-    curv[1] += h1[1] * (d2mid + d2cross)
-    curv[2] += h1[2] * (d2mid - d2cross)
-    return _kernel_chi(h), _kernel_chi(h1 * ds), _kernel_chi(curv)
+    """kernel_chi at a and its first and second derivatives in a."""
+    s, u, c, tau = form
+    z, q = _kernel_squared_radii(form, a)
+    du2 = 4.0 * (z * u + c)
+    dq = np.stack(np.broadcast_arrays(du2, du2 - 4.0 * z * s))
+    h, h1, h2 = _kernel_entropy_jet(q)
+    curv = h2 * dq * dq
+    curv[0] += h1[0] * (8.0 * u)
+    curv[1] += h1[1] * (8.0 * (u - s))
+    return _kernel_chi(h), _kernel_chi(h1 * dq), _kernel_chi(curv)
 
 
 def _rounded(obj):

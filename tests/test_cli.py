@@ -401,6 +401,17 @@ def test_exit_code_on_bad_inputs(channel_files, tmp_path, capsys):
         assert "must be comma-separated" in err and err.endswith(f": {argv[-1]!r}\n")
     assert cli.main(["random-scale", rand3, "--delta", " 0 , 2 "]) == 0
     assert cli.main(["simulate", per4, "--rate", " 0.3 , 0.6 ", "--trials", "10"]) == 0
+    # a refusal raised while a branch is built names the branch
+    incomplete = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]] * 2]
+    for branch, message in (
+        ({"type": "amplitude_damping", "gamma": 1.5}, "gamma must be in [0, 1], got 1.5"),
+        ({"type": "depolarizing", "p": -0.1}, "p must be in [0, 1], got -0.1"),
+        ({"type": "kraus", "ops": incomplete}, "Kraus completeness violated: "),
+    ):
+        bad.write_text(json.dumps({"branches": [AD2[0], branch], "memory": PERIODIC}))
+        assert cli.main(["chi", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: branch 1: {message}") and err.count("\n") == 1
 
 
 NAN = float("nan")
@@ -507,6 +518,52 @@ def test_exit_code_on_non_finite_or_out_of_range_input(tmp_path, capsys, config,
     assert cli.main([argv[0], str(path)] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+DEPHASING = {  # Kraus operators sqrt(0.9) I and sqrt(0.1) Z
+    "type": "kraus",
+    "ops": [
+        [[[0.9**0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.9**0.5, 0.0]]],
+        [[[0.1**0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-(0.1**0.5), 0.0]]],
+    ],
+}
+COMPLETE_DEPHASING = {
+    "type": "kraus",
+    "ops": [
+        [[[0.5**0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5**0.5, 0.0]]],
+        [[[0.5**0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-(0.5**0.5), 0.0]]],
+    ],
+}
+AD3 = {"type": "amplitude_damping", "gamma": 0.3}
+RANDOM_HALVES = {"kind": "random", "q": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "config, argv, index",
+    [
+        (channel([DEPHASING], PERIODIC), ["chi"], 0),
+        (channel([COMPLETE_DEPHASING], PERIODIC), ["chi"], 0),
+        (channel([DEPHASING], PERIODIC), ["amax"], 0),
+        (channel([DEPHASING, AD3], PERIODIC), ["capacity"], 0),
+        (channel([AD3, DEPHASING], PERIODIC), ["scale", "--r", "1"], 1),
+        (channel([AD3, DEPHASING], PERIODIC), ["staircase"], 1),
+        (channel([AD3, DEPHASING], PERIODIC), ["simulate", "--rate", "0.3"], 1),
+        (channel([DEPHASING, AD3], RANDOM_HALVES), ["random-scale", "--delta", "0,1"], 0),
+        (channel([DEPHASING, AD3], RANDOM_HALVES), ["capacity"], 0),
+        (channel([DEPHASING, AD3], RANDOM_HALVES), ["simulate", "--rate", "0.3"], 0),
+    ],
+)
+def test_branches_whose_best_ensembles_need_two_heights_exit_2(tmp_path, capsys, config, argv, index):
+    # the mirror pair printed 0.531004406411 for dephasing(0.1), 0 for complete
+    # dephasing and C_p 0.581820265449 for [dephasing(0.1), AD(0.3)]; the true
+    # values are 1, 1 and about 0.748552
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([argv[0], str(path)] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: branch {index} has a pure-state entropy that is not convex")
+    assert "its best ensembles need two heights" in err
 
 
 def _deep(depth, inner="0.5"):

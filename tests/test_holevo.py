@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import capscale.scales as scales
 import oracles
 from capscale import (
     MemoryChannel,
@@ -11,9 +12,10 @@ from capscale import (
     chi_mirror_family,
     compute_capacity_report,
     kraus_operators,
+    per_branch_suprema,
 )
 from capscale.holevo import entropy_from_squared_radius, mirror_chi, mirror_chi_jet, mirror_form
-from conftest import chi_ad_grid
+from conftest import chi_ad_grid, generalized_damping, haar_unitary
 from oracles import OracleError, dchi_da_ad
 
 
@@ -54,18 +56,34 @@ def test_holevo_identity_channel_orthogonal_pair():
     assert chi == pytest.approx(1.0, abs=1e-12)
 
 
+def bloch_state(r):
+    """The density matrix of Bloch vector r."""
+    return (np.eye(2) + sum(x * s for x, s in zip(r, oracles._PAULIS))) / 2.0
+
+
 def test_holevo_chi_matches_density_matrix_oracle():
-    # random Kraus channels with complex entries, and the mirror pair at random
-    # a and at its ends and middle: the six-number kernel against eigenvalues
-    # of density matrices
+    # generalized damping (damping and X·AD·X among them) and depolarizing
+    # branches, turned by Haar-random input and output unitaries, and the
+    # mirror pair about each branch's axis at random a and at its ends and
+    # middle: the four-number kernel against eigenvalues of density matrices
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for _ in range(200):
-        v, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
-        ops = [v[:2], v[2:]]  # an isometry C^2 -> C^2 (x) C^2, cut into Kraus operators
+    for i in range(200):
+        if i % 4:
+            ops, n = generalized_damping(*rng.uniform(size=2)), None
+        else:  # isotropic: every axis is its own, and the library reads z
+            ops, n = kraus_operators(QubitChannel.depolarizing(rng.uniform())), np.array([0, 0, 1.0])
+        u, v = haar_unitary(rng), haar_unitary(rng)
+        ops = [u @ k @ v for k in ops]
+        if n is None:
+            n = oracles.normal_form(*oracles.kraus_bloch_map(ops))[1]
+        e = np.cross(n, rng.normal(size=3))
+        e /= np.linalg.norm(e)  # normal to n: the branch is covariant about n
         ch = QubitChannel.kraus(ops)
         for a in (0.0, 0.5, 1.0, rng.uniform()):
-            chi = oracles.holevo_chi(ops, oracles.mirror_pair(a), (0.5, 0.5))
+            x, z = 2.0 * math.sqrt(a * (1.0 - a)), 2.0 * a - 1.0
+            pair = [bloch_state(sign * x * e + z * n) for sign in (1.0, -1.0)]
+            chi = oracles.holevo_chi(ops, pair, (0.5, 0.5))
             worst = max(worst, abs(chi_mirror_family(ch, a) - chi))
     assert worst <= 1e-12
 
@@ -73,30 +91,38 @@ def test_holevo_chi_matches_density_matrix_oracle():
 def _rotated_half_damping(n, seed):
     """Kraus operators V H K H of H·AD(1/2)·H, output-rotated by Haar-random V.
 
-    At a = 1/2 the mirror state (-1, 0, 0) goes to I/2, so one output's
-    squared radius is 0 and its six-number form can round below 0.
+    The branch is damping about x. Its input -x goes to I/2, so at a = 0
+    the pair's mean state's squared radius is 0, and its four numbers,
+    read about x, can round it below 0.
     """
     rng = np.random.default_rng(seed)
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     ad = kraus_operators(QubitChannel.amplitude_damping(0.5))
     for _ in range(n):
-        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        v = q * (np.diag(r) / np.abs(np.diag(r)))
+        v = haar_unitary(rng)
         yield [v @ h @ k @ h for k in ad]
 
 
 def test_mirror_chi_clamps_a_squared_radius_below_zero():
-    # without the clamp 15 of these 100 maps give NaN, and so does the report
-    worst = 0.0
+    # without the clamp 37 of these 100 maps give NaN at a = 0
     for ops in _rotated_half_damping(100, seed=11):
-        chi = chi_mirror_family(QubitChannel.kraus(ops), 0.5)
-        assert math.isfinite(chi)
-        oracle = oracles.holevo_chi(ops, oracles.mirror_pair(0.5), (0.5, 0.5))
-        worst = max(worst, abs(chi - oracle))
-    assert worst <= 1e-12
+        chi = chi_mirror_family(QubitChannel.kraus(ops), 0.0)
+        assert chi == 0.0  # the pair is one pure state
     branches = [QubitChannel.kraus(ops) for ops in _rotated_half_damping(2, seed=11)]
     report = compute_capacity_report(branches)
     assert math.isfinite(report.cp) and math.isfinite(report.cbar)
+    # damping's mean state (0, 0, (1 - γ) z + γ) is I/2 at z = -γ/(1 - γ); its
+    # squared radius z² u + 2z c + τ, expanded, rounds below 0 for 631 of
+    # these 2,000 values of γ
+    gammas = np.linspace(0.01, 0.49, 2000)
+    form = mirror_form(list(zip(*(QubitChannel.amplitude_damping(g).bloch_map for g in gammas))))
+    a = 0.5 - 0.5 * gammas / (1.0 - gammas)
+    chi = mirror_chi(form, a)
+    assert np.all(np.isfinite(chi))
+    for i in range(0, 2000, 97):
+        ops = kraus_operators(QubitChannel.amplitude_damping(gammas[i]))
+        oracle = oracles.holevo_chi(ops, oracles.mirror_pair(a[i]), (0.5, 0.5))
+        assert abs(chi[i] - oracle) <= 1e-12
 
 
 def test_chi_closed_form_matches_generic_path():
@@ -281,7 +307,8 @@ def test_kernel_keeps_the_bits_of_one_expression_per_quantity():
     # reference's one expression per quantity (oracles.kernel_*): squared
     # radii below 0 and above 1, exactly 0 and 1, about the series cut 1e-3,
     # nearly pure, and NaN; curves of damping, conjugated damping (X, Rz and
-    # a Haar unitary), depolarizing, and pure and flat branches
+    # a Haar unitary), depolarizing, and pure and flat branches, each read as
+    # the reports read it
     rng = np.random.default_rng(35)
     edges = [0.0, -0.0, 1.0, -1e-17, 1.0 + 4e-16, 1e-3, np.nextafter(1e-3, 0.0), 1e-300, np.nan]
     r2 = np.concatenate([
@@ -305,7 +332,7 @@ def test_kernel_keeps_the_bits_of_one_expression_per_quantity():
         *(QubitChannel.amplitude_damping(g) for g in (0.0, 1.0)),
         *(QubitChannel.depolarizing(p) for p in (0.0, 1.0)),
     ]
-    form = mirror_form(list(zip(*(ch.bloch_map for ch in channels))))
+    form = scales._forms(channels, shared=False)  # the Haar-turned branch read about its axis
     a = np.concatenate([np.linspace(1e-9, 1.0 - 1e-9, 1001), rng.uniform(0.0, 1.0, 200)])
     assert same_bits(mirror_chi(form[:, :, None], a), oracles.kernel_chi(form[:, :, None], a))
     jet, expected = mirror_chi_jet(form[:, :, None], a), oracles.kernel_chi_jet(form[:, :, None], a)
@@ -315,6 +342,24 @@ def test_kernel_keeps_the_bits_of_one_expression_per_quantity():
             assert same_bits(mirror_chi(form[:, i], x), oracles.kernel_chi(form[:, i], x))
             jet, expected = mirror_chi_jet(form[:, i], x), oracles.kernel_chi_jet(form[:, i], x)
             assert all(map(same_bits, jet, expected))
+
+
+def test_chi_mirror_family_at_a_max_is_chi_star():
+    # the function reads a branch as per_branch_suprema does, about its own
+    # axis: Haar-turned damping and X·AD·X, and depolarizing branches
+    rng = np.random.default_rng(44)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    for gamma in rng.uniform(0.05, 0.95, 8):
+        ad = kraus_operators(QubitChannel.amplitude_damping(gamma))
+        for ops in (ad, [x @ k @ x for k in ad]):
+            u, v = haar_unitary(rng), haar_unitary(rng)
+            ch = QubitChannel.kraus([u @ k @ v for k in ops])
+            (s,) = per_branch_suprema([ch])
+            assert chi_mirror_family(ch, s.a_max) == s.chi_star
+    for p in (0.0, 0.3, 0.9):
+        ch = QubitChannel.depolarizing(p)
+        (s,) = per_branch_suprema([ch])
+        assert chi_mirror_family(ch, s.a_max) == s.chi_star
 
 
 def test_depolarizing_mirror_family_curve():

@@ -20,6 +20,7 @@ from capscale import (
     ScaleEntry,
     Strategy,
     ValidationError,
+    chi_mirror_family,
     compute_capacity_report,
     compute_random_scale_report,
     kraus_operators,
@@ -29,7 +30,13 @@ from capscale import (
     subset_scale_value,
 )
 from capscale.holevo import mirror_chi, mirror_form
-from conftest import chi_ad_grid, damping_channel_file, run_to_file
+from conftest import (
+    chi_ad_grid,
+    damping_channel_file,
+    generalized_damping,
+    haar_unitary,
+    run_to_file,
+)
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
 
@@ -240,19 +247,12 @@ def test_branches_are_read_about_their_axes():
                 report(branches)
 
 
-def haar_unitary(rng):
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_forms_match_the_eigendecomposition_oracle():
     # each branch, read in its own frame, has the normal form about its axis
-    # that LAPACK's eigh of G gives: Haar-turned damping and X·AD·X, nearly
-    # isotropic ones (anisotropy 2γ(1 - γ) from 1e-8 up, and 1 for complete
-    # dephasing), and G ∝ I with g ≠ 0, where G has no simple eigenvalue
+    # that LAPACK's eigh of G gives: Haar-turned damping and X·AD·X, and
+    # nearly isotropic ones (anisotropy 2γ(1 - γ) from 1e-8 up)
     rng = np.random.default_rng(37)
-    dephasing = QubitChannel.kraus([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    covariant = [dephasing] + [
+    covariant = [
         kind(gamma)
         for gamma in [*rng.uniform(0.0, 1.0, 10), *np.geomspace(5e-9, 0.5, 9)]
         for kind in (QubitChannel.amplitude_damping, x_damping)
@@ -261,14 +261,122 @@ def test_forms_match_the_eigendecomposition_oracle():
     channels = [
         QubitChannel.kraus([k @ v for k in kraus_operators(ch)]) for ch, v in zip(covariant, turns)
     ]
+    form = scales._forms(channels, shared=False)
+    assert form.shape == (4, len(channels))
+    for ch, f in zip(channels, form.T):
+        expect, _ = oracles.normal_form(*oracles.kraus_bloch_map(kraus_operators(ch)))
+        np.testing.assert_allclose(f, expect, rtol=0.0, atol=1e-12)
+    # complete dephasing (anisotropy 1) and G ∝ I with g ≠ 0, where G has no
+    # simple eigenvalue, have a pure-state entropy that is not convex along
+    # their axes: their best ensembles need two heights, and they are refused
+    dephasing = QubitChannel.kraus([np.diag([1.0, 0.0]) @ turns[0], np.diag([0.0, 1.0]) @ turns[0]])
     n = rng.normal(size=3)
     flat = QubitChannel.kraus(oracles.bloch_map_kraus(0.3 * np.eye(3), 0.5 * n / np.linalg.norm(n)))
-    channels.append(flat)
-    form = scales._forms(channels, shared=False)
-    for ch, f in zip(channels, form.T):
-        expect = oracles.normal_form(*oracles.kraus_bloch_map(kraus_operators(ch)))
-        np.testing.assert_allclose(f, expect, rtol=0.0, atol=1e-12)
-    assert per_branch_suprema([flat])[0].chi_star == pytest.approx(0.07311327531719058, abs=1e-12)
+    for ch in (dephasing, flat):
+        with pytest.raises(ValidationError, match="branch 0 .* two heights"):
+            per_branch_suprema([ch])
+        with pytest.raises(ValidationError, match="branch 1 .* two heights"):
+            per_branch_suprema([channels[0], ch])
+    # the mirror pair gave the flat branch 0.07311327531719058; the pole pair
+    # of the same branch about z does better
+    about_z = oracles.bloch_map_kraus(0.3 * np.eye(3), np.array([0.0, 0.0, 0.5]))
+    assert oracles.lattice_search_covariant(about_z, 2, 25) > 0.0731 + 0.018
+
+
+def dephasing(p):
+    """Kraus operators sqrt(1 - p) I and sqrt(p) Z."""
+    return QubitChannel.kraus([np.sqrt(1.0 - p) * np.eye(2), np.sqrt(p) * np.diag([1.0, -1.0])])
+
+
+def test_branches_whose_best_ensembles_need_two_heights_are_refused():
+    # dephasing(0.1)'s best ensemble is the pair |0>, |1>, of value 1; the
+    # mirror pair about z reached only 0.531004406411
+    ops = kraus_operators(dephasing(0.1))
+    assert oracles.lattice_search_covariant(ops, 2, 25) == pytest.approx(1.0, abs=1e-12)
+    message = "branch 1 has a pure-state entropy that is not convex along its axis"
+    branches = [0.3, dephasing(0.1)]
+    for refused in (
+        per_branch_suprema,
+        compute_capacity_report,
+        lambda b: compute_random_scale_report(b, [0.5, 0.5]),
+        lambda b: scale_r(b, 1),
+        lambda b: subset_scale_value(b, (0,)),
+        lambda b: scales.maximize_subsets(b, [(0,)]),
+    ):
+        with pytest.raises(ValidationError, match=message + ": its best ensembles need two heights"):
+            refused(branches)
+    with pytest.raises(ValidationError, match="branch 0 has a pure-state entropy"):
+        chi_mirror_family(dephasing(0.1), 0.5)
+
+
+def random_forms_about_z(rng, n):
+    """The four numbers of n random channels twirled about z, shape (4, n).
+
+    Each is a random isometry's channel averaged over rotations about z,
+    which keeps M's z entry, the rotation part of its xy block and t's z
+    entry: a channel covariant about z.
+    """
+    v, _ = np.linalg.qr(rng.normal(size=(n, 4, 2)) + 1j * rng.normal(size=(n, 4, 2)))
+    ops = np.stack([v[:, :2], v[:, 2:]], axis=1)  # two Kraus operators per channel
+
+    def bloch(rho):  # the Bloch vectors of the channels' outputs on rho
+        out = np.einsum("nkij,jl,nkml->nim", ops, rho, ops.conj())
+        return np.stack([2.0 * out[:, 0, 1].real, -2.0 * out[:, 0, 1].imag,
+                         (out[:, 0, 0] - out[:, 1, 1]).real], axis=-1)
+
+    t = bloch(np.eye(2) / 2.0)
+    M = np.stack([bloch((np.eye(2) + s) / 2.0) - t for s in oracles._PAULIS], axis=-1)
+    rot = (M[:, 0, 0] + M[:, 1, 1]) / 2.0, (M[:, 1, 0] - M[:, 0, 1]) / 2.0
+    return np.array([rot[0] ** 2 + rot[1] ** 2, M[:, 2, 2] ** 2, M[:, 2, 2] * t[:, 2], t[:, 2] ** 2])
+
+
+def test_convexity_rule_agrees_with_second_differences():
+    # the rule of _forms against the second differences of S(z) = h(q(z)) on
+    # 20,001 heights, outside their rounding (about 4e-8 at step 1e-4), on
+    # 2,000 random channels covariant about z, about 40% of them not convex,
+    # and on channels M = diag(λ, λ, λ_z), t = (0, 0, 1 - λ_z) with
+    # λ_z = λ² + δ, whose output at z = 1 is pure with q' = 2δ there: a
+    # concave cusp for δ > 0 (δ = 0 is damping)
+    lam_z = 0.36 + np.array([0.1, 0.01, 0.001, 0.0])
+    cusps = np.array([np.full(4, 0.36), lam_z**2, lam_z * (1.0 - lam_z), (1.0 - lam_z) ** 2])
+    form = np.hstack([random_forms_about_z(np.random.default_rng(41), 2000), cusps])
+    z = np.linspace(-1.0, 1.0, 20_001)
+    convex = []
+    for block in np.array_split(form, 10, axis=1):
+        s, u, c, tau = block[:, :, None]
+        S = oracles.radius_entropy(np.sqrt(np.clip((u - s) * z * z + 2.0 * c * z + s + tau, 0.0, 1.0)))
+        second = (S[:, 2:] - 2.0 * S[:, 1:-1] + S[:, :-2]) / (z[1] - z[0]) ** 2
+        convex.extend(second.min(axis=1) >= -1e-7)
+    passed = []
+    for i in range(form.shape[1]):
+        try:
+            scales._convex(form[:, i:i + 1])
+            passed.append(True)
+        except ValidationError:
+            passed.append(False)
+    assert passed == convex
+    assert convex[-4:] == [False, False, False, True]
+    assert 600 <= convex.count(False) <= 1200
+
+
+def test_branches_whose_mirror_pair_is_their_optimum_pass():
+    # damping, depolarizing, X·AD·X, Rz-conjugated damping and generalized
+    # damping, and their copies turned by Haar-random input and output
+    # unitaries, have a convex pure-state entropy along their axes
+    rng = np.random.default_rng(43)
+    plain = [
+        *map(QubitChannel.amplitude_damping, np.linspace(0.0, 1.0, 400)),
+        *map(QubitChannel.depolarizing, np.linspace(0.0, 1.0, 21)),
+        *map(x_damping, rng.uniform(0.0, 1.0, 40)),
+        *(rz_damping(g, rng.uniform(0.0, 3.0)) for g in rng.uniform(0.0, 1.0, 40)),
+        *(QubitChannel.kraus(generalized_damping(*x)) for x in rng.uniform(0.0, 1.0, (100, 2))),
+    ]
+    turned = []
+    for ch in plain:
+        u, v = haar_unitary(rng), haar_unitary(rng)
+        turned.append(QubitChannel.kraus([u @ k @ v for k in kraus_operators(ch)]))
+    form = scales._forms(plain + turned, shared=False)
+    assert form.shape == (4, 2 * len(plain))
 
 
 def test_the_library_decomposes_no_matrix(monkeypatch):
