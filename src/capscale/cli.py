@@ -113,18 +113,6 @@ def _emit(args, header, rows, json_obj=None):
         raise ValidationError(f"cannot write output file {args.output!r}: {e}") from e
 
 
-def _typed(convert):
-    """argparse's type= of convert: the same refusal, with the value cut short (errors.shown)."""
-
-    def parse(text):
-        try:
-            return convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {shown(text)}")
-
-    return parse
-
-
 def _check_tol(tol: float) -> float:
     if not _TOL_MIN <= tol <= _TOL_MAX:
         raise ValidationError(f"tol must be in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
@@ -363,7 +351,7 @@ _ANY = ("periodic", "random")
 
 # the options of every command, ahead of its channel file and its own options
 _COMMON = {
-    "--tol": dict(type=_typed(float), default=1e-8, help="optimizer tolerance"),
+    "--tol": dict(type=float, default=1e-8, help="optimizer tolerance"),
     "--output": dict(default=None, help="output path (default: stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv"),
 }
@@ -375,20 +363,20 @@ _COMMANDS = (
     ("amax", "per-branch optimum location, search bracket and slope", _ANY, cmd_amax, {}),
     ("capacity", "capacity report for the channel's memory kind", _ANY, cmd_capacity, {}),
     ("scale", "subset-rate hierarchy for periodic memory", ("periodic",), cmd_scale, {
-        "--r": dict(type=_typed(int), default=None, help="single subset size to report"),
+        "--r": dict(type=int, default=None, help="single subset size to report"),
     }),
     ("random-scale", "subset capacities for random memory", ("random",), cmd_random_scale, {
         "--delta": dict(default=None, help="comma-separated branch indices"),
     }),
     ("ad-gap", "pair capacity vs averaged branch capacity on a damping grid", (), cmd_ad_gap, {
-        "--grid": dict(type=_typed(int), default=101, help="points per gamma axis"),
+        "--grid": dict(type=int, default=101, help="points per gamma axis"),
     }),
     ("staircase", "theoretical rate/error staircase", ("periodic",), cmd_staircase, {}),
     ("simulate", "Monte Carlo decode success against the staircase", _ANY, cmd_simulate, {
         "--rate": dict(required=True, help="rate in bits, or comma-separated rates"),
         "--subset": dict(default=None, help="fixed target subset (single rate only)"),
-        "--trials": dict(type=_typed(int), default=100_000),
-        "--seed": dict(type=_typed(int), default=42),
+        "--trials": dict(type=int, default=100_000),
+        "--seed": dict(type=int, default=42),
     }),
 )
 
@@ -399,25 +387,13 @@ _ERROR_BYTES = 240
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with an error message cut short as errors.shown cuts a value."""
+    """argparse's parser, with every error message cut to _ERROR_BYTES UTF-8 bytes."""
 
     def error(self, message):
         data = message.encode("utf-8", "backslashreplace")
         if len(data) > _ERROR_BYTES:
             message = data[: _ERROR_BYTES - 4].decode("utf-8", "ignore") + " ..."
         super().error(message)
-
-
-def _add_options(parser: argparse.ArgumentParser, command) -> None:
-    """Add one _COMMANDS entry's options, and its function and memory kinds as defaults."""
-    _, _, kinds, func, options = command
-    for flag, kw in _COMMON.items():
-        parser.add_argument(flag, **kw)
-    if kinds:
-        parser.add_argument("channel", help="JSON channel description file")
-    for flag, kw in options.items():
-        parser.add_argument(flag, **kw)
-    parser.set_defaults(func=func, kinds=kinds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,15 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    for command in _COMMANDS:
-        name, help_text, *_ = command
-        _add_options(commands.add_parser(name, help=help_text, allow_abbrev=False), command)
+    for name, help_text, kinds, func, options in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, kw in _COMMON.items():
+            sub.add_argument(flag, **kw)
+        if kinds:
+            sub.add_argument("channel", help="JSON channel description file")
+        for flag, kw in options.items():
+            sub.add_argument(flag, **kw)
+        sub.set_defaults(func=func, kinds=kinds)
     return parser
 
 
 def _plain_args(command, tokens) -> argparse.Namespace | None:
-    """The namespace that command's parser builds from tokens, read from
-    _COMMANDS with no parser built; None unless tokens are plain.
+    """The namespace that build_parser()'s parser builds from command's name
+    and tokens, read from _COMMANDS with no parser built; None unless tokens
+    are plain.
 
     Plain tokens are the command's options and as many channel files as it
     takes, none of them starting with '-'. Each option is spelled in full,
@@ -460,7 +443,7 @@ def _plain_args(command, tokens) -> argparse.Namespace | None:
         kw = options[token]
         try:  # the refusals argparse reports as an invalid value
             value = kw["type"](text) if "type" in kw else text
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except (TypeError, ValueError):
             return None
         if "choices" in kw and value not in kw["choices"]:
             return None
@@ -476,27 +459,14 @@ def _plain_args(command, tokens) -> argparse.Namespace | None:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """argv parsed as build_parser() parses it, building as few parsers as that can.
+    """argv parsed as build_parser() parses it.
 
-    When argv[0] names a command, a plain rest of argv (_plain_args) is read
-    with no parser built. Any other rest is parsed by that command's parser
-    alone: with nothing left over it gives the full parser's namespace, and
-    its help and errors are the ones the full parser would print. The full
-    parser is built for everything else, and for arguments left over, which
-    the full parser reports against its own usage.
+    A command name followed by a plain rest (_plain_args) is read with no
+    parser built; build_parser()'s parser reads, or refuses, every other line.
     """
     command = next((c for c in _COMMANDS if argv and c[0] == argv[0]), None)
-    if command is not None:
-        args = _plain_args(command, argv[1:])
-        if args is not None:
-            return args
-        parser = _Parser(prog=f"capscale {command[0]}", allow_abbrev=False)
-        _add_options(parser, command)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = command[0]
-            return args
-    return build_parser().parse_args(argv)
+    args = None if command is None else _plain_args(command, argv[1:])
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,7 @@ z = 2a - 1, sent with equal weights through a qubit branch's Bloch-affine
 map r -> M r + t that is in normal form about z: covariant about z, with
 G = MᵀM = diag(s, s, u) and Mᵀt = (0, 0, c). Each output's squared radius
 |M r + t|² = rᵀG r + 2 (Mᵀt)·r + |t|² then reads four numbers per branch,
-(s, u, c, τ = |t|²) (``mirror_form``), and both members of the pair go to
+(s, u, c, τ = |t|²) (``scales._forms``), and both members of the pair go to
 the same squared radius. ``mirror_chi`` evaluates the curve from them,
 elementwise, with one entropy pass over the mean state's and one member's
 squared radii; it is the library's one Holevo kernel. ``mirror_chi_jet``
@@ -64,19 +64,6 @@ def entropy_from_squared_radius(r2):
     return _entropy_terms(np.array(r2, dtype=float, ndmin=1))[2].reshape(np.shape(r2))
 
 
-def mirror_form(bloch_map) -> np.ndarray:
-    """The four numbers (s, u, c, τ) of Bloch maps (M, t) in normal form about z.
-
-    bloch_map is (M, t) of shapes (..., 3, 3) and (..., 3). With c0 and c2
-    M's first and third columns, returns |c0|², |c2|², c2·t and |t|²
-    stacked on a new first axis, shape (4, ...).
-    """
-    M, t = (np.asarray(x, dtype=float) for x in bloch_map)
-    c0, c2 = M[..., :, 0], M[..., :, 2]
-    pairs = ((c0, c0), (c2, c2), (c2, t), (t, t))
-    return np.stack([np.einsum("...i,...i->...", u, v) for u, v in pairs])
-
-
 def _squared_radii(form, a):
     """z and the squared radii (u², r²) of the pair's mean state and of a member at a, stacked."""
     s, u, c, tau = form
@@ -97,7 +84,7 @@ def _chi(h):
 
 
 def mirror_chi(form, a) -> np.ndarray:
-    """Holevo quantity in bits of the mirror pair at a, from mirror_form's numbers.
+    """Holevo quantity in bits of the mirror pair at a, from the four numbers (s, u, c, τ).
 
     form (4, ...) and a broadcast against each other; a is not checked.
     The mean state (0, 0, z) goes to squared radius u² = z² u + 2z c + τ,

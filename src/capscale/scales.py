@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import QubitChannel, check_integer, check_numbers, check_probabilities, listed
 from .errors import NumericalError, ValidationError, shown
-from .holevo import _entropy_jet, mirror_chi, mirror_chi_jet, mirror_form
+from .holevo import _entropy_jet, mirror_chi, mirror_chi_jet
 from .optim import maximize_concave_1d
 
 # Subset enumeration is exponential in the number of branches.
@@ -92,8 +92,8 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
     rounding moved, by about 1e-16 / w, is not refused. Otherwise each branch
     is read about its own axis, as per-branch results are. Either way,
     isotropic branches and those within _FRAME_TOL of normal form about z
-    (damping, X·AD·X, Rz-conjugated damping) are read from their maps by
-    mirror_form, bit for bit, unless a report shares an axis tilted from z.
+    (damping, X·AD·X, Rz-conjugated damping) are read about z itself, as
+    (G₀₀, G₂₂, g₂, τ), unless a report shares an axis tilted from z.
 
     So each branch is read within a few _FRAME_TOL, in G and g, of a map
     covariant about its axis, and each output's squared radius is within
@@ -111,8 +111,8 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
     if not channels:
         raise ValidationError("need at least one branch")
     M, t = (np.array(x) for x in zip(*(ch.bloch_map for ch in channels)))
-    form = mirror_form((M, t))
     G, g = np.einsum("lji,ljk->lik", M, M), np.einsum("lji,lj->li", M, t)
+    form = np.stack([G[:, 0, 0], G[:, 2, 2], g[:, 2], np.einsum("li,li->l", t, t)])
     off = np.abs([G[:, 0, 1], G[:, 0, 2], G[:, 1, 2], G[:, 0, 0] - G[:, 1, 1], g[:, 0], g[:, 1]])
     tilted = off.max(axis=0) > _FRAME_TOL  # not in normal form about z
     if tilted.any():
@@ -516,14 +516,14 @@ def _suprema(found) -> tuple[BranchSupremum, ...]:
 
 
 def _singletons(form, tol):
-    """The sweep of the single branches, and its search of every one as _found stacks it."""
+    """The search of every single branch, as _found stacks it."""
     sweep = _Sweep(form, *_member_matrix([(i,) for i in range(form.shape[1])]))
-    return sweep, _found(sweep.refine(np.arange(form.shape[1]), tol))
+    return _found(sweep.refine(np.arange(form.shape[1]), tol))
 
 
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
     """Each branch's best mirror pair, about the branch's own input axis (see _forms)."""
-    return list(_suprema(_singletons(_forms(branches, shared=False), tol)[1]))
+    return list(_suprema(_singletons(_forms(branches, shared=False), tol)))
 
 
 def chi_mirror_family(ch, a):
@@ -779,10 +779,10 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
         inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
         inc[np.arange(len(deltas))[:, None], _member_matrix(deltas)[0]] = True
     pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
-    sweep, peaks = _singletons(form, tol)
+    peaks = _singletons(form, tol)
     sups = _suprema(peaks)
     pair = np.full((L, L), np.inf)  # pair[i, m] for the pairs (i, m), +inf elsewhere
-    pair[tuple(pairs.T)] = _pair_values(sweep.form, peaks[0], peaks[1], pairs, tol)
+    pair[tuple(pairs.T)] = _pair_values(form, peaks[0], peaks[1], pairs, tol)
     q_delta, c_delta, cbar_delta = _fill_subsets(inc, q, sups, pair)
     per_subset = {
         d: SubsetScale(*row) for d, row in zip(deltas, zip(q_delta, c_delta, cbar_delta))

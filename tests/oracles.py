@@ -7,7 +7,8 @@ matrices, the damping mirror-pair curve's closed-form derivative with a
 bisection root finder, a 40-digit maximizer of that curve, and 40-digit
 worst cases of pairs of damping, X-conjugated damping and depolarizing
 curves, and the mirror-pair Holevo kernel written as one numpy expression
-per quantity, the reference for the library kernel's bits, the subsets
+per quantity, the reference for the library kernel's bits, with the four
+numbers of a map in normal form about z read from its columns, the subsets
 of the branches in report order, and the command line's JSON text written
 in two steps, a rounded copy and then json.dumps. Nothing here imports
 capscale, so a test that compares the two compares two independent
@@ -457,6 +458,19 @@ def _kernel_entropy_terms(r2):
 def kernel_entropy(r2):
     """Entropy in bits at squared Bloch radii r2, clipped to [0, 1]."""
     return _kernel_entropy_terms(r2)[2]
+
+
+def mirror_form(bloch_map):
+    """The four numbers (s, u, c, τ) of Bloch maps (M, t) in normal form about z.
+
+    bloch_map is (M, t) of shapes (..., 3, 3) and (..., 3). With c0 and c2
+    M's first and third columns, returns |c0|², |c2|², c2·t and |t|²
+    stacked on a new first axis, shape (4, ...).
+    """
+    M, t = (np.asarray(x, dtype=float) for x in bloch_map)
+    c0, c2 = M[..., :, 0], M[..., :, 2]
+    pairs = ((c0, c0), (c2, c2), (c2, t), (t, t))
+    return np.stack([np.einsum("...i,...i->...", u, v) for u, v in pairs])
 
 
 def _kernel_squared_radii(form, a):

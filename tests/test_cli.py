@@ -673,6 +673,16 @@ def test_branches_are_read_in_their_input_frame(tmp_path, capsys):
         ),
         (
             channel(AD2, PERIODIC),
+            ["ad-gap", "--grid", "x" * 100_000],
+            "capscale ad-gap: error: argument --grid: invalid int value: 'xxx",
+        ),
+        (
+            channel(AD2, PERIODIC),
+            ["simulate", "--rate", "0.3", "--seed", "\u00e9" * 100_000],
+            "capscale simulate: error: argument --seed: invalid int value: '\u00e9\u00e9\u00e9",
+        ),
+        (
+            channel(AD2, PERIODIC),
             ["chi", "--format", "y" * 100_000],
             "capscale chi: error: argument --format: invalid choice: 'yyy",
         ),
@@ -694,17 +704,19 @@ def test_branches_are_read_in_their_input_frame(tmp_path, capsys):
     ],
     ids=[
         "type-list", "memory-kind", "kraus-entry", "type-string", "subset-text", "r-digits",
-        "r-unreadable-digits", "trials-text", "tol-text", "format-text", "format-wide-text",
-        "command-text", "extra-text",
+        "r-unreadable-digits", "trials-text", "tol-text", "grid-text", "seed-wide-text",
+        "format-text", "format-wide-text", "command-text", "extra-text",
     ],
 )
 def test_error_lines_are_short_whatever_the_input(tmp_path, capsys, config, argv, refusal):
-    # every value an error echoes is cut to 60 characters, and every
-    # argparse error message to 240 UTF-8 bytes; argparse refuses a
-    # command line after its usage lines
+    # every value the library's own errors echo is cut to 60 characters,
+    # and every argparse error message, a refused option value's included,
+    # to 240 UTF-8 bytes; argparse refuses a command line after its usage
+    # lines
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(config))
-    run = main_bytes([argv[0], str(path)] + argv[1:], capsys)
+    files = [] if argv[0] == "ad-gap" else [str(path)]
+    run = main_bytes([argv[0], *files, *argv[1:]], capsys)
     *usage, error = run["stderr"].splitlines(keepends=True)
     assert run["exit"] == 2 and all(len(line.encode()) <= 300 for line in [*usage, error])
     assert error.startswith(refusal) and bool(usage) == (refusal != "error: ")
@@ -796,7 +808,7 @@ OWN_OPTIONS = {
 
 def test_each_subcommand_parses_its_own_options(capsys):
     # through the full parser and through the path cli.main takes, which
-    # builds the invoked command's parser alone
+    # reads a plain command line with no parser built
     full = cli.build_parser().parse_args
     common = {"--tol": ("1e-3", 1e-3), "--output": ("o.csv", "o.csv"), "--format": ("json", "json")}
     every = {flag for options in OWN_OPTIONS.values() for flag in options}
@@ -845,6 +857,7 @@ def test_each_subcommand_parses_its_own_options(capsys):
 
 # stdout, stderr and exit code of cli.main on help and argparse-error argv,
 # with COLUMNS=80, recorded when every command's parser was built on each run
+# (the type errors at the end, when a refused value was cut to 60 characters)
 PARSER_BYTES = json.loads((Path(__file__).parent / "parser_bytes.json").read_text("utf-8"))
 
 
@@ -889,8 +902,9 @@ def test_parser_bytes_as_recorded(monkeypatch, capsys):
 
 
 def test_parser_bytes_match_the_eager_parser(monkeypatch, capsys):
-    # on every Python version: parsing with the invoked command's parser
-    # alone prints what parsing with every command's parser built did
+    # on every Python version: cli.parse_args, which builds the full parser
+    # with its error cap, prints what parsing with every command's parser
+    # built from one parent did
     monkeypatch.setenv("COLUMNS", str(PARSER_BYTES["columns"]))
     argvs = [case["argv"] for case in PARSER_BYTES["cases"]]
     lazy = [main_bytes(argv, capsys) for argv in argvs]
@@ -900,9 +914,8 @@ def test_parser_bytes_match_the_eager_parser(monkeypatch, capsys):
 
 def test_a_run_builds_one_parser(channel_files, tmp_path, monkeypatch):
     # none on a plain command line, which is read from cli._COMMANDS, and
-    # the invoked command's on any other; building every command's parser,
-    # and their shared parent, made ten, and the top-level parser with the
-    # invoked command's made two
+    # the full parser on any other: the top-level parser, then each
+    # command's in _COMMANDS order
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -911,6 +924,7 @@ def test_a_run_builds_one_parser(channel_files, tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    full = ["capscale", *(f"capscale {command[0]}" for command in cli._COMMANDS)]
     per4, rand3 = channel_files["per4"], channel_files["rand3"]
     plain = [
         ["chi", per4], ["amax", per4], ["capacity", per4], ["scale", per4, "--r", "2"],
@@ -925,7 +939,7 @@ def test_a_run_builds_one_parser(channel_files, tmp_path, monkeypatch):
     for argv in plain + other:
         built.clear()
         assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0
-        assert built == ([] if argv in plain else [f"capscale {argv[0]}"])
+        assert built == ([] if argv in plain else full)
 
 
 # tokens a plain command line may hold, and tokens that argparse must read

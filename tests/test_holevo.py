@@ -14,9 +14,9 @@ from capscale import (
     kraus_operators,
     per_branch_suprema,
 )
-from capscale.holevo import entropy_from_squared_radius, mirror_chi, mirror_chi_jet, mirror_form
+from capscale.holevo import entropy_from_squared_radius, mirror_chi, mirror_chi_jet
 from conftest import chi_ad_grid, generalized_damping, haar_unitary
-from oracles import OracleError, dchi_da_ad
+from oracles import OracleError, dchi_da_ad, mirror_form
 
 
 def test_ensemble_validation():

@@ -29,7 +29,7 @@ from capscale import (
     scale_r,
     subset_scale_value,
 )
-from capscale.holevo import mirror_chi, mirror_form
+from capscale.holevo import mirror_chi
 from conftest import (
     chi_ad_grid,
     damping_channel_file,
@@ -216,7 +216,7 @@ def test_forms_keep_the_bits_of_branches_in_normal_form_about_z():
                 (QubitChannel.amplitude_damping, QubitChannel.depolarizing, x_damping,
                  lambda g: rz_damping(g, rng.uniform(0, 3)))[kind](x)
             )
-        raw = mirror_form(zip(*(ch.bloch_map for ch in channels)))
+        raw = oracles.mirror_form(zip(*(ch.bloch_map for ch in channels)))
         for shared in (True, False):
             assert np.array_equal(scales._forms(channels, shared), raw)
 
