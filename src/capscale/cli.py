@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import operator
 import sys
@@ -22,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import scales, simulate
-from .channels import MemoryChannel, QubitChannel, check_number, check_numbers
+from .channels import MemoryChannel, QubitChannel, check_numbers
 from .errors import NumericalError, ValidationError, shown
 
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-2
@@ -74,41 +75,42 @@ def _json(obj, pad="\n") -> str:
         items = [_json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return _json_object(obj.items(), pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_rows(header, rows) -> str:
-    """_json of one object per row keyed by header, and a line break, with no object built."""
-    if not rows:
-        return "[]\n"
-    keys = [encode_basestring_ascii(k) + ": " for k in header]
-    pad = "\n    "
-    objects = (
-        "{" + pad + ("," + pad).join(k + _json(v, pad) for k, v in zip(keys, row)) + "\n  }"
-        for row in rows
-    )
-    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
+def _json_object(pairs, pad) -> str:
+    """_json of the object of the (key, value) pairs, with no dict built."""
+    inner = pad + "  "
+    body = ("," + inner).join(encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in pairs)
+    return "{" + inner + body + pad + "}" if body else "{}"
+
+
+def _json_rows(header, rows):
+    """The pieces of _json of one object per row keyed by header, and a line break."""
+    sep = "[\n  "
+    for row in rows:
+        yield sep + _json_object(zip(header, row), "\n  ")
+        sep = ",\n  "
+    yield "\n]\n" if sep == ",\n  " else "[]\n"
 
 
 def _emit(args, header, rows, json_obj=None):
-    """Write a row table as CSV, or as JSON in the format args ask for.
+    """Write a row table as CSV, or as JSON in the format args ask for, a row at a time.
 
     The JSON is json_obj when given, else one object per row keyed by header.
+    rows may be any iterable; it is read once.
     """
     if args.format == "json":
-        text = _json_rows(header, rows) if json_obj is None else _json(json_obj) + "\n"
+        pieces = _json_rows(header, rows) if json_obj is None else [_json(json_obj) + "\n"]
     else:
-        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+        pieces = (",".join(map(_cell, row)) + "\n" for row in itertools.chain([header], rows))
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines(pieces)
     except OSError as e:
         raise ValidationError(f"cannot write output file {args.output!r}: {e}") from e
 
@@ -137,7 +139,7 @@ def _parse_branch(i, b) -> QubitChannel:
         name = _BRANCH_PARAM[kind]
         if name not in b:
             raise ValidationError(f"branch {i}: {kind} needs {name!r}")
-        build, arg = getattr(QubitChannel, kind), check_number(b[name], f"branch {i}: {name}")
+        build, arg = getattr(QubitChannel, kind), b[name]
     elif kind == "kraus":
         ops = b.get("ops")
         if not isinstance(ops, list) or not ops:
@@ -312,18 +314,20 @@ def cmd_ad_gap(args, mc, tol):
     # pair (j, i) is pair (i, j), and pair (i, i) peaks where branch i does
     subsets = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     best = scales.maximize_subsets(gammas, subsets, tol)
-    rows = []
-    for i, g0 in enumerate(gammas):
-        for j, g1 in enumerate(gammas):
-            pair = tuple(sorted({i, j}))
-            (a0, v0), (a1, v1), (a_joint, total) = best[(i,)], best[(j,)], best[pair]
-            cp = total / len(pair)
-            avg = 0.5 * (v0 + v1)
-            # both terms are known to about 4e-16, so the gap is printed to
-            # 1e-15 (+ 0.0 makes -0.0 print as 0)
-            rows.append((g0, g1, a_joint, cp, a0, a1, avg, round(avg - cp, 15) + 0.0))
+
+    def rows():
+        for i, g0 in enumerate(gammas):
+            for j, g1 in enumerate(gammas):
+                pair = tuple(sorted({i, j}))
+                (a0, v0), (a1, v1), (a_joint, total) = best[(i,)], best[(j,)], best[pair]
+                cp = total / len(pair)
+                avg = 0.5 * (v0 + v1)
+                # both terms are known to about 4e-16, so the gap is printed to
+                # 1e-15 (+ 0.0 makes -0.0 print as 0)
+                yield g0, g1, a_joint, cp, a0, a1, avg, round(avg - cp, 15) + 0.0
+
     header = ("gamma0", "gamma1", "a_max_joint", "c_p", "a_max_0", "a_max_1", "chi_star_avg", "gap")
-    return header, rows
+    return header, rows()
 
 
 def cmd_staircase(args, mc, tol):
@@ -341,7 +345,7 @@ def cmd_simulate(args, mc, tol):
         res = simulate.run_trials(mc, strategy, args.trials, args.seed, tol)
         rows = [simulate.StaircaseRow.from_result(res)]
     header = [f.name for f in dataclasses.fields(simulate.StaircaseRow)]
-    return header, list(map(operator.attrgetter(*header), rows))
+    return header, map(operator.attrgetter(*header), rows)
 
 
 # --- parser -----------------------------------------------------------------

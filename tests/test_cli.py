@@ -406,12 +406,17 @@ def test_exit_code_on_bad_inputs(channel_files, tmp_path, capsys):
     for branch, message in (
         ({"type": "amplitude_damping", "gamma": 1.5}, "gamma must be in [0, 1], got 1.5"),
         ({"type": "depolarizing", "p": -0.1}, "p must be in [0, 1], got -0.1"),
-        ({"type": "kraus", "ops": incomplete}, "Kraus completeness violated: "),
+        ({"type": "amplitude_damping", "gamma": "abc"}, "gamma must be a number, got 'abc'"),
+        ({"type": "depolarizing", "p": None}, "p must be a number, got None"),
+        ({"type": "amplitude_damping", "gamma": HUGE}, "gamma is too large for a float"),
+        (
+            {"type": "kraus", "ops": incomplete},
+            "Kraus completeness violated: |sum K†K - I| = 2.000e+00",
+        ),
     ):
         bad.write_text(json.dumps({"branches": [AD2[0], branch], "memory": PERIODIC}))
         assert cli.main(["chi", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: branch 1: {message}") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: branch 1: {message}\n"
 
 
 NAN = float("nan")
@@ -1002,17 +1007,20 @@ def test_plain_command_lines_read_as_argparse_reads_them(seed, capsys):
     assert taken >= 2000
 
 
+# the leaves of the objects _draw_json draws
+JSON_LEAVES = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1 / 3, 0.1 + 0.2,
+    np.float64(2 / 3), np.float64(-1e-300), True, False, None, 0, -7, 10**30,
+    "", "plain", "\u00e9t\u00e9", "\u65e5\u672c", 'quote " back \\ nl \n tab \t nul \x00',
+    "\ud800",
+)
+
+
 def _draw_json(rng, depth=0):
     """A random object of the kinds a command's JSON holds, and more."""
-    leaves = (
-        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1 / 3, 0.1 + 0.2,
-        np.float64(2 / 3), np.float64(-1e-300), True, False, None, 0, -7, 10**30,
-        "", "plain", "\u00e9t\u00e9", "\u65e5\u672c", 'quote " back \\ nl \n tab \t nul \x00',
-        "\ud800",
-    )
     kind = rng.randrange(6) if depth < 4 else 0
     if kind == 0:
-        return rng.choice(leaves)
+        return rng.choice(JSON_LEAVES)
     if kind == 1:
         return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
     items = [_draw_json(rng, depth + 1) for _ in range(rng.choice((0, 1, 3)))]
@@ -1028,6 +1036,21 @@ def test_json_text_is_the_rounded_copy_dumped():
     for _ in range(2000):
         obj = _draw_json(rng)
         assert cli._json(obj) == oracles.rounded_json(obj), obj
+
+
+def test_json_rows_are_the_rounded_objects_dumped():
+    # a row table's JSON pieces join to json.dumps of one rounded object per
+    # row, whether the rows come as a list, as a generator, or not at all
+    rng = random.Random(45)
+    keys = ("a", "key", "\u00e9", 'q"', "")
+    for _ in range(500):
+        header = tuple(rng.choice(keys) + str(i) for i in range(rng.randint(1, 5)))
+        n = rng.choice((0, 1, 3))
+        rows = [tuple(rng.choice(JSON_LEAVES) for _ in header) for _ in range(n)]
+        expected = oracles.rounded_json([dict(zip(header, row)) for row in rows]) + "\n"
+        assert "".join(cli._json_rows(header, rows)) == expected, rows
+        assert "".join(cli._json_rows(header, (row for row in rows))) == expected, rows
+    assert "".join(cli._json_rows(("a",), (row for row in ()))) == "[]\n"
 
 
 def test_kraus_channel_config_round_trip(tmp_path):

@@ -1347,6 +1347,21 @@ def test_memory_ceiling_of_reports():
         assert peak <= mib * 2**20
 
 
+def test_memory_ceiling_of_ad_gap(tmp_path):
+    # ad-gap writes each of its 10,201 rows as it makes it, so the run peaks
+    # in its search (4.0 MiB); holding the table's JSON text (5.3 MiB), or
+    # the rows and their texts as well (7.4 MiB), goes over the ceiling
+    argv = ["ad-gap", "--grid", "101", "--format", "json", "--output", str(tmp_path / "gap.json")]
+    assert cli.main(argv) == 0  # first call: imports and caches
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+
+
 def test_random_report_matches_direct_maximization():
     # each c_delta against the 40-digit oracle: a singleton's the peak value
     # of its curve, and a larger delta's the least of its pairs' worst cases;
