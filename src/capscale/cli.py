@@ -35,7 +35,10 @@ MAX_GRID = 401
 
 def _cell(x) -> str:
     """One CSV cell: None empty, integers and text as they are, a sequence
-    ';'-joined, a float at 12 significant digits."""
+    ';'-joined, a float at 12 significant digits. Floats, the most common
+    cells, are tested first."""
+    if isinstance(x, float):
+        return f"{x:.12g}"
     if x is None:
         return ""
     if isinstance(x, (int, str)):
@@ -309,7 +312,7 @@ def cmd_ad_gap(args, mc, tol):
     """
     if not 2 <= args.grid <= MAX_GRID:
         raise ValidationError(f"grid must be in [2, {MAX_GRID}], got {shown(args.grid)}")
-    gammas = np.linspace(0.0, 1.0, args.grid)
+    gammas = np.linspace(0.0, 1.0, args.grid).tolist()  # Python floats: _cell's first test
     n = len(gammas)
     # pair (j, i) is pair (i, j), and pair (i, i) peaks where branch i does
     subsets = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]

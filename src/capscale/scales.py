@@ -67,6 +67,18 @@ _FRAME_TOL = 1e-9
 _HEIGHTS = 2.0 * _SCAN[::8] - 1.0
 _CONVEX_TOL = 1e-9
 
+# Why _forms refuses a branch, each reason followed by ", which capscale
+# lacks", first to last in precedence: of several faulty branches, a refusal
+# names the first branch of the first reason that any of them meets.
+_REFUSALS = (
+    "is covariant about no input axis: such branches need the general ensemble search "
+    "(ROADMAP A, stage 3)",
+    "has another input axis than the branches before it: reports on branches with no common "
+    "axis need the general ensemble search (ROADMAP A, stage 3)",
+    "has a pure-state entropy that is not convex along its axis: its best ensembles need two "
+    "heights (ROADMAP H, stage 2)",
+)
+
 
 def _forms(branches, shared: bool = True) -> np.ndarray:
     """The four numbers (s, u, c, τ), shape (4, L), of branches: channels or damping parameters.
@@ -101,8 +113,9 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
     (at a pure output, where it is steepest) and a printed value by at most
     about 3e-7 bits from the best mirror pair's. That pair is a best
     ensemble only where the branch's pure-state entropy is convex along its
-    axis; _convex refuses every other branch, whose best ensembles need two
-    heights.
+    axis; _convex finds every other branch, whose best ensembles need two
+    heights. All three refusals leave from one place, in the order of
+    _REFUSALS.
     """
     channels = [
         b if isinstance(b, QubitChannel) else QubitChannel.amplitude_damping(b)
@@ -115,6 +128,7 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
     form = np.stack([G[:, 0, 0], G[:, 2, 2], g[:, 2], np.einsum("li,li->l", t, t)])
     off = np.abs([G[:, 0, 1], G[:, 0, 2], G[:, 1, 2], G[:, 0, 0] - G[:, 1, 1], g[:, 0], g[:, 1]])
     tilted = off.max(axis=0) > _FRAME_TOL  # not in normal form about z
+    no_axis = apart = ()  # the branches with no axis, and with another axis than one before
     if tilted.any():
         B = G - np.trace(G, axis1=1, axis2=2)[:, None, None] / 3.0 * np.eye(3)
         S = 3.0 * np.einsum("lij,ljk->lik", B, B) + g[:, :, None] * g[:, None, :]
@@ -122,24 +136,12 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
         axis = S[np.arange(len(S)), :, S.diagonal(axis1=1, axis2=2).argmax(axis=1)]
         axis[~tilted] = (0.0, 0.0, 1.0)  # exactly z: their maps keep their bits
         axis /= np.linalg.norm(axis, axis=1)[:, None]
-        far, weight = _fit(G, g, axis)
-        bad = np.flatnonzero(far > _FRAME_TOL)
-        if len(bad):
-            raise ValidationError(
-                f"branch {bad[0]} is covariant about no input axis: such branches need the "
-                "general ensemble search (ROADMAP A, stage 3), which capscale lacks"
-            )
+        no_axis, weight = _fit(G, g, axis)
         live = np.flatnonzero(weight > _FRAME_TOL)  # the branches that are not isotropic
         if shared and len(live) > 1:
             n, w = axis[live], weight[live]
             sin = np.linalg.norm(n[:, None] - np.einsum("id,jd->ij", n, n)[..., None] * n, axis=-1)
-            apart = np.triu(sin * np.minimum.outer(w, w) > _FRAME_TOL, 1).any(axis=0)
-            if apart.any():
-                raise ValidationError(
-                    f"branch {live[apart][0]} has another input axis than the branches before "
-                    "it: reports on branches with no common axis need the general ensemble "
-                    "search (ROADMAP A, stage 3), which capscale lacks"
-                )
+            apart = live[np.triu(sin * np.minimum.outer(w, w) > _FRAME_TOL, 1).any(axis=0)]
             axis[live] = axis[weight.argmax()]
         turn = live[axis[live, 2] != 1.0]  # the branches read about an axis other than z
         n, G = axis[turn], G[turn]
@@ -149,17 +151,19 @@ def _forms(branches, shared: bool = True) -> np.ndarray:
         form[0, turn] = np.einsum("li,lij,lj->l", e1, G, e1)
         form[1, turn] = np.einsum("li,lij,lj->l", n, G, n)
         form[2, turn] = np.einsum("li,li->l", g[turn], n)
-    _convex(form)
+    for why, bad in zip(_REFUSALS, (no_axis, apart, _convex(form))):
+        if len(bad):
+            raise ValidationError(f"branch {bad[0]} {why}, which capscale lacks")
     return form
 
 
-def _convex(form) -> None:
-    """Refuse the first branch whose pure-state entropy curve is not convex along its axis.
+def _convex(form) -> np.ndarray:
+    """The branches whose pure-state entropy curve is not convex along its axis, in order.
 
     A pure input at height z along a branch's axis goes to squared radius
     q(z) = (u - s) z² + 2cz + s + τ, of entropy S(z) = h(q(z)), and
-    S'' = h''(q) q'² + h'(q) q'' (see holevo._entropy_jet). A branch passes
-    when S'' >= -_CONVEX_TOL at every height of _HEIGHTS. Where u >= s,
+    S'' = h''(q) q'² + h'(q) q'' (see holevo._entropy_jet). A branch is
+    convex when S'' >= -_CONVEX_TOL at every height of _HEIGHTS. Where u >= s,
     S'' < 0 everywhere unless u = s and c = 0 (a constant S). Where u < s,
     q'² = 4(u - s)(q - s - τ) + 4c² makes S'' < 0 exactly where
     q + h'/(2h'') < s + τ + c²/(s - u); the left side falls with q (checked
@@ -178,16 +182,12 @@ def _convex(form) -> None:
     _, h1, h2 = _entropy_jet(q)
     h2 *= slope * slope
     h2 += 2.0 * A * h1
-    bad = np.flatnonzero((h2 < -_CONVEX_TOL).any(axis=1))
-    if len(bad):
-        raise ValidationError(
-            f"branch {bad[0]} has a pure-state entropy that is not convex along its axis: its "
-            "best ensembles need two heights (ROADMAP H, stage 2), which capscale lacks"
-        )
+    return np.flatnonzero((h2 < -_CONVEX_TOL).any(axis=1))
 
 
 def _fit(G, g, n) -> tuple[np.ndarray, np.ndarray]:
-    """Each branch's distance from the covariant model about its unit axis n, and its anisotropy.
+    """The branches farther than _FRAME_TOL from the covariant model about their unit axes n,
+    and every branch's anisotropy.
 
     The model is s I + (u - s) nnᵀ for G and c n for g, with u = nᵀGn,
     s = (tr G - u)/2 and c = g·n. The distance is the largest entry of the
@@ -197,7 +197,7 @@ def _fit(G, g, n) -> tuple[np.ndarray, np.ndarray]:
     s = (np.trace(G, axis1=1, axis2=2) - u) / 2.0
     G = G - s[:, None, None] * np.eye(3) - (u - s)[:, None, None] * n[:, :, None] * n[:, None, :]
     far = np.maximum(np.abs(G).max(axis=(1, 2)), np.abs(g - c[:, None] * n).max(axis=1))
-    return far, np.abs(u - s) + np.abs(c)
+    return np.flatnonzero(far > _FRAME_TOL), np.abs(u - s) + np.abs(c)
 
 
 class _Sweep:

@@ -59,6 +59,14 @@ def damping_channel_file(tmp_path, gammas, memory) -> str:
     return str(path)
 
 
+def kraus_entry(ops):
+    """A channel file's kraus branch: each op's entries as [re, im] pairs."""
+    return {
+        "type": "kraus",
+        "ops": [[[[float(z.real), float(z.imag)] for z in row] for row in op] for op in ops],
+    }
+
+
 def run_to_file(tmp_path, argv):
     """Run one capscale command with --output; return its exit code and output."""
     out = tmp_path / "out.txt"

@@ -9,8 +9,10 @@ worst cases of pairs of damping, X-conjugated damping and depolarizing
 curves, and the mirror-pair Holevo kernel written as one numpy expression
 per quantity, the reference for the library kernel's bits, with the four
 numbers of a map in normal form about z read from its columns, the subsets
-of the branches in report order, and the command line's JSON text written
-in two steps, a rounded copy and then json.dumps. Nothing here imports
+of the branches in report order, the command line's JSON text written
+in two steps, a rounded copy and then json.dumps, and the best
+product-state value of branches covariant about one axis, from the lower
+convex envelope of their pure-state entropies. Nothing here imports
 capscale, so a test that compares the two compares two independent
 computations.
 """
@@ -115,6 +117,107 @@ def radius_entropy(r):
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(lam * np.log2(lam) + (1.0 - lam) * np.log2(1.0 - lam))
     return np.where(lam > 0.0, h, 0.0)
+
+
+# Heights of the envelope oracle's grid on [-1, 1].
+ENVELOPE_HEIGHTS = np.linspace(-1.0, 1.0, 20_001)
+
+
+def _shared_axis(maps):
+    """The input axis (normal_form's) of the most anisotropic of the Bloch maps, or z
+    where every map is isotropic (G ∝ I and g = 0)."""
+    best, axis = 1e-9, np.array([0.0, 0.0, 1.0])
+    for M, t in maps:
+        w = np.linalg.eigvalsh(M.T @ M)
+        spread = w[2] - w[0] + np.linalg.norm(M.T @ t)
+        if spread > best:
+            best, axis = spread, normal_form(M, t)[1]
+    return axis
+
+
+def _envelope_rows(maps):
+    """Rows H_i and S_i of envelope_value on ENVELOPE_HEIGHTS, shape (2, L, heights)."""
+    z = ENVELOPE_HEIGHTS
+    n = _shared_axis(maps)
+    e = np.cross(n, (1.0, 0.0, 0.0) if abs(n[0]) < 0.9 else (0.0, 1.0, 0.0))
+    e /= np.linalg.norm(e)
+    pure = z[:, None] * n + np.sqrt(1.0 - z * z)[:, None] * e  # pure inputs at each height
+    H = [radius_entropy(np.linalg.norm(z[:, None] * (M @ n) + t, axis=1)) for M, t in maps]
+    S = [radius_entropy(np.linalg.norm(pure @ M.T + t, axis=1)) for M, t in maps]
+    return np.array([H, S])
+
+
+def _envelope(H, S):
+    """envelope_value of one weighted pair of rows H and S on ENVELOPE_HEIGHTS."""
+    z = ENVELOPE_HEIGHTS
+    hi = max(np.abs(np.diff(H)).max(), np.abs(np.diff(S)).max()) / (z[1] - z[0]) + 1.0
+    lo = -hi
+    # to a bracket of 1e-12: φ's slope is at most 2, so φ is then within 2e-12
+    for _ in range(math.ceil(math.log2(2.0 * hi / 1e-12))):
+        p = (lo + hi) / 2.0
+        if z[np.argmax(p * z - S)] > z[np.argmax(H - p * z)]:
+            hi = p
+        else:
+            lo = p
+    p = (lo + hi) / 2.0
+    return float((p * z - S).max() + (H - p * z).max())
+
+
+def envelope_value(maps, weights):
+    """max over z̄ of Σ w_i H_i(z̄) - conv(Σ w_i S_i)(z̄), on ENVELOPE_HEIGHTS.
+
+    maps are the Bloch maps (M, t) of branches covariant about one shared
+    input axis n, the axis of the most anisotropic of them. H_i(z̄) is the
+    entropy of branch i's output on the input z̄ n, S_i(z) that on a pure
+    input at height z along n (the same at every azimuth, as the branch is
+    covariant), and conv the lower convex envelope. Twirling an ensemble
+    about n moves its mean onto the axis and changes no output entropy, so
+    this is the largest Σ w_i χ_i of any ensemble: the best product-state
+    value of a weighted sum of the branches, whatever number of states it
+    needs. weights has shape (B, L), one row per weighted sum, and the
+    values shape (B,).
+
+    The envelope enters through its Legendre transform: on the grid, by
+    Sion's minimax theorem (H is concave), the value is the minimum over
+    slopes p of φ(p) = max_k (p z_k - S_k) + max_k (H_k - p z_k), a convex
+    piecewise-linear function of p with slope z_S - z_H at the two maxima;
+    a bisection on that slope's sign finds it.
+    """
+    rows = np.asarray(weights, dtype=float) @ _envelope_rows(maps)
+    return np.array([_envelope(H, S) for H, S in zip(*rows)])
+
+
+def envelope_minimax(maps):
+    """min over λ = (x, 1 - x) of envelope_value(maps, [λ]) for two maps: max_E min(χ_0, χ_1).
+
+    The value is max over ensembles of min over λ of Σ λ_i χ_i, and the
+    minimum and maximum swap (Sion: linear in λ, concave in the ensemble's
+    distribution). envelope_value is convex in λ, so a grid of 11 x brackets
+    its minimum, and 40 golden-section steps narrow that bracket to about
+    0.2 · 0.618^40 = 8e-10; the ends x = 0 and 1 are on the grid.
+    """
+    rows = _envelope_rows(maps)
+
+    def value(x):
+        return _envelope(*(np.array([x, 1.0 - x]) @ rows))
+
+    grid = np.linspace(0.0, 1.0, 11)
+    on_grid = [value(x) for x in grid]
+    k = int(np.argmin(on_grid))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 10)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = value(c), value(d)
+    for _ in range(40):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = value(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = value(d)
+    return min(*on_grid, fc, fd)
 
 
 def _entropy_bits(p):

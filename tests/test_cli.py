@@ -12,7 +12,7 @@ import pytest
 import capscale.cli as cli
 import oracles
 from capscale import NumericalError, per_branch_suprema
-from conftest import damping_channel_file, run_to_file
+from conftest import damping_channel_file, kraus_entry, run_to_file
 
 
 PER4 = {
@@ -78,14 +78,6 @@ def test_chi_command_json(channel_files, tmp_path):
     assert [r["branch"] for r in rows] == [0, 1, 2]
     assert rows[1]["param"] == 0.4
     assert rows[1]["chi_star"] == pytest.approx(0.552956706463, abs=1e-9)
-
-
-def kraus_entry(ops):
-    """A channel file's kraus branch: each op's entries as [re, im] pairs."""
-    return {
-        "type": "kraus",
-        "ops": [[[[float(z.real), float(z.imag)] for z in row] for row in op] for op in ops],
-    }
 
 
 def conjugated_damping(gamma, u):
@@ -1036,6 +1028,16 @@ def test_json_text_is_the_rounded_copy_dumped():
     for _ in range(2000):
         obj = _draw_json(rng)
         assert cli._json(obj) == oracles.rounded_json(obj), obj
+
+
+def test_json_refuses_what_no_json_type_holds():
+    # as json.dumps does, with its message, at any depth
+    for obj in (set(), {1, 2}, object(), [1.0, {"a": frozenset()}], {"a": (None, object())}, 1j):
+        with pytest.raises(TypeError) as dumped:
+            json.dumps(obj)
+        with pytest.raises(TypeError) as raised:
+            cli._json(obj)
+        assert str(raised.value) == str(dumped.value)
 
 
 def test_json_rows_are_the_rounded_objects_dumped():

@@ -1,21 +1,27 @@
-"""Property tests of input validation.
+"""Property tests of input validation, and of the values of accepted inputs.
 
 Every input is either accepted or refused with ValidationError, which the
 command line turns into exit code 2 and an `error:` line; no other
-exception may escape.
+exception may escape. Of branches covariant about one shared axis, each
+printed capacity is the true product-state optimum (oracles.envelope_value)
+or the command refuses a branch.
 """
 
 import io
+import itertools
 import json
 import math
 import operator
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import capscale.cli as cli
+import oracles
 from capscale import (
     MemoryChannel,
     QubitChannel,
@@ -24,6 +30,7 @@ from capscale import (
     compute_random_scale_report,
     run_trials,
 )
+from conftest import haar_unitary, kraus_entry
 
 PROPERTY = settings(
     max_examples=200,
@@ -165,3 +172,128 @@ def test_strategy_subsets_and_rates(tmp_path, subset, rate):
     path = write_channel(tmp_path, branches, {"kind": "random", "q": [0.5, 0.3, 0.2]})
     argv = ["simulate", path, f"--rate={rate}", f"--subset={text}", "--trials", "64"]
     check_refusal(*run_cli(argv))
+
+
+ENVELOPE = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+SEEDS = st.integers(0, 2**32 - 1)
+# each kind is covariant about z; dephasing and the flat branch (G ∝ I,
+# g ≠ 0) need two heights, as do about 40% of the twirled maps
+ENVELOPE_KINDS = ("damping", "depolarizing", "x_damping", "dephasing", "flat", "twirled")
+_X, _Z = oracles._PAULIS[0], oracles._PAULIS[2]
+
+
+def covariant_ops(kind, x, rng):
+    """Kraus operators of a branch of the kind with parameter x in [0, 1], covariant about z."""
+    if kind in ("damping", "x_damping"):
+        ops = [np.diag([1.0, math.sqrt(1.0 - x)]), np.array([[0.0, math.sqrt(x)], [0.0, 0.0]])]
+        return ops if kind == "damping" else [_X @ k @ _X for k in ops]
+    if kind == "depolarizing":  # the Bloch shrink r -> (1 - x) r
+        paulis = [math.sqrt(x / 4.0) * s for s in oracles._PAULIS]
+        return [math.sqrt(1.0 - 0.75 * x) * np.eye(2), *paulis]
+    if kind == "dephasing":
+        return [math.sqrt(1.0 - x) * np.eye(2), math.sqrt(x) * _Z]
+    if kind == "flat":  # M = x I, t = (0, 0, 1 - x)
+        return oracles.bloch_map_kraus(x * np.eye(3), np.array([0.0, 0.0, 1.0 - x]))
+    # a random isometry's channel averaged over rotations about z
+    v = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+    M, t = oracles.kraus_bloch_map([v[:2], v[2:]])
+    a, b = (M[0, 0] + M[1, 1]) / 2.0, (M[1, 0] - M[0, 1]) / 2.0
+    twirled = np.array([[a, -b, 0.0], [b, a, 0.0], [0.0, 0.0, M[2, 2]]])
+    return oracles.bloch_map_kraus(twirled, np.array([0.0, 0.0, t[2]]))
+
+
+def test_envelope_oracle_meets_known_optima():
+    # dephasing(0.1) reaches 1 bit with |0> and |1>; a damping branch's
+    # optimum is its mirror pair's (40 digits); a monotone-chain hull, an
+    # independent computation, gave C_p = 0.7485520096 for [dephasing(0.1),
+    # AD(0.3)]; the minimax over λ meets the 40-digit pair minima
+    rng = np.random.default_rng(0)
+    deph, ad = (oracles.kraus_bloch_map(covariant_ops(kind, x, rng))
+                for kind, x in (("dephasing", 0.1), ("damping", 0.3)))
+    exact = float(oracles._damping_chi(0.3)(oracles.damping_argmax(0.3)))
+    values = oracles.envelope_value([deph, ad], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    assert values == pytest.approx([1.0, exact, 0.7485520096], abs=1e-9)
+    for pair in ((("damping", 0.3), ("damping", 0.7)), (("damping", 0.3), ("x_damping", 0.5))):
+        maps = [oracles.kraus_bloch_map(covariant_ops(*branch, rng)) for branch in pair]
+        exact = oracles.pair_minimum(*pair)
+        assert oracles.envelope_minimax(maps) == pytest.approx(exact, abs=1e-9)
+
+
+def refused(rc, out, err, L):
+    """Whether a command refused a branch of L, with exit code 2 and one error line naming it."""
+    if rc == 2:
+        named = re.match(r"error: branch (\d+) ", err)
+        assert out == "" and err.count("\n") == 1 and named and int(named[1]) < L, err
+        return True
+    assert rc == 0 and err == "", err
+    return False
+
+
+# (kind, parameter, seed of the output unitary and of a twirled map)
+COVARIANT = st.tuples(st.sampled_from(ENVELOPE_KINDS), st.floats(0.0, 1.0), SEEDS)
+
+
+@ENVELOPE
+@given(kinds=st.lists(COVARIANT, min_size=2, max_size=3), turn=SEEDS, r=st.integers(1, 3))
+def test_every_printed_capacity_is_the_optimum_or_a_branch_is_refused(tmp_path, kinds, turn, r):
+    # branches covariant about z, all turned by one Haar input rotation V and
+    # each by its own Haar output unitary U (Kraus operators U K V): periodic
+    # reports on them, and a random report on the first two, against the
+    # envelope oracle
+    V = haar_unitary(np.random.default_rng(turn))
+    ops = []
+    for kind, x, seed in kinds:
+        rng = np.random.default_rng(seed)
+        U = haar_unitary(rng)
+        ops.append([U @ k @ V for k in covariant_ops(kind, x, rng)])
+    maps = [oracles.kraus_bloch_map(k) for k in ops]
+    L, r = len(maps), min(r, len(maps))
+    subsets = [s for size in range(1, L + 1) for s in itertools.combinations(range(L), size)]
+    weights = [[i in s for i in range(L)] for s in subsets]
+    best = dict(zip(subsets, oracles.envelope_value(maps, weights)))
+    chi = [best[(i,)] for i in range(L)]
+
+    def rate(s):  # a subset's periodic rate: its rotations' values over rL
+        return sum(best[tuple(sorted((m + k) % L for m in s))] for k in range(L)) / (len(s) * L)
+
+    level = {size: max(rate(s) for s in subsets if len(s) == size) for size in range(1, L + 1)}
+    branches = [kraus_entry(k) for k in ops]
+    path = write_channel(tmp_path, branches, {"kind": "periodic"})
+    for argv in (["chi"], ["capacity"], ["scale", "--r", str(r)]):
+        rc, out, err = run_cli([argv[0], path, *argv[1:], "--format", "json"])
+        if refused(rc, out, err, L):
+            continue
+        got = json.loads(out)
+        if argv[0] == "chi":
+            assert [row["chi_star"] for row in got] == pytest.approx(chi, abs=1e-8)
+        elif argv[0] == "capacity":
+            assert got["cp"] == pytest.approx(best[subsets[-1]] / L, abs=1e-8)
+            assert got["cbar"] == pytest.approx(sum(chi) / L, abs=1e-8)
+            sups = [s["chi_star"] for s in got["per_branch_suprema"]]
+            assert sups == pytest.approx(chi, abs=1e-8)
+            for size, entry in got["scale"].items():
+                assert entry["value_bits"] == pytest.approx(level[int(size)], abs=1e-8)
+                picked = rate(tuple(entry["best_subset"]))
+                assert picked == pytest.approx(level[int(size)], abs=1e-8)
+        else:
+            assert got["value_bits"] == pytest.approx(level[r], abs=1e-8)
+            assert rate(tuple(got["best_subset"])) == pytest.approx(level[r], abs=1e-8)
+    if L == 1:
+        return
+    path = write_channel(tmp_path, branches[:2], {"kind": "random", "q": [0.25, 0.75]})
+    rc, out, err = run_cli(["random-scale", path, "--format", "json"])
+    if refused(rc, out, err, 2):
+        return
+    got = json.loads(out)
+    a, b = chi[:2]
+    expected = [(0.25, a, a), (0.75, b, b), (1.0, oracles.envelope_minimax(maps[:2]), max(a, b))]
+    assert [s["chi_star"] for s in got["per_branch_suprema"]] == pytest.approx([a, b], abs=1e-8)
+    for row, values in zip(got["per_subset"], expected, strict=True):
+        printed = (row["q_delta"], row["c_delta"], row["cbar_delta"])
+        assert printed == pytest.approx(values, abs=1e-8)
