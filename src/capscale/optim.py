@@ -79,7 +79,8 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
     returns each lane's best point, its value and slope, and the final
     bracket, which holds the best point; there is no final call. Each
     lane takes the steps of its own search, so a lane's results do not
-    depend on the other lanes.
+    depend on the other lanes. A search of no lanes takes no step and never
+    calls f: its results are empty, with iterations 0 and achieved_tol 0.0.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not np.all(lo < hi):
@@ -124,5 +125,5 @@ def maximize_concave_1d(f, lo, hi, tol: float = 1e-8, start=None) -> OptResult:
         gain = best_s * (np.where(inside, best_p, best_x) - best_x)
         worth = gain > np.maximum(tol * tol, _ROUNDING * np.abs(best_f))
         active = (hi - lo >= tol) | (inside & worth)
-    achieved = float(np.max(hi - lo))
+    achieved = float(np.max(hi - lo, initial=0.0))  # hi - lo is never negative
     return OptResult(best_x[()], best_f[()], iters, achieved, lo[()], hi[()], best_s[()])

@@ -436,19 +436,25 @@ def maximize_subsets(branches, subsets, tol: float = 1e-8) -> dict:
     Holevo kernel calls of at most 1,024 (subset, member) pairs each.
     Each subset is checked as in subset_scale_value, and the branches are
     read about one input axis, as in a report (see _forms). Returns
-    {subset: (argmax, value)}, keyed by each subset as a sorted tuple.
+    {subset: (argmax, value)}, keyed by each subset as a sorted tuple, in
+    first-appearance order.
     """
     form = _forms(branches)
     subsets = [_check_subset(s, form.shape[1]) for s in listed(subsets, "subsets", "subsets")]
-    return _maximize(form, subsets, tol) if subsets else {}
+    if not subsets:  # a sweep of no subsets has no scan to bracket
+        return {}
+    return dict(zip(subsets, zip(*_maximize(form, subsets, tol)[:2].tolist())))
 
 
-def _maximize(form, subsets, tol) -> dict:
-    """maximize_subsets on a nonempty list of checked subsets."""
+def _maximize(form, subsets, tol) -> np.ndarray:
+    """The search of each of a nonempty list of checked subsets, as _found stacks it.
+
+    The columns come in the order of subsets; a repeated subset is searched once.
+    """
     ordered = sorted(dict.fromkeys(subsets), key=len)  # size-major, as _Sweep takes them; stable
     res = _Sweep(form, *_member_matrix(ordered)).refine(np.arange(len(ordered)), tol)
-    best = {s: (float(a), float(v)) for s, a, v in zip(ordered, res.argmax, res.value)}
-    return {s: best[s] for s in subsets}  # in first-appearance order
+    lane = {s: i for i, s in enumerate(ordered)}
+    return _found(res)[:, [lane[s] for s in subsets]]
 
 
 @dataclass(frozen=True)
@@ -515,15 +521,10 @@ def _suprema(found) -> tuple[BranchSupremum, ...]:
     return tuple(BranchSupremum(a, v, (lo, hi), s) for a, v, lo, hi, s in found.T.tolist())
 
 
-def _singletons(form, tol):
-    """The search of every single branch, as _found stacks it."""
-    sweep = _Sweep(form, *_member_matrix([(i,) for i in range(form.shape[1])]))
-    return _found(sweep.refine(np.arange(form.shape[1]), tol))
-
-
 def per_branch_suprema(branches, tol: float = 1e-8) -> list[BranchSupremum]:
     """Each branch's best mirror pair, about the branch's own input axis (see _forms)."""
-    return list(_suprema(_singletons(_forms(branches, shared=False), tol)))
+    form = _forms(branches, shared=False)
+    return list(_suprema(_maximize(form, [(i,) for i in range(form.shape[1])], tol)))
 
 
 def chi_mirror_family(ch, a):
@@ -612,8 +613,7 @@ def subset_scale_value(branches, subset, tol: float = 1e-8) -> float:
     L = form.shape[1]
     subset = _check_subset(subset, L)
     rotations = [tuple(sorted((m + k) % L for m in subset)) for k in range(L)]
-    best = _maximize(form, rotations, tol)
-    return sum(best[rotated][1] for rotated in rotations) / (len(subset) * L)
+    return sum(_maximize(form, rotations, tol)[1].tolist()) / (len(subset) * L)
 
 
 def _level_max(x, size) -> np.ndarray:
@@ -684,8 +684,7 @@ def _scale_levels(form, sizes, tol: float) -> tuple[dict, np.ndarray]:
         wanted = np.zeros(len(size), dtype=bool)
         wanted[rot[:, keep]] = True
         lanes = np.flatnonzero(wanted & np.isnan(value))
-        if len(lanes):
-            found[:, lanes] = _found(sweep.refine(lanes, tol))
+        found[:, lanes] = _found(sweep.refine(lanes, tol))
         # rotation values summed in the order k = 0..L-1
         rate[keep] = functools.reduce(np.add, value[rot[:, keep]]) / per[keep]
         more = ~keep & (upper + _PRUNE_PAD >= _level_max(rate, size) - _TIE_EPS)
@@ -779,7 +778,7 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
         inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
         inc[np.arange(len(deltas))[:, None], _member_matrix(deltas)[0]] = True
     pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
-    peaks = _singletons(form, tol)
+    peaks = _maximize(form, [(i,) for i in range(L)], tol)
     sups = _suprema(peaks)
     pair = np.full((L, L), np.inf)  # pair[i, m] for the pairs (i, m), +inf elsewhere
     pair[tuple(pairs.T)] = _pair_values(form, peaks[0], peaks[1], pairs, tol)

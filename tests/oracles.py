@@ -152,10 +152,14 @@ def _envelope(H, S):
     z = ENVELOPE_HEIGHTS
     hi = max(np.abs(np.diff(H)).max(), np.abs(np.diff(S)).max()) / (z[1] - z[0]) + 1.0
     lo = -hi
+    pz, left, right = np.empty_like(z), np.empty_like(z), np.empty_like(z)  # reused each step
     # to a bracket of 1e-12: φ's slope is at most 2, so φ is then within 2e-12
     for _ in range(math.ceil(math.log2(2.0 * hi / 1e-12))):
         p = (lo + hi) / 2.0
-        if z[np.argmax(p * z - S)] > z[np.argmax(H - p * z)]:
+        np.multiply(p, z, out=pz)
+        np.subtract(pz, S, out=left)
+        np.subtract(H, pz, out=right)
+        if z[left.argmax()] > z[right.argmax()]:
             hi = p
         else:
             lo = p

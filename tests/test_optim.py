@@ -254,6 +254,20 @@ def test_golden_section_returns_brackets_and_slopes():
     assert np.ndim(res.lo) == np.ndim(res.hi) == np.ndim(res.slope) == 0
 
 
+def test_golden_section_of_no_lanes_takes_no_step():
+    # a search of no lanes is an ordinary search: no step, no call of f,
+    # empty results, whether or not it is given first centres
+    def f(x):
+        raise AssertionError("f was called")
+
+    for start in (None, np.zeros(0)):
+        res = maximize_concave_1d(f, np.zeros(0), np.zeros(0), start=start)
+        for got in (res.argmax, res.value, res.lo, res.hi, res.slope):
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+        assert res.iterations == 0 and res.achieved_tol == 0.0
+        assert isinstance(res.achieved_tol, float)
+
+
 # --- bisection root finder (tests/oracles.py) ---------------------------------
 
 

@@ -239,22 +239,25 @@ def refused(rc, out, err, L):
 COVARIANT = st.tuples(st.sampled_from(ENVELOPE_KINDS), st.floats(0.0, 1.0), SEEDS)
 
 
-@ENVELOPE
-@given(kinds=st.lists(COVARIANT, min_size=2, max_size=3), turn=SEEDS, r=st.integers(1, 3))
-def test_every_printed_capacity_is_the_optimum_or_a_branch_is_refused(tmp_path, kinds, turn, r):
-    # branches covariant about z, all turned by one Haar input rotation V and
-    # each by its own Haar output unitary U (Kraus operators U K V): periodic
-    # reports on them, and a random report on the first two, against the
-    # envelope oracle
+def turned_ops(kinds, turn):
+    """Kraus operators of branches covariant about z (see COVARIANT), all turned by
+    one Haar input rotation V (from the seed turn) and each by its own Haar output
+    unitary U: Kraus operators U K V."""
     V = haar_unitary(np.random.default_rng(turn))
     ops = []
     for kind, x, seed in kinds:
         rng = np.random.default_rng(seed)
         U = haar_unitary(rng)
         ops.append([U @ k @ V for k in covariant_ops(kind, x, rng)])
+    return ops
+
+
+def check_periodic_optima(tmp_path, ops, r):
+    """chi, capacity and scale --r r on periodic memory over the branches ops, against
+    envelope_value on every subset; returns each branch's oracle value."""
     maps = [oracles.kraus_bloch_map(k) for k in ops]
-    L, r = len(maps), min(r, len(maps))
-    subsets = [s for size in range(1, L + 1) for s in itertools.combinations(range(L), size)]
+    L = len(maps)
+    subsets = oracles.all_subsets(L, range(1, L + 1))
     weights = [[i in s for i in range(L)] for s in subsets]
     best = dict(zip(subsets, oracles.envelope_value(maps, weights)))
     chi = [best[(i,)] for i in range(L)]
@@ -263,8 +266,7 @@ def test_every_printed_capacity_is_the_optimum_or_a_branch_is_refused(tmp_path, 
         return sum(best[tuple(sorted((m + k) % L for m in s))] for k in range(L)) / (len(s) * L)
 
     level = {size: max(rate(s) for s in subsets if len(s) == size) for size in range(1, L + 1)}
-    branches = [kraus_entry(k) for k in ops]
-    path = write_channel(tmp_path, branches, {"kind": "periodic"})
+    path = write_channel(tmp_path, [kraus_entry(k) for k in ops], {"kind": "periodic"})
     for argv in (["chi"], ["capacity"], ["scale", "--r", str(r)]):
         rc, out, err = run_cli([argv[0], path, *argv[1:], "--format", "json"])
         if refused(rc, out, err, L):
@@ -284,16 +286,68 @@ def test_every_printed_capacity_is_the_optimum_or_a_branch_is_refused(tmp_path, 
         else:
             assert got["value_bits"] == pytest.approx(level[r], abs=1e-8)
             assert rate(tuple(got["best_subset"])) == pytest.approx(level[r], abs=1e-8)
-    if L == 1:
-        return
-    path = write_channel(tmp_path, branches[:2], {"kind": "random", "q": [0.25, 0.75]})
+    return chi
+
+
+def check_random_optima(tmp_path, ops, chi, q):
+    """random-scale on random memory over two or three branches ops, of oracle values
+    chi, against the oracle.
+
+    A singleton's c_delta is its branch's value, and a pair's the minimax of
+    the two (envelope_minimax). Of three accepted branches each S_i is
+    convex, so one mirror pair is best for all three at once (ROADMAP H) and
+    the triple's c_delta is the least of its pairs'. Every λ bounds the
+    minimax from above (Sion), so the triple's c_delta is also at most the
+    envelope of every λ of a simplex grid: a bound that does not rest on the
+    library's Helly rule.
+    """
+    maps = [oracles.kraus_bloch_map(k) for k in ops]
+    L = len(maps)
+    path = write_channel(tmp_path, [kraus_entry(k) for k in ops], {"kind": "random", "q": q})
     rc, out, err = run_cli(["random-scale", path, "--format", "json"])
-    if refused(rc, out, err, 2):
+    if refused(rc, out, err, L):
         return
     got = json.loads(out)
-    a, b = chi[:2]
-    expected = [(0.25, a, a), (0.75, b, b), (1.0, oracles.envelope_minimax(maps[:2]), max(a, b))]
-    assert [s["chi_star"] for s in got["per_branch_suprema"]] == pytest.approx([a, b], abs=1e-8)
-    for row, values in zip(got["per_subset"], expected, strict=True):
+    assert [s["chi_star"] for s in got["per_branch_suprema"]] == pytest.approx(chi, abs=1e-8)
+    worst = {(i,): chi[i] for i in range(L)}
+    worst.update({s: oracles.envelope_minimax([maps[i] for i in s])
+                  for s in itertools.combinations(range(L), 2)})
+    if L == 3:
+        worst[(0, 1, 2)] = min(worst[s] for s in itertools.combinations(range(L), 2))
+    deltas = oracles.all_subsets(L, range(1, L + 1))
+    assert [tuple(row["delta"]) for row in got["per_subset"]] == deltas
+    for row, d in zip(got["per_subset"], deltas):
+        expected = (sum(q[i] for i in d), worst[d], max(chi[i] for i in d))
         printed = (row["q_delta"], row["c_delta"], row["cbar_delta"])
-        assert printed == pytest.approx(values, abs=1e-8)
+        assert printed == pytest.approx(expected, abs=1e-8), d
+    if L == 3:
+        bound = oracles.envelope_value(maps, oracles.weight_grid(3, 6)).min()
+        assert got["per_subset"][-1]["c_delta"] <= bound + 1e-8
+
+
+@ENVELOPE
+@given(kinds=st.lists(COVARIANT, min_size=2, max_size=3), turn=SEEDS, r=st.integers(1, 3))
+def test_every_printed_capacity_is_the_optimum_or_a_branch_is_refused(tmp_path, kinds, turn, r):
+    # periodic reports on the branches, and a random report on the first two,
+    # against the envelope oracle
+    ops = turned_ops(kinds, turn)
+    chi = check_periodic_optima(tmp_path, ops, min(r, len(ops)))
+    check_random_optima(tmp_path, ops[:2], chi[:2], [0.25, 0.75])
+
+
+# the kinds that the library mostly accepts: of these, only some twirled maps
+# need two heights and are refused
+CONVEX_COVARIANT = st.tuples(
+    st.sampled_from(("damping", "depolarizing", "x_damping", "twirled")), st.floats(0.0, 1.0), SEEDS
+)
+
+
+@settings(ENVELOPE, max_examples=10)
+@given(kinds=st.lists(CONVEX_COVARIANT, min_size=4, max_size=4), turn=SEEDS, r=st.integers(1, 4))
+def test_printed_capacities_of_more_branches_are_the_optima(tmp_path, kinds, turn, r):
+    # periodic reports on four branches, and a random report on the first
+    # three, against the envelope oracle: on every subset of the four, and on
+    # the triple, whose value the library takes from its pairs (Helly)
+    ops = turned_ops(kinds, turn)
+    chi = check_periodic_optima(tmp_path, ops, r)
+    check_random_optima(tmp_path, ops[:3], chi[:3], [0.2, 0.3, 0.5])

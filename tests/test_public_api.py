@@ -1,5 +1,6 @@
 """The public surface is pinned, so a change to it has to be deliberate."""
 
+import ast
 import functools
 import io
 import os
@@ -62,6 +63,33 @@ def test_library_loads_no_test_dependency():
     assert "numpy" in loaded.split()
     top = {name.split(".")[0] for name in loaded.split()}
     assert not top & {"mpmath", "scipy", "hypothesis", "pytest", "_pytest"}
+
+
+def printing(source):
+    """The lines of source that call print or touch sys.stdout or sys.stderr."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "print":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if {alias.name for alias in node.names} & {"stdout", "stderr"}:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_library_never_prints():
+    # only the command line writes to the standard streams; the library
+    # returns dataclasses and reports through logging
+    caught = "import sys\nfrom sys import stderr\nprint(1)\nsys.stdout.write('')\nw = sys.stderr\n"
+    assert printing(caught) == [2, 3, 4, 5]
+    modules = sorted((ROOT / "src" / "capscale").glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        if path.name != "cli.py":
+            assert printing(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def test_readme_csv_columns_are_the_written_headers(tmp_path):

@@ -1056,6 +1056,16 @@ def test_sweep_takes_its_subsets_size_major():
         assert k == functools.reduce(np.add, (sweep.scan[i] for i in s)).argmax()
 
 
+def test_refine_of_no_lanes_is_an_empty_search():
+    # a pass of _scale_levels refines the lanes it still lacks, which may be
+    # none: that is an ordinary search with empty results
+    form = scales._forms([0.1, 0.4, 0.7])
+    sweep = scales._Sweep(form, *scales._member_matrix(oracles.all_subsets(3, range(1, 4))))
+    res = sweep.refine(np.zeros(0, dtype=int), 1e-8)
+    assert scales._found(res).shape == (5, 0)
+    assert res.iterations == 0 and res.achieved_tol == 0.0
+
+
 def test_sweep_window_keeps_each_first_argmax(combined_shapes):
     # a subset's rows are summed only over the scan columns where the first
     # argmax of their in-order sum can lie; k is that argmax, bit for bit
