@@ -6,8 +6,10 @@ table (ad-gap), and the theoretical or simulated error staircase
 (staircase, simulate). Channels come from a small JSON config file; output
 is CSV (default) or JSON with 12 significant digits and LF line endings.
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
-failure.
+Exit codes: 0 success, 1 stdout closed by its reader before the output
+ended (nothing is printed then, as when `| head` stops reading), 2
+invalid input or configuration, or output that cannot be written, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import dataclasses
 import itertools
 import json
 import operator
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -109,7 +112,17 @@ def _emit(args, header, rows, json_obj=None):
     else:
         pieces = (",".join(map(_cell, row)) + "\n" for row in itertools.chain([header], rows))
     if args.output is None:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as e:
+            # what is left unwritten goes to devnull, so the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(e, BrokenPipeError):  # the reader left early, as `| head` does
+                raise
+            raise ValidationError(f"cannot write output: {e}") from e
         return
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
@@ -490,6 +503,8 @@ def main(argv=None) -> int:
             )
         _emit(args, *args.func(args, mc, tol))
         return 0
+    except BrokenPipeError:  # stdout's reader needs no message
+        return 1
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -12,7 +12,8 @@ The periodic reports refine only the subsets that can still win their
 scale level. A random-memory report maximizes only the single branches:
 each curve is concave, so a pair's worst case is a member's peak value
 or the value where the two curves cross, and a subset's is the smallest
-of its pairs' (Helly's theorem in one dimension).
+of its pairs' (Helly's theorem in one dimension), a branch paired with
+itself included: that pair's worst case is the branch's supremum.
 """
 
 from __future__ import annotations
@@ -760,9 +761,10 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     validated, the enumerated ones are not.
 
     Every c_delta comes from one maximization over the L singletons,
-    whatever the deltas: the worst case of each pair in a delta follows
-    from its members' peaks (see _pair_values), and a delta's is the
-    smallest of its pairs' (see _fill_subsets).
+    whatever the deltas: the worst case of each pair in a delta, a
+    member paired with itself included, follows from its members' peaks
+    (see _pair_values), and a delta's is the smallest of its pairs' (see
+    _fill_subsets).
     """
     form = _forms(branches)
     L = form.shape[1]
@@ -777,16 +779,15 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
         deltas = [_check_subset(d, L) for d in listed(deltas, "deltas", "subsets")]
         inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
         inc[np.arange(len(deltas))[:, None], _member_matrix(deltas)[0]] = True
-    pairs = np.argwhere(np.triu(inc.T @ inc, 1))  # (pairs, 2), i < m in each row (i, m)
+    pairs = np.argwhere(np.triu(inc.T @ inc))  # (pairs, 2), i <= m in each row (i, m)
     peaks = _maximize(form, [(i,) for i in range(L)], tol)
-    sups = _suprema(peaks)
     pair = np.full((L, L), np.inf)  # pair[i, m] for the pairs (i, m), +inf elsewhere
     pair[tuple(pairs.T)] = _pair_values(form, peaks[0], peaks[1], pairs, tol)
-    q_delta, c_delta, cbar_delta = _fill_subsets(inc, q, sups, pair)
+    q_delta, c_delta, cbar_delta = _fill_subsets(inc, q, pair)
     per_subset = {
         d: SubsetScale(*row) for d, row in zip(deltas, zip(q_delta, c_delta, cbar_delta))
     }
-    return RandomScaleReport(q=q, per_subset=per_subset, per_branch_suprema=sups)
+    return RandomScaleReport(q=q, per_subset=per_subset, per_branch_suprema=_suprema(peaks))
 
 
 def _pair_values(form, peak, chi_star, pairs, tol) -> np.ndarray:
@@ -795,7 +796,8 @@ def _pair_values(form, peak, chi_star, pairs, tol) -> np.ndarray:
     With a pair's members named so that peak[u] <= peak[v], it is
     chi_star[u] if chi_v(peak[u]) >= chi_u(peak[u]), else chi_star[v] if
     chi_u(peak[v]) >= chi_v(peak[v]) (equal peaks and flat curves pass one
-    of these), else the value where the curves cross between the peaks:
+    of these, so a branch paired with itself, i = m, gets its own
+    chi_star), else the value where the curves cross between the peaks:
     one lockstep search takes those from the lower member's value and
     slope, starting at the secant root of chi_u - chi_v and proposing its
     Newton root, at tol 1e-8 or finer.
@@ -821,7 +823,7 @@ def _pair_values(form, peak, chi_star, pairs, tol) -> np.ndarray:
     return value
 
 
-def _fill_subsets(inc, q, sups, pair) -> tuple[list, list, list]:
+def _fill_subsets(inc, q, pair) -> tuple[list, list, list]:
     """q_delta, c_delta and cbar_delta of the deltas whose members are the rows of inc.
 
     Each mirror-family curve chi_i(a) is concave on [0, 1] (the search
@@ -829,21 +831,22 @@ def _fill_subsets(inc, q, sups, pair) -> tuple[list, list, list]:
     and by Helly's theorem in one dimension intervals that meet pairwise
     share a point. Hence max_a min_{i in delta} chi_i(a) is the smallest
     of the pair values max_a min(chi_i, chi_m)(a) over the pairs in delta,
-    or the supremum for a single branch. This holds on the mirror family
-    only: a branch whose best ensemble lies outside it needs the direct
-    minimax over delta, not this rule.
+    i = m included: a branch paired with itself is worth its supremum, so
+    a single branch needs no rule of its own. This holds on the mirror
+    family only: a branch whose best ensemble lies outside it needs the
+    direct minimax over delta, not this rule.
 
-    inc is the deltas x L incidence matrix, and pair[i, m], i < m, is the
-    value of each pair of members of some delta (+inf elsewhere).
+    inc is the deltas x L incidence matrix, and pair[i, m], i <= m, is the
+    value of each pair of members of some delta (+inf elsewhere). So
+    c_delta is the least entry of a delta's block of pair, and cbar_delta,
+    the best single member, the largest entry of the block's diagonal.
     """
     c_delta = np.empty(len(inc))
     rows = max(1, _BLOCK // inc.shape[1] ** 2)  # deltas per block
     for s in range(0, len(inc), rows):
         b = inc[s:s + rows]
         c_delta[s:s + rows] = np.where(b[:, :, None] & b[:, None, :], pair, np.inf).min(axis=(1, 2))
-    cbar_delta = np.where(inc, [s.chi_star for s in sups], -np.inf).max(axis=1)
-    # a singleton has no pair: its worst case is its supremum
-    c_delta = np.where(inc.sum(axis=1) == 1, cbar_delta, c_delta)
+    cbar_delta = np.where(inc, pair.diagonal(), -np.inf).max(axis=1)
     # summed column by column, so each q_delta keeps the bits of summing in order
     q_delta = functools.reduce(np.add, np.where(inc, q, 0.0).T)
     # q may sum to 1 + 1e-10; a probability stays at most 1

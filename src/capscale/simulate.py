@@ -136,7 +136,9 @@ def run_trials(
     """Draw branches and score the strategy by the idealized decoder.
 
     A branch decodes exactly when it lies in the strategy's subset and the
-    rate clears the subset's rate (see _clears), so the count of draws per
+    rate clears the subset's rate. The staircase's rule decides it
+    (_best_subset_for_rate on the subset's one row): the subset decodes,
+    or the empty row, which decodes nothing. So the count of draws per
     branch is a sufficient statistic: the n_trials draws are one
     multinomial sample of those counts from a counter-based generator, in
     time and memory of order L, and the result depends only on (seed,
@@ -148,16 +150,16 @@ def run_trials(
     generator's key range.
     """
     n_trials, seed = _check_draws(n_trials, seed)
-    ((subset, value, q_subset),) = _rated(mc, strategy.subset, tol)
-    cleared = _clears(strategy.rate, subset, value)
-    counts, error = _draw(mc, subset if cleared else (), n_trials, seed)
+    ((_, value, q_subset),) = rated = _rated(mc, strategy.subset, tol)
+    decoded, _, q = _best_subset_for_rate(strategy.rate, rated)
+    counts, error = _draw(mc, decoded, n_trials, seed)
     return SimResult(
         n_trials=n_trials,
         seed=seed,
         strategy=strategy,
         subset_rate=value,
         q_subset=q_subset,
-        theoretical_error=1.0 - q_subset if cleared else 1.0,
+        theoretical_error=1.0 - q,
         empirical_error=error,
         # a branch always or never decodes: any failure is a failing branch's
         max_branch_error=float(error > 0.0),
@@ -185,9 +187,10 @@ class StaircaseRow:
 
 def _best_subset_for_rate(rate, rated):
     """The first (subset, rate, probability) of rated, in report order, of the
-    highest probability among those whose rate clears the attempted rate."""
+    highest probability among those whose rate clears the attempted rate;
+    the empty row ((), None, 0.0), which decodes no branch, if none does."""
     cleared = [row for row in rated if _clears(rate, row[0], row[1])]
-    return max(cleared, key=lambda row: row[2], default=None)
+    return max(cleared, key=lambda row: row[2], default=((), None, 0.0))
 
 
 def empirical_staircase(
@@ -198,8 +201,9 @@ def empirical_staircase(
     For each rate the most probable subset still achieving that rate is
     simulated (a tie goes to the first in the report's order: smaller,
     then lexicographically earlier subsets); rates above every
-    subset rate get the empty strategy, which always fails. Row i runs
-    with seed + i so rows are reproducible independently.
+    subset rate get the empty subset, which decodes no branch, so all of
+    its draws fail. Row i runs with seed + i so rows are reproducible
+    independently.
     """
     rates = [_check_rate(r) for r in rates]
     if not rates:
@@ -212,11 +216,7 @@ def empirical_staircase(
 
     rows = []
     for i, rate in enumerate(rates):
-        pick = _best_subset_for_rate(rate, rated)
-        if pick is None:
-            rows.append(StaircaseRow(rate, (), 0.0, 1.0, 1.0, n_trials, seed + i))
-            continue
-        subset, _, q = pick
+        subset, _, q = _best_subset_for_rate(rate, rated)
         _, error = _draw(mc, subset, n_trials, seed + i)
         rows.append(StaircaseRow(rate, subset, q, 1.0 - q, error, n_trials, seed + i))
     return rows

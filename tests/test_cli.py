@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -1084,6 +1085,33 @@ def test_kraus_channel_config_round_trip(tmp_path):
     chi_kraus = float(lines[1].split(",")[4])
     chi_ad = float(lines[2].split(",")[4])
     assert chi_kraus == pytest.approx(chi_ad, abs=1e-9)
+
+
+def test_stdout_closed_by_its_reader_ends_quietly():
+    # as `capscale ad-gap --grid 101 | head -n 1`: the table (about 1 MB) is
+    # far larger than a pipe's buffer, so the command is still writing when
+    # its reader leaves, and it ends with exit status 1 and nothing on stderr
+    argv = [sys.executable, "-m", "capscale.cli", "ad-gap", "--grid", "101"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"gamma0,gamma1,")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_stdout_that_cannot_be_written_is_one_error_line(channel_files):
+    # every write to /dev/full fails with ENOSPC: the command ends as a failed
+    # --output write does, with one error line and exit code 2
+    for argv in (["capacity", channel_files["per4"]], ["ad-gap", "--grid", "101"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "capscale.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write output: ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_console_entry_point_stdout(channel_files):

@@ -35,6 +35,7 @@ from conftest import (
     damping_channel_file,
     generalized_damping,
     haar_unitary,
+    kraus_entry,
     run_to_file,
 )
 
@@ -1286,6 +1287,99 @@ def test_pair_rule_at_flat_and_equal_curves_and_close_peaks(work_counts):
         assert work_counts["maximizer"] == 2
         truth = oracles.pair_minimum(("damping", gamma), ("x_damping", gamma))
         assert abs(report.per_subset[(0, 1)].c_delta - truth) <= 1e-12
+
+
+def edge_families():
+    """(curves, q) of random tables at the pair rule's edges.
+
+    L = 6 damping with Dirichlet q, drawn as the random-simulate benchmark
+    draws them; damping alternating with X·AD·X, whose pairs cross; flat
+    curves (damping 1, depolarizing 1) among others; and gammas within
+    1e-7 of each other.
+    """
+    rng = np.random.default_rng(49)
+    for _ in range(6):
+        gammas = rng.uniform(0.05, 0.95, 6)
+        yield [("damping", float(g)) for g in gammas], rng.dirichlet(np.ones(6))
+    for L in (2, 5, 8):
+        gammas = rng.uniform(0.05, 0.95, L)
+        curves = [("x_damping" if i % 2 else "damping", float(g)) for i, g in enumerate(gammas)]
+        yield curves, rng.dirichlet(np.ones(L))
+    yield CROSSING_FAMILY, np.full(12, 1 / 12)
+    flat = [("damping", 1.0), ("depolarizing", 1.0), ("damping", 0.3), ("x_damping", 0.4)]
+    yield flat + [("depolarizing", 0.2)], rng.dirichlet(np.ones(5))
+    for kinds in (["damping"], ["damping", "x_damping"]):
+        gammas = rng.uniform(0.1, 0.9) + rng.uniform(-5e-8, 5e-8, 6)
+        curves = [(kinds[i % len(kinds)], float(g)) for i, g in enumerate(gammas)]
+        yield curves, rng.dirichlet(np.ones(6))
+
+
+def test_random_table_edges_are_exact():
+    # with no margin: a single branch's c_delta and cbar_delta are its
+    # chi_star, bit for bit; no c_delta exceeds a member's chi_star; and a
+    # delta's cbar_delta is its best member's chi_star, bit for bit. So the
+    # pair table's diagonal is the branches' suprema, in every table, full
+    # or of given deltas
+    bits = float.hex
+    for curves, q in edge_families():
+        L = len(curves)
+        branches = [branch(c) for c in curves]
+        some = [tuple(range(L)), *((i,) for i in reversed(range(L))), (0, L - 1)]
+        for deltas in (None, some):
+            report = compute_random_scale_report(branches, q, deltas)
+            stars = [s.chi_star for s in report.per_branch_suprema]
+            table = report.per_subset
+            for i in range(L):
+                assert bits(table[(i,)].c_delta) == bits(table[(i,)].cbar_delta) == bits(stars[i])
+            for d, entry in table.items():
+                assert all(entry.c_delta <= stars[i] for i in d)
+                assert bits(entry.cbar_delta) == bits(max(stars[i] for i in d))
+
+
+def curve_entry(curve):
+    """A channel file's branch of a curve ("damping", "x_damping" or "depolarizing")."""
+    kind, param = curve
+    if kind == "damping":
+        return {"type": "amplitude_damping", "gamma": param}
+    if kind == "depolarizing":
+        return {"type": "depolarizing", "p": param}
+    return kraus_entry(kraus_operators(x_damping(param)))
+
+
+def test_printed_suprema_agree_across_commands(tmp_path):
+    # chi, capacity (periodic and random memory) and random-scale print the
+    # same suprema for the same branches, with no margin; random-scale's
+    # singleton rows print them as c_delta and cbar_delta, and the full
+    # set's row, in capacity and random-scale, prints the largest as cbar_delta
+    for curves, q in edge_families():
+        L = len(curves)
+        branches = [curve_entry(c) for c in curves]
+        printed = []
+        runs = [
+            ({"kind": "periodic"}, ("chi", "capacity")),
+            ({"kind": "random", "q": q.tolist()}, ("chi", "capacity", "random-scale")),
+        ]
+        for memory, commands in runs:
+            path = tmp_path / f"{memory['kind']}.json"
+            path.write_text(json.dumps({"branches": branches, "memory": memory}))
+            for command in commands:
+                rc, text = run_to_file(tmp_path, [command, str(path), "--format", "json"])
+                assert rc == 0
+                got = json.loads(text)
+                if command == "chi":
+                    printed.append([row["chi_star"] for row in got])
+                    continue
+                printed.append([s["chi_star"] for s in got["per_branch_suprema"]])
+                if "per_subset" in got:
+                    assert got["per_subset"][-1]["cbar_delta"] == max(printed[-1])
+                if command == "random-scale":
+                    singles = got["per_subset"][:L]
+                    assert [row["delta"] for row in singles] == [[i] for i in range(L)]
+                    assert [row["c_delta"] for row in singles] == printed[-1]
+                    assert [row["cbar_delta"] for row in singles] == printed[-1]
+        assert len(printed) == 5
+        assert all(p == printed[0] for p in printed)
+        assert len(printed[0]) == L
 
 
 def test_every_search_bracket_holds_its_best_point(monkeypatch):
