@@ -303,7 +303,8 @@ class _Sweep:
         matrix, in calls of at most _REFINE_BLOCK pairs. The jets are the
         rows of a table, and a lane's value, slope and curvature are the
         in-order sums (_combined) of its pairs' rows, over a matrix of pair
-        indices laid out like the member matrix (lanes are increasing). Each
+        indices that _padded lays out as it does the member matrix (lanes are
+        increasing, so it comes size-major too). Each
         lane starts at its quartic peak, which at tol 1e-8 is usually within
         tol/8 of its maximizer, so that the first step closes its bracket,
         and proposes its summed curve's Newton point (NaN where the summed
@@ -314,7 +315,7 @@ class _Sweep:
         real = np.arange(rows.shape[1]) < size[:, None]
         form = self.form.take(rows[real], axis=1)  # in member order; take keeps it C-ordered
         lane = np.repeat(np.arange(len(lanes)), size)
-        pairs = real.cumsum().reshape(real.shape) - 1  # rows of table, a lane's last repeated
+        pairs = _padded(np.arange(len(lane)), size)  # each lane's rows of table, in member order
         k = self.k[lanes]
         lo = _SCAN[np.maximum(k - 2, 0)]
         hi = _SCAN[np.minimum(k + 2, len(_SCAN) - 1)]
@@ -341,10 +342,15 @@ def _member_matrix(subsets):
 
 
 def _padded(flat, size):
-    """The member matrix of the subsets whose members, row by row, are flat."""
-    members = np.repeat(flat[size.cumsum() - 1, None], size.max(initial=0), axis=1)  # last ones
-    members[np.arange(members.shape[1]) < size[:, None]] = flat  # row by row
-    return members
+    """The matrix whose rows hold flat's entries, size[i] for row i, each padded with its last.
+
+    It lays out every padded index matrix: the member matrix of given subsets
+    (_member_matrix) and of enumerated ones (_subset_masks), and the refine's
+    matrix of pair indices. _combined never reads a padded entry.
+    """
+    matrix = np.repeat(flat[size.cumsum() - 1, None], size.max(initial=0), axis=1)  # last ones
+    matrix[np.arange(matrix.shape[1]) < size[:, None]] = flat  # row by row
+    return matrix
 
 
 def _combined(rows, members, size, at, width):
@@ -547,13 +553,13 @@ def chi_mirror_family(ch, a):
 
 
 def _subset_masks(L: int, sizes):
-    """The subsets of range(L) of the given sizes: bit masks, incidence, flat members, sizes.
+    """The subsets of range(L) of the given sizes: bit masks, member matrix and sizes.
 
-    Bit L-1-m of subset i's mask, and inc[i, m], are set for its members m;
-    flat lists each subset's members in increasing order, subset after
-    subset. The subsets come in report order, size-major, then
-    lexicographic, as itertools.combinations gives them: within a size, in
-    decreasing mask.
+    Bit L-1-m of subset i's mask is set for its members m, and row i of the
+    member matrix lists them in increasing order, padded with its last
+    (_padded), as _member_matrix lays out a list of tuples. The subsets come
+    in report order, size-major, then lexicographic, as
+    itertools.combinations gives them: within a size, in decreasing mask.
     """
     if L > MAX_BRANCHES:
         raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
@@ -566,10 +572,9 @@ def _subset_masks(L: int, sizes):
     wanted[list(sizes)] = True
     order = np.flatnonzero(wanted[size])
     order = order[size[order].argsort(kind="stable")]
-    inc = bits.take(order, axis=0).view(bool)
-    flat = np.flatnonzero(inc)  # row by row; nonzero is fastest on bools
+    flat = np.flatnonzero(bits.take(order, axis=0).view(bool))  # row by row; fastest on bools
     flat %= L
-    return masks[order], inc, flat, size[order]
+    return masks[order], _padded(flat, size[order]), size[order]
 
 
 def _rotations(masks, L: int) -> np.ndarray:
@@ -664,8 +669,7 @@ def _scale_levels(form, sizes, tol: float) -> tuple[dict, np.ndarray]:
     _subset_masks). Only the picks become tuples (see _level_picks).
     """
     L = form.shape[1]
-    masks, _, flat, size = _subset_masks(L, sizes)
-    members = _padded(flat, size)
+    masks, members, size = _subset_masks(L, sizes)
     sweep = _Sweep(form, members, size)
     row = np.zeros(1 << L, dtype=int)
     row[masks] = np.arange(len(size))
@@ -758,7 +762,10 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     in it. deltas defaults to every nonempty subset of branches, in the
     order of _subset_masks, size-major, then lexicographic (the branch
     count is capped at MAX_BRANCHES in that case); deltas passed in are
-    validated, the enumerated ones are not.
+    validated, the enumerated ones are not. Either way the deltas come as
+    a member matrix (_subset_masks' rows, whose cuts at their sizes are
+    the enumerated tuples, or _member_matrix of the given ones), and the
+    incidence that _fill_subsets reads is built from it.
 
     Every c_delta comes from one maximization over the L singletons,
     whatever the deltas: the worst case of each pair in a delta, a
@@ -770,15 +777,13 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     L = form.shape[1]
     q = tuple(check_probabilities(q, L).tolist())
     if deltas is None:
-        _, inc, flat, size = _subset_masks(L, range(1, L + 1))
-        deltas, at = [], 0
-        for r, n in enumerate(np.bincount(size).tolist()):  # n subsets of r members each
-            deltas += map(tuple, flat[at:at + n * r].reshape(n, r).tolist())
-            at += n * r
+        _, members, size = _subset_masks(L, range(1, L + 1))
+        deltas = [tuple(row[:r]) for row, r in zip(members.tolist(), size.tolist())]
     else:
         deltas = [_check_subset(d, L) for d in listed(deltas, "deltas", "subsets")]
-        inc = np.zeros((len(deltas), L), dtype=bool)  # inc[delta, i]: branch i lies in delta
-        inc[np.arange(len(deltas))[:, None], _member_matrix(deltas)[0]] = True
+        members, _ = _member_matrix(deltas)
+    # inc[delta, i]: branch i lies in delta, the identity's rows at its members or-ed together
+    inc = np.eye(L, dtype=bool).take(members.T, axis=0).any(axis=0)
     pairs = np.argwhere(np.triu(inc.T @ inc))  # (pairs, 2), i <= m in each row (i, m)
     peaks = _maximize(form, [(i,) for i in range(L)], tol)
     pair = np.full((L, L), np.inf)  # pair[i, m] for the pairs (i, m), +inf elsewhere

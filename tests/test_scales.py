@@ -947,16 +947,23 @@ def test_level_picks_are_the_first_tied_subsets_in_combinations_order():
 
 def test_subset_masks_come_in_report_order():
     # one enumeration serves every report: its rows in itertools.combinations
-    # order, size-major, each mask with bit L-1-m for member m, each incidence
-    # row True at the members, and row k of the rotations the row of the
-    # subset with each member m moved to (m + k) mod L
+    # order, size-major, each mask with bit L-1-m for member m, each member
+    # row the subset's members in increasing order padded with its last, the
+    # very matrix that _member_matrix makes of the same tuples, and row k of
+    # the rotations the row of the subset with each member m moved to
+    # (m + k) mod L
     for L in range(1, scales.MAX_BRANCHES + 1):
         for sizes in [*([r] for r in range(1, L + 1)), range(1, L + 1)]:
-            masks, inc, flat, size = scales._subset_masks(L, sizes)
-            subsets = [tuple(s.tolist()) for s in np.split(flat, size.cumsum()[:-1])]
+            masks, members, size = scales._subset_masks(L, sizes)
+            subsets = [tuple(row[:r]) for row, r in zip(members.tolist(), size.tolist())]
             assert subsets == oracles.all_subsets(L, sizes)
+            width = members.shape[1]
+            assert members.tolist() == [[*s, *[s[-1]] * (width - len(s))] for s in subsets]
+            expected = scales._member_matrix(oracles.all_subsets(L, sizes))
+            for got, want in zip((members, size), expected):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
             assert masks.tolist() == [sum(1 << (L - 1 - m) for m in s) for s in subsets]
-            assert inc.tolist() == [[m in s for m in range(L)] for s in subsets]
             row = np.zeros(1 << L, dtype=int)
             row[masks] = np.arange(len(size))
             rot = row[scales._rotations(masks, L)]
@@ -965,6 +972,37 @@ def test_subset_masks_come_in_report_order():
                 assert rot[k].tolist() == [
                     index[tuple(sorted((m + k) % L for m in s))] for s in subsets
                 ]
+
+
+def test_combined_never_reads_padding():
+    # a member matrix pads each row with its last member, and a refine lays
+    # out its pair matrix only as wide as its own lanes' largest size:
+    # _combined reads each row's first size entries only, so neither the
+    # padded entries' values nor the columns that hold padding only change a
+    # bit of its sums, with one first column for every subset or one each
+    rng = np.random.default_rng(50)
+    cases = []
+    for L in (1, 2, 5, 8):
+        for sizes in (range(1, L + 1), sorted(rng.choice(L, rng.integers(1, L + 1), False) + 1)):
+            shuffled = oracles.all_subsets(L, sizes)
+            shuffled = sorted((shuffled[i] for i in rng.permutation(len(shuffled))), key=len)
+            cases.append((L, *scales._subset_masks(L, sizes)[1:]))
+            cases.append((L, *scales._member_matrix(shuffled)))
+    for L, members, size in cases:
+        rows = rng.standard_normal((L, 40))
+        # every subset, and some of them in order, as a refine's lanes
+        some = np.sort(rng.choice(len(size), rng.integers(1, len(size) + 1), replace=False))
+        for lanes in (np.arange(len(size)), some):
+            m, s = members[lanes], size[lanes]
+            padding = np.arange(m.shape[1]) >= s[:, None]
+            variants = []
+            for fill in (0, rng.integers(0, L, padding.sum())):
+                filled = m.copy()
+                filled[padding] = fill
+                variants += [filled, filled[:, :s.max()]]
+            for at in (int(rng.integers(0, 36)), rng.integers(0, 36, len(s))):
+                want = scales._combined(rows, m, s, at, 5).tobytes()
+                assert all(scales._combined(rows, v, s, at, 5).tobytes() == want for v in variants)
 
 
 def test_periodic_reports_refuse_more_branches_than_masks_cover(tmp_path, capsys):
