@@ -20,13 +20,7 @@ from .scales import (
     scale_r,
     subset_scale_value,
 )
-from .simulate import (
-    SimResult,
-    StaircaseRow,
-    Strategy,
-    empirical_staircase,
-    run_trials,
-)
+from .simulate import StaircaseRow, empirical_staircase
 
 __version__ = "0.1.0"
 
@@ -49,10 +43,7 @@ __all__ = [
     "per_branch_suprema",
     "scale_r",
     "subset_scale_value",
-    "SimResult",
     "StaircaseRow",
-    "Strategy",
     "empirical_staircase",
-    "run_trials",
     "__version__",
 ]

@@ -351,15 +351,12 @@ def cmd_staircase(args, mc, tol):
 
 
 def cmd_simulate(args, mc, tol):
-    rates = _parse_rates(args.rate)
-    if args.subset is None:
-        rows = simulate.empirical_staircase(mc, rates, args.trials, args.seed, tol)
-    else:
+    rates, subset = _parse_rates(args.rate), args.subset
+    if subset is not None:
         if len(rates) != 1:
             raise ValidationError("--subset requires exactly one rate")
-        strategy = simulate.Strategy(_parse_indices(args.subset, "--subset"), rates[0])
-        res = simulate.run_trials(mc, strategy, args.trials, args.seed, tol)
-        rows = [simulate.StaircaseRow.from_result(res)]
+        subset = _parse_indices(subset, "--subset")
+    rows = simulate.empirical_staircase(mc, rates, args.trials, args.seed, tol, subset)
     header = [f.name for f in dataclasses.fields(simulate.StaircaseRow)]
     return header, map(operator.attrgetter(*header), rows)
 

@@ -552,6 +552,12 @@ def chi_mirror_family(ch, a):
     return float(chi) if chi.ndim == 0 else chi
 
 
+def _check_enumerable(L: int):
+    """Refuse an enumeration of every subset of more than MAX_BRANCHES branches."""
+    if L > MAX_BRANCHES:
+        raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
+
+
 def _subset_masks(L: int, sizes):
     """The subsets of range(L) of the given sizes: bit masks, member matrix and sizes.
 
@@ -561,8 +567,7 @@ def _subset_masks(L: int, sizes):
     in report order, size-major, then lexicographic, as
     itertools.combinations gives them: within a size, in decreasing mask.
     """
-    if L > MAX_BRANCHES:
-        raise ValidationError(f"subset enumeration limited to {MAX_BRANCHES} branches")
+    _check_enumerable(L)
     masks = np.arange((1 << L) - 1, 0, -1, dtype="<i8")
     # bit L-1-m shifted to bit 63-m, which the big-endian bytes unpack m-th
     top = (masks << (64 - L)).astype(">i8").view(np.uint8).reshape(-1, 8)
@@ -759,13 +764,12 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     c_delta uses a single ensemble that must serve every branch in the
     subset (maximize the worst case); cbar_delta is the best single branch
     in the subset; q_delta is the probability that the drawn branch lies
-    in it. deltas defaults to every nonempty subset of branches, in the
-    order of _subset_masks, size-major, then lexicographic (the branch
-    count is capped at MAX_BRANCHES in that case); deltas passed in are
-    validated, the enumerated ones are not. Either way the deltas come as
-    a member matrix (_subset_masks' rows, whose cuts at their sizes are
-    the enumerated tuples, or _member_matrix of the given ones), and the
-    incidence that _fill_subsets reads is built from it.
+    in it. deltas defaults to every nonempty subset of branches, in report
+    order, size-major, then lexicographic, as itertools.combinations gives
+    them (the branch count is capped at MAX_BRANCHES in that case); deltas
+    passed in are validated, the enumerated ones are not. Either way the
+    deltas come as their _member_matrix, and the incidence that
+    _fill_subsets reads is built from it.
 
     Every c_delta comes from one maximization over the L singletons,
     whatever the deltas: the worst case of each pair in a delta, a
@@ -777,11 +781,11 @@ def compute_random_scale_report(branches, q, deltas=None, tol: float = 1e-8) -> 
     L = form.shape[1]
     q = tuple(check_probabilities(q, L).tolist())
     if deltas is None:
-        _, members, size = _subset_masks(L, range(1, L + 1))
-        deltas = [tuple(row[:r]) for row, r in zip(members.tolist(), size.tolist())]
+        _check_enumerable(L)
+        deltas = [d for r in range(1, L + 1) for d in itertools.combinations(range(L), r)]
     else:
         deltas = [_check_subset(d, L) for d in listed(deltas, "deltas", "subsets")]
-        members, _ = _member_matrix(deltas)
+    members, _ = _member_matrix(deltas)
     # inc[delta, i]: branch i lies in delta, the identity's rows at its members or-ed together
     inc = np.eye(L, dtype=bool).take(members.T, axis=0).any(axis=0)
     pairs = np.argwhere(np.triu(inc.T @ inc))  # (pairs, 2), i <= m in each row (i, m)

@@ -1,12 +1,14 @@
 """Monte Carlo check of the operational meaning of subset rates.
 
-The model is deliberately idealized: a coding strategy targets a subset
-of branches at a fixed rate, the channel draws one branch per trial
+The model is deliberately idealized: at each attempted rate the decoder
+targets one subset of branches (the most probable one whose rate clears
+it, or one the caller fixes), the channel draws one branch per trial
 (uniformly over cyclic offsets for periodic memory, by q for random
 memory), and decoding succeeds exactly when the drawn branch lies in the
 target subset and the rate is strictly below the subset's achievable
-rate. Empirical failure frequencies then converge to the theoretical
-error floors at the usual 1/sqrt(n) pace.
+rate. empirical_staircase is the one entry. Empirical failure
+frequencies then converge to the theoretical error floors at the usual
+1/sqrt(n) pace.
 """
 
 from __future__ import annotations
@@ -57,32 +59,6 @@ def _check_draws(n_trials, seed, rows: int = 1) -> tuple[int, int]:
     return n_trials, seed
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """A target subset of branch indices and an attempted rate in bits."""
-
-    subset: tuple[int, ...]
-    rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "subset", check_indices(self.subset, "strategy subset"))
-        object.__setattr__(self, "rate", _check_rate(self.rate))
-
-
-# A result holds an array, so it compares and hashes by identity.
-@dataclass(frozen=True, eq=False)
-class SimResult:
-    n_trials: int
-    seed: int
-    strategy: Strategy
-    subset_rate: float
-    q_subset: float
-    theoretical_error: float
-    empirical_error: float
-    max_branch_error: float
-    counts: np.ndarray  # draws per branch, length L
-
-
 def _branch_probs(mc: MemoryChannel) -> np.ndarray:
     if mc.memory == "periodic":
         L = len(mc.branches)
@@ -130,43 +106,6 @@ def _draw(mc: MemoryChannel, subset, n_trials: int, seed: int) -> tuple[np.ndarr
     return counts, 1.0 - float(counts[list(subset)].sum() / n_trials)
 
 
-def run_trials(
-    mc: MemoryChannel, strategy: Strategy, n_trials: int, seed: int, tol: float = 1e-8
-) -> SimResult:
-    """Draw branches and score the strategy by the idealized decoder.
-
-    A branch decodes exactly when it lies in the strategy's subset and the
-    rate clears the subset's rate. The staircase's rule decides it
-    (_best_subset_for_rate on the subset's one row): the subset decodes,
-    or the empty row, which decodes nothing. So the count of draws per
-    branch is a sufficient statistic: the n_trials draws are one
-    multinomial sample of those counts from a counter-based generator, in
-    time and memory of order L, and the result depends only on (seed,
-    n_trials). empirical_error is the fraction of draws that landed on
-    failing branches, and max_branch_error, the worst per-branch failure
-    rate among drawn branches, is 1.0 if any failing branch was drawn and
-    0.0 otherwise.
-    n_trials must lie in [1, MAX_TRIALS] and the seed in [0, 2**128), the
-    generator's key range.
-    """
-    n_trials, seed = _check_draws(n_trials, seed)
-    ((_, value, q_subset),) = rated = _rated(mc, strategy.subset, tol)
-    decoded, _, q = _best_subset_for_rate(strategy.rate, rated)
-    counts, error = _draw(mc, decoded, n_trials, seed)
-    return SimResult(
-        n_trials=n_trials,
-        seed=seed,
-        strategy=strategy,
-        subset_rate=value,
-        q_subset=q_subset,
-        theoretical_error=1.0 - q,
-        empirical_error=error,
-        # a branch always or never decodes: any failure is a failing branch's
-        max_branch_error=float(error > 0.0),
-        counts=counts,
-    )
-
-
 @dataclass(frozen=True)
 class StaircaseRow:
     rate_bits: float
@@ -176,13 +115,6 @@ class StaircaseRow:
     empirical_error: float
     n_trials: int
     seed: int
-
-    @classmethod
-    def from_result(cls, res: SimResult) -> StaircaseRow:
-        """The row of a simulation: its strategy's rate and subset, its errors and its draws."""
-        strategy = res.strategy
-        return cls(strategy.rate, strategy.subset, res.q_subset, res.theoretical_error,
-                   res.empirical_error, res.n_trials, res.seed)
 
 
 def _best_subset_for_rate(rate, rated):
@@ -194,17 +126,27 @@ def _best_subset_for_rate(rate, rated):
 
 
 def empirical_staircase(
-    mc: MemoryChannel, rates, n_trials: int, seed: int, tol: float = 1e-8
+    mc: MemoryChannel, rates, n_trials: int, seed: int, tol: float = 1e-8, subset=None
 ) -> list[StaircaseRow]:
-    """Simulate the best strategy at each rate and tabulate the errors.
+    """Simulate the idealized decoder at each rate and tabulate the errors.
 
-    For each rate the most probable subset still achieving that rate is
-    simulated (a tie goes to the first in the report's order: smaller,
-    then lexicographically earlier subsets); rates above every
-    subset rate get the empty subset, which decodes no branch, so all of
-    its draws fail. Row i runs with seed + i so rows are reproducible
-    independently.
+    For each rate the most probable subset still achieving that rate
+    decodes (a tie goes to the first in the report's order: smaller, then
+    lexicographically earlier subsets); rates above every subset rate get
+    the empty subset, which decodes no branch, so all of its draws fail.
+    A given subset is the one candidate: it decodes while its rate clears
+    the attempted rate, and its row shows it and its probability with the
+    errors of whatever decoded. Only its own rate is computed, so it
+    needs no table of every subset.
+
+    The draws are one multinomial sample of the counts per branch from a
+    counter-based generator (_draw), in time and memory of order L. Row i
+    runs with seed + i so rows are reproducible independently. Rates must
+    be ascending, n_trials must lie in [1, MAX_TRIALS] and every row's
+    seed in [0, 2**128), the generator's key range.
     """
+    if subset is not None:
+        subset = check_indices(subset)
     rates = [_check_rate(r) for r in rates]
     if not rates:
         raise ValidationError("need at least one rate")
@@ -212,12 +154,12 @@ def empirical_staircase(
         raise ValidationError("rates must be sorted in ascending order")
 
     n_trials, seed = _check_draws(n_trials, seed, rows=len(rates))
-    rated = _rated(mc, None, tol)
+    rated = _rated(mc, subset, tol)
 
     rows = []
     for i, rate in enumerate(rates):
-        subset, _, q = _best_subset_for_rate(rate, rated)
-        _, error = _draw(mc, subset, n_trials, seed + i)
-        rows.append(StaircaseRow(rate, subset, q, 1.0 - q, error, n_trials, seed + i))
+        decoded = _best_subset_for_rate(rate, rated)
+        _, error = _draw(mc, decoded[0], n_trials, seed + i)
+        target, _, q = decoded if subset is None else rated[0]
+        rows.append(StaircaseRow(rate, target, q, 1.0 - decoded[2], error, n_trials, seed + i))
     return rows
-

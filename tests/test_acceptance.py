@@ -184,11 +184,11 @@ def test_criterion_09_staircase_monte_carlo():
             [cs.QubitChannel.amplitude_damping(g) for g in GAMMAS4]
         )
         n = 100_000
-        res = cs.run_trials(mc, cs.Strategy((0, 1), 0.6), n, seed=90210)
+        (res,) = cs.empirical_staircase(mc, [0.6], n, seed=90210, subset=(0, 1))
         assert res.theoretical_error == pytest.approx(0.5, abs=1e-12)
         assert abs(res.empirical_error - 0.5) <= 4.0 * math.sqrt(0.25 / n)
         # above the best single-branch rate every trial fails
-        above = cs.run_trials(mc, cs.Strategy((0, 1), 0.6695), n, seed=90211)
+        (above,) = cs.empirical_staircase(mc, [0.6695], n, seed=90211, subset=(0, 1))
         assert above.empirical_error == 1.0
 
 

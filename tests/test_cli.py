@@ -342,6 +342,27 @@ def test_simulate_command_fixed_subset(channel_files, tmp_path):
     assert abs(float(row[4]) - 0.5) < 0.05
 
 
+# simulate --subset 0,1 --trials 1000 --seed 7: a rate that the subset
+# clears, and rate 5.0, which it does not, so nothing decodes; the row shows
+# the target subset and its probability with the errors of what decoded
+SUBSET_ROWS = [
+    ("per4", 0.5, "0.5,0;1,0.5,0.5,0.483,1000,7", [0.5, [0, 1], 0.5, 0.5, 0.483, 1000, 7]),
+    ("per4", 5.0, "5,0;1,0.5,1,1,1000,7", [5.0, [0, 1], 0.5, 1.0, 1.0, 1000, 7]),
+    ("rand3", 0.5, "0.5,0;1,0.8,0.2,0.199,1000,7", [0.5, [0, 1], 0.8, 0.2, 0.199, 1000, 7]),
+    ("rand3", 5.0, "5,0;1,0.8,1,1,1000,7", [5.0, [0, 1], 0.8, 1.0, 1.0, 1000, 7]),
+]
+
+
+@pytest.mark.parametrize("name, rate, csv_row, values", SUBSET_ROWS)
+def test_simulate_subset_row_bytes(channel_files, tmp_path, name, rate, csv_row, values):
+    header = "rate_bits,subset,q_subset,theoretical_error,empirical_error,n_trials,seed"
+    argv = ["simulate", channel_files[name], "--rate", repr(rate), "--subset", "0,1",
+            "--trials", "1000", "--seed", "7"]
+    assert run_to_file(tmp_path, argv) == (0, f"{header}\n{csv_row}\n")
+    text = json.dumps([dict(zip(header.split(","), values))], indent=2) + "\n"
+    assert run_to_file(tmp_path, argv + ["--format", "json"]) == (0, text)
+
+
 def test_simulate_subset_needs_single_rate(channel_files, tmp_path, capsys):
     rc, _ = run_to_file(
         tmp_path,

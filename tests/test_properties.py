@@ -25,11 +25,11 @@ import oracles
 from capscale import (
     MemoryChannel,
     QubitChannel,
-    Strategy,
     ValidationError,
     compute_random_scale_report,
-    run_trials,
+    empirical_staircase,
 )
+from capscale.simulate import _draw
 from conftest import haar_unitary, kraus_entry
 
 PROPERTY = settings(
@@ -157,15 +157,16 @@ RAND3 = MemoryChannel.random([QubitChannel.amplitude_damping(g) for g in GAMMAS3
 @given(subset=SUBSETS, rate=RATES)
 def test_strategy_subsets_and_rates(tmp_path, subset, rate):
     try:
-        strategy = Strategy(subset, rate)
-        res = run_trials(RAND3, strategy, 64, seed=0)
+        (row,) = empirical_staircase(RAND3, [rate], 64, seed=0, subset=subset)
     except ValidationError:
         pass
     else:
-        assert strategy.subset == tuple(sorted(set(strategy.subset)))
-        assert all(type(i) is int for i in strategy.subset)
-        assert type(strategy.rate) is float and 0.0 <= strategy.rate < math.inf
-        assert res.counts.sum() == 64
+        assert row.subset == tuple(sorted(set(row.subset)))
+        assert all(type(i) is int for i in row.subset)
+        assert type(row.rate_bits) is float and 0.0 <= row.rate_bits < math.inf
+        assert row.n_trials == 64
+        counts, _ = _draw(RAND3, row.subset, 64, 0)
+        assert counts.sum() == 64
 
     text = ",".join(map(str, subset)) if isinstance(subset, tuple) else str(subset)
     branches = [{"type": "amplitude_damping", "gamma": g} for g in GAMMAS3]

@@ -15,10 +15,10 @@ from conftest import damping_channel_file, run_to_file
 
 PUBLIC = """
     BranchSupremum CapacityReport MemoryChannel NumericalError OptResult QubitChannel
-    RandomScaleReport ScaleEntry SimResult StaircaseRow Strategy SubsetScale ValidationError
+    RandomScaleReport ScaleEntry StaircaseRow SubsetScale ValidationError
     __version__ chi_mirror_family compute_capacity_report
     compute_random_scale_report empirical_staircase kraus_operators maximize_concave_1d
-    per_branch_suprema run_trials scale_r subset_scale_value
+    per_branch_suprema scale_r subset_scale_value
 """.split()
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,7 +27,7 @@ README = ROOT / "README.md"
 
 def test_public_surface():
     assert sorted(capscale.__all__) == PUBLIC
-    assert len(set(capscale.__all__)) == len(capscale.__all__) == 24
+    assert len(set(capscale.__all__)) == len(capscale.__all__) == 21
     for name in capscale.__all__:
         getattr(capscale, name)  # every name resolves
 

@@ -18,14 +18,13 @@ from capscale import (
     NumericalError,
     QubitChannel,
     ScaleEntry,
-    Strategy,
     ValidationError,
     chi_mirror_family,
     compute_capacity_report,
     compute_random_scale_report,
+    empirical_staircase,
     kraus_operators,
     per_branch_suprema,
-    run_trials,
     scale_r,
     subset_scale_value,
 )
@@ -826,7 +825,7 @@ def test_work_ceilings_of_random_subset_rate_and_ad_gap(work_counts, tmp_path):
     mc = MemoryChannel.random(
         [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4, 0.7)], [0.5, 0.3, 0.2]
     )
-    run_trials(mc, Strategy((0, 1), 0.3), 100, seed=1)
+    empirical_staircase(mc, [0.3], 100, seed=1, subset=(0, 1))
     assert work_counts["maximizer"] == 1  # the subset's minimum only
 
     work_counts.clear()
@@ -972,6 +971,15 @@ def test_subset_masks_come_in_report_order():
                 assert rot[k].tolist() == [
                     index[tuple(sorted((m + k) % L for m in s))] for s in subsets
                 ]
+
+
+def test_random_table_rows_come_in_report_order():
+    # the full random table enumerates its deltas itself: every nonempty
+    # subset, size-major, then lexicographic, up to the enumeration cap
+    for L in range(1, scales.MAX_BRANCHES + 1):
+        gammas = np.linspace(0.05, 0.9, L)
+        report = compute_random_scale_report(list(gammas), np.full(L, 1.0 / L))
+        assert list(report.per_subset) == oracles.all_subsets(L, range(1, L + 1))
 
 
 def test_combined_never_reads_padding():

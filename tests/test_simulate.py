@@ -10,16 +10,15 @@ import oracles
 from capscale import (
     MemoryChannel,
     QubitChannel,
-    Strategy,
+    StaircaseRow,
     ValidationError,
     compute_capacity_report,
     compute_random_scale_report,
     empirical_staircase,
     kraus_operators,
-    run_trials,
     subset_scale_value,
 )
-from capscale.simulate import MAX_TRIALS, RATE_MARGIN, _branch_probs, _rated
+from capscale.simulate import MAX_TRIALS, RATE_MARGIN, _branch_probs, _draw, _rated
 from conftest import damping_channel_file, run_to_file
 
 GAMMAS4 = (0.0, 0.2, 0.4, 0.6)
@@ -35,55 +34,62 @@ def random3():
     )
 
 
+def fixed(mc, subset, rate, n_trials=100, seed=1):
+    """The one row of a simulation of a fixed target subset at one rate."""
+    (row,) = empirical_staircase(mc, [rate], n_trials, seed, subset=subset)
+    return row
+
+
 def test_strategy_validation():
+    mc = periodic4()
     with pytest.raises(ValidationError):
-        Strategy((), 0.5)
+        fixed(mc, (), 0.5)
     with pytest.raises(ValidationError):
-        Strategy((0, 0), 0.5)
+        fixed(mc, (0, 0), 0.5)
     with pytest.raises(ValidationError):
-        Strategy((0,), -0.1)
+        fixed(mc, (0,), -0.1)
     with pytest.raises(ValidationError):
-        Strategy((0,), float("nan"))
+        fixed(mc, (0,), float("nan"))
     # indices are never truncated or read from bools; rates are real numbers
     for subset in [(1.5,), (True,), ("a",), (0, np.False_)]:
         with pytest.raises(ValidationError):
-            Strategy(subset, 0.5)
+            fixed(mc, subset, 0.5)
     for rate in [True, "0.5", None, 10**400]:
         with pytest.raises(ValidationError):
-            Strategy((0,), rate)
-    assert Strategy((2, 0), 0.5).subset == (0, 2)
-    assert Strategy((np.int64(1),), 1) == Strategy((1,), 1.0)
+            fixed(mc, (0,), rate)
+    assert fixed(mc, (2, 0), 0.5).subset == (0, 2)
+    assert fixed(mc, (np.int64(1),), 1) == fixed(mc, (1,), 1.0)
 
 
-def success_oracle(mc, strategy, tol=1e-8):
-    """Per-branch success indicators of the idealized decoder that run_trials scores.
+def success_oracle(mc, subset, rate, tol=1e-8):
+    """Per-branch success indicators of the idealized decoder at a fixed subset and rate.
 
-    Branch i succeeds exactly when it belongs to the strategy's subset and
-    the attempted rate is below the subset's rate in mc's report; a rate
-    within RATE_MARGIN of that rate is refused as indeterminate.
+    Branch i succeeds exactly when it belongs to subset and the attempted
+    rate is below the subset's rate in mc's report; a rate within
+    RATE_MARGIN of that rate is refused as indeterminate.
     """
-    ((_, value, _),) = _rated(mc, strategy.subset, tol)
-    if abs(strategy.rate - value) <= RATE_MARGIN:
-        raise ValidationError(f"rate {strategy.rate!r} is within {RATE_MARGIN} of {value!r}")
+    ((_, value, _),) = _rated(mc, subset, tol)
+    if abs(rate - value) <= RATE_MARGIN:
+        raise ValidationError(f"rate {rate!r} is within {RATE_MARGIN} of {value!r}")
     ok = np.zeros(len(mc.branches), dtype=bool)
-    ok[list(strategy.subset)] = strategy.rate < value
+    ok[list(subset)] = rate < value
     return ok
 
 
 def test_success_oracle_periodic():
     mc = periodic4()
-    ok = success_oracle(mc, Strategy((0, 1), 0.5))
+    ok = success_oracle(mc, (0, 1), 0.5)
     assert ok.tolist() == [True, True, False, False]
     # rate above the subset value: nobody succeeds
-    ok = success_oracle(mc, Strategy((0, 1), 0.7))
+    ok = success_oracle(mc, (0, 1), 0.7)
     assert not ok.any()
 
 
 def test_success_oracle_random():
     mc = random3()
-    ok = success_oracle(mc, Strategy((0,), 0.6))
+    ok = success_oracle(mc, (0,), 0.6)
     assert ok.tolist() == [True, False, False]
-    ok = success_oracle(mc, Strategy((0, 1), 0.6))  # min rate of {0,1} is 0.553
+    ok = success_oracle(mc, (0, 1), 0.6)  # min rate of {0,1} is 0.553
     assert not ok.any()
 
 
@@ -91,9 +97,9 @@ def test_success_oracle_rejects_indeterminate_rate():
     mc = periodic4()
     value = subset_scale_value(GAMMAS4, (0, 1))
     with pytest.raises(ValidationError):
-        success_oracle(mc, Strategy((0, 1), value))
+        success_oracle(mc, (0, 1), value)
     with pytest.raises(ValidationError, match="indeterminate"):
-        run_trials(mc, Strategy((0, 1), value), 1000, seed=1)
+        fixed(mc, (0, 1), value, 1000, seed=1)
 
 
 def test_branch_probabilities_are_the_memory_laws_marginals():
@@ -113,42 +119,50 @@ def test_branch_probabilities_are_the_memory_laws_marginals():
 
 def test_run_trials_deterministic():
     mc = periodic4()
-    strat = Strategy((0, 1), 0.5)
-    a = run_trials(mc, strat, 5000, seed=123)
-    b = run_trials(mc, strat, 5000, seed=123)
-    assert np.array_equal(a.counts, b.counts)
-    assert a.empirical_error == b.empirical_error
-    c = run_trials(mc, strat, 5000, seed=124)
-    assert not np.array_equal(a.counts, c.counts)
+    a = fixed(mc, (0, 1), 0.5, 5000, seed=123)
+    b = fixed(mc, (0, 1), 0.5, 5000, seed=123)
+    counts_a, error_a = _draw(mc, (0, 1), 5000, 123)
+    counts_b, _ = _draw(mc, (0, 1), 5000, 123)
+    assert np.array_equal(counts_a, counts_b)
+    assert a.empirical_error == b.empirical_error == error_a
+    counts_c, _ = _draw(mc, (0, 1), 5000, 124)
+    assert not np.array_equal(counts_a, counts_c)
 
 
-def per_branch_errors(mc, res) -> list[float]:
-    """Failure rate of each drawn branch, from its draw count and the oracle."""
-    ok = success_oracle(mc, res.strategy)
-    return [1.0 - float(ok[i]) for i in np.flatnonzero(res.counts)]
+def per_branch_errors(ok, counts) -> list[float]:
+    """Failure rate of each drawn branch, from its draw count and the oracle's indicators."""
+    return [1.0 - float(ok[i]) for i in np.flatnonzero(counts)]
 
 
 def test_run_trials_statistics():
     mc = periodic4()
     n = 100_000
-    res = run_trials(mc, Strategy((0, 1), 0.5), n, seed=42)
+    res = fixed(mc, (0, 1), 0.5, n, seed=42)
+    counts, error = _draw(mc, res.subset, n, res.seed)
+    assert error == res.empirical_error  # the row's error is that of its draws
+    # a branch always or never decodes: any failure is a failing branch's
+    max_branch_error = float(res.empirical_error > 0.0)
     assert res.theoretical_error == pytest.approx(0.5, abs=1e-12)
     sigma = math.sqrt(0.25 / n)
     assert abs(res.empirical_error - 0.5) <= 4.0 * sigma
-    assert res.max_branch_error == 1.0  # branches 2 and 3 always fail
-    assert res.subset_rate == pytest.approx(0.667153683345, abs=1e-9)
-    assert len(res.counts) == 4 and res.counts.sum() == n
-    ok = success_oracle(mc, res.strategy)
+    assert max_branch_error == 1.0  # branches 2 and 3 always fail
+    ((_, subset_rate, _),) = _rated(mc, res.subset, 1e-8)
+    assert subset_rate == pytest.approx(0.667153683345, abs=1e-9)
+    assert len(counts) == 4 and counts.sum() == n
+    ok = success_oracle(mc, (0, 1), 0.5)
     assert ok.tolist() == [True, True, False, False]
-    assert res.max_branch_error == max(per_branch_errors(mc, res))
-    assert res.empirical_error == 1.0 - res.counts[ok].sum() / n
+    assert max_branch_error == max(per_branch_errors(ok, counts))
+    assert res.empirical_error == 1.0 - counts[ok].sum() / n
 
     # random memory that never draws the branch outside the subset
     branches = [QubitChannel.amplitude_damping(g) for g in (0.1, 0.4, 0.7)]
     mc = MemoryChannel.random(branches, [0.6, 0.4, 0.0])
-    res = run_trials(mc, Strategy((0, 1), 0.5), n, 7)
-    assert res.counts.sum() == n and res.counts[2] == 0 and res.counts[:2].all()
-    assert res.max_branch_error == max(per_branch_errors(mc, res)) == 0.0
+    res = fixed(mc, (0, 1), 0.5, n, 7)
+    counts, error = _draw(mc, res.subset, n, 7)
+    assert error == res.empirical_error
+    assert counts.sum() == n and counts[2] == 0 and counts[:2].all()
+    ok = success_oracle(mc, (0, 1), 0.5)
+    assert float(res.empirical_error > 0.0) == max(per_branch_errors(ok, counts)) == 0.0
     assert res.empirical_error == res.theoretical_error == 0.0
 
 
@@ -157,8 +171,9 @@ def test_run_trials_draws_from_q_off_by_rounding(tmp_path):
     q = [0.5 + 5e-11, 0.5, 0.0]
     gammas = (0.1, 0.4, 0.7)
     mc = MemoryChannel.random([QubitChannel.amplitude_damping(g) for g in gammas], q)
-    res = run_trials(mc, Strategy((0,), 0.6), 1000, seed=3)
-    assert res.counts.sum() == 1000 and res.counts[2] == 0
+    res = fixed(mc, (0,), 0.6, 1000, seed=3)
+    counts, error = _draw(mc, (0,), 1000, 3)
+    assert counts.sum() == 1000 and counts[2] == 0 and error == res.empirical_error
     assert res.q_subset == q[0] and res.theoretical_error == 1.0 - q[0]
     rows = empirical_staircase(mc, [0.3, 0.6, 0.9], 1000, seed=3)
     assert [r.subset for r in rows] == [(0, 1), (0,), ()]  # ties prefer smaller
@@ -176,7 +191,7 @@ def test_theoretical_error_is_never_negative(tmp_path):
     mc = MemoryChannel.random([QubitChannel.amplitude_damping(g) for g in gammas], q)
     (row,) = empirical_staircase(mc, [0.3], 1000, seed=1)
     assert row.subset == (0, 1) and row.theoretical_error == 0.0
-    assert run_trials(mc, Strategy((0, 1), 0.3), 1000, seed=1).theoretical_error == 0.0
+    assert fixed(mc, (0, 1), 0.3, 1000, seed=1).theoretical_error == 0.0
     path = damping_channel_file(tmp_path, gammas, {"kind": "random", "q": q})
     for extra in ([], ["--subset", "0,1"]):
         argv = ["simulate", path, "--rate", "0.3", "--trials", "1000", "--seed", "1"]
@@ -190,7 +205,7 @@ def test_probabilities_never_exceed_one(tmp_path):
     q = [0.5 + 5e-11, 0.5, 0.0]
     gammas = (0.1, 0.4, 0.7)
     mc = MemoryChannel.random([QubitChannel.amplitude_damping(g) for g in gammas], q)
-    assert run_trials(mc, Strategy((0, 1), 0.3), 1000, seed=1).q_subset == 1.0
+    assert fixed(mc, (0, 1), 0.3, 1000, seed=1).q_subset == 1.0
     (row,) = empirical_staircase(mc, [0.3], 1000, seed=1)
     assert row.subset == (0, 1) and row.q_subset == 1.0
     report = compute_random_scale_report(gammas, q)
@@ -208,54 +223,66 @@ def test_probabilities_never_exceed_one(tmp_path):
     assert max(e["q_delta"] for e in json.loads(text)["per_subset"]) == 1.0
 
 
-def test_sim_result_compares_and_hashes_by_identity():
-    # a result holds an array, so == and hash() go by identity and never raise
-    a, b = (run_trials(periodic4(), Strategy((0, 1), 0.5), 100, seed=1) for _ in range(2))
-    assert (a == a) is True and (a == b) is False and (a != b) is True
-    assert len({a, a, b}) == 2
-
-
 def test_memory_ceiling_of_run_trials():
     # the draw is one count per branch: its memory does not grow with n_trials
-    mc, strategy = periodic4(), Strategy((0, 1), 0.5)
-    run_trials(mc, strategy, 10**3, seed=1)  # first call: imports and caches
+    mc = periodic4()
+    fixed(mc, (0, 1), 0.5, 10**3, seed=1)  # first call: imports and caches
     peaks = []
     for n_trials in (10**3, 10**6):
         tracemalloc.start()
         try:
-            run_trials(mc, strategy, n_trials, seed=1)
+            fixed(mc, (0, 1), 0.5, n_trials, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 64 * 1024
-    assert run_trials(mc, strategy, MAX_TRIALS, seed=1).counts.sum() == MAX_TRIALS
+    row = fixed(mc, (0, 1), 0.5, MAX_TRIALS, seed=1)
+    counts, error = _draw(mc, (0, 1), MAX_TRIALS, 1)
+    assert counts.sum() == MAX_TRIALS and row.n_trials == MAX_TRIALS
+    assert error == row.empirical_error
 
 
 @pytest.mark.parametrize(
     "mc, rate, q", [(periodic4(), 0.6665, 0.5), (random3(), 0.4, 0.8)], ids=["per4", "rand3"]
 )
 def test_run_trials_q_subset_matches_staircase(mc, rate, q):
-    res = run_trials(mc, Strategy((1, 0), rate), 1000, seed=2)
+    res = fixed(mc, (1, 0), rate, 1000, seed=2)
     (row,) = empirical_staircase(mc, [rate], 1000, seed=2)
-    assert row.subset == res.strategy.subset == (0, 1)
+    assert row.subset == res.subset == (0, 1)
     assert res.q_subset == row.q_subset == q
     # one draw rule: the same pick and seed give the same errors, to the bit
     assert row.theoretical_error == res.theoretical_error
     assert row.empirical_error == res.empirical_error
 
 
+def test_fixed_subset_rows():
+    # the rows that simulate --subset 0,1 --trials 1000 --seed 7 prints (see
+    # test_cli's SUBSET_ROWS): at rate 5.0 the target decodes nothing, and
+    # its row keeps the target's subset and probability
+    for mc, q, rate, theoretical, empirical in [
+        (periodic4(), 0.5, 0.5, 0.5, 0.483),
+        (periodic4(), 0.5, 5.0, 1.0, 1.0),
+        (random3(), 0.8, 0.5, 0.2, 0.199),
+        (random3(), 0.8, 5.0, 1.0, 1.0),
+    ]:
+        errors = (pytest.approx(e, abs=1e-15) for e in (theoretical, empirical))
+        assert empirical_staircase(mc, [rate], 1000, 7, subset=(1, 0)) == [
+            StaircaseRow(rate, (0, 1), q, *errors, 1000, 7)
+        ]
+
+
 def test_run_trials_validation(monkeypatch):
     with pytest.raises(ValidationError):
-        run_trials(periodic4(), Strategy((0,), 0.1), 0, seed=1)
+        fixed(periodic4(), (0,), 0.1, 0, seed=1)
     with pytest.raises(ValidationError):
-        run_trials(periodic4(), Strategy((0,), 0.1), 100, seed=-1)
+        fixed(periodic4(), (0,), 0.1, 100, seed=-1)
     # a count past MAX_TRIALS is refused before any generator is built, so
     # before the draws are allocated; no row of the staircase at rate 5
     # draws, as that rate clears no subset
     monkeypatch.setattr(np.random, "Philox", None)
     for n_trials in (0, -3, MAX_TRIALS + 1, 10**30, 100.0, True):
         with pytest.raises(ValidationError, match="n_trials"):
-            run_trials(periodic4(), Strategy((0,), 0.1), n_trials, seed=1)
+            fixed(periodic4(), (0,), 0.1, n_trials, seed=1)
         with pytest.raises(ValidationError, match="n_trials"):
             empirical_staircase(periodic4(), [5.0], n_trials, seed=1)
 
